@@ -102,7 +102,6 @@ fn main() {
     } else {
         (400_000f64 * scale) as usize
     };
-    let workers = 4;
 
     println!("================ windowed serving throughput ================");
     println!(
@@ -125,7 +124,7 @@ fn main() {
     // same engine (one buffers, one rotates) — single-threaded, so the
     // dynamic borrows never overlap.
     let engine = std::cell::RefCell::new(QueryEngine::with_policy(
-        workers,
+        1,
         AtomicCountMedian::with_backend(&params),
         policy,
     ));
@@ -142,7 +141,7 @@ fn main() {
     engine.flush();
     let windowed_secs = t.elapsed().as_secs_f64();
 
-    let mut unbounded = QueryEngine::new(workers, AtomicCountMedian::with_backend(&params));
+    let mut unbounded = QueryEngine::new(AtomicCountMedian::with_backend(&params));
     let t = Instant::now();
     drive_timestamped(
         stream.iter().copied(),
@@ -306,7 +305,7 @@ fn main() {
     let schedule = SeedSchedule::new(7);
     let rotating = std::cell::RefCell::new(
         RotatingEngine::new(
-            workers,
+            1,
             AtomicCountMedian::with_backend(&params),
             schedule,
             WINDOW,
@@ -409,7 +408,7 @@ fn main() {
     // fabric's admission path, then queried round-robin through
     // request dispatch.
     for &tenants in &[4u64, 16, 64] {
-        let mut fabric = Fabric::new(FabricConfig::new(params.clone()).with_workers(workers));
+        let mut fabric = Fabric::new(FabricConfig::new(params.clone()));
         for shard in 0..4 {
             fabric.add_shard(shard, 1.0).expect("fresh shard id");
         }
@@ -478,7 +477,7 @@ fn main() {
     // tax reads off directly.
     {
         let tenants = 4u64;
-        let mut fabric = Fabric::new(FabricConfig::new(params.clone()).with_workers(workers));
+        let mut fabric = Fabric::new(FabricConfig::new(params.clone()));
         for shard in 0..4 {
             fabric.add_shard(shard, 1.0).expect("fresh shard id");
         }

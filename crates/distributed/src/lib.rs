@@ -29,7 +29,7 @@
 //!
 //! The protocol is storage-agnostic: sketches are generic over the
 //! counter-matrix backend, so sites may locally ingest into
-//! `Atomic`-backed sketches (e.g. while `ConcurrentIngest` workers feed
+//! `Atomic`-backed sketches (e.g. while a `ConcurrentIngest` writes
 //! them) and still merge at the coordinator — linearity does not care
 //! how the counters were stored.
 //!

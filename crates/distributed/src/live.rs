@@ -116,7 +116,7 @@ mod tests {
         let mut central = CountSketch::new(&params());
         for (s, site) in sites.iter().enumerate() {
             let updates = site_stream(s as u64, 4_000);
-            let mut ingest = ConcurrentIngest::new(2, site.clone()).with_flush_threshold(1_000);
+            let mut ingest = ConcurrentIngest::new(site.clone()).with_flush_threshold(1_000);
             ingest.extend_from_slice(&updates);
             ingest.flush();
             central.update_batch(&updates);
@@ -158,7 +158,7 @@ mod tests {
             for (s, site) in sites.iter().enumerate() {
                 let site = site.clone();
                 scope.spawn(move || {
-                    let mut ingest = ConcurrentIngest::new(2, site).with_flush_threshold(500);
+                    let mut ingest = ConcurrentIngest::new(site).with_flush_threshold(500);
                     ingest.extend_from_slice(&site_stream(s as u64, 20_000));
                     ingest.flush();
                 });

@@ -178,7 +178,7 @@ mod tests {
         let policy = Sliding::new(1).unwrap();
         let mut engines: Vec<QueryEngine<AtomicCountSketch, Sliding>> = (0..3)
             .map(|_| {
-                QueryEngine::with_policy(2, AtomicCountSketch::with_backend(&params()), policy)
+                QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy)
             })
             .collect();
         // Two closed intervals; the window covers interval 2 (the one
@@ -217,8 +217,8 @@ mod tests {
     #[test]
     fn mismatched_interval_ranges_rejected() {
         let policy = Sliding::new(1).unwrap();
-        let mut a = QueryEngine::with_policy(2, AtomicCountSketch::with_backend(&params()), policy);
-        let mut b = QueryEngine::with_policy(2, AtomicCountSketch::with_backend(&params()), policy);
+        let mut a = QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy);
+        let mut b = QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy);
         a.advance_interval(); // site a is one interval ahead
         a.push(1, 1.0);
         b.push(1, 1.0);
@@ -239,9 +239,9 @@ mod tests {
         // Two sites on the same interval clock but different seeds:
         // counter-space aggregation must refuse, not silently blend.
         let policy = Sliding::new(1).unwrap();
-        let mut a = QueryEngine::with_policy(2, AtomicCountSketch::with_backend(&params()), policy);
+        let mut a = QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy);
         let mut b = QueryEngine::with_policy(
-            2,
+            1,
             AtomicCountSketch::with_backend(&params().with_seed(20)),
             policy,
         );
@@ -266,9 +266,9 @@ mod tests {
     #[test]
     fn heterogeneous_seed_sites_aggregate_in_estimate_space() {
         let policy = Sliding::new(1).unwrap();
-        let mut a = QueryEngine::with_policy(2, AtomicCountSketch::with_backend(&params()), policy);
+        let mut a = QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy);
         let mut b = QueryEngine::with_policy(
-            2,
+            1,
             AtomicCountSketch::with_backend(&params().with_seed(21)),
             policy,
         );
@@ -288,8 +288,8 @@ mod tests {
     #[test]
     fn estimate_space_aggregation_still_checks_interval_ranges() {
         let policy = Sliding::new(1).unwrap();
-        let mut a = QueryEngine::with_policy(2, AtomicCountSketch::with_backend(&params()), policy);
-        let mut b = QueryEngine::with_policy(2, AtomicCountSketch::with_backend(&params()), policy);
+        let mut a = QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy);
+        let mut b = QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy);
         a.advance_interval();
         a.flush();
         b.flush();
@@ -307,7 +307,7 @@ mod tests {
         let policy = Sliding::new(1).unwrap();
         let mut engines: Vec<QueryEngine<AtomicCountSketch, Sliding>> = (0..3)
             .map(|_| {
-                QueryEngine::with_policy(2, AtomicCountSketch::with_backend(&params()), policy)
+                QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy)
             })
             .collect();
         for (s, engine) in engines.iter_mut().enumerate() {

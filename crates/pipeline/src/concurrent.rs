@@ -1,88 +1,79 @@
-//! The concurrent ingester: N threads feeding **one** shared
-//! atomic-backed sketch, lock-free.
+//! The shared ingester: one writer per counter plane, feeding **one**
+//! `Atomic`-backed sketch that snapshot readers copy while it is
+//! written.
 //!
 //! Where [`ShardedIngest`](crate::ShardedIngest) buys parallelism with
 //! memory — `k` same-seed shard copies, `k×` the counter space, merged
 //! at the end — [`ConcurrentIngest`] keeps the small-space promise that
 //! motivates sketching in the first place: one counter plane, `1×`
-//! memory, fed by every worker thread through the storage layer's
-//! lock-free [`SharedSketch`](bas_sketch::SharedSketch) path. No merge
-//! step, no shard copies, and the sketch is queryable the moment the
-//! last flush returns.
+//! memory, written through the storage layer's single-writer
+//! [`SharedSketch`](bas_sketch::SharedSketch) path. No merge step, no
+//! shard copies, and the sketch is queryable the moment a flush
+//! returns. The concurrency is between the one writer and its readers,
+//! not among writers.
 
 use crate::buffer::IngestBuffer;
 use crate::epoch::EpochGuard;
 use bas_sketch::SharedSketch;
 use bas_stream::StreamUpdate;
 
-/// Fans an update stream across `workers` threads that all feed **one**
-/// shared sketch through its lock-free
-/// [`SharedSketch`] ingest path.
+/// Buffers an update stream and applies it in flushes to **one**
+/// shared sketch through its single-writer [`SharedSketch`] path.
 ///
 /// The sketch must be built on a shared-capable counter backend —
 /// in practice [`bas_sketch::storage::Atomic`], e.g.
-/// [`bas_sketch::AtomicCountSketch`]. Updates are buffered; each time
-/// the buffer reaches the flush threshold it is split into `workers`
-/// contiguous chunks applied concurrently by scoped threads, every
-/// chunk going through `update_batch_shared` into the *same* counters.
+/// [`bas_sketch::AtomicCountSketch`]. Each time the buffer reaches the
+/// flush threshold the calling thread applies it in one write section,
+/// through the same blocked kernel as exclusive batch ingest.
 ///
 /// **Memory.** A width-`s`, depth-`d` sketch costs `s·d` counter words
 /// here versus `k·s·d` under `ShardedIngest` with `k` shards — the
 /// difference between one compact shared summary and per-thread copies.
 ///
-/// **Exactness.** Atomic adds land in nondeterministic order. For
-/// integer-valued deltas (the paper's arrival model) `f64` addition is
-/// exact, hence order-independent, and the result is **bit-for-bit**
-/// equal to single-threaded ingest — asserted by
-/// `tests/concurrent_ingest.rs`. For general real deltas each counter
-/// may differ in the last ulp (the same caveat shard merging carries).
+/// **Exactness.** Every cell receives its increments in stream order,
+/// so the result is **bit-for-bit** equal to single-threaded exclusive
+/// ingest for any deltas — asserted on fractional streams, with
+/// concurrent readers, by `tests/concurrent_ingest.rs`.
 ///
-/// **Consistency.** Between `push`/`flush` calls no worker threads are
-/// live, so [`sketch`](ConcurrentIngest::sketch) queries observe a
-/// fully settled state; there is no cross-thread ingest happening
-/// outside `flush`.
+/// **Consistency.** Between `push`/`flush` calls no writer is live, so
+/// [`sketch`](ConcurrentIngest::sketch) queries observe a fully
+/// settled state.
 ///
 /// ```
 /// use bas_pipeline::ConcurrentIngest;
 /// use bas_sketch::{AtomicCountSketch, CountSketch, PointQuerySketch, SketchParams};
 ///
 /// let params = SketchParams::new(10_000, 128, 5).with_seed(3);
-/// let mut ingest = ConcurrentIngest::new(4, AtomicCountSketch::with_backend(&params));
+/// let mut ingest = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params));
 /// for i in 0..20_000u64 {
-///     ingest.push(i % 10_000, 1.0);
+///     ingest.push(i % 10_000, 0.25 * (i % 7) as f64);
 /// }
 /// let sketch = ingest.finish();
 ///
-/// // One shared sketch, fed by 4 threads == the single-threaded sketch.
+/// // One shared sketch == the single-threaded exclusive sketch.
 /// let mut reference = CountSketch::new(&params);
 /// for i in 0..20_000u64 {
-///     reference.update(i % 10_000, 1.0);
+///     reference.update(i % 10_000, 0.25 * (i % 7) as f64);
 /// }
 /// assert_eq!(sketch.estimate(42), reference.estimate(42));
 /// ```
 #[derive(Debug)]
 pub struct ConcurrentIngest<S> {
     sketch: S,
-    workers: usize,
     buf: IngestBuffer,
 }
 
 impl<S: SharedSketch + Send> ConcurrentIngest<S> {
-    /// Default number of buffered updates that triggers a parallel
-    /// flush — same sizing rationale as
+    /// Default number of buffered updates that triggers a flush — same
+    /// sizing rationale as
     /// [`ShardedIngest::DEFAULT_FLUSH_THRESHOLD`](crate::ShardedIngest::DEFAULT_FLUSH_THRESHOLD).
     pub const DEFAULT_FLUSH_THRESHOLD: usize = IngestBuffer::DEFAULT_FLUSH_THRESHOLD;
 
-    /// Creates an ingester that fans flushes across `workers` threads
-    /// feeding `sketch`.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize, sketch: S) -> Self {
-        assert!(workers > 0, "need at least one worker");
+    /// Creates an ingester whose flushes write `sketch` on the calling
+    /// thread.
+    pub fn new(sketch: S) -> Self {
         Self {
             sketch,
-            workers,
             buf: IngestBuffer::new(),
         }
     }
@@ -96,17 +87,12 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         self
     }
 
-    /// Number of worker threads used per flush.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Updates applied to the shared sketch so far (excludes buffered).
     pub fn total_updates(&self) -> u64 {
         self.buf.total_updates()
     }
 
-    /// Parallel flushes performed so far.
+    /// Flushes performed so far.
     pub fn flushes(&self) -> u64 {
         self.buf.flushes()
     }
@@ -124,8 +110,8 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         &self.sketch
     }
 
-    /// Buffers one update `x_item ← x_item + delta`, flushing in
-    /// parallel when the buffer is full.
+    /// Buffers one update `x_item ← x_item + delta`, flushing when the
+    /// buffer is full.
     pub fn push(&mut self, item: u64, delta: f64) {
         if self.buf.push(item, delta) {
             self.flush();
@@ -150,33 +136,24 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         }
     }
 
-    /// Applies all buffered updates now: the buffer is split into
-    /// `workers` contiguous chunks and each chunk is pushed through
-    /// `update_batch_shared` on its own scoped thread — all of them
-    /// into the **same** counter plane. Returns with all workers
-    /// joined, so the sketch is settled.
+    /// Applies all buffered updates now, on the calling thread, in one
+    /// write section. Returns with the sketch settled.
     ///
     /// If the sketch publishes a write epoch
     /// ([`SharedSketch::write_epoch`], e.g. through an
-    /// [`EpochSketch`](crate::EpochSketch) wrapper), the whole flush —
-    /// spawn, apply, join — runs inside one write section, and the
-    /// stream position is advanced via [`SharedSketch::note_applied`]
-    /// before the section closes. Seqlock snapshot readers therefore
-    /// only ever capture flush *boundaries*: prefixes of the pushed
-    /// stream, never a mix of an in-flight flush. Plain sketches
-    /// publish no epoch and skip the bracket entirely.
+    /// [`EpochSketch`](crate::EpochSketch) wrapper), the whole flush
+    /// runs inside one write section — which also rejects a second,
+    /// overlapping writer — and the stream position is advanced via
+    /// [`SharedSketch::note_applied`] before the section closes.
+    /// Seqlock snapshot readers therefore only ever capture flush
+    /// *boundaries*: prefixes of the pushed stream, never a mix of an
+    /// in-flight flush. Plain sketches publish no epoch and skip the
+    /// bracket entirely.
     pub fn flush(&mut self) {
         let sketch = &self.sketch;
-        let workers = self.workers;
         self.buf.drain(|pending| {
-            let chunk = pending.len().div_ceil(workers);
             let guard = sketch.write_epoch().map(EpochGuard::enter);
-            crossbeam::scope(|scope| {
-                for chunk in pending.chunks(chunk) {
-                    scope.spawn(move |_| sketch.update_batch_shared(chunk));
-                }
-            })
-            .expect("concurrent ingest worker panicked");
+            sketch.update_batch_shared(pending);
             if guard.is_some() {
                 // Only epoch-published sketches track stream position;
                 // plain sketches' note_applied is a no-op, so skip the
@@ -207,45 +184,43 @@ mod tests {
         SketchParams::new(500, 64, 5).with_seed(9)
     }
 
-    /// Integer-delta stream: f64 atomic adds are exact, so the shared
-    /// sketch must reproduce the single-threaded sketch bit-for-bit.
+    /// Fractional-delta stream: every cell gets its increments in
+    /// stream order, so the shared sketch must reproduce the
+    /// single-threaded sketch bit-for-bit.
     fn stream(len: u64) -> Vec<(u64, f64)> {
         (0..len)
-            .map(|i| (i * 7 % 500, (1 + i % 5) as f64))
+            .map(|i| (i * 7 % 500, 0.1 + (i % 5) as f64 / 3.0))
             .collect()
     }
 
     #[test]
     fn concurrent_equals_single_threaded_exactly() {
-        for workers in [1usize, 2, 3, 8] {
-            let updates = stream(10_000);
-            let mut ingest =
-                ConcurrentIngest::new(workers, AtomicCountMedian::with_backend(&params()))
-                    .with_flush_threshold(1_000);
-            ingest.extend_from_slice(&updates);
-            let shared = ingest.finish();
-            let mut reference = CountMedian::new(&params());
-            reference.update_batch(&updates);
-            for j in 0..500u64 {
-                assert_eq!(
-                    shared.estimate(j),
-                    reference.estimate(j),
-                    "{workers} workers, item {j}"
-                );
-            }
+        let updates = stream(10_000);
+        let mut ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()))
+            .with_flush_threshold(1_000);
+        ingest.extend_from_slice(&updates);
+        let shared = ingest.finish();
+        let mut reference = CountMedian::new(&params());
+        reference.update_batch(&updates);
+        for j in 0..500u64 {
+            assert_eq!(
+                shared.estimate(j).to_bits(),
+                reference.estimate(j).to_bits(),
+                "item {j}"
+            );
         }
     }
 
     #[test]
     fn push_and_slice_and_stream_apis_agree() {
         let updates = stream(3_000);
-        let mut by_push = ConcurrentIngest::new(3, AtomicCountSketch::with_backend(&params()));
+        let mut by_push = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params()));
         for &(i, d) in &updates {
             by_push.push(i, d);
         }
-        let mut by_slice = ConcurrentIngest::new(3, AtomicCountSketch::with_backend(&params()));
+        let mut by_slice = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params()));
         by_slice.extend_from_slice(&updates);
-        let mut by_stream = ConcurrentIngest::new(3, AtomicCountSketch::with_backend(&params()));
+        let mut by_stream = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params()));
         by_stream.extend_updates(updates.iter().map(|&(i, d)| StreamUpdate::new(i, d)));
         let (a, b, c) = (by_push.finish(), by_slice.finish(), by_stream.finish());
         for j in (0..500u64).step_by(17) {
@@ -256,9 +231,8 @@ mod tests {
 
     #[test]
     fn counters_track_flushes_and_mid_stream_queries_work() {
-        let mut ingest = ConcurrentIngest::new(2, AtomicCountMedian::with_backend(&params()))
+        let mut ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()))
             .with_flush_threshold(100);
-        assert_eq!(ingest.workers(), 2);
         for (i, d) in stream(250) {
             ingest.push(i, d);
         }
@@ -273,8 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn more_workers_than_updates_is_fine() {
-        let mut ingest = ConcurrentIngest::new(8, AtomicCountMedian::with_backend(&params()));
+    fn a_single_update_is_applied() {
+        let mut ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()));
         ingest.push(3, 2.0);
         let sk = ingest.finish();
         assert_eq!(sk.estimate(3), 2.0);
@@ -282,7 +256,7 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_empty_sketch() {
-        let ingest = ConcurrentIngest::new(4, AtomicCountMedian::with_backend(&params()));
+        let ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()));
         let sk = ingest.finish();
         for j in (0..500u64).step_by(31) {
             assert_eq!(sk.estimate(j), 0.0);
@@ -290,15 +264,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let _ = ConcurrentIngest::new(0, AtomicCountMedian::with_backend(&params()));
-    }
-
-    #[test]
     #[should_panic(expected = "flush threshold must be positive")]
     fn zero_threshold_rejected() {
-        let _ = ConcurrentIngest::new(1, AtomicCountMedian::with_backend(&params()))
+        let _ = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()))
             .with_flush_threshold(0);
     }
 }

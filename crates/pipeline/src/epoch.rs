@@ -1,22 +1,23 @@
 //! Epoch snapshots: consistent reads over a sketch that is being fed
 //! concurrently.
 //!
-//! [`ConcurrentIngest`](crate::ConcurrentIngest) made one shared
-//! `Atomic`-backed sketch writable from N threads; this module makes it
-//! **readable** while those writers are live. The discipline is a
+//! [`ConcurrentIngest`](crate::ConcurrentIngest) writes one shared
+//! `Atomic`-backed sketch from one writer; this module makes it
+//! **readable** while that writer is live. The discipline is a
 //! seqlock built from two pieces the lower layers already own:
 //!
 //! * the storage layer's
 //!   [`EpochCounter`] — a sequence
-//!   that is odd exactly while a flush's write section is open;
+//!   that is odd exactly while a flush's write section is open (and
+//!   whose `begin_write` rejects a second, overlapping writer);
 //! * the sketch layer's [`Snapshottable`] — an allocation-free
 //!   cell-by-cell freeze of the counters into a dense view.
 //!
 //! [`EpochSketch`] glues them together: it wraps any
 //! [`SharedSketch`] and publishes a write epoch through the
 //! [`SharedSketch::write_epoch`] hook, which `ConcurrentIngest`
-//! brackets around every flush (begin before the workers spawn, end
-//! after they join). A reader [`pin`](EpochSketch::pin)s a
+//! brackets around every flush (begin before the first cell write, end
+//! after the last). A reader [`pin`](EpochSketch::pin)s a
 //! [`SnapshotHandle`] with the classic retry loop — read the epoch,
 //! copy the cells, re-read the epoch, retry if a flush intervened — so
 //! every pinned snapshot is a **settled state from between flushes**,
@@ -163,7 +164,7 @@ impl Drop for EpochGuard<'_> {
 /// let params = SketchParams::new(1_000, 64, 5).with_seed(4);
 /// let shared = EpochHandle::new(AtomicCountMedian::with_backend(&params));
 ///
-/// let mut ingest = ConcurrentIngest::new(2, shared.clone());
+/// let mut ingest = ConcurrentIngest::new(shared.clone());
 /// for i in 0..5_000u64 {
 ///     ingest.push(i % 1_000, 1.0);
 /// }
@@ -196,9 +197,9 @@ impl<S> EpochSketch<S> {
     }
 
     /// The wrapped sketch, for **live** reads: single-cell queries are
-    /// lock-free and safe at any moment (each counter is one atomic
-    /// word), but multi-cell queries made here can mix state from an
-    /// in-flight flush — use [`pin`](EpochSketch::pin) for those.
+    /// safe at any moment (each counter is one atomic word), but
+    /// multi-cell queries made here can mix state from an in-flight
+    /// flush — use [`pin`](EpochSketch::pin) for those.
     pub fn sketch(&self) -> &S {
         &self.sketch
     }
@@ -305,6 +306,7 @@ impl<S: Snapshottable> EpochSketch<S> {
                 let applied = self.applied.load(Ordering::Acquire);
                 let mass = f64::from_bits(self.mass_bits.load(Ordering::Acquire));
                 self.sketch.snapshot_into(snap);
+                // Pairs with the release fence in `begin_write`.
                 fence(Ordering::Acquire);
                 if self.epoch.read() == before {
                     return Ok((before, applied, mass));
@@ -339,6 +341,10 @@ impl<S: Snapshottable> EpochSketch<S> {
                 let mass = f64::from_bits(self.mass_bits.load(Ordering::Acquire));
                 self.sketch.snapshot_into(snap);
                 // Order the cell loads above before the epoch re-check.
+                // Pairs with the release fence in
+                // `EpochCounter::begin_write` (Boehm's seqlock reader): a
+                // load that saw any store of a later section makes the
+                // re-check see that section's odd epoch.
                 fence(Ordering::Acquire);
                 if self.epoch.read() == before {
                     return (before, applied, mass);
@@ -439,14 +445,16 @@ impl<S: SharedSketch> SharedSketch for EpochSketch<S> {
 
     /// Advances the stream position. Called inside the write section,
     /// so epoch-consistent readers always see counters and position
-    /// from the same settled state. Flushes are serialized by the
-    /// driver's `&mut self` (and overlapping write sections are a hard
-    /// error in [`EpochCounter::begin_write`]), but the mass
-    /// accumulation still uses the storage layer's CAS add so even a
-    /// misused concurrent caller cannot silently lose mass.
+    /// from the same settled state. The section admits one writer
+    /// (an overlapping one panics in [`EpochCounter::begin_write`]), so
+    /// a plain load and store suffice, exactly as for the cells; the
+    /// Release stores let a live [`applied`](EpochSketch::applied)
+    /// reader that sees the new position also see the flush's cells.
     fn note_applied(&self, updates: u64, mass: f64) {
-        self.applied.fetch_add(updates, Ordering::AcqRel);
-        <f64 as bas_sketch::CounterValue>::atomic_add(&self.mass_bits, mass);
+        let applied = self.applied.load(Ordering::Relaxed) + updates;
+        self.applied.store(applied, Ordering::Release);
+        let total = f64::from_bits(self.mass_bits.load(Ordering::Relaxed)) + mass;
+        self.mass_bits.store(total.to_bits(), Ordering::Release);
     }
 }
 
@@ -731,7 +739,7 @@ mod tests {
     #[test]
     fn pinned_snapshot_is_a_flush_boundary_prefix() {
         let shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        let mut ingest = ConcurrentIngest::new(2, shared.clone()).with_flush_threshold(1_000);
+        let mut ingest = ConcurrentIngest::new(shared.clone()).with_flush_threshold(1_000);
         let updates = stream(2_500);
         ingest.extend_from_slice(&updates);
         // 2 flushes done, 500 buffered: the snapshot sees exactly 2000.
@@ -751,7 +759,7 @@ mod tests {
     #[test]
     fn refresh_reuses_the_handle_and_tracks_new_flushes() {
         let shared = EpochHandle::new(AtomicCountSketch::with_backend(&params()));
-        let mut ingest = ConcurrentIngest::new(3, shared.clone()).with_flush_threshold(500);
+        let mut ingest = ConcurrentIngest::new(shared.clone()).with_flush_threshold(500);
         let updates = stream(1_500);
         ingest.extend_from_slice(&updates[..500]);
         let mut snap = shared.pin();
@@ -773,7 +781,7 @@ mod tests {
     #[test]
     fn snapshot_is_frozen_while_live_moves_on() {
         let shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        let mut ingest = ConcurrentIngest::new(2, shared.clone()).with_flush_threshold(100);
+        let mut ingest = ConcurrentIngest::new(shared.clone()).with_flush_threshold(100);
         ingest.extend_from_slice(&stream(100));
         let snap = shared.pin();
         let frozen = snap.estimate(13);
@@ -818,7 +826,7 @@ mod tests {
     #[test]
     fn bounded_pin_matches_unbounded_when_settled() {
         let shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        let mut ingest = ConcurrentIngest::new(2, shared.clone()).with_flush_threshold(500);
+        let mut ingest = ConcurrentIngest::new(shared.clone()).with_flush_threshold(500);
         ingest.extend_from_slice(&stream(1_000));
         let snap = shared.pin();
         let bounded = shared
@@ -837,7 +845,7 @@ mod tests {
         // odd forever. The unbounded `pin` would livelock here; the
         // bounded variants must return a typed error promptly.
         let shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        let mut ingest = ConcurrentIngest::new(2, shared.clone()).with_flush_threshold(100);
+        let mut ingest = ConcurrentIngest::new(shared.clone()).with_flush_threshold(100);
         ingest.extend_from_slice(&stream(200));
         let mut snap = shared.try_pin(FillBudget::new()).unwrap();
 

@@ -28,20 +28,21 @@
 //! ## Sharded vs concurrent-shared
 //!
 //! Two multi-core ingest strategies live here, trading memory against
-//! counter contention:
+//! how the work splits:
 //!
 //! * [`ShardedIngest`] — `k` per-thread same-seed shard sketches, `k×`
-//!   the counter memory, zero write contention, one merge at the end.
+//!   the counter memory, each thread taking a slice of the stream, one
+//!   merge at the end.
 //! * [`ConcurrentIngest`] — **one** shared sketch on the storage
-//!   layer's `Atomic` backend, `1×` memory, fed by `k` threads through
-//!   the lock-free [`SharedSketch`](bas_sketch::SharedSketch) path; no
-//!   merge step. This preserves the small-space motivation of
-//!   sketching: a width-4096 × depth-9 sketch costs ~288 KiB shared
-//!   versus ~2.3 MiB under 8-way sharding.
+//!   layer's `Atomic` backend, `1×` memory, written by one thread
+//!   through the single-writer [`SharedSketch`](bas_sketch::SharedSketch)
+//!   path while any number of readers copy it; no merge step. A
+//!   width-4096 × depth-9 sketch costs ~288 KiB shared versus ~2.3 MiB
+//!   under 8-way sharding.
 //!
-//! Both are exactly equivalent to single-threaded ingest on
-//! integer-delta streams (order-independence of exact addition); the
-//! `throughput_ingest` bench reports them head-to-head.
+//! `ConcurrentIngest` equals single-threaded ingest bit for bit on any
+//! deltas, `ShardedIngest` on integer deltas (its merge reorders
+//! additions); `throughput_ingest` benches them head-to-head.
 //!
 //! ## Reading while writing: the epoch module
 //!

@@ -91,7 +91,7 @@ impl<S: SharedSketch + Reseedable + Send> RotatingGeneration<S> {
 /// the master seed — so generation `g` always runs under
 /// `schedule.seed_for(g)` and any party holding the schedule can
 /// reconstruct every generation's hashers. The live generation ingests
-/// through the same lock-free [`ConcurrentIngest`] path as the
+/// through the same single-writer [`ConcurrentIngest`] path as the
 /// fixed-seed engines; [`advance_interval`](RotatingIngest::advance_interval)
 /// retires it and starts the next, retaining the last `retain` retired
 /// generations for estimate-space window serving.
@@ -104,7 +104,6 @@ impl<S: SharedSketch + Reseedable + Send> RotatingGeneration<S> {
 /// let params = SketchParams::new(1_000, 64, 5).with_seed(42);
 /// let schedule = SeedSchedule::new(42);
 /// let mut ingest = RotatingIngest::new(
-///     2,
 ///     AtomicCountMedian::with_backend(&params),
 ///     schedule,
 ///     /* retain = */ 3,
@@ -131,7 +130,6 @@ pub struct RotatingIngest<S: SharedSketch + Reseedable + Send> {
     retain: usize,
     /// Id of the interval (= generation) currently accepting updates.
     interval: u64,
-    workers: usize,
     flush_threshold: Option<usize>,
     /// Stream position across *all* generations, live included.
     lifetime_applied: u64,
@@ -141,22 +139,17 @@ pub struct RotatingIngest<S: SharedSketch + Reseedable + Send> {
 impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
     /// Creates a rotating ingester: `sketch` is reseeded to
     /// `schedule.seed_for(0)` (its counters are discarded — pass a
-    /// fresh sketch) and becomes generation 0's live plane. Flushes fan
-    /// across `workers` threads; the last `retain` retired generations
-    /// are kept for window serving (0 keeps none — every rotation
-    /// forgets the past entirely).
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize, sketch: S, schedule: SeedSchedule, retain: usize) -> Self {
+    /// fresh sketch) and becomes generation 0's live plane. The last
+    /// `retain` retired generations are kept for window serving (0
+    /// keeps none — every rotation forgets the past entirely).
+    pub fn new(sketch: S, schedule: SeedSchedule, retain: usize) -> Self {
         let live = EpochHandle::new(sketch.reseeded(schedule.seed_for(0)));
         Self {
-            ingest: ConcurrentIngest::new(workers, live),
+            ingest: ConcurrentIngest::new(live),
             schedule,
             retired: VecDeque::new(),
             retain,
             interval: 0,
-            workers,
             flush_threshold: None,
             lifetime_applied: 0,
             lifetime_mass: 0.0,
@@ -204,17 +197,16 @@ impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
     /// `schedule.seed_for(interval + 1)`. Returns the id of the
     /// interval just retired.
     ///
-    /// Worker threads are recreated per flush, not pooled, so swapping
-    /// the `ConcurrentIngest` itself costs one allocation — rotation
-    /// overhead is dominated by the plane allocation for the next
-    /// generation (`O(s·d)` words, same as a `PlaneBank` seal).
+    /// Swapping the `ConcurrentIngest` itself costs one allocation —
+    /// rotation overhead is dominated by the plane allocation for the
+    /// next generation (`O(s·d)` words, same as a `PlaneBank` seal).
     pub fn advance_interval(&mut self) -> u64 {
         self.ingest.flush();
         let sealed = self.interval;
         let next_seed = self.schedule.seed_for(sealed + 1);
         let next = {
             let fresh = self.ingest.sketch().reseeded(next_seed);
-            let mut ingest = ConcurrentIngest::new(self.workers, fresh);
+            let mut ingest = ConcurrentIngest::new(fresh);
             if let Some(updates) = self.flush_threshold {
                 ingest = ingest.with_flush_threshold(updates);
             }
@@ -276,11 +268,6 @@ impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
         self.retired.iter().find(|g| g.interval == interval)
     }
 
-    /// Worker threads per flush.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Updates buffered but not yet flushed.
     pub fn pending(&self) -> usize {
         self.ingest.pending()
@@ -319,7 +306,6 @@ mod tests {
 
     fn rotating(retain: usize) -> RotatingIngest<AtomicCountMedian> {
         RotatingIngest::new(
-            2,
             AtomicCountMedian::with_backend(&params()),
             SeedSchedule::new(MASTER),
             retain,

@@ -28,7 +28,7 @@
 //!    slot's allocation is refilled in place: steady-state rotation
 //!    allocates nothing.
 //!
-//! The live sketch is never reset — writers keep feeding it lock-free
+//! The live sketch is never reset — its writer keeps feeding it
 //! across rotations, and concurrent readers' pinned snapshots stay
 //! valid. `bas_serve` layers the tumbling/sliding window *policies* on
 //! top; this module only owns the mechanics.
@@ -56,7 +56,7 @@ use bas_stream::StreamUpdate;
 ///
 /// let params = SketchParams::new(1_000, 64, 5).with_seed(4);
 /// let mut ingest =
-///     WindowedIngest::new(2, AtomicCountMedian::with_backend(&params), 3);
+///     WindowedIngest::new(AtomicCountMedian::with_backend(&params), 3);
 ///
 /// for interval in 0..4u64 {
 ///     for i in 0..500u64 {
@@ -86,16 +86,13 @@ pub struct WindowedIngest<S: SharedSketch + Snapshottable + Reseedable + Send> {
 }
 
 impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
-    /// Creates a windowed ingester whose flushes fan across `workers`
-    /// threads and whose bank retains the last `bank_capacity` sealed
-    /// planes. Capacity 0 disables sealing entirely — the unbounded
-    /// configuration, with zero rotation overhead.
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize, sketch: S, bank_capacity: usize) -> Self {
+    /// Creates a windowed ingester whose bank retains the last
+    /// `bank_capacity` sealed planes. Capacity 0 disables sealing
+    /// entirely — the unbounded configuration, with zero rotation
+    /// overhead.
+    pub fn new(sketch: S, bank_capacity: usize) -> Self {
         Self {
-            ingest: ConcurrentIngest::new(workers, EpochHandle::new(sketch)),
+            ingest: ConcurrentIngest::new(EpochHandle::new(sketch)),
             bank: PlaneBank::new(bank_capacity),
             interval: 0,
         }
@@ -303,11 +300,6 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
         self.ingest.sketch()
     }
 
-    /// Worker threads per flush.
-    pub fn workers(&self) -> usize {
-        self.ingest.workers()
-    }
-
     /// Updates applied in completed flushes (all intervals combined —
     /// the plane is cumulative).
     pub fn applied(&self) -> u64 {
@@ -344,7 +336,7 @@ mod tests {
 
     #[test]
     fn seals_are_cumulative_flush_boundary_prefixes() {
-        let mut ingest = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 4);
+        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 4);
         let mut reference = CountMedian::new(&params());
         let mut applied = 0u64;
         for t in 0..3u64 {
@@ -371,7 +363,7 @@ mod tests {
     #[test]
     fn seal_for_shutdown_matches_advance_interval_and_is_bounded() {
         // Settled path: identical to advance_interval.
-        let mut ingest = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 4);
+        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 4);
         ingest.extend_from_slice(&interval_stream(0, 300));
         assert_eq!(ingest.seal_for_shutdown(FillBudget::new()).unwrap(), 0);
         assert_eq!(ingest.interval(), 1);
@@ -391,7 +383,7 @@ mod tests {
 
     #[test]
     fn window_subtraction_recovers_one_interval_exactly() {
-        let mut ingest = WindowedIngest::new(3, AtomicCountMedian::with_backend(&params()), 2);
+        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 2);
         let first = interval_stream(0, 900);
         let second = interval_stream(1, 600);
         ingest.extend_from_slice(&first);
@@ -419,7 +411,7 @@ mod tests {
 
     #[test]
     fn ring_recycles_and_live_plane_survives_rotation() {
-        let mut ingest = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 2);
+        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 2);
         for t in 0..5u64 {
             ingest.extend_from_slice(&interval_stream(t, 300));
             ingest.advance_interval();
@@ -436,7 +428,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_the_unbounded_configuration() {
-        let mut ingest = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 0);
+        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 0);
         ingest.extend_from_slice(&interval_stream(0, 200));
         assert_eq!(ingest.advance_interval(), 0);
         assert!(ingest.bank().is_empty());
@@ -447,7 +439,7 @@ mod tests {
     #[test]
     fn transfer_rebuilds_a_windowed_ingester_bit_for_bit() {
         // Source: 3 sealed intervals + a live tail.
-        let mut source = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 4);
+        let mut source = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 4);
         for t in 0..3u64 {
             source.extend_from_slice(&interval_stream(t, 500));
             source.advance_interval();
@@ -458,7 +450,7 @@ mod tests {
         // Ship: cumulative plane + every seal + the interval id, as a
         // destination that never saw an update would receive them.
         let cumulative = source.shared().pin();
-        let mut dest = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 4);
+        let mut dest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 4);
         dest.absorb_cumulative(
             cumulative.snapshot(),
             cumulative.applied(),
@@ -518,14 +510,14 @@ mod tests {
     fn restore_seal_overwrites_recycled_slots() {
         // Fill a capacity-2 bank, then restore two more seals so both
         // paths (fresh alloc and pop_front recycle) run the overwrite.
-        let mut ingest = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 2);
+        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 2);
         ingest.extend_from_slice(&interval_stream(0, 100));
         ingest.advance_interval();
         ingest.extend_from_slice(&interval_stream(1, 100));
         ingest.advance_interval();
 
         let donor = {
-            let mut d = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 2);
+            let mut d = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 2);
             d.extend_from_slice(&interval_stream(7, 400));
             d.advance_interval();
             d
@@ -550,7 +542,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must lie past the latest seal")]
     fn restore_interval_rejects_ids_at_or_before_the_latest_seal() {
-        let mut ingest = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 2);
+        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 2);
         ingest.extend_from_slice(&interval_stream(0, 50));
         ingest.advance_interval();
         ingest.restore_seal(
@@ -564,7 +556,7 @@ mod tests {
 
     #[test]
     fn empty_intervals_seal_cleanly() {
-        let mut ingest = WindowedIngest::new(2, AtomicCountMedian::with_backend(&params()), 3);
+        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 3);
         ingest.advance_interval();
         ingest.extend_from_slice(&interval_stream(1, 100));
         ingest.advance_interval();

@@ -188,7 +188,7 @@ mod tests {
 
     fn engine() -> QueryEngine<AtomicCountMedian> {
         let params = SketchParams::new(200, 64, 5).with_seed(11);
-        let mut engine = QueryEngine::new(1, AtomicCountMedian::with_backend(&params));
+        let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params));
         engine.push(7, 40.0);
         engine.push(9, 8.0);
         engine.flush();

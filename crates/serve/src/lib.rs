@@ -1,11 +1,10 @@
 //! # bas-serve — the live query plane
 //!
 //! Everything below this crate moves data *into* sketches; this crate
-//! serves queries *out of* one **while writers are still feeding it**.
+//! serves queries *out of* one **while a writer is still feeding it**.
 //! A [`QueryEngine`] owns the write side — a
-//! [`WindowedIngest`] fanning each
-//! flush across N worker threads into one shared `Atomic`-backed
-//! sketch — and hands out any number of cloneable [`QueryHandle`]s for
+//! [`WindowedIngest`] whose flushes the calling thread writes into one
+//! shared `Atomic`-backed sketch — and hands out any number of cloneable [`QueryHandle`]s for
 //! the read side. Two read modes, chosen per query:
 //!
 //! * **live** ([`QueryHandle::estimate_live`]) — reads the atomic cells
@@ -47,7 +46,7 @@
 //! conveniences panic with its `Display` message.
 //!
 //! The engine is generic over any sketch that is both
-//! [`SharedSketch`] (lock-free shared ingest)
+//! [`SharedSketch`] (single-writer shared ingest)
 //! and [`Snapshottable`] (freezable counters): Count-Median,
 //! Count-Sketch, Count-Min (plain), and the dyadic range-sum stack.
 //!
@@ -56,7 +55,7 @@
 //! use bas_sketch::{AtomicCountMedian, SketchParams};
 //!
 //! let params = SketchParams::new(10_000, 256, 5).with_seed(8);
-//! let mut engine = QueryEngine::new(4, AtomicCountMedian::with_backend(&params));
+//! let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params));
 //!
 //! // Writer side: push updates; full buffers flush across 4 threads.
 //! for i in 0..20_000u64 {
@@ -81,7 +80,7 @@
 //! let params = SketchParams::new(1_000, 128, 5).with_seed(9);
 //! let policy = Sliding::new(2).unwrap(); // last 2 intervals
 //! let mut engine =
-//!     QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params), policy);
+//!     QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy);
 //!
 //! for interval in 0..4u64 {
 //!     engine.push(7, 10.0); // item 7 gets 10 per interval
@@ -142,8 +141,8 @@ fn scan_heavy_hitters<S: Snapshottable>(
 }
 
 /// A query engine over one concurrently-fed sketch: the write side is
-/// a [`WindowedIngest`] (N worker threads, one shared counter
-/// plane, plus interval rotation when the policy is windowed), the
+/// a [`WindowedIngest`] (one writer, one shared counter plane, plus
+/// interval rotation when the policy is windowed), the
 /// read side is any number of [`QueryHandle`]s serving live and
 /// snapshot reads — see the crate docs for the mode choice and the
 /// policy choice.
@@ -170,15 +169,12 @@ pub struct QueryEngine<
 }
 
 impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
-    /// Creates an [`Unbounded`] (since-boot) engine whose flushes fan
-    /// across `workers` threads — the pre-window constructor,
-    /// behaviorally identical to it. The sketch must be built on a
-    /// shared-capable backend (e.g. [`bas_sketch::Atomic`]).
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize, sketch: S) -> Self {
-        Self::with_policy(workers, sketch, Unbounded)
+    /// Creates an [`Unbounded`] (since-boot) engine whose flushes write
+    /// the plane on the calling thread (see
+    /// [`bas_pipeline::ConcurrentIngest`]). The sketch must be built on
+    /// a shared-capable backend (e.g. [`bas_sketch::Atomic`]).
+    pub fn new(sketch: S) -> Self {
+        Self::with_policy(1, sketch, Unbounded)
     }
 }
 
@@ -187,11 +183,16 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
     /// crate docs). [`Unbounded`] allocates no plane bank; windowed
     /// policies retain `policy.bank_capacity()` sealed planes.
     ///
+    /// Flushes run on the calling thread, the plane's one writer, so
+    /// `workers` must be 1; the argument stays only so existing
+    /// callers (the `servebench` ladder) build unchanged.
+    ///
     /// # Panics
-    /// Panics if `workers` is zero.
+    /// Panics unless `workers` is 1.
     pub fn with_policy(workers: usize, sketch: S, policy: P) -> Self {
+        assert_eq!(workers, 1, "flushes have one writer: workers must be 1");
         Self {
-            ingest: WindowedIngest::new(workers, sketch, policy.bank_capacity()),
+            ingest: WindowedIngest::new(sketch, policy.bank_capacity()),
             policy,
         }
     }
@@ -215,8 +216,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
 
     // ---- write side (single producer, `&mut self`) ----
 
-    /// Buffers one update, flushing across the workers when the buffer
-    /// fills.
+    /// Buffers one update, flushing when the buffer fills.
     pub fn push(&mut self, item: u64, delta: f64) {
         self.ingest.push(item, delta);
     }
@@ -326,11 +326,6 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
     }
 
     // ---- bookkeeping ----
-
-    /// Worker threads per flush.
-    pub fn workers(&self) -> usize {
-        self.ingest.workers()
-    }
 
     /// Updates applied in completed flushes (what a snapshot pinned
     /// now would capture).
@@ -609,7 +604,7 @@ where
 /// use bas_sketch::{AtomicCountMedian, SketchParams};
 ///
 /// let params = SketchParams::new(1_000, 64, 5).with_seed(3);
-/// let mut engine = QueryEngine::new(2, AtomicCountMedian::with_backend(&params));
+/// let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params));
 /// let reader = engine.handle();
 ///
 /// std::thread::scope(|scope| {
@@ -693,7 +688,7 @@ mod tests {
     #[test]
     fn snapshot_equals_quiesced_reference_at_flush_boundary() {
         let updates = stream(4_000);
-        let mut engine = QueryEngine::new(3, AtomicCountMedian::with_backend(&params()))
+        let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()))
             .with_flush_threshold(1_000);
         engine.extend_from_slice(&updates);
         let snap = engine.pin();
@@ -710,7 +705,7 @@ mod tests {
     fn readers_run_concurrently_with_the_writer() {
         let updates = stream(50_000);
         let total_mass: f64 = updates.iter().map(|&(_, d)| d).sum();
-        let mut engine = QueryEngine::new(4, AtomicCountMedian::with_backend(&params()))
+        let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()))
             .with_flush_threshold(2_000);
         let readers: Vec<QueryHandle<_>> = (0..2).map(|_| engine.handle()).collect();
         std::thread::scope(|scope| {
@@ -738,7 +733,7 @@ mod tests {
 
     #[test]
     fn heavy_hitter_scan_finds_planted_items() {
-        let mut engine = QueryEngine::new(2, AtomicCountMedian::with_backend(&params()));
+        let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
         for _ in 0..300 {
             engine.push(7, 1.0);
             engine.push(9, 1.0);
@@ -762,8 +757,8 @@ mod tests {
     #[test]
     fn range_sum_engine_serves_range_queries() {
         let p = SketchParams::new(256, 128, 5).with_seed(6);
-        let mut engine = QueryEngine::new(2, RangeSumSketch::<Atomic>::with_backend(&p))
-            .with_flush_threshold(64);
+        let mut engine =
+            QueryEngine::new(RangeSumSketch::<Atomic>::with_backend(&p)).with_flush_threshold(64);
         engine.push(10, 5.0);
         engine.push(20, 3.0);
         engine.push(200, 2.0);
@@ -777,8 +772,8 @@ mod tests {
     #[test]
     fn inner_product_between_two_engines() {
         let p = SketchParams::new(500, 256, 9).with_seed(41);
-        let mut a = QueryEngine::new(2, AtomicCountSketch::with_backend(&p));
-        let mut b = QueryEngine::new(2, AtomicCountSketch::with_backend(&p));
+        let mut a = QueryEngine::new(AtomicCountSketch::with_backend(&p));
+        let mut b = QueryEngine::new(AtomicCountSketch::with_backend(&p));
         a.push(3, 10.0);
         a.push(100, -2.0);
         b.push(3, 5.0);
@@ -792,7 +787,7 @@ mod tests {
 
     #[test]
     fn finish_leaves_readers_alive() {
-        let mut engine = QueryEngine::new(2, AtomicCountMedian::with_backend(&params()));
+        let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
         let reader = engine.handle();
         engine.push(3, 4.0);
         let shared = engine.finish();
@@ -805,20 +800,20 @@ mod tests {
     fn heavy_hitters_on_an_empty_engine_is_empty() {
         // Zero mass means every threshold is vacuous; the scan must
         // return nothing, not the entire universe.
-        let engine = QueryEngine::new(2, AtomicCountMedian::with_backend(&params()));
+        let engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
         assert!(engine.heavy_hitters(0.05).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "phi must be in (0,1)")]
     fn heavy_hitters_rejects_bad_phi() {
-        let engine = QueryEngine::new(1, AtomicCountMedian::with_backend(&params()));
+        let engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
         let _ = engine.heavy_hitters(1.0);
     }
 
     #[test]
     fn typed_rejection_carries_the_parameter() {
-        let engine = QueryEngine::new(1, AtomicCountMedian::with_backend(&params()));
+        let engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
         assert_eq!(
             engine.try_heavy_hitters(1.0),
             Err(QueryError::InvalidPhi { phi: 1.0 })
@@ -844,7 +839,7 @@ mod tests {
     fn sliding_window_matches_reference_over_exactly_k_intervals() {
         let policy = Sliding::new(2).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params()), policy);
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
         let mut per_interval = Vec::new();
         for t in 0..5u64 {
             let updates = interval_stream(t, 800);
@@ -870,7 +865,7 @@ mod tests {
     fn tumbling_window_resets_at_bucket_boundaries() {
         let policy = Tumbling::new(2).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params()), policy);
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
         // Bucket 0 = intervals 0,1; bucket 1 = intervals 2,3.
         for _ in 0..3u64 {
             engine.push(7, 10.0);
@@ -892,7 +887,7 @@ mod tests {
     fn warm_up_window_covers_since_boot() {
         let policy = Sliding::new(4).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params()), policy);
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
         engine.push(3, 5.0);
         engine.advance_interval();
         engine.push(3, 2.0);
@@ -908,7 +903,7 @@ mod tests {
     fn refresh_window_reuses_the_plane_and_tracks_rotation() {
         let policy = Sliding::new(1).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params()), policy);
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
         engine.push(9, 4.0);
         engine.advance_interval();
         let mut window = engine.pin_window();
@@ -927,7 +922,7 @@ mod tests {
     fn window_heavy_hitters_see_only_the_window() {
         let policy = Sliding::new(1).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params()), policy);
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
         // Interval 0: item 7 dominates. Interval 1: item 9 dominates.
         for _ in 0..100 {
             engine.push(7, 1.0);
@@ -960,7 +955,7 @@ mod tests {
         let p = SketchParams::new(256, 128, 5).with_seed(6);
         let policy = Sliding::new(1).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, RangeSumSketch::<Atomic>::with_backend(&p), policy);
+            QueryEngine::with_policy(1, RangeSumSketch::<Atomic>::with_backend(&p), policy);
         engine.push(10, 5.0);
         engine.advance_interval();
         engine.push(20, 3.0);
@@ -986,7 +981,7 @@ mod tests {
     fn pin_window_since_rejects_evicted_boundaries() {
         let policy = Sliding::new(2).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params()), policy);
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
         for t in 0..5u64 {
             engine.push(t, 1.0);
             engine.advance_interval();
@@ -1006,7 +1001,7 @@ mod tests {
     fn window_snapshot_is_frozen_and_sendable() {
         let policy = Sliding::new(1).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params()), policy);
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
         engine.push(5, 3.0);
         engine.advance_interval();
         engine.push(5, 4.0);
@@ -1029,7 +1024,7 @@ mod tests {
     fn finish_windowed_preserves_the_bank() {
         let policy = Sliding::new(2).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params()), policy);
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
         engine.push(3, 5.0);
         engine.advance_interval();
         engine.push(3, 2.0);
@@ -1046,7 +1041,7 @@ mod tests {
 
     #[test]
     fn policy_accessors() {
-        let engine = QueryEngine::new(1, AtomicCountMedian::with_backend(&params()));
+        let engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
         assert_eq!(engine.policy().describe(), "unbounded");
         let windowed = QueryEngine::with_policy(
             1,

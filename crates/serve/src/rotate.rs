@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 ///
 /// let params = SketchParams::new(1_000, 64, 5).with_seed(42);
 /// let mut engine = RotatingEngine::new(
-///     2,
+///     1,
 ///     AtomicCountMedian::with_backend(&params),
 ///     SeedSchedule::new(42),
 ///     /* window of */ 3, // live interval + 2 retired generations
@@ -84,17 +84,22 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
     /// # Errors
     /// Returns [`QueryError::InvalidWindowLen`] if `window_len` is 0.
     ///
+    /// Flushes run on the calling thread, the plane's one writer, so
+    /// `workers` must be 1; the argument stays only so existing
+    /// callers (the `servebench` ladder) build unchanged.
+    ///
     /// # Panics
-    /// Panics if `workers` is zero.
+    /// Panics unless `workers` is 1.
     pub fn new(
         workers: usize,
         sketch: S,
         schedule: SeedSchedule,
         window_len: usize,
     ) -> Result<Self, QueryError> {
+        assert_eq!(workers, 1, "flushes have one writer: workers must be 1");
         QueryError::check_window_len(window_len)?;
         Ok(Self {
-            ingest: RotatingIngest::new(workers, sketch, schedule, window_len - 1),
+            ingest: RotatingIngest::new(sketch, schedule, window_len - 1),
             window_len,
             audit: None,
         })
@@ -288,7 +293,7 @@ mod tests {
 
     fn make_engine(window_len: usize) -> RotatingEngine<AtomicCountMedian> {
         RotatingEngine::new(
-            2,
+            1,
             AtomicCountMedian::with_backend(&params()),
             SeedSchedule::new(MASTER),
             window_len,

@@ -51,7 +51,6 @@ options:
                        the batch kernels hoist the hash out of the row
                        loop; carter-wegman matches the paper analysis
                        and supports non-power-of-two widths)
-  --workers K          ingest workers per tenant  (default 1)
   --read-ms MS         mid-frame read deadline    (default 10000)
   --write-ms MS        response write deadline    (default 10000)
   --idle-ms MS         between-frames idle cutoff (default 300000)
@@ -73,7 +72,6 @@ struct Args {
     width: usize,
     depth: usize,
     hash: HashKind,
-    workers: usize,
     read_ms: u64,
     write_ms: u64,
     idle_ms: u64,
@@ -115,7 +113,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         width: 128,
         depth: 5,
         hash: HashKind::OneHash,
-        workers: 1,
         read_ms: 10_000,
         write_ms: 10_000,
         idle_ms: 300_000,
@@ -139,7 +136,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--width" => args.width = value()?.parse().map_err(|e| format!("{e}"))?,
             "--depth" => args.depth = value()?.parse().map_err(|e| format!("{e}"))?,
             "--hash" => args.hash = parse_hash(&value()?)?,
-            "--workers" => args.workers = value()?.parse().map_err(|e| format!("{e}"))?,
             "--read-ms" => args.read_ms = value()?.parse().map_err(|e| format!("{e}"))?,
             "--write-ms" => args.write_ms = value()?.parse().map_err(|e| format!("{e}"))?,
             "--idle-ms" => args.idle_ms = value()?.parse().map_err(|e| format!("{e}"))?,
@@ -167,7 +163,7 @@ fn deadline(ms: u64) -> Option<Duration> {
 
 fn run(args: Args) -> Result<(), String> {
     let params = SketchParams::new(args.universe, args.width, args.depth).with_hash_kind(args.hash);
-    let config = FabricConfig::new(params).with_workers(args.workers.max(1));
+    let config = FabricConfig::new(params);
 
     // Recover topology from the journal (empty fabric on first boot),
     // then apply any --shard flags the journal does not know yet.

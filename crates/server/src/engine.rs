@@ -112,11 +112,7 @@ impl EngineSlot {
     /// The engine's internal flush threshold is pinned to the spec's
     /// queue capacity, so the buffered backlog can never exceed the
     /// admission bound even without an explicit flush.
-    pub(crate) fn build(
-        spec: &TenantSpec,
-        template: SketchParams,
-        workers: usize,
-    ) -> Result<Self, ErrorReply> {
+    pub(crate) fn build(spec: &TenantSpec, template: SketchParams) -> Result<Self, ErrorReply> {
         let tenant = spec.tenant;
         if spec.queue_capacity == 0 || spec.interval_quota == 0 {
             return Err(ErrorReply::new(
@@ -128,40 +124,28 @@ impl EngineSlot {
         let threshold = usize::try_from(spec.queue_capacity).unwrap_or(usize::MAX);
         let engine = match (spec.metric, spec.mode) {
             (MetricKind::Frequency, ServingMode::Unbounded) => TenantEngine::FreqUnbounded(
-                QueryEngine::with_policy(
-                    workers,
-                    AtomicCountMedian::with_backend(&params),
-                    Unbounded,
-                )
-                .with_flush_threshold(threshold),
+                QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), Unbounded)
+                    .with_flush_threshold(threshold),
             ),
             (MetricKind::Frequency, ServingMode::Tumbling(len)) => {
                 let policy =
                     Tumbling::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
                 TenantEngine::FreqTumbling(
-                    QueryEngine::with_policy(
-                        workers,
-                        AtomicCountMedian::with_backend(&params),
-                        policy,
-                    )
-                    .with_flush_threshold(threshold),
+                    QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
+                        .with_flush_threshold(threshold),
                 )
             }
             (MetricKind::Frequency, ServingMode::Sliding(len)) => {
                 let policy =
                     Sliding::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
                 TenantEngine::FreqSliding(
-                    QueryEngine::with_policy(
-                        workers,
-                        AtomicCountMedian::with_backend(&params),
-                        policy,
-                    )
-                    .with_flush_threshold(threshold),
+                    QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
+                        .with_flush_threshold(threshold),
                 )
             }
             (MetricKind::Frequency, ServingMode::Rotating(len)) => {
                 let mut rotating = RotatingEngine::new(
-                    workers,
+                    1,
                     AtomicCountMedian::with_backend(&params),
                     SeedSchedule::new(spec.seed),
                     window_len(tenant, len)?,
@@ -175,7 +159,7 @@ impl EngineSlot {
             }
             (MetricKind::RangeSum, ServingMode::Unbounded) => TenantEngine::RangeUnbounded(
                 QueryEngine::with_policy(
-                    workers,
+                    1,
                     RangeSumSketch::<Atomic>::with_backend(&params),
                     Unbounded,
                 )
@@ -186,7 +170,7 @@ impl EngineSlot {
                     Tumbling::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
                 TenantEngine::RangeTumbling(
                     QueryEngine::with_policy(
-                        workers,
+                        1,
                         RangeSumSketch::<Atomic>::with_backend(&params),
                         policy,
                     )
@@ -198,7 +182,7 @@ impl EngineSlot {
                     Sliding::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
                 TenantEngine::RangeSliding(
                     QueryEngine::with_policy(
-                        workers,
+                        1,
                         RangeSumSketch::<Atomic>::with_backend(&params),
                         policy,
                     )
@@ -413,7 +397,6 @@ impl EngineSlot {
     pub(crate) fn install(
         transfer: &TenantTransfer,
         template: SketchParams,
-        workers: usize,
     ) -> Result<Self, ErrorReply> {
         let tenant = transfer.spec.tenant;
         let expected = template.with_seed(transfer.spec.seed);
@@ -423,7 +406,7 @@ impl EngineSlot {
                 format!("tenant {tenant}: transfer params do not match this fabric's template"),
             ));
         }
-        let mut slot = Self::build(&transfer.spec, template, workers)?;
+        let mut slot = Self::build(&transfer.spec, template)?;
         let absorb = |what: &str, r: Result<(), bas_sketch::MergeError>| {
             r.map_err(|e| ErrorReply::new("incompatible", format!("tenant {tenant}: {what}: {e}")))
         };

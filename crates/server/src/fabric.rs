@@ -5,10 +5,10 @@
 //!
 //! The fabric is the server's single-threaded control plane: every
 //! request funnels through [`Fabric::handle`], which owns placement
-//! lookup, admission (quota → [`Response::Shed`], queue bound →
-//! [`Response::Busy`]), and dispatch into the tenant's engine. The
-//! engines themselves fan ingest across worker shards internally, so
-//! one fabric instance still exercises the concurrent ingest path.
+//! lookup, admission (malformed update → `bad_update` error, quota →
+//! [`Response::Shed`], queue bound → [`Response::Busy`]), and dispatch
+//! into the tenant's engine. Each engine is its counter planes' one
+//! writer: a flush runs on the thread that dispatches it.
 //!
 //! **Rebalance by linearity.** Moving a tenant ships its counter
 //! planes — never its hashers — through the real wire format
@@ -26,7 +26,7 @@ use crate::wire::{
     TenantTransfer, ValueReply,
 };
 use bas_distributed::CommMeter;
-use bas_sketch::SketchParams;
+use bas_sketch::{CellWidth, SketchParams};
 use std::collections::BTreeMap;
 
 /// Fabric-wide configuration shared by every tenant engine.
@@ -45,27 +45,17 @@ pub struct FabricConfig {
     /// share a shape (transfers stay compatible) while staying
     /// hash-isolated.
     pub params: SketchParams,
-    /// Ingest worker shards per tenant engine.
-    pub workers: usize,
     /// Per-frame byte cap applied when shipping transfers.
     pub max_frame_bytes: usize,
 }
 
 impl FabricConfig {
-    /// A config with the given sketch shape, one ingest worker, and
-    /// the default frame cap.
+    /// A config with the given sketch shape and the default frame cap.
     pub fn new(params: SketchParams) -> Self {
         Self {
             params,
-            workers: 1,
             max_frame_bytes: wire::MAX_FRAME_BYTES,
         }
-    }
-
-    /// Sets the ingest worker count per tenant engine.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
     }
 }
 
@@ -359,7 +349,7 @@ impl Fabric {
             .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} transfer: {e}")))?
             .ok_or_else(|| ErrorReply::new("protocol", "empty transfer stream"))?;
         self.meter.record_download(words);
-        let slot = EngineSlot::install(&shipped, self.config.params.clone(), self.config.workers)?;
+        let slot = EngineSlot::install(&shipped, self.config.params.clone())?;
         let spec = shipped.spec;
         let admitted = {
             let old = self
@@ -407,7 +397,7 @@ impl Fabric {
             .ring
             .place(spec.tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-        let slot = EngineSlot::build(&spec, self.config.params.clone(), self.config.workers)?;
+        let slot = EngineSlot::build(&spec, self.config.params.clone())?;
         self.shards.entry(shard).or_default().insert(
             spec.tenant,
             Tenant {
@@ -435,7 +425,7 @@ impl Fabric {
             .ring
             .place(tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-        let slot = EngineSlot::install(transfer, self.config.params.clone(), self.config.workers)?;
+        let slot = EngineSlot::install(transfer, self.config.params.clone())?;
         self.shards.entry(shard).or_default().insert(
             tenant,
             Tenant {
@@ -591,13 +581,19 @@ impl Fabric {
         }
     }
 
-    /// Admission control, checked in policy order: the interval quota
-    /// first (Shed — retry next interval), then the queue bound (Busy —
-    /// retry after a flush). A rejected batch admits **nothing**.
+    /// Admission control, checked in policy order: every update must be
+    /// servable (`bad_update` — a client bug, retrying cannot help),
+    /// then the interval quota (Shed — retry next interval), then the
+    /// queue bound (Busy — retry after a flush). A rejected batch
+    /// admits **nothing**.
     fn ingest(&mut self, frame: IngestFrame) -> Response {
         let tenant = frame.tenant;
         let k = frame.updates.len() as u64;
+        let cell = self.config.params.cell;
         self.with_tenant_mut(tenant, |t| {
+            if let Err(e) = check_updates(tenant, &frame.updates, t.slot.universe(), cell) {
+                return Response::Error(e);
+            }
             if t.admitted_in_interval.saturating_add(k) > t.spec.interval_quota {
                 return Response::Shed(ShedReceipt {
                     tenant,
@@ -650,6 +646,43 @@ impl Fabric {
             Err(e) => Response::Error(e),
         }
     }
+}
+
+/// Admission-time validation of an ingest frame: every update needs an
+/// item inside the universe and a finite delta, and integer cells
+/// (every [`CellWidth`] but `F64`) need an integral one — they would
+/// truncate anything else. Checked before anything is buffered, so a
+/// bad frame can neither panic a later flush nor poison the tenant's
+/// counters with `inf`/`NaN`. The error names the first bad update's
+/// index.
+fn check_updates(
+    tenant: u64,
+    updates: &[(u64, f64)],
+    universe: u64,
+    cell: CellWidth,
+) -> Result<(), ErrorReply> {
+    let integral = cell != CellWidth::F64;
+    let bad = |&(item, delta): &(u64, f64)| {
+        item >= universe || !delta.is_finite() || (integral && delta.fract() != 0.0)
+    };
+    let Some(at) = updates.iter().position(bad) else {
+        return Ok(());
+    };
+    let (item, delta) = updates[at];
+    let why = if item >= universe {
+        format!("item {item} is outside the universe [0, {universe})")
+    } else if !delta.is_finite() {
+        format!("delta {delta} is not finite")
+    } else {
+        format!(
+            "delta {delta} is not an integer, as {} cells require",
+            cell.label()
+        )
+    };
+    Err(ErrorReply::new(
+        "bad_update",
+        format!("tenant {tenant}: update {at} rejected, nothing admitted: {why}"),
+    ))
 }
 
 fn check_item(tenant: u64, item: u64, universe: u64) -> Result<(), ErrorReply> {

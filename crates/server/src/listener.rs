@@ -13,11 +13,10 @@
 //!   request** — never across socket reads or writes. Contention is
 //!   therefore bounded by per-request CPU (buffer append for ingest,
 //!   `O(depth · width)` for the heaviest snapshot queries), not by
-//!   client latency; a slow or stalled peer holds no lock. Each
-//!   tenant's engine still fans ingest across its own worker shards
-//!   internally, so the global lock serializes only the fabric's
-//!   control plane, exactly as `Fabric::handle`'s single-threaded
-//!   contract requires.
+//!   client latency; a slow or stalled peer holds no lock. The lock
+//!   serializes the fabric's control plane and every flush, exactly
+//!   as `Fabric::handle`'s single-threaded contract and the counter
+//!   planes' one-writer rule require.
 //! * **Deadlines** — each connection carries read/write/idle
 //!   [`Deadlines`]. *Idle* bounds the quiet gap **between** frames;
 //!   *read*/*write* bound the per-syscall progress gap **inside** a

@@ -610,8 +610,8 @@ pub struct InstallReceipt {
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ErrorReply {
     /// Stable machine-readable code: `unknown_tenant`, `bad_query`,
-    /// `audit_rejected`, `unsupported`, `protocol`, `tenant_exists`,
-    /// `incompatible`.
+    /// `bad_update`, `audit_rejected`, `unsupported`, `protocol`,
+    /// `tenant_exists`, `incompatible`.
     pub code: String,
     /// Human-readable diagnostic.
     pub detail: String,

@@ -27,8 +27,8 @@ use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, RowDeriver, SplitMix64
 /// parameter: the default [`Dense`] is the classical single-threaded
 /// configuration, while `CountMedian<Atomic>` (alias
 /// [`AtomicCountMedian`](crate::AtomicCountMedian)) additionally
-/// implements [`SharedSketch`] for lock-free multi-threaded ingest into
-/// one shared sketch.
+/// implements [`SharedSketch`]: single-writer `&self` ingest into one
+/// shared sketch that snapshot readers copy concurrently.
 ///
 /// ```
 /// use bas_sketch::{CountMedian, PointQuerySketch, SketchParams};
@@ -64,8 +64,8 @@ impl CountMedian {
 
 impl<B: CounterBackend> CountMedian<B> {
     /// Creates an empty Count-Median sketch with an explicit counter
-    /// backend (e.g. `CountMedian::<Atomic>::with_backend` for
-    /// lock-free shared ingest).
+    /// backend (e.g. `CountMedian::<Atomic>::with_backend` for shared
+    /// ingest).
     pub fn with_backend(params: &SketchParams) -> Self {
         let mut seeder = SplitMix64::new(params.seed ^ 0xC0DE_0001);
         let mut family = HashFamily::new(params.hash_kind, &mut seeder, params.width);
@@ -193,11 +193,8 @@ impl<B: SharedBackend> SharedSketch for CountMedian<B> {
         }
     }
 
-    /// Shared batched update through the coalescing kernel
-    /// [`CellGrid::apply_rows_shared_f64`]: per block, duplicate hits
-    /// on the same cell collapse into **one** atomic RMW (summed in
-    /// item order — bit-for-bit with sequential ingest for integer
-    /// deltas).
+    /// The `update_batch` sweep through the shared blocked kernel
+    /// [`CellGrid::apply_rows_blocked_shared_f64`].
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         #[cfg(debug_assertions)]
         for &(item, _) in items {
@@ -205,11 +202,11 @@ impl<B: SharedBackend> SharedSketch for CountMedian<B> {
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
             let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_shared_f64(items, derive);
+            self.grid.apply_rows_blocked_shared_f64(items, derive);
             return;
         }
         let derive = crate::util::hashed_block_derive(&self.hashers);
-        self.grid.apply_rows_shared_f64(items, derive);
+        self.grid.apply_rows_blocked_shared_f64(items, derive);
     }
 }
 

@@ -38,11 +38,11 @@ pub enum UpdatePolicy {
 ///
 /// Counters live in a [`CounterMatrix`] whose backend `B` is a type
 /// parameter. Under the `Atomic` backend the **plain** policy
-/// additionally implements [`SharedSketch`] (lock-free shared ingest);
+/// additionally implements [`SharedSketch`] (shared ingest);
 /// conservative update cannot — its bump depends on the pre-update
-/// minimum across all rows, a read-modify-write cycle that per-counter
-/// atomicity cannot express (the same state dependence that breaks
-/// linearity).
+/// minimum across all rows, a cross-row read-modify-write that the
+/// row-by-row shared sweep cannot express (the same state dependence
+/// that breaks linearity).
 ///
 /// ```
 /// use bas_sketch::{CountMin, PointQuerySketch, SketchParams, UpdatePolicy};
@@ -281,7 +281,7 @@ impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
 impl<B: SharedBackend> SharedSketch for CountMin<B> {
     /// # Panics
     /// Panics for [`UpdatePolicy::Conservative`] — conservative update
-    /// is a cross-counter read-modify-write and has no lock-free form.
+    /// is a cross-counter read-modify-write and has no shared form.
     #[inline]
     fn update_shared(&self, item: u64, delta: f64) {
         debug_assert!(item < self.params.n, "item outside universe");
@@ -295,10 +295,8 @@ impl<B: SharedBackend> SharedSketch for CountMin<B> {
         }
     }
 
-    /// Shared batched update through the coalescing kernel
-    /// [`CellGrid::apply_rows_shared_f64`] (plain policy only):
-    /// duplicate hits on one cell collapse into a single atomic RMW
-    /// per block, summed in item order.
+    /// The `update_batch` sweep through the shared blocked kernel
+    /// [`CellGrid::apply_rows_blocked_shared_f64`] (plain policy only).
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         assert!(
             self.policy == UpdatePolicy::Plain,
@@ -310,11 +308,11 @@ impl<B: SharedBackend> SharedSketch for CountMin<B> {
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
             let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_shared_f64(items, derive);
+            self.grid.apply_rows_blocked_shared_f64(items, derive);
             return;
         }
         let derive = crate::util::hashed_block_derive(&self.hashers);
-        self.grid.apply_rows_shared_f64(items, derive);
+        self.grid.apply_rows_blocked_shared_f64(items, derive);
     }
 }
 

@@ -38,7 +38,7 @@ use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, SplitMix64};
 /// The 16-bit levels live in a [`CounterMatrix`] whose backend `B` is a
 /// type parameter like every other sketch's. CML-CU never implements
 /// shared ingest, though: each increment reads the current minimum
-/// level *and* the RNG — state dependence that lock-free per-counter
+/// level *and* the RNG — state dependence that per-counter shared
 /// updates cannot express (the same property that already makes it
 /// non-mergeable). The generic parameter exists for storage-layer
 /// uniformity, and [`Dense`] is the only sensible choice.

@@ -41,7 +41,7 @@ fn row_sign(hasher: &AnyBucketHasher, sign: &SignHash, item: u64) -> i8 {
 /// Counters live in a [`CounterMatrix`] whose backend `B` is a type
 /// parameter: [`Dense`] (the default) for classical exclusive ingest,
 /// `CountSketch<Atomic>` (alias
-/// [`AtomicCountSketch`](crate::AtomicCountSketch)) for lock-free
+/// [`AtomicCountSketch`](crate::AtomicCountSketch)) for single-writer
 /// [`SharedSketch`] ingest into one shared sketch.
 ///
 /// ```
@@ -79,8 +79,7 @@ impl CountSketch {
 
 impl<B: CounterBackend> CountSketch<B> {
     /// Creates an empty Count-Sketch with an explicit counter backend
-    /// (e.g. `CountSketch::<Atomic>::with_backend` for lock-free shared
-    /// ingest).
+    /// (e.g. `CountSketch::<Atomic>::with_backend` for shared ingest).
     pub fn with_backend(params: &SketchParams) -> Self {
         let mut seeder = SplitMix64::new(params.seed ^ 0xC0DE_0002);
         let mut family = HashFamily::new(params.hash_kind, &mut seeder, params.width);
@@ -287,11 +286,8 @@ impl<B: SharedBackend> SharedSketch for CountSketch<B> {
         }
     }
 
-    /// Shared batched update through the coalescing kernel
-    /// [`CellGrid::apply_rows_shared_f64`]: duplicate hits on one cell
-    /// collapse into a single atomic RMW per block (signed deltas
-    /// summed in item order — bit-for-bit with sequential ingest for
-    /// integer deltas).
+    /// The signed `update_batch` sweep through the shared blocked
+    /// kernel [`CellGrid::apply_rows_blocked_shared_f64`].
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         #[cfg(debug_assertions)]
         for &(item, _) in items {
@@ -299,20 +295,21 @@ impl<B: SharedBackend> SharedSketch for CountSketch<B> {
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
             let derive = crate::util::onehash_signed_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_shared_f64(items, derive);
+            self.grid.apply_rows_blocked_shared_f64(items, derive);
             return;
         }
         let hashers = &self.hashers;
         let signs = &self.signs;
-        self.grid.apply_rows_shared_f64(items, |block, cols, vals| {
-            let n = block.len();
-            for (i, &(x, delta)) in block.iter().enumerate() {
-                for (row, h) in hashers.iter().enumerate() {
-                    cols[row * n + i] = h.bucket(x);
-                    vals[row * n + i] = row_sign(h, &signs[row], x) as f64 * delta;
+        self.grid
+            .apply_rows_blocked_shared_f64(items, |block, cols, vals| {
+                let n = block.len();
+                for (i, &(x, delta)) in block.iter().enumerate() {
+                    for (row, h) in hashers.iter().enumerate() {
+                        cols[row * n + i] = h.bucket(x);
+                        vals[row * n + i] = row_sign(h, &signs[row], x) as f64 * delta;
+                    }
                 }
-            }
-        });
+            });
     }
 }
 

@@ -51,9 +51,11 @@
 //!   performance;
 //! * [`storage::Atomic`] — one `AtomicU64` per counter; exclusive
 //!   access costs the same, and the linear sketches additionally
-//!   implement [`SharedSketch`]: lock-free `&self` ingest, so N
-//!   threads can feed **one** shared sketch (see
-//!   `bas_pipeline::ConcurrentIngest`) instead of N same-seed shards.
+//!   implement [`SharedSketch`]: single-writer `&self` ingest into
+//!   **one** shared sketch that seqlock readers copy while it is
+//!   written (see `bas_pipeline::ConcurrentIngest` and
+//!   `bas_pipeline::EpochSketch`). Both backends run the same blocked
+//!   row-major kernel; they differ only in how one cell is written.
 //!
 //! The aliases [`AtomicCountMedian`], [`AtomicCountSketch`] and
 //! [`AtomicCountMin`] name the shared-ingest configurations.
@@ -75,7 +77,7 @@
 //!
 //! On one-hash rows (`bas_hash::HashKind::OneHash`) the linear grid
 //! sketches go further: `update_batch` routes through the **blocked
-//! row-major kernel** [`CounterMatrix::apply_rows`] — one `mix64`
+//! row-major kernel** [`CounterMatrix::apply_rows_blocked`] — one `mix64`
 //! digest per item yields all `d` bucket indices (and Count-Sketch
 //! signs) by per-row multiply-shift re-keying, the whole block's
 //! indices are precomputed, and the counter writes sweep row by row
@@ -125,12 +127,12 @@ pub use traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
 
-/// Count-Median over the [`Atomic`] backend: the lock-free
-/// shared-ingest configuration (implements [`SharedSketch`]).
+/// Count-Median over the [`Atomic`] backend: the shared-ingest
+/// configuration (implements [`SharedSketch`]).
 pub type AtomicCountMedian = CountMedian<Atomic>;
 
-/// Count-Sketch over the [`Atomic`] backend: the lock-free
-/// shared-ingest configuration (implements [`SharedSketch`]).
+/// Count-Sketch over the [`Atomic`] backend: the shared-ingest
+/// configuration (implements [`SharedSketch`]).
 pub type AtomicCountSketch = CountSketch<Atomic>;
 
 /// Count-Min over the [`Atomic`] backend; only

@@ -273,8 +273,8 @@ impl<B: CounterBackend> MergeableSketch for RangeSumSketch<B> {
 }
 
 impl<B: SharedBackend> SharedSketch for RangeSumSketch<B> {
-    /// Applies `x_item ← x_item + delta` through a **shared** reference,
-    /// lock-free — one shared update per dyadic level.
+    /// Applies `x_item ← x_item + delta` through a **shared** reference
+    /// — one shared update per dyadic level.
     fn update_shared(&self, item: u64, delta: f64) {
         assert!(item < self.n, "item outside universe");
         for (l, sketch) in self.levels.iter().enumerate() {
@@ -284,7 +284,7 @@ impl<B: SharedBackend> SharedSketch for RangeSumSketch<B> {
 
     /// Shared-reference batch update: shifts items into each level's
     /// block coordinates and feeds that level's
-    /// [`SharedSketch::update_batch_shared`] fast path.
+    /// [`SharedSketch::update_batch_shared`] kernel.
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         for &(item, _) in items {
             assert!(item < self.n, "item outside universe");

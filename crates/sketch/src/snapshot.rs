@@ -149,11 +149,11 @@ pub trait Snapshottable: PointQuerySketch + Sync {
 /// bit** — so every estimate the destination serves is identical to
 /// what the source would have served.
 ///
-/// The absorb goes through the lock-free
+/// The absorb goes through the shared single-writer
 /// [`add_matrix_shared`](crate::CounterMatrix::add_matrix_shared)
-/// path, so it composes with concurrent
-/// [`update_shared`](SharedSketch::update_shared) writers the same way
-/// any other shared write does.
+/// path: it is one more write to the plane, made by its one writer
+/// (`bas_pipeline::EpochSketch::absorb_plane` runs it inside a write
+/// section, so seqlock readers see all of it or none).
 pub trait AbsorbPlane: Snapshottable + SharedSketch {
     /// Adds `plane`'s counters into the live sketch cell-wise through
     /// a shared reference.

@@ -5,7 +5,7 @@
 //! bias-aware S/R variants alike — is "`d` rows × `s` buckets of
 //! counters" plus hash functions. This module owns that counter plane
 //! once, as [`CounterMatrix`], so cross-cutting concerns (batching,
-//! merging, serialization, concurrent ingest) are implemented one time
+//! merging, serialization, shared ingest) are implemented one time
 //! instead of once per sketch.
 //!
 //! Two backends ship today, selected at the type level through
@@ -17,12 +17,17 @@
 //!   existed, so single-threaded throughput is unchanged.
 //! * [`Atomic`] — one `AtomicU64` per counter holding the value's bit
 //!   pattern. Exclusive access behaves exactly like `Dense` (plain
-//!   loads/stores through `get_mut`, no bus locking); *shared* (`&self`)
-//!   access additionally supports lock-free accumulation via
-//!   [`SharedCounterStore::add_shared`] — a `fetch_add` for integer
-//!   counters, a CAS loop over bit-cast floats for `f64`. This is what
-//!   lets N ingest threads feed **one** sketch (1× memory) instead of N
-//!   same-seed shards (N× memory); see `bas_pipeline::ConcurrentIngest`.
+//!   loads/stores through `get_mut`); *shared* (`&self`) access lets
+//!   **one writer** add into the cells while any number of readers copy
+//!   them ([`SharedBackend`]). This is the served store: ingest drivers
+//!   (`bas_pipeline::ConcurrentIngest`) write it inside an
+//!   [`EpochCounter`] write section, and seqlock readers pin snapshots
+//!   of it between sections.
+//!
+//! Both backends run one blocked row-major batch kernel
+//! ([`CounterMatrix::apply_rows_blocked`] and its shared form
+//! [`CounterMatrix::apply_rows_blocked_shared`]); they differ only in
+//! how one cell is written.
 //!
 //! The backend is a type parameter of every sketch
 //! (e.g. `CountSketch<B: CounterBackend = Dense>`), so the choice is
@@ -31,18 +36,22 @@
 //! counters, NUMA-aware placement) plug in by implementing
 //! [`CounterBackend`] + [`CounterStore`].
 //!
-//! ## Exactness of shared accumulation
+//! ## The single-writer contract
 //!
-//! `add_shared` applies updates atomically but in nondeterministic
-//! order. For **integer-valued** `f64` deltas (the paper's arrival
-//! model) every intermediate sum below `2^53` is exact, and exact
-//! addition is commutative and associative — so concurrent ingest is
-//! bit-for-bit equal to any sequential order. For general real deltas
-//! the result can differ in the last ulp per counter (the same caveat
-//! `ShardedIngest` documents for shard merging). The property tests in
-//! `tests/concurrent_ingest.rs` pin down both regimes.
+//! A shared cell write is a Relaxed load plus a Relaxed store, not an
+//! atomic read-modify-write: two threads adding into one plane at once
+//! could lose updates. Each plane therefore has one writer at a time,
+//! and every shared write claims the plane first
+//! ([`SharedBackend::claim_writer`]): a second writer arriving while
+//! the claim is held panics before it writes a cell, in release builds
+//! too. Readers never claim, so they copy cells while the writer runs.
+//! Under the contract a shared write is the exclusive one, so shared
+//! ingest is bit-for-bit equal to sequential ingest for every delta,
+//! integer or fractional — each cell receives its increments in stream
+//! order. The property tests in `tests/concurrent_ingest.rs` pin that
+//! down.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
 /// A seqlock-style write-epoch sequence published by shared sketches to
 /// snapshot readers.
@@ -54,8 +63,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// only if the epoch was even and unchanged across the copy — then the
 /// copy reflects a settled state from *between* write sections, i.e. a
 /// prefix of the applied update stream. The retry loop lives in
-/// `bas_pipeline::epoch`; this type is just the fence-free primitive
-/// the storage layer owns.
+/// `bas_pipeline::epoch`; this type is the writer half the storage
+/// layer owns. The section is also the single-writer gate of the
+/// shared store: a second writer opening an overlapping section panics.
 ///
 /// Because every counter cell is itself an atomic, a racing copy can
 /// never observe a torn *value* — the epoch only rules out a torn
@@ -101,6 +111,15 @@ impl EpochCounter {
     /// builds.
     pub fn begin_write(&self) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
+        // Boehm's seqlock writer. The cell writes of the section are
+        // plain Relaxed stores, and the increment above orders only the
+        // stores *before* it. This fence orders the odd sequence before
+        // every store that follows; it pairs with the reader's
+        // `fence(Acquire)` after its cell loads (`EpochSketch::fill` in
+        // `bas_pipeline`): a reader that loads any value stored in this
+        // section re-reads an epoch no older than this odd one, and
+        // retries.
+        fence(Ordering::Release);
         assert!(
             Self::is_write_open(seq),
             "overlapping write sections: epoch writers must be serialized"
@@ -159,23 +178,6 @@ pub trait CounterValue:
 
     /// Inverse of [`to_bits`](CounterValue::to_bits).
     fn from_bits(bits: u64) -> Self;
-
-    /// Lock-free `*cell += delta` on a cell holding `to_bits` patterns.
-    ///
-    /// The default is a compare-exchange loop (required for floats,
-    /// whose addition has no single-instruction atomic form); integer
-    /// implementations override it with a plain `fetch_add`.
-    #[inline]
-    fn atomic_add(cell: &AtomicU64, delta: Self) {
-        let mut current = cell.load(Ordering::Relaxed);
-        loop {
-            let next = Self::from_bits(current).add(delta).to_bits();
-            match cell.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
 }
 
 impl CounterValue for f64 {
@@ -234,13 +236,6 @@ impl CounterValue for i64 {
     fn from_bits(bits: u64) -> Self {
         bits as i64
     }
-
-    /// Two's-complement wrapping addition is the same bit operation as
-    /// unsigned wrapping addition, so a single `fetch_add` suffices.
-    #[inline]
-    fn atomic_add(cell: &AtomicU64, delta: Self) {
-        cell.fetch_add(delta as u64, Ordering::Relaxed);
-    }
 }
 
 impl CounterValue for u64 {
@@ -269,11 +264,6 @@ impl CounterValue for u64 {
     #[inline]
     fn from_bits(bits: u64) -> Self {
         bits
-    }
-
-    #[inline]
-    fn atomic_add(cell: &AtomicU64, delta: Self) {
-        cell.fetch_add(delta, Ordering::Relaxed);
     }
 }
 
@@ -304,8 +294,6 @@ impl CounterValue for u16 {
     fn from_bits(bits: u64) -> Self {
         bits as u16
     }
-    // No fetch_add override: a u64 fetch_add would carry past bit 15
-    // instead of wrapping at u16 range, so the CAS default stays.
 }
 
 /// Compact cell mode for integer-delta workloads: half the bytes of
@@ -338,8 +326,6 @@ impl CounterValue for u32 {
     fn from_bits(bits: u64) -> Self {
         bits as u32
     }
-    // No fetch_add override: a u64 fetch_add would carry past bit 31
-    // instead of wrapping at u32 range, so the CAS default stays.
 }
 
 /// A [`CounterValue`] that can act as a sketch grid cell: convertible
@@ -474,9 +460,10 @@ impl CellWidth {
     }
 }
 
-/// Items per block of [`CounterMatrix::apply_rows`]: large enough to
-/// amortize the per-block row loop, small enough that the index +
-/// increment scratch (`2 · APPLY_BLOCK · depth` words) stays
+/// Items per block of the batch kernels
+/// ([`CounterMatrix::apply_rows_blocked`] and its shared form): large
+/// enough to amortize the per-block row loop, small enough that the
+/// index + increment scratch (`2 · APPLY_BLOCK · depth` words) stays
 /// L1-resident at production depths.
 pub const APPLY_BLOCK: usize = 256;
 
@@ -554,19 +541,6 @@ pub trait CounterStore<T: CounterValue>: Clone + std::fmt::Debug + Send + Sync +
     }
 }
 
-/// A [`CounterStore`] that additionally supports **lock-free shared
-/// accumulation**: `add_shared` takes `&self`, so any number of threads
-/// may feed the same store concurrently.
-///
-/// Only accumulation is shared; reads still race with writers (a torn
-/// *schedule*, never a torn *value* — each cell is a single atomic).
-/// Callers quiesce writers before querying, as
-/// `bas_pipeline::ConcurrentIngest` does around its flushes.
-pub trait SharedCounterStore<T: CounterValue>: CounterStore<T> {
-    /// `cells[idx] += delta`, atomically, through a shared reference.
-    fn add_shared(&self, idx: usize, delta: T);
-}
-
 /// Marker type selecting a storage strategy for [`CounterMatrix`].
 ///
 /// The generic-associated `Store` is what actually holds cells; the
@@ -588,8 +562,9 @@ pub trait CounterBackend:
 pub struct Dense;
 
 /// One `AtomicU64` per counter: exclusive access costs the same as
-/// [`Dense`] (plain `get_mut` loads/stores), shared access supports
-/// lock-free [`add_shared`](SharedCounterStore::add_shared).
+/// [`Dense`] (plain `get_mut` loads/stores); shared access lets one
+/// writer add into the cells while readers copy them
+/// ([`SharedBackend`]).
 ///
 /// Cells narrower than 64 bits (e.g. the `u16` levels of Count-Min-Log)
 /// still occupy a full word each under this backend; the bit-packed
@@ -676,9 +651,11 @@ impl CounterBackend for Dense {
 }
 
 /// The [`Atomic`] backend's store: values live as bit patterns inside
-/// `AtomicU64` cells.
+/// `AtomicU64` cells, next to the flag that admits one shared writer
+/// at a time ([`SharedBackend::claim_writer`]).
 pub struct AtomicStore<T> {
     cells: Box<[AtomicU64]>,
+    writer: AtomicBool,
     _value: std::marker::PhantomData<T>,
 }
 
@@ -686,6 +663,7 @@ impl<T: CounterValue> AtomicStore<T> {
     fn from_bit_iter(bits: impl Iterator<Item = u64>) -> Self {
         Self {
             cells: bits.map(AtomicU64::new).collect(),
+            writer: AtomicBool::new(false),
             _value: std::marker::PhantomData,
         }
     }
@@ -744,34 +722,182 @@ impl<T: CounterValue> CounterStore<T> for AtomicStore<T> {
     }
 }
 
-impl<T: CounterValue> SharedCounterStore<T> for AtomicStore<T> {
-    #[inline]
-    fn add_shared(&self, idx: usize, delta: T) {
-        T::atomic_add(&self.cells[idx], delta);
-    }
-}
-
 impl CounterBackend for Atomic {
     type Store<T: CounterValue> = AtomicStore<T>;
     const LABEL: &'static str = "atomic";
 }
 
-/// A [`CounterBackend`] whose stores support lock-free shared
-/// accumulation for **every** cell type — the bound generic code (cell
-/// grids, shared batch kernels) uses where the per-store
-/// `B::Store<T>: SharedCounterStore<T>` clause cannot be named.
+/// A [`CounterBackend`] whose stores accept writes through a **shared**
+/// reference, for every cell type — the bound the shared kernels and
+/// the `SharedSketch` impls use. Today this is exactly [`Atomic`].
 ///
-/// Today this is exactly [`Atomic`]; a future backend adds itself by
-/// forwarding to its store's [`SharedCounterStore::add_shared`].
+/// Shared writes follow the module's single-writer contract: readers
+/// may copy cells at any moment, but each store has one writer at a
+/// time, and every shared write holds the store's [`WriterClaim`].
 pub trait SharedBackend: CounterBackend {
-    /// `store[idx] += delta`, atomically, through a shared reference.
+    /// Claims `store` for one shared write, until the claim drops.
+    ///
+    /// # Panics
+    /// Panics if another writer holds the claim: two writers at once
+    /// would lose updates, so the second one stops before it writes.
+    fn claim_writer<T: CounterValue>(store: &Self::Store<T>) -> WriterClaim<'_>;
+
+    /// `store[idx] += delta` through a shared reference, by the holder
+    /// of the store's [`WriterClaim`].
     fn add_shared_cell<T: CounterValue>(store: &Self::Store<T>, idx: usize, delta: T);
 }
 
 impl SharedBackend for Atomic {
+    fn claim_writer<T: CounterValue>(store: &AtomicStore<T>) -> WriterClaim<'_> {
+        WriterClaim::new(&store.writer)
+    }
+
+    /// A Relaxed load plus a Relaxed store: one writer needs no
+    /// read-modify-write instruction, and the epoch write section
+    /// orders the stores for seqlock readers.
     #[inline]
     fn add_shared_cell<T: CounterValue>(store: &AtomicStore<T>, idx: usize, delta: T) {
-        store.add_shared(idx, delta);
+        let cell = &store.cells[idx];
+        let sum = T::from_bits(cell.load(Ordering::Relaxed)).add(delta);
+        cell.store(sum.to_bits(), Ordering::Relaxed);
+    }
+}
+
+/// A store's single-writer claim: held for the length of one shared
+/// write, released on drop.
+///
+/// Claiming is an Acquire swap and releasing a Release store, so a
+/// writer that takes over from another thread also sees every cell
+/// its predecessor wrote.
+///
+/// ```
+/// use bas_sketch::storage::WriterClaim;
+/// use std::sync::atomic::AtomicBool;
+///
+/// let flag = AtomicBool::new(false);
+/// let first = WriterClaim::new(&flag);
+/// // A second writer while `first` is held would lose updates: it panics.
+/// assert!(std::panic::catch_unwind(|| WriterClaim::new(&flag)).is_err());
+/// drop(first);
+/// let _next = WriterClaim::new(&flag); // the plane is free again
+/// ```
+#[derive(Debug)]
+pub struct WriterClaim<'a>(&'a AtomicBool);
+
+impl<'a> WriterClaim<'a> {
+    /// Takes the claim `flag` guards.
+    ///
+    /// # Panics
+    /// Panics if the claim is already held.
+    pub fn new(flag: &'a AtomicBool) -> Self {
+        assert!(
+            !flag.swap(true, Ordering::Acquire),
+            "concurrent shared writers: a counter plane admits one writer at a time"
+        );
+        Self(flag)
+    }
+}
+
+impl Drop for WriterClaim<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+/// How the blocked sweep writes one cell — the one point where the
+/// backends differ.
+trait CellWriter<T> {
+    /// Reads a cell (the sweep's speculative prefetch read).
+    fn peek(&self, idx: usize) -> T;
+
+    /// `cells[idx] += delta`.
+    fn add(&mut self, idx: usize, delta: T);
+}
+
+/// Exclusive (`&mut`) writes, for every backend.
+struct Exclusive<'a, S>(&'a mut S);
+
+impl<T: CounterValue, S: CounterStore<T>> CellWriter<T> for Exclusive<'_, S> {
+    #[inline]
+    fn peek(&self, idx: usize) -> T {
+        self.0.get(idx)
+    }
+
+    #[inline]
+    fn add(&mut self, idx: usize, delta: T) {
+        self.0.add(idx, delta);
+    }
+}
+
+/// Shared (`&self`) writes by the holder of the store's claim.
+struct SingleWriter<'a, T: CounterValue, B: SharedBackend>(&'a B::Store<T>);
+
+impl<T: CounterValue, B: SharedBackend> CellWriter<T> for SingleWriter<'_, T, B> {
+    #[inline]
+    fn peek(&self, idx: usize) -> T {
+        self.0.get(idx)
+    }
+
+    #[inline]
+    fn add(&mut self, idx: usize, delta: T) {
+        B::add_shared_cell(self.0, idx, delta);
+    }
+}
+
+/// The blocked row-major write sweep behind both batch kernels.
+///
+/// Per block of [`APPLY_BLOCK`] items, `block_derive(block, cols,
+/// vals)` fills scratch of length `n · depth` in **row-major** layout:
+/// row `r`'s bucket of item `i` sits at `cols[r·n + i]` and its
+/// increment at `vals[r·n + i]` (every bucket must be `< width`). The
+/// sweep then walks each row's lane in item order, so every cell
+/// receives its increments in stream order.
+///
+/// For grids that spill past L2 the sweep also issues a speculative
+/// read [`APPLY_PREFETCH`] items ahead, pulling the line in before its
+/// read-modify-write — a software prefetch in safe Rust.
+fn sweep_rows<T, P, W, D>(
+    mut cells: W,
+    width: usize,
+    depth: usize,
+    items: &[(u64, P)],
+    mut block_derive: D,
+) where
+    T: CounterValue,
+    P: Copy,
+    W: CellWriter<T>,
+    D: FnMut(&[(u64, P)], &mut [usize], &mut [T]),
+{
+    if depth == 0 || items.is_empty() {
+        return;
+    }
+    let block_len = APPLY_BLOCK.min(items.len());
+    let mut cols = vec![0usize; block_len * depth];
+    let mut vals = vec![T::ZERO; block_len * depth];
+    // Prefetch only pays once the grid spills past L2; for a
+    // cache-resident grid the extra loads are pure overhead.
+    let prefetch = width * depth * std::mem::size_of::<T>() > APPLY_PREFETCH_MIN_BYTES;
+    for block in items.chunks(APPLY_BLOCK) {
+        let n = block.len();
+        block_derive(block, &mut cols[..n * depth], &mut vals[..n * depth]);
+        for row in 0..depth {
+            let base = row * width;
+            let lane = row * n..(row + 1) * n;
+            let (rc, rv) = (&cols[lane.clone()], &vals[lane]);
+            debug_assert!(rc.iter().all(|&c| c < width), "bucket outside the row");
+            if prefetch {
+                for i in 0..n {
+                    if i + APPLY_PREFETCH < n {
+                        std::hint::black_box(cells.peek(base + rc[i + APPLY_PREFETCH]));
+                    }
+                    cells.add(base + rc[i], rv[i]);
+                }
+            } else {
+                for i in 0..n {
+                    cells.add(base + rc[i], rv[i]);
+                }
+            }
+        }
     }
 }
 
@@ -794,7 +920,7 @@ impl SharedBackend for Atomic {
 /// assert_eq!(dense.get(1, 3), 2.5);
 ///
 /// let shared = CounterMatrix::<f64, Atomic>::new(4, 2);
-/// shared.add_shared(1, 3, 2.5); // &self: any number of threads may do this
+/// shared.add_shared(1, 3, 2.5); // &self: one writer, any number of readers
 /// assert_eq!(shared.get(1, 3), 2.5);
 /// ```
 #[derive(Debug, Clone)]
@@ -878,119 +1004,66 @@ impl<T: CounterValue, B: CounterBackend> CounterMatrix<T, B> {
         self.store.add(self.idx(row, col), delta);
     }
 
-    /// Row-major batch kernel: applies a block of items' per-row
-    /// increments with the index math hoisted ahead of the write sweep.
-    ///
+    /// Row-major batch kernel with a per-item derivation:
     /// `derive(item, payload, cols, vals)` fills one item's bucket
     /// index and increment per row (`cols.len() == vals.len() ==
-    /// depth`; every index must be `< width`). The kernel processes
-    /// `items` in blocks of [`APPLY_BLOCK`]: it first derives the
-    /// whole block's indices/increments into two scratch buffers, then
-    /// sweeps the counter writes **row by row** within the block, so
-    /// each row's slice of the grid is touched once per block instead
-    /// of being interleaved with `depth − 1` other rows per item.
-    ///
-    /// Blocking matters: sweeping rows over the *whole* batch loses
-    /// (re-streaming a multi-MiB batch once per row costs more than the
-    /// grid misses it saves — measured in `throughput_ingest`), while a
-    /// block's scratch stays L1-resident. For grids that spill past L2
-    /// the sweep also issues a speculative read [`APPLY_PREFETCH`]
-    /// items ahead, pulling the line in before its read-modify-write —
-    /// a software prefetch in safe Rust.
-    ///
-    /// Addition is the backend's exclusive-access `add`, so the result
-    /// is bit-for-bit the per-item loop's (same increments, same cells,
-    /// reordered only **across items within a block per row** — exact
-    /// for integer deltas and for f64 sums of per-item derived values,
-    /// since each cell still receives its increments in item order).
+    /// depth`; every index must be `< width`). A convenience form of
+    /// [`apply_rows_blocked`](CounterMatrix::apply_rows_blocked), which
+    /// it runs with each item's rows scattered into the row-major block
+    /// scratch — same sweep, same result.
     pub fn apply_rows<P, D>(&mut self, items: &[(u64, P)], mut derive: D)
     where
         P: Copy,
         D: FnMut(u64, P, &mut [usize], &mut [T]),
     {
         let depth = self.depth;
-        if depth == 0 || items.is_empty() {
-            return;
-        }
-        let block_len = APPLY_BLOCK.min(items.len());
-        let mut cols = vec![0usize; block_len * depth];
-        let mut vals = vec![T::ZERO; block_len * depth];
-        // Prefetch only pays once the grid spills past L2; for a
-        // cache-resident grid the extra loads are pure overhead.
-        let prefetch = self.len() * std::mem::size_of::<T>() > APPLY_PREFETCH_MIN_BYTES;
-        for block in items.chunks(APPLY_BLOCK) {
+        let (mut item_cols, mut item_vals) = (vec![0usize; depth], vec![T::ZERO; depth]);
+        self.apply_rows_blocked(items, |block, cols, vals| {
+            let n = block.len();
             for (i, &(x, payload)) in block.iter().enumerate() {
-                let s = i * depth;
-                derive(x, payload, &mut cols[s..s + depth], &mut vals[s..s + depth]);
-            }
-            for row in 0..depth {
-                if prefetch {
-                    for i in 0..block.len() {
-                        if i + APPLY_PREFETCH < block.len() {
-                            let ahead = cols[(i + APPLY_PREFETCH) * depth + row];
-                            std::hint::black_box(self.get(row, ahead));
-                        }
-                        let o = i * depth + row;
-                        self.add(row, cols[o], vals[o]);
-                    }
-                } else {
-                    for i in 0..block.len() {
-                        let o = i * depth + row;
-                        self.add(row, cols[o], vals[o]);
-                    }
+                derive(x, payload, &mut item_cols, &mut item_vals);
+                for row in 0..depth {
+                    cols[row * n + i] = item_cols[row];
+                    vals[row * n + i] = item_vals[row];
                 }
             }
-        }
+        });
     }
 
-    /// Block-at-a-time variant of [`apply_rows`](CounterMatrix::apply_rows):
-    /// the derivation callback fills a whole block's scratch at once,
-    /// in **row-major** layout, so it can run data-parallel (SIMD) maps
-    /// over each row's contiguous lane instead of deriving item by
-    /// item.
+    /// The blocked row-major batch kernel: applies items' per-row
+    /// increments with the index math hoisted ahead of the write sweep.
     ///
-    /// For a block of `n ≤ APPLY_BLOCK` items, `block_derive(block,
-    /// cols, vals)` receives scratch of length `n · depth` and must
-    /// fill row `r`'s bucket of item `i` at `cols[r·n + i]` (and its
-    /// increment at `vals[r·n + i]`; every index must be `< width`).
-    /// The write sweep then walks each row's lane in item order, so the
-    /// result is bit-for-bit identical to
-    /// [`apply_rows`](CounterMatrix::apply_rows) with an equivalent
-    /// per-item derivation — same increments, same cells, same
-    /// within-cell order.
-    pub fn apply_rows_blocked<P, D>(&mut self, items: &[(u64, P)], mut block_derive: D)
+    /// Per block of [`APPLY_BLOCK`] items, `block_derive(block, cols,
+    /// vals)` fills the whole block's scratch at once in **row-major**
+    /// layout (row `r`'s bucket of item `i` sits at `cols[r·n + i]` and
+    /// its increment at `vals[r·n + i]`; every bucket must be
+    /// `< width`), which lets it run data-parallel (SIMD) maps over each
+    /// row's contiguous lane. The counter writes then sweep **row by row**
+    /// within the block, so each row's slice of the grid is touched
+    /// once per block instead of being interleaved with `depth − 1`
+    /// other rows per item.
+    ///
+    /// Blocking matters: sweeping rows over the *whole* batch loses
+    /// (re-streaming a multi-MiB batch once per row costs more than the
+    /// grid misses it saves — measured in `throughput_ingest`), while a
+    /// block's scratch stays L1-resident.
+    ///
+    /// Addition is the backend's exclusive-access `add`, and each cell
+    /// receives its increments in item order, so the result is
+    /// bit-for-bit the per-item loop's for any deltas.
+    pub fn apply_rows_blocked<P, D>(&mut self, items: &[(u64, P)], block_derive: D)
     where
         P: Copy,
         D: FnMut(&[(u64, P)], &mut [usize], &mut [T]),
     {
-        let depth = self.depth;
-        if depth == 0 || items.is_empty() {
-            return;
-        }
-        let block_len = APPLY_BLOCK.min(items.len());
-        let mut cols = vec![0usize; block_len * depth];
-        let mut vals = vec![T::ZERO; block_len * depth];
-        let prefetch = self.len() * std::mem::size_of::<T>() > APPLY_PREFETCH_MIN_BYTES;
-        for block in items.chunks(APPLY_BLOCK) {
-            let n = block.len();
-            block_derive(block, &mut cols[..n * depth], &mut vals[..n * depth]);
-            for row in 0..depth {
-                let lane = row * n..(row + 1) * n;
-                let (rc, rv) = (&cols[lane.clone()], &vals[lane]);
-                if prefetch {
-                    for i in 0..n {
-                        if i + APPLY_PREFETCH < n {
-                            std::hint::black_box(self.get(row, rc[i + APPLY_PREFETCH]));
-                        }
-                        self.add(row, rc[i], rv[i]);
-                    }
-                } else {
-                    for i in 0..n {
-                        self.add(row, rc[i], rv[i]);
-                    }
-                }
-            }
-        }
+        let (width, depth) = (self.width, self.depth);
+        sweep_rows(
+            Exclusive(&mut self.store),
+            width,
+            depth,
+            items,
+            block_derive,
+        );
     }
 
     /// Element-wise addition of another matrix of identical shape —
@@ -1072,20 +1145,39 @@ impl<T: CounterValue, B: CounterBackend> CounterMatrix<T, B> {
     }
 }
 
-impl<T: CounterValue, B: CounterBackend> CounterMatrix<T, B>
-where
-    B::Store<T>: SharedCounterStore<T>,
-{
-    /// Adds `delta` to a cell through a **shared** reference,
-    /// lock-free. Only backends whose store implements
-    /// [`SharedCounterStore`] (today: [`Atomic`]) expose this.
+impl<T: CounterValue, B: SharedBackend> CounterMatrix<T, B> {
+    /// Adds `delta` to a cell through a **shared** reference, as the
+    /// plane's single writer (see the module's single-writer contract).
+    ///
+    /// # Panics
+    /// Panics if another shared write to this matrix is in progress.
     #[inline]
     pub fn add_shared(&self, row: usize, col: usize, delta: T) {
-        self.store.add_shared(self.idx(row, col), delta);
+        let _claim = B::claim_writer(&self.store);
+        B::add_shared_cell(&self.store, self.idx(row, col), delta);
+    }
+
+    /// The shared-reference form of
+    /// [`apply_rows_blocked`](CounterMatrix::apply_rows_blocked): the
+    /// same sweep, with the same `block_derive` contract, each cell
+    /// written by the plane's single writer. Each cell receives its
+    /// increments in item order, so the result is bit-for-bit the
+    /// exclusive kernel's, for any deltas.
+    ///
+    /// # Panics
+    /// Panics if another shared write to this matrix is in progress.
+    pub fn apply_rows_blocked_shared<P, D>(&self, items: &[(u64, P)], block_derive: D)
+    where
+        P: Copy,
+        D: FnMut(&[(u64, P)], &mut [usize], &mut [T]),
+    {
+        let _claim = B::claim_writer(&self.store);
+        let writer = SingleWriter::<T, B>(&self.store);
+        sweep_rows(writer, self.width, self.depth, items, block_derive);
     }
 
     /// Adds every cell of a [`Dense`] matrix of identical shape into
-    /// this one through the **shared** lock-free path — the
+    /// this one through the **shared** single-writer path — the
     /// destination half of a counter-plane transfer. Moving a sketch
     /// between hosts ships only its counters (hashers are rebuilt from
     /// the seed); by linearity, adding the shipped plane into a live
@@ -1093,88 +1185,14 @@ where
     /// integer-delta streams the result is bit-for-bit.
     ///
     /// # Panics
-    /// Panics on shape mismatch.
+    /// Panics on shape mismatch, or if another shared write to this
+    /// matrix is in progress.
     pub fn add_matrix_shared(&self, other: &CounterMatrix<T, Dense>) {
         assert_eq!(self.width, other.width, "matrix widths differ");
         assert_eq!(self.depth, other.depth, "matrix depths differ");
+        let _claim = B::claim_writer(&self.store);
         for (i, &delta) in other.store.as_slice().iter().enumerate() {
-            self.store.add_shared(i, delta);
-        }
-    }
-}
-
-impl<T: CounterValue, B: SharedBackend> CounterMatrix<T, B> {
-    /// [`add_shared`](CounterMatrix::add_shared) spelled through the
-    /// [`SharedBackend`] bound, for generic code that cannot name the
-    /// per-store `SharedCounterStore` clause.
-    #[inline]
-    pub fn add_cell_shared(&self, row: usize, col: usize, delta: T) {
-        B::add_shared_cell(&self.store, self.idx(row, col), delta);
-    }
-
-    /// Shared-path batch kernel: the `&self` counterpart of
-    /// [`apply_rows_blocked`](CounterMatrix::apply_rows_blocked), with
-    /// duplicate-cell coalescing in front of the atomic store.
-    ///
-    /// `block_derive` has the same contract as in `apply_rows_blocked`
-    /// (row-major scratch, `cols[r·n + i]` / `vals[r·n + i]`). Instead
-    /// of one atomic RMW per (item, row), the kernel sorts each row's
-    /// lane by bucket, folds every run of same-bucket hits into one
-    /// accumulated delta — in item order, so within-cell addition order
-    /// matches the sequential path — and issues **one**
-    /// `fetch_add`/CAS per distinct cell touched by the block. On
-    /// skewed streams (the interesting ones) that collapses most of the
-    /// block's atomics; on uniform streams it costs one small sort of
-    /// L1-resident scratch.
-    ///
-    /// Exactness matches [`add_shared`](SharedCounterStore::add_shared):
-    /// for integer-valued deltas the result is bit-for-bit equal to
-    /// sequential per-item ingest; for general reals the per-cell
-    /// pre-accumulation can differ in the last ulp.
-    pub fn apply_rows_shared<P, D>(&self, items: &[(u64, P)], mut block_derive: D)
-    where
-        P: Copy,
-        D: FnMut(&[(u64, P)], &mut [usize], &mut [T]),
-    {
-        let depth = self.depth;
-        if depth == 0 || items.is_empty() {
-            return;
-        }
-        debug_assert!(
-            self.width <= u32::MAX as usize,
-            "apply_rows_shared packs (bucket, item) into 32+32 bits"
-        );
-        let block_len = APPLY_BLOCK.min(items.len());
-        let mut cols = vec![0usize; block_len * depth];
-        let mut vals = vec![T::ZERO; block_len * depth];
-        let mut order = vec![0u64; block_len];
-        for block in items.chunks(APPLY_BLOCK) {
-            let n = block.len();
-            block_derive(block, &mut cols[..n * depth], &mut vals[..n * depth]);
-            for row in 0..depth {
-                let lane = row * n..(row + 1) * n;
-                let (rc, rv) = (&cols[lane.clone()], &vals[lane]);
-                let ord = &mut order[..n];
-                for (i, slot) in ord.iter_mut().enumerate() {
-                    *slot = ((rc[i] as u64) << 32) | i as u64;
-                }
-                // Sorting (bucket << 32) | item keeps same-bucket hits
-                // in item order, so the fold below is order-exact.
-                ord.sort_unstable();
-                let base = row * self.width;
-                let mut k = 0;
-                while k < n {
-                    let col = (ord[k] >> 32) as usize;
-                    let mut acc = rv[(ord[k] & 0xFFFF_FFFF) as usize];
-                    let mut j = k + 1;
-                    while j < n && (ord[j] >> 32) as usize == col {
-                        acc = acc.add(rv[(ord[j] & 0xFFFF_FFFF) as usize]);
-                        j += 1;
-                    }
-                    B::add_shared_cell(&self.store, base + col, acc);
-                    k = j;
-                }
-            }
+            B::add_shared_cell(&self.store, i, delta);
         }
     }
 }
@@ -1395,10 +1413,10 @@ impl<B: CounterBackend> CellGrid<B> {
     {
         match self {
             CellGrid::F64(m) => m.apply_rows_blocked(items, block_derive),
-            CellGrid::I64(m) => apply_blocked_converted(m, items, block_derive),
-            CellGrid::U64(m) => apply_blocked_converted(m, items, block_derive),
-            CellGrid::U32(m) => apply_blocked_converted(m, items, block_derive),
-            CellGrid::U16(m) => apply_blocked_converted(m, items, block_derive),
+            CellGrid::I64(m) => m.apply_rows_blocked(items, to_cells(block_derive)),
+            CellGrid::U64(m) => m.apply_rows_blocked(items, to_cells(block_derive)),
+            CellGrid::U32(m) => m.apply_rows_blocked(items, to_cells(block_derive)),
+            CellGrid::U16(m) => m.apply_rows_blocked(items, to_cells(block_derive)),
         }
     }
 
@@ -1472,42 +1490,43 @@ impl<B: CounterBackend> CellGrid<B> {
 }
 
 impl<B: SharedBackend> CellGrid<B> {
-    /// Adds an f64 delta to a cell through a **shared** reference,
-    /// lock-free (truncated into the cell domain first).
+    /// Adds an f64 delta to a cell through a **shared** reference, as
+    /// the plane's single writer (truncated into the cell domain first).
     #[inline]
     pub fn add_shared_f64(&self, row: usize, col: usize, delta: f64) {
-        with_cells!(self, m => m.add_cell_shared(row, col, CellValue::cell_from_f64(delta)))
+        with_cells!(self, m => m.add_shared(row, col, CellValue::cell_from_f64(delta)))
     }
 
-    /// [`CounterMatrix::apply_rows_shared`] over f64 deltas — the
-    /// shared/Atomic batch kernel with duplicate-cell coalescing.
-    /// Integer variants truncate each item's delta into the cell domain
-    /// **before** coalescing, so per-cell accumulation wraps exactly
-    /// like sequential per-item ingest.
-    pub fn apply_rows_shared_f64<D>(&self, items: &[(u64, f64)], block_derive: D)
+    /// [`CounterMatrix::apply_rows_blocked_shared`] over f64 deltas —
+    /// the shared form of
+    /// [`apply_rows_blocked_f64`](CellGrid::apply_rows_blocked_f64),
+    /// with the same per-width conversion.
+    pub fn apply_rows_blocked_shared_f64<D>(&self, items: &[(u64, f64)], block_derive: D)
     where
         D: FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
     {
         match self {
-            CellGrid::F64(m) => m.apply_rows_shared(items, block_derive),
-            CellGrid::I64(m) => apply_shared_converted(m, items, block_derive),
-            CellGrid::U64(m) => apply_shared_converted(m, items, block_derive),
-            CellGrid::U32(m) => apply_shared_converted(m, items, block_derive),
-            CellGrid::U16(m) => apply_shared_converted(m, items, block_derive),
+            CellGrid::F64(m) => m.apply_rows_blocked_shared(items, block_derive),
+            CellGrid::I64(m) => m.apply_rows_blocked_shared(items, to_cells(block_derive)),
+            CellGrid::U64(m) => m.apply_rows_blocked_shared(items, to_cells(block_derive)),
+            CellGrid::U32(m) => m.apply_rows_blocked_shared(items, to_cells(block_derive)),
+            CellGrid::U16(m) => m.apply_rows_blocked_shared(items, to_cells(block_derive)),
         }
     }
 
     /// Adds every cell of a dense f64 plane into this grid through the
-    /// shared lock-free path, truncating into the cell domain — the
+    /// shared single-writer path, truncating into the cell domain — the
     /// destination half of a counter-plane transfer onto a compact-cell
     /// sketch.
     ///
     /// # Panics
-    /// Panics on shape mismatch.
+    /// Panics on shape mismatch, or if another shared write to this
+    /// grid is in progress.
     pub fn add_plane_shared(&self, plane: &CounterMatrix<f64, Dense>) {
         with_cells!(self, m => {
             assert_eq!(m.width(), plane.width, "matrix widths differ");
             assert_eq!(m.depth(), plane.depth, "matrix depths differ");
+            let _claim = B::claim_writer(&m.store);
             for (i, &delta) in plane.store.as_slice().iter().enumerate() {
                 B::add_shared_cell(&m.store, i, CellValue::cell_from_f64(delta));
             }
@@ -1523,34 +1542,20 @@ impl<B: CounterBackend, B2: CounterBackend> PartialEq<CellGrid<B2>> for CellGrid
     }
 }
 
-fn apply_blocked_converted<T: CellValue, B: CounterBackend>(
-    m: &mut CounterMatrix<T, B>,
-    items: &[(u64, f64)],
+/// Adapts an f64 block derivation to cells of type `T`: derives into
+/// an f64 lane, then truncates each increment into the cell domain
+/// (per item, so integer cells wrap exactly like per-item ingest).
+fn to_cells<T: CellValue>(
     mut block_derive: impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
-) {
+) -> impl FnMut(&[(u64, f64)], &mut [usize], &mut [T]) {
     let mut lane: Vec<f64> = Vec::new();
-    m.apply_rows_blocked(items, |block, cols, vals| {
+    move |block, cols, vals| {
         lane.resize(vals.len(), 0.0);
         block_derive(block, cols, &mut lane);
         for (o, &f) in vals.iter_mut().zip(lane.iter()) {
             *o = T::cell_from_f64(f);
         }
-    });
-}
-
-fn apply_shared_converted<T: CellValue, B: SharedBackend>(
-    m: &CounterMatrix<T, B>,
-    items: &[(u64, f64)],
-    mut block_derive: impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
-) {
-    let mut lane: Vec<f64> = Vec::new();
-    m.apply_rows_shared(items, |block, cols, vals| {
-        lane.resize(vals.len(), 0.0);
-        block_derive(block, cols, &mut lane);
-        for (o, &f) in vals.iter_mut().zip(lane.iter()) {
-            *o = T::cell_from_f64(f);
-        }
-    });
+    }
 }
 
 fn row_dot_converted<T: CellValue, B: CounterBackend>(
@@ -1972,43 +1977,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_integer_adds_from_many_threads_are_exact() {
-        let m = CounterMatrix::<i64, Atomic>::new(8, 1);
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let m = &m;
-                scope.spawn(move || {
-                    for i in 0..10_000u64 {
-                        m.add_shared(0, ((i + t) % 8) as usize, 1);
-                    }
-                });
-            }
-        });
-        let total: i64 = m.snapshot().iter().sum();
-        assert_eq!(total, 40_000);
-    }
-
-    #[test]
-    fn shared_float_adds_from_many_threads_are_exact_on_integers() {
-        // Integer-valued f64 deltas: addition is exact, hence
-        // order-independent — the concurrent sum is bit-for-bit right.
-        let m = CounterMatrix::<f64, Atomic>::new(4, 1);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let m = &m;
-                scope.spawn(move || {
-                    for i in 0..5_000u64 {
-                        m.add_shared(0, (i % 4) as usize, 3.0);
-                    }
-                });
-            }
-        });
-        for col in 0..4 {
-            assert_eq!(m.get(0, col), 4.0 * 1_250.0 * 3.0);
-        }
-    }
-
-    #[test]
     fn add_matrix_is_elementwise() {
         let mut a = CounterMatrix::<f64>::new(3, 2);
         let mut b = CounterMatrix::<f64>::new(3, 2);
@@ -2154,7 +2122,7 @@ mod tests {
         }
         assert_eq!(d.snapshot(), vec![10, 1, 0, 0]);
         assert_eq!(d, a);
-        // Shared u16 adds go through the CAS path and wrap at 16 bits.
+        // Shared u16 adds wrap at 16 bits, like exclusive ones.
         a.add_shared(0, 0, u16::MAX);
         assert_eq!(a.get(0, 0), 10u16.wrapping_add(u16::MAX));
     }
@@ -2169,7 +2137,7 @@ mod tests {
         }
         assert_eq!(d.snapshot(), vec![10, 1, 0, 0]);
         assert_eq!(d, a);
-        // Shared u32 adds go through the CAS path and wrap at 32 bits.
+        // Shared u32 adds wrap at 32 bits, like exclusive ones.
         a.add_shared(0, 0, u32::MAX);
         assert_eq!(a.get(0, 0), 10u32.wrapping_add(u32::MAX));
     }
@@ -2243,7 +2211,7 @@ mod tests {
     fn i64_wrapping_matches_between_paths() {
         let mut m = CounterMatrix::<i64, Atomic>::new(1, 1);
         m.add(0, 0, i64::MAX);
-        m.add_shared(0, 0, 1); // fetch_add wraps in two's complement
+        m.add_shared(0, 0, 1); // the shared add wraps in two's complement
         assert_eq!(m.get(0, 0), i64::MIN);
     }
 
@@ -2316,7 +2284,7 @@ mod tests {
     }
 
     /// A synthetic block derivation matching `derive_item` below, in
-    /// the row-major layout `apply_rows_blocked` expects.
+    /// the row-major layout the blocked kernels expect.
     fn derive_block(block: &[(u64, f64)], cols: &mut [usize], vals: &mut [f64]) {
         let n = block.len();
         for (i, &(x, delta)) in block.iter().enumerate() {
@@ -2334,6 +2302,10 @@ mod tests {
         }
     }
 
+    fn bits(m: &CounterMatrix<f64, impl CounterBackend>) -> Vec<u64> {
+        m.snapshot().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn apply_rows_blocked_matches_apply_rows() {
         let items: Vec<(u64, f64)> = (0..1000u64).map(|x| (x * 7 + 3, 1.0 + x as f64)).collect();
@@ -2341,67 +2313,43 @@ mod tests {
         blocked.apply_rows_blocked(&items, derive_block);
         let mut per_item = CounterMatrix::<f64>::new(16, 3);
         per_item.apply_rows(&items, derive_item);
-        let (a, b) = (blocked.snapshot(), per_item.snapshot());
-        assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        assert_eq!(bits(&blocked), bits(&per_item));
     }
 
     #[test]
-    fn apply_rows_shared_coalesces_to_sequential_result() {
-        // Integer deltas over few buckets: heavy duplicate-cell
-        // coalescing, compared bit-for-bit against sequential ingest,
-        // across several blocks including a partial tail.
+    fn shared_kernel_equals_the_exclusive_kernel() {
+        // Fractional deltas, several blocks and a partial tail: one
+        // writer gives every cell its increments in item order, so the
+        // shared sweep lands bit-for-bit on the exclusive one.
         let items: Vec<(u64, f64)> = (0..777u64)
-            .map(|x| (x * 13 + 1, (1 + x % 9) as f64))
+            .map(|x| (x * 13 + 1, (x % 9) as f64 / 7.0 - 0.3))
             .collect();
+        let mut exclusive = CounterMatrix::<f64>::new(16, 3);
+        exclusive.apply_rows_blocked(&items, derive_block);
         let shared = CounterMatrix::<f64, Atomic>::new(16, 3);
-        shared.apply_rows_shared(&items, derive_block);
-        let mut sequential = CounterMatrix::<f64>::new(16, 3);
-        let (mut cols, mut vals) = ([0usize; 3], [0f64; 3]);
-        for &(x, delta) in &items {
-            derive_item(x, delta, &mut cols, &mut vals);
-            for row in 0..3 {
-                sequential.add(row, cols[row], vals[row]);
-            }
-        }
-        assert_eq!(
-            shared
-                .snapshot()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            sequential
-                .snapshot()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        );
+        shared.apply_rows_blocked_shared(&items, derive_block);
+        assert_eq!(bits(&shared), bits(&exclusive));
     }
 
     #[test]
-    fn apply_rows_shared_is_safe_under_concurrency() {
-        let m = CounterMatrix::<i64, Atomic>::new(8, 2);
-        let items: Vec<(u64, i64)> = (0..512u64).map(|x| (x, 1)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (m, items) = (&m, &items);
-                scope.spawn(move || {
-                    m.apply_rows_shared(items, |block, cols, vals| {
-                        let n = block.len();
-                        for (i, &(x, delta)) in block.iter().enumerate() {
-                            for row in 0..2 {
-                                cols[row * n + i] = ((x + row as u64) % 8) as usize;
-                                vals[row * n + i] = delta;
-                            }
-                        }
-                    });
-                });
-            }
-        });
-        let total: i64 = m.snapshot().iter().sum();
-        assert_eq!(total, 4 * 512 * 2);
+    fn second_shared_writer_panics_before_writing() {
+        let m = CounterMatrix::<f64, Atomic>::new(16, 3);
+        let items: Vec<(u64, f64)> = (0..300u64).map(|x| (x, 0.5)).collect();
+        let held = Atomic::claim_writer(&m.store);
+        let write =
+            std::panic::AssertUnwindSafe(|| m.apply_rows_blocked_shared(&items, derive_block));
+        assert!(std::panic::catch_unwind(write).is_err());
+        assert!(std::panic::catch_unwind(|| m.add_shared(0, 0, 1.0)).is_err());
+        assert!(
+            std::panic::catch_unwind(|| m.add_matrix_shared(&CounterMatrix::new(16, 3))).is_err()
+        );
+        // The refused writers wrote nothing.
+        assert!(m.snapshot().iter().all(|&v| v == 0.0));
+        drop(held);
+        m.apply_rows_blocked_shared(&items, derive_block);
+        let mut exclusive = CounterMatrix::<f64>::new(16, 3);
+        exclusive.apply_rows_blocked(&items, derive_block);
+        assert_eq!(bits(&m), bits(&exclusive));
     }
 
     #[test]
@@ -2507,7 +2455,7 @@ mod tests {
             let mut blocked: CellGrid = CellGrid::new(16, 3, cell);
             blocked.apply_rows_blocked_f64(&items, derive_block);
             let shared: CellGrid<Atomic> = CellGrid::new(16, 3, cell);
-            shared.apply_rows_shared_f64(&items, derive_block);
+            shared.apply_rows_blocked_shared_f64(&items, derive_block);
 
             let mut per_item: CellGrid = CellGrid::new(16, 3, cell);
             let (mut cols, mut vals) = ([0usize; 3], [0f64; 3]);

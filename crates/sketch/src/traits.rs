@@ -303,32 +303,36 @@ pub trait PointQuerySketch {
     }
 }
 
-/// A sketch whose counters can be fed through a **shared reference**,
-/// lock-free — the ingest contract behind
-/// `bas_pipeline::ConcurrentIngest`, where N threads feed *one*
-/// sketch (1× memory) instead of N same-seed shards (N× memory).
+/// A sketch whose counters can be fed through a **shared reference**
+/// by a single writer while readers copy them — the ingest contract
+/// behind `bas_pipeline::ConcurrentIngest` and the served engines,
+/// where one plane is written and snapshot readers pin it
+/// concurrently.
 ///
 /// Implemented by the linear, matrix-backed sketches when their
 /// [`CounterBackend`](crate::storage::CounterBackend) supports shared
-/// accumulation (today: the [`Atomic`](crate::storage::Atomic)
-/// backend). Sketches whose updates are state-dependent (CM-CU,
-/// CML-CU, the bias-maintaining S/R types) cannot implement this —
-/// their read-modify-write cycles are exactly what lock-freedom per
-/// counter cannot express, the same structural property that already
-/// excludes them from merging.
+/// writes (today: the [`Atomic`](crate::storage::Atomic) backend).
+/// Sketches whose updates are state-dependent (CM-CU, CML-CU, the
+/// bias-maintaining S/R types) cannot implement this — their
+/// cross-counter read-modify-write cycles are the same structural
+/// property that already excludes them from merging.
 ///
-/// # Exactness
-/// Shared updates land in nondeterministic order. For integer-valued
-/// deltas `f64` addition is exact and therefore order-independent:
-/// the concurrent result is bit-for-bit equal to any sequential
-/// ingest. For general reals, each counter may differ in the last ulp
-/// (same caveat as shard merging).
+/// # Single writer
+/// A shared write is a plain load and store per cell, not an atomic
+/// read-modify-write (see [`crate::storage`]). Each counter plane takes
+/// one writer at a time: every shared write claims the plane first, and
+/// a second writer arriving while the claim is held panics before it
+/// writes a cell. Under that contract shared ingest is **bit-for-bit**
+/// equal to sequential ingest for every delta, integer or fractional.
+/// Ingest drivers also open the [`write_epoch`](SharedSketch::write_epoch)
+/// section around each flush, which panics on an overlapping second
+/// flush.
 ///
 /// # Consistency
-/// Individual counter updates are atomic, but a query concurrent with
-/// ingest may observe some rows of an in-flight update and not others.
-/// Quiesce writers (as `ConcurrentIngest` does around `flush`) before
-/// querying for exact results.
+/// Readers may copy counters while a write is in flight and then see
+/// some rows of an update and not others. Epoch-consistent readers
+/// (`bas_pipeline::EpochSketch::pin`) retry across write sections;
+/// plain readers quiesce the writer first.
 pub trait SharedSketch: PointQuerySketch + Sync {
     /// Applies `x_item ← x_item + delta` through a shared reference.
     fn update_shared(&self, item: u64, delta: f64);
@@ -336,9 +340,8 @@ pub trait SharedSketch: PointQuerySketch + Sync {
     /// Applies a batch of updates through a shared reference,
     /// equivalent to calling
     /// [`update_shared`](SharedSketch::update_shared) per item. The
-    /// matrix-backed sketches override it with the same
-    /// dispatch-hoisted pass as
-    /// [`update_batch`](PointQuerySketch::update_batch).
+    /// matrix-backed sketches override it with the same blocked
+    /// row-major kernel as [`update_batch`](PointQuerySketch::update_batch).
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         for &(item, delta) in items {
             self.update_shared(item, delta);
@@ -348,22 +351,22 @@ pub trait SharedSketch: PointQuerySketch + Sync {
     /// The write-epoch counter this sketch publishes to snapshot
     /// readers, if any.
     ///
-    /// Plain shared sketches return `None` — they accept concurrent
-    /// ingest but offer readers no consistency discipline beyond
-    /// per-cell atomicity. Epoch-wrapped sketches
-    /// (`bas_pipeline::EpochSketch`) return their counter, and ingest
-    /// drivers such as `ConcurrentIngest` bracket every flush in a
-    /// write section so seqlock snapshot readers can detect (and retry
-    /// across) in-flight flushes.
+    /// Plain shared sketches return `None` — they accept shared ingest
+    /// but offer readers no consistency discipline beyond per-cell
+    /// atomicity. Epoch-wrapped sketches (`bas_pipeline::EpochSketch`)
+    /// return their counter, and ingest drivers such as
+    /// `ConcurrentIngest` bracket every flush in a write section so
+    /// seqlock snapshot readers can detect (and retry across) in-flight
+    /// flushes.
     fn write_epoch(&self) -> Option<&EpochCounter> {
         None
     }
 
     /// Notes that a flush applying `updates` updates carrying `mass`
     /// total delta has completed. Called by ingest drivers **inside**
-    /// the write section (after the workers join, before the epoch
-    /// closes), so epoch-consistent readers always observe a stream
-    /// position that matches the counters. Plain sketches keep no such
+    /// the write section (after the writes, before the epoch closes),
+    /// so epoch-consistent readers always observe a stream position
+    /// that matches the counters. Plain sketches keep no such
     /// bookkeeping: the default is a no-op.
     fn note_applied(&self, _updates: u64, _mass: f64) {}
 }

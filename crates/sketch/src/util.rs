@@ -9,7 +9,7 @@ use bas_hash::{AnyBucketHasher, BucketHasher, RowDeriver};
 
 /// Builds a block-derive closure for the blocked batch kernels
 /// ([`crate::CellGrid::apply_rows_blocked_f64`] /
-/// [`crate::CellGrid::apply_rows_shared_f64`]) over **one-hash** rows,
+/// [`crate::CellGrid::apply_rows_blocked_shared_f64`]) over **one-hash** rows,
 /// broadcasting each item's delta to every row (the unsigned sketches:
 /// Count-Median, plain Count-Min).
 ///
@@ -72,8 +72,8 @@ pub(crate) fn onehash_signed_block_derive(
 
 /// Block-derive over arbitrary row hashers (the classical families,
 /// which have no shared digest): per-item dynamic dispatch fills the
-/// row-major scratch so even non-one-hash sketches ride the shared
-/// coalescing kernel.
+/// row-major scratch so even non-one-hash sketches ride the blocked
+/// kernels.
 pub(crate) fn hashed_block_derive(
     hashers: &[AnyBucketHasher],
 ) -> impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]) + '_ {

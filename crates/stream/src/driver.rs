@@ -10,10 +10,10 @@
 //! The driver is storage-agnostic: since the counter-matrix refactor
 //! the same chunks feed either an exclusive sketch
 //! (`|chunk| sketch.update_batch(chunk)`) or a shared atomic-backed one
-//! through its lock-free `&self` path
-//! (`|chunk| shared.update_batch_shared(chunk)`), which is exactly how
-//! a receive loop hands chunks to the sketch that `ConcurrentIngest`
-//! workers are feeding from other threads.
+//! through its single-writer `&self` path
+//! (`|chunk| shared.update_batch_shared(chunk)`), which is how a
+//! receive loop can be the one writer of a sketch that readers copy
+//! from other threads.
 
 use crate::update::{StreamUpdate, TimestampedUpdate};
 

@@ -30,7 +30,7 @@ fn main() {
     let _ = std::fs::remove_file(&journal_path);
 
     // ---- boot a daemon on an OS-assigned port ----
-    let mut fabric = Fabric::new(FabricConfig::new(params.clone()).with_workers(2));
+    let mut fabric = Fabric::new(FabricConfig::new(params.clone()));
     fabric.add_shard(0, 1.0).unwrap();
     fabric.add_shard(1, 1.0).unwrap();
     let journal = Journal::open(&journal_path).unwrap();
@@ -87,8 +87,7 @@ fn main() {
     );
 
     // ---- recover a fresh daemon from the journal ----
-    let recovered =
-        persist::recover(&journal_path, FabricConfig::new(params).with_workers(2)).unwrap();
+    let recovered = persist::recover(&journal_path, FabricConfig::new(params)).unwrap();
     let daemon = Daemon::bind_tcp("127.0.0.1:0", recovered, None, DaemonConfig::new()).unwrap();
     let addr = daemon.local_addr().unwrap();
     let mut client = Client::new(

@@ -53,7 +53,7 @@ fn expect_value(resp: Response) -> f64 {
 
 fn main() {
     let params = SketchParams::new(N, 1_024, 5);
-    let mut fabric = Fabric::new(FabricConfig::new(params).with_workers(2));
+    let mut fabric = Fabric::new(FabricConfig::new(params));
     fabric.add_shard(1, 1.0).unwrap();
     fabric.add_shard(2, 1.0).unwrap();
 
@@ -79,17 +79,17 @@ fn main() {
 
     // Never-fabric mirrors for the bit-exactness gates.
     let mut edge = QueryEngine::with_policy(
-        2,
+        1,
         AtomicCountMedian::with_backend(&params.with_seed(4_242)),
         Unbounded,
     );
     let mut checkout = QueryEngine::with_policy(
-        2,
+        1,
         AtomicCountMedian::with_backend(&params.with_seed(5_151)),
         Sliding::new(3).unwrap(),
     );
     let mut billing = QueryEngine::with_policy(
-        2,
+        1,
         RangeSumSketch::<Atomic>::with_backend(&params.with_seed(6_161)),
         Tumbling::new(2).unwrap(),
     );

@@ -1,9 +1,8 @@
 //! A miniature telemetry server on the live query plane.
 //!
 //! The north-star scenario: per-endpoint request counts stream in hot
-//! (4 ingest workers feeding **one** shared Count-Median through
-//! lock-free counter adds), while reader threads serve queries off the
-//! same sketch the whole time:
+//! (one ingest thread writing **one** shared Count-Median), while
+//! reader threads serve queries off the same sketch the whole time:
 //!
 //! * **live point reads** — lock-free, straight off the atomic cells;
 //! * **heavy-endpoint scans** — over epoch-pinned snapshots, so the
@@ -37,7 +36,7 @@ const READERS: usize = 2;
 
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!("telemetry server demo: {cores} core(s), 4 ingest workers, {READERS} readers");
+    println!("telemetry server demo: {cores} core(s), 1 ingest writer, {READERS} readers");
 
     // Synthetic traffic: most endpoints hum along, two are hot, and
     // requests cluster in a morning rush window.
@@ -71,8 +70,8 @@ fn main() {
 
     let point_params = SketchParams::new(ENDPOINTS, 4_096, 7).with_seed(13);
     let range_params = SketchParams::new(SECONDS, 2_048, 5).with_seed(14);
-    let mut points = QueryEngine::new(4, AtomicCountMedian::with_backend(&point_params));
-    let mut ranges = QueryEngine::new(4, RangeSumSketch::<Atomic>::with_backend(&range_params));
+    let mut points = QueryEngine::new(AtomicCountMedian::with_backend(&point_params));
+    let mut ranges = QueryEngine::new(RangeSumSketch::<Atomic>::with_backend(&range_params));
 
     // Reader threads hammer the point engine while the main thread
     // ingests; each does a bounded quota of live + snapshot reads.

@@ -24,8 +24,8 @@
 //!   protocol with communication metering;
 //! * [`pipeline`] — batched, sharded, and concurrent-shared
 //!   single-node ingest: per-thread shard sketches merged by
-//!   linearity, or N threads feeding one atomic-backed sketch, plus
-//!   the epoch-snapshot machinery for reading it while they do;
+//!   linearity, or one atomic-backed sketch with one writer, plus
+//!   the epoch-snapshot machinery for reading it while it is written;
 //! * [`serve`] — the live query plane: a `QueryEngine` serving
 //!   point / heavy-hitter / range-sum / inner-product queries over a
 //!   concurrently-fed sketch, from lock-free live cells or pinned

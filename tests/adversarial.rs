@@ -304,7 +304,7 @@ where
 {
     let victim = victim_of(trial);
     let base = base_traffic(trial, 0);
-    let mut engine = QueryEngine::new(1, sketch);
+    let mut engine = QueryEngine::new(sketch);
     engine.extend_from_slice(&base);
     engine.flush();
     let handle = engine.handle();

@@ -184,7 +184,7 @@ fn u16_count_min_keeps_the_epsilon_delta_bound() {
 #[test]
 fn rebalanced_compact_cell_tenant_answers_bit_for_bit() {
     let template = params().with_cell(CellWidth::U32);
-    let mut fabric = Fabric::new(FabricConfig::new(template.clone()).with_workers(2));
+    let mut fabric = Fabric::new(FabricConfig::new(template.clone()));
     fabric.add_shard(0, 1.0).unwrap();
     fabric.add_shard(1, 1.0).unwrap();
 

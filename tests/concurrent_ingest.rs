@@ -1,29 +1,71 @@
-//! The concurrency test suite for lock-free shared-sketch ingest.
+//! The concurrency test suite for single-writer shared-sketch ingest.
 //!
-//! Pinned claims, per the storage-layer contract:
+//! Pinned claims, per the storage layer's single-writer contract (one
+//! writer per counter plane, any number of readers copying it while it
+//! is written):
 //!
 //! 1. `Atomic`-backend **sequential** ingest is bit-for-bit equal to
 //!    `Dense` — the backend is unobservable under exclusive access;
-//! 2. N-thread `ConcurrentIngest` into one shared sketch equals
-//!    single-threaded ingest **exactly** for integer-valued deltas
-//!    (`f64` addition is exact there, hence order-independent);
-//! 3. for fractional deltas the shared sketch matches within `1e-9`
-//!    relative tolerance (atomic adds reorder rounding, nothing else);
+//! 2. `ConcurrentIngest` into one shared sketch, pinned and queried by
+//!    `k − 1` reader threads while it flushes, equals single-threaded
+//!    ingest **exactly** on integer-valued deltas;
+//! 3. ...and on fractional deltas too: every cell receives its
+//!    increments in stream order and readers never write, so nothing
+//!    changes the rounding;
 //! 4. the shared path composes with `ShardedIngest` and the chunked
 //!    driver without changing results.
 //!
-//! The worker counts default to {2, 8}; CI re-runs the suite under
-//! `--release` with `BAS_TEST_THREADS=2` and `=8` explicitly so both
-//! contention regimes are exercised even if the defaults change.
+//! The thread counts `k` default to {2, 8}; CI re-runs the suite under
+//! `--release` with `BAS_TEST_THREADS=2` and `=8` explicitly, so both
+//! run even if the defaults change (8 threads oversubscribe the
+//! standard runner's cores, so readers preempt the writer mid-flush).
 
 use bias_aware_sketches::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Worker counts to exercise: `BAS_TEST_THREADS` (CI) or {2, 8}.
-fn worker_counts() -> Vec<usize> {
+/// Thread counts to exercise: `BAS_TEST_THREADS` (CI) or {2, 8}. A
+/// count of `k` runs the one writer beside `k − 1` readers, or `k`
+/// shards under `ShardedIngest`.
+fn thread_counts() -> Vec<usize> {
     match std::env::var("BAS_TEST_THREADS") {
         Ok(v) => vec![v.parse().expect("BAS_TEST_THREADS must be a number")],
         Err(_) => vec![2, 8],
     }
+}
+
+const FLUSH: usize = 4_096;
+
+/// Feeds `updates` through one `ConcurrentIngest` writer into `sketch`
+/// while `threads − 1` reader threads pin snapshots of it, and returns
+/// the settled sketch. Every pinned snapshot must sit on a flush
+/// boundary.
+fn ingest_while_read<S>(sketch: S, updates: &[(u64, f64)], threads: usize) -> EpochHandle<S>
+where
+    S: SharedSketch + Snapshottable + Send,
+{
+    let shared = EpochHandle::new(sketch);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            let (reader, done) = (shared.clone(), &done);
+            scope.spawn(move || {
+                while !done.load(Ordering::Acquire) {
+                    let snap = reader.pin();
+                    let applied = snap.applied() as usize;
+                    assert!(
+                        applied % FLUSH == 0 || applied == updates.len(),
+                        "snapshot at {applied} is not a flush boundary"
+                    );
+                    std::hint::black_box(snap.estimate(applied as u64 % N));
+                }
+            });
+        }
+        let mut ingest = ConcurrentIngest::new(shared.clone()).with_flush_threshold(FLUSH);
+        ingest.extend_from_slice(updates);
+        ingest.finish();
+        done.store(true, Ordering::Release);
+    });
+    shared
 }
 
 const N: u64 = 2_000;
@@ -64,16 +106,17 @@ fn concurrent_count_sketch_integer_deltas_bit_for_bit() {
     let updates = integer_stream(60_000);
     let mut reference = CountSketch::new(&params());
     reference.update_batch(&updates);
-    for workers in worker_counts() {
-        let mut ingest = ConcurrentIngest::new(workers, AtomicCountSketch::with_backend(&params()))
-            .with_flush_threshold(4_096);
-        ingest.extend_from_slice(&updates);
-        let shared = ingest.finish();
+    for threads in thread_counts() {
+        let shared = ingest_while_read(
+            AtomicCountSketch::with_backend(&params()),
+            &updates,
+            threads,
+        );
         for j in 0..N {
             assert_eq!(
                 shared.estimate(j),
                 reference.estimate(j),
-                "{workers} workers, item {j}"
+                "{threads} threads, item {j}"
             );
         }
     }
@@ -84,16 +127,17 @@ fn concurrent_count_median_integer_deltas_bit_for_bit() {
     let updates = integer_stream(60_000);
     let mut reference = CountMedian::new(&params());
     reference.update_batch(&updates);
-    for workers in worker_counts() {
-        let mut ingest = ConcurrentIngest::new(workers, AtomicCountMedian::with_backend(&params()))
-            .with_flush_threshold(4_096);
-        ingest.extend_from_slice(&updates);
-        let shared = ingest.finish();
+    for threads in thread_counts() {
+        let shared = ingest_while_read(
+            AtomicCountMedian::with_backend(&params()),
+            &updates,
+            threads,
+        );
         for j in 0..N {
             assert_eq!(
                 shared.estimate(j),
                 reference.estimate(j),
-                "{workers} workers, item {j}"
+                "{threads} threads, item {j}"
             );
         }
     }
@@ -104,42 +148,39 @@ fn concurrent_count_min_plain_integer_deltas_bit_for_bit() {
     let updates = integer_stream(60_000);
     let mut reference = CountMin::new(&params(), UpdatePolicy::Plain);
     reference.update_batch(&updates);
-    for workers in worker_counts() {
-        let mut ingest = ConcurrentIngest::new(
-            workers,
+    for threads in thread_counts() {
+        let shared = ingest_while_read(
             AtomicCountMin::with_backend(&params(), UpdatePolicy::Plain),
-        )
-        .with_flush_threshold(4_096);
-        ingest.extend_from_slice(&updates);
-        let shared = ingest.finish();
+            &updates,
+            threads,
+        );
         for j in 0..N {
             assert_eq!(
                 shared.estimate(j),
                 reference.estimate(j),
-                "{workers} workers, item {j}"
+                "{threads} threads, item {j}"
             );
         }
     }
 }
 
 #[test]
-fn concurrent_fractional_deltas_within_relative_tolerance() {
+fn concurrent_fractional_deltas_bit_for_bit() {
     let updates = fractional_stream(60_000);
     let mut reference = CountSketch::new(&params());
     reference.update_batch(&updates);
-    // Scale for the relative tolerance: total absolute mass per counter
-    // is bounded by the stream's total absolute mass.
-    let scale: f64 = updates.iter().map(|(_, d)| d.abs()).sum::<f64>() + 1.0;
-    for workers in worker_counts() {
-        let mut ingest = ConcurrentIngest::new(workers, AtomicCountSketch::with_backend(&params()))
-            .with_flush_threshold(4_096);
-        ingest.extend_from_slice(&updates);
-        let shared = ingest.finish();
+    for threads in thread_counts() {
+        let shared = ingest_while_read(
+            AtomicCountSketch::with_backend(&params()),
+            &updates,
+            threads,
+        );
         for j in 0..N {
             let (a, b) = (shared.estimate(j), reference.estimate(j));
-            assert!(
-                (a - b).abs() <= 1e-9 * scale,
-                "{workers} workers, item {j}: {a} vs {b}"
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{threads} threads, item {j}: {a} vs {b}"
             );
         }
     }
@@ -147,20 +188,26 @@ fn concurrent_fractional_deltas_within_relative_tolerance() {
 
 #[test]
 fn shared_range_sum_matches_exclusive() {
-    let updates = integer_stream(20_000);
+    // Every dyadic level is one more plane with the same one writer,
+    // so even fractional deltas land bit-for-bit.
+    let updates = fractional_stream(20_000);
     let mut reference = RangeSumSketch::new(&params());
     for &(i, d) in &updates {
         reference.update(i, d);
     }
-    let shared = RangeSumSketch::<Atomic>::with_backend(&params());
-    std::thread::scope(|scope| {
-        for chunk in updates.chunks(updates.len().div_ceil(4)) {
-            let shared = &shared;
-            scope.spawn(move || shared.update_batch_shared(chunk));
+    for threads in thread_counts() {
+        let shared = ingest_while_read(
+            RangeSumSketch::<Atomic>::with_backend(&params()),
+            &updates,
+            threads,
+        );
+        for (a, b) in [(0u64, N - 1), (17, 1_200), (500, 501), (N - 64, N - 1)] {
+            assert_eq!(
+                shared.sketch().query(a, b).to_bits(),
+                reference.query(a, b).to_bits(),
+                "{threads} threads, range [{a},{b}]"
+            );
         }
-    });
-    for (a, b) in [(0u64, N - 1), (17, 1_200), (500, 501), (N - 64, N - 1)] {
-        assert_eq!(shared.query(a, b), reference.query(a, b), "range [{a},{b}]");
     }
 }
 
@@ -168,17 +215,18 @@ fn shared_range_sum_matches_exclusive() {
 fn concurrent_matches_sharded_on_integer_deltas() {
     // The two multi-core strategies must agree with each other, not
     // just with the single-threaded reference: linearity (sharded) and
-    // order-independence (shared) describe the same sketch.
+    // one writer under concurrent readers (shared) describe the same
+    // sketch.
     let updates = integer_stream(40_000);
-    for workers in worker_counts() {
-        let mut shared_ingest =
-            ConcurrentIngest::new(workers, AtomicCountSketch::with_backend(&params()))
-                .with_flush_threshold(2_048);
-        shared_ingest.extend_from_slice(&updates);
-        let shared = shared_ingest.finish();
+    for threads in thread_counts() {
+        let shared = ingest_while_read(
+            AtomicCountSketch::with_backend(&params()),
+            &updates,
+            threads,
+        );
 
         let mut sharded_ingest =
-            ShardedIngest::new(workers, || CountSketch::new(&params())).with_flush_threshold(2_048);
+            ShardedIngest::new(threads, || CountSketch::new(&params())).with_flush_threshold(2_048);
         sharded_ingest.extend_from_slice(&updates);
         let sharded = sharded_ingest.finish();
 
@@ -186,7 +234,7 @@ fn concurrent_matches_sharded_on_integer_deltas() {
             assert_eq!(
                 shared.estimate(j),
                 sharded.estimate(j),
-                "{workers} workers, item {j}"
+                "{threads} threads, item {j}"
             );
         }
     }
@@ -195,7 +243,7 @@ fn concurrent_matches_sharded_on_integer_deltas() {
 #[test]
 fn chunked_driver_feeds_shared_sketch() {
     // The driver's sink works against the shared path too: a receive
-    // loop can hand chunks into the same sketch the workers feed.
+    // loop can be the one writer of a shared sketch.
     let updates = integer_stream(10_000);
     let shared = AtomicCountSketch::with_backend(&params());
     let stream = updates.iter().map(|&(i, d)| StreamUpdate::new(i, d));
@@ -211,13 +259,16 @@ fn chunked_driver_feeds_shared_sketch() {
 #[test]
 fn memory_accounting_shared_vs_sharded() {
     // The motivating arithmetic: ConcurrentIngest holds one sketch's
-    // counters regardless of worker count; ShardedIngest holds one per
-    // shard. size_in_words counts counter words.
+    // counters however many threads read it; ShardedIngest holds one
+    // per shard. size_in_words counts counter words.
     let one = CountSketch::new(&params()).size_in_words();
-    for workers in worker_counts() {
-        let ingest = ConcurrentIngest::new(workers, AtomicCountSketch::with_backend(&params()));
-        // One counter plane regardless of worker count — versus the
-        // `workers * one` words ShardedIngest holds until finish().
-        assert_eq!(ingest.sketch().size_in_words(), one, "{workers} workers");
+    for threads in thread_counts() {
+        let shared = EpochHandle::new(AtomicCountSketch::with_backend(&params()));
+        let readers: Vec<_> = (1..threads).map(|_| shared.clone()).collect();
+        let ingest = ConcurrentIngest::new(shared.clone());
+        // One counter plane however many handles read it — versus the
+        // `threads * one` words ShardedIngest holds until finish().
+        assert_eq!(ingest.sketch().size_in_words(), one, "{threads} threads");
+        assert!(readers.iter().all(|r| r.size_in_words() == one));
     }
 }

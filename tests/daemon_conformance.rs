@@ -2,7 +2,8 @@
 //! not semantics** — answers over loopback TCP (and unix sockets) are
 //! bit-for-bit the answers of the same fabric driven in-process, under
 //! concurrency, hostile disconnects, deadline expiry, graceful
-//! shutdown, and kill/restart recovery.
+//! shutdown, and journal recovery. (Kill -9 of the real `bas-serverd`
+//! binary lives in `crates/server/tests/daemon_restart.rs`.)
 //!
 //! These tests exercise real sockets with real threads; CI runs them
 //! under `--release` like the other serving suites.
@@ -14,9 +15,8 @@ use bias_aware_sketches::server::{
     FabricConfig, IngestBatcher, Journal, Request, Response, RetryPolicy, TenantSpec,
     MAX_FRAME_BYTES,
 };
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::Duration;
 
 const N: u64 = 4_096;
@@ -26,16 +26,7 @@ fn params() -> SketchParams {
 }
 
 fn config() -> FabricConfig {
-    FabricConfig::new(params()).with_workers(2)
-}
-
-/// The template `bas-serverd` builds when no `--hash` flag is given:
-/// same geometry as [`config`], but one-hash rows (the daemon's
-/// documented default, so its reference fabric must match to stay
-/// bit-for-bit).
-fn serverd_config() -> FabricConfig {
-    let kind = bias_aware_sketches::hashing::HashKind::OneHash;
-    FabricConfig::new(params().with_hash_kind(kind)).with_workers(2)
+    FabricConfig::new(params())
 }
 
 /// Snappy deadlines for tests: 300 ms progress gaps, 10 s idle, 5 ms
@@ -487,190 +478,4 @@ fn journal_compacts_at_the_record_threshold_while_serving() {
     daemon.shutdown().unwrap();
     std::fs::remove_file(&journal_path).ok();
     std::fs::remove_file(&copy).ok();
-}
-
-/// Locates the `bas-serverd` binary next to the test executable
-/// (`target/<profile>/bas-serverd`) — built by the same `cargo test`
-/// invocation that built this suite.
-fn serverd_binary() -> PathBuf {
-    let mut p = std::env::current_exe().expect("test executable path");
-    p.pop();
-    if p.ends_with("deps") {
-        p.pop();
-    }
-    p.push("bas-serverd");
-    assert!(
-        p.exists(),
-        "bas-serverd not built at {p:?}; run a workspace-level cargo build/test first"
-    );
-    p
-}
-
-struct Serverd {
-    child: std::process::Child,
-    addr: std::net::SocketAddr,
-}
-
-fn spawn_serverd(journal: &std::path::Path) -> Serverd {
-    let mut child = std::process::Command::new(serverd_binary())
-        .args([
-            "--listen",
-            "127.0.0.1:0",
-            "--shard",
-            "0:1.0",
-            "--shard",
-            "1:1.0",
-            "--workers",
-            "2",
-            "--journal",
-        ])
-        .arg(journal)
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::inherit())
-        .spawn()
-        .expect("spawn bas-serverd");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("read listening line");
-    let addr = line
-        .trim()
-        .strip_prefix("listening ")
-        .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-        .parse()
-        .expect("bound address");
-    Serverd { child, addr }
-}
-
-/// Kill -9 and restart: the daemon process is killed without any
-/// shutdown courtesy; a restart on the same journal recovers every
-/// tenant's spec, placement, and interval position, and the recovered
-/// topology serves fresh streams identically to a never-killed fabric
-/// with the same history.
-#[test]
-fn kill_and_restart_recovers_tenant_topology() {
-    let journal =
-        std::env::temp_dir().join(format!("bas-daemon-kill-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&journal);
-
-    let specs = [
-        TenantSpec::frequency(1, 101),
-        TenantSpec::frequency(2, 202).with_interval_quota(50_000),
-        TenantSpec::range_sum(3, 303),
-    ];
-
-    // ---- first life: register, ingest, advance, then SIGKILL ----
-    let first = spawn_serverd(&journal);
-    {
-        let addr = first.addr;
-        let mut client = tcp_client(addr);
-        for spec in specs {
-            match client.call(&Request::Register(spec)).unwrap() {
-                Response::Installed(_) => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        client
-            .call(&Request::Ingest(IngestFrame {
-                tenant: 1,
-                updates: stream(1, 500),
-            }))
-            .unwrap();
-        client
-            .call(&Request::AdvanceInterval(TenantRef { tenant: 1 }))
-            .unwrap();
-        client
-            .call(&Request::AdvanceInterval(TenantRef { tenant: 1 }))
-            .unwrap();
-        client
-            .call(&Request::AdvanceInterval(TenantRef { tenant: 2 }))
-            .unwrap();
-    }
-    let mut child = first.child;
-    child.kill().expect("SIGKILL the daemon");
-    child.wait().expect("reap");
-
-    // ---- second life: same journal, fresh process ----
-    let second = spawn_serverd(&journal);
-    let addr = second.addr;
-    let mut client = tcp_client(addr);
-
-    // Topology recovered: same placement as a never-killed fabric,
-    // same specs (duplicate registration answers tenant_exists), same
-    // interval positions.
-    let mut reference = Fabric::new(serverd_config());
-    reference.add_shard(0, 1.0).unwrap();
-    reference.add_shard(1, 1.0).unwrap();
-    for spec in specs {
-        reference.register_tenant(spec).unwrap();
-    }
-    for (tenant, advances) in [(1u64, 2u64), (2, 1), (3, 0)] {
-        match client.call(&Request::Stats(TenantRef { tenant })).unwrap() {
-            Response::Stats(s) => {
-                assert_eq!(
-                    s.shard,
-                    reference.shard_of(tenant).unwrap(),
-                    "tenant {tenant}"
-                );
-                assert_eq!(s.interval, advances, "tenant {tenant}");
-            }
-            other => panic!("{other:?}"),
-        }
-        match client
-            .call(&Request::Register(specs[tenant as usize - 1]))
-            .unwrap()
-        {
-            Response::Error(e) => assert_eq!(e.code, "tenant_exists"),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    // The recovered topology serves identically: feed both the
-    // restarted daemon and a reference with the same history the same
-    // fresh stream and compare bit-for-bit.
-    for (tenant, advances) in [(1u64, 2u64), (2, 1), (3, 0)] {
-        for _ in 0..advances {
-            reference.handle(Request::AdvanceInterval(TenantRef { tenant }));
-        }
-        client
-            .call(&Request::Ingest(IngestFrame {
-                tenant,
-                updates: stream(tenant + 10, 1_500),
-            }))
-            .unwrap();
-        client.call(&Request::Flush(TenantRef { tenant })).unwrap();
-        reference.handle(Request::Ingest(IngestFrame {
-            tenant,
-            updates: stream(tenant + 10, 1_500),
-        }));
-        reference.handle(Request::Flush(TenantRef { tenant }));
-        for item in (0..N).step_by(131) {
-            let wire = expect_value(
-                client
-                    .call(&Request::Point(PointQuery { tenant, item }))
-                    .unwrap(),
-            );
-            let local = expect_value(reference.handle(Request::Point(PointQuery { tenant, item })));
-            assert_eq!(
-                wire.to_bits(),
-                local.to_bits(),
-                "tenant {tenant}, item {item}"
-            );
-        }
-    }
-
-    // Clean exit this time: `shutdown` over stdin.
-    drop(client);
-    let mut child = second.child;
-    child
-        .stdin
-        .as_mut()
-        .expect("piped stdin")
-        .write_all(b"shutdown\n")
-        .unwrap();
-    let status = child.wait().expect("clean exit");
-    assert!(status.success());
-    std::fs::remove_file(&journal).ok();
 }

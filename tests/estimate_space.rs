@@ -76,7 +76,7 @@ fn cm_sum_over_homogeneous_planes_matches_engine_window_bit_for_bit() {
     // Live windowed engine: counter-space `cumulative − seal` path.
     let policy = Sliding::new(3).unwrap();
     let mut engine =
-        QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params(7)), policy);
+        QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params(7)), policy);
     let mut per_interval = Vec::new();
     for t in 0..5u64 {
         let updates = interval_stream(1, t, 700);
@@ -136,7 +136,7 @@ fn cs_sum_over_homogeneous_planes_matches_counter_space_bit_for_bit() {
 fn heavy_hitters_agree_between_paths_within_margin() {
     let policy = Sliding::new(3).unwrap();
     let mut engine =
-        QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params(5)), policy);
+        QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params(5)), policy);
     let mut per_interval = Vec::new();
     for t in 0..3u64 {
         let mut updates = interval_stream(3, t, 400);

@@ -34,8 +34,8 @@
 //!   counting; `δ = e^{−d} + 0.002`.
 //!
 //! Every check runs twice: on a **quiescent** sketch, and on an
-//! **epoch snapshot pinned mid-ingest** from a `QueryEngine` with live
-//! flush workers — the guarantee must hold *at the query boundary*,
+//! **epoch snapshot pinned mid-ingest** from a `QueryEngine` with a
+//! live writer — the guarantee must hold *at the query boundary*,
 //! for the exact stream prefix the snapshot captured. Prefixes land on
 //! deterministic flush boundaries (the producer pins between pushes),
 //! so the whole suite is seed-deterministic and CI-stable.
@@ -348,8 +348,8 @@ fn count_min_bounds_under_one_hash() {
 
 // ---- the same guarantees, on snapshots pinned mid-ingest ----
 
-/// Feeds 60% of the stream through a live `QueryEngine` (2 flush
-/// workers, threshold = len/4), pins a snapshot — which lands on the
+/// Feeds 60% of the stream through a live `QueryEngine` (flush
+/// threshold = len/4), pins a snapshot — which lands on the
 /// deterministic flush boundary `len/2` — then finishes the stream
 /// while the pinned view is queried. Returns per-trial failures and
 /// queries for the captured **prefix**.
@@ -359,7 +359,7 @@ where
     F: FnMut(&S, &S::Snapshot, &[f64], f64) -> (u64, u64),
 {
     let threshold = stream.len() / 4;
-    let mut engine = QueryEngine::new(2, sketch).with_flush_threshold(threshold);
+    let mut engine = QueryEngine::new(sketch).with_flush_threshold(threshold);
     let pushed = stream.len() * 6 / 10;
     engine.extend_from_slice(&stream[..pushed]);
     let snap = engine.pin();

@@ -123,7 +123,7 @@ proptest! {
         let mass: f64 = exact.iter().sum();
         let phi = 0.1;
         let params = SketchParams::new(exact.len() as u64, WIDTH, DEPTH).with_seed(seed);
-        let mut engine = QueryEngine::new(2, AtomicCountMedian::with_backend(&params));
+        let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params));
         engine.extend_from_slice(&updates);
         engine.flush();
         let reported: Vec<u64> = engine.heavy_hitters(phi).iter().map(|h| h.item).collect();
@@ -166,7 +166,7 @@ fn tracker_and_engine_scan_agree_on_planted_stream() {
     tracked.sort_unstable(); // both planted items have equal counts, so
                              // their estimate order is collision noise
 
-    let mut engine = QueryEngine::new(4, AtomicCountMedian::with_backend(&params));
+    let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params));
     engine.extend_from_slice(&updates);
     engine.flush();
     let mut scanned: Vec<u64> = engine.heavy_hitters(0.2).iter().map(|h| h.item).collect();

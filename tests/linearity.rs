@@ -1,8 +1,8 @@
 //! Linearity across the whole stack: merging sketches must equal
 //! sketching the summed stream, the distributed protocol must be
 //! exactly equivalent to centralized sketching, and the shared-counter
-//! ingest path must commute with both (atomic adds are just another
-//! order of the same sums).
+//! ingest path must commute with both (the one shared writer adds the
+//! same sums into each cell in the same order).
 
 use bias_aware_sketches::prelude::*;
 
@@ -203,7 +203,7 @@ fn atomic_backed_sketches_merge_like_dense_ones() {
 
 #[test]
 fn concurrent_shared_ingest_is_linear_too() {
-    // One shared sketch fed by N threads == merging per-shard sketches
+    // One shared sketch with one writer == merging per-shard sketches
     // == centralized ingest, on integer-delta streams. The three
     // multi-party stories (shared counters, local merge, distributed
     // protocol) describe the same linear object.
@@ -217,8 +217,8 @@ fn concurrent_shared_ingest_is_linear_too() {
     }
     let params = SketchParams::new(n, 64, 5).with_seed(11);
 
-    let mut concurrent = ConcurrentIngest::new(3, AtomicCountMedian::with_backend(&params))
-        .with_flush_threshold(256);
+    let mut concurrent =
+        ConcurrentIngest::new(AtomicCountMedian::with_backend(&params)).with_flush_threshold(256);
     for shard in &shards {
         concurrent.extend_from_slice(shard);
     }

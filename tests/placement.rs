@@ -168,7 +168,7 @@ proptest! {
     ) {
         const N: u64 = 1_024;
         let params = SketchParams::new(N, 64, 4);
-        let mut fabric = Fabric::new(FabricConfig::new(params.clone()).with_workers(2));
+        let mut fabric = Fabric::new(FabricConfig::new(params.clone()));
         fabric.add_shard(0, 1.0).unwrap();
         fabric.add_shard(1, 1.0).unwrap();
 
@@ -179,7 +179,7 @@ proptest! {
             mirrors.insert(
                 t,
                 QueryEngine::with_policy(
-                    2,
+                    1,
                     AtomicCountMedian::with_backend(&params.with_seed(seed_base + t)),
                     Unbounded,
                 ),

@@ -14,8 +14,8 @@ use bias_aware_sketches::server::wire::{
     HeavyHittersQuery, IngestFrame, PointQuery, RangeQuery, TenantRef,
 };
 use bias_aware_sketches::server::{
-    call, serve_connection, Fabric, FabricConfig, Request, Response, ServingMode, TenantSpec,
-    WindowLen,
+    call, read_frame, serve_connection, write_frame, Fabric, FabricConfig, Request, Response,
+    ServingMode, TenantSpec, WindowLen, MAX_FRAME_BYTES,
 };
 
 const N: u64 = 4_096;
@@ -25,7 +25,7 @@ fn params() -> SketchParams {
 }
 
 fn config() -> FabricConfig {
-    FabricConfig::new(params()).with_workers(2)
+    FabricConfig::new(params())
 }
 
 /// A deterministic per-tenant stream of integer-valued updates.
@@ -81,17 +81,17 @@ fn tenants_match_dedicated_engines_bit_for_bit() {
 
     // Dedicated mirrors, built from the same template + per-tenant seed.
     let mut freq = QueryEngine::with_policy(
-        2,
+        1,
         AtomicCountMedian::with_backend(&params().with_seed(101)),
         Unbounded,
     );
     let mut slide = QueryEngine::with_policy(
-        2,
+        1,
         AtomicCountMedian::with_backend(&params().with_seed(202)),
         Sliding::new(2).unwrap(),
     );
     let mut range = QueryEngine::with_policy(
-        2,
+        1,
         RangeSumSketch::<Atomic>::with_backend(&params().with_seed(303)),
         Tumbling::new(1).unwrap(),
     );
@@ -176,7 +176,7 @@ fn wire_connection_loop_matches_dedicated_engine() {
         .unwrap();
 
     let mut mirror = QueryEngine::with_policy(
-        2,
+        1,
         AtomicCountMedian::with_backend(&params().with_seed(777)),
         Unbounded,
     );
@@ -284,7 +284,7 @@ fn rebalanced_tenants_answer_bit_for_bit() {
                 )
                 .unwrap();
             QueryEngine::with_policy(
-                2,
+                1,
                 AtomicCountMedian::with_backend(&params().with_seed(t * 1_000 + 7)),
                 Sliding::new(3).unwrap(),
             )
@@ -458,7 +458,7 @@ fn backpressure_is_explicit_bounded_and_isolated() {
     // Isolation: the hog's saturation never touched the neighbor.
     let mirror = {
         let mut e = QueryEngine::with_policy(
-            2,
+            1,
             AtomicCountMedian::with_backend(&params().with_seed(22)),
             Unbounded,
         );
@@ -716,6 +716,136 @@ fn quiesce_matches_per_tenant_interval_advances() {
                     expect_value(b.handle(Request::WindowPoint(PointQuery { tenant: t, item })));
                 assert_eq!(wa.to_bits(), wb.to_bits());
             }
+        }
+    }
+}
+
+/// `(pending, admitted_in_interval)` from a tenant's stats reply.
+fn admission_state(fabric: &mut Fabric, tenant: u64) -> (u64, u64) {
+    match fabric.handle(Request::Stats(TenantRef { tenant })) {
+        Response::Stats(s) => (s.pending, s.admitted_in_interval),
+        other => panic!("expected stats, got {other:?}"),
+    }
+}
+
+/// Sends `updates` to `tenant` and expects a `bad_update` rejection
+/// naming update `at` that leaves the admission state untouched.
+fn expect_bad_update(fabric: &mut Fabric, tenant: u64, updates: Vec<(u64, f64)>, at: usize) {
+    let before = admission_state(fabric, tenant);
+    match fabric.handle(Request::Ingest(IngestFrame { tenant, updates })) {
+        Response::Error(e) => {
+            assert_eq!(e.code, "bad_update", "{e:?}");
+            assert!(e.detail.contains(&format!("update {at} ")), "{e:?}");
+        }
+        other => panic!("expected bad_update, got {other:?}"),
+    }
+    assert_eq!(admission_state(fabric, tenant), before, "tenant {tenant}");
+}
+
+/// Hostile updates are refused at admission with a typed `bad_update`
+/// that admits nothing: an item past a range-sum tenant's universe
+/// (once admitted, then a panic in the next flush), a raw `1e999`
+/// delta (JSON decodes it to +inf, which once poisoned the tenant),
+/// NaN, and a fractional delta under integer cells. No later Flush,
+/// AdvanceInterval or quiesce panics, and every answer stays equal to
+/// a twin fabric that never saw the hostile frames.
+#[test]
+fn hostile_updates_are_rejected_and_admit_nothing() {
+    let build = |cell: storage::CellWidth| {
+        let mut f = Fabric::new(FabricConfig::new(params().with_cell(cell)));
+        f.add_shard(0, 1.0).unwrap();
+        f.register_tenant(TenantSpec::frequency(1, 11)).unwrap();
+        f.register_tenant(TenantSpec::range_sum(2, 22)).unwrap();
+        for t in [1u64, 2] {
+            f.handle(Request::Ingest(IngestFrame {
+                tenant: t,
+                updates: stream(t, 300),
+            }));
+        }
+        f
+    };
+    for cell in [storage::CellWidth::F64, storage::CellWidth::U32] {
+        let (mut fabric, mut twin) = (build(cell), build(cell));
+
+        // (u64::MAX, 1.0) into the range-sum tenant, behind good updates.
+        let mut overflow = stream(2, 10);
+        overflow.push((u64::MAX, 1.0));
+        overflow.extend(stream(3, 5));
+        expect_bad_update(&mut fabric, 2, overflow, 10);
+        expect_bad_update(&mut fabric, 1, vec![(N, 1.0)], 0);
+
+        // A raw wire body with delta 1e999 decodes to +inf.
+        let mut buf = Vec::new();
+        let probe = Request::Ingest(IngestFrame {
+            tenant: 1,
+            updates: vec![(5, 1.0), (6, 0.0625)],
+        });
+        write_frame(&mut buf, &probe).unwrap();
+        let body = std::str::from_utf8(&buf[4..])
+            .unwrap()
+            .replace("0.0625", "1e999");
+        let mut raw = (body.len() as u32).to_be_bytes().to_vec();
+        raw.extend_from_slice(body.as_bytes());
+        let hostile: Request = read_frame(&mut &raw[..], MAX_FRAME_BYTES).unwrap().unwrap();
+        let Request::Ingest(frame) = hostile else {
+            panic!("expected an ingest frame");
+        };
+        assert_eq!(frame.updates[1].1, f64::INFINITY);
+        expect_bad_update(&mut fabric, 1, frame.updates, 1);
+        expect_bad_update(&mut fabric, 1, vec![(3, 2.0), (4, f64::NAN)], 1);
+        expect_bad_update(&mut fabric, 2, vec![(3, f64::NEG_INFINITY)], 0);
+
+        // Fractional deltas: fine in f64 cells, refused by integer ones.
+        let fractional = vec![(7, 1.0), (8, 2.5)];
+        if cell == storage::CellWidth::F64 {
+            for f in [&mut fabric, &mut twin] {
+                assert!(matches!(
+                    f.handle(Request::Ingest(IngestFrame {
+                        tenant: 1,
+                        updates: fractional.clone(),
+                    })),
+                    Response::Admitted(_)
+                ));
+            }
+        } else {
+            expect_bad_update(&mut fabric, 1, fractional, 1);
+        }
+
+        for f in [&mut fabric, &mut twin] {
+            for t in [1u64, 2] {
+                assert!(matches!(
+                    f.handle(Request::Flush(TenantRef { tenant: t })),
+                    Response::Flushed(_)
+                ));
+                assert!(matches!(
+                    f.handle(Request::AdvanceInterval(TenantRef { tenant: t })),
+                    Response::Sealed(_)
+                ));
+            }
+            assert_eq!(f.quiesce().len(), 2);
+        }
+        for t in [1u64, 2] {
+            assert_eq!(
+                admission_state(&mut fabric, t),
+                admission_state(&mut twin, t)
+            );
+        }
+        for item in (0..N).step_by(37) {
+            let q = Request::Point(PointQuery { tenant: 1, item });
+            let (a, b) = (
+                expect_value(fabric.handle(q.clone())),
+                expect_value(twin.handle(q)),
+            );
+            assert!(a.is_finite(), "{cell:?} item {item}: {a}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{cell:?} item {item}");
+        }
+        for (lo, hi) in [(0u64, N - 1), (17, 1_200), (N - 64, N - 1)] {
+            let q = Request::RangeSum(RangeQuery { tenant: 2, lo, hi });
+            let (a, b) = (
+                expect_value(fabric.handle(q.clone())),
+                expect_value(twin.handle(q)),
+            );
+            assert_eq!(a.to_bits(), b.to_bits(), "{cell:?} range [{lo},{hi}]");
         }
     }
 }

@@ -15,7 +15,7 @@
 //!    seals) plus the live partial interval, **bit for bit** on
 //!    integer-delta streams: subtraction of cumulative planes and
 //!    addition of delta planes are the same exact integer arithmetic.
-//! 3. **Rotation under the hammer** — with 8 flush workers writing the
+//! 3. **Rotation under the hammer** — with the writer flushing into the
 //!    shared plane and reader threads hammering the seqlock, every
 //!    sealed plane is exactly the sketch of a flush-boundary prefix of
 //!    the stream, bit for bit, and pinned window snapshots stay frozen
@@ -59,11 +59,10 @@ fn oracle_freqs(n: u64, updates: &[TimestampedUpdate]) -> Vec<f64> {
 fn drive_windowed<P: WindowPolicy>(
     params: &SketchParams,
     policy: P,
-    workers: usize,
     stream: &[TimestampedUpdate],
 ) -> QueryEngine<AtomicCountMedian, P> {
     let engine = std::cell::RefCell::new(QueryEngine::with_policy(
-        workers,
+        1,
         AtomicCountMedian::with_backend(params),
         policy,
     ));
@@ -112,7 +111,7 @@ proptest! {
         .with_max_delta(3);
         let stream = gen.generate();
         let params = SketchParams::new(n, WIDTH, DEPTH).with_seed(seed ^ 0xA0);
-        let engine = drive_windowed(&params, Sliding::new(window).unwrap(), 2, &stream);
+        let engine = drive_windowed(&params, Sliding::new(window).unwrap(), &stream);
 
         let win = engine.pin_window();
         // drive_timestamped leaves the last interval open; Sliding(K)
@@ -149,7 +148,7 @@ proptest! {
         .with_seed(seed);
         let stream = gen.generate();
         let params = SketchParams::new(n, WIDTH, DEPTH).with_seed(seed ^ 0x70);
-        let engine = drive_windowed(&params, Tumbling::new(bucket).unwrap(), 2, &stream);
+        let engine = drive_windowed(&params, Tumbling::new(bucket).unwrap(), &stream);
 
         let win = engine.pin_window();
         let current = intervals - 1;
@@ -186,7 +185,7 @@ proptest! {
         .with_seed(seed);
         let stream = gen.generate();
         let params = SketchParams::new(n, WIDTH, DEPTH).with_seed(seed ^ 0x44);
-        let engine = drive_windowed(&params, Sliding::new(1).unwrap(), 2, &stream);
+        let engine = drive_windowed(&params, Sliding::new(1).unwrap(), &stream);
 
         let win = engine.pin_window();
         let truth = oracle_freqs(n, window_slice(&stream, per_interval, win.start_interval()));
@@ -234,7 +233,7 @@ proptest! {
             .generate();
         let params = SketchParams::new(n, WIDTH, DEPTH).with_seed(seed ^ 0x22);
         let mut ingest =
-            WindowedIngest::new(2, AtomicCountMedian::with_backend(&params), window);
+            WindowedIngest::new(AtomicCountMedian::with_backend(&params), window);
         // Hand-rolled drive (the interval-major layout makes it
         // trivial): extend each interval's slice, then rotate.
         for t in 0..intervals {
@@ -302,7 +301,7 @@ fn window_range_sums_match_window_oracle() {
         let params = SketchParams::new(n, WIDTH, DEPTH).with_seed(seed);
         let policy = Sliding::new(1).unwrap();
         let mut engine =
-            QueryEngine::with_policy(2, RangeSumSketch::<Atomic>::with_backend(&params), policy);
+            QueryEngine::with_policy(1, RangeSumSketch::<Atomic>::with_backend(&params), policy);
         for t in 0..intervals {
             let slice = &stream[t as usize * per_interval..(t as usize + 1) * per_interval];
             let updates: Vec<(u64, f64)> = slice.iter().map(|u| (u.item, u.delta)).collect();
@@ -349,7 +348,7 @@ fn mid_ingest_window_is_a_flush_boundary_prefix() {
         .generate();
     let params = SketchParams::new(n, WIDTH, DEPTH).with_seed(5);
     let policy = Sliding::new(1).unwrap();
-    let mut engine = QueryEngine::with_policy(2, AtomicCountMedian::with_backend(&params), policy)
+    let mut engine = QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
         .with_flush_threshold(threshold);
     // Close intervals 0 and 1; push 60% of interval 2 WITHOUT flushing.
     for t in 0..2usize {
@@ -379,7 +378,7 @@ fn mid_ingest_window_is_a_flush_boundary_prefix() {
     }
 }
 
-/// (3) Rotation under the 8-writer torn-read hammer: every sealed
+/// (3) Rotation under the torn-read hammer: every sealed
 /// plane is the sketch of a flush-boundary prefix (bit-for-bit equal
 /// to a quiesced reference over exactly `seal.applied()` updates),
 /// while reader threads hammer the seqlock with pins and live reads,
@@ -398,7 +397,7 @@ fn rotation_under_writer_hammer_seals_only_flush_boundary_prefixes() {
     let total_mass: f64 = flat.iter().map(|&(_, d)| d).sum();
     let params = SketchParams::new(n, 128, 7).with_seed(51);
     let policy = Sliding::new(2).unwrap();
-    let mut engine = QueryEngine::with_policy(8, AtomicCountMedian::with_backend(&params), policy)
+    let mut engine = QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
         .with_flush_threshold(2_048);
 
     let readers: Vec<QueryHandle<AtomicCountMedian>> = (0..2).map(|_| engine.handle()).collect();
@@ -483,7 +482,7 @@ fn unbounded_policy_matches_pre_window_behavior() {
         .generate();
     let flat: Vec<(u64, f64)> = stream.iter().map(|u| (u.item, u.delta)).collect();
     let params = SketchParams::new(n, WIDTH, DEPTH).with_seed(8);
-    let mut engine = QueryEngine::new(2, AtomicCountMedian::with_backend(&params));
+    let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params));
     engine.extend_from_slice(&flat);
     engine.flush();
     let mut reference = CountMedian::new(&params);
