@@ -11,6 +11,7 @@
 use crate::fabric::Fabric;
 use crate::wire::{
     read_frame, write_frame, ErrorReply, IngestFrame, Request, Response, TenantRef, WireError,
+    MAX_INGEST_UPDATES,
 };
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -294,9 +295,12 @@ pub struct IngestBatcher {
 
 impl IngestBatcher {
     /// A batcher for `tenant`, shipping a frame every `max_batch`
-    /// updates (0 behaves as 1).
+    /// updates (0 behaves as 1, and anything above
+    /// [`MAX_INGEST_UPDATES`] as that cap: a larger frame would exceed
+    /// [`MAX_FRAME_BYTES`](crate::wire::MAX_FRAME_BYTES) and be refused
+    /// on every retry).
     pub fn new(tenant: u64, max_batch: usize) -> Self {
-        let max_batch = max_batch.max(1);
+        let max_batch = max_batch.clamp(1, MAX_INGEST_UPDATES);
         Self {
             tenant,
             max_batch,
@@ -322,7 +326,8 @@ impl IngestBatcher {
     /// the shipping early with the unadmitted updates still buffered.
     ///
     /// # Errors
-    /// See [`Client::call`].
+    /// See [`Client::call`]; the batch that failed to ship stays
+    /// buffered.
     pub fn extend<S: Read + Write, F: FnMut() -> io::Result<S>>(
         &mut self,
         client: &mut Client<S, F>,
@@ -352,7 +357,7 @@ impl IngestBatcher {
     /// is still buffered.
     ///
     /// # Errors
-    /// See [`Client::call`].
+    /// See [`Client::call`]; the updates stay buffered.
     pub fn finish<S: Read + Write, F: FnMut() -> io::Result<S>>(
         &mut self,
         client: &mut Client<S, F>,
@@ -364,25 +369,38 @@ impl IngestBatcher {
     }
 
     /// One frame out of the buffer, with the Busy → flush → resend
-    /// step. The buffer is cleared only on admission.
+    /// step. The buffer moves into the request and comes back on every
+    /// outcome, errors included; it is cleared only on admission.
     fn ship<S: Read + Write, F: FnMut() -> io::Result<S>>(
         &mut self,
         client: &mut Client<S, F>,
     ) -> Result<Response, RetryError> {
         let req = Request::Ingest(IngestFrame {
             tenant: self.tenant,
-            updates: self.buf.clone(),
+            updates: std::mem::take(&mut self.buf),
         });
-        let mut resp = client.call(&req)?;
-        if matches!(resp, Response::Busy(_)) {
-            client.call(&Request::Flush(TenantRef {
-                tenant: self.tenant,
-            }))?;
-            resp = client.call(&req)?;
-        }
-        if matches!(resp, Response::Admitted(_)) {
+        let resp = Self::send(client, self.tenant, &req);
+        let Request::Ingest(IngestFrame { updates, .. }) = req else {
+            unreachable!("built as an ingest request above")
+        };
+        self.buf = updates;
+        if matches!(resp, Ok(Response::Admitted(_))) {
             self.buf.clear();
         }
-        Ok(resp)
+        resp
+    }
+
+    /// One call of `req`, answering `Busy` with a flush and one resend.
+    fn send<S: Read + Write, F: FnMut() -> io::Result<S>>(
+        client: &mut Client<S, F>,
+        tenant: u64,
+        req: &Request,
+    ) -> Result<Response, RetryError> {
+        let resp = client.call(req)?;
+        if !matches!(resp, Response::Busy(_)) {
+            return Ok(resp);
+        }
+        client.call(&Request::Flush(TenantRef { tenant }))?;
+        client.call(req)
     }
 }

@@ -11,11 +11,14 @@
 //!   pure function of `(tenant, ring)`: every node computes the same
 //!   answer, load is proportional to shard weight, and membership
 //!   changes move only the tenants they must.
-//! * **Wire protocol** ([`wire`]) — `u32` length-prefixed frames over
-//!   the workspace's existing serde wire format. One [`Request`] in,
-//!   one [`Response`] out; oversized and corrupt frames are drained
-//!   and answered with typed errors, so a hostile client can neither
-//!   desync nor crash the connection loop ([`connection`]).
+//! * **Wire protocol** ([`wire`]) — `u32` length-prefixed frames, each
+//!   written in one `write_all`. Ingest batches travel in a fixed-width
+//!   little-endian binary body (16 bytes per update); every other
+//!   frame is JSON in the workspace's existing serde wire format. One
+//!   [`Request`] in, one [`Response`] out; oversized and corrupt frames
+//!   are drained and answered with typed errors, so a hostile client
+//!   can neither desync nor crash the connection loop
+//!   ([`connection`]).
 //! * **Admission control** ([`Fabric::handle`]) — each tenant's spec
 //!   carries a queue bound and a per-interval quota. Ingest beyond the
 //!   bound gets [`Response::Busy`] (retry after flush); beyond the

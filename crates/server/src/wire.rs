@@ -1,11 +1,26 @@
 //! The length-prefixed wire protocol.
 //!
-//! Frames are `u32` big-endian length + a JSON body in the workspace's
-//! existing serde wire format (the same format the distributed
-//! protocol and `tests/serde_roundtrip.rs` already pin down: finite
-//! `f64`s print shortest-round-trip, so counter planes ship
-//! **bit-for-bit**). One [`Request`] frame in, one [`Response`] frame
-//! out, strictly alternating per connection.
+//! A frame is a `u32` big-endian body length, then the body, written
+//! as one buffer in one `write_all`. Each message kind has exactly one
+//! body encoding ([`WireBody`]):
+//!
+//! * a [`Request::Ingest`] body is fixed-width little-endian binary,
+//!   `13 + 16·n` bytes: the tag byte [`INGEST_TAG`] (`0x01`), the
+//!   tenant (`u64`), the update count `n` (`u32`), then `n` × (item
+//!   `u64`, delta `f64`). Deltas travel as their IEEE-754 bits, so
+//!   every value arrives exactly as sent — NaN payloads, ±inf, −0.0
+//!   and subnormals included — and the fabric's admission check is
+//!   the only validator of items and deltas;
+//! * every other request, every [`Response`] and every
+//!   [`TenantTransfer`] is JSON in the workspace's existing serde wire
+//!   format (the same format the distributed protocol and
+//!   `tests/serde_roundtrip.rs` already pin down: finite `f64`s print
+//!   shortest-round-trip, so counter planes ship **bit-for-bit**).
+//!
+//! JSON bodies always start with `{` or `"`, so the tag byte alone
+//! tells a reader which decoder to run; a JSON body naming `Ingest` is
+//! refused as [`WireError::Malformed`]. One [`Request`] frame in, one
+//! [`Response`] frame out, strictly alternating per connection.
 //!
 //! The framing layer owns desync-avoidance **and** resource bounds
 //! against hostile peers:
@@ -25,9 +40,10 @@
 //!   one chunk beyond what it has already sent (behavior change vs the
 //!   original protocol, which allocated the full declared length up
 //!   front);
-//! * a body that is not valid UTF-8/JSON for the expected type is
-//!   fully consumed before [`WireError::Malformed`] is reported —
-//!   the stream stays in sync;
+//! * a body that does not decode as the expected type — bad JSON, or
+//!   an ingest body whose count disagrees with its length — is fully
+//!   consumed before [`WireError::Malformed`] is reported — the stream
+//!   stays in sync;
 //! * [`WireError::Truncated`] / [`WireError::Io`] are fatal: the
 //!   stream position is unknown, so the connection must drop.
 
@@ -44,6 +60,21 @@ pub const MAX_FRAME_BYTES: usize = 16 << 20;
 /// `max_len · DRAIN_BUDGET_MULTIPLE` is treated as hostile
 /// ([`WireError::Abusive`], fatal) rather than read-and-discarded.
 pub const DRAIN_BUDGET_MULTIPLE: usize = 4;
+
+/// First byte of a binary [`Request::Ingest`] body. JSON bodies start
+/// with `{` or `"`, so this byte alone tells the two encodings apart.
+pub const INGEST_TAG: u8 = 0x01;
+
+/// Bytes before the first update of an ingest body: tag, tenant
+/// (`u64`) and update count (`u32`).
+const INGEST_HEAD_BYTES: usize = 13;
+
+/// Bytes per update in an ingest body: item (`u64`), delta (`f64`).
+const INGEST_UPDATE_BYTES: usize = 16;
+
+/// The most updates one ingest frame can carry within
+/// [`MAX_FRAME_BYTES`]: `(16 MiB − 13) / 16` = 1,048,575.
+pub const MAX_INGEST_UPDATES: usize = (MAX_FRAME_BYTES - INGEST_HEAD_BYTES) / INGEST_UPDATE_BYTES;
 
 /// Step size for incremental body reads: the buffer grows by at most
 /// this much beyond the bytes that have actually arrived, so a
@@ -79,8 +110,10 @@ pub enum WireError {
         /// The drain budget that was exceeded.
         budget: usize,
     },
-    /// The body was not valid UTF-8/JSON for the expected frame type.
-    /// The body was fully consumed, so the connection is still in sync.
+    /// The body did not decode as the expected frame type: invalid
+    /// JSON, an ingest body whose count disagrees with its length, or
+    /// a JSON body naming `Ingest`. The body was fully consumed, so the
+    /// connection is still in sync.
     Malformed {
         /// Decoder diagnostic.
         detail: String,
@@ -129,24 +162,166 @@ impl WireError {
     }
 }
 
-/// Writes one frame: `u32` big-endian body length, then the JSON body.
-/// Returns the total bytes written (4 + body).
-///
-/// # Errors
-/// [`WireError::Malformed`] if the value fails to encode,
-/// [`WireError::Io`] on write failure.
-pub fn write_frame<W: Write, T: serde::Serialize>(w: &mut W, msg: &T) -> Result<usize, WireError> {
+/// A message that travels as a frame body: [`Request`], [`Response`]
+/// and [`TenantTransfer`]. Ingest requests use the binary layout in
+/// the [module docs](self); everything else is JSON.
+pub trait WireBody: Sized {
+    /// Appends the encoded body to `out`.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] if the value fails to encode,
+    /// [`WireError::FrameTooLarge`] if its body cannot fit a frame.
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError>;
+
+    /// Decodes one complete body.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] if `body` is not a valid encoding.
+    fn decode_body(body: &[u8]) -> Result<Self, WireError>;
+}
+
+impl WireBody for Request {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        match self {
+            Request::Ingest(frame) => encode_ingest(frame, out),
+            other => encode_json(other, out),
+        }
+    }
+
+    fn decode_body(body: &[u8]) -> Result<Self, WireError> {
+        if body.first() == Some(&INGEST_TAG) {
+            return decode_ingest(body).map(Request::Ingest);
+        }
+        match decode_json(body)? {
+            Request::Ingest(_) => Err(WireError::Malformed {
+                detail: "ingest frames take the binary body, not JSON".into(),
+            }),
+            req => Ok(req),
+        }
+    }
+}
+
+impl WireBody for Response {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        encode_json(self, out)
+    }
+
+    fn decode_body(body: &[u8]) -> Result<Self, WireError> {
+        decode_json(body)
+    }
+}
+
+impl WireBody for TenantTransfer {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        encode_json(self, out)
+    }
+
+    fn decode_body(body: &[u8]) -> Result<Self, WireError> {
+        decode_json(body)
+    }
+}
+
+fn encode_json<T: serde::Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), WireError> {
     let body = serde_json::to_string(msg).map_err(|e| WireError::Malformed {
         detail: e.to_string(),
     })?;
-    let bytes = body.as_bytes();
-    let len = u32::try_from(bytes.len()).map_err(|_| WireError::FrameTooLarge {
-        len: bytes.len(),
+    out.extend_from_slice(body.as_bytes());
+    Ok(())
+}
+
+fn decode_json<T: for<'de> serde::Deserialize<'de>>(body: &[u8]) -> Result<T, WireError> {
+    let text = std::str::from_utf8(body).map_err(|e| WireError::Malformed {
+        detail: format!("non-UTF-8 body: {e}"),
+    })?;
+    serde_json::from_str(text).map_err(|e| WireError::Malformed {
+        detail: e.to_string(),
+    })
+}
+
+fn encode_ingest(frame: &IngestFrame, out: &mut Vec<u8>) -> Result<(), WireError> {
+    let n = frame.updates.len();
+    let len = INGEST_HEAD_BYTES + INGEST_UPDATE_BYTES * n;
+    // A body that fits the `u32` length prefix carries fewer than 2^28
+    // updates, so the count below fits its `u32` too.
+    if u32::try_from(len).is_err() {
+        return Err(WireError::FrameTooLarge {
+            len,
+            max: u32::MAX as usize,
+        });
+    }
+    out.reserve(len);
+    out.push(INGEST_TAG);
+    out.extend_from_slice(&frame.tenant.to_le_bytes());
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    let start = out.len();
+    out.resize(start + INGEST_UPDATE_BYTES * n, 0);
+    for (slot, &(item, delta)) in out[start..]
+        .chunks_exact_mut(INGEST_UPDATE_BYTES)
+        .zip(&frame.updates)
+    {
+        slot[..8].copy_from_slice(&item.to_le_bytes());
+        slot[8..].copy_from_slice(&delta.to_le_bytes());
+    }
+    Ok(())
+}
+
+fn decode_ingest(body: &[u8]) -> Result<IngestFrame, WireError> {
+    if body.len() < INGEST_HEAD_BYTES {
+        return Err(WireError::Malformed {
+            detail: format!(
+                "ingest body of {} bytes is shorter than its {INGEST_HEAD_BYTES}-byte head",
+                body.len()
+            ),
+        });
+    }
+    let tenant = u64::from_le_bytes(le_word(&body[1..9]));
+    let count = u32::from_le_bytes(le_word(&body[9..INGEST_HEAD_BYTES]));
+    let pairs = &body[INGEST_HEAD_BYTES..];
+    if pairs.len() as u64 != u64::from(count) * INGEST_UPDATE_BYTES as u64 {
+        return Err(WireError::Malformed {
+            detail: format!(
+                "ingest body declares {count} updates but carries {} update bytes",
+                pairs.len()
+            ),
+        });
+    }
+    let updates = pairs
+        .chunks_exact(INGEST_UPDATE_BYTES)
+        .map(|pair| {
+            let (item, delta) = pair.split_at(8);
+            (
+                u64::from_le_bytes(le_word(item)),
+                f64::from_le_bytes(le_word(delta)),
+            )
+        })
+        .collect();
+    Ok(IngestFrame { tenant, updates })
+}
+
+/// A fixed-size array from a slice the caller has already cut to size.
+fn le_word<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes.try_into().expect("caller slices exactly N bytes")
+}
+
+/// Writes one frame — `u32` big-endian body length, then the body —
+/// as one buffer in one `write_all`. Returns the total bytes written
+/// (4 + body).
+///
+/// # Errors
+/// [`WireError::Malformed`] if the value fails to encode,
+/// [`WireError::FrameTooLarge`] if the body exceeds `u32::MAX` bytes,
+/// [`WireError::Io`] on write failure.
+pub fn write_frame<W: Write, T: WireBody>(w: &mut W, msg: &T) -> Result<usize, WireError> {
+    let mut frame = vec![0u8; 4];
+    msg.encode_body(&mut frame)?;
+    let body = frame.len() - 4;
+    let len = u32::try_from(body).map_err(|_| WireError::FrameTooLarge {
+        len: body,
         max: u32::MAX as usize,
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
-    Ok(4 + bytes.len())
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
+    Ok(frame.len())
 }
 
 /// Reads one frame. `Ok(None)` is a clean end-of-stream (EOF exactly
@@ -155,10 +330,7 @@ pub fn write_frame<W: Write, T: serde::Serialize>(w: &mut W, msg: &T) -> Result<
 /// # Errors
 /// See [`WireError`]; [`FrameTooLarge`](WireError::FrameTooLarge) and
 /// [`Malformed`](WireError::Malformed) leave the stream in sync.
-pub fn read_frame<R: Read, T: for<'de> serde::Deserialize<'de>>(
-    r: &mut R,
-    max_len: usize,
-) -> Result<Option<T>, WireError> {
+pub fn read_frame<R: Read, T: WireBody>(r: &mut R, max_len: usize) -> Result<Option<T>, WireError> {
     let mut header = [0u8; 4];
     match read_exact_or_eof(r, &mut header)? {
         0 => return Ok(None),
@@ -174,15 +346,7 @@ pub fn read_frame<R: Read, T: for<'de> serde::Deserialize<'de>>(
         drain(r, len)?;
         return Err(WireError::FrameTooLarge { len, max: max_len });
     }
-    let body = read_body(r, len)?;
-    let text = std::str::from_utf8(&body).map_err(|e| WireError::Malformed {
-        detail: format!("non-UTF-8 body: {e}"),
-    })?;
-    serde_json::from_str(text)
-        .map(Some)
-        .map_err(|e| WireError::Malformed {
-            detail: e.to_string(),
-        })
+    T::decode_body(&read_body(r, len)?).map(Some)
 }
 
 /// Reads a `len`-byte body incrementally: the buffer grows in
@@ -631,10 +795,7 @@ impl ErrorReply {
 mod tests {
     use super::*;
 
-    fn roundtrip<T>(value: &T) -> T
-    where
-        T: serde::Serialize + for<'de> serde::Deserialize<'de>,
-    {
+    fn roundtrip<T: WireBody>(value: &T) -> T {
         let mut buf = Vec::new();
         write_frame(&mut buf, value).unwrap();
         let mut cursor = &buf[..];

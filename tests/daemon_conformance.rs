@@ -9,10 +9,10 @@
 //! under `--release` like the other serving suites.
 
 use bias_aware_sketches::prelude::*;
-use bias_aware_sketches::server::wire::{IngestFrame, PointQuery, TenantRef};
+use bias_aware_sketches::server::wire::{IngestFrame, PointQuery, TenantRef, MAX_INGEST_UPDATES};
 use bias_aware_sketches::server::{
     read_frame, recover, write_frame, Client, Daemon, DaemonConfig, Deadlines, Fabric,
-    FabricConfig, IngestBatcher, Journal, Request, Response, RetryPolicy, TenantSpec,
+    FabricConfig, IngestBatcher, Journal, Request, Response, RetryError, RetryPolicy, TenantSpec,
     MAX_FRAME_BYTES,
 };
 use std::io::{Read, Write};
@@ -392,6 +392,93 @@ fn ingest_batcher_ships_full_frames_and_absorbs_backpressure() {
         let local = expect_value(reference.handle(Request::Point(PointQuery { tenant: 8, item })));
         assert_eq!(wire.to_bits(), local.to_bits(), "item {item}");
     }
+    drop(client);
+    daemon.shutdown().unwrap();
+}
+
+/// A failed exchange hands the batch back: after a `RetryError` the
+/// batcher still holds every buffered update, and they ship once the
+/// daemon is reachable.
+#[test]
+fn ingest_batcher_keeps_its_batch_when_a_call_fails() {
+    /// A stream whose every read and write fails, as after a reset.
+    struct Reset;
+    impl Read for Reset {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::ConnectionReset.into())
+        }
+    }
+    impl Write for Reset {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::ConnectionReset.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut broken = Client::new(
+        || Ok(Reset),
+        RetryPolicy::new()
+            .with_max_attempts(2)
+            .with_base_delay(Duration::ZERO),
+        MAX_FRAME_BYTES,
+    );
+    let updates = stream(5, 1_700);
+    let mut batcher = IngestBatcher::new(5, 1_000);
+    // A full batch fails to ship: the 1 000 updates it took stay put.
+    match batcher.extend(&mut broken, &updates) {
+        Err(RetryError::Exhausted { attempts: 2, .. }) => {}
+        other => panic!("expected exhausted retries, got {other:?}"),
+    }
+    assert_eq!(batcher.pending(), 1_000);
+    // `finish` fails the same way and leaves pending() as is.
+    match batcher.finish(&mut broken) {
+        Err(RetryError::Exhausted { .. }) => {}
+        other => panic!("expected exhausted retries, got {other:?}"),
+    }
+    assert_eq!(batcher.pending(), 1_000);
+
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric
+        .register_tenant(TenantSpec::frequency(5, 55))
+        .unwrap();
+    let daemon = Daemon::bind_tcp("127.0.0.1:0", fabric, None, daemon_config()).unwrap();
+    let mut client = tcp_client(daemon.local_addr().unwrap());
+    assert!(batcher
+        .extend(&mut client, &updates[1_000..])
+        .unwrap()
+        .iter()
+        .all(|r| matches!(r, Response::Admitted(_))));
+    match batcher.finish(&mut client).unwrap() {
+        Some(Response::Admitted(receipt)) => assert_eq!(receipt.pending, 1_700),
+        other => panic!("tail not admitted: {other:?}"),
+    }
+    assert_eq!(batcher.pending(), 0);
+    drop(client);
+    daemon.shutdown().unwrap();
+}
+
+/// A `max_batch` above the frame cap behaves as the cap: the batcher
+/// ships the largest ingest frame that fits `MAX_FRAME_BYTES`, and the
+/// daemon admits it.
+#[test]
+fn ingest_batcher_clamps_max_batch_to_the_frame_cap() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric
+        .register_tenant(TenantSpec::frequency(6, 66))
+        .unwrap();
+    let daemon = Daemon::bind_tcp("127.0.0.1:0", fabric, None, daemon_config()).unwrap();
+    let mut client = tcp_client(daemon.local_addr().unwrap());
+
+    let updates = stream(6, MAX_INGEST_UPDATES + 1);
+    let mut batcher = IngestBatcher::new(6, usize::MAX);
+    match batcher.extend(&mut client, &updates).unwrap().as_slice() {
+        [Response::Admitted(receipt)] => assert_eq!(receipt.pending, MAX_INGEST_UPDATES as u64),
+        other => panic!("expected one admitted frame, got {other:?}"),
+    }
+    assert_eq!(batcher.pending(), 1);
     drop(client);
     daemon.shutdown().unwrap();
 }

@@ -15,7 +15,7 @@ use bias_aware_sketches::server::wire::{
 };
 use bias_aware_sketches::server::{
     call, read_frame, serve_connection, write_frame, Fabric, FabricConfig, Request, Response,
-    ServingMode, TenantSpec, WindowLen, MAX_FRAME_BYTES,
+    ServingMode, TenantSpec, WindowLen, WireError, MAX_FRAME_BYTES,
 };
 
 const N: u64 = 4_096;
@@ -744,11 +744,13 @@ fn expect_bad_update(fabric: &mut Fabric, tenant: u64, updates: Vec<(u64, f64)>,
 
 /// Hostile updates are refused at admission with a typed `bad_update`
 /// that admits nothing: an item past a range-sum tenant's universe
-/// (once admitted, then a panic in the next flush), a raw `1e999`
-/// delta (JSON decodes it to +inf, which once poisoned the tenant),
-/// NaN, and a fractional delta under integer cells. No later Flush,
-/// AdvanceInterval or quiesce panics, and every answer stays equal to
-/// a twin fabric that never saw the hostile frames.
+/// (once admitted, then a panic in the next flush), +inf and NaN
+/// deltas written into a binary ingest body (+inf once poisoned the
+/// tenant), and a fractional delta under integer cells. A JSON ingest
+/// body carrying `1e999` never reaches admission: the codec refuses
+/// it. No later Flush, AdvanceInterval or quiesce panics, and every
+/// answer stays equal to a twin fabric that never saw the hostile
+/// frames.
 #[test]
 fn hostile_updates_are_rejected_and_admit_nothing() {
     let build = |cell: storage::CellWidth| {
@@ -774,24 +776,50 @@ fn hostile_updates_are_rejected_and_admit_nothing() {
         expect_bad_update(&mut fabric, 2, overflow, 10);
         expect_bad_update(&mut fabric, 1, vec![(N, 1.0)], 0);
 
-        // A raw wire body with delta 1e999 decodes to +inf.
-        let mut buf = Vec::new();
+        // Non-finite deltas written straight into a binary ingest body
+        // (+inf, and a NaN with a payload) decode bit for bit, so
+        // admission is what refuses them.
         let probe = Request::Ingest(IngestFrame {
             tenant: 1,
             updates: vec![(5, 1.0), (6, 0.0625)],
         });
-        write_frame(&mut buf, &probe).unwrap();
-        let body = std::str::from_utf8(&buf[4..])
+        for hostile in [f64::INFINITY, f64::from_bits(0x7FF8_0000_0000_0001)] {
+            let mut raw = Vec::new();
+            write_frame(&mut raw, &probe).unwrap();
+            // 4-byte prefix, 13-byte head, then 16 bytes per update:
+            // update 1's delta sits at 4 + 13 + 16 + 8.
+            raw[41..49].copy_from_slice(&hostile.to_le_bytes());
+            let decoded: Request = read_frame(&mut &raw[..], MAX_FRAME_BYTES).unwrap().unwrap();
+            let Request::Ingest(frame) = decoded else {
+                panic!("expected an ingest frame");
+            };
+            assert_eq!(frame.updates[1].1.to_bits(), hostile.to_bits());
+            expect_bad_update(&mut fabric, 1, frame.updates, 1);
+        }
+
+        // The old JSON ingest body, whose float parser turns 1e999 into
+        // +inf, is refused by the codec before admission sees it.
+        let json = serde_json::to_string(&probe)
             .unwrap()
             .replace("0.0625", "1e999");
-        let mut raw = (body.len() as u32).to_be_bytes().to_vec();
-        raw.extend_from_slice(body.as_bytes());
-        let hostile: Request = read_frame(&mut &raw[..], MAX_FRAME_BYTES).unwrap().unwrap();
-        let Request::Ingest(frame) = hostile else {
-            panic!("expected an ingest frame");
-        };
-        assert_eq!(frame.updates[1].1, f64::INFINITY);
-        expect_bad_update(&mut fabric, 1, frame.updates, 1);
+        assert!(json.contains("1e999"), "{json}");
+        let mut raw = (json.len() as u32).to_be_bytes().to_vec();
+        raw.extend_from_slice(json.as_bytes());
+        match read_frame::<_, Request>(&mut &raw[..], MAX_FRAME_BYTES) {
+            Err(e @ WireError::Malformed { .. }) => {
+                assert!(e.is_recoverable());
+                assert!(e.to_string().contains("binary body"), "{e}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        let before = admission_state(&mut fabric, 1);
+        let mut replies = Vec::new();
+        serve_connection(&mut fabric, &mut &raw[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        match read_frame::<_, Response>(&mut &replies[..], MAX_FRAME_BYTES) {
+            Ok(Some(Response::Error(e))) => assert_eq!(e.code, "protocol", "{e:?}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(admission_state(&mut fabric, 1), before);
         expect_bad_update(&mut fabric, 1, vec![(3, 2.0), (4, f64::NAN)], 1);
         expect_bad_update(&mut fabric, 2, vec![(3, f64::NEG_INFINITY)], 0);
 

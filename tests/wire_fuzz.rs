@@ -3,6 +3,9 @@
 //! bit-for-bit, and hostile bytes — truncation, corruption, oversized
 //! length prefixes — must come back as typed [`WireError`]s, never a
 //! panic, and (for the recoverable classes) never a desynced stream.
+//! The binary ingest body gets its own properties: arbitrary bytes
+//! after the tag, counts that disagree with the body length, and every
+//! `f64` bit pattern as a delta.
 
 use bias_aware_sketches::prelude::*;
 use bias_aware_sketches::server::wire::DRAIN_BUDGET_MULTIPLE;
@@ -337,6 +340,130 @@ proptest! {
                 prop_assert_eq!(got, cut - 4);
             }
             other => prop_assert!(false, "expected Truncated, got ok={:?}", other.is_ok()),
+        }
+    }
+
+    /// Arbitrary bytes after the ingest tag never panic: the body
+    /// decodes as an `Ingest` frame that re-encodes to the same bytes,
+    /// or is a recoverable `Malformed`, and the next frame on the
+    /// stream still decodes exactly.
+    #[test]
+    fn arbitrary_ingest_bodies_decode_or_are_malformed(
+        sel in 0u64..10_000,
+        tail in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..96),
+        fix_count in prop::bool::ANY,
+    ) {
+        let mut body = vec![0x01];
+        body.extend_from_slice(&tail);
+        if fix_count && body.len() >= 13 {
+            // Half the cases carry a count that matches the length, so
+            // the decoding branch is exercised too.
+            let n = (body.len() - 13) / 16;
+            body.truncate(13 + 16 * n);
+            body[9..13].copy_from_slice(&(n as u32).to_le_bytes());
+        }
+        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(&body);
+        let next = request(sel, 7, &[(3, 1.5)], &[1.0]);
+        write_frame(&mut buf, &next).unwrap();
+
+        let mut cursor = &buf[..];
+        match read_frame::<_, Request>(&mut cursor, MAX_FRAME_BYTES) {
+            Ok(Some(req @ Request::Ingest(_))) => {
+                let mut again = Vec::new();
+                write_frame(&mut again, &req).unwrap();
+                prop_assert_eq!(&again[4..], &body[..]);
+            }
+            Ok(other) => prop_assert!(false, "tagged body decoded as {other:?}"),
+            Err(e) => prop_assert!(
+                matches!(e, WireError::Malformed { .. }),
+                "expected Malformed, got {e}"
+            ),
+        }
+        let back: Request = read_frame(&mut cursor, MAX_FRAME_BYTES).unwrap().unwrap();
+        prop_assert_eq!(back, next);
+    }
+
+    /// An ingest body whose count disagrees with its length is a
+    /// recoverable `Malformed` — one byte short, one byte extra, a
+    /// count of `u32::MAX`, or a body cut inside its 13-byte head —
+    /// and the stream stays in sync.
+    #[test]
+    fn ingest_count_must_match_body_length(
+        tenant in 0u64..u64::MAX,
+        updates in prop::collection::vec((0u64..u64::MAX, -1e9f64..1e9), 0..16),
+        case in 0u8..4,
+        head_cut in 1usize..13,
+    ) {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Request::Ingest(IngestFrame { tenant, updates })).unwrap();
+        let mut body = buf.split_off(4);
+        match case {
+            0 => {
+                body.pop();
+            }
+            1 => body.push(0),
+            2 => body[9..13].copy_from_slice(&u32::MAX.to_le_bytes()),
+            _ => body.truncate(head_cut),
+        }
+        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(&body);
+        write_frame(&mut buf, &Request::Ping).unwrap();
+
+        let mut cursor = &buf[..];
+        match read_frame::<_, Request>(&mut cursor, MAX_FRAME_BYTES) {
+            Err(e @ WireError::Malformed { .. }) => prop_assert!(e.is_recoverable()),
+            other => prop_assert!(false, "case {case}: expected Malformed, got {other:?}"),
+        }
+        let back: Request = read_frame(&mut cursor, MAX_FRAME_BYTES).unwrap().unwrap();
+        prop_assert_eq!(back, Request::Ping);
+    }
+
+    /// Every `f64` bit pattern in a delta round-trips bit for bit:
+    /// NaN payloads, ±inf, −0.0 and subnormals included. Compared with
+    /// `to_bits`, since `PartialEq` fails on NaN.
+    #[test]
+    fn every_delta_bit_pattern_round_trips(
+        tenant in 0u64..u64::MAX,
+        drawn in prop::collection::vec((0u64..u64::MAX, 0u64..u64::MAX, 0u8..3), 0..24),
+    ) {
+        const EXPONENT: u64 = 0x7FF0_0000_0000_0000;
+        let mut updates: Vec<(u64, f64)> = drawn
+            .iter()
+            .map(|&(item, bits, class)| {
+                let bits = match class {
+                    0 => bits,
+                    1 => bits | EXPONENT,  // ±inf or a NaN with a payload
+                    _ => bits & !EXPONENT, // ±0.0 or a subnormal
+                };
+                (item, f64::from_bits(bits))
+            })
+            .collect();
+        for bits in [
+            0x7FF0_0000_0000_0000, // +inf
+            0xFFF0_0000_0000_0000, // -inf
+            0x8000_0000_0000_0000, // -0.0
+            0x7FF8_0000_0000_0001, // quiet NaN with a payload
+            0x7FF0_0000_0000_0001, // signalling NaN
+            0xFFFF_FFFF_FFFF_FFFF, // negative NaN, every payload bit set
+            0x0000_0000_0000_0001, // smallest subnormal
+            0x000F_FFFF_FFFF_FFFF, // largest subnormal
+        ] {
+            updates.push((bits, f64::from_bits(bits)));
+        }
+        let req = Request::Ingest(IngestFrame { tenant, updates: updates.clone() });
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &req).unwrap();
+        prop_assert_eq!(buf.len(), 4 + 13 + 16 * updates.len());
+        let back: Request = read_frame(&mut &buf[..], MAX_FRAME_BYTES).unwrap().unwrap();
+        let Request::Ingest(frame) = back else {
+            return Err(TestCaseError::fail("expected an ingest frame"));
+        };
+        prop_assert_eq!(frame.tenant, tenant);
+        prop_assert_eq!(frame.updates.len(), updates.len());
+        for (got, want) in frame.updates.iter().zip(&updates) {
+            prop_assert_eq!(got.0, want.0);
+            prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
         }
     }
 }
