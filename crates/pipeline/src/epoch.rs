@@ -475,6 +475,15 @@ impl<S: Snapshottable> Snapshottable for EpochSketch<S> {
         self.sketch.estimate_in(snap, item)
     }
 
+    fn items_at_least_in(
+        &self,
+        snap: &Self::Snapshot,
+        threshold: f64,
+        out: &mut Vec<bas_sketch::HeavyHitter>,
+    ) {
+        self.sketch.items_at_least_in(snap, threshold, out);
+    }
+
     fn merge_snapshot(
         &self,
         snap: &mut Self::Snapshot,

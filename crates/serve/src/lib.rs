@@ -116,9 +116,10 @@ use bas_sketch::{
 };
 use bas_stream::StreamUpdate;
 
-/// Scans a frozen plane for every item whose estimate reaches
-/// `phi · mass` — the one heavy-hitter kernel shared by the unbounded
-/// snapshot scan and the window scan.
+/// Every item of a frozen plane whose estimate reaches `phi · mass`,
+/// by decreasing estimate — the heavy-hitter query shared by the
+/// unbounded snapshot scan and the window scan. The scan itself is the
+/// sketch's [`Snapshottable::items_at_least_in`]; this only sorts.
 fn scan_heavy_hitters<S: Snapshottable>(
     sketch: &S,
     plane: &S::Snapshot,
@@ -129,13 +130,8 @@ fn scan_heavy_hitters<S: Snapshottable>(
     if mass <= 0.0 {
         return Ok(Vec::new());
     }
-    let threshold = phi * mass;
-    let mut out: Vec<HeavyHitter> = (0..sketch.universe())
-        .filter_map(|item| {
-            let estimate = sketch.estimate_in(plane, item);
-            (estimate >= threshold).then_some(HeavyHitter { item, estimate })
-        })
-        .collect();
+    let mut out = Vec::new();
+    sketch.items_at_least_in(plane, phi * mass, &mut out);
     out.sort_by(|a, b| b.estimate.total_cmp(&a.estimate).then(a.item.cmp(&b.item)));
     Ok(out)
 }
@@ -271,10 +267,14 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
 
     /// Heavy hitters as of a pinned snapshot: every item whose
     /// snapshot estimate reaches `phi` times the snapshot's total
-    /// mass, sorted by decreasing estimate. A full universe scan
-    /// (`O(n·d)`) — the serving-side complement of the streaming
-    /// [`bas_sketch::HeavyHitters`] tracker, with no tracker state to
-    /// maintain on the hot write path.
+    /// mass, sorted by decreasing estimate — the serving-side
+    /// complement of the streaming [`bas_sketch::HeavyHitters`]
+    /// tracker, with no tracker state to maintain on the hot write
+    /// path. The whole universe is scanned through
+    /// [`Snapshottable::items_at_least_in`]: one-hash Count-Median
+    /// planes hash each item once and take a median only for items hot
+    /// in at least half the rows; other sketches ask every item's
+    /// estimate (`O(n·d)`).
     ///
     /// An empty (or net-non-positive) snapshot has no heavy hitters:
     /// with zero mass every threshold is vacuous, so the scan returns
@@ -311,6 +311,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
     /// # Errors
     /// Returns [`QueryError::InvalidPhi`] unless `0 < phi < 1`.
     pub fn try_heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitter>, QueryError> {
+        QueryError::check_phi(phi)?; // fail before paying for the pin
         let snap = self.pin();
         self.try_heavy_hitters_in(&snap, phi)
     }

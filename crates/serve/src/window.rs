@@ -48,9 +48,9 @@ impl<S: SharedSketch + Snapshottable + Send> WindowSnapshot<S> {
 
     /// Heavy hitters of the window: every item whose window estimate
     /// reaches `phi` times the window's mass, sorted by decreasing
-    /// estimate. A full universe scan (`O(n·d)`), like the unbounded
-    /// engine scan. An empty (or net-non-positive) window has no heavy
-    /// hitters.
+    /// estimate. The same universe scan as the unbounded engine's
+    /// ([`Snapshottable::items_at_least_in`]). An empty (or
+    /// net-non-positive) window has no heavy hitters.
     ///
     /// # Errors
     /// Returns [`QueryError::InvalidPhi`] unless `0 < phi < 1`.

@@ -28,6 +28,7 @@ use crate::wire::{
 use bas_distributed::CommMeter;
 use bas_sketch::{CellWidth, SketchParams};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Fabric-wide configuration shared by every tenant engine.
 ///
@@ -523,11 +524,11 @@ impl Fabric {
                     sealed_interval,
                 })
             }),
-            Request::Point(q) => self.value(q.tenant, |t| {
+            Request::Point(q) => self.value(q.tenant, format_args!("item {}", q.item), |t| {
                 check_item(q.tenant, q.item, t.slot.universe())?;
                 t.slot.point(q.tenant, q.item)
             }),
-            Request::WindowPoint(q) => self.value(q.tenant, |t| {
+            Request::WindowPoint(q) => self.value(q.tenant, format_args!("item {}", q.item), |t| {
                 check_item(q.tenant, q.item, t.slot.universe())?;
                 t.slot.window_point(q.tenant, q.item)
             }),
@@ -538,10 +539,14 @@ impl Fabric {
                 self.heavy(q.tenant, |t| t.slot.window_heavy_hitters(q.tenant, q.phi))
             }
             Request::RangeSum(q) => {
-                self.value(q.tenant, |t| t.slot.range_sum(q.tenant, q.lo, q.hi))
+                self.value(q.tenant, format_args!("range [{}, {}]", q.lo, q.hi), |t| {
+                    t.slot.range_sum(q.tenant, q.lo, q.hi)
+                })
             }
             Request::WindowRangeSum(q) => {
-                self.value(q.tenant, |t| t.slot.window_range_sum(q.tenant, q.lo, q.hi))
+                self.value(q.tenant, format_args!("range [{}, {}]", q.lo, q.hi), |t| {
+                    t.slot.window_range_sum(q.tenant, q.lo, q.hi)
+                })
             }
             Request::Stats(TenantRef { tenant }) => match self.tenant(tenant) {
                 Err(e) => Response::Error(e),
@@ -629,8 +634,16 @@ impl Fabric {
         }
     }
 
-    fn value(&self, tenant: u64, f: impl FnOnce(&Tenant) -> Result<f64, ErrorReply>) -> Response {
+    /// Answers a single-value query about `asked` (an item or a range,
+    /// named in a `non_finite` rejection's detail).
+    fn value(
+        &self,
+        tenant: u64,
+        asked: fmt::Arguments<'_>,
+        f: impl FnOnce(&Tenant) -> Result<f64, ErrorReply>,
+    ) -> Response {
         match self.tenant(tenant).and_then(f) {
+            Ok(value) if !value.is_finite() => Response::Error(non_finite(tenant, asked, value)),
             Ok(value) => Response::Value(ValueReply { tenant, value }),
             Err(e) => Response::Error(e),
         }
@@ -642,10 +655,27 @@ impl Fabric {
         f: impl FnOnce(&Tenant) -> Result<Vec<(u64, f64)>, ErrorReply>,
     ) -> Response {
         match self.tenant(tenant).and_then(f) {
-            Ok(items) => Response::HeavyHitters(HeavyHittersReply { tenant, items }),
+            Ok(items) => match items.iter().find(|(_, estimate)| !estimate.is_finite()) {
+                Some(&(item, estimate)) => Response::Error(non_finite(
+                    tenant,
+                    format_args!("heavy hitter {item}"),
+                    estimate,
+                )),
+                None => Response::HeavyHitters(HeavyHittersReply { tenant, items }),
+            },
             Err(e) => Response::Error(e),
         }
     }
+}
+
+/// A query answer the wire cannot carry: JSON has no `inf` or `NaN`
+/// (they would go out as `null` and arrive as NaN), so the answer is
+/// refused with a typed error instead of sent unfaithfully.
+fn non_finite(tenant: u64, asked: fmt::Arguments<'_>, value: f64) -> ErrorReply {
+    ErrorReply::new(
+        "non_finite",
+        format!("tenant {tenant}: the answer for {asked} is {value}, which is not finite"),
+    )
 }
 
 /// Admission-time validation of an ingest frame: every update needs an

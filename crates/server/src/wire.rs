@@ -728,7 +728,8 @@ pub struct SealReceipt {
 pub struct ValueReply {
     /// Tenant id.
     pub tenant: u64,
-    /// The estimate.
+    /// The estimate; always finite (the fabric answers a non-finite
+    /// one with a `non_finite` error).
     pub value: f64,
 }
 
@@ -738,7 +739,7 @@ pub struct ValueReply {
 pub struct HeavyHittersReply {
     /// Tenant id.
     pub tenant: u64,
-    /// The heavy items with their estimates.
+    /// The heavy items with their estimates, every one finite.
     pub items: Vec<(u64, f64)>,
 }
 
@@ -775,7 +776,8 @@ pub struct InstallReceipt {
 pub struct ErrorReply {
     /// Stable machine-readable code: `unknown_tenant`, `bad_query`,
     /// `bad_update`, `audit_rejected`, `unsupported`, `protocol`,
-    /// `tenant_exists`, `incompatible`.
+    /// `tenant_exists`, `incompatible`, `non_finite` (an answer would
+    /// carry an infinite or NaN float, which JSON cannot encode).
     pub code: String,
     /// Human-readable diagnostic.
     pub detail: String,

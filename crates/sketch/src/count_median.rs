@@ -1,12 +1,14 @@
 //! Count-Median: CM-matrix sketching with median recovery.
 
-use crate::snapshot::Snapshottable;
-use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::heavy_hitters::HeavyHitter;
+use crate::snapshot::{each_item_at_least, Snapshottable};
+use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend, APPLY_BLOCK};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
 use crate::util::median_of_rows;
 use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, RowDeriver, SplitMix64};
+use std::cmp::Ordering;
 
 /// The Count-Median sketch of Cormode & Muthukrishnan (paper, Theorem 1).
 ///
@@ -225,6 +227,99 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
         median_of_rows(self.params.depth, |row| {
             snap.get(row, self.hashers[row].bucket(item))
         })
+    }
+
+    /// One-hash rows ([`bas_hash::HashKind::OneHash`]) take the blocked
+    /// scan kernel: per block of [`APPLY_BLOCK`] items, one digest call
+    /// and one bucket lane per row, a byte-mask lookup per cell, and
+    /// the unchanged median only for items hot in at least `⌈d/2⌉`
+    /// rows, the necessary condition proved in the body. Items that
+    /// can no longer reach `⌈d/2⌉` leave the block before the next
+    /// row's lane. The classical families have no shared digest and
+    /// keep the per-item default. Either way the answer is bit-for-bit
+    /// the default's.
+    ///
+    /// # Panics
+    /// Panics if `snap` was made for a different shape.
+    fn items_at_least_in(&self, snap: &Self::Snapshot, threshold: f64, out: &mut Vec<HeavyHitter>) {
+        assert!(
+            snap.width() == self.params.width && snap.depth() == self.params.depth,
+            "snapshot shape mismatch"
+        );
+        let Some(rd) = RowDeriver::from_hashers(&self.hashers) else {
+            return each_item_at_least(self, snap, threshold, out);
+        };
+        let (width, depth) = (self.params.width, self.params.depth);
+        // Necessary condition. `median_in_place` returns, for odd d,
+        // the value u of rank ⌊d/2⌋ under `total_cmp`, and for even d
+        // `0.5·(l + u)` with u of rank d/2 and l ≤ u the largest
+        // non-NaN value ranked below it (−∞ if none). The ⌈d/2⌉ values
+        // ranked at or above u are each NaN or ≥ u. An estimate that
+        // is `>= threshold` is not NaN, and then
+        // u ≥ m = min(threshold, 2^1023):
+        // * odd d: the estimate is u;
+        // * even d, u < 2^1023: l + u ≤ 2u exactly, and 2u rounds to
+        //   itself (or to −∞), so by monotone rounding
+        //   0.5·fl(l + u) ≤ u;
+        // * even d, u ≥ 2^1023: l + u may overflow to +∞, which reaches
+        //   any threshold, but u ≥ m already.
+        // So each of those ⌈d/2⌉ cells is not below m (NaN cells are
+        // unordered, so they count too), and an item with fewer such
+        // cells cannot reach the threshold. Every other item gets the
+        // exact median.
+        let floor = threshold.min(f64::from_bits(0x7FE0_0000_0000_0000)); // 2^1023
+        let hot: Vec<u8> = (0..depth)
+            .flat_map(|row| snap.row(row))
+            .map(|v| u8::from(v.partial_cmp(&floor) != Some(Ordering::Less)))
+            .collect();
+        let need = depth - depth / 2;
+        let mut items = [0u64; APPLY_BLOCK];
+        let mut digests = [0u64; APPLY_BLOCK];
+        let mut hits = [0usize; APPLY_BLOCK];
+        let mut lane = [0usize; APPLY_BLOCK];
+        let n = self.params.n;
+        let mut start = 0u64;
+        while start < n {
+            let mut len = (n - start).min(APPLY_BLOCK as u64) as usize;
+            for (slot, item) in items[..len].iter_mut().zip(start..) {
+                *slot = item;
+            }
+            start += len as u64;
+            rd.digests_into(&items[..len], &mut digests[..len]);
+            hits[..len].fill(0);
+            for (row, hot_row) in hot.chunks_exact(width).enumerate() {
+                // `depth - row` rows are left, so an item with fewer
+                // than `due` hits cannot reach `need`: drop it, keeping
+                // the rest in item order.
+                let due = (need + row).saturating_sub(depth);
+                if due > 0 {
+                    let mut kept = 0;
+                    for i in 0..len {
+                        if hits[i] >= due {
+                            (items[kept], digests[kept], hits[kept]) =
+                                (items[i], digests[i], hits[i]);
+                            kept += 1;
+                        }
+                    }
+                    len = kept;
+                }
+                rd.buckets_of_digests(row, &digests[..len], &mut lane[..len]);
+                for (h, &b) in hits[..len].iter_mut().zip(&lane[..len]) {
+                    *h += usize::from(hot_row[b]);
+                }
+            }
+            for i in (0..len).filter(|&i| hits[i] >= need) {
+                let digest = digests[i];
+                let estimate =
+                    median_of_rows(depth, |row| snap.get(row, rd.bucket_of_digest(row, digest)));
+                if estimate >= threshold {
+                    out.push(HeavyHitter {
+                        item: items[i],
+                        estimate,
+                    });
+                }
+            }
+        }
     }
 
     /// Count-Median is linear, so snapshots add: always `Ok`.

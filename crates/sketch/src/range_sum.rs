@@ -7,6 +7,7 @@
 //! a single point query at its level.
 
 use crate::count_median::CountMedian;
+use crate::heavy_hitters::HeavyHitter;
 use crate::snapshot::{AbsorbPlane, Snapshottable};
 use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
 use crate::traits::{
@@ -323,6 +324,12 @@ impl<B: CounterBackend> Snapshottable for RangeSumSketch<B> {
     fn estimate_in(&self, snap: &Self::Snapshot, item: u64) -> f64 {
         assert!(item < self.n, "item outside universe");
         self.levels[0].estimate_in(&snap[0], item)
+    }
+
+    /// Point estimates read level 0 only, and level 0's universe is
+    /// this sketch's, so the scan is level 0's.
+    fn items_at_least_in(&self, snap: &Self::Snapshot, threshold: f64, out: &mut Vec<HeavyHitter>) {
+        self.levels[0].items_at_least_in(&snap[0], threshold, out);
     }
 
     /// Linear level by level: always `Ok`.

@@ -17,6 +17,13 @@
 //!   [`RangeSumSketch::query_in`](crate::RangeSumSketch::query_in))
 //!   answer queries **from the snapshot's counters** using the live
 //!   sketch's hash functions, which are immutable after construction;
+//! * [`Snapshottable::items_at_least_in`] is the heavy-hitter scan over
+//!   a snapshot: every item whose `estimate_in` reaches a threshold.
+//!   Its default asks `estimate_in` item by item; one-hash
+//!   [`CountMedian`](crate::CountMedian) (and the range-sum stack,
+//!   through its finest level) overrides it with a blocked kernel that
+//!   hashes each item once and takes the median only where it can
+//!   reach the threshold, answering bit-for-bit what the default does;
 //! * [`Snapshottable::merge_snapshot`] adds one snapshot into another —
 //!   linearity (`Φx = Φx¹ + Φx²`) holds at the snapshot level exactly
 //!   as it does at the sketch level, which is what lets a distributed
@@ -34,7 +41,23 @@
 //! intervened), which upgrades the copy to "a settled state between
 //! flushes — a prefix of the update stream".
 
+use crate::heavy_hitters::HeavyHitter;
 use crate::traits::{MergeError, PointQuerySketch, SharedSketch};
+
+/// The per-item heavy-hitter scan: the default of
+/// [`Snapshottable::items_at_least_in`], and the path an override
+/// falls back to when it cannot take its fast kernel.
+pub(crate) fn each_item_at_least<S: Snapshottable + ?Sized>(
+    sketch: &S,
+    snap: &S::Snapshot,
+    threshold: f64,
+    out: &mut Vec<HeavyHitter>,
+) {
+    out.extend((0..sketch.universe()).filter_map(|item| {
+        let estimate = sketch.estimate_in(snap, item);
+        (estimate >= threshold).then_some(HeavyHitter { item, estimate })
+    }));
+}
 
 /// A sketch that can freeze its counters into a dense, immutable,
 /// cheaply-queryable view.
@@ -82,6 +105,35 @@ pub trait Snapshottable: PointQuerySketch + Sync {
     /// [`PointQuerySketch::estimate`]. On a quiescent sketch the two
     /// agree bit-for-bit.
     fn estimate_in(&self, snap: &Self::Snapshot, item: u64) -> f64;
+
+    /// Appends to `out`, in item order, every item of the universe
+    /// whose [`estimate_in`](Snapshottable::estimate_in) is
+    /// `>= threshold`, paired with that estimate — the heavy-hitter
+    /// scan over a frozen plane.
+    ///
+    /// The default asks `estimate_in` for every item, `O(n·d)` cell
+    /// reads plus one median per item. Sketches may override it with a
+    /// faster scan that must report exactly the same items with
+    /// bit-for-bit the same estimates: one-hash
+    /// [`CountMedian`](crate::CountMedian) does, and
+    /// [`RangeSumSketch`](crate::RangeSumSketch) scans its finest
+    /// level through it.
+    ///
+    /// ```
+    /// use bas_sketch::{CountMedian, PointQuerySketch, SketchParams, Snapshottable};
+    ///
+    /// let params = SketchParams::new(1_000, 64, 5).with_seed(2);
+    /// let mut cm = CountMedian::new(&params);
+    /// cm.update_batch(&[(7, 40.0), (9, 3.0)]);
+    /// let snap = cm.snapshot();
+    /// let mut hot = Vec::new();
+    /// cm.items_at_least_in(&snap, 10.0, &mut hot);
+    /// assert_eq!(hot.len(), 1);
+    /// assert_eq!((hot[0].item, hot[0].estimate), (7, 40.0));
+    /// ```
+    fn items_at_least_in(&self, snap: &Self::Snapshot, threshold: f64, out: &mut Vec<HeavyHitter>) {
+        each_item_at_least(self, snap, threshold, out);
+    }
 
     /// Adds `other`'s counters into `snap` element-wise — linearity at
     /// the snapshot level, used by the distributed coordinator to

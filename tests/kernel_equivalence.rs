@@ -15,6 +15,10 @@
 //! stays item-by-item under OneHash (its read-modify-write cycle is
 //! state-dependent), and this suite pins that its batch path still
 //! matches the loop.
+//!
+//! The read-side twin, the blocked heavy-hitter scan behind
+//! `Snapshottable::items_at_least_in`, is held to the same rule at the
+//! end of this file: bit for bit the per-item reference.
 
 use bias_aware_sketches::hashing::HashKind;
 use bias_aware_sketches::prelude::*;
@@ -253,4 +257,162 @@ proptest! {
         whole.update_batch(&updates);
         assert_estimates_equal(&left, &whole)?;
     }
+}
+
+// ---- the heavy-hitter scan kernel ----
+//
+// `Snapshottable::items_at_least_in` on one-hash Count-Median (and the
+// range-sum stack, through level 0) hashes each item once, 256 items
+// at a time, counts the item's cells that could reach the threshold in
+// a per-row byte mask, drops items that can no longer reach ⌈d/2⌉ such
+// rows, and takes the median only for items hot in at least ⌈d/2⌉
+// rows. The mask is a necessary condition only, so the answer
+// must be exactly the per-item reference: the same items, estimates
+// equal bit for bit. Planes are written cell by cell, so they hold
+// what no stream produces in a test this size: ties with the
+// threshold, ±0.0, ±inf, NaN payloads of both signs, subnormals and
+// values past 2^1023, whose even-depth median overflows to +inf.
+
+/// A small deterministic generator for plane contents.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, k: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.0 >> 33) % k
+    }
+
+    /// One cell: mostly small integers (frequent ties), plus every
+    /// special payload the scan must classify like the median does.
+    fn cell(&mut self) -> f64 {
+        match self.below(20) {
+            0..=8 => self.below(7) as f64 - 3.0,
+            9 => self.below(8) as f64 * 0.375 - 1.5,
+            10 => 0.0,
+            11 => -0.0,
+            12 => f64::INFINITY,
+            13 => f64::NEG_INFINITY,
+            14 => f64::from_bits(0x7FF8_0000_0000_0000 | self.below(1 << 40)),
+            15 => f64::from_bits(0xFFF8_0000_0000_0000 | self.below(1 << 40)),
+            16 => f64::from_bits(1 + self.below(4)) * if self.below(2) == 0 { 1.0 } else { -1.0 },
+            _ => [1.0e308, 1.5e308, f64::MAX][self.below(3) as usize],
+        }
+    }
+}
+
+/// Writes every cell of `plane` through `CounterMatrix::set`.
+fn fill(plane: &mut CounterMatrix<f64, Dense>, rng: &mut Lcg) {
+    for row in 0..plane.depth() {
+        for col in 0..plane.width() {
+            plane.set(row, col, rng.cell());
+        }
+    }
+}
+
+/// Thresholds that tie with cells of the plane, +inf and a subnormal.
+fn scan_thresholds(plane: &CounterMatrix<f64, Dense>, rng: &mut Lcg) -> Vec<f64> {
+    let mut out = vec![f64::INFINITY, f64::from_bits(3)];
+    for _ in 0..3 {
+        let (row, col) = (
+            rng.below(plane.depth() as u64) as usize,
+            rng.below(plane.width() as u64) as usize,
+        );
+        out.push(plane.get(row, col));
+    }
+    out.extend([1.0, 0.0]);
+    out
+}
+
+/// The scan against the per-item reference, for every threshold.
+fn assert_scan_matches_reference<S: Snapshottable>(
+    sketch: &S,
+    snap: &S::Snapshot,
+    thresholds: &[f64],
+    what: &str,
+) {
+    for &t in thresholds {
+        let mut got = Vec::new();
+        sketch.items_at_least_in(snap, t, &mut got);
+        let want: Vec<(u64, u64)> = (0..sketch.universe())
+            .map(|i| (i, sketch.estimate_in(snap, i)))
+            .filter(|&(_, e)| e >= t)
+            .map(|(i, e)| (i, e.to_bits()))
+            .collect();
+        let got: Vec<(u64, u64)> = got.iter().map(|h| (h.item, h.estimate.to_bits())).collect();
+        assert_eq!(got, want, "{what}, threshold {t:e}");
+    }
+}
+
+const SCAN_KINDS: [HashKind; 4] = [
+    HashKind::OneHash,
+    HashKind::CarterWegman,
+    HashKind::MultiplyShift,
+    HashKind::Tabulation,
+];
+
+/// Runs `check(params, rng)` over every scan configuration: depths
+/// around both parities, block-edge universes, the single-bucket row
+/// and a served-size width, one-hash and every classical family.
+fn each_scan_config(mut check: impl FnMut(SketchParams, &mut Lcg)) {
+    let mut rng = Lcg(0x5CA7);
+    for kind in SCAN_KINDS {
+        for depth in [1usize, 2, 8, 9] {
+            for width in [1usize, 4_096] {
+                for n in [1u64, 255, 256, 257, 10_007] {
+                    let params = SketchParams::new(n, width, depth)
+                        .with_seed(rng.below(1_000))
+                        .with_hash_kind(kind);
+                    check(params, &mut rng);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn count_median_scan_equals_per_item_reference() {
+    each_scan_config(|params, rng| {
+        let cm = CountMedian::new(&params);
+        let mut snap = cm.make_snapshot();
+        fill(&mut snap, rng);
+        let thresholds = scan_thresholds(&snap, rng);
+        assert_scan_matches_reference(&cm, &snap, &thresholds, &format!("{params:?}"));
+    });
+}
+
+#[test]
+fn range_sum_scan_equals_per_item_reference() {
+    each_scan_config(|params, rng| {
+        let rs = RangeSumSketch::new(&params);
+        let mut snap = rs.make_snapshot();
+        // Level 0 answers point estimates; a coarser level holding
+        // other values must not leak into the scan.
+        fill(&mut snap[0], rng);
+        if let Some(level) = snap.get_mut(1) {
+            fill(level, rng);
+        }
+        let thresholds = scan_thresholds(&snap[0], rng);
+        assert_scan_matches_reference(&rs, &snap, &thresholds, &format!("{params:?}"));
+    });
+}
+
+/// A stream-fed plane at the served shape, scanned at heavy-hitter
+/// thresholds: the common case, where few items survive the mask.
+#[test]
+fn scan_of_a_stream_fed_plane_equals_reference() {
+    let params = SketchParams::new(10_007, 4_096, 9)
+        .with_seed(7)
+        .with_hash_kind(HashKind::OneHash);
+    let mut cm = CountMedian::new(&params);
+    let mut rng = Lcg(11);
+    let updates: Vec<(u64, f64)> = (0..20_000)
+        .map(|_| (rng.below(10_007).min(rng.below(10_007)), 1.0))
+        .collect();
+    cm.update_batch(&updates);
+    let snap = cm.snapshot();
+    let thresholds: Vec<f64> = [1e-3, 1e-2, 0.1].iter().map(|phi| phi * 20_000.0).collect();
+    assert_scan_matches_reference(&cm, &snap, &thresholds, "stream-fed");
 }

@@ -877,3 +877,78 @@ fn hostile_updates_are_rejected_and_admit_nothing() {
         }
     }
 }
+
+/// An answer that is not finite is refused with a typed `non_finite`
+/// error naming the tenant and the item, never sent: JSON has no
+/// `inf`, so a `Value` of +inf used to go out as `null` and arrive as
+/// NaN. Two admitted deltas of 1e308 overflow an `F64` cell to +inf;
+/// the point answer, the heavy-hitter list and a range sum that reach
+/// that cell are refused alike, in process and through the wire, while
+/// the tenant keeps answering everything that stays finite.
+#[test]
+fn non_finite_answers_are_typed_errors() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric
+        .register_tenant(TenantSpec::frequency(1, 11))
+        .unwrap();
+    fabric
+        .register_tenant(TenantSpec::range_sum(2, 22))
+        .unwrap();
+    for tenant in [1u64, 2] {
+        for _ in 0..2 {
+            assert!(matches!(
+                fabric.handle(Request::Ingest(IngestFrame {
+                    tenant,
+                    updates: vec![(7, 1e308)],
+                })),
+                Response::Admitted(_)
+            ));
+        }
+        fabric.handle(Request::Flush(TenantRef { tenant }));
+    }
+    let cases = [
+        (
+            Request::Point(PointQuery { tenant: 1, item: 7 }),
+            "tenant 1: the answer for item 7 is inf",
+        ),
+        (
+            Request::HeavyHitters(HeavyHittersQuery {
+                tenant: 1,
+                phi: 0.5,
+            }),
+            "tenant 1: the answer for heavy hitter 7 is inf",
+        ),
+        (
+            Request::RangeSum(RangeQuery {
+                tenant: 2,
+                lo: 0,
+                hi: N - 1,
+            }),
+            "tenant 2: the answer for range [0, 4095] is inf",
+        ),
+    ];
+    for (req, detail) in &cases {
+        let resp = fabric.handle(req.clone());
+        match &resp {
+            Response::Error(e) => {
+                assert_eq!(e.code, "non_finite", "{e:?}");
+                assert!(e.detail.starts_with(detail), "{e:?}");
+            }
+            other => panic!("{req:?}: expected non_finite, got {other:?}"),
+        }
+        // Through the codec: the request reaches the fabric and the
+        // rejection comes back exactly as it left.
+        let mut frames = Vec::new();
+        write_frame(&mut frames, req).unwrap();
+        let mut replies = Vec::new();
+        serve_connection(&mut fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        let wired: Response = read_frame(&mut &replies[..], MAX_FRAME_BYTES)
+            .unwrap()
+            .unwrap();
+        assert_eq!(wired, resp);
+    }
+    // Answers that stay finite are still served.
+    let finite = expect_value(fabric.handle(Request::Point(PointQuery { tenant: 1, item: 8 })));
+    assert!(finite.is_finite(), "{finite}");
+}
