@@ -42,6 +42,18 @@ pub enum HashKind {
     OneHash,
 }
 
+impl HashKind {
+    /// The bucket count a family of this kind uses when asked for
+    /// `want`: multiply-shift and one-hash derivation round it up to
+    /// the next power of two, the other kinds keep it.
+    pub fn buckets(self, want: usize) -> usize {
+        match self {
+            HashKind::MultiplyShift | HashKind::OneHash => MultiplyShift::round_up_buckets(want),
+            HashKind::CarterWegman | HashKind::Tabulation => want,
+        }
+    }
+}
+
 /// A runtime-dispatched bucket hash, so sketches can be configured with
 /// any of the implemented families (exercised by `ablation_hashing`).
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -227,13 +239,10 @@ impl HashFamily {
         }
     }
 
-    /// Creates a family of the given kind. Multiply-shift and one-hash
-    /// derivation round the bucket count up to the next power of two.
+    /// Creates a family of the given kind, with
+    /// [`HashKind::buckets`]`(buckets)` buckets.
     pub fn new(kind: HashKind, seeder: &mut SplitMix64, buckets: usize) -> Self {
-        let buckets = match kind {
-            HashKind::MultiplyShift | HashKind::OneHash => MultiplyShift::round_up_buckets(buckets),
-            _ => buckets,
-        };
+        let buckets = kind.buckets(buckets);
         let mut seeder = seeder.split();
         let derive_key = match kind {
             HashKind::OneHash => seeder.next_u64(),

@@ -57,7 +57,8 @@
 //! let params = SketchParams::new(10_000, 256, 5).with_seed(8);
 //! let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params));
 //!
-//! // Writer side: push updates; full buffers flush across 4 threads.
+//! // Writer side: push updates; a full buffer flushes on this thread,
+//! // the plane's one writer.
 //! for i in 0..20_000u64 {
 //!     engine.push(i % 10_000, 1.0);
 //! }

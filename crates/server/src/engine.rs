@@ -15,8 +15,8 @@ use bas_serve::{
     Unbounded,
 };
 use bas_sketch::{
-    Atomic, AtomicCountMedian, CounterMatrix, Dense, HeavyHitter, RangeSumSketch, Reseedable,
-    SketchParams,
+    AbsorbPlane, Atomic, AtomicCountMedian, CounterMatrix, Dense, HeavyHitter, RangeSumSketch,
+    Reseedable, SharedSketch, SketchParams, Snapshottable,
 };
 
 type FreqEngine<P> = QueryEngine<AtomicCountMedian, P>;
@@ -83,6 +83,10 @@ fn query_error(tenant: u64, e: QueryError) -> ErrorReply {
     ErrorReply::new(code, format!("tenant {tenant}: {e}"))
 }
 
+/// Why a rotating tenant neither exports nor installs: its generations
+/// carry heterogeneous seeds, so no single linear merge rebuilds them.
+const PINNED: &str = "rotating tenants are pinned to their shard";
+
 fn unsupported(tenant: u64, what: &str) -> ErrorReply {
     ErrorReply::new("unsupported", format!("tenant {tenant}: {what}"))
 }
@@ -113,6 +117,16 @@ impl EngineSlot {
     /// queue capacity, so the buffered backlog can never exceed the
     /// admission bound even without an explicit flush.
     pub(crate) fn build(spec: &TenantSpec, template: SketchParams) -> Result<Self, ErrorReply> {
+        Self::build_in(spec, template, None)
+    }
+
+    /// [`build`](Self::build), with a range-sum tenant's stack in the
+    /// layout `grid_levels` names, or in the rule's layout when `None`.
+    fn build_in(
+        spec: &TenantSpec,
+        template: SketchParams,
+        grid_levels: Option<usize>,
+    ) -> Result<Self, ErrorReply> {
         let tenant = spec.tenant;
         if spec.queue_capacity == 0 || spec.interval_quota == 0 {
             return Err(ErrorReply::new(
@@ -121,6 +135,10 @@ impl EngineSlot {
             ));
         }
         let params = template.with_seed(spec.seed);
+        let range = || match grid_levels {
+            Some(g) => RangeSumSketch::<Atomic>::with_grid_levels(&params, g),
+            None => RangeSumSketch::<Atomic>::with_backend(&params),
+        };
         let threshold = usize::try_from(spec.queue_capacity).unwrap_or(usize::MAX);
         let engine = match (spec.metric, spec.mode) {
             (MetricKind::Frequency, ServingMode::Unbounded) => TenantEngine::FreqUnbounded(
@@ -158,35 +176,20 @@ impl EngineSlot {
                 TenantEngine::Rotating(Box::new(rotating))
             }
             (MetricKind::RangeSum, ServingMode::Unbounded) => TenantEngine::RangeUnbounded(
-                QueryEngine::with_policy(
-                    1,
-                    RangeSumSketch::<Atomic>::with_backend(&params),
-                    Unbounded,
-                )
-                .with_flush_threshold(threshold),
+                QueryEngine::with_policy(1, range(), Unbounded).with_flush_threshold(threshold),
             ),
             (MetricKind::RangeSum, ServingMode::Tumbling(len)) => {
                 let policy =
                     Tumbling::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
                 TenantEngine::RangeTumbling(
-                    QueryEngine::with_policy(
-                        1,
-                        RangeSumSketch::<Atomic>::with_backend(&params),
-                        policy,
-                    )
-                    .with_flush_threshold(threshold),
+                    QueryEngine::with_policy(1, range(), policy).with_flush_threshold(threshold),
                 )
             }
             (MetricKind::RangeSum, ServingMode::Sliding(len)) => {
                 let policy =
                     Sliding::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
                 TenantEngine::RangeSliding(
-                    QueryEngine::with_policy(
-                        1,
-                        RangeSumSketch::<Atomic>::with_backend(&params),
-                        policy,
-                    )
-                    .with_flush_threshold(threshold),
+                    QueryEngine::with_policy(1, range(), policy).with_flush_threshold(threshold),
                 )
             }
             (MetricKind::RangeSum, ServingMode::Rotating(_)) => {
@@ -376,24 +379,25 @@ impl EngineSlot {
         spec: TenantSpec,
         params: SketchParams,
     ) -> Result<TenantTransfer, ErrorReply> {
-        match &mut self.engine {
-            TenantEngine::Rotating(_) => Err(unsupported(
-                spec.tenant,
-                "rotating tenants are pinned to their shard",
-            )),
-            TenantEngine::FreqUnbounded(e) => export_freq(e, spec, params),
-            TenantEngine::FreqTumbling(e) => export_freq(e, spec, params),
-            TenantEngine::FreqSliding(e) => export_freq(e, spec, params),
-            TenantEngine::RangeUnbounded(e) => export_range(e, spec, params),
-            TenantEngine::RangeTumbling(e) => export_range(e, spec, params),
-            TenantEngine::RangeSliding(e) => export_range(e, spec, params),
-        }
+        let one = |plane: &CounterMatrix<f64, Dense>| vec![plane.clone()];
+        let stack = |planes: &Vec<CounterMatrix<f64, Dense>>| planes.clone();
+        Ok(match &mut self.engine {
+            TenantEngine::Rotating(_) => return Err(unsupported(spec.tenant, PINNED)),
+            TenantEngine::FreqUnbounded(e) => export(e, spec, params, one),
+            TenantEngine::FreqTumbling(e) => export(e, spec, params, one),
+            TenantEngine::FreqSliding(e) => export(e, spec, params, one),
+            TenantEngine::RangeUnbounded(e) => export(e, spec, params, stack),
+            TenantEngine::RangeTumbling(e) => export(e, spec, params, stack),
+            TenantEngine::RangeSliding(e) => export(e, spec, params, stack),
+        })
     }
 
-    /// Rebuilds a tenant from a transfer: fresh engine from the seed,
-    /// absorb the cumulative plane by linearity, restore the seals and
-    /// the interval id. Bit-for-bit with the exporting engine on
-    /// integer-delta streams.
+    /// Rebuilds a tenant from a transfer: check it whole
+    /// ([`check_transfer`]), build a fresh engine from the seed in the
+    /// layout the planes record, absorb the cumulative plane by
+    /// linearity, restore the seals and the interval id. Bit-for-bit
+    /// with the exporting engine on integer-delta streams. A refused
+    /// transfer builds nothing.
     pub(crate) fn install(
         transfer: &TenantTransfer,
         template: SketchParams,
@@ -406,75 +410,25 @@ impl EngineSlot {
                 format!("tenant {tenant}: transfer params do not match this fabric's template"),
             ));
         }
-        let mut slot = Self::build(&transfer.spec, template)?;
-        let absorb = |what: &str, r: Result<(), bas_sketch::MergeError>| {
-            r.map_err(|e| ErrorReply::new("incompatible", format!("tenant {tenant}: {what}: {e}")))
-        };
-        match &mut slot.engine {
-            TenantEngine::Rotating(_) => {
-                return Err(unsupported(
-                    tenant,
-                    "rotating tenants are pinned to their shard",
-                ))
-            }
-            TenantEngine::FreqUnbounded(e) => {
-                let plane = single_plane(tenant, &transfer.cumulative)?;
-                absorb(
-                    "cumulative",
-                    e.absorb_cumulative(plane, transfer.applied, transfer.mass),
-                )?;
-                install_freq_seals(e, tenant, &transfer.seals)?;
-                e.restore_interval(transfer.interval);
-            }
-            TenantEngine::FreqTumbling(e) => {
-                let plane = single_plane(tenant, &transfer.cumulative)?;
-                absorb(
-                    "cumulative",
-                    e.absorb_cumulative(plane, transfer.applied, transfer.mass),
-                )?;
-                install_freq_seals(e, tenant, &transfer.seals)?;
-                e.restore_interval(transfer.interval);
-            }
-            TenantEngine::FreqSliding(e) => {
-                let plane = single_plane(tenant, &transfer.cumulative)?;
-                absorb(
-                    "cumulative",
-                    e.absorb_cumulative(plane, transfer.applied, transfer.mass),
-                )?;
-                install_freq_seals(e, tenant, &transfer.seals)?;
-                e.restore_interval(transfer.interval);
-            }
-            TenantEngine::RangeUnbounded(e) => {
-                absorb(
-                    "cumulative",
-                    e.absorb_cumulative(&transfer.cumulative, transfer.applied, transfer.mass),
-                )?;
-                for seal in &transfer.seals {
-                    e.restore_seal(seal.interval, seal.planes.clone(), seal.applied, seal.mass);
-                }
-                e.restore_interval(transfer.interval);
-            }
-            TenantEngine::RangeTumbling(e) => {
-                absorb(
-                    "cumulative",
-                    e.absorb_cumulative(&transfer.cumulative, transfer.applied, transfer.mass),
-                )?;
-                for seal in &transfer.seals {
-                    e.restore_seal(seal.interval, seal.planes.clone(), seal.applied, seal.mass);
-                }
-                e.restore_interval(transfer.interval);
-            }
-            TenantEngine::RangeSliding(e) => {
-                absorb(
-                    "cumulative",
-                    e.absorb_cumulative(&transfer.cumulative, transfer.applied, transfer.mass),
-                )?;
-                for seal in &transfer.seals {
-                    e.restore_seal(seal.interval, seal.planes.clone(), seal.applied, seal.mass);
-                }
-                e.restore_interval(transfer.interval);
-            }
+        if let ServingMode::Rotating(_) = transfer.spec.mode {
+            return Err(unsupported(tenant, PINNED));
         }
+        let grid_levels = check_transfer(transfer)?;
+        let mut slot = Self::build_in(&transfer.spec, template, grid_levels)?;
+        let one = |planes: &[CounterMatrix<f64, Dense>]| planes[0].clone();
+        let stack = |planes: &[CounterMatrix<f64, Dense>]| planes.to_vec();
+        let restored = match &mut slot.engine {
+            TenantEngine::Rotating(_) => return Err(unsupported(tenant, PINNED)),
+            TenantEngine::FreqUnbounded(e) => restore(e, transfer, one),
+            TenantEngine::FreqTumbling(e) => restore(e, transfer, one),
+            TenantEngine::FreqSliding(e) => restore(e, transfer, one),
+            TenantEngine::RangeUnbounded(e) => restore(e, transfer, stack),
+            TenantEngine::RangeTumbling(e) => restore(e, transfer, stack),
+            TenantEngine::RangeSliding(e) => restore(e, transfer, stack),
+        };
+        restored.map_err(|e| {
+            ErrorReply::new("incompatible", format!("tenant {tenant}: cumulative: {e}"))
+        })?;
         Ok(slot)
     }
 
@@ -485,31 +439,103 @@ impl EngineSlot {
     }
 }
 
-fn single_plane<'a>(
-    tenant: u64,
-    planes: &'a [CounterMatrix<f64, Dense>],
-) -> Result<&'a CounterMatrix<f64, Dense>, ErrorReply> {
-    match planes {
-        [one] => Ok(one),
-        other => Err(ErrorReply::new(
-            "incompatible",
-            format!(
-                "tenant {tenant}: frequency transfer must carry exactly 1 plane, got {}",
-                other.len()
-            ),
-        )),
+/// Checks a transfer against the engine [`EngineSlot::install`] would
+/// build from it, before anything is built, so that no transfer can
+/// panic a later query or poison the tenant:
+/// * every plane, the cumulative's and each seal's, has the shape its
+///   level needs: one `d × w` plane for a frequency tenant, and for a
+///   range-sum tenant the dyadic layout the cumulative records
+///   ([`RangeSumSketch::grid_levels_of`]), the same for every seal;
+/// * seal intervals strictly increase;
+/// * the interval in progress lies past the last seal.
+///
+/// Returns the range-sum stack's grid levels (`None` for frequency
+/// tenants); a refusal is `incompatible`, naming the first bad field.
+fn check_transfer(transfer: &TenantTransfer) -> Result<Option<usize>, ErrorReply> {
+    let tenant = transfer.spec.tenant;
+    let refuse = |field: &str, why: String| {
+        ErrorReply::new("incompatible", format!("tenant {tenant}: {field}: {why}"))
+    };
+    let params = &transfer.params;
+    let layout = |planes: &[CounterMatrix<f64, Dense>]| match transfer.spec.metric {
+        MetricKind::Frequency => {
+            let want = (params.depth, params.hash_kind.buckets(params.width));
+            match planes {
+                [one] if (one.depth(), one.width()) == want => Ok(None),
+                [one] => Err(format!(
+                    "the plane is {} x {}, expected {} x {}",
+                    one.depth(),
+                    one.width(),
+                    want.0,
+                    want.1
+                )),
+                other => Err(format!(
+                    "a frequency tenant carries exactly 1 plane, got {}",
+                    other.len()
+                )),
+            }
+        }
+        MetricKind::RangeSum => RangeSumSketch::grid_levels_of(params, planes)
+            .map(Some)
+            .map_err(|e| e.to_string()),
+    };
+    let grid_levels = layout(&transfer.cumulative).map_err(|why| refuse("cumulative", why))?;
+    let mut last: Option<u64> = None;
+    for (i, seal) in transfer.seals.iter().enumerate() {
+        match layout(&seal.planes) {
+            Ok(g) if g == grid_levels => {}
+            Ok(_) => {
+                return Err(refuse(
+                    &format!("seals[{i}].planes"),
+                    "a different dyadic layout from the cumulative's".to_string(),
+                ))
+            }
+            Err(why) => return Err(refuse(&format!("seals[{i}].planes"), why)),
+        }
+        if let Some(prev) = last.filter(|&prev| seal.interval <= prev) {
+            return Err(refuse(
+                &format!("seals[{i}].interval"),
+                format!(
+                    "{} does not follow the seal before it, {prev}",
+                    seal.interval
+                ),
+            ));
+        }
+        last = Some(seal.interval);
     }
+    if let Some(prev) = last.filter(|&prev| transfer.interval <= prev) {
+        return Err(refuse(
+            "interval",
+            format!(
+                "{} does not lie past the last seal, {prev}",
+                transfer.interval
+            ),
+        ));
+    }
+    Ok(grid_levels)
 }
 
-fn install_freq_seals<P: bas_serve::ServingPolicy>(
-    e: &mut FreqEngine<P>,
-    tenant: u64,
-    seals: &[SealFrame],
-) -> Result<(), ErrorReply> {
-    for seal in seals {
-        let plane = single_plane(tenant, &seal.planes)?;
-        e.restore_seal(seal.interval, plane.clone(), seal.applied, seal.mass);
+/// Absorbs a checked transfer into a fresh engine: the cumulative
+/// plane, every seal in order, then the interval id. `plane` turns a
+/// shipped plane list into the engine's snapshot type.
+fn restore<S, P>(
+    e: &mut QueryEngine<S, P>,
+    transfer: &TenantTransfer,
+    plane: impl Fn(&[CounterMatrix<f64, Dense>]) -> S::Snapshot,
+) -> Result<(), bas_sketch::MergeError>
+where
+    S: SharedSketch + Snapshottable + Reseedable + AbsorbPlane + Send,
+    P: bas_serve::ServingPolicy,
+{
+    e.absorb_cumulative(
+        &plane(&transfer.cumulative),
+        transfer.applied,
+        transfer.mass,
+    )?;
+    for seal in &transfer.seals {
+        e.restore_seal(seal.interval, plane(&seal.planes), seal.applied, seal.mass);
     }
+    e.restore_interval(transfer.interval);
     Ok(())
 }
 
@@ -523,20 +549,27 @@ fn checked_range_sum<P: bas_serve::ServingPolicy>(
     Ok(e.range_sum(lo, hi))
 }
 
-fn export_freq<P: bas_serve::ServingPolicy>(
-    e: &mut FreqEngine<P>,
+/// Flushes and pins `e`, then ships its cumulative plane and every
+/// retained seal as plane lists (`planes` maps a snapshot to one).
+fn export<S, P>(
+    e: &mut QueryEngine<S, P>,
     spec: TenantSpec,
     params: SketchParams,
-) -> Result<TenantTransfer, ErrorReply> {
+    planes: impl Fn(&S::Snapshot) -> Vec<CounterMatrix<f64, Dense>>,
+) -> TenantTransfer
+where
+    S: SharedSketch + Snapshottable + Reseedable + Send,
+    P: bas_serve::ServingPolicy,
+{
     e.flush();
     let snap = e.pin();
-    Ok(TenantTransfer {
+    TenantTransfer {
         spec,
         params,
         interval: e.interval(),
         applied: snap.applied(),
         mass: snap.mass(),
-        cumulative: vec![snap.snapshot().clone()],
+        cumulative: planes(snap.snapshot()),
         seals: e
             .bank()
             .planes()
@@ -544,35 +577,8 @@ fn export_freq<P: bas_serve::ServingPolicy>(
                 interval: s.interval(),
                 applied: s.applied(),
                 mass: s.mass(),
-                planes: vec![s.plane().clone()],
+                planes: planes(s.plane()),
             })
             .collect(),
-    })
-}
-
-fn export_range<P: bas_serve::ServingPolicy>(
-    e: &mut RangeEngine<P>,
-    spec: TenantSpec,
-    params: SketchParams,
-) -> Result<TenantTransfer, ErrorReply> {
-    e.flush();
-    let snap = e.pin();
-    Ok(TenantTransfer {
-        spec,
-        params,
-        interval: e.interval(),
-        applied: snap.applied(),
-        mass: snap.mass(),
-        cumulative: snap.snapshot().clone(),
-        seals: e
-            .bank()
-            .planes()
-            .map(|s| SealFrame {
-                interval: s.interval(),
-                applied: s.applied(),
-                mass: s.mass(),
-                planes: s.plane().clone(),
-            })
-            .collect(),
-    })
+    }
 }

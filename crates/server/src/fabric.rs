@@ -444,6 +444,11 @@ impl Fabric {
         self.tenant(tenant).ok().map(|t| t.spec)
     }
 
+    /// The id of a tenant's interval in progress, if it is registered.
+    pub(crate) fn interval_of(&self, tenant: u64) -> Option<u64> {
+        self.tenant(tenant).ok().map(|t| t.slot.interval())
+    }
+
     /// All registered tenant ids, in id order.
     pub fn tenant_ids(&self) -> Vec<u64> {
         self.assignments.keys().copied().collect()
@@ -550,6 +555,9 @@ impl Fabric {
             }
             Request::Stats(TenantRef { tenant }) => match self.tenant(tenant) {
                 Err(e) => Response::Error(e),
+                Ok(t) if !t.slot.mass().is_finite() => {
+                    Response::Error(non_finite(tenant, format_args!("mass"), t.slot.mass()))
+                }
                 Ok(t) => Response::Stats(StatsReply {
                     tenant,
                     shard: self.assignments[&tenant],
@@ -670,7 +678,8 @@ impl Fabric {
 
 /// A query answer the wire cannot carry: JSON has no `inf` or `NaN`
 /// (they would go out as `null` and arrive as NaN), so the answer is
-/// refused with a typed error instead of sent unfaithfully.
+/// refused with a typed error instead of sent unfaithfully. `Stats`
+/// refuses a non-finite `mass` the same way.
 fn non_finite(tenant: u64, asked: fmt::Arguments<'_>, value: f64) -> ErrorReply {
     ErrorReply::new(
         "non_finite",

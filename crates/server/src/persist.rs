@@ -14,9 +14,11 @@
 //!   tenant's spec and placement, and its interval position. Tenants
 //!   checkpointed at the last graceful shutdown also get their counter
 //!   planes back through the existing
-//!   [`Fabric::install_tenant`]/absorb path; counters admitted after
-//!   the last checkpoint are lost (the estimates restart from the
-//!   checkpoint).
+//!   [`Fabric::install_tenant`]/absorb path, a range-sum tenant in
+//!   the dyadic layout its planes record (a checkpoint written before
+//!   exact coarse levels existed comes back all grids); counters
+//!   admitted after the last checkpoint are lost (the estimates
+//!   restart from the checkpoint).
 //! * **Graceful shutdown:** [`Daemon::shutdown`](crate::Daemon::shutdown)
 //!   quiesces (seals open intervals) and calls [`Journal::compact`],
 //!   which rewrites the journal as shards + one checkpoint per
@@ -185,11 +187,7 @@ fn snapshot_records(fabric: &mut Fabric) -> Vec<JournalRecord> {
                     continue;
                 };
                 records.push(JournalRecord::TenantRegistered(spec));
-                let interval = match fabric.handle(Request::Stats(TenantRef { tenant })) {
-                    Response::Stats(stats) => stats.interval,
-                    _ => 0,
-                };
-                for _ in 0..interval {
+                for _ in 0..fabric.interval_of(tenant).unwrap_or(0) {
                     records.push(JournalRecord::IntervalAdvanced(TenantRef { tenant }));
                 }
             }

@@ -617,8 +617,14 @@ pub struct TenantTransfer {
     pub applied: u64,
     /// Total delta mass applied.
     pub mass: f64,
-    /// The cumulative plane: one matrix for frequency tenants, one per
-    /// dyadic level for range-sum tenants.
+    /// The cumulative plane: one `depth × width` matrix for a
+    /// frequency tenant; for a range-sum tenant one matrix per dyadic
+    /// level, finest first, `depth × width` for a grid level and
+    /// `1 × ⌈n / 2^ℓ⌉` for an exact one. The shapes record the stack's
+    /// layout ([`bas_sketch::RangeSumSketch::grid_levels_of`]), so a
+    /// transfer made before exact levels existed, every level a grid,
+    /// installs in that layout. `Install` refuses planes that fit no
+    /// layout with `incompatible`, before it builds anything.
     pub cumulative: Vec<CounterMatrix<f64, Dense>>,
     /// Retained sealed planes, oldest first.
     pub seals: Vec<SealFrame>,
@@ -633,8 +639,10 @@ pub struct SealFrame {
     pub applied: u64,
     /// Mass applied as of the seal.
     pub mass: f64,
-    /// The sealed plane(s), same layout as
-    /// [`TenantTransfer::cumulative`].
+    /// The sealed plane(s), level for level the same shapes as
+    /// [`TenantTransfer::cumulative`]. Seals arrive oldest first, with
+    /// strictly increasing intervals, all before the transfer's
+    /// interval in progress.
     pub planes: Vec<CounterMatrix<f64, Dense>>,
 }
 

@@ -107,6 +107,17 @@ impl<B: CounterBackend> CountMedian<B> {
         self.grid.row_snapshot_f64(row)
     }
 
+    /// The counter grid, for the range-sum stack, which runs its
+    /// plane-wide operations over every level's cells alike.
+    pub(crate) fn cells(&self) -> &CellGrid<B> {
+        &self.grid
+    }
+
+    /// Mutable [`cells`](Self::cells).
+    pub(crate) fn cells_mut(&mut self) -> &mut CellGrid<B> {
+        &mut self.grid
+    }
+
     /// Per-bucket column counts `π_i` of each CM-matrix: `π_i[b]` is the
     /// number of universe elements hashed to bucket `b` in row `i`
     /// (paper, Algorithm 2 line 2), returned as a `depth × width`
@@ -345,46 +356,51 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
 
 /// Count-Median is linear: a shipped plane adds straight into the
 /// live grid, so a tenant rebuilt from seed + plane is bit-for-bit.
+/// A plane of another shape is refused before any cell is written.
 impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMedian<B> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
+        if plane.width() != self.grid.width() || plane.depth() != self.grid.depth() {
+            return Err(MergeError::ShapeMismatch {
+                what: "widths/depths",
+            });
+        }
         self.grid.add_plane_shared(plane);
         Ok(())
     }
 }
 
-impl<B: CounterBackend> CountMedian<B> {
-    fn check_compatible(&self, other: &Self) -> Result<(), MergeError> {
-        if self.params.width != other.params.width || self.params.depth != other.params.depth {
-            return Err(MergeError::ShapeMismatch {
-                what: "widths/depths",
-            });
-        }
-        if self.params.n != other.params.n {
-            return Err(MergeError::ShapeMismatch { what: "universes" });
-        }
-        if self.params.cell != other.params.cell {
-            return Err(MergeError::ShapeMismatch {
-                what: "cell widths",
-            });
-        }
-        if self.params.seed != other.params.seed || self.params.hash_kind != other.params.hash_kind
-        {
-            return Err(MergeError::SeedMismatch);
-        }
-        Ok(())
+/// Whether two sketches built from `a` and `b` hold counters that add
+/// cell by cell: same shape, universe, cell width, seed and hash kind.
+pub(crate) fn check_same_params(a: &SketchParams, b: &SketchParams) -> Result<(), MergeError> {
+    if a.width != b.width || a.depth != b.depth {
+        return Err(MergeError::ShapeMismatch {
+            what: "widths/depths",
+        });
     }
+    if a.n != b.n {
+        return Err(MergeError::ShapeMismatch { what: "universes" });
+    }
+    if a.cell != b.cell {
+        return Err(MergeError::ShapeMismatch {
+            what: "cell widths",
+        });
+    }
+    if a.seed != b.seed || a.hash_kind != b.hash_kind {
+        return Err(MergeError::SeedMismatch);
+    }
+    Ok(())
 }
 
 impl<B: CounterBackend> MergeableSketch for CountMedian<B> {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.check_compatible(other)?;
+        check_same_params(&self.params, &other.params)?;
         self.grid.add_grid(&other.grid);
         Ok(())
     }
 
     /// Exact counter subtraction (Count-Median is linear).
     fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.check_compatible(other)?;
+        check_same_params(&self.params, &other.params)?;
         self.grid.sub_grid(&other.grid);
         Ok(())
     }

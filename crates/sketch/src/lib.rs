@@ -117,7 +117,7 @@ pub use count_min::{CountMin, UpdatePolicy};
 pub use count_min_log::CountMinLog;
 pub use count_sketch::CountSketch;
 pub use heavy_hitters::{HeavyHitter, HeavyHitters};
-pub use range_sum::RangeSumSketch;
+pub use range_sum::{LayoutError, RangeSumSketch};
 pub use snapshot::{AbsorbPlane, Snapshottable};
 pub use storage::{
     Atomic, CellGrid, CellValue, CellWidth, CounterBackend, CounterMatrix, CounterValue, Dense,

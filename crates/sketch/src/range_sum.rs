@@ -1,26 +1,54 @@
-//! Dyadic range-sum queries over stacked Count-Median sketches.
+//! Dyadic range-sum queries over a stack of per-level counters.
 //!
 //! "Range query" is among the applications the paper's introduction
 //! motivates for point-queryable linear sketches. The textbook reduction
-//! (Cormode & Muthukrishnan) keeps one sketch per dyadic level; any range
-//! `[a, b]` decomposes into `O(log n)` dyadic intervals, each of which is
-//! a single point query at its level.
+//! (Cormode & Muthukrishnan) keeps one summary per dyadic level; any
+//! range `[a, b]` decomposes into `O(log n)` dyadic intervals, each of
+//! which is a single point query at its level. Coarse levels have so
+//! few blocks that they are kept exactly instead of sketched.
 
-use crate::count_median::CountMedian;
+use crate::count_median::{check_same_params, CountMedian};
 use crate::heavy_hitters::HeavyHitter;
 use crate::snapshot::{AbsorbPlane, Snapshottable};
-use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
+use std::fmt;
 
 /// A turnstile range-sum sketch: `query(a, b) ≈ Σ_{a ≤ i ≤ b} x_i`.
 ///
-/// Level `ℓ` sketches the aggregated vector `x^(ℓ)[j] = Σ x_i` over the
-/// block `i >> ℓ == j`, so an update touches one counter set per level
-/// (`O(log n · d)` work) and a range query sums at most two point
-/// estimates per level. Built on [`CountMedian`], hence fully linear;
-/// each level inherits Count-Median's Theorem 1 `ℓ∞/ℓ1` guarantee.
+/// Level `ℓ` holds the aggregated vector `x^(ℓ)[j] = Σ x_i` over the
+/// block `i >> ℓ == j`, which has `⌈n / 2^ℓ⌉` blocks, so an update
+/// touches one counter set per level and a range query reads at most
+/// two blocks per level. A level is stored one of two ways:
+///
+/// * **grid** — a [`CountMedian`] of the stack's width `w` and depth
+///   `d` over the level's blocks, with Count-Median's Theorem 1
+///   `ℓ∞/ℓ1` guarantee on every block;
+/// * **exact** — a plain `1 × blocks` counter vector indexed by
+///   `item >> ℓ`, with no hashing: every block is exact.
+///
+/// **Layout rule.** A level is exact when its block count is strictly
+/// below `w·d`, the cell count of the grid it would otherwise get: the
+/// vector is smaller than that grid and has no error. Block counts
+/// fall with `ℓ`, so the grids are a prefix `0..g` of the stack, and
+/// that one number, [`grid_levels`](RangeSumSketch::grid_levels), is
+/// the whole layout. At `n = 2^17`, `w = 4,096`, `d = 9`, levels 0–1
+/// are grids and 2–17 exact: 139,263 cells instead of 663,552, and a
+/// range's error comes from at most 2 × 2 sketched blocks. When
+/// `n < w·d`, level 0 is exact too and so is every answer.
+///
+/// The cut is strict so that a layout can be read back from plane
+/// shapes alone ([`RangeSumSketch::grid_levels_of`]): a grid level's
+/// plane is `d × w`, an exact level's `1 × blocks`, and the two
+/// coincide only if `d = 1` and `blocks = w`, which `<` keeps a grid.
+/// A stack of planes shipped in an older layout — every level a grid
+/// — is therefore recognised and rebuilt in that layout
+/// ([`with_grid_levels`](RangeSumSketch::with_grid_levels)).
+///
+/// Both kinds of level are linear, so the whole stack is: merge,
+/// subtract, snapshots and plane absorption run level by level.
 ///
 /// ```
 /// use bas_sketch::{PointQuerySketch, RangeSumSketch, SketchParams};
@@ -29,17 +57,103 @@ use crate::traits::{
 /// let mut rs = RangeSumSketch::new(&params);
 /// rs.update(10, 5.0);
 /// rs.update_batch(&[(20, 3.0), (200, 2.0)]); // batched fast path
-/// let est = rs.query(0, 100); // ≈ 5 + 3 on this sparse input
-/// assert!((est - 8.0).abs() < 1.0);
+/// assert_eq!(rs.query(0, 100), 8.0); // 256 < 128·7: every level is exact
+///
+/// let wide = RangeSumSketch::new(&SketchParams::new(1 << 17, 4_096, 9));
+/// assert_eq!((wide.grid_levels(), wide.num_levels()), (2, 18));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RangeSumSketch<B: CounterBackend = Dense> {
-    n: u64,
-    levels: Vec<CountMedian<B>>,
+    /// The stack's parameters, width rounded as its grids round it.
+    params: SketchParams,
+    /// Levels `0..g`, sketched.
+    grids: Vec<CountMedian<B>>,
+    /// Levels `g..`, one `1 × blocks` vector each.
+    exact: Vec<CellGrid<B>>,
 }
 
 #[cfg(feature = "serde")]
-crate::impl_backend_serde!(RangeSumSketch { n, levels });
+crate::impl_backend_serde!(RangeSumSketch {
+    params,
+    grids,
+    exact
+});
+
+/// Dyadic levels over `[0, n)`: `⌈log2 n⌉ + 1`.
+fn num_levels(n: u64) -> usize {
+    64 - (n.max(2) - 1).leading_zeros() as usize + 1
+}
+
+/// Blocks at `level`: `⌈n / 2^level⌉`.
+fn blocks(n: u64, level: usize) -> u64 {
+    ((n.max(1) - 1) >> level) + 1
+}
+
+/// `params` with the width its Count-Median grids get.
+fn effective(params: &SketchParams) -> SketchParams {
+    let mut p = *params;
+    p.width = p.hash_kind.buckets(p.width);
+    p
+}
+
+/// The layout rule on effective params: the levels with at least `w·d`
+/// blocks are grids.
+fn rule_grid_levels(p: &SketchParams) -> usize {
+    let cells = p.width.saturating_mul(p.depth) as u64;
+    (0..num_levels(p.n))
+        .take_while(|&l| blocks(p.n, l) >= cells)
+        .count()
+}
+
+/// The block derivation of an exact level's one-row sweep: item `x`
+/// lands in cell `x >> level`.
+fn exact_cells(level: usize, block: &[(u64, f64)], cols: &mut [usize], vals: &mut [f64]) {
+    for ((col, val), &(x, delta)) in cols.iter_mut().zip(vals.iter_mut()).zip(block) {
+        *col = (x >> level) as usize;
+        *val = delta;
+    }
+}
+
+/// Why a stack of planes matches no layout of a [`RangeSumSketch`]
+/// (see [`RangeSumSketch::grid_levels_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LayoutError {
+    /// The stack has `got` planes where the universe has `want` levels.
+    Levels {
+        /// Planes in the stack.
+        got: usize,
+        /// Dyadic levels of the universe.
+        want: usize,
+    },
+    /// Plane `level` is `depth × width`, which is neither that level's
+    /// grid shape nor, where the rule allows it, its exact shape.
+    Plane {
+        /// The first level that fits no layout.
+        level: usize,
+        /// Its plane's rows.
+        depth: usize,
+        /// Its plane's columns.
+        width: usize,
+    },
+}
+
+impl fmt::Display for LayoutError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Levels { got, want } => write!(f, "{got} dyadic levels, expected {want}"),
+            Self::Plane {
+                level,
+                depth,
+                width,
+            } => write!(
+                f,
+                "level {level} is {depth} x {width}, which fits no layout of this stack"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LayoutError {}
 
 impl RangeSumSketch {
     /// Creates a range-sum sketch over `[0, params.n)` with the default
@@ -47,40 +161,151 @@ impl RangeSumSketch {
     pub fn new(params: &SketchParams) -> Self {
         Self::with_backend(params)
     }
+
+    /// The layout a stack of level planes records: its number of
+    /// leading grid levels, for a stack built from `params`.
+    ///
+    /// Levels below the layout rule's cut must be grids (`d × w`
+    /// planes); from there on, each level is a grid or, once one is
+    /// not, exact (`1 × blocks`) to the end. A stack in the rule's
+    /// layout and one from before exact levels existed (every level a
+    /// grid) both read back as the layout they were built in.
+    ///
+    /// # Errors
+    /// [`LayoutError`] naming the level count or the first plane that
+    /// fits no layout.
+    pub fn grid_levels_of(
+        params: &SketchParams,
+        planes: &[CounterMatrix<f64, Dense>],
+    ) -> Result<usize, LayoutError> {
+        let p = effective(params);
+        let want = num_levels(p.n);
+        if planes.len() != want {
+            return Err(LayoutError::Levels {
+                got: planes.len(),
+                want,
+            });
+        }
+        let grids = planes
+            .iter()
+            .take_while(|m| (m.depth(), m.width()) == (p.depth, p.width))
+            .count();
+        let exact_from = rule_grid_levels(&p);
+        let misfit = (grids..want)
+            .find(|&l| {
+                l < exact_from
+                    || (planes[l].depth(), planes[l].width() as u64) != (1, blocks(p.n, l))
+            })
+            .map(|l| LayoutError::Plane {
+                level: l,
+                depth: planes[l].depth(),
+                width: planes[l].width(),
+            });
+        misfit.map_or(Ok(grids), Err)
+    }
 }
 
 impl<B: CounterBackend> RangeSumSketch<B> {
     /// Creates a range-sum sketch over `[0, params.n)` with an explicit
-    /// counter backend. Each dyadic level gets its own Count-Median
-    /// sketch of the given width/depth (coarser levels have fewer
-    /// distinct blocks but reuse the same width for simplicity; memory
-    /// is `O(log n · s · d)`).
+    /// counter backend, in the layout the rule gives `params` (see the
+    /// type's docs). No level holds more cells than it has blocks or
+    /// than a grid has, so memory is `O(min(n, log n · w · d))` cells.
     pub fn with_backend(params: &SketchParams) -> Self {
-        let n = params.n;
-        let num_levels = 64 - (n.max(2) - 1).leading_zeros() as usize + 1; // ceil(log2 n) + 1
-        let levels = (0..num_levels)
+        Self::with_grid_levels(params, rule_grid_levels(&effective(params)))
+    }
+
+    /// Creates an empty stack whose first `grid_levels` levels are
+    /// grids — the layout [`grid_levels_of`](RangeSumSketch::grid_levels_of)
+    /// read off a shipped stack of planes, which is how an older layout
+    /// is rebuilt as it was. Grid level `ℓ` is seeded
+    /// `params.seed + 0x9E37·(ℓ+1)`.
+    ///
+    /// # Panics
+    /// Panics unless `grid_levels` lies between the rule's cut and the
+    /// level count, the layouts whose planes can be told apart.
+    pub fn with_grid_levels(params: &SketchParams, grid_levels: usize) -> Self {
+        let params = effective(params);
+        let (n, levels) = (params.n, num_levels(params.n));
+        let exact_from = rule_grid_levels(&params);
+        assert!(
+            (exact_from..=levels).contains(&grid_levels),
+            "{grid_levels} grid levels: a stack of {levels} levels over this shape needs {exact_from} to {levels}"
+        );
+        let grids = (0..grid_levels)
             .map(|l| {
-                let blocks = ((n + (1u64 << l) - 1) >> l).max(1);
-                let mut p = *params;
-                p.n = blocks;
+                let mut p = params;
+                p.n = blocks(n, l);
                 p.seed = params.seed.wrapping_add(0x9E37 * (l as u64 + 1));
                 CountMedian::with_backend(&p)
             })
             .collect();
-        Self { n, levels }
+        let exact = (grid_levels..levels)
+            .map(|l| CellGrid::new(blocks(n, l) as usize, 1, params.cell))
+            .collect();
+        Self {
+            params,
+            grids,
+            exact,
+        }
     }
 
     /// Number of dyadic levels.
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.grids.len() + self.exact.len()
+    }
+
+    /// Number of leading levels stored as Count-Median grids; the rest
+    /// are exact.
+    pub fn grid_levels(&self) -> usize {
+        self.grids.len()
+    }
+
+    /// Every level's counters, finest first.
+    fn cells(&self) -> impl Iterator<Item = &CellGrid<B>> {
+        self.grids.iter().map(CountMedian::cells).chain(&self.exact)
+    }
+
+    /// Mutable [`cells`](Self::cells).
+    fn cells_mut(&mut self) -> impl Iterator<Item = &mut CellGrid<B>> {
+        self.grids
+            .iter_mut()
+            .map(CountMedian::cells_mut)
+            .chain(&mut self.exact)
+    }
+
+    /// Block `block`'s sum at `level`: a point estimate on a grid, the
+    /// cell itself on an exact level.
+    fn block_sum(&self, level: usize, block: u64) -> f64 {
+        match self.grids.get(level) {
+            Some(grid) => grid.estimate(block),
+            None => self.exact[level - self.grids.len()].get_f64(0, block as usize),
+        }
+    }
+
+    /// [`block_sum`](Self::block_sum) from a snapshot.
+    fn block_sum_in(&self, snap: &[CounterMatrix<f64, Dense>], level: usize, block: u64) -> f64 {
+        match self.grids.get(level) {
+            Some(grid) => grid.estimate_in(&snap[level], block),
+            None => snap[level].get(0, block as usize),
+        }
+    }
+
+    fn check_compatible(&self, other: &Self) -> Result<(), MergeError> {
+        check_same_params(&self.params, &other.params)?;
+        if self.grids.len() != other.grids.len() {
+            return Err(MergeError::ShapeMismatch {
+                what: "dyadic layouts",
+            });
+        }
+        Ok(())
     }
 
     /// Standard dyadic decomposition shared by the live and snapshot
     /// query paths: greedily take the largest aligned block starting at
-    /// `lo` that stays within `hi`, reading each block's estimate
-    /// through `block_estimate(level, block)`.
-    fn decompose(&self, a: u64, b: u64, mut block_estimate: impl FnMut(usize, u64) -> f64) -> f64 {
-        assert!(a <= b && b < self.n, "invalid range [{a}, {b}]");
+    /// `lo` that stays within `hi`, reading each block's sum through
+    /// `block_sum(level, block)`.
+    fn decompose(&self, a: u64, b: u64, mut block_sum: impl FnMut(usize, u64) -> f64) -> f64 {
+        assert!(a <= b && b < self.params.n, "invalid range [{a}, {b}]");
         let mut lo = a;
         let hi = b;
         let mut sum = 0.0;
@@ -91,11 +316,11 @@ impl<B: CounterBackend> RangeSumSketch<B> {
             } else {
                 lo.trailing_zeros() as usize
             };
-            let mut l = align.min(self.levels.len() - 1);
+            let mut l = align.min(self.num_levels() - 1);
             while l > 0 && lo + (1u64 << l) - 1 > hi {
                 l -= 1;
             }
-            sum += block_estimate(l, lo >> l);
+            sum += block_sum(l, lo >> l);
             let step = 1u64 << l;
             if lo > hi - (step - 1) {
                 break;
@@ -113,26 +338,25 @@ impl<B: CounterBackend> RangeSumSketch<B> {
     /// # Panics
     /// Panics if `a > b` or `b ≥ n`.
     pub fn query(&self, a: u64, b: u64) -> f64 {
-        self.decompose(a, b, |l, block| self.levels[l].estimate(block))
+        self.decompose(a, b, |l, block| self.block_sum(l, block))
     }
 
     /// [`query`](RangeSumSketch::query) answered **from a frozen
-    /// snapshot** (see [`Snapshottable`]): every dyadic point estimate
-    /// reads the snapshot's counters, so the whole decomposition
-    /// reflects one consistent stream prefix even while writers feed
-    /// the live sketch.
+    /// snapshot** (see [`Snapshottable`]): every dyadic block reads the
+    /// snapshot's counters, so the whole decomposition reflects one
+    /// consistent stream prefix even while writers feed the live
+    /// sketch.
     ///
     /// # Panics
     /// Panics if `a > b`, `b ≥ n`, or the snapshot has the wrong shape.
     pub fn query_in(&self, snap: &<Self as Snapshottable>::Snapshot, a: u64, b: u64) -> f64 {
         assert_eq!(
             snap.len(),
-            self.levels.len(),
+            self.num_levels(),
             "snapshot level count mismatch"
         );
-        self.decompose(a, b, |l, block| self.levels[l].estimate_in(&snap[l], block))
+        self.decompose(a, b, |l, block| self.block_sum_in(snap, l, block))
     }
-
     /// [`rank`](RangeSumSketch::rank) from a frozen snapshot: the
     /// prefix mass `Σ_{i ≤ v} x_i` as of the snapshot's stream prefix.
     pub fn rank_in(&self, snap: &<Self as Snapshottable>::Snapshot, v: u64) -> f64 {
@@ -156,9 +380,9 @@ impl<B: CounterBackend> RangeSumSketch<B> {
     /// Panics unless `0 < phi ≤ 1`.
     pub fn quantile(&self, phi: f64) -> u64 {
         assert!(phi > 0.0 && phi <= 1.0, "phi must be in (0,1], got {phi}");
-        let total = self.query(0, self.n - 1);
+        let total = self.query(0, self.params.n - 1);
         let target = phi * total;
-        let (mut lo, mut hi) = (0u64, self.n - 1);
+        let (mut lo, mut hi) = (0u64, self.params.n - 1);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if self.rank(mid) >= target {
@@ -178,51 +402,56 @@ impl<B: CounterBackend> RangeSumSketch<B> {
 /// what lets the stack ride every generic ingest and serving path —
 /// `ShardedIngest`, `ConcurrentIngest`, `QueryEngine` — unchanged.
 impl<B: CounterBackend> Reseedable for RangeSumSketch<B> {
-    /// The top-level parameters are reconstructed from level 0: the
-    /// struct stores only `n` and the per-level sketches (the serde
-    /// wire format predates rotation), and level `l`'s seed is
-    /// `master + 0x9E37·(l+1)` by construction, so the master is
-    /// exactly `level0.seed − 0x9E37`.
+    /// The stack's own parameters, with the width its grids use
+    /// (multiply-shift and one-hash round it up to a power of two).
+    /// They determine the layout rule's cut even when no level is a
+    /// grid, which is why the stack keeps them rather than reading
+    /// them off level 0.
     fn config(&self) -> SketchParams {
-        let mut p = self.levels[0].config();
-        p.n = self.n;
-        p.seed = p.seed.wrapping_sub(0x9E37);
-        p
+        self.params
     }
 
+    /// A fresh stack in the same layout, under a new seed.
     fn reseeded(&self, seed: u64) -> Self {
-        Self::with_backend(&self.config().with_seed(seed))
+        Self::with_grid_levels(&self.params.with_seed(seed), self.grids.len())
     }
 }
 
 impl<B: CounterBackend> PointQuerySketch for RangeSumSketch<B> {
     fn update(&mut self, item: u64, delta: f64) {
-        assert!(item < self.n, "item outside universe");
-        for (l, sketch) in self.levels.iter_mut().enumerate() {
-            sketch.update(item >> l, delta);
+        assert!(item < self.params.n, "item outside universe");
+        for (l, grid) in self.grids.iter_mut().enumerate() {
+            grid.update(item >> l, delta);
+        }
+        for (l, cells) in (self.grids.len()..).zip(&mut self.exact) {
+            cells.add_f64(0, (item >> l) as usize, delta);
         }
     }
 
-    /// Applies a batch of updates level-major: items are shifted into
-    /// each dyadic level's block coordinates incrementally, then handed
-    /// to that level's [`CountMedian::update_batch`] fast path — so
-    /// under `bas_hash::HashKind::OneHash` every dyadic level takes
-    /// the blocked row-major kernel for free. One
-    /// scratch buffer serves all levels. Bit-for-bit equivalent to
-    /// calling [`update`](PointQuerySketch::update) per item (each
+    /// Applies a batch of updates level-major. Grid levels get the
+    /// items shifted into their block coordinates incrementally, one
+    /// scratch buffer for all of them, through
+    /// [`CountMedian::update_batch`], so under
+    /// `bas_hash::HashKind::OneHash` they take the blocked row-major
+    /// kernel. Exact levels run the same blocked sweep with one row,
+    /// each item landing in cell `item >> ℓ`. Bit-for-bit equivalent
+    /// to calling [`update`](PointQuerySketch::update) per item (each
     /// counter sees the same deltas in the same order).
     fn update_batch(&mut self, items: &[(u64, f64)]) {
         for &(item, _) in items {
-            assert!(item < self.n, "item outside universe");
+            assert!(item < self.params.n, "item outside universe");
         }
         let mut shifted = items.to_vec();
-        for (l, sketch) in self.levels.iter_mut().enumerate() {
+        for (l, grid) in self.grids.iter_mut().enumerate() {
             if l > 0 {
                 for u in &mut shifted {
                     u.0 >>= 1;
                 }
             }
-            sketch.update_batch(&shifted);
+            grid.update_batch(&shifted);
+        }
+        for (l, cells) in (self.grids.len()..).zip(&mut self.exact) {
+            cells.apply_rows_blocked_f64(items, |b, c, v| exact_cells(l, b, c, v));
         }
     }
 
@@ -230,16 +459,16 @@ impl<B: CounterBackend> PointQuerySketch for RangeSumSketch<B> {
     /// reads level 0 only — identical to `query(item, item)`, which the
     /// dyadic decomposition also answers entirely at level 0.
     fn estimate(&self, item: u64) -> f64 {
-        assert!(item < self.n, "item outside universe");
-        self.levels[0].estimate(item)
+        assert!(item < self.params.n, "item outside universe");
+        self.block_sum(0, item)
     }
 
     fn universe(&self) -> u64 {
-        self.n
+        self.params.n
     }
 
     fn size_in_words(&self) -> usize {
-        self.levels.iter().map(|s| s.size_in_words()).sum()
+        self.cells().map(CellGrid::len).sum()
     }
 
     fn label(&self) -> &'static str {
@@ -248,26 +477,22 @@ impl<B: CounterBackend> PointQuerySketch for RangeSumSketch<B> {
 }
 
 impl<B: CounterBackend> MergeableSketch for RangeSumSketch<B> {
-    /// Merges another range-sum sketch built with identical parameters,
-    /// level by level.
+    /// Merges another range-sum sketch built with identical parameters
+    /// and layout, cell by cell on every level.
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.n != other.n || self.levels.len() != other.levels.len() {
-            return Err(MergeError::ShapeMismatch { what: "universes" });
-        }
-        for (a, b) in self.levels.iter_mut().zip(other.levels.iter()) {
-            a.merge_from(b)?;
+        self.check_compatible(other)?;
+        for (mine, theirs) in self.cells_mut().zip(other.cells()) {
+            mine.add_grid(theirs);
         }
         Ok(())
     }
 
-    /// Exact counter subtraction, level by level (every dyadic level is
-    /// a linear Count-Median).
+    /// Exact counter subtraction, level by level (every level is
+    /// linear).
     fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.n != other.n || self.levels.len() != other.levels.len() {
-            return Err(MergeError::ShapeMismatch { what: "universes" });
-        }
-        for (a, b) in self.levels.iter_mut().zip(other.levels.iter()) {
-            a.subtract_from(b)?;
+        self.check_compatible(other)?;
+        for (mine, theirs) in self.cells_mut().zip(other.cells()) {
+            mine.sub_grid(theirs);
         }
         Ok(())
     }
@@ -277,59 +502,78 @@ impl<B: SharedBackend> SharedSketch for RangeSumSketch<B> {
     /// Applies `x_item ← x_item + delta` through a **shared** reference
     /// — one shared update per dyadic level.
     fn update_shared(&self, item: u64, delta: f64) {
-        assert!(item < self.n, "item outside universe");
-        for (l, sketch) in self.levels.iter().enumerate() {
-            sketch.update_shared(item >> l, delta);
+        assert!(item < self.params.n, "item outside universe");
+        for (l, grid) in self.grids.iter().enumerate() {
+            grid.update_shared(item >> l, delta);
+        }
+        for (l, cells) in (self.grids.len()..).zip(&self.exact) {
+            cells.add_shared_f64(0, (item >> l) as usize, delta);
         }
     }
 
-    /// Shared-reference batch update: shifts items into each level's
-    /// block coordinates and feeds that level's
-    /// [`SharedSketch::update_batch_shared`] kernel.
+    /// The shared-reference form of
+    /// [`update_batch`](PointQuerySketch::update_batch): grid levels
+    /// feed their [`SharedSketch::update_batch_shared`] kernel, exact
+    /// levels the shared one-row sweep.
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         for &(item, _) in items {
-            assert!(item < self.n, "item outside universe");
+            assert!(item < self.params.n, "item outside universe");
         }
         let mut shifted = items.to_vec();
-        for (l, sketch) in self.levels.iter().enumerate() {
+        for (l, grid) in self.grids.iter().enumerate() {
             if l > 0 {
                 for u in &mut shifted {
                     u.0 >>= 1;
                 }
             }
-            sketch.update_batch_shared(&shifted);
+            grid.update_batch_shared(&shifted);
+        }
+        for (l, cells) in (self.grids.len()..).zip(&self.exact) {
+            cells.apply_rows_blocked_shared_f64(items, |b, c, v| exact_cells(l, b, c, v));
         }
     }
 }
 
 impl<B: CounterBackend> Snapshottable for RangeSumSketch<B> {
-    /// One frozen Count-Median matrix per dyadic level, coarsest last.
+    /// One frozen plane per dyadic level, coarsest last: `d × w` for a
+    /// grid level, `1 × blocks` for an exact one.
     type Snapshot = Vec<CounterMatrix<f64, Dense>>;
 
     fn make_snapshot(&self) -> Self::Snapshot {
-        self.levels.iter().map(|s| s.make_snapshot()).collect()
+        self.cells()
+            .map(|cells| CounterMatrix::new(cells.width(), cells.depth()))
+            .collect()
     }
 
     fn snapshot_into(&self, snap: &mut Self::Snapshot) {
         assert_eq!(
             snap.len(),
-            self.levels.len(),
+            self.num_levels(),
             "snapshot level count mismatch"
         );
-        for (sketch, level_snap) in self.levels.iter().zip(snap.iter_mut()) {
-            sketch.snapshot_into(level_snap);
+        for (cells, level_snap) in self.cells().zip(snap.iter_mut()) {
+            cells.snapshot_into_f64(level_snap);
         }
     }
 
     fn estimate_in(&self, snap: &Self::Snapshot, item: u64) -> f64 {
-        assert!(item < self.n, "item outside universe");
-        self.levels[0].estimate_in(&snap[0], item)
+        assert!(item < self.params.n, "item outside universe");
+        self.block_sum_in(snap, 0, item)
     }
 
     /// Point estimates read level 0 only, and level 0's universe is
-    /// this sketch's, so the scan is level 0's.
+    /// this sketch's, so the scan is level 0's: Count-Median's blocked
+    /// scan on a grid, a plain filter over the cells when exact.
     fn items_at_least_in(&self, snap: &Self::Snapshot, threshold: f64, out: &mut Vec<HeavyHitter>) {
-        self.levels[0].items_at_least_in(&snap[0], threshold, out);
+        match self.grids.first() {
+            Some(grid) => grid.items_at_least_in(&snap[0], threshold, out),
+            None => out.extend(
+                (0..)
+                    .zip(snap[0].row(0))
+                    .filter(|&(_, &estimate)| estimate >= threshold)
+                    .map(|(item, &estimate)| HeavyHitter { item, estimate }),
+            ),
+        }
     }
 
     /// Linear level by level: always `Ok`.
@@ -339,8 +583,8 @@ impl<B: CounterBackend> Snapshottable for RangeSumSketch<B> {
         other: &Self::Snapshot,
     ) -> Result<(), MergeError> {
         assert_eq!(snap.len(), other.len(), "snapshot level count mismatch");
-        for (sketch, (mine, theirs)) in self.levels.iter().zip(snap.iter_mut().zip(other.iter())) {
-            sketch.merge_snapshot(mine, theirs)?;
+        for (mine, theirs) in snap.iter_mut().zip(other) {
+            mine.add_matrix(theirs);
         }
         Ok(())
     }
@@ -354,25 +598,34 @@ impl<B: CounterBackend> Snapshottable for RangeSumSketch<B> {
         other: &Self::Snapshot,
     ) -> Result<(), MergeError> {
         assert_eq!(snap.len(), other.len(), "snapshot level count mismatch");
-        for (sketch, (mine, theirs)) in self.levels.iter().zip(snap.iter_mut().zip(other.iter())) {
-            sketch.subtract_snapshot(mine, theirs)?;
+        for (mine, theirs) in snap.iter_mut().zip(other) {
+            mine.sub_matrix(theirs);
         }
         Ok(())
     }
 }
 
-/// The dyadic stack absorbs level by level — each level is a linear
-/// Count-Median, so a shipped stack of planes rebuilds the whole
-/// hierarchy exactly.
+/// The dyadic stack absorbs level by level — every level is linear,
+/// so a shipped stack of planes rebuilds the whole hierarchy exactly.
+/// A stack of another level count or any plane of another shape is
+/// refused before any cell is written.
 impl<B: SharedBackend> AbsorbPlane for RangeSumSketch<B> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
-        if plane.len() != self.levels.len() {
+        if plane.len() != self.num_levels() {
             return Err(MergeError::ShapeMismatch {
                 what: "dyadic level counts",
             });
         }
-        for (sketch, level_plane) in self.levels.iter().zip(plane.iter()) {
-            sketch.absorb_plane_shared(level_plane)?;
+        let fits = |(cells, p): (&CellGrid<B>, &CounterMatrix<f64, Dense>)| {
+            (cells.width(), cells.depth()) == (p.width(), p.depth())
+        };
+        if !self.cells().zip(plane).all(fits) {
+            return Err(MergeError::ShapeMismatch {
+                what: "dyadic level shapes",
+            });
+        }
+        for (cells, level_plane) in self.cells().zip(plane) {
+            cells.add_plane_shared(level_plane);
         }
         Ok(())
     }

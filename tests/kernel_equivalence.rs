@@ -17,11 +17,14 @@
 //! matches the loop.
 //!
 //! The read-side twin, the blocked heavy-hitter scan behind
-//! `Snapshottable::items_at_least_in`, is held to the same rule at the
-//! end of this file: bit for bit the per-item reference.
+//! `Snapshottable::items_at_least_in`, is held to the same rule further
+//! down: bit for bit the per-item reference. The last section holds the
+//! range-sum stack's exact coarse levels to the oracle and to every
+//! ingest path, backend and read path.
 
 use bias_aware_sketches::hashing::HashKind;
 use bias_aware_sketches::prelude::*;
+use bias_aware_sketches::sketches::{self, AbsorbPlane};
 use proptest::prelude::*;
 
 const N: u64 = 128;
@@ -154,7 +157,8 @@ proptest! {
             &updates,
         );
         // Point estimates plus a few ranges: every dyadic level took
-        // the kernel, so both layers must agree exactly.
+        // a blocked sweep (the kernel on grid levels, one row on exact
+        // ones), so both layers must agree exactly.
         assert_estimates_equal(&b, &l)?;
         for (a, z) in [(0u64, N - 1), (3, 90), (64, 64)] {
             prop_assert_eq!(b.query(a, z), l.query(a, z));
@@ -415,4 +419,340 @@ fn scan_of_a_stream_fed_plane_equals_reference() {
     let snap = cm.snapshot();
     let thresholds: Vec<f64> = [1e-3, 1e-2, 0.1].iter().map(|phi| phi * 20_000.0).collect();
     assert_scan_matches_reference(&cm, &snap, &thresholds, "stream-fed");
+}
+
+// ---- the range-sum stack's exact coarse levels ----
+//
+// A dyadic level with fewer blocks than the w·d cells of a grid is a
+// plain `1 × blocks` vector indexed by `item >> ℓ`. On integer streams
+// with deletions every exact cell must equal the oracle's block sum
+// (wrapped to the cell width), every range that decomposes onto exact
+// levels only must equal the oracle, and every ingest path, backend
+// and read path must agree bit for bit. Universes sit on the split
+// edge (some level with w·d − 1, w·d and w·d + 1 blocks), at d = 1,
+// below w·d (every level exact, the level-0 scan a plain filter) and
+// in between.
+
+/// `⌈n / 2^level⌉`.
+fn blocks_at(n: u64, level: usize) -> u64 {
+    ((n - 1) >> level) + 1
+}
+
+/// The layout rule, restated: levels with at least `w·d` blocks are
+/// grids, the rest exact.
+fn expected_grid_levels(n: u64, width: usize, depth: usize) -> usize {
+    let levels = 64 - (n.max(2) - 1).leading_zeros() as usize + 1;
+    (0..levels)
+        .filter(|&l| blocks_at(n, l) >= (width * depth) as u64)
+        .count()
+}
+
+/// `(n, width, depth)` shapes covering every side of the cut.
+fn layout_shapes() -> Vec<(u64, usize, usize)> {
+    let mut shapes = Vec::new();
+    for (width, depth) in [(16usize, 3usize), (16, 1), (8, 2)] {
+        let cells = (width * depth) as u64;
+        for scale in [1u64, 4] {
+            for n in [cells - 1, cells, cells + 1] {
+                shapes.push((n * scale, width, depth));
+            }
+        }
+        shapes.push((cells * 5 / 6, width, depth)); // below w·d
+    }
+    shapes.extend([(1, 16, 3), (1_000, 16, 3), (1_024, 16, 3)]);
+    shapes
+}
+
+const CELLS: [storage::CellWidth; 5] = [
+    storage::CellWidth::F64,
+    storage::CellWidth::I64,
+    storage::CellWidth::U64,
+    storage::CellWidth::U32,
+    storage::CellWidth::U16,
+];
+
+/// `v` as a cell of width `cell` reads it back: wrapped, signed.
+fn wrapped(v: i64, cell: storage::CellWidth) -> f64 {
+    match cell {
+        storage::CellWidth::U32 => v as i32 as f64,
+        storage::CellWidth::U16 => v as i16 as f64,
+        _ => v as f64,
+    }
+}
+
+/// An integer turnstile stream: deltas in `[-300, 300]`, so per-cell
+/// sums overflow a `U16` cell but no wider one.
+fn integer_stream(n: u64, len: usize, rng: &mut Lcg) -> Vec<(u64, f64)> {
+    (0..len)
+        .map(|_| (rng.below(n), rng.below(601) as f64 - 300.0))
+        .collect()
+}
+
+fn plane_bits(snap: &[CounterMatrix<f64, Dense>]) -> Vec<(usize, usize, Vec<u64>)> {
+    snap.iter()
+        .map(|m| {
+            let bits = (0..m.depth())
+                .flat_map(|r| m.row(r).iter().map(|v| v.to_bits()))
+                .collect();
+            (m.depth(), m.width(), bits)
+        })
+        .collect()
+}
+
+/// Ranges `[k·2^g, m·2^g − 1]` within the universe: the greedy
+/// decomposition covers them with blocks of level `g` or coarser.
+fn exact_only_ranges(n: u64, g: usize) -> Vec<(u64, u64)> {
+    let step = 1u64 << g;
+    let ends = n / step;
+    (0..ends)
+        .flat_map(|k| (k + 1..=ends).map(move |m| (k * step, m * step - 1)))
+        .collect()
+}
+
+/// Every check of one stack configuration against the oracle and
+/// against itself across ingest paths, backends and read paths.
+fn check_stack(params: SketchParams, updates: &[(u64, f64)]) {
+    let what = format!("{params:?}");
+    let n = params.n;
+    let mut looped = RangeSumSketch::new(&params);
+    for &(i, d) in updates {
+        looped.update(i, d);
+    }
+    let mut batched = RangeSumSketch::new(&params);
+    let split = updates.len() * 2 / 3;
+    batched.update_batch(&updates[..split]);
+    batched.update_batch(&updates[split..]);
+    let shared = RangeSumSketch::<Atomic>::with_backend(&params);
+    shared.update_batch_shared(updates);
+    let single = RangeSumSketch::<Atomic>::with_backend(&params);
+    for &(i, d) in updates {
+        single.update_shared(i, d);
+    }
+
+    let g = expected_grid_levels(n, params.width, params.depth);
+    assert_eq!(looped.grid_levels(), g, "{what}");
+    let snap = looped.snapshot();
+    assert_eq!(
+        RangeSumSketch::grid_levels_of(&params, &snap),
+        Ok(g),
+        "{what}"
+    );
+    for (l, plane) in snap.iter().enumerate() {
+        let shape = if l < g {
+            (params.depth, params.width)
+        } else {
+            (1, blocks_at(n, l) as usize)
+        };
+        assert_eq!((plane.depth(), plane.width()), shape, "{what} level {l}");
+    }
+    let bits = plane_bits(&snap);
+    assert_eq!(
+        plane_bits(&batched.snapshot()),
+        bits,
+        "{what}: update_batch"
+    );
+    assert_eq!(plane_bits(&shared.snapshot()), bits, "{what}: shared batch");
+    assert_eq!(
+        plane_bits(&single.snapshot()),
+        bits,
+        "{what}: shared update"
+    );
+
+    // Exact cells against the oracle's block sums.
+    let mut x = vec![0i64; n as usize];
+    for &(i, d) in updates {
+        x[i as usize] += d as i64;
+    }
+    for (l, plane) in snap.iter().enumerate().skip(g) {
+        for (j, &cell) in plane.row(0).iter().enumerate() {
+            let lo = j << l;
+            let hi = ((j + 1) << l).min(n as usize);
+            let sum: i64 = x[lo..hi].iter().sum();
+            assert_eq!(
+                cell,
+                wrapped(sum, params.cell),
+                "{what} level {l} block {j}"
+            );
+        }
+    }
+    if params.cell != storage::CellWidth::U16 {
+        for (a, b) in exact_only_ranges(n, g) {
+            let sum: i64 = x[a as usize..=b as usize].iter().sum();
+            assert_eq!(looped.query(a, b), sum as f64, "{what} [{a}, {b}]");
+        }
+    }
+
+    // Live and snapshot answers, every path, bit for bit.
+    let mut rng = Lcg(n ^ 0x2A);
+    let mut ranges: Vec<(u64, u64)> = (0..40)
+        .map(|_| {
+            let (a, b) = (rng.below(n), rng.below(n));
+            (a.min(b), a.max(b))
+        })
+        .collect();
+    ranges.push((0, n - 1));
+    for &(a, b) in &ranges {
+        let want = looped.query(a, b).to_bits();
+        assert_eq!(looped.query_in(&snap, a, b).to_bits(), want, "{what}");
+        assert_eq!(batched.query(a, b).to_bits(), want, "{what}");
+        assert_eq!(shared.query(a, b).to_bits(), want, "{what}");
+        assert_eq!(single.query(a, b).to_bits(), want, "{what}");
+    }
+    for i in 0..n {
+        let want = looped.estimate(i).to_bits();
+        assert_eq!(
+            looped.estimate_in(&snap, i).to_bits(),
+            want,
+            "{what} item {i}"
+        );
+        assert_eq!(shared.estimate(i).to_bits(), want, "{what} item {i}");
+    }
+    let thresholds = [f64::NEG_INFINITY, -3.0, 0.0, 1.0, 200.0];
+    assert_scan_matches_reference(&looped, &snap, &thresholds, &what);
+}
+
+#[test]
+fn exact_levels_equal_the_oracle_on_every_path() {
+    let mut rng = Lcg(0xE4AC7);
+    for (n, width, depth) in layout_shapes() {
+        for kind in [HashKind::OneHash, HashKind::CarterWegman] {
+            for cell in CELLS {
+                let params = SketchParams::new(n, width, depth)
+                    .with_seed(rng.below(1_000))
+                    .with_hash_kind(kind)
+                    .with_cell(cell);
+                let updates = integer_stream(n, 700, &mut rng);
+                check_stack(params, &updates);
+            }
+        }
+    }
+}
+
+/// The shapes the cut reads back: the level with exactly `w·d` blocks
+/// stays a grid (at d = 1 its plane is `1 × w`, an exact level's shape
+/// if the cut were `≤`), while a stack in the older all-grid layout
+/// reads back as all grids. Planes that fit no layout are named.
+#[test]
+fn plane_shapes_name_their_layout() {
+    for (n, width, depth) in layout_shapes() {
+        let params = SketchParams::new(n, width, depth).with_seed(5);
+        let levels = RangeSumSketch::new(&params).num_levels();
+        let g = expected_grid_levels(n, width, depth);
+        for layout in [g, levels] {
+            let rs = RangeSumSketch::<Dense>::with_grid_levels(&params, layout);
+            assert_eq!(rs.num_levels(), levels);
+            assert_eq!(
+                RangeSumSketch::grid_levels_of(&params, &rs.snapshot()),
+                Ok(layout),
+                "n {n}, {width} x {depth}"
+            );
+        }
+        let mut snap = RangeSumSketch::new(&params).snapshot();
+        let last = snap.len() - 1;
+        snap[last] = CounterMatrix::new(2, 3);
+        assert_eq!(
+            RangeSumSketch::grid_levels_of(&params, &snap),
+            Err(sketches::LayoutError::Plane {
+                level: last,
+                depth: 3,
+                width: 2
+            })
+        );
+        snap.pop();
+        assert_eq!(
+            RangeSumSketch::grid_levels_of(&params, &snap),
+            Err(sketches::LayoutError::Levels {
+                got: levels - 1,
+                want: levels
+            })
+        );
+    }
+}
+
+/// Merge, subtract, plane absorption and window subtraction on mixed
+/// stacks: each lands bit for bit on the stack fed the matching
+/// stream, for every cell width.
+#[test]
+fn mixed_stacks_merge_subtract_absorb_and_window_exactly() {
+    let mut rng = Lcg(0x11AE);
+    for (n, width, depth) in layout_shapes() {
+        for cell in CELLS {
+            let params = SketchParams::new(n, width, depth)
+                .with_seed(rng.below(1_000))
+                .with_hash_kind(HashKind::OneHash)
+                .with_cell(cell);
+            let what = format!("{params:?}");
+            let (a, b) = (
+                integer_stream(n, 300, &mut rng),
+                integer_stream(n, 300, &mut rng),
+            );
+            let fed = |parts: &[&[(u64, f64)]]| {
+                let mut rs = RangeSumSketch::new(&params);
+                for part in parts {
+                    rs.update_batch(part);
+                }
+                rs
+            };
+            let both = plane_bits(&fed(&[&a, &b]).snapshot());
+            let only_b = plane_bits(&fed(&[&b]).snapshot());
+
+            let mut merged = fed(&[&a]);
+            merged.merge_from(&fed(&[&b])).unwrap();
+            assert_eq!(plane_bits(&merged.snapshot()), both, "{what}: merge");
+            let mut diff = fed(&[&a, &b]);
+            diff.subtract_from(&fed(&[&a])).unwrap();
+            assert_eq!(plane_bits(&diff.snapshot()), only_b, "{what}: subtract");
+
+            let whole = fed(&[&a, &b]);
+            let mut snap = fed(&[&a]).snapshot();
+            whole
+                .merge_snapshot(&mut snap, &fed(&[&b]).snapshot())
+                .unwrap();
+            assert_eq!(plane_bits(&snap), both, "{what}: merge_snapshot");
+            whole
+                .subtract_snapshot(&mut snap, &fed(&[&a]).snapshot())
+                .unwrap();
+            assert_eq!(plane_bits(&snap), only_b, "{what}: subtract_snapshot");
+
+            let absorbed = RangeSumSketch::<Atomic>::with_backend(&params);
+            absorbed.absorb_plane_shared(&whole.snapshot()).unwrap();
+            assert_eq!(plane_bits(&absorbed.snapshot()), both, "{what}: absorb");
+            for (lo, hi) in [(0, n - 1), (n / 3, n - 1 - n / 5)] {
+                assert_eq!(
+                    absorbed.query(lo, hi).to_bits(),
+                    whole.query(lo, hi).to_bits(),
+                    "{what}"
+                );
+            }
+
+            // A sliding window of two intervals over three: the window
+            // answer is the stack fed only the last two.
+            let c = integer_stream(n, 300, &mut rng);
+            let mut engine = QueryEngine::with_policy(
+                1,
+                RangeSumSketch::<Atomic>::with_backend(&params),
+                Sliding::new(2).unwrap(),
+            );
+            for part in [&a, &b] {
+                engine.extend_from_slice(part);
+                engine.advance_interval();
+            }
+            engine.extend_from_slice(&c);
+            engine.flush();
+            let window = fed(&[&b, &c]);
+            let mut ranges = vec![(0, n - 1)];
+            ranges.extend(
+                exact_only_ranges(n, window.grid_levels())
+                    .into_iter()
+                    .take(50),
+            );
+            for (lo, hi) in ranges {
+                assert_eq!(
+                    engine.range_sum_in_window(lo, hi).unwrap().to_bits(),
+                    window.query(lo, hi).to_bits(),
+                    "{what}: window [{lo}, {hi}]"
+                );
+            }
+        }
+    }
 }

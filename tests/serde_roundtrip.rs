@@ -8,7 +8,7 @@ use bias_aware_sketches::hashing::{
     BucketHasher, CarterWegman, SignHash, SignHasher, SplitMix64, Tabulation,
 };
 use bias_aware_sketches::prelude::*;
-use bias_aware_sketches::sketches::storage::{Atomic, CounterMatrix, Dense};
+use bias_aware_sketches::sketches::storage::{self, Atomic, CounterMatrix, Dense};
 
 fn populated<T: PointQuerySketch>(mut sk: T) -> T {
     for i in 0..400u64 {
@@ -40,6 +40,37 @@ fn count_median_roundtrip_and_merge() {
     for j in (0..400u64).step_by(13) {
         assert!((back.estimate(j) - 2.0 * a.estimate(j)).abs() < 1e-9);
     }
+}
+
+/// The range-sum stack ships its params, its grid levels and its exact
+/// levels. Both layouts — the rule's mixed stack and the older
+/// all-grid one — come back with the same layout, the same cell width
+/// and bit-for-bit answers, and still merge and take updates.
+#[test]
+fn range_sum_roundtrip_keeps_its_layout_and_answers() {
+    let params = SketchParams::new(1_024, 16, 3)
+        .with_seed(6)
+        .with_cell(storage::CellWidth::U32);
+    for layout in [5, 11] {
+        let original = populated(RangeSumSketch::<Dense>::with_grid_levels(&params, layout));
+        let json = serde_json::to_string(&original).unwrap();
+        let mut back: RangeSumSketch = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.grid_levels(), layout);
+        assert_eq!(back.config(), original.config());
+        for (a, b) in [(0u64, 1_023u64), (0, 31), (64, 511), (9, 9), (100, 900)] {
+            assert_eq!(back.query(a, b).to_bits(), original.query(a, b).to_bits());
+        }
+        back.merge_from(&original).unwrap();
+        back.update(3, 1.0);
+        assert_eq!(back.query(0, 1_023), 2.0 * original.query(0, 1_023) + 1.0);
+    }
+    let atomic = populated(RangeSumSketch::<Atomic>::with_backend(&params));
+    let back: RangeSumSketch =
+        serde_json::from_str(&serde_json::to_string(&atomic).unwrap()).unwrap();
+    assert_eq!(
+        back.query(10, 700).to_bits(),
+        atomic.query(10, 700).to_bits()
+    );
 }
 
 #[test]

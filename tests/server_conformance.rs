@@ -9,13 +9,15 @@
 //! exact and bit-for-bit equality is the honest assertion (the same
 //! contract `tests/linearity.rs` pins down for merges).
 
+use bias_aware_sketches::hashing::HashKind;
 use bias_aware_sketches::prelude::*;
 use bias_aware_sketches::server::wire::{
-    HeavyHittersQuery, IngestFrame, PointQuery, RangeQuery, TenantRef,
+    HeavyHittersQuery, IngestFrame, PointQuery, RangeQuery, SealFrame, TenantRef,
 };
 use bias_aware_sketches::server::{
-    call, read_frame, serve_connection, write_frame, Fabric, FabricConfig, Request, Response,
-    ServingMode, TenantSpec, WindowLen, WireError, MAX_FRAME_BYTES,
+    call, read_frame, recover, serve_connection, write_frame, Fabric, FabricConfig, Journal,
+    JournalRecord, Request, Response, ServingMode, ShardRecord, TenantSpec, TenantTransfer,
+    WindowLen, WireError, MAX_FRAME_BYTES,
 };
 
 const N: u64 = 4_096;
@@ -883,7 +885,8 @@ fn hostile_updates_are_rejected_and_admit_nothing() {
 /// `inf`, so a `Value` of +inf used to go out as `null` and arrive as
 /// NaN. Two admitted deltas of 1e308 overflow an `F64` cell to +inf;
 /// the point answer, the heavy-hitter list and a range sum that reach
-/// that cell are refused alike, in process and through the wire, while
+/// that cell are refused alike, and so is the `Stats` reply, whose
+/// `mass` overflows with them: in process and through the wire, while
 /// the tenant keeps answering everything that stays finite.
 #[test]
 fn non_finite_answers_are_typed_errors() {
@@ -911,6 +914,10 @@ fn non_finite_answers_are_typed_errors() {
         (
             Request::Point(PointQuery { tenant: 1, item: 7 }),
             "tenant 1: the answer for item 7 is inf",
+        ),
+        (
+            Request::Stats(TenantRef { tenant: 1 }),
+            "tenant 1: the answer for mass is inf",
         ),
         (
             Request::HeavyHitters(HeavyHittersQuery {
@@ -951,4 +958,336 @@ fn non_finite_answers_are_typed_errors() {
     // Answers that stay finite are still served.
     let finite = expect_value(fabric.handle(Request::Point(PointQuery { tenant: 1, item: 8 })));
     assert!(finite.is_finite(), "{finite}");
+}
+
+/// Every answer the fabric gives about `tenants`, as bits: points and
+/// window points on frequency tenants, range sums and window range
+/// sums on range-sum tenants, and `Stats`.
+fn answer_bits(fabric: &mut Fabric, tenants: &[u64]) -> Vec<String> {
+    let mut out = Vec::new();
+    for &tenant in tenants {
+        let range = fabric.tenant_spec(tenant).unwrap().metric == MetricKind::RangeSum;
+        let mut reqs = vec![Request::Stats(TenantRef { tenant })];
+        for item in (0..N).step_by(331) {
+            reqs.push(Request::Point(PointQuery { tenant, item }));
+            reqs.push(Request::WindowPoint(PointQuery { tenant, item }));
+            if range {
+                let (lo, hi) = (item / 2, (item + 700).min(N - 1));
+                reqs.push(Request::RangeSum(RangeQuery { tenant, lo, hi }));
+                reqs.push(Request::WindowRangeSum(RangeQuery { tenant, lo, hi }));
+            }
+        }
+        for req in reqs {
+            out.push(match fabric.handle(req) {
+                Response::Value(v) => format!("{:x}", v.value.to_bits()),
+                other => format!("{other:?}"),
+            });
+        }
+    }
+    out
+}
+
+/// `Install` checks a transfer before it builds anything. Each frame
+/// below once either panicked inside `Fabric::handle` — killing its
+/// connection thread with no reply, or `persist::recover` for a
+/// journal holding it — or installed a tenant whose next window query
+/// panicked. Now each is refused with `incompatible` naming the first
+/// bad field, in process and through the wire; nothing is registered,
+/// and every other tenant keeps answering bit for bit.
+#[test]
+fn malformed_transfers_are_refused_and_install_nothing() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric.add_shard(1, 1.0).unwrap();
+    let sliding = ServingMode::Sliding(WindowLen { intervals: 2 });
+    let specs = [
+        TenantSpec::frequency(1, 101).with_mode(sliding),
+        TenantSpec::range_sum(2, 202).with_mode(sliding),
+        TenantSpec::frequency(3, 303),
+    ];
+    for spec in specs {
+        fabric.register_tenant(spec).unwrap();
+        for round in 0..3u64 {
+            let updates = stream(spec.tenant * 7 + round, 300);
+            fabric.handle(Request::Ingest(IngestFrame {
+                tenant: spec.tenant,
+                updates,
+            }));
+            fabric.handle(Request::AdvanceInterval(TenantRef {
+                tenant: spec.tenant,
+            }));
+        }
+    }
+    let mut export = |tenant: u64| match fabric.handle(Request::Export(TenantRef { tenant })) {
+        Response::Exported(mut transfer) => {
+            transfer.spec.tenant = 9; // install it beside the source
+            transfer
+        }
+        other => panic!("{other:?}"),
+    };
+    let (freq, range) = (export(1), export(2));
+    assert_eq!(freq.seals.len(), 2);
+    let before = answer_bits(&mut fabric, &[1, 2, 3]);
+
+    let edit = |base: &TenantTransfer, f: &dyn Fn(&mut TenantTransfer)| {
+        let mut t = base.clone();
+        f(&mut t);
+        t
+    };
+    let cases = [
+        (
+            edit(&freq, &|t| {
+                t.seals[0].planes = vec![CounterMatrix::new(1, 3)]
+            }),
+            "seals[0].planes",
+        ),
+        (
+            edit(&freq, &|t| t.cumulative = vec![CounterMatrix::new(1, 3)]),
+            "cumulative",
+        ),
+        (edit(&freq, &|t| t.seals.reverse()), "seals[1].interval"),
+        (edit(&freq, &|t| t.interval = 0), "interval"),
+        (
+            edit(&range, &|t| t.cumulative[4] = CounterMatrix::new(3, 1)),
+            "cumulative",
+        ),
+        (
+            edit(&range, &|t| {
+                t.seals[1].planes[0] = CounterMatrix::new(16, 5)
+            }),
+            "seals[1].planes",
+        ),
+    ];
+    for (transfer, field) in cases {
+        let req = Request::Install(transfer);
+        let resp = fabric.handle(req.clone());
+        match &resp {
+            Response::Error(e) => {
+                assert_eq!(e.code, "incompatible", "{field}: {e:?}");
+                let prefix = format!("tenant 9: {field}: ");
+                assert!(e.detail.starts_with(&prefix), "{field}: {e:?}");
+            }
+            other => panic!("{field}: expected incompatible, got {other:?}"),
+        }
+        match fabric.handle(Request::Stats(TenantRef { tenant: 9 })) {
+            Response::Error(e) => assert_eq!(e.code, "unknown_tenant", "{field}"),
+            other => panic!("{field}: {other:?}"),
+        }
+        let mut frames = Vec::new();
+        write_frame(&mut frames, &req).unwrap();
+        let mut replies = Vec::new();
+        serve_connection(&mut fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        let wired: Response = read_frame(&mut &replies[..], MAX_FRAME_BYTES)
+            .unwrap()
+            .unwrap();
+        assert_eq!(wired, resp, "{field}");
+    }
+    assert_eq!(fabric.tenant_count(), 3);
+    assert_eq!(answer_bits(&mut fabric, &[1, 2, 3]), before);
+
+    // The untouched transfers install, and answer as their sources do
+    // (past the `Stats` line, which names the tenant and its shard).
+    let range = edit(&range, &|t| t.spec.tenant = 10);
+    for (transfer, source) in [(freq, 1u64), (range, 2)] {
+        let copy = transfer.spec.tenant;
+        assert!(matches!(
+            fabric.handle(Request::Install(transfer)),
+            Response::Installed(_)
+        ));
+        assert_eq!(
+            answer_bits(&mut fabric, &[copy])[1..],
+            answer_bits(&mut fabric, &[source])[1..]
+        );
+    }
+}
+
+/// The range-sum stack as it was before exact coarse levels: every
+/// level a Count-Median grid, level `ℓ` built with `n = ⌈n / 2^ℓ⌉`
+/// and seed `seed + 0x9E37·(ℓ+1)`, a range answered by the greedy
+/// dyadic decomposition. Written out here, independent of
+/// `RangeSumSketch`, to stand for the answers such a stack gave.
+struct AllGridStack {
+    levels: Vec<CountMedian>,
+}
+
+impl AllGridStack {
+    fn new(params: SketchParams) -> Self {
+        let n = params.n;
+        let count = 64 - (n - 1).leading_zeros() as usize + 1;
+        let levels = (0..count)
+            .map(|l| {
+                let mut p = params;
+                p.n = ((n - 1) >> l) + 1;
+                p.seed = params.seed.wrapping_add(0x9E37 * (l as u64 + 1));
+                CountMedian::new(&p)
+            })
+            .collect();
+        Self { levels }
+    }
+
+    fn update(&mut self, updates: &[(u64, f64)]) {
+        for &(item, delta) in updates {
+            for (l, level) in self.levels.iter_mut().enumerate() {
+                level.update(item >> l, delta);
+            }
+        }
+    }
+
+    fn planes(&self) -> Vec<CounterMatrix<f64, Dense>> {
+        self.levels.iter().map(|l| l.snapshot()).collect()
+    }
+
+    /// A range over `planes`, block by block as the old stack read it.
+    fn range_in(&self, planes: &[CounterMatrix<f64, Dense>], a: u64, b: u64) -> f64 {
+        let (mut lo, mut sum) = (a, 0.0);
+        while lo <= b {
+            let align = if lo == 0 {
+                63
+            } else {
+                lo.trailing_zeros() as usize
+            };
+            let mut l = align.min(self.levels.len() - 1);
+            while l > 0 && lo + (1u64 << l) - 1 > b {
+                l -= 1;
+            }
+            sum += self.levels[l].estimate_in(&planes[l], lo >> l);
+            lo += 1u64 << l;
+        }
+        sum
+    }
+}
+
+/// A range-sum tenant checkpointed before exact coarse levels existed
+/// — every level a grid, sealed under `Sliding(2)` — recovers from its
+/// journal in that layout and answers `RangeSum`, `WindowRangeSum` and
+/// `Point` bit for bit as the old stack did. So it keeps doing after a
+/// rebalance and after a fresh compaction, while a tenant registered
+/// beside it gets the new layout (levels 0–4 grids, 5–10 exact).
+#[test]
+fn all_grid_checkpoints_recover_in_their_layout() {
+    let template = SketchParams::new(1_024, 16, 3).with_hash_kind(HashKind::OneHash);
+    let config = || FabricConfig::new(template);
+    let spec =
+        TenantSpec::range_sum(5, 55).with_mode(ServingMode::Sliding(WindowLen { intervals: 2 }));
+    let params = template.with_seed(55);
+
+    // Intervals 0–2 sealed, 3 in progress; Sliding(2) keeps seals 1–2.
+    let mut old = AllGridStack::new(params);
+    let (mut seals, mut applied, mut mass) = (Vec::new(), 0u64, 0.0);
+    for interval in 0..4u64 {
+        let updates: Vec<(u64, f64)> = stream(interval + 40, 500)
+            .into_iter()
+            .map(|(item, delta)| (item % 1_024, if item % 7 == 0 { -delta } else { delta }))
+            .collect();
+        old.update(&updates);
+        applied += updates.len() as u64;
+        mass += updates.iter().map(|u| u.1).sum::<f64>();
+        if interval < 3 {
+            seals.push(SealFrame {
+                interval,
+                applied,
+                mass,
+                planes: old.planes(),
+            });
+        }
+    }
+    let cumulative = old.planes();
+    let window: Vec<CounterMatrix<f64, Dense>> = cumulative
+        .iter()
+        .zip(&seals[1].planes)
+        .map(|(c, s)| {
+            let mut w = c.clone();
+            w.sub_matrix(s);
+            w
+        })
+        .collect();
+    let transfer = TenantTransfer {
+        spec,
+        params,
+        interval: 3,
+        applied,
+        mass,
+        cumulative: cumulative.clone(),
+        seals: seals.split_off(1),
+    };
+
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("bas-all-grid-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut journal = Journal::open(&path).unwrap();
+    journal
+        .append(&JournalRecord::ShardAdded(ShardRecord {
+            shard: 0,
+            weight: 1.0,
+        }))
+        .unwrap();
+    journal
+        .append(&JournalRecord::Checkpoint(transfer))
+        .unwrap();
+    drop(journal);
+
+    let ranges: Vec<(u64, u64)> = [(0, 1_023), (0, 31), (32, 1_023), (5, 700), (512, 515)]
+        .into_iter()
+        .chain((0..30).map(|k| (k * 31, (k * 31 + 97 * (k % 5) + 3).min(1_023))))
+        .collect();
+    let check = |fabric: &mut Fabric, when: &str| {
+        for &(lo, hi) in &ranges {
+            let q = RangeQuery { tenant: 5, lo, hi };
+            let got = expect_value(fabric.handle(Request::RangeSum(q)));
+            let want = old.range_in(&cumulative, lo, hi);
+            assert_eq!(got.to_bits(), want.to_bits(), "{when}: [{lo}, {hi}]");
+            let got = expect_value(fabric.handle(Request::WindowRangeSum(q)));
+            let want = old.range_in(&window, lo, hi);
+            assert_eq!(got.to_bits(), want.to_bits(), "{when}: window [{lo}, {hi}]");
+        }
+        for item in (0..1_024u64).step_by(13) {
+            let got = expect_value(fabric.handle(Request::Point(PointQuery { tenant: 5, item })));
+            let want = old.levels[0].estimate_in(&cumulative[0], item);
+            assert_eq!(got.to_bits(), want.to_bits(), "{when}: item {item}");
+        }
+        // Exported again, the stack is still all grids.
+        match fabric.handle(Request::Export(TenantRef { tenant: 5 })) {
+            Response::Exported(t) => assert!(
+                t.cumulative
+                    .iter()
+                    .all(|m| (m.depth(), m.width()) == (3, 16)),
+                "{when}: the layout changed"
+            ),
+            other => panic!("{when}: {other:?}"),
+        }
+    };
+
+    let mut fabric = recover(&path, config()).unwrap();
+    check(&mut fabric, "recovered");
+
+    let mut shard = 1;
+    while fabric.shard_of(5) == Some(0) {
+        fabric.add_shard(shard, 1.0).unwrap();
+        shard += 1;
+    }
+    check(&mut fabric, "rebalanced");
+
+    let mut journal = Journal::open(&path).unwrap();
+    journal.compact(&mut fabric).unwrap();
+    drop(journal);
+    let mut fabric = recover(&path, config()).unwrap();
+    check(&mut fabric, "compacted");
+    std::fs::remove_file(&path).unwrap();
+
+    fabric
+        .register_tenant(TenantSpec::range_sum(6, 66))
+        .unwrap();
+    match fabric.handle(Request::Export(TenantRef { tenant: 6 })) {
+        Response::Exported(t) => {
+            let shapes: Vec<(usize, usize)> = t
+                .cumulative
+                .iter()
+                .map(|m| (m.depth(), m.width()))
+                .collect();
+            let mut want = vec![(3, 16); 5];
+            want.extend((5..11).map(|l| (1, 1_024 >> l)));
+            assert_eq!(shapes, want);
+        }
+        other => panic!("{other:?}"),
+    }
 }
