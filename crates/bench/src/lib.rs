@@ -133,8 +133,6 @@ pub fn print_timing_table(title: &str, results: &[PointQueryResult]) {
     println!("{}", table.to_text());
 }
 
-pub mod report;
-
 #[cfg(test)]
 mod tests {
     use super::*;

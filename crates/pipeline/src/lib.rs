@@ -42,7 +42,7 @@
 //!
 //! `ConcurrentIngest` equals single-threaded ingest bit for bit on any
 //! deltas, `ShardedIngest` on integer deltas (its merge reorders
-//! additions); `throughput_ingest` benches them head-to-head.
+//! additions).
 //!
 //! ## Reading while writing: the epoch module
 //!
@@ -75,9 +75,8 @@
 //! an `Atomic`-backed CM-CU constructs but panics on the first shared
 //! update (see `SharedSketch::update_shared` for `CountMin`).
 //!
-//! The `throughput_ingest` bench in `bas-bench` measures all the
-//! ingest paths (single-item, batched, driven, sharded-`k`,
-//! concurrent-shared-`k`) in items/sec.
+//! The serving ladder (`servebench/`) measures the path the daemon
+//! runs, `ConcurrentIngest` into one shared sketch, rung by rung.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,7 +29,7 @@
 //! `x̂^{(a,b]}_j = Σ_g x̂^g_j`. Each generation's estimate carries its
 //! own Theorem-1 error term, so a K-generation window pays up to K
 //! error terms where the fixed-seed plane pays one — the price of
-//! robustness, quantified head-to-head in the `window_serving` bench.
+//! robustness, tested end to end in `tests/adversarial.rs`.
 //! `bas_serve::RotatingEngine` packages the serving side (window
 //! combination plus query auditing); this module owns the write side.
 
@@ -200,10 +200,18 @@ impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
     /// Swapping the `ConcurrentIngest` itself costs one allocation —
     /// rotation overhead is dominated by the plane allocation for the
     /// next generation (`O(s·d)` words, same as a `PlaneBank` seal).
+    ///
+    /// # Panics
+    /// Panics, before anything is flushed or retired, if the current
+    /// interval is `u64::MAX`: no interval follows it.
     pub fn advance_interval(&mut self) -> u64 {
+        let next_interval = self
+            .interval
+            .checked_add(1)
+            .expect("interval u64::MAX is the last: no interval follows it");
         self.ingest.flush();
         let sealed = self.interval;
-        let next_seed = self.schedule.seed_for(sealed + 1);
+        let next_seed = self.schedule.seed_for(next_interval);
         let next = {
             let fresh = self.ingest.sketch().reseeded(next_seed);
             let mut ingest = ConcurrentIngest::new(fresh);
@@ -222,7 +230,7 @@ impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
         while self.retired.len() > self.retain {
             self.retired.pop_front();
         }
-        self.interval += 1;
+        self.interval = next_interval;
         sealed
     }
 

@@ -147,7 +147,15 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
     /// the window policies index by. Callers closing intervals on a
     /// wall clock should pick a granularity coarse enough that long
     /// idle gaps do not turn into bursts of redundant seals.
+    ///
+    /// # Panics
+    /// Panics, before anything is flushed or sealed, if the current
+    /// interval is `u64::MAX`: no interval follows it.
     pub fn advance_interval(&mut self) -> u64 {
+        let next = self
+            .interval
+            .checked_add(1)
+            .expect("interval u64::MAX is the last: no interval follows it");
         self.ingest.flush();
         let sealed = self.interval;
         let shared = self.ingest.sketch();
@@ -160,7 +168,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
                 (applied, mass)
             },
         );
-        self.interval += 1;
+        self.interval = next;
         sealed
     }
 

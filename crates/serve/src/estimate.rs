@@ -29,8 +29,7 @@
 //! The price of Sum over K rotated planes: each plane's estimate
 //! carries its own Theorem-1 error term, so the window bound is up to
 //! K error terms where a single fixed-seed plane pays one. That is the
-//! robustness trade quantified in the `window_serving` bench and
-//! tested end-to-end in `tests/adversarial.rs`.
+//! robustness trade tested end-to-end in `tests/adversarial.rs`.
 
 use crate::error::QueryError;
 use bas_sketch::{HeavyHitter, Reseedable, Snapshottable};

@@ -361,6 +361,10 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
     /// flush plus interval bookkeeping — the hook a serving fabric
     /// uses to rotate per-tenant admission quotas uniformly across
     /// windowed and since-boot tenants.
+    ///
+    /// # Panics
+    /// Panics if the current interval is `u64::MAX` (see
+    /// [`WindowedIngest::advance_interval`]).
     pub fn advance_interval(&mut self) -> u64 {
         self.ingest.advance_interval()
     }

@@ -153,6 +153,10 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
     /// counters), starts the next under the schedule's next seed, and
     /// resets the audit budgets — stale feedback is worthless against
     /// the fresh seed. Returns the id of the interval just retired.
+    ///
+    /// # Panics
+    /// Panics if the current interval is `u64::MAX` (see
+    /// [`RotatingIngest::advance_interval`]).
     pub fn advance_interval(&mut self) -> u64 {
         if let Some(audit) = &self.audit {
             audit.counts.lock().clear();

@@ -241,8 +241,17 @@ impl EngineSlot {
     }
 
     /// Closes the interval (flush + seal + audit reset); returns the
-    /// sealed interval id.
-    pub(crate) fn advance_interval(&mut self) -> u64 {
+    /// sealed interval id. A tenant at interval `u64::MAX`, which an
+    /// installed transfer can name, has no next interval: it refuses
+    /// with `unsupported` and nothing changes.
+    pub(crate) fn advance_interval(&mut self, tenant: u64) -> Result<u64, ErrorReply> {
+        let interval = self.interval();
+        if interval == u64::MAX {
+            return Err(unsupported(
+                tenant,
+                &format!("interval {interval} is the last; no interval follows it"),
+            ));
+        }
         let sealed = dispatch!(&mut self.engine, e => e.advance_interval(),
                                r => r.advance_interval());
         // Audit budgets are per plane lifetime: rotation renews them.
@@ -252,7 +261,7 @@ impl EngineSlot {
         if let Some(a) = &self.audit_range {
             a.reset();
         }
-        sealed
+        Ok(sealed)
     }
 
     // ---- bookkeeping ----
@@ -447,7 +456,11 @@ impl EngineSlot {
 ///   range-sum tenant the dyadic layout the cumulative records
 ///   ([`RangeSumSketch::grid_levels_of`]), the same for every seal;
 /// * seal intervals strictly increase;
-/// * the interval in progress lies past the last seal.
+/// * the interval in progress lies past the last seal;
+/// * a windowed tenant holds the seals of the `min(K, interval)`
+///   intervals right before the one in progress, the seals its
+///   windows reach back to (every advance seals the interval it
+///   closes, so an exported tenant always does).
 ///
 /// Returns the range-sum stack's grid levels (`None` for frequency
 /// tenants); a refusal is `incompatible`, naming the first bad field.
@@ -511,6 +524,21 @@ fn check_transfer(transfer: &TenantTransfer) -> Result<Option<usize>, ErrorReply
                 transfer.interval
             ),
         ));
+    }
+    if let ServingMode::Tumbling(len) | ServingMode::Sliding(len) = transfer.spec.mode {
+        let first = transfer.interval - len.intervals.min(transfer.interval);
+        let held = transfer.seals.iter().map(|s| s.interval);
+        if !held.filter(|&i| i >= first).eq(first..transfer.interval) {
+            return Err(refuse(
+                "seals",
+                format!(
+                    "a window of {} at interval {} needs the seals of intervals {first} to {}",
+                    len.intervals,
+                    transfer.interval,
+                    transfer.interval - 1
+                ),
+            ));
+        }
     }
     Ok(grid_levels)
 }

@@ -459,14 +459,16 @@ impl Fabric {
     /// resets quota bookkeeping. Graceful shutdown calls this so a
     /// restarted daemon resumes on a clean interval boundary. Returns
     /// `(tenant, sealed_interval)` pairs in tenant order for
-    /// journaling.
+    /// journaling; a tenant that refuses the advance (its interval is
+    /// `u64::MAX`) is left unchanged and out of the list.
     pub fn quiesce(&mut self) -> Vec<(u64, u64)> {
         let mut sealed = Vec::new();
         for shard in self.shards.values_mut() {
             for (tenant, t) in shard.iter_mut() {
-                let interval = t.slot.advance_interval();
-                t.admitted_in_interval = 0;
-                sealed.push((*tenant, interval));
+                if let Ok(interval) = t.slot.advance_interval(*tenant) {
+                    t.admitted_in_interval = 0;
+                    sealed.push((*tenant, interval));
+                }
             }
         }
         sealed.sort_unstable();
@@ -521,14 +523,18 @@ impl Fabric {
                     applied: t.slot.flush(),
                 })
             }),
-            Request::AdvanceInterval(TenantRef { tenant }) => self.with_tenant_mut(tenant, |t| {
-                let sealed_interval = t.slot.advance_interval();
-                t.admitted_in_interval = 0;
-                Response::Sealed(SealReceipt {
-                    tenant,
-                    sealed_interval,
+            Request::AdvanceInterval(TenantRef { tenant }) => {
+                self.with_tenant_mut(tenant, |t| match t.slot.advance_interval(tenant) {
+                    Ok(sealed_interval) => {
+                        t.admitted_in_interval = 0;
+                        Response::Sealed(SealReceipt {
+                            tenant,
+                            sealed_interval,
+                        })
+                    }
+                    Err(e) => Response::Error(e),
                 })
-            }),
+            }
             Request::Point(q) => self.value(q.tenant, format_args!("item {}", q.item), |t| {
                 check_item(q.tenant, q.item, t.slot.universe())?;
                 t.slot.point(q.tenant, q.item)

@@ -420,7 +420,8 @@ pub enum Request {
     /// Apply the tenant's buffered updates now.
     Flush(TenantRef),
     /// Close the tenant's current interval (flush + seal + quota
-    /// reset).
+    /// reset). A tenant at interval `u64::MAX` has no next interval
+    /// and refuses with `unsupported`, changing nothing.
     AdvanceInterval(TenantRef),
     /// Since-boot point estimate (audited when the tenant's spec asks
     /// for it).

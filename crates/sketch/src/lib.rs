@@ -68,10 +68,9 @@
 //! hash family, so the batch path (`bas_hash::bucket_rows_each`)
 //! downcasts the row hashers once per batch and runs the item×row
 //! loop fully monomorphized, with no per-item enum dispatch. The
-//! result is bit-for-bit equivalent to the one-by-one loop and
-//! measurably faster (see the `throughput_ingest` bench, which also
-//! records why a *whole-batch* row-major sweep was rejected —
-//! re-streaming a multi-MiB batch once per row loses to one pass).
+//! result is bit-for-bit equivalent to the one-by-one loop. A
+//! *whole-batch* row-major sweep was rejected: re-streaming a
+//! multi-MiB batch once per row loses to one pass.
 //! `bas-pipeline` builds on this to shard batches across threads and
 //! merge by linearity.
 //!

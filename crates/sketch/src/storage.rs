@@ -1045,8 +1045,8 @@ impl<T: CounterValue, B: CounterBackend> CounterMatrix<T, B> {
     ///
     /// Blocking matters: sweeping rows over the *whole* batch loses
     /// (re-streaming a multi-MiB batch once per row costs more than the
-    /// grid misses it saves — measured in `throughput_ingest`), while a
-    /// block's scratch stays L1-resident.
+    /// grid misses it saves), while a block's scratch stays
+    /// L1-resident.
     ///
     /// Addition is the backend's exclusive-access `add`, and each cell
     /// receives its increments in item order, so the result is

@@ -51,6 +51,23 @@ fn assert_estimates_equal<A: PointQuerySketch, B: PointQuerySketch>(
     Ok(())
 }
 
+/// Feeds `updates` through a `ShardedIngest` of `shards` sketches from
+/// `make` and asserts the merge equals one sketch fed item by item.
+fn assert_sharded_equals_loop<S: MergeableSketch + Send>(
+    make: impl Fn() -> S,
+    updates: &[(u64, f64)],
+    shards: usize,
+    flush_at: usize,
+) -> Result<(), TestCaseError> {
+    let mut ingest = ShardedIngest::new(shards, &make).with_flush_threshold(flush_at);
+    ingest.extend_from_slice(updates);
+    let mut reference = make();
+    for &(i, d) in updates {
+        reference.update(i, d);
+    }
+    assert_estimates_equal(&ingest.finish(), &reference)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -145,7 +162,8 @@ proptest! {
     }
 
     /// The tentpole linearity claim: k same-seed shards, merged, equal
-    /// the single-threaded sketch bit-for-bit (integer deltas).
+    /// the single-threaded sketch bit-for-bit (integer deltas), for
+    /// Count-Sketch and for Count-Median.
     #[test]
     fn sharded_ingest_equals_single_threaded(
         updates in arrivals(),
@@ -154,13 +172,8 @@ proptest! {
         flush_at in 1usize..64,
     ) {
         let p = SketchParams::new(N, 16, 3).with_seed(seed);
-        let mut ingest = ShardedIngest::new(shards, || CountSketch::new(&p))
-            .with_flush_threshold(flush_at);
-        ingest.extend_from_slice(&updates);
-        let merged = ingest.finish();
-        let mut reference = CountSketch::new(&p);
-        for &(i, d) in &updates { reference.update(i, d); }
-        assert_estimates_equal(&merged, &reference)?;
+        assert_sharded_equals_loop(|| CountSketch::new(&p), &updates, shards, flush_at)?;
+        assert_sharded_equals_loop(|| CountMedian::new(&p), &updates, shards, flush_at)?;
     }
 
     /// Same claim for the paper's own sketch, bias estimate included.

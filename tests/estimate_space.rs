@@ -102,6 +102,58 @@ fn cm_sum_over_homogeneous_planes_matches_engine_window_bit_for_bit() {
     }
 }
 
+/// The rotating engine's window answer is the sum of independent
+/// per-generation references: one `CountMedian` per window interval,
+/// built under `SeedSchedule::seed_for(g)` from that interval's
+/// updates, the open (live) interval counted as one of them. Integer
+/// deltas, so the sum is exact and the match is bit for bit.
+#[test]
+fn rotating_window_equals_sum_of_per_generation_references() {
+    let (window, intervals, per_interval) = (4u64, 9u64, 600usize);
+    let schedule = SeedSchedule::new(7);
+    let stream = TimestampedStreamGen::zipf(N, intervals, per_interval, 1.1)
+        .with_seed(11)
+        .with_max_delta(4)
+        .generate();
+    let sketch = AtomicCountMedian::with_backend(&params(7));
+    let engine =
+        std::cell::RefCell::new(RotatingEngine::new(1, sketch, schedule, window as usize).unwrap());
+    drive_timestamped(
+        stream.iter().copied(),
+        256,
+        |chunk| engine.borrow_mut().extend_from_slice(chunk),
+        |_| {
+            engine.borrow_mut().advance_interval();
+        },
+    );
+    let mut engine = engine.into_inner();
+    engine.flush();
+    assert_eq!(
+        engine.interval(),
+        intervals - 1,
+        "the last interval stays open"
+    );
+
+    let references: Vec<CountMedian> = (intervals - window..intervals)
+        .map(|g| {
+            let start = g as usize * per_interval;
+            let updates: Vec<(u64, f64)> = stream[start..start + per_interval]
+                .iter()
+                .map(|u| (u.item, u.delta))
+                .collect();
+            windowed_reference(&params(schedule.seed_for(g)), &[updates])
+        })
+        .collect();
+    for j in 0..N {
+        let expected: f64 = references.iter().map(|r| r.estimate(j)).sum();
+        assert_eq!(
+            engine.window_estimate(j).to_bits(),
+            expected.to_bits(),
+            "item {j}"
+        );
+    }
+}
+
 #[test]
 fn cs_sum_over_homogeneous_planes_matches_counter_space_bit_for_bit() {
     let first = interval_stream(2, 0, 900);

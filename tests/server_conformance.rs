@@ -960,14 +960,19 @@ fn non_finite_answers_are_typed_errors() {
     assert!(finite.is_finite(), "{finite}");
 }
 
-/// Every answer the fabric gives about `tenants`, as bits: points and
-/// window points on frequency tenants, range sums and window range
-/// sums on range-sum tenants, and `Stats`.
+/// Every answer the fabric gives about `tenants`, as bits: `Stats`,
+/// heavy hitters and window heavy hitters, points and window points,
+/// and on range-sum tenants range sums and window range sums.
 fn answer_bits(fabric: &mut Fabric, tenants: &[u64]) -> Vec<String> {
     let mut out = Vec::new();
     for &tenant in tenants {
         let range = fabric.tenant_spec(tenant).unwrap().metric == MetricKind::RangeSum;
-        let mut reqs = vec![Request::Stats(TenantRef { tenant })];
+        let phi = 0.002;
+        let mut reqs = vec![
+            Request::Stats(TenantRef { tenant }),
+            Request::HeavyHitters(HeavyHittersQuery { tenant, phi }),
+            Request::WindowHeavyHitters(HeavyHittersQuery { tenant, phi }),
+        ];
         for item in (0..N).step_by(331) {
             reqs.push(Request::Point(PointQuery { tenant, item }));
             reqs.push(Request::WindowPoint(PointQuery { tenant, item }));
@@ -980,6 +985,13 @@ fn answer_bits(fabric: &mut Fabric, tenants: &[u64]) -> Vec<String> {
         for req in reqs {
             out.push(match fabric.handle(req) {
                 Response::Value(v) => format!("{:x}", v.value.to_bits()),
+                Response::HeavyHitters(r) => format!(
+                    "{:x?}",
+                    r.items
+                        .iter()
+                        .map(|&(item, v)| (item, v.to_bits()))
+                        .collect::<Vec<_>>()
+                ),
                 other => format!("{other:?}"),
             });
         }
@@ -1047,6 +1059,7 @@ fn malformed_transfers_are_refused_and_install_nothing() {
         ),
         (edit(&freq, &|t| t.seals.reverse()), "seals[1].interval"),
         (edit(&freq, &|t| t.interval = 0), "interval"),
+        (edit(&freq, &|t| t.interval = 4), "seals"),
         (
             edit(&range, &|t| t.cumulative[4] = CounterMatrix::new(3, 1)),
             "cumulative",
@@ -1099,6 +1112,100 @@ fn malformed_transfers_are_refused_and_install_nothing() {
             answer_bits(&mut fabric, &[source])[1..]
         );
     }
+}
+
+/// A transfer installed at the end of the interval space does not
+/// poison its tenant. `Install` accepts a tenant exported at interval
+/// 2 and moved, seals and all, to `u64::MAX` or `u64::MAX − 1`, but no
+/// interval follows `u64::MAX`. The advance past it once overflowed:
+/// a panic in debug builds; in release a wrap to 0, after which a
+/// sliding tenant's next seal panicked and an unbounded one's sealed
+/// ids ran backwards. Now it is refused with `unsupported` naming the
+/// tenant and the interval, in process and through the wire, and
+/// nothing changes: `Stats` still reports `u64::MAX`, every query verb
+/// answers as before, and `Fabric::quiesce` leaves the tenant out.
+#[test]
+fn advancing_past_the_last_interval_is_refused() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    let sliding = ServingMode::Sliding(WindowLen { intervals: 2 });
+    let sources = [
+        TenantSpec::frequency(1, 101).with_mode(sliding),
+        TenantSpec::range_sum(2, 202).with_mode(sliding),
+        TenantSpec::frequency(3, 303),
+    ];
+    let mut installed = Vec::new();
+    for spec in sources {
+        let tenant = spec.tenant;
+        fabric.register_tenant(spec).unwrap();
+        for round in 0..3u64 {
+            let updates = stream(tenant * 7 + round, 300);
+            fabric.handle(Request::Ingest(IngestFrame { tenant, updates }));
+            if round < 2 {
+                fabric.handle(Request::AdvanceInterval(TenantRef { tenant }));
+            }
+        }
+        let Response::Exported(transfer) = fabric.handle(Request::Export(TenantRef { tenant }))
+        else {
+            panic!("tenant {tenant} exports");
+        };
+        for (copy, interval) in [(10 * tenant, u64::MAX), (10 * tenant + 1, u64::MAX - 1)] {
+            let mut transfer = transfer.clone();
+            let shift = interval - transfer.interval;
+            transfer.spec.tenant = copy;
+            transfer.interval = interval;
+            for seal in &mut transfer.seals {
+                seal.interval += shift;
+            }
+            assert!(matches!(
+                fabric.handle(Request::Install(transfer)),
+                Response::Installed(_)
+            ));
+            installed.push((copy, interval));
+        }
+    }
+    for &(tenant, interval) in &installed {
+        if interval == u64::MAX - 1 {
+            match fabric.handle(Request::AdvanceInterval(TenantRef { tenant })) {
+                Response::Sealed(r) => assert_eq!(r.sealed_interval, interval),
+                other => panic!("tenant {tenant}: expected a seal, got {other:?}"),
+            }
+        }
+    }
+    let tenants: Vec<u64> = installed.iter().map(|&(t, _)| t).collect();
+    let before = answer_bits(&mut fabric, &tenants);
+
+    for &tenant in &tenants {
+        let req = Request::AdvanceInterval(TenantRef { tenant });
+        let resp = fabric.handle(req.clone());
+        match &resp {
+            Response::Error(e) => {
+                assert_eq!(e.code, "unsupported", "{e:?}");
+                let detail = format!("tenant {tenant}: interval {} ", u64::MAX);
+                assert!(e.detail.starts_with(&detail), "{e:?}");
+            }
+            other => panic!("tenant {tenant}: expected unsupported, got {other:?}"),
+        }
+        let mut frames = Vec::new();
+        write_frame(&mut frames, &req).unwrap();
+        let mut replies = Vec::new();
+        serve_connection(&mut fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        let wired: Response = read_frame(&mut &replies[..], MAX_FRAME_BYTES)
+            .unwrap()
+            .unwrap();
+        assert_eq!(wired, resp);
+        match fabric.handle(Request::Stats(TenantRef { tenant })) {
+            Response::Stats(s) => assert_eq!(s.interval, u64::MAX),
+            other => panic!("tenant {tenant}: {other:?}"),
+        }
+    }
+    assert_eq!(answer_bits(&mut fabric, &tenants), before);
+
+    // Shutdown's quiesce seals the sources and leaves every tenant at
+    // the last interval as it was.
+    let sealed: Vec<u64> = fabric.quiesce().iter().map(|&(t, _)| t).collect();
+    assert_eq!(sealed, [1, 2, 3]);
+    assert_eq!(answer_bits(&mut fabric, &tenants), before);
 }
 
 /// The range-sum stack as it was before exact coarse levels: every

@@ -12,18 +12,18 @@
 //!    timestamped streams, quiescent and mid-ingest.
 //! 2. **Plane arithmetic** — a sliding-window plane equals the
 //!    merge of per-interval delta planes (differences of adjacent
-//!    seals) plus the live partial interval, **bit for bit** on
-//!    integer-delta streams: subtraction of cumulative planes and
-//!    addition of delta planes are the same exact integer arithmetic.
+//!    seals) plus the live partial interval, and a fresh sketch of the
+//!    window's own updates, **bit for bit** on integer-delta streams:
+//!    subtraction of cumulative planes and addition of delta planes
+//!    are the same exact integer arithmetic.
 //! 3. **Rotation under the hammer** — with the writer flushing into the
 //!    shared plane and reader threads hammering the seqlock, every
 //!    sealed plane is exactly the sketch of a flush-boundary prefix of
 //!    the stream, bit for bit, and pinned window snapshots stay frozen
 //!    while ingest continues.
 //!
-//! Streams come from `bas_data::TimestampedStreamGen` — the same
-//! deterministic source the window bench uses — so what is asserted
-//! here is what is measured there.
+//! Streams come from `bas_data::TimestampedStreamGen`, a deterministic
+//! interval-major source, so each interval's updates are one slice.
 
 use bias_aware_sketches::prelude::*;
 use proptest::prelude::*;
@@ -219,7 +219,9 @@ proptest! {
     /// (cumulative − boundary seal) equals the sum of per-interval
     /// delta planes (adjacent-seal differences) plus the live partial
     /// interval — two different plane-arithmetic routes to the same
-    /// integer counters.
+    /// integer counters — and equals a fresh sketch of the window's
+    /// own updates, whose count is the live plane's `applied` less the
+    /// boundary seal's.
     #[test]
     fn sliding_window_equals_merged_delta_planes_bit_for_bit(
         seed in 0u64..500,
@@ -275,8 +277,27 @@ proptest! {
             .unwrap();
         shared.merge_snapshot(&mut route_b, &live_partial).unwrap();
 
-        // Bit-for-bit: integer cumulative counters < 2^53, so both
-        // routes compute the same exact integers.
+        // Route C: a fresh sketch of the window's raw updates. Routes
+        // A and B both telescope to `live − seal(boundary)` whatever
+        // the seals hold; this one reads no seal, so it also pins the
+        // boundary seal to the stream prefix its interval closed.
+        let window_updates: Vec<(u64, f64)> = window_slice(&stream, per_interval, boundary + 1)
+            .iter()
+            .map(|u| (u.item, u.delta))
+            .collect();
+        let mut reference = CountMedian::new(&params);
+        reference.update_batch(&window_updates);
+        let mut route_c = reference.make_snapshot();
+        reference.snapshot_into(&mut route_c);
+        let boundary_applied = ingest.bank().sealed(boundary).unwrap().applied();
+        prop_assert_eq!(
+            window_updates.len() as u64,
+            shared.applied() - boundary_applied
+        );
+
+        // Bit-for-bit: integer cumulative counters < 2^53, so all
+        // three routes compute the same exact integers.
+        prop_assert_eq!(&route_a, &route_c);
         prop_assert_eq!(route_a, route_b);
     }
 }
