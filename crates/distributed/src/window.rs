@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn global_window_equals_centralized_window_sketch() {
         let policy = Sliding::new(1).unwrap();
-        let mut engines: Vec<QueryEngine<AtomicCountSketch, Sliding>> = (0..3)
+        let mut engines: Vec<QueryEngine<AtomicCountSketch>> = (0..3)
             .map(|_| {
                 QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy)
             })
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn homogeneous_sites_estimate_space_equals_counter_space() {
         let policy = Sliding::new(1).unwrap();
-        let mut engines: Vec<QueryEngine<AtomicCountSketch, Sliding>> = (0..3)
+        let mut engines: Vec<QueryEngine<AtomicCountSketch>> = (0..3)
             .map(|_| {
                 QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy)
             })

@@ -32,13 +32,18 @@
 //! robustness, tested end to end in `tests/adversarial.rs`.
 //! `bas_serve::RotatingEngine` packages the serving side (window
 //! combination plus query auditing); this module owns the write side.
+//!
+//! A generation's seed is a pure function of the schedule and its
+//! interval, so the ingester moves by its planes alone, each absorbed
+//! under its own rebuilt hashers
+//! ([`restore_generation`](RotatingIngest::restore_generation)).
 
 use std::collections::VecDeque;
 
 use crate::concurrent::ConcurrentIngest;
 use crate::epoch::EpochHandle;
 use bas_hash::SeedSchedule;
-use bas_sketch::{Reseedable, SharedSketch, SketchParams};
+use bas_sketch::{AbsorbPlane, MergeError, Reseedable, SharedSketch, SketchParams};
 use bas_stream::StreamUpdate;
 
 /// One retired generation of a [`RotatingIngest`]: a frozen
@@ -131,9 +136,6 @@ pub struct RotatingIngest<S: SharedSketch + Reseedable + Send> {
     /// Id of the interval (= generation) currently accepting updates.
     interval: u64,
     flush_threshold: Option<usize>,
-    /// Stream position across *all* generations, live included.
-    lifetime_applied: u64,
-    lifetime_mass: f64,
 }
 
 impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
@@ -151,8 +153,6 @@ impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
             retain,
             interval: 0,
             flush_threshold: None,
-            lifetime_applied: 0,
-            lifetime_mass: 0.0,
         }
     }
 
@@ -211,27 +211,103 @@ impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
             .expect("interval u64::MAX is the last: no interval follows it");
         self.ingest.flush();
         let sealed = self.interval;
-        let next_seed = self.schedule.seed_for(next_interval);
-        let next = {
-            let fresh = self.ingest.sketch().reseeded(next_seed);
-            let mut ingest = ConcurrentIngest::new(fresh);
-            if let Some(updates) = self.flush_threshold {
-                ingest = ingest.with_flush_threshold(updates);
-            }
-            ingest
-        };
+        let next = self.live_ingest(
+            self.ingest
+                .sketch()
+                .reseeded(self.schedule.seed_for(next_interval)),
+        );
         let handle = std::mem::replace(&mut self.ingest, next).finish();
-        self.lifetime_applied += handle.applied();
-        self.lifetime_mass += handle.mass();
-        self.retired.push_back(RotatingGeneration {
+        self.retire(RotatingGeneration {
             interval: sealed,
             handle,
         });
+        self.interval = next_interval;
+        sealed
+    }
+
+    /// A live-generation ingester over `live`, with the flush
+    /// threshold override carried across rotations.
+    fn live_ingest(&self, live: EpochHandle<S>) -> ConcurrentIngest<EpochHandle<S>> {
+        let ingest = ConcurrentIngest::new(live);
+        match self.flush_threshold {
+            Some(updates) => ingest.with_flush_threshold(updates),
+            None => ingest,
+        }
+    }
+
+    /// Appends a retired generation, dropping the oldest beyond
+    /// `retain`.
+    fn retire(&mut self, generation: RotatingGeneration<S>) {
+        self.retired.push_back(generation);
         while self.retired.len() > self.retain {
             self.retired.pop_front();
         }
-        self.interval = next_interval;
-        sealed
+    }
+
+    // ---- plane transfer (rebalance by linearity, per generation) ----
+
+    /// A fresh plane under `schedule.seed_for(interval)` that absorbed
+    /// `plane`: by linearity, bit-for-bit the generation `plane` was
+    /// pinned from (integer-delta streams).
+    fn rebuild(
+        &self,
+        interval: u64,
+        plane: &S::Snapshot,
+        applied: u64,
+        mass: f64,
+    ) -> Result<EpochHandle<S>, MergeError>
+    where
+        S: AbsorbPlane,
+    {
+        let handle = self
+            .ingest
+            .sketch()
+            .reseeded(self.schedule.seed_for(interval));
+        handle.absorb_plane(plane, applied, mass)?;
+        Ok(handle)
+    }
+
+    /// Restores one retired generation from its per-interval plane and
+    /// bookkeeping — the destination half of shipping a rotating
+    /// ingester. Call it on a fresh ingester, oldest generation first,
+    /// then [`restore_live`](Self::restore_live).
+    ///
+    /// # Errors
+    /// Propagates the sketch's [`AbsorbPlane`] rejection.
+    pub fn restore_generation(
+        &mut self,
+        interval: u64,
+        plane: &S::Snapshot,
+        applied: u64,
+        mass: f64,
+    ) -> Result<(), MergeError>
+    where
+        S: AbsorbPlane,
+    {
+        let handle = self.rebuild(interval, plane, applied, mass)?;
+        self.retire(RotatingGeneration { interval, handle });
+        Ok(())
+    }
+
+    /// Makes `interval` the live generation, rebuilt from its seed and
+    /// the shipped live plane.
+    ///
+    /// # Errors
+    /// Propagates the sketch's [`AbsorbPlane`] rejection.
+    pub fn restore_live(
+        &mut self,
+        interval: u64,
+        plane: &S::Snapshot,
+        applied: u64,
+        mass: f64,
+    ) -> Result<(), MergeError>
+    where
+        S: AbsorbPlane,
+    {
+        let live = self.rebuild(interval, plane, applied, mass)?;
+        self.ingest = self.live_ingest(live);
+        self.interval = interval;
+        Ok(())
     }
 
     /// Flushes the remainder and returns the live generation's handle
@@ -248,16 +324,6 @@ impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
         self.interval
     }
 
-    /// The seed schedule driving the rotations.
-    pub fn schedule(&self) -> SeedSchedule {
-        self.schedule
-    }
-
-    /// How many retired generations are retained.
-    pub fn retain(&self) -> usize {
-        self.retain
-    }
-
     /// The live generation's shared handle: clone it for reader
     /// threads, pin it for consistent snapshots, or read single cells
     /// lock-free. Its [`config`](Reseedable::config) carries the
@@ -271,26 +337,9 @@ impl<S: SharedSketch + Reseedable + Send> RotatingIngest<S> {
         self.retired.iter()
     }
 
-    /// The retired generation for `interval`, if still retained.
-    pub fn generation(&self, interval: u64) -> Option<&RotatingGeneration<S>> {
-        self.retired.iter().find(|g| g.interval == interval)
-    }
-
     /// Updates buffered but not yet flushed.
     pub fn pending(&self) -> usize {
         self.ingest.pending()
-    }
-
-    /// Updates applied across **all** generations, live included —
-    /// the stream position. (Each generation's own `applied()` counts
-    /// only its interval.)
-    pub fn lifetime_applied(&self) -> u64 {
-        self.lifetime_applied + self.live().applied()
-    }
-
-    /// Delta mass applied across all generations, live included.
-    pub fn lifetime_mass(&self) -> f64 {
-        self.lifetime_mass + self.live().mass()
     }
 }
 
@@ -318,6 +367,13 @@ mod tests {
             SeedSchedule::new(MASTER),
             retain,
         )
+    }
+
+    fn generation(
+        ingest: &RotatingIngest<AtomicCountMedian>,
+        interval: u64,
+    ) -> Option<&RotatingGeneration<AtomicCountMedian>> {
+        ingest.generations().find(|g| g.interval() == interval)
     }
 
     #[test]
@@ -348,7 +404,7 @@ mod tests {
 
         // The retired generation kept the master seed and exactly the
         // first interval's counters.
-        let gen0 = ingest.generation(0).expect("retained").handle().clone();
+        let gen0 = generation(&ingest, 0).expect("retained").handle().clone();
         assert_eq!(gen0.config().seed, MASTER);
         assert_eq!(gen0.applied(), first.len() as u64);
         let mut reference = CountMedian::new(&params());
@@ -376,7 +432,7 @@ mod tests {
             ingest.advance_interval();
         }
         for t in 0..3u64 {
-            let generation = ingest.generation(t).expect("retained");
+            let generation = generation(&ingest, t).expect("retained");
             let mut reference = CountMedian::new(&params().with_seed(schedule.seed_for(t)));
             reference.update_batch(&interval_stream(t, 500));
             for j in (0..N).step_by(11) {
@@ -398,9 +454,6 @@ mod tests {
         }
         let kept: Vec<u64> = ingest.generations().map(|g| g.interval()).collect();
         assert_eq!(kept, vec![3, 4]);
-        assert!(ingest.generation(2).is_none());
-        // Lifetime position spans dropped generations too.
-        assert_eq!(ingest.lifetime_applied(), 5 * 200);
     }
 
     #[test]
@@ -409,7 +462,7 @@ mod tests {
         ingest.extend_from_slice(&interval_stream(0, 100));
         ingest.advance_interval();
         assert_eq!(ingest.generations().count(), 0);
-        assert_eq!(ingest.lifetime_applied(), 100);
+        assert_eq!(ingest.live().applied(), 0);
     }
 
     #[test]
@@ -427,6 +480,62 @@ mod tests {
         ingest.push(0, 1.0);
         assert_eq!(ingest.pending(), 0);
         assert_eq!(ingest.live().applied(), 64);
+    }
+
+    #[test]
+    fn restored_generations_answer_bit_for_bit_under_their_own_seeds() {
+        let mut source = rotating(2).with_flush_threshold(64);
+        for t in 0..4u64 {
+            source.extend_from_slice(&interval_stream(t, 300));
+            source.advance_interval();
+        }
+        source.extend_from_slice(&interval_stream(4, 100));
+        source.flush();
+
+        // Ship each plane with its bookkeeping; seeds are not shipped.
+        let mut dest = rotating(2).with_flush_threshold(64);
+        for g in source.generations() {
+            let snap = g.handle().pin();
+            dest.restore_generation(g.interval(), snap.snapshot(), g.applied(), g.mass())
+                .unwrap();
+        }
+        let live = source.live().pin();
+        dest.restore_live(
+            source.interval(),
+            live.snapshot(),
+            live.applied(),
+            live.mass(),
+        )
+        .unwrap();
+
+        assert_eq!(dest.interval(), source.interval());
+        for (a, b) in source.generations().zip(dest.generations()) {
+            assert_eq!((a.interval(), a.config()), (b.interval(), b.config()));
+            assert_eq!((a.applied(), a.mass()), (b.applied(), b.mass()));
+            for j in 0..N {
+                let (x, y) = (a.handle().estimate(j), b.handle().estimate(j));
+                assert_eq!(x.to_bits(), y.to_bits(), "generation {}", a.interval());
+            }
+        }
+        assert_eq!(dest.live().config(), source.live().config());
+        for j in 0..N {
+            assert_eq!(dest.live().estimate(j), source.live().estimate(j));
+        }
+        // Both keep rotating in lockstep: the flush threshold carried,
+        // and the oldest restored generation ages out.
+        for ingest in [&mut source, &mut dest] {
+            ingest.extend_from_slice(&interval_stream(5, 63));
+            assert_eq!(ingest.pending(), 63);
+            ingest.advance_interval();
+        }
+        let kept =
+            |i: &RotatingIngest<_>| i.generations().map(|g| g.interval()).collect::<Vec<_>>();
+        assert_eq!(kept(&dest), [3, 4]);
+        assert_eq!(kept(&dest), kept(&source));
+        assert_eq!(
+            dest.live().config().seed,
+            SeedSchedule::new(MASTER).seed_for(5)
+        );
     }
 
     #[test]

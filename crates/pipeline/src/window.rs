@@ -34,8 +34,8 @@
 //! top; this module only owns the mechanics.
 
 use crate::concurrent::ConcurrentIngest;
-use crate::epoch::{EpochHandle, FillBudget, SnapshotUnavailable};
-use bas_sketch::storage::{EpochCounter, PlaneBank};
+use crate::epoch::EpochHandle;
+use bas_sketch::storage::PlaneBank;
 use bas_sketch::{AbsorbPlane, Reseedable, SharedSketch, Snapshottable};
 use bas_stream::StreamUpdate;
 
@@ -170,33 +170,6 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
         );
         self.interval = next;
         sealed
-    }
-
-    /// The daemon's seal-on-shutdown hook: closes the current interval
-    /// exactly like [`advance_interval`](Self::advance_interval), but
-    /// first waits out any open write section under a [`FillBudget`]
-    /// so graceful shutdown cannot hang on a writer that died inside
-    /// its section. With `&mut self` no new flush can start, so a
-    /// settled epoch observed here stays settled through the seal.
-    ///
-    /// # Errors
-    /// [`SnapshotUnavailable`] if the epoch never settles within the
-    /// budget; nothing is sealed and the interval does not advance.
-    pub fn seal_for_shutdown(&mut self, budget: FillBudget) -> Result<u64, SnapshotUnavailable> {
-        let start = std::time::Instant::now();
-        let mut spins = 0u32;
-        loop {
-            if !EpochCounter::is_write_open(self.ingest.sketch().epoch().read()) {
-                break;
-            }
-            spins += 1;
-            let waited = start.elapsed();
-            if spins >= budget.max_spins || budget.max_wait.is_some_and(|max| waited >= max) {
-                return Err(SnapshotUnavailable { spins, waited });
-            }
-            std::thread::yield_now();
-        }
-        Ok(self.advance_interval())
     }
 
     /// Flushes the remainder and returns the shared handle plus the
@@ -366,27 +339,6 @@ mod tests {
             }
         }
         assert_eq!(ingest.interval(), 3);
-    }
-
-    #[test]
-    fn seal_for_shutdown_matches_advance_interval_and_is_bounded() {
-        // Settled path: identical to advance_interval.
-        let mut ingest = WindowedIngest::new(AtomicCountMedian::with_backend(&params()), 4);
-        ingest.extend_from_slice(&interval_stream(0, 300));
-        assert_eq!(ingest.seal_for_shutdown(FillBudget::new()).unwrap(), 0);
-        assert_eq!(ingest.interval(), 1);
-        assert!(ingest.bank().sealed(0).is_some());
-
-        // Stuck path: a writer dead inside its section must yield a
-        // typed error within the budget, with no interval advanced.
-        ingest.shared().epoch().begin_write();
-        let budget = FillBudget::new()
-            .with_spins(200)
-            .with_wait(Some(std::time::Duration::from_millis(50)));
-        assert!(ingest.seal_for_shutdown(budget).is_err());
-        assert_eq!(ingest.interval(), 1);
-        ingest.shared().epoch().end_write();
-        assert_eq!(ingest.seal_for_shutdown(FillBudget::new()).unwrap(), 1);
     }
 
     #[test]

@@ -91,8 +91,9 @@ impl AuditPolicy {
     }
 
     /// Applies the answer-coarsening half of the policy (noise, then
-    /// quantization) to a raw estimate. The counting half lives in
-    /// [`AuditedHandle`].
+    /// quantization) to a raw estimate. The counting half is the
+    /// per-key budget that [`AuditedHandle`] and
+    /// [`RotatingEngine`](crate::RotatingEngine) share.
     pub fn apply(&self, item: u64, raw: f64) -> f64 {
         let mut answer = raw;
         if self.noise_magnitude > 0.0 {
@@ -109,6 +110,50 @@ impl AuditPolicy {
     }
 }
 
+/// The per-key query budget of one plane lifetime: the counting half
+/// of an [`AuditPolicy`], shared by [`AuditedHandle`] and
+/// [`RotatingEngine`](crate::RotatingEngine).
+#[derive(Debug)]
+pub(crate) struct AuditBudget {
+    policy: AuditPolicy,
+    counts: Mutex<HashMap<u64, u64>>,
+}
+
+impl AuditBudget {
+    pub(crate) fn new(policy: AuditPolicy) -> Self {
+        Self {
+            policy,
+            counts: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Counts one query about `item` against its budget, then answers
+    /// `estimate()` through the policy's noise/quantize pipeline.
+    pub(crate) fn answer(
+        &self,
+        item: u64,
+        estimate: impl FnOnce() -> f64,
+    ) -> Result<f64, QueryError> {
+        {
+            let mut counts = self.counts.lock();
+            let used = counts.entry(item).or_insert(0);
+            if *used >= self.policy.max_queries_per_key {
+                return Err(QueryError::AuditRejected {
+                    item,
+                    limit: self.policy.max_queries_per_key,
+                });
+            }
+            *used += 1;
+        }
+        Ok(self.policy.apply(item, estimate()))
+    }
+
+    /// Renews every key's budget.
+    pub(crate) fn reset(&self) {
+        self.counts.lock().clear();
+    }
+}
+
 /// A [`QueryHandle`] behind an [`AuditPolicy`]: the untrusted-reader
 /// view of an engine. Build one with
 /// [`QueryHandle::audited`](crate::QueryHandle::audited).
@@ -120,16 +165,14 @@ impl AuditPolicy {
 #[derive(Debug)]
 pub struct AuditedHandle<S: SharedSketch + Snapshottable + Send> {
     inner: QueryHandle<S>,
-    policy: AuditPolicy,
-    counts: Mutex<HashMap<u64, u64>>,
+    budget: AuditBudget,
 }
 
 impl<S: SharedSketch + Snapshottable + Send> AuditedHandle<S> {
     pub(crate) fn new(inner: QueryHandle<S>, policy: AuditPolicy) -> Self {
         Self {
             inner,
-            policy,
-            counts: Mutex::new(HashMap::new()),
+            budget: AuditBudget::new(policy),
         }
     }
 
@@ -142,35 +185,24 @@ impl<S: SharedSketch + Snapshottable + Send> AuditedHandle<S> {
     /// its per-lifetime budget; rejected queries do not consume
     /// budget (the counter saturates at the cap).
     pub fn estimate_live(&self, item: u64) -> Result<f64, QueryError> {
-        {
-            let mut counts = self.counts.lock();
-            let used = counts.entry(item).or_insert(0);
-            if *used >= self.policy.max_queries_per_key {
-                return Err(QueryError::AuditRejected {
-                    item,
-                    limit: self.policy.max_queries_per_key,
-                });
-            }
-            *used += 1;
-        }
-        Ok(self.policy.apply(item, self.inner.estimate_live(item)))
+        self.budget.answer(item, || self.inner.estimate_live(item))
     }
 
     /// How many answered queries `item` has consumed this lifetime.
     pub fn queries_of(&self, item: u64) -> u64 {
-        self.counts.lock().get(&item).copied().unwrap_or(0)
+        self.budget.counts.lock().get(&item).copied().unwrap_or(0)
     }
 
     /// Resets every per-key budget — call at a rotation boundary,
     /// where a fresh hasher configuration makes the previously leaked
     /// feedback worthless.
     pub fn reset(&self) {
-        self.counts.lock().clear();
+        self.budget.reset();
     }
 
     /// The policy in effect.
     pub fn policy(&self) -> &AuditPolicy {
-        &self.policy
+        &self.budget.policy
     }
 
     /// The unaudited handle underneath (trusted-path escape hatch:

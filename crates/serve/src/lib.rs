@@ -23,16 +23,16 @@
 //!
 //! ## Serving policies: since-boot vs time-scoped
 //!
-//! The engine is generic over a [`ServingPolicy`] deciding *how much
-//! history* queries cover:
+//! The engine holds one [`Policy`] value deciding *how much history*
+//! window queries cover:
 //!
-//! * [`Unbounded`] (the default) — the since-boot accumulator, with
-//!   the exact pre-window behavior;
+//! * [`Unbounded`] (the default) — the since-boot accumulator: no
+//!   plane is sealed, and a window reaches back to boot;
 //! * [`Tumbling`]`(K)` / [`Sliding`]`(K)` — **windowed** serving over
-//!   the last bucket / last `K` intervals. The write side gains one
-//!   verb, [`advance_interval`](QueryEngine::advance_interval) (flush
-//!   + seal the cumulative plane into a rotating bank), and the read
-//!   side gains window-scoped queries:
+//!   the last bucket / last `K` intervals. The write side's
+//!   [`advance_interval`](QueryEngine::advance_interval) flushes and
+//!   seals the cumulative plane into a rotating bank, and the read
+//!   side's window-scoped queries subtract the boundary seal:
 //!   [`point_in_window`](QueryEngine::point_in_window),
 //!   [`heavy_hitters_in_window`](QueryEngine::heavy_hitters_in_window),
 //!   [`range_sum_in_window`](QueryEngine::range_sum_in_window), and
@@ -106,7 +106,7 @@ mod window;
 pub use audit::{AuditPolicy, AuditedHandle};
 pub use error::QueryError;
 pub use estimate::{combine_plane_estimates, heavy_hitters_across, EstimateCombine};
-pub use policy::{ServingPolicy, Sliding, Tumbling, Unbounded, WindowPolicy};
+pub use policy::{Policy, Sliding, Tumbling, Unbounded};
 pub use rotate::RotatingEngine;
 pub use window::WindowSnapshot;
 
@@ -139,10 +139,10 @@ fn scan_heavy_hitters<S: Snapshottable>(
 
 /// A query engine over one concurrently-fed sketch: the write side is
 /// a [`WindowedIngest`] (one writer, one shared counter plane, plus
-/// interval rotation when the policy is windowed), the
-/// read side is any number of [`QueryHandle`]s serving live and
-/// snapshot reads — see the crate docs for the mode choice and the
-/// policy choice.
+/// interval rotation that seals as many planes as the [`Policy`]
+/// retains), the read side is any number of [`QueryHandle`]s serving
+/// live and snapshot reads — see the crate docs for the mode choice
+/// and the policy choice.
 ///
 /// The `&mut self` methods are the single-producer write side (hand
 /// the engine to your ingest thread); [`handle`](QueryEngine::handle)
@@ -157,12 +157,9 @@ fn scan_heavy_hitters<S: Snapshottable>(
 /// the right choice for paper-conformance experiments and for engines
 /// that must answer bit-for-bit like existing serialized sketches.
 #[derive(Debug)]
-pub struct QueryEngine<
-    S: SharedSketch + Snapshottable + Reseedable + Send,
-    P: ServingPolicy = Unbounded,
-> {
+pub struct QueryEngine<S: SharedSketch + Snapshottable + Reseedable + Send> {
     ingest: WindowedIngest<S>,
-    policy: P,
+    policy: Policy,
 }
 
 impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
@@ -173,12 +170,11 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
     pub fn new(sketch: S) -> Self {
         Self::with_policy(1, sketch, Unbounded)
     }
-}
 
-impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> QueryEngine<S, P> {
     /// Creates an engine with an explicit serving policy (see the
-    /// crate docs). [`Unbounded`] allocates no plane bank; windowed
-    /// policies retain `policy.bank_capacity()` sealed planes.
+    /// crate docs): [`Unbounded`], [`Tumbling`], [`Sliding`] or a
+    /// [`Policy`]. [`Unbounded`] seals nothing; a window of `K`
+    /// intervals retains the last `K` sealed planes.
     ///
     /// Flushes run on the calling thread, the plane's one writer, so
     /// `workers` must be 1; the argument stays only so existing
@@ -186,8 +182,9 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
     ///
     /// # Panics
     /// Panics unless `workers` is 1.
-    pub fn with_policy(workers: usize, sketch: S, policy: P) -> Self {
+    pub fn with_policy(workers: usize, sketch: S, policy: impl Into<Policy>) -> Self {
         assert_eq!(workers, 1, "flushes have one writer: workers must be 1");
+        let policy = policy.into();
         Self {
             ingest: WindowedIngest::new(sketch, policy.bank_capacity()),
             policy,
@@ -207,8 +204,8 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
     }
 
     /// The serving policy in effect.
-    pub fn policy(&self) -> &P {
-        &self.policy
+    pub fn policy(&self) -> Policy {
+        self.policy
     }
 
     // ---- write side (single producer, `&mut self`) ----
@@ -253,7 +250,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
     }
 
     /// Live lock-free point estimate — see the crate docs for when the
-    /// live mode is appropriate. Always since-boot: windowed scoping
+    /// live mode is appropriate. Always since-boot: window scoping
     /// requires a frozen plane to subtract from, which is what
     /// [`pin_window`](QueryEngine::pin_window) provides.
     pub fn estimate_live(&self, item: u64) -> f64 {
@@ -417,25 +414,15 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: ServingPolicy> Quer
     pub fn restore_interval(&mut self, interval: u64) {
         self.ingest.restore_interval(interval);
     }
-}
 
-// ---- windowed serving (Tumbling / Sliding policies only) ----
-
-impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: WindowPolicy> QueryEngine<S, P> {
-    /// Flushes the remainder and returns the shared sketch handle
-    /// **plus the bank of sealed planes** — the windowed counterpart
-    /// of [`finish`](QueryEngine::finish), which drops the bank and
-    /// with it the ability to answer any window question after
-    /// shutdown (`window = cumulative − seal` needs the seals).
-    pub fn finish_windowed(self) -> (EpochHandle<S>, bas_sketch::PlaneBank<S::Snapshot>) {
-        self.ingest.finish()
-    }
+    // ---- window-scoped reads ----
 
     /// Pins a [`WindowSnapshot`]: an epoch-consistent frozen plane of
     /// exactly the policy's current window (`cumulative(now) −
     /// sealed(boundary)`), with the window's own `applied`/`mass` for
-    /// thresholds. During warm-up (fewer closed intervals than the
-    /// window reaches back) the window covers everything since boot.
+    /// thresholds. Without a boundary (during warm-up, when fewer
+    /// intervals have closed than the window reaches back, and always
+    /// under [`Unbounded`]) the window covers everything since boot.
     ///
     /// Allocates one plane per call; steady-state readers hold a
     /// snapshot and [`refresh_window`](QueryEngine::refresh_window) it.
@@ -541,7 +528,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send, P: WindowPolicy> Query
     }
 }
 
-impl<B: CounterBackend, P: WindowPolicy> QueryEngine<RangeSumSketch<B>, P>
+impl<B: CounterBackend> QueryEngine<RangeSumSketch<B>>
 where
     RangeSumSketch<B>: SharedSketch,
 {
@@ -553,12 +540,7 @@ where
         QueryError::check_range(a, b, self.sketch().universe())?;
         self.pin_window().range_sum(a, b)
     }
-}
 
-impl<B: CounterBackend, P: ServingPolicy> QueryEngine<RangeSumSketch<B>, P>
-where
-    RangeSumSketch<B>: SharedSketch,
-{
     /// Range sum `Σ_{a ≤ i ≤ b} x_i` from a pinned snapshot: the whole
     /// dyadic decomposition reads one consistent stream prefix.
     ///
@@ -575,7 +557,7 @@ where
     }
 }
 
-impl<B: CounterBackend, P: ServingPolicy> QueryEngine<CountSketch<B>, P>
+impl<B: CounterBackend> QueryEngine<CountSketch<B>>
 where
     CountSketch<B>: SharedSketch,
 {
@@ -587,9 +569,9 @@ where
     ///
     /// # Errors
     /// Returns a [`MergeError`] when the configurations differ.
-    pub fn inner_product_with<B2: CounterBackend, P2: ServingPolicy>(
+    pub fn inner_product_with<B2: CounterBackend>(
         &self,
-        other: &QueryEngine<CountSketch<B2>, P2>,
+        other: &QueryEngine<CountSketch<B2>>,
     ) -> Result<f64, MergeError>
     where
         CountSketch<B2>: SharedSketch,
@@ -1027,34 +1009,26 @@ mod tests {
     }
 
     #[test]
-    fn finish_windowed_preserves_the_bank() {
-        let policy = Sliding::new(2).unwrap();
-        let mut engine =
-            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
-        engine.push(3, 5.0);
-        engine.advance_interval();
-        engine.push(3, 2.0);
-        let (shared, bank) = engine.finish_windowed();
-        assert_eq!(shared.mass(), 7.0);
-        // The seal survives shutdown: window answers stay computable.
-        assert_eq!(bank.sealed(0).unwrap().mass(), 5.0);
-        let mut window = shared.pin().into_snapshot();
-        shared
-            .subtract_snapshot(&mut window, bank.sealed(0).unwrap().plane())
-            .unwrap();
-        assert_eq!(shared.estimate_in(&window, 3), 2.0);
+    fn policy_accessors() {
+        let engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
+        assert_eq!(engine.policy(), Policy::Unbounded);
+        let sliding = Sliding::new(3).unwrap();
+        let windowed =
+            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), sliding);
+        assert_eq!(windowed.policy(), Policy::Sliding(sliding));
     }
 
     #[test]
-    fn policy_accessors() {
-        let engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
-        assert_eq!(engine.policy().describe(), "unbounded");
-        let windowed = QueryEngine::with_policy(
-            1,
-            AtomicCountMedian::with_backend(&params()),
-            Sliding::new(3).unwrap(),
-        );
-        assert_eq!(windowed.policy().describe(), "sliding(3)");
-        assert_eq!(windowed.policy().window_len(), 3);
+    fn unbounded_windows_reach_back_to_boot() {
+        let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()));
+        engine.push(3, 5.0);
+        engine.advance_interval();
+        engine.push(3, 2.0);
+        engine.flush();
+        assert!(engine.bank().is_empty());
+        let window = engine.pin_window();
+        assert_eq!((window.start_interval(), window.end_interval()), (0, 1));
+        assert_eq!(window.estimate(3), 7.0);
+        assert_eq!(engine.point_in_window(3), engine.estimate_live(3));
     }
 }

@@ -24,15 +24,14 @@
 //! [`advance_interval`](RotatingEngine::advance_interval) — a fresh
 //! seed makes stale feedback worthless.
 
-use std::collections::HashMap;
-
-use crate::audit::AuditPolicy;
+use crate::audit::{AuditBudget, AuditPolicy};
 use crate::error::QueryError;
 use bas_hash::SeedSchedule;
 use bas_pipeline::{EpochHandle, RotatingGeneration, RotatingIngest};
-use bas_sketch::{HeavyHitter, PointQuerySketch, Reseedable, SharedSketch, Snapshottable};
+use bas_sketch::{
+    AbsorbPlane, HeavyHitter, MergeError, PointQuerySketch, Reseedable, SharedSketch, Snapshottable,
+};
 use bas_stream::StreamUpdate;
-use parking_lot::Mutex;
 
 /// A query engine whose hasher seeds rotate every interval — see the
 /// module docs for the threat model and the error trade.
@@ -64,14 +63,7 @@ use parking_lot::Mutex;
 #[derive(Debug)]
 pub struct RotatingEngine<S: SharedSketch + Snapshottable + Reseedable + Send> {
     ingest: RotatingIngest<S>,
-    window_len: usize,
-    audit: Option<AuditState>,
-}
-
-#[derive(Debug)]
-struct AuditState {
-    policy: AuditPolicy,
-    counts: Mutex<HashMap<u64, u64>>,
+    audit: Option<AuditBudget>,
 }
 
 impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
@@ -100,7 +92,6 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
         QueryError::check_window_len(window_len)?;
         Ok(Self {
             ingest: RotatingIngest::new(sketch, schedule, window_len - 1),
-            window_len,
             audit: None,
         })
     }
@@ -119,10 +110,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
     /// budgets for [`audited_window_estimate`](RotatingEngine::audited_window_estimate),
     /// reset automatically at every rotation.
     pub fn with_audit(mut self, policy: AuditPolicy) -> Self {
-        self.audit = Some(AuditState {
-            policy,
-            counts: Mutex::new(HashMap::new()),
-        });
+        self.audit = Some(AuditBudget::new(policy));
         self
     }
 
@@ -159,9 +147,45 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
     /// [`RotatingIngest::advance_interval`]).
     pub fn advance_interval(&mut self) -> u64 {
         if let Some(audit) = &self.audit {
-            audit.counts.lock().clear();
+            audit.reset();
         }
         self.ingest.advance_interval()
+    }
+
+    /// See [`RotatingIngest::restore_generation`]; generation
+    /// `interval` runs under `schedule.seed_for(interval)`.
+    ///
+    /// # Errors
+    /// Propagates the sketch's [`AbsorbPlane`] rejection.
+    pub fn restore_generation(
+        &mut self,
+        interval: u64,
+        plane: &S::Snapshot,
+        applied: u64,
+        mass: f64,
+    ) -> Result<(), MergeError>
+    where
+        S: AbsorbPlane,
+    {
+        self.ingest
+            .restore_generation(interval, plane, applied, mass)
+    }
+
+    /// See [`RotatingIngest::restore_live`].
+    ///
+    /// # Errors
+    /// Propagates the sketch's [`AbsorbPlane`] rejection.
+    pub fn restore_live(
+        &mut self,
+        interval: u64,
+        plane: &S::Snapshot,
+        applied: u64,
+        mass: f64,
+    ) -> Result<(), MergeError>
+    where
+        S: AbsorbPlane,
+    {
+        self.ingest.restore_live(interval, plane, applied, mass)
     }
 
     // ---- read side (`&self`) ----
@@ -228,21 +252,10 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
     /// the current generation is exhausted (budgets reset at every
     /// rotation).
     pub fn audited_window_estimate(&self, item: u64) -> Result<f64, QueryError> {
-        let Some(audit) = &self.audit else {
-            return Ok(self.window_estimate(item));
-        };
-        {
-            let mut counts = audit.counts.lock();
-            let used = counts.entry(item).or_insert(0);
-            if *used >= audit.policy.max_queries_per_key() {
-                return Err(QueryError::AuditRejected {
-                    item,
-                    limit: audit.policy.max_queries_per_key(),
-                });
-            }
-            *used += 1;
+        match &self.audit {
+            Some(audit) => audit.answer(item, || self.window_estimate(item)),
+            None => Ok(self.window_estimate(item)),
         }
-        Ok(audit.policy.apply(item, self.window_estimate(item)))
     }
 
     // ---- bookkeeping ----
@@ -250,16 +263,6 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
     /// Id of the interval (= generation) currently accepting updates.
     pub fn interval(&self) -> u64 {
         self.ingest.interval()
-    }
-
-    /// The window length in intervals (live + retired).
-    pub fn window_len(&self) -> usize {
-        self.window_len
-    }
-
-    /// The seed schedule driving the rotations.
-    pub fn schedule(&self) -> SeedSchedule {
-        self.ingest.schedule()
     }
 
     /// The live generation's handle (current seed, current counters).
@@ -270,11 +273,6 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> RotatingEngine<S> {
     /// The retired generations inside the window, oldest first.
     pub fn generations(&self) -> impl Iterator<Item = &RotatingGeneration<S>> {
         self.ingest.generations()
-    }
-
-    /// The rotating write side, for direct access.
-    pub fn ingest(&self) -> &RotatingIngest<S> {
-        &self.ingest
     }
 
     /// Updates buffered but not yet flushed.

@@ -1,67 +1,46 @@
-//! Per-tenant engine slots: one `QueryEngine`/`RotatingEngine` per
-//! tenant×metric, dispatched over the closed set of serving shapes the
-//! wire protocol's [`TenantSpec`] can name.
+//! Per-tenant engine slots: one engine per tenant, in one of the three
+//! shapes a [`TenantSpec`] can name — a frequency or range-sum
+//! `QueryEngine` holding the spec's serving policy as a value, or the
+//! seed-rotating `RotatingEngine`.
 //!
 //! The fabric stores tenants as [`EngineSlot`]s; everything
 //! engine-shaped (sketch family × serving policy × audit) is resolved
 //! here, so `fabric.rs` only speaks in terms of tenants and requests.
+//! Every shape exports and installs through the same
+//! [`TenantTransfer`]: counter planes only, with hashers rebuilt from
+//! the tenant's seed on the receiving side.
 
 use crate::wire::{
     ErrorReply, MetricKind, SealFrame, ServingMode, TenantSpec, TenantTransfer, WindowLen,
 };
 use bas_hash::SeedSchedule;
 use bas_serve::{
-    AuditPolicy, AuditedHandle, QueryEngine, QueryError, RotatingEngine, Sliding, Tumbling,
-    Unbounded,
+    AuditPolicy, AuditedHandle, Policy, QueryEngine, QueryError, RotatingEngine, Sliding, Tumbling,
 };
 use bas_sketch::{
-    AbsorbPlane, Atomic, AtomicCountMedian, CounterMatrix, Dense, HeavyHitter, RangeSumSketch,
-    Reseedable, SharedSketch, SketchParams, Snapshottable,
+    AbsorbPlane, Atomic, AtomicCountMedian, CounterMatrix, Dense, HeavyHitter, MergeError,
+    RangeSumSketch, Reseedable, SharedSketch, SketchParams, Snapshottable,
 };
 
-type FreqEngine<P> = QueryEngine<AtomicCountMedian, P>;
-type RangeEngine<P> = QueryEngine<RangeSumSketch<Atomic>, P>;
+type Rotating = RotatingEngine<AtomicCountMedian>;
 
 /// The closed set of engine shapes a [`TenantSpec`] can ask for.
 #[derive(Debug)]
 pub(crate) enum TenantEngine {
-    FreqUnbounded(FreqEngine<Unbounded>),
-    FreqTumbling(FreqEngine<Tumbling>),
-    FreqSliding(FreqEngine<Sliding>),
-    RangeUnbounded(RangeEngine<Unbounded>),
-    RangeTumbling(RangeEngine<Tumbling>),
-    RangeSliding(RangeEngine<Sliding>),
-    /// The seed-rotating robustness plane; window-scoped only and
-    /// pinned to its shard (generations carry heterogeneous seeds, so
-    /// its planes are not one linear transfer).
-    Rotating(Box<RotatingEngine<AtomicCountMedian>>),
+    Freq(QueryEngine<AtomicCountMedian>),
+    Range(QueryEngine<RangeSumSketch<Atomic>>),
+    /// The seed-rotating robustness plane; window-scoped only.
+    Rotating(Box<Rotating>),
 }
 
-/// Dispatches over the six `QueryEngine` variants with one body and
+/// Dispatches over the two `QueryEngine` variants with one body and
 /// the rotating variant with another.
 macro_rules! dispatch {
     ($slot:expr, $e:ident => $body:expr, $rot:ident => $rot_body:expr) => {
         match $slot {
-            TenantEngine::FreqUnbounded($e) => $body,
-            TenantEngine::FreqTumbling($e) => $body,
-            TenantEngine::FreqSliding($e) => $body,
-            TenantEngine::RangeUnbounded($e) => $body,
-            TenantEngine::RangeTumbling($e) => $body,
-            TenantEngine::RangeSliding($e) => $body,
+            TenantEngine::Freq($e) => $body,
+            TenantEngine::Range($e) => $body,
             TenantEngine::Rotating($rot) => $rot_body,
-        }
-    };
-}
-
-/// Dispatches over the windowed (`Tumbling`/`Sliding`) variants only.
-macro_rules! dispatch_windowed {
-    ($slot:expr, $e:ident => $body:expr, else => $other:expr) => {
-        match $slot {
-            TenantEngine::FreqTumbling($e) => $body,
-            TenantEngine::FreqSliding($e) => $body,
-            TenantEngine::RangeTumbling($e) => $body,
-            TenantEngine::RangeSliding($e) => $body,
-            _ => $other,
         }
     };
 }
@@ -82,10 +61,6 @@ fn query_error(tenant: u64, e: QueryError) -> ErrorReply {
     };
     ErrorReply::new(code, format!("tenant {tenant}: {e}"))
 }
-
-/// Why a rotating tenant neither exports nor installs: its generations
-/// carry heterogeneous seeds, so no single linear merge rebuilds them.
-const PINNED: &str = "rotating tenants are pinned to their shard";
 
 fn unsupported(tenant: u64, what: &str) -> ErrorReply {
     ErrorReply::new("unsupported", format!("tenant {tenant}: {what}"))
@@ -108,6 +83,20 @@ fn window_len(tenant: u64, len: WindowLen) -> Result<usize, ErrorReply> {
             format!("tenant {tenant}: window length {} overflows", len.intervals),
         )
     })
+}
+
+/// A window query's engine: unbounded tenants serve none.
+fn windowed<S>(tenant: u64, e: &QueryEngine<S>) -> Result<&QueryEngine<S>, ErrorReply>
+where
+    S: SharedSketch + Snapshottable + Reseedable + Send,
+{
+    match e.policy() {
+        Policy::Unbounded => Err(unsupported(
+            tenant,
+            "unbounded tenants serve no window queries",
+        )),
+        _ => Ok(e),
+    }
 }
 
 impl EngineSlot {
@@ -135,96 +124,64 @@ impl EngineSlot {
             ));
         }
         let params = template.with_seed(spec.seed);
-        let range = || match grid_levels {
-            Some(g) => RangeSumSketch::<Atomic>::with_grid_levels(&params, g),
-            None => RangeSumSketch::<Atomic>::with_backend(&params),
-        };
         let threshold = usize::try_from(spec.queue_capacity).unwrap_or(usize::MAX);
-        let engine = match (spec.metric, spec.mode) {
-            (MetricKind::Frequency, ServingMode::Unbounded) => TenantEngine::FreqUnbounded(
-                QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), Unbounded)
-                    .with_flush_threshold(threshold),
-            ),
-            (MetricKind::Frequency, ServingMode::Tumbling(len)) => {
-                let policy =
-                    Tumbling::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
-                TenantEngine::FreqTumbling(
-                    QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
-                        .with_flush_threshold(threshold),
-                )
+        let audit = (spec.audit_limit > 0).then(|| AuditPolicy::new(spec.audit_limit));
+        let q = |e| query_error(tenant, e);
+        let policy = match spec.mode {
+            ServingMode::Unbounded => Policy::Unbounded,
+            ServingMode::Tumbling(len) => {
+                Tumbling::new(window_len(tenant, len)?).map_err(q)?.into()
             }
-            (MetricKind::Frequency, ServingMode::Sliding(len)) => {
-                let policy =
-                    Sliding::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
-                TenantEngine::FreqSliding(
-                    QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
-                        .with_flush_threshold(threshold),
-                )
-            }
-            (MetricKind::Frequency, ServingMode::Rotating(len)) => {
+            ServingMode::Sliding(len) => Sliding::new(window_len(tenant, len)?).map_err(q)?.into(),
+            ServingMode::Rotating(len) => {
+                if spec.metric != MetricKind::Frequency {
+                    return Err(unsupported(
+                        tenant,
+                        "rotating serving is frequency-metric only",
+                    ));
+                }
                 let mut rotating = RotatingEngine::new(
                     1,
                     AtomicCountMedian::with_backend(&params),
                     SeedSchedule::new(spec.seed),
                     window_len(tenant, len)?,
                 )
-                .map_err(|e| query_error(tenant, e))?
+                .map_err(q)?
                 .with_flush_threshold(threshold);
-                if spec.audit_limit > 0 {
-                    rotating = rotating.with_audit(AuditPolicy::new(spec.audit_limit));
+                if let Some(policy) = audit {
+                    rotating = rotating.with_audit(policy);
                 }
-                TenantEngine::Rotating(Box::new(rotating))
-            }
-            (MetricKind::RangeSum, ServingMode::Unbounded) => TenantEngine::RangeUnbounded(
-                QueryEngine::with_policy(1, range(), Unbounded).with_flush_threshold(threshold),
-            ),
-            (MetricKind::RangeSum, ServingMode::Tumbling(len)) => {
-                let policy =
-                    Tumbling::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
-                TenantEngine::RangeTumbling(
-                    QueryEngine::with_policy(1, range(), policy).with_flush_threshold(threshold),
-                )
-            }
-            (MetricKind::RangeSum, ServingMode::Sliding(len)) => {
-                let policy =
-                    Sliding::new(window_len(tenant, len)?).map_err(|e| query_error(tenant, e))?;
-                TenantEngine::RangeSliding(
-                    QueryEngine::with_policy(1, range(), policy).with_flush_threshold(threshold),
-                )
-            }
-            (MetricKind::RangeSum, ServingMode::Rotating(_)) => {
-                return Err(unsupported(
-                    tenant,
-                    "rotating serving is frequency-metric only",
-                ))
+                return Ok(Self {
+                    engine: TenantEngine::Rotating(Box::new(rotating)),
+                    audit_freq: None,
+                    audit_range: None,
+                });
             }
         };
-        let mut slot = Self {
-            engine,
-            audit_freq: None,
-            audit_range: None,
-        };
-        if spec.audit_limit > 0 {
-            let policy = AuditPolicy::new(spec.audit_limit);
-            match &slot.engine {
-                TenantEngine::FreqUnbounded(e) => {
-                    slot.audit_freq = Some(e.handle().audited(policy))
+        Ok(match spec.metric {
+            MetricKind::Frequency => {
+                let e =
+                    QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
+                        .with_flush_threshold(threshold);
+                Self {
+                    audit_freq: audit.map(|a| e.handle().audited(a)),
+                    audit_range: None,
+                    engine: TenantEngine::Freq(e),
                 }
-                TenantEngine::FreqTumbling(e) => slot.audit_freq = Some(e.handle().audited(policy)),
-                TenantEngine::FreqSliding(e) => slot.audit_freq = Some(e.handle().audited(policy)),
-                TenantEngine::RangeUnbounded(e) => {
-                    slot.audit_range = Some(e.handle().audited(policy))
-                }
-                TenantEngine::RangeTumbling(e) => {
-                    slot.audit_range = Some(e.handle().audited(policy))
-                }
-                TenantEngine::RangeSliding(e) => {
-                    slot.audit_range = Some(e.handle().audited(policy))
-                }
-                TenantEngine::Rotating(_) => {} // audited inside the rotating engine
             }
-        }
-        Ok(slot)
+            MetricKind::RangeSum => {
+                let stack = match grid_levels {
+                    Some(g) => RangeSumSketch::<Atomic>::with_grid_levels(&params, g),
+                    None => RangeSumSketch::<Atomic>::with_backend(&params),
+                };
+                let e = QueryEngine::with_policy(1, stack, policy).with_flush_threshold(threshold);
+                Self {
+                    audit_freq: None,
+                    audit_range: audit.map(|a| e.handle().audited(a)),
+                    engine: TenantEngine::Range(e),
+                }
+            }
+        })
     }
 
     // ---- write path ----
@@ -308,13 +265,8 @@ impl EngineSlot {
 
     /// Point estimate within the tenant's current window.
     pub(crate) fn window_point(&self, tenant: u64, item: u64) -> Result<f64, ErrorReply> {
-        if let TenantEngine::Rotating(r) = &self.engine {
-            return r
-                .audited_window_estimate(item)
-                .map_err(|e| query_error(tenant, e));
-        }
-        dispatch_windowed!(&self.engine, e => Ok(e.point_in_window(item)),
-            else => Err(unsupported(tenant, "unbounded tenants serve no window queries")))
+        dispatch!(&self.engine, e => windowed(tenant, e).map(|e| e.point_in_window(item)),
+                  r => r.audited_window_estimate(item).map_err(|e| query_error(tenant, e)))
     }
 
     /// Since-boot heavy hitters (window-scoped for rotating tenants).
@@ -323,9 +275,9 @@ impl EngineSlot {
         tenant: u64,
         phi: f64,
     ) -> Result<Vec<(u64, f64)>, ErrorReply> {
-        dispatch!(&self.engine,
-            e => e.try_heavy_hitters(phi).map(hh_pairs).map_err(|e| query_error(tenant, e)),
-            r => r.window_heavy_hitters(phi).map(hh_pairs).map_err(|e| query_error(tenant, e)))
+        dispatch!(&self.engine, e => e.try_heavy_hitters(phi), r => r.window_heavy_hitters(phi))
+            .map(hh_pairs)
+            .map_err(|e| query_error(tenant, e))
     }
 
     /// Heavy hitters within the tenant's current window.
@@ -334,25 +286,20 @@ impl EngineSlot {
         tenant: u64,
         phi: f64,
     ) -> Result<Vec<(u64, f64)>, ErrorReply> {
-        if let TenantEngine::Rotating(r) = &self.engine {
-            return r
-                .window_heavy_hitters(phi)
-                .map(hh_pairs)
-                .map_err(|e| query_error(tenant, e));
-        }
-        dispatch_windowed!(&self.engine,
-            e => e.heavy_hitters_in_window(phi).map(hh_pairs).map_err(|e| query_error(tenant, e)),
-            else => Err(unsupported(tenant, "unbounded tenants serve no window queries")))
+        dispatch!(&self.engine, e => windowed(tenant, e)?.heavy_hitters_in_window(phi),
+                  r => r.window_heavy_hitters(phi))
+        .map(hh_pairs)
+        .map_err(|e| query_error(tenant, e))
     }
 
     /// Since-boot range sum (range-sum tenants only).
     pub(crate) fn range_sum(&self, tenant: u64, lo: u64, hi: u64) -> Result<f64, ErrorReply> {
-        match &self.engine {
-            TenantEngine::RangeUnbounded(e) => checked_range_sum(tenant, e, lo, hi),
-            TenantEngine::RangeTumbling(e) => checked_range_sum(tenant, e, lo, hi),
-            TenantEngine::RangeSliding(e) => checked_range_sum(tenant, e, lo, hi),
-            _ => Err(unsupported(tenant, "range sums need a range-sum tenant")),
-        }
+        let TenantEngine::Range(e) = &self.engine else {
+            return Err(unsupported(tenant, "range sums need a range-sum tenant"));
+        };
+        QueryError::check_range(lo, hi, e.sketch().config().n)
+            .map_err(|e| query_error(tenant, e))?;
+        Ok(e.range_sum(lo, hi))
     }
 
     /// Range sum within the tenant's current window.
@@ -362,51 +309,60 @@ impl EngineSlot {
         lo: u64,
         hi: u64,
     ) -> Result<f64, ErrorReply> {
-        match &self.engine {
-            TenantEngine::RangeTumbling(e) => e
-                .range_sum_in_window(lo, hi)
-                .map_err(|e| query_error(tenant, e)),
-            TenantEngine::RangeSliding(e) => e
-                .range_sum_in_window(lo, hi)
-                .map_err(|e| query_error(tenant, e)),
-            TenantEngine::RangeUnbounded(_) => Err(unsupported(
-                tenant,
-                "unbounded tenants serve no window queries",
-            )),
-            _ => Err(unsupported(tenant, "range sums need a range-sum tenant")),
-        }
+        let TenantEngine::Range(e) = &self.engine else {
+            return Err(unsupported(tenant, "range sums need a range-sum tenant"));
+        };
+        windowed(tenant, e)?
+            .range_sum_in_window(lo, hi)
+            .map_err(|e| query_error(tenant, e))
     }
 
     // ---- rebalance (export / install by linearity) ----
 
-    /// Seals the tenant's state into a wire-shippable transfer: the
-    /// cumulative plane(s), every retained seal, and the stream
-    /// position. Rotating tenants refuse — their generations carry
-    /// heterogeneous seeds, so no single linear merge rebuilds them.
-    pub(crate) fn export(
-        &mut self,
-        spec: TenantSpec,
-        params: SketchParams,
-    ) -> Result<TenantTransfer, ErrorReply> {
-        let one = |plane: &CounterMatrix<f64, Dense>| vec![plane.clone()];
-        let stack = |planes: &Vec<CounterMatrix<f64, Dense>>| planes.clone();
-        Ok(match &mut self.engine {
-            TenantEngine::Rotating(_) => return Err(unsupported(spec.tenant, PINNED)),
-            TenantEngine::FreqUnbounded(e) => export(e, spec, params, one),
-            TenantEngine::FreqTumbling(e) => export(e, spec, params, one),
-            TenantEngine::FreqSliding(e) => export(e, spec, params, one),
-            TenantEngine::RangeUnbounded(e) => export(e, spec, params, stack),
-            TenantEngine::RangeTumbling(e) => export(e, spec, params, stack),
-            TenantEngine::RangeSliding(e) => export(e, spec, params, stack),
-        })
+    /// Flushes the tenant and seals its state into a wire-shippable
+    /// transfer: the stream position and the counter planes, never the
+    /// hashers. A `QueryEngine` ships its cumulative plane(s) and every
+    /// retained seal; a rotating engine ships its live generation's
+    /// plane as the cumulative and one seal per retained generation,
+    /// each that generation's own interval.
+    pub(crate) fn export(&mut self, spec: TenantSpec, params: SketchParams) -> TenantTransfer {
+        match &mut self.engine {
+            TenantEngine::Freq(e) => export(e, spec, params, |plane| vec![plane.clone()]),
+            TenantEngine::Range(e) => export(e, spec, params, |planes| planes.clone()),
+            TenantEngine::Rotating(r) => {
+                r.flush();
+                let live = r.live().pin();
+                let seals = r.generations().map(|g| {
+                    let plane = g.handle().pin();
+                    SealFrame {
+                        interval: g.interval(),
+                        applied: plane.applied(),
+                        mass: plane.mass(),
+                        planes: vec![plane.into_snapshot()],
+                    }
+                });
+                TenantTransfer {
+                    spec,
+                    params,
+                    interval: r.interval(),
+                    applied: live.applied(),
+                    mass: live.mass(),
+                    seals: seals.collect(),
+                    cumulative: vec![live.into_snapshot()],
+                }
+            }
+        }
     }
 
     /// Rebuilds a tenant from a transfer: check it whole
     /// ([`check_transfer`]), build a fresh engine from the seed in the
-    /// layout the planes record, absorb the cumulative plane by
-    /// linearity, restore the seals and the interval id. Bit-for-bit
-    /// with the exporting engine on integer-delta streams. A refused
-    /// transfer builds nothing.
+    /// layout the planes record, then absorb the planes by linearity —
+    /// a `QueryEngine` absorbs the cumulative plane and restores the
+    /// seals and the interval id; a rotating engine rebuilds each
+    /// generation's hashers from `SeedSchedule::new(seed).seed_for(g)`
+    /// and absorbs that generation's plane. Bit-for-bit with the
+    /// exporting engine on integer-delta streams. A refused transfer
+    /// builds nothing.
     pub(crate) fn install(
         transfer: &TenantTransfer,
         template: SketchParams,
@@ -419,32 +375,17 @@ impl EngineSlot {
                 format!("tenant {tenant}: transfer params do not match this fabric's template"),
             ));
         }
-        if let ServingMode::Rotating(_) = transfer.spec.mode {
-            return Err(unsupported(tenant, PINNED));
-        }
         let grid_levels = check_transfer(transfer)?;
         let mut slot = Self::build_in(&transfer.spec, template, grid_levels)?;
-        let one = |planes: &[CounterMatrix<f64, Dense>]| planes[0].clone();
-        let stack = |planes: &[CounterMatrix<f64, Dense>]| planes.to_vec();
         let restored = match &mut slot.engine {
-            TenantEngine::Rotating(_) => return Err(unsupported(tenant, PINNED)),
-            TenantEngine::FreqUnbounded(e) => restore(e, transfer, one),
-            TenantEngine::FreqTumbling(e) => restore(e, transfer, one),
-            TenantEngine::FreqSliding(e) => restore(e, transfer, one),
-            TenantEngine::RangeUnbounded(e) => restore(e, transfer, stack),
-            TenantEngine::RangeTumbling(e) => restore(e, transfer, stack),
-            TenantEngine::RangeSliding(e) => restore(e, transfer, stack),
+            TenantEngine::Freq(e) => restore(e, transfer, |planes| planes[0].clone()),
+            TenantEngine::Range(e) => restore(e, transfer, |planes| planes.to_vec()),
+            TenantEngine::Rotating(r) => restore_rotating(r, transfer),
         };
         restored.map_err(|e| {
             ErrorReply::new("incompatible", format!("tenant {tenant}: cumulative: {e}"))
         })?;
         Ok(slot)
-    }
-
-    /// Whether this tenant can be rebalanced (rotating tenants are
-    /// pinned).
-    pub(crate) fn movable(&self) -> bool {
-        !matches!(self.engine, TenantEngine::Rotating(_))
     }
 }
 
@@ -460,7 +401,11 @@ impl EngineSlot {
 /// * a windowed tenant holds the seals of the `min(K, interval)`
 ///   intervals right before the one in progress, the seals its
 ///   windows reach back to (every advance seals the interval it
-///   closes, so an exported tenant always does).
+///   closes, so an exported tenant always does);
+/// * a rotating tenant holds exactly the generations rotation retains,
+///   those of the `min(K − 1, interval)` intervals right before the
+///   live one: each is summed into every window answer, so a missing
+///   or extra one would change them.
 ///
 /// Returns the range-sum stack's grid levels (`None` for frequency
 /// tenants); a refusal is `incompatible`, naming the first bad field.
@@ -525,20 +470,36 @@ fn check_transfer(transfer: &TenantTransfer) -> Result<Option<usize>, ErrorReply
             ),
         ));
     }
-    if let ServingMode::Tumbling(len) | ServingMode::Sliding(len) = transfer.spec.mode {
-        let first = transfer.interval - len.intervals.min(transfer.interval);
-        let held = transfer.seals.iter().map(|s| s.interval);
-        if !held.filter(|&i| i >= first).eq(first..transfer.interval) {
-            return Err(refuse(
-                "seals",
-                format!(
-                    "a window of {} at interval {} needs the seals of intervals {first} to {}",
-                    len.intervals,
-                    transfer.interval,
-                    transfer.interval - 1
-                ),
-            ));
+    let held = transfer.seals.iter().map(|s| s.interval);
+    match transfer.spec.mode {
+        ServingMode::Tumbling(len) | ServingMode::Sliding(len) => {
+            let first = transfer.interval - len.intervals.min(transfer.interval);
+            if !held.filter(|&i| i >= first).eq(first..transfer.interval) {
+                return Err(refuse(
+                    "seals",
+                    format!(
+                        "a window of {} at interval {} needs the seals of intervals {first} to {}",
+                        len.intervals,
+                        transfer.interval,
+                        transfer.interval - 1
+                    ),
+                ));
+            }
         }
+        ServingMode::Rotating(len) => {
+            let kept = len.intervals.saturating_sub(1).min(transfer.interval);
+            let want = transfer.interval - kept..transfer.interval;
+            if !held.eq(want.clone()) {
+                return Err(refuse(
+                    "seals",
+                    format!(
+                        "a rotating window of {} at interval {} holds exactly the generations {want:?}",
+                        len.intervals, transfer.interval
+                    ),
+                ));
+            }
+        }
+        ServingMode::Unbounded => {}
     }
     Ok(grid_levels)
 }
@@ -546,14 +507,13 @@ fn check_transfer(transfer: &TenantTransfer) -> Result<Option<usize>, ErrorReply
 /// Absorbs a checked transfer into a fresh engine: the cumulative
 /// plane, every seal in order, then the interval id. `plane` turns a
 /// shipped plane list into the engine's snapshot type.
-fn restore<S, P>(
-    e: &mut QueryEngine<S, P>,
+fn restore<S>(
+    e: &mut QueryEngine<S>,
     transfer: &TenantTransfer,
     plane: impl Fn(&[CounterMatrix<f64, Dense>]) -> S::Snapshot,
-) -> Result<(), bas_sketch::MergeError>
+) -> Result<(), MergeError>
 where
     S: SharedSketch + Snapshottable + Reseedable + AbsorbPlane + Send,
-    P: bas_serve::ServingPolicy,
 {
     e.absorb_cumulative(
         &plane(&transfer.cumulative),
@@ -567,27 +527,31 @@ where
     Ok(())
 }
 
-fn checked_range_sum<P: bas_serve::ServingPolicy>(
-    tenant: u64,
-    e: &RangeEngine<P>,
-    lo: u64,
-    hi: u64,
-) -> Result<f64, ErrorReply> {
-    QueryError::check_range(lo, hi, e.sketch().config().n).map_err(|e| query_error(tenant, e))?;
-    Ok(e.range_sum(lo, hi))
+/// Absorbs a checked rotating transfer into a fresh rotating engine:
+/// each retained generation, oldest first, then the live one, every
+/// plane under its own generation's seed.
+fn restore_rotating(r: &mut Rotating, transfer: &TenantTransfer) -> Result<(), MergeError> {
+    for seal in &transfer.seals {
+        r.restore_generation(seal.interval, &seal.planes[0], seal.applied, seal.mass)?;
+    }
+    r.restore_live(
+        transfer.interval,
+        &transfer.cumulative[0],
+        transfer.applied,
+        transfer.mass,
+    )
 }
 
 /// Flushes and pins `e`, then ships its cumulative plane and every
 /// retained seal as plane lists (`planes` maps a snapshot to one).
-fn export<S, P>(
-    e: &mut QueryEngine<S, P>,
+fn export<S>(
+    e: &mut QueryEngine<S>,
     spec: TenantSpec,
     params: SketchParams,
     planes: impl Fn(&S::Snapshot) -> Vec<CounterMatrix<f64, Dense>>,
 ) -> TenantTransfer
 where
     S: SharedSketch + Snapshottable + Reseedable + Send,
-    P: bas_serve::ServingPolicy,
 {
     e.flush();
     let snap = e.pin();

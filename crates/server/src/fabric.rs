@@ -16,7 +16,11 @@
 //! metered on the fabric's [`CommMeter`]). The destination rebuilds
 //! the hashers deterministically from the tenant's seed and absorbs
 //! the planes by linearity, so a moved tenant answers **bit-for-bit**
-//! like one that never moved.
+//! like one that never moved. Every tenant moves this way: a
+//! seed-rotating tenant ships one plane per generation, and the
+//! destination rebuilds generation `g`'s hashers from
+//! `SeedSchedule::new(seed).seed_for(g)`, so linearity only has to hold
+//! within each plane.
 
 use crate::engine::EngineSlot;
 use crate::placement::PlacementRing;
@@ -84,9 +88,6 @@ pub struct TenantMove {
 pub struct RebalanceReport {
     /// Tenants shipped to a new shard, in tenant-id order.
     pub moved: Vec<TenantMove>,
-    /// Rotating tenants whose ring placement changed but which stayed
-    /// put (they are pinned to their shard).
-    pub pinned: Vec<u64>,
     /// Wire bytes shipped (each transfer is framed once and counted
     /// once; the meter records the same volume as upload + download).
     pub bytes_shipped: u64,
@@ -212,9 +213,8 @@ impl Fabric {
     // ---- shard membership ----
 
     /// Adds a shard with the given capacity weight and rebalances:
-    /// every movable tenant whose ring placement changed is shipped to
-    /// the new shard through the wire format. Rotating tenants stay
-    /// pinned and are listed in the report.
+    /// every tenant whose ring placement changed is shipped to the new
+    /// shard through the wire format.
     ///
     /// # Errors
     /// `tenant_exists`-style `ErrorReply` with code `protocol` if the
@@ -240,8 +240,8 @@ impl Fabric {
     /// Removes a shard and rebalances its tenants onto the survivors.
     ///
     /// # Errors
-    /// `unsupported` if the shard hosts pinned (rotating) tenants, or
-    /// if it hosts any tenant and no other shard remains.
+    /// `unsupported` if the shard hosts any tenant and no other shard
+    /// remains.
     pub fn remove_shard(&mut self, id: u64) -> Result<RebalanceReport, ErrorReply> {
         if !self.ring.contains(id) {
             return Err(ErrorReply::new(
@@ -249,30 +249,11 @@ impl Fabric {
                 format!("shard {id} is not in the ring"),
             ));
         }
-        let (hosted, pinned): (Vec<u64>, Vec<u64>) = match self.shards.get(&id) {
-            Some(shard) => (
-                shard.keys().copied().collect(),
-                shard
-                    .iter()
-                    .filter(|(_, t)| !t.slot.movable())
-                    .map(|(tenant, _)| *tenant)
-                    .collect(),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
-        if !pinned.is_empty() {
+        let hosted = self.shards.get(&id).map_or(0, BTreeMap::len);
+        if hosted > 0 && self.ring.len() == 1 {
             return Err(ErrorReply::new(
                 "unsupported",
-                format!("shard {id} hosts pinned rotating tenants {pinned:?}"),
-            ));
-        }
-        if !hosted.is_empty() && self.ring.len() == 1 {
-            return Err(ErrorReply::new(
-                "unsupported",
-                format!(
-                    "cannot remove the last shard while {} tenants remain",
-                    hosted.len()
-                ),
+                format!("cannot remove the last shard while {hosted} tenants remain"),
             ));
         }
         self.ring.remove_shard(id);
@@ -282,8 +263,8 @@ impl Fabric {
         Ok(report)
     }
 
-    /// Ships every movable tenant whose current shard disagrees with
-    /// the ring to where the ring says it belongs.
+    /// Ships every tenant whose current shard disagrees with the ring
+    /// to where the ring says it belongs.
     fn rebalance_to_ring(&mut self) -> Result<RebalanceReport, ErrorReply> {
         let mut report = RebalanceReport::default();
         let tenants: Vec<u64> = self.assignments.keys().copied().collect();
@@ -294,24 +275,6 @@ impl Fabric {
                 .place(tenant)
                 .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
             if to == from {
-                continue;
-            }
-            let movable = self
-                .shards
-                .get(&from)
-                .ok_or(FabricError::ShardMissing {
-                    tenant,
-                    shard: from,
-                })?
-                .get(&tenant)
-                .ok_or(FabricError::TenantMissing {
-                    tenant,
-                    shard: from,
-                })?
-                .slot
-                .movable();
-            if !movable {
-                report.pinned.push(tenant);
                 continue;
             }
             let bytes = self.ship_tenant(tenant, from, to)?;
@@ -339,7 +302,7 @@ impl Fabric {
                     shard: from,
                 })?;
             t.slot
-                .export(t.spec, self.config.params.with_seed(t.spec.seed))?
+                .export(t.spec, self.config.params.with_seed(t.spec.seed))
         };
         let mut buf = Vec::new();
         let bytes = wire::write_frame(&mut buf, &transfer)
@@ -442,11 +405,6 @@ impl Fabric {
     /// The registered spec of a tenant, if any.
     pub fn tenant_spec(&self, tenant: u64) -> Option<TenantSpec> {
         self.tenant(tenant).ok().map(|t| t.spec)
-    }
-
-    /// The id of a tenant's interval in progress, if it is registered.
-    pub(crate) fn interval_of(&self, tenant: u64) -> Option<u64> {
-        self.tenant(tenant).ok().map(|t| t.slot.interval())
     }
 
     /// All registered tenant ids, in id order.
@@ -577,10 +535,7 @@ impl Fabric {
             Request::Export(TenantRef { tenant }) => {
                 let params = self.config.params.clone();
                 self.with_tenant_mut(tenant, |t| {
-                    match t.slot.export(t.spec, params.with_seed(t.spec.seed)) {
-                        Ok(transfer) => Response::Exported(transfer),
-                        Err(e) => Response::Error(e),
-                    }
+                    Response::Exported(t.slot.export(t.spec, params.with_seed(t.spec.seed)))
                 })
             }
             Request::Install(transfer) => match self.install_tenant(&transfer) {

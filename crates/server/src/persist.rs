@@ -12,22 +12,24 @@
 //!
 //! * **Crash (kill -9):** [`recover`] rebuilds the shard ring, every
 //!   tenant's spec and placement, and its interval position. Tenants
-//!   checkpointed at the last graceful shutdown also get their counter
-//!   planes back through the existing
-//!   [`Fabric::install_tenant`]/absorb path, a range-sum tenant in
-//!   the dyadic layout its planes record (a checkpoint written before
-//!   exact coarse levels existed comes back all grids); counters
+//!   checkpointed at the last compaction also get their counter
+//!   planes back through the rebalance path,
+//!   [`Fabric::install_tenant`]: a range-sum tenant in the dyadic
+//!   layout its planes record (a checkpoint written before exact
+//!   coarse levels existed comes back all grids), a rotating tenant
+//!   with every retained generation under its own seed. Counters
 //!   admitted after the last checkpoint are lost (the estimates
 //!   restart from the checkpoint).
 //! * **Graceful shutdown:** [`Daemon::shutdown`](crate::Daemon::shutdown)
 //!   quiesces (seals open intervals) and calls [`Journal::compact`],
-//!   which rewrites the journal as shards + one checkpoint per
-//!   exportable tenant — so a restart serves **bit-for-bit** what the
-//!   old process served. Pinned rotating tenants refuse export by
-//!   design (their robustness depends on seed rotation, see the
-//!   engine's `movable` contract); they are compacted as spec +
-//!   interval advances instead and restart empty at the right
-//!   interval.
+//!   which rewrites the journal as shards + one checkpoint per tenant,
+//!   whatever its serving mode — so a restart serves **bit-for-bit**
+//!   what the old process served. A tenant that cannot be exported
+//!   fails the compaction, and the old journal stays in place.
+//! * **Older journals:** a tenant journaled as its registration plus
+//!   one `IntervalAdvanced` per interval (how rotating tenants were
+//!   compacted before they could be exported) still recovers, empty,
+//!   at that interval.
 //!
 //! Placement needs no records of its own: it is a pure function of
 //! `(tenant, ring)`, so replaying shard membership in order puts every
@@ -134,16 +136,19 @@ impl Journal {
     }
 
     /// Rewrites the journal as the **current** fabric state: shard
-    /// membership, then one [`JournalRecord::Checkpoint`] per
-    /// exportable tenant (full counter planes) and spec + interval
-    /// advances for pinned tenants that refuse export. Atomic via
-    /// write-to-temp + rename, so a crash mid-compaction leaves the
-    /// old journal intact.
+    /// membership, then one [`JournalRecord::Checkpoint`] per tenant
+    /// (full counter planes). Atomic via write-to-temp + rename, so a
+    /// crash mid-compaction leaves the old journal intact.
+    ///
+    /// # Errors
+    /// I/O failures, and a tenant whose export fails; either leaves
+    /// the old journal in place.
     pub fn compact(&mut self, fabric: &mut Fabric) -> io::Result<()> {
+        let records = snapshot_records(fabric)?;
         let tmp = self.path.with_extension("journal.tmp");
         {
             let mut out = BufWriter::new(File::create(&tmp)?);
-            for record in snapshot_records(fabric) {
+            for record in records {
                 let line = serde_json::to_string(&record).map_err(io::Error::other)?;
                 out.write_all(line.as_bytes())?;
                 out.write_all(b"\n")?;
@@ -162,8 +167,9 @@ impl Journal {
     }
 }
 
-/// The fabric's durable state as an ordered record list.
-fn snapshot_records(fabric: &mut Fabric) -> Vec<JournalRecord> {
+/// The fabric's durable state as an ordered record list: the shards,
+/// then one checkpoint per tenant.
+fn snapshot_records(fabric: &mut Fabric) -> io::Result<Vec<JournalRecord>> {
     let mut records: Vec<JournalRecord> = fabric
         .ring()
         .shards()
@@ -177,23 +183,15 @@ fn snapshot_records(fabric: &mut Fabric) -> Vec<JournalRecord> {
         .collect();
     for tenant in fabric.tenant_ids() {
         match fabric.handle(Request::Export(TenantRef { tenant })) {
-            Response::Exported(transfer) => {
-                records.push(JournalRecord::Checkpoint(transfer));
-            }
-            _ => {
-                // Pinned (rotating) tenants refuse export: persist the
-                // spec and replay the interval position.
-                let Some(spec) = fabric.tenant_spec(tenant) else {
-                    continue;
-                };
-                records.push(JournalRecord::TenantRegistered(spec));
-                for _ in 0..fabric.interval_of(tenant).unwrap_or(0) {
-                    records.push(JournalRecord::IntervalAdvanced(TenantRef { tenant }));
-                }
+            Response::Exported(transfer) => records.push(JournalRecord::Checkpoint(transfer)),
+            other => {
+                return Err(io::Error::other(format!(
+                    "tenant {tenant} did not export: {other:?}"
+                )))
             }
         }
     }
-    records
+    Ok(records)
 }
 
 /// A journal parse failure (corrupt line), surfaced with its line

@@ -521,9 +521,13 @@ pub enum ServingMode {
     Tumbling(WindowLen),
     /// Sliding window of the given length.
     Sliding(WindowLen),
-    /// Seed-rotating robustness plane (frequency metric only). Pinned
-    /// to its shard: generations carry heterogeneous seeds, so its
-    /// planes cannot be shipped as one linear transfer.
+    /// Seed-rotating robustness plane (frequency metric only): a
+    /// sliding window of the given length whose every interval, a
+    /// *generation*, runs under its own hasher seed,
+    /// `SeedSchedule::new(seed).seed_for(g)` for generation `g`, and
+    /// whose answers sum the generations' estimates. Because each seed
+    /// follows from the tenant seed and the interval, the tenant moves
+    /// and checkpoints like any other: see [`TenantTransfer`].
     Rotating(WindowLen),
 }
 
@@ -605,6 +609,17 @@ impl TenantSpec {
 /// cumulative counter plane(s) + every retained seal. Counters only —
 /// the destination rebuilds hashers deterministically from
 /// `params.seed`, and linearity makes the rebuilt engine bit-for-bit.
+///
+/// For a [`ServingMode::Rotating`] tenant the planes are per
+/// generation, not cumulative: `cumulative`, `applied` and `mass` are
+/// the live generation's, and each seal is one retained generation's,
+/// the updates of that interval alone.
+/// No seed travels: the destination rebuilds generation `g`'s hashers
+/// from `SeedSchedule::new(spec.seed).seed_for(g)` (`g` the seal's
+/// interval, or `interval` for the live one) and absorbs its plane, so
+/// linearity only has to hold within each plane. `Install` refuses a
+/// rotating transfer that does not hold exactly the `min(K − 1,
+/// interval)` generations before `interval`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TenantTransfer {
     /// The tenant's serving configuration.
@@ -631,7 +646,10 @@ pub struct TenantTransfer {
     pub seals: Vec<SealFrame>,
 }
 
-/// One sealed cumulative plane with its bookkeeping.
+/// One sealed plane with its bookkeeping: a cumulative plane as of the
+/// end of `interval`, or for a [`ServingMode::Rotating`] tenant the
+/// plane of generation `interval` alone, counted under
+/// `SeedSchedule::new(spec.seed).seed_for(interval)`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SealFrame {
     /// Interval this seal closed.

@@ -1,16 +1,19 @@
 //! Kill -9 recovery of the `bas-serverd` binary: a daemon killed
 //! without any shutdown courtesy restarts on the same journal with
 //! every tenant's spec, placement and interval position, and serves
-//! fresh streams bit-for-bit like a never-killed fabric.
+//! fresh streams bit-for-bit like a never-killed fabric. After a clean
+//! shutdown a restart also gets every tenant's counters back, a
+//! seed-rotating tenant's generations included.
 //!
 //! This suite lives in the `bas-server` package so Cargo builds the
 //! daemon binary before it runs and hands the path over as
 //! `CARGO_BIN_EXE_bas-serverd`.
 
 use bas_hash::HashKind;
-use bas_server::wire::{IngestFrame, PointQuery, TenantRef};
+use bas_server::wire::{IngestFrame, PointQuery, StatsReply, TenantRef};
 use bas_server::{
-    Client, Fabric, FabricConfig, Request, Response, RetryPolicy, TenantSpec, MAX_FRAME_BYTES,
+    Client, Fabric, FabricConfig, Request, Response, RetryPolicy, ServingMode, TenantSpec,
+    WindowLen, MAX_FRAME_BYTES,
 };
 use bas_sketch::SketchParams;
 use std::io::{BufRead, BufReader, Write};
@@ -96,11 +99,41 @@ fn spawn_serverd(journal: &std::path::Path) -> Serverd {
     Serverd { child, addr }
 }
 
+fn shutdown(mut child: std::process::Child) {
+    child
+        .stdin
+        .as_mut()
+        .expect("piped stdin")
+        .write_all(b"shutdown\n")
+        .unwrap();
+    let status = child.wait().expect("clean exit");
+    assert!(status.success());
+}
+
+/// The rotating tenant's window answers, as bits, and its `Stats`.
+fn rotating_answers(
+    client: &mut Client<TcpStream, impl FnMut() -> std::io::Result<TcpStream>>,
+) -> (Vec<u64>, StatsReply) {
+    let tenant = 4;
+    let window = (0..N)
+        .step_by(131)
+        .map(|item| {
+            let req = Request::WindowPoint(PointQuery { tenant, item });
+            expect_value(client.call(&req).unwrap()).to_bits()
+        })
+        .collect();
+    match client.call(&Request::Stats(TenantRef { tenant })).unwrap() {
+        Response::Stats(s) => (window, s),
+        other => panic!("{other:?}"),
+    }
+}
+
 /// Kill -9 and restart: the daemon process is killed without any
 /// shutdown courtesy; a restart on the same journal recovers every
 /// tenant's spec, placement, and interval position, and the recovered
 /// topology serves fresh streams identically to a never-killed fabric
-/// with the same history.
+/// with the same history. A clean shutdown then checkpoints every
+/// tenant, and a third life answers as the second did.
 #[test]
 fn kill_and_restart_recovers_tenant_topology() {
     let journal =
@@ -111,6 +144,7 @@ fn kill_and_restart_recovers_tenant_topology() {
         TenantSpec::frequency(1, 101),
         TenantSpec::frequency(2, 202).with_interval_quota(50_000),
         TenantSpec::range_sum(3, 303),
+        TenantSpec::frequency(4, 404).with_mode(ServingMode::Rotating(WindowLen { intervals: 3 })),
     ];
 
     // ---- first life: register, ingest, advance, then SIGKILL ----
@@ -139,6 +173,17 @@ fn kill_and_restart_recovers_tenant_topology() {
         client
             .call(&Request::AdvanceInterval(TenantRef { tenant: 2 }))
             .unwrap();
+        client
+            .call(&Request::Ingest(IngestFrame {
+                tenant: 4,
+                updates: stream(4, 500),
+            }))
+            .unwrap();
+        for _ in 0..3 {
+            client
+                .call(&Request::AdvanceInterval(TenantRef { tenant: 4 }))
+                .unwrap();
+        }
     }
     let mut child = first.child;
     child.kill().expect("SIGKILL the daemon");
@@ -158,7 +203,7 @@ fn kill_and_restart_recovers_tenant_topology() {
     for spec in specs {
         reference.register_tenant(spec).unwrap();
     }
-    for (tenant, advances) in [(1u64, 2u64), (2, 1), (3, 0)] {
+    for (tenant, advances) in [(1u64, 2u64), (2, 1), (3, 0), (4, 3)] {
         match client.call(&Request::Stats(TenantRef { tenant })).unwrap() {
             Response::Stats(s) => {
                 assert_eq!(
@@ -182,7 +227,7 @@ fn kill_and_restart_recovers_tenant_topology() {
     // The recovered topology serves identically: feed both the
     // restarted daemon and a reference with the same history the same
     // fresh stream and compare bit-for-bit.
-    for (tenant, advances) in [(1u64, 2u64), (2, 1), (3, 0)] {
+    for (tenant, advances) in [(1u64, 2u64), (2, 1), (3, 0), (4, 3)] {
         for _ in 0..advances {
             reference.handle(Request::AdvanceInterval(TenantRef { tenant }));
         }
@@ -213,16 +258,50 @@ fn kill_and_restart_recovers_tenant_topology() {
         }
     }
 
-    // Clean exit this time: `shutdown` over stdin.
-    drop(client);
-    let mut child = second.child;
-    child
-        .stdin
-        .as_mut()
-        .expect("piped stdin")
-        .write_all(b"shutdown\n")
+    // The rotating tenant (interval 3, generations 1 and 2 empty)
+    // closes interval 3 and takes more traffic, so its window holds
+    // data in generation 3 and in the live interval 4.
+    client
+        .call(&Request::AdvanceInterval(TenantRef { tenant: 4 }))
         .unwrap();
-    let status = child.wait().expect("clean exit");
-    assert!(status.success());
+    client
+        .call(&Request::Ingest(IngestFrame {
+            tenant: 4,
+            updates: stream(40, 800),
+        }))
+        .unwrap();
+    client
+        .call(&Request::Flush(TenantRef { tenant: 4 }))
+        .unwrap();
+    let (window, stats) = rotating_answers(&mut client);
+    assert_eq!(stats.interval, 4);
+    assert!(window.iter().any(|&bits| f64::from_bits(bits) != 0.0));
+
+    // Clean exit this time: `shutdown` over stdin, which seals every
+    // open interval and compacts the journal into checkpoints.
+    drop(client);
+    shutdown(second.child);
+
+    // ---- third life: the checkpoints bring the counters back ----
+    // Shutdown sealed interval 4, so the window now spans the empty
+    // live interval 5 and generations 3 and 4, where it spanned the
+    // empty generation 2, generation 3 and the live interval 4: the
+    // same updates, so the same answers, bit for bit. `Stats` moved on
+    // by that one seal alone.
+    let third = spawn_serverd(&journal);
+    let mut client = tcp_client(third.addr);
+    let (window_after, stats_after) = rotating_answers(&mut client);
+    assert_eq!(window_after, window);
+    assert_eq!(stats_after.mass.to_bits(), stats.mass.to_bits());
+    assert_eq!(
+        stats_after,
+        StatsReply {
+            interval: stats.interval + 1,
+            admitted_in_interval: 0,
+            ..stats
+        }
+    );
+    drop(client);
+    shutdown(third.child);
     std::fs::remove_file(&journal).ok();
 }

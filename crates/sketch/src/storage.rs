@@ -1763,10 +1763,12 @@ pub struct PlaneBank<P> {
 impl<P> PlaneBank<P> {
     /// An empty bank retaining at most `capacity` sealed planes.
     /// Capacity 0 is allowed and makes every `seal_with` a no-op — the
-    /// unbounded (no-window) configuration costs nothing.
+    /// unbounded (no-window) configuration costs nothing. Nothing is
+    /// allocated up front: each seal takes its slot when it is sealed,
+    /// so a window of 2^40 intervals costs only the seals it holds.
     pub fn new(capacity: usize) -> Self {
         Self {
-            ring: std::collections::VecDeque::with_capacity(capacity),
+            ring: std::collections::VecDeque::new(),
             capacity,
         }
     }

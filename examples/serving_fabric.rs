@@ -241,13 +241,13 @@ fn main() {
     // ---- act 4: live rebalance by linearity ----
     // A double-weight shard joins; rendezvous placement ships ~half
     // the tenants to it. Each transfer is counter planes only — the
-    // destination rebuilds hashers from the tenant's seed — framed
-    // through the real wire format and metered.
+    // destination rebuilds hashers from the tenant's seed, a rotating
+    // tenant's per generation — framed through the real wire format
+    // and metered.
     let report = fabric.add_shard(3, 2.0).unwrap();
     println!(
-        "shard 3 joined (weight 2): {} tenants moved, {} pinned (rotating), {} wire bytes, {} metered words",
+        "shard 3 joined (weight 2): {} tenants moved, {} wire bytes, {} metered words",
         report.moved.len(),
-        report.pinned.len(),
         report.bytes_shipped,
         fabric.meter().total_words()
     );

@@ -95,8 +95,8 @@ pub mod prelude {
     };
     pub use bas_serve::{
         combine_plane_estimates, heavy_hitters_across, AuditPolicy, AuditedHandle, EstimateCombine,
-        QueryEngine, QueryError, QueryHandle, RotatingEngine, ServingPolicy, Sliding, Tumbling,
-        Unbounded, WindowPolicy, WindowSnapshot,
+        Policy, QueryEngine, QueryError, QueryHandle, RotatingEngine, Sliding, Tumbling, Unbounded,
+        WindowSnapshot,
     };
     pub use bas_server::{
         call, serve_connection, Fabric, FabricConfig, MetricKind, PlacementRing, RebalanceReport,

@@ -527,8 +527,8 @@ fn audit_budgets_are_enforced_per_tenant() {
 }
 
 /// Protocol-level rejections are typed responses, never panics:
-/// unknown tenants, out-of-universe items, wrong-metric queries,
-/// duplicate registration, and pinned rotating tenants.
+/// unknown tenants, out-of-universe items, wrong-metric queries and
+/// duplicate registration, beside a rotating tenant that serves.
 #[test]
 fn rejections_are_typed_responses() {
     let mut fabric = Fabric::new(config());
@@ -573,7 +573,7 @@ fn rejections_are_typed_responses() {
             .code,
         "tenant_exists"
     );
-    // Rotating tenants serve, but refuse to be exported.
+    // Rotating tenants serve.
     fabric.handle(Request::Ingest(IngestFrame {
         tenant: 9,
         updates: stream(9, 50),
@@ -582,10 +582,6 @@ fn rejections_are_typed_responses() {
         fabric.handle(Request::WindowPoint(PointQuery { tenant: 9, item: 3 })),
         Response::Value(_)
     ));
-    match fabric.handle(Request::Export(TenantRef { tenant: 9 })) {
-        Response::Error(e) => assert_eq!(e.code, "unsupported"),
-        other => panic!("{other:?}"),
-    }
 }
 
 /// A placement/shard-map disagreement — manufactured here via the
@@ -1397,4 +1393,417 @@ fn all_grid_checkpoints_recover_in_their_layout() {
         }
         other => panic!("{other:?}"),
     }
+}
+
+/// A window may be as long as the wire can say. Registering or
+/// installing a `Sliding` or `Tumbling` tenant of 2^40 or `u64::MAX`
+/// intervals once reserved its whole seal ring up front — over 10^14
+/// bytes at 2^40 — and aborted the daemon. Seals now take their slots
+/// as they are sealed, so every such tenant is `Installed`, and its
+/// window, which still reaches back to boot, answers like `Point`.
+#[test]
+fn huge_windows_register_and_install() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    let mut tenants = Vec::new();
+    for intervals in [1u64 << 40, u64::MAX] {
+        let len = WindowLen { intervals };
+        for mode in [ServingMode::Sliding(len), ServingMode::Tumbling(len)] {
+            for range in [false, true] {
+                let tenant = 100 + 2 * tenants.len() as u64;
+                let spec = if range {
+                    TenantSpec::range_sum(tenant, tenant * 7)
+                } else {
+                    TenantSpec::frequency(tenant, tenant * 7)
+                }
+                .with_mode(mode);
+                let installed = |resp: Response, tenant: u64| match resp {
+                    Response::Installed(r) => assert_eq!(r.tenant, tenant),
+                    other => panic!("{spec:?}: expected Installed, got {other:?}"),
+                };
+                installed(fabric.handle(Request::Register(spec)), tenant);
+                fabric.handle(Request::Ingest(IngestFrame {
+                    tenant,
+                    updates: stream(tenant, 300),
+                }));
+                fabric.handle(Request::AdvanceInterval(TenantRef { tenant }));
+                let Response::Exported(mut transfer) =
+                    fabric.handle(Request::Export(TenantRef { tenant }))
+                else {
+                    panic!("{spec:?} exports");
+                };
+                transfer.spec.tenant = tenant + 1;
+                installed(fabric.handle(Request::Install(transfer)), tenant + 1);
+                tenants.extend([tenant, tenant + 1]);
+            }
+        }
+    }
+    for &tenant in &tenants {
+        fabric.handle(Request::Ingest(IngestFrame {
+            tenant,
+            updates: stream(tenant + 1_000, 300),
+        }));
+        fabric.handle(Request::AdvanceInterval(TenantRef { tenant }));
+        for item in (0..N).step_by(191) {
+            let point = expect_value(fabric.handle(Request::Point(PointQuery { tenant, item })));
+            let window =
+                expect_value(fabric.handle(Request::WindowPoint(PointQuery { tenant, item })));
+            assert_eq!(
+                window.to_bits(),
+                point.to_bits(),
+                "tenant {tenant}, item {item}"
+            );
+        }
+    }
+}
+
+/// The answers an audited rotating tenant gives to one read: the value's
+/// bits, or the refusal's code.
+fn audited_read(resp: Response) -> Result<u64, String> {
+    match resp {
+        Response::Value(v) => Ok(v.value.to_bits()),
+        Response::Error(e) => Err(e.code),
+        other => panic!("expected a value or an error, got {other:?}"),
+    }
+}
+
+/// Asserts that a rotating tenant answers `Point`, `WindowPoint`,
+/// `WindowHeavyHitters` and `Stats` bit for bit like `mirror`. Each
+/// item is read three times, so an audit budget of 2 refuses the third
+/// read on both sides.
+fn assert_rotating_matches(
+    fabric: &mut Fabric,
+    tenant: u64,
+    mirror: &RotatingEngine<AtomicCountMedian>,
+    round: u64,
+) {
+    for item in (0..N).step_by(257) {
+        let reads = [
+            Request::Point(PointQuery { tenant, item }),
+            Request::WindowPoint(PointQuery { tenant, item }),
+            Request::WindowPoint(PointQuery { tenant, item }),
+        ];
+        for req in reads {
+            let want = match mirror.audited_window_estimate(item) {
+                Ok(v) => Ok(v.to_bits()),
+                Err(QueryError::AuditRejected { .. }) => Err("audit_rejected".to_string()),
+                Err(e) => panic!("mirror: {e}"),
+            };
+            let got = audited_read(fabric.handle(req));
+            assert_eq!(got, want, "tenant {tenant}, round {round}, item {item}");
+        }
+    }
+    let got = expect_hh(
+        fabric.handle(Request::WindowHeavyHitters(HeavyHittersQuery {
+            tenant,
+            phi: 0.002,
+        })),
+    );
+    let want = hh_pairs(mirror.window_heavy_hitters(0.002).unwrap());
+    assert_eq!(
+        got, want,
+        "tenant {tenant}, round {round}: window heavy hitters"
+    );
+    match fabric.handle(Request::Stats(TenantRef { tenant })) {
+        Response::Stats(s) => assert_eq!(
+            (s.applied, s.mass.to_bits(), s.pending, s.interval),
+            (
+                mirror.window_applied(),
+                mirror.window_mass().to_bits(),
+                mirror.pending() as u64,
+                mirror.interval()
+            ),
+            "tenant {tenant}, round {round}: stats"
+        ),
+        other => panic!("tenant {tenant}: {other:?}"),
+    }
+}
+
+/// Rotating tenants move like every other tenant. Through `add_shard`
+/// and then `remove_shard`, `Rotating(3)` tenants, half of them
+/// audited, answer bit for bit like dedicated `RotatingEngine`s that
+/// never moved, and keep doing so across later `AdvanceInterval`s
+/// while their generations rotate out of the window. Each generation
+/// travels as its own plane and is rebuilt under its own seed.
+#[test]
+fn rotating_tenants_rebalance_bit_for_bit() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric.add_shard(1, 1.0).unwrap();
+    let mode = ServingMode::Rotating(WindowLen { intervals: 3 });
+    let tenants: Vec<u64> = (40..56).collect();
+    let mut mirrors: Vec<_> = tenants
+        .iter()
+        .map(|&tenant| {
+            let seed = tenant * 1_000 + 3;
+            let mut spec = TenantSpec::frequency(tenant, seed).with_mode(mode);
+            let mut mirror = RotatingEngine::new(
+                1,
+                AtomicCountMedian::with_backend(&params().with_seed(seed)),
+                SeedSchedule::new(seed),
+                3,
+            )
+            .unwrap();
+            if tenant % 2 == 0 {
+                spec = spec.with_audit_limit(2);
+                mirror = mirror.with_audit(AuditPolicy::new(2));
+            }
+            fabric.register_tenant(spec).unwrap();
+            mirror
+        })
+        .collect();
+
+    let mut on_new_shard = Vec::new();
+    for round in 0..9u64 {
+        for (i, &tenant) in tenants.iter().enumerate() {
+            let updates = stream(tenant * 31 + round, 300);
+            fabric.handle(Request::Ingest(IngestFrame {
+                tenant,
+                updates: updates.clone(),
+            }));
+            mirrors[i].extend_from_slice(&updates);
+            fabric.handle(Request::AdvanceInterval(TenantRef { tenant }));
+            mirrors[i].advance_interval();
+        }
+        // Moves land right after an advance, which renewed every audit
+        // budget on both sides (an installed tenant's budget starts
+        // afresh).
+        if round == 2 {
+            let report = fabric.add_shard(2, 1.0).unwrap();
+            on_new_shard = report.moved.iter().map(|m| m.tenant).collect();
+            assert!(
+                !on_new_shard.is_empty(),
+                "expected rotating tenants to move"
+            );
+            assert!(report.moved.iter().all(|m| m.to == 2));
+            assert_eq!(fabric.tenants_on(2), on_new_shard);
+        }
+        if round == 5 {
+            let report = fabric.remove_shard(2).unwrap();
+            let moved: Vec<u64> = report.moved.iter().map(|m| m.tenant).collect();
+            assert_eq!(moved, on_new_shard);
+            assert!(report.moved.iter().all(|m| m.from == 2));
+        }
+        for (i, &tenant) in tenants.iter().enumerate() {
+            let updates = stream(tenant * 37 + round, 100);
+            fabric.handle(Request::Ingest(IngestFrame {
+                tenant,
+                updates: updates.clone(),
+            }));
+            mirrors[i].extend_from_slice(&updates);
+            fabric.handle(Request::Flush(TenantRef { tenant }));
+            mirrors[i].flush();
+        }
+        for (i, &tenant) in tenants.iter().enumerate() {
+            assert_rotating_matches(&mut fabric, tenant, &mirrors[i], round);
+        }
+    }
+    assert!(tenants.iter().all(|&t| fabric.shard_of(t) != Some(2)));
+}
+
+/// `Stats` fields that survive a checkpoint: applied, mass (as bits),
+/// pending and interval.
+fn position(fabric: &mut Fabric, tenant: u64) -> (u64, u64, u64, u64) {
+    match fabric.handle(Request::Stats(TenantRef { tenant })) {
+        Response::Stats(s) => (s.applied, s.mass.to_bits(), s.pending, s.interval),
+        other => panic!("tenant {tenant}: {other:?}"),
+    }
+}
+
+/// A rotating tenant compacts to one `Checkpoint`, however long it has
+/// lived: at interval 500 the journal holds the shard and that
+/// checkpoint, not its registration plus 500 `IntervalAdvanced`
+/// records. Recovery brings it back answering bit for bit, and it keeps
+/// rotating in step with the source. A journal written that old way
+/// still recovers, empty, at interval 500.
+#[test]
+fn rotating_tenants_compact_to_one_checkpoint() {
+    let path =
+        std::env::temp_dir().join(format!("bas-rotating-compact-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let tenant = 7;
+    let spec = TenantSpec::frequency(tenant, 77)
+        .with_mode(ServingMode::Rotating(WindowLen { intervals: 3 }));
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric.register_tenant(spec).unwrap();
+    let ingest = |fabric: &mut Fabric, key: u64, len: usize| {
+        fabric.handle(Request::Ingest(IngestFrame {
+            tenant,
+            updates: stream(key, len),
+        }));
+    };
+    for interval in 0..500u64 {
+        ingest(&mut fabric, interval, 20);
+        fabric.handle(Request::AdvanceInterval(TenantRef { tenant }));
+    }
+    ingest(&mut fabric, 500, 200);
+
+    let mut journal = Journal::open(&path).unwrap();
+    journal.compact(&mut fabric).unwrap();
+    drop(journal);
+    let records: Vec<JournalRecord> = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    assert_eq!(records.len(), 2, "one shard, one checkpoint");
+    assert!(matches!(records[0], JournalRecord::ShardAdded(_)));
+    match &records[1] {
+        JournalRecord::Checkpoint(t) => {
+            assert_eq!(t.interval, 500);
+            let generations: Vec<u64> = t.seals.iter().map(|s| s.interval).collect();
+            assert_eq!(generations, [498, 499]);
+        }
+        other => panic!("expected a checkpoint, got {other:?}"),
+    }
+
+    let mut recovered = recover(&path, config()).unwrap();
+    for round in 0..4u64 {
+        assert_eq!(
+            answer_bits(&mut recovered, &[tenant])[1..],
+            answer_bits(&mut fabric, &[tenant])[1..],
+            "round {round}"
+        );
+        assert_eq!(
+            position(&mut recovered, tenant),
+            position(&mut fabric, tenant)
+        );
+        for f in [&mut fabric, &mut recovered] {
+            f.handle(Request::AdvanceInterval(TenantRef { tenant }));
+            ingest(f, 600 + round, 150);
+        }
+    }
+
+    // The old compaction: registration plus one advance per interval.
+    std::fs::remove_file(&path).unwrap();
+    let mut journal = Journal::open(&path).unwrap();
+    journal
+        .append(&JournalRecord::ShardAdded(ShardRecord {
+            shard: 0,
+            weight: 1.0,
+        }))
+        .unwrap();
+    journal
+        .append(&JournalRecord::TenantRegistered(spec))
+        .unwrap();
+    for _ in 0..500 {
+        journal
+            .append(&JournalRecord::IntervalAdvanced(TenantRef { tenant }))
+            .unwrap();
+    }
+    drop(journal);
+    let mut old = recover(&path, config()).unwrap();
+    assert_eq!(position(&mut old, tenant), (0, 0f64.to_bits(), 0, 500));
+    let mut reference = Fabric::new(config());
+    reference.add_shard(0, 1.0).unwrap();
+    reference.register_tenant(spec).unwrap();
+    for _ in 0..500 {
+        reference.handle(Request::AdvanceInterval(TenantRef { tenant }));
+    }
+    for f in [&mut old, &mut reference] {
+        ingest(f, 900, 300);
+    }
+    assert_eq!(
+        answer_bits(&mut old, &[tenant]),
+        answer_bits(&mut reference, &[tenant])
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `Install` checks a rotating transfer before it builds anything: a
+/// missing, extra or out-of-order generation, a plane of the wrong
+/// shape, and an interval that does not lie past the last generation
+/// are each refused with `incompatible` naming the field, in process
+/// and through the wire. Nothing is registered, the source answers as
+/// before, and the untouched transfer installs and answers as its
+/// source does.
+#[test]
+fn malformed_rotating_transfers_are_refused_and_install_nothing() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    let spec =
+        TenantSpec::frequency(1, 101).with_mode(ServingMode::Rotating(WindowLen { intervals: 3 }));
+    fabric.register_tenant(spec).unwrap();
+    for round in 0..4u64 {
+        fabric.handle(Request::Ingest(IngestFrame {
+            tenant: 1,
+            updates: stream(round, 300),
+        }));
+        fabric.handle(Request::AdvanceInterval(TenantRef { tenant: 1 }));
+    }
+    fabric.handle(Request::Ingest(IngestFrame {
+        tenant: 1,
+        updates: stream(4, 150),
+    }));
+    let Response::Exported(mut good) = fabric.handle(Request::Export(TenantRef { tenant: 1 }))
+    else {
+        panic!("the rotating tenant exports");
+    };
+    good.spec.tenant = 9;
+    let generations: Vec<u64> = good.seals.iter().map(|s| s.interval).collect();
+    assert_eq!((generations, good.interval), (vec![2, 3], 4));
+    let before = answer_bits(&mut fabric, &[1]);
+
+    let edit = |f: &dyn Fn(&mut TenantTransfer)| {
+        let mut t = good.clone();
+        f(&mut t);
+        t
+    };
+    let cases = [
+        (edit(&|t| drop(t.seals.remove(0))), "seals"),
+        (
+            edit(&|t| {
+                let mut older = t.seals[0].clone();
+                older.interval = 1;
+                t.seals.insert(0, older);
+            }),
+            "seals",
+        ),
+        (edit(&|t| t.seals.swap(0, 1)), "seals[1].interval"),
+        (
+            edit(&|t| t.seals[1].planes = vec![CounterMatrix::new(1, 3)]),
+            "seals[1].planes",
+        ),
+        (
+            edit(&|t| t.cumulative.push(CounterMatrix::new(1, 3))),
+            "cumulative",
+        ),
+        (edit(&|t| t.interval = 3), "interval"),
+    ];
+    for (transfer, field) in cases {
+        let req = Request::Install(transfer);
+        let resp = fabric.handle(req.clone());
+        match &resp {
+            Response::Error(e) => {
+                assert_eq!(e.code, "incompatible", "{field}: {e:?}");
+                let prefix = format!("tenant 9: {field}: ");
+                assert!(e.detail.starts_with(&prefix), "{field}: {e:?}");
+            }
+            other => panic!("{field}: expected incompatible, got {other:?}"),
+        }
+        match fabric.handle(Request::Stats(TenantRef { tenant: 9 })) {
+            Response::Error(e) => assert_eq!(e.code, "unknown_tenant", "{field}"),
+            other => panic!("{field}: {other:?}"),
+        }
+        let mut frames = Vec::new();
+        write_frame(&mut frames, &req).unwrap();
+        let mut replies = Vec::new();
+        serve_connection(&mut fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        let wired: Response = read_frame(&mut &replies[..], MAX_FRAME_BYTES)
+            .unwrap()
+            .unwrap();
+        assert_eq!(wired, resp, "{field}");
+    }
+    assert_eq!(fabric.tenant_count(), 1);
+    assert_eq!(answer_bits(&mut fabric, &[1]), before);
+
+    assert!(matches!(
+        fabric.handle(Request::Install(good)),
+        Response::Installed(_)
+    ));
+    assert_eq!(
+        answer_bits(&mut fabric, &[9])[1..],
+        answer_bits(&mut fabric, &[1])[1..]
+    );
 }
