@@ -54,32 +54,33 @@ pub struct WindowAggregate<S: Snapshottable> {
 ///
 /// All sites must cover the same interval range — window planes over
 /// different ranges sum to the sketch of no meaningful vector, so a
-/// mismatch is rejected rather than silently blended. The sites must
+/// mismatch is rejected rather than silently blended. Every plane must
 /// also share one hasher configuration (seed included): counter-space
-/// addition presumes bucket `(r, c)` means the same colliding set at
-/// every site, so mismatched-seed planes are rejected with
-/// [`MergeError::PlaneSeedMismatch`] — combine their **estimates**
-/// with [`aggregate_window_estimates`] instead.
+/// addition presumes bucket `(r, c)` means the same colliding set in
+/// every plane, so mismatched-seed planes — other sites' seeds, or the
+/// several generations of one seed-rotating site's window — are
+/// rejected with [`MergeError::PlaneSeedMismatch`]; combine their
+/// **estimates** with [`aggregate_window_estimates`] instead.
 ///
 /// # Errors
 /// Returns a [`MergeError`] if the windows cover different interval
-/// ranges, were pinned under different hasher configurations, or the
-/// planes cannot be added.
+/// ranges, hold planes pinned under different hasher configurations,
+/// or the planes cannot be added.
 ///
 /// # Panics
 /// Panics if `windows` is empty.
 pub fn aggregate_windows<S>(windows: &[WindowSnapshot<S>]) -> Result<WindowAggregate<S>, MergeError>
 where
-    S: Snapshottable + SharedSketch + Send,
+    S: Snapshottable + SharedSketch + Reseedable + Send,
 {
     assert!(!windows.is_empty(), "need at least one site window");
     let meter = CommMeter::new();
-    let reference = windows[0].sketch();
+    let (reference, _) = windows[0].planes().next().expect("a window holds a plane");
     let start_interval = windows[0].start_interval();
     let end_interval = windows[0].end_interval();
     let words_per_site = reference.size_in_words() as u64;
 
-    let reference_config = windows[0].config();
+    let reference_config = reference.config();
     let mut applied_per_site = Vec::with_capacity(windows.len());
     let mut mass = 0.0;
     let mut global = reference.make_snapshot();
@@ -89,11 +90,13 @@ where
                 what: "window interval ranges",
             });
         }
-        reference_config.check_counter_compatible(&window.config())?;
         meter.record_upload(words_per_site);
         applied_per_site.push(window.applied());
         mass += window.mass();
-        reference.merge_snapshot(&mut global, window.plane())?;
+        for (sketch, plane) in window.planes() {
+            reference_config.check_counter_compatible(&sketch.config())?;
+            reference.merge_snapshot(&mut global, plane)?;
+        }
     }
     Ok(WindowAggregate {
         global,
@@ -145,15 +148,14 @@ where
             });
         }
     }
-    let entries: Vec<(&S, &S::Snapshot)> =
-        windows.iter().map(|w| (w.sketch(), w.plane())).collect();
+    let entries: Vec<(&S, &S::Snapshot)> = windows.iter().flat_map(|w| w.planes()).collect();
     Ok(combine_plane_estimates(&entries, items, combine))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bas_serve::{QueryEngine, Sliding};
+    use bas_serve::{Policy, QueryEngine, Sliding};
     use bas_sketch::{AtomicCountSketch, CountSketch, PointQuerySketch, SketchParams};
 
     const N: u64 = 600;
@@ -261,6 +263,30 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("combine their estimates"));
+    }
+
+    #[test]
+    fn rotating_site_windows_aggregate_in_estimate_space_only() {
+        // A seed-rotating site's window holds one plane per generation,
+        // each under its own seed: counter space refuses it, estimate
+        // space sums every generation of every site.
+        let policy = Policy::Rotating(Sliding::new(2).unwrap());
+        let mut a = QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy);
+        let mut b = QueryEngine::with_policy(1, AtomicCountSketch::with_backend(&params()), policy);
+        for (site, engine) in [&mut a, &mut b].into_iter().enumerate() {
+            engine.push(7, 10.0 + site as f64);
+            engine.advance_interval();
+            engine.push(7, 1.0);
+            engine.flush();
+        }
+        let windows = [a.pin_window(), b.pin_window()];
+        let err = aggregate_windows(&windows).unwrap_err();
+        assert!(
+            matches!(err, MergeError::PlaneSeedMismatch { right: 19, .. }),
+            "{err:?}"
+        );
+        let out = aggregate_window_estimates(&windows, &[7], EstimateCombine::Sum).unwrap();
+        assert_eq!(out, vec![23.0]);
     }
 
     #[test]

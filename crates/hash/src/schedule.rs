@@ -5,10 +5,11 @@
 //! query answers feed back into the stream, the seed can be learned
 //! one probe at a time and the (ε, δ) analysis (which assumes the
 //! input is independent of the hash functions) stops applying. The
-//! ROADMAP's mitigation is to bound every seed's lifetime: the
-//! rotation driver (`bas_pipeline::RotatingIngest`) reseeds the live
-//! plane at every interval boundary, so no hash configuration survives
-//! longer than the serving window.
+//! ROADMAP's mitigation is to bound every seed's lifetime: a rotating
+//! generation ring (`bas_pipeline::WindowedIngest::rotating`, served as
+//! `bas_serve::Policy::Rotating`) reseeds the live plane at every
+//! interval boundary, so no hash configuration survives longer than
+//! the serving window.
 //!
 //! A [`SeedSchedule`] is the deterministic half of that story: a pure
 //! `rotation → seed` derivation from one master seed, with no state to

@@ -56,15 +56,19 @@
 //!
 //! ## Bounded lifetimes: the window module
 //!
-//! [`window`] adds interval **rotation** on top of the epoch plane:
-//! a [`WindowedIngest`] seals the cumulative plane into a rotating
-//! [`PlaneBank`](bas_sketch::PlaneBank) at every
-//! [`advance_interval`](WindowedIngest::advance_interval) (flush, then
-//! copy through the same seqlock fill loop snapshot readers use, then
-//! recycle the oldest slot allocation-free). Because the sketches are
-//! linear, any time window is then one subtractive merge of two sealed
-//! planes — the mechanism behind `bas-serve`'s tumbling and sliding
-//! serving policies.
+//! [`window`] adds interval **rotation** on top of the epoch plane: a
+//! [`WindowedIngest`] is a ring of *generations*, runs of intervals that
+//! share one hasher seed. At every
+//! [`advance_interval`](WindowedIngest::advance_interval) it flushes and
+//! then either seals the cumulative plane into a
+//! [`PlaneBank`](bas_sketch::PlaneBank) (copied through the same seqlock
+//! fill loop snapshot readers use, the oldest slot recycled
+//! allocation-free) or, under a `bas_hash::SeedSchedule`, closes the
+//! live generation and starts an empty one under the next seed.
+//! Because the sketches are linear, any time window is then one
+//! subtractive merge of two planes, or a sum of per-generation
+//! estimates — the mechanism behind `bas-serve`'s serving policies,
+//! seed rotation included.
 //!
 //! Non-linear sketches (CM-CU, CML-CU) are rejected by the type
 //! system, exactly as in the distributed protocol: [`ShardedIngest`]
@@ -84,7 +88,6 @@
 mod buffer;
 mod concurrent;
 pub mod epoch;
-pub mod rotate;
 mod sharded;
 pub mod window;
 
@@ -92,6 +95,5 @@ pub use concurrent::ConcurrentIngest;
 pub use epoch::{
     EpochGuard, EpochHandle, EpochSketch, FillBudget, SnapshotHandle, SnapshotUnavailable,
 };
-pub use rotate::{RotatingGeneration, RotatingIngest};
 pub use sharded::ShardedIngest;
-pub use window::WindowedIngest;
+pub use window::{Generation, WindowedIngest};

@@ -37,15 +37,15 @@ pub enum QueryError {
         /// The boundary interval that was requested.
         interval: u64,
     },
-    /// An audited handle refused the query: the key has already been
-    /// asked about `limit` times in the current plane lifetime (see
+    /// An audited engine refused the query: the key has already been
+    /// asked about `limit` times in the current interval (see
     /// [`AuditPolicy`](crate::AuditPolicy)). Answering further probes
     /// would hand an adaptive adversary the per-key feedback budget the
     /// robustness analysis bounds.
     AuditRejected {
         /// The item whose query budget is exhausted.
         item: u64,
-        /// The per-key, per-lifetime query cap that was reached.
+        /// The per-key, per-interval query cap that was reached.
         limit: u64,
     },
 }

@@ -6,10 +6,13 @@
 //! is only *sound* when every plane hashes with the same functions —
 //! adding bucket `(r, c)` across planes presumes the bucket means the
 //! same set of colliding items in each. Seed rotation
-//! (`bas_pipeline::RotatingIngest`) and heterogeneous distributed
-//! sites break that premise on purpose. This module combines planes
-//! one level up, in **estimate space**: query each plane through its
-//! own hashers, then combine the per-plane *estimates*:
+//! ([`Policy::Rotating`](crate::Policy::Rotating)) and heterogeneous
+//! distributed sites break that premise on purpose. This module
+//! combines planes one level up, in **estimate space**: query each
+//! plane through its own hashers, then combine the per-plane
+//! *estimates* (a rotating engine's window scan over several
+//! generations is [`heavy_hitters_across`] with
+//! [`EstimateCombine::Sum`]):
 //!
 //! * [`EstimateCombine::Sum`] — the planes partition the stream
 //!   (disjoint time slices, disjoint sites): by linearity of the

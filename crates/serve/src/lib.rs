@@ -39,7 +39,25 @@
 //!   pinnable [`WindowSnapshot`]s. Window answers are **plane
 //!   arithmetic** — `cumulative(now) − sealed(boundary)`, exact for
 //!   the linear sketches by `Φx^{(a,t]} = Φx^{(0,t]} − Φx^{(0,a]}` —
-//!   so there is no second ingest path and no per-window counters.
+//!   so there is no second ingest path and no per-window counters;
+//! * [`Policy::Rotating`]`(K)` — the sliding window hardened against
+//!   adaptive inputs: every interval is a *generation* under its own
+//!   seed, and window answers sum the generations' estimates.
+//!
+//! All four share one read rule over the engine's generation ring: a
+//! read over the intervals `(b, now]` visits each retained generation
+//! the range overlaps, reads a generation wholly inside the range as
+//! it stands, and pins and subtracts `seal(b)` only where `b` cuts the
+//! live generation of a fixed-seed window. Since-boot reads are the
+//! same reads with no boundary, so under [`Policy::Rotating`] they
+//! cover the window's generations, the only planes it keeps.
+//!
+//! ## Auditing
+//!
+//! An engine built [`with_audit`](QueryEngine::with_audit) answers its
+//! audited point reads through one per-key budget that every advance
+//! renews, with optional noise and quantization ([`AuditPolicy`]) —
+//! the serving-side half of the defence against adaptive inputs.
 //!
 //! Bad query parameters (invalid `phi`, reversed ranges, zero-length
 //! windows) are rejected with the typed [`QueryError`]; the panicking
@@ -103,24 +121,25 @@ mod policy;
 mod rotate;
 mod window;
 
-pub use audit::{AuditPolicy, AuditedHandle};
+pub use audit::AuditPolicy;
 pub use error::QueryError;
 pub use estimate::{combine_plane_estimates, heavy_hitters_across, EstimateCombine};
 pub use policy::{Policy, Sliding, Tumbling, Unbounded};
 pub use rotate::RotatingEngine;
 pub use window::WindowSnapshot;
 
-use bas_pipeline::{EpochHandle, SnapshotHandle, WindowedIngest};
+use audit::AuditBudget;
+use bas_pipeline::{EpochHandle, Generation, SnapshotHandle, WindowedIngest};
 use bas_sketch::{
     AbsorbPlane, CountSketch, CounterBackend, HeavyHitter, MergeError, PointQuerySketch,
-    RangeSumSketch, Reseedable, SharedSketch, Snapshottable,
+    RangeSumSketch, Reseedable, SealedPlane, SharedSketch, Snapshottable,
 };
 use bas_stream::StreamUpdate;
 
 /// Every item of a frozen plane whose estimate reaches `phi · mass`,
 /// by decreasing estimate — the heavy-hitter query shared by the
-/// unbounded snapshot scan and the window scan. The scan itself is the
-/// sketch's [`Snapshottable::items_at_least_in`]; this only sorts.
+/// snapshot scan and the one-generation window scan. The scan itself is
+/// the sketch's [`Snapshottable::items_at_least_in`]; this only sorts.
 fn scan_heavy_hitters<S: Snapshottable>(
     sketch: &S,
     plane: &S::Snapshot,
@@ -138,8 +157,8 @@ fn scan_heavy_hitters<S: Snapshottable>(
 }
 
 /// A query engine over one concurrently-fed sketch: the write side is
-/// a [`WindowedIngest`] (one writer, one shared counter plane, plus
-/// interval rotation that seals as many planes as the [`Policy`]
+/// a [`WindowedIngest`] generation ring (one writer, one live counter
+/// plane, plus the seals or closed generations the [`Policy`]
 /// retains), the read side is any number of [`QueryHandle`]s serving
 /// live and snapshot reads — see the crate docs for the mode choice
 /// and the policy choice.
@@ -160,6 +179,7 @@ fn scan_heavy_hitters<S: Snapshottable>(
 pub struct QueryEngine<S: SharedSketch + Snapshottable + Reseedable + Send> {
     ingest: WindowedIngest<S>,
     policy: Policy,
+    audit: Option<AuditBudget>,
 }
 
 impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
@@ -173,8 +193,10 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
 
     /// Creates an engine with an explicit serving policy (see the
     /// crate docs): [`Unbounded`], [`Tumbling`], [`Sliding`] or a
-    /// [`Policy`]. [`Unbounded`] seals nothing; a window of `K`
-    /// intervals retains the last `K` sealed planes.
+    /// [`Policy`]. The ring keeps what a window of `K` intervals can
+    /// reach: [`Unbounded`] keeps nothing, a fixed-seed window `K`
+    /// seals, and [`Policy::Rotating`] `K − 1` closed generations, the
+    /// sketch's own seed being the master of its `SeedSchedule`.
     ///
     /// Flushes run on the calling thread, the plane's one writer, so
     /// `workers` must be 1; the argument stays only so existing
@@ -186,20 +208,33 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
         assert_eq!(workers, 1, "flushes have one writer: workers must be 1");
         let policy = policy.into();
         Self {
-            ingest: WindowedIngest::new(sketch, policy.bank_capacity()),
+            ingest: policy.ring(sketch),
             policy,
+            audit: None,
         }
     }
 
     /// Overrides the flush threshold (see
-    /// [`bas_pipeline::ConcurrentIngest::with_flush_threshold`]).
-    /// Smaller thresholds mean fresher snapshots (more flush
-    /// boundaries) at more per-flush overhead.
+    /// [`bas_pipeline::ConcurrentIngest::with_flush_threshold`]); it
+    /// carries over to every later generation. Smaller thresholds mean
+    /// fresher snapshots (more flush boundaries) at more per-flush
+    /// overhead.
     ///
     /// # Panics
     /// Panics if `updates` is zero.
     pub fn with_flush_threshold(mut self, updates: usize) -> Self {
         self.ingest = self.ingest.with_flush_threshold(updates);
+        self
+    }
+
+    /// Installs a query audit on the point reads: one per-key budget
+    /// that both [`audited_estimate_live`](Self::audited_estimate_live)
+    /// and [`audited_point_in_window`](Self::audited_point_in_window)
+    /// count against, renewed at every
+    /// [`advance_interval`](Self::advance_interval). The unaudited reads
+    /// stay exact and uncounted, for trusted readers.
+    pub fn with_audit(mut self, policy: AuditPolicy) -> Self {
+        self.audit = Some(AuditBudget::new(policy));
         self
     }
 
@@ -232,33 +267,38 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
         self.ingest.flush();
     }
 
-    /// Flushes the remainder and returns the shared sketch handle; the
-    /// engine's write side is gone, readers (and their snapshots)
-    /// remain valid.
+    /// Flushes the remainder and returns the live plane's shared
+    /// handle; the engine's write side is gone, readers (and their
+    /// snapshots) remain valid.
     pub fn finish(self) -> EpochHandle<S> {
-        let (shared, _bank) = self.ingest.finish();
-        shared
+        self.ingest.finish()
     }
 
     // ---- read side (`&self`; or clone a `QueryHandle` per thread) ----
 
-    /// A cloneable read handle for another thread.
+    /// A cloneable read handle for another thread, over the live plane
+    /// (under [`Policy::Rotating`], the live generation's).
     pub fn handle(&self) -> QueryHandle<S> {
         QueryHandle {
             shared: self.ingest.shared().clone(),
         }
     }
 
-    /// Live lock-free point estimate — see the crate docs for when the
-    /// live mode is appropriate. Always since-boot: window scoping
-    /// requires a frozen plane to subtract from, which is what
-    /// [`pin_window`](QueryEngine::pin_window) provides.
+    /// Live lock-free point estimate over the retained planes — see the
+    /// crate docs for when the live mode is appropriate. Since boot
+    /// under a fixed seed; under [`Policy::Rotating`] the sum of every
+    /// retained generation's estimate, live first, each read in place
+    /// through its own hashers.
     pub fn estimate_live(&self, item: u64) -> f64 {
-        self.ingest.shared().sketch().estimate(item)
+        let live = self.ingest.shared().sketch().estimate(item);
+        self.ingest
+            .generations()
+            .fold(live, |acc, g| acc + g.handle().estimate(item))
     }
 
-    /// Pins an epoch-consistent **since-boot** snapshot of everything
-    /// flushed so far (the cumulative plane, under every policy).
+    /// Pins an epoch-consistent snapshot of the live plane: everything
+    /// flushed so far under a fixed seed, the live generation under
+    /// [`Policy::Rotating`].
     pub fn pin(&self) -> SnapshotHandle<S> {
         self.ingest.shared().pin()
     }
@@ -303,15 +343,15 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Convenience: pin a fresh snapshot and scan it — see
-    /// [`try_heavy_hitters_in`](QueryEngine::try_heavy_hitters_in).
+    /// Heavy hitters over the retained planes: the window read with no
+    /// boundary (see [`pin_window`](QueryEngine::pin_window)), so since
+    /// boot under a fixed seed.
     ///
     /// # Errors
     /// Returns [`QueryError::InvalidPhi`] unless `0 < phi < 1`.
     pub fn try_heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitter>, QueryError> {
         QueryError::check_phi(phi)?; // fail before paying for the pin
-        let snap = self.pin();
-        self.try_heavy_hitters_in(&snap, phi)
+        self.pin_reaching(None)?.heavy_hitters(phi)
     }
 
     /// Panicking convenience over
@@ -324,10 +364,41 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
+    // ---- audited point reads ----
+
+    /// [`estimate_live`](Self::estimate_live) behind the engine's audit
+    /// (see [`with_audit`](Self::with_audit)); uncounted and exact
+    /// without one.
+    ///
+    /// # Errors
+    /// Returns [`QueryError::AuditRejected`] once `item`'s budget for
+    /// the current interval is used up.
+    pub fn audited_estimate_live(&self, item: u64) -> Result<f64, QueryError> {
+        self.audited(item, || self.estimate_live(item))
+    }
+
+    /// [`point_in_window`](Self::point_in_window) behind the engine's
+    /// audit, counted against the same per-key budget.
+    ///
+    /// # Errors
+    /// Returns [`QueryError::AuditRejected`] once `item`'s budget for
+    /// the current interval is used up.
+    pub fn audited_point_in_window(&self, item: u64) -> Result<f64, QueryError> {
+        self.audited(item, || self.point_in_window(item))
+    }
+
+    fn audited(&self, item: u64, read: impl FnOnce() -> f64) -> Result<f64, QueryError> {
+        match &self.audit {
+            Some(audit) => audit.answer(item, read),
+            None => Ok(read()),
+        }
+    }
+
     // ---- bookkeeping ----
 
-    /// Updates applied in completed flushes (what a snapshot pinned
-    /// now would capture).
+    /// Updates applied in completed flushes over the retained planes:
+    /// since boot under a fixed seed, the window under
+    /// [`Policy::Rotating`].
     pub fn applied(&self) -> u64 {
         self.ingest.applied()
     }
@@ -337,22 +408,25 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
         self.ingest.pending()
     }
 
-    /// Total delta mass applied in completed flushes.
+    /// Total delta mass applied in completed flushes, over the same
+    /// planes as [`applied`](QueryEngine::applied).
     pub fn mass(&self) -> f64 {
         self.ingest.mass()
     }
 
-    /// The shared sketch (hash functions + live counters).
+    /// The live plane's sketch (hash functions + live counters).
     pub fn sketch(&self) -> &S {
         self.ingest.shared().sketch()
     }
 
-    /// Closes the current interval: flushes the buffered tail, seals
-    /// the cumulative plane into the rotating bank (recycling the
-    /// oldest slot allocation-free), and starts the next interval.
-    /// Returns the id of the interval just sealed. Drive it from a
-    /// wall-clock tick, a [`bas_stream::drive_timestamped`] boundary
-    /// callback, or any other notion of time.
+    /// Closes the current interval: flushes the buffered tail, then
+    /// seals the cumulative plane into the bank (recycling the oldest
+    /// slot allocation-free) or, under [`Policy::Rotating`], closes the
+    /// live generation and starts the next under the schedule's next
+    /// seed; renews every audit budget. Returns the id of the interval
+    /// just closed. Drive it from a wall-clock tick, a
+    /// [`bas_stream::drive_timestamped`] boundary callback, or any
+    /// other notion of time.
     ///
     /// Under [`Unbounded`] the bank retains nothing, so this is a
     /// flush plus interval bookkeeping — the hook a serving fabric
@@ -363,7 +437,11 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
     /// Panics if the current interval is `u64::MAX` (see
     /// [`WindowedIngest::advance_interval`]).
     pub fn advance_interval(&mut self) -> u64 {
-        self.ingest.advance_interval()
+        let closed = self.ingest.advance_interval();
+        if let Some(audit) = &self.audit {
+            audit.reset();
+        }
+        closed
     }
 
     /// Id of the interval currently accepting updates.
@@ -373,25 +451,49 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
 
     // ---- plane transfer (tenant rebalance by linearity) ----
 
-    /// The bank of sealed cumulative planes (empty under
-    /// [`Unbounded`]) — read it to ship a windowed tenant's seals to
-    /// another host.
+    /// The bank of sealed cumulative planes (empty under [`Unbounded`]
+    /// and [`Policy::Rotating`]) — read it to ship a windowed tenant's
+    /// seals to another host.
     pub fn bank(&self) -> &bas_sketch::PlaneBank<S::Snapshot> {
         self.ingest.bank()
     }
 
-    /// Absorbs a transferred **cumulative** plane into the live sketch
-    /// by linearity (see
-    /// [`WindowedIngest::absorb_cumulative`]): a freshly built
-    /// same-seed engine that absorbs a shipped plane answers every
-    /// later query bit-for-bit as the source would have (integer-delta
-    /// streams).
+    /// The closed generations, oldest first (empty unless
+    /// [`Policy::Rotating`]) — read them to ship a rotating tenant.
+    pub fn generations(&self) -> impl Iterator<Item = &Generation<S>> {
+        self.ingest.generations()
+    }
+
+    /// Restores one seal or closed generation with its original
+    /// bookkeeping (see [`WindowedIngest::restore_seal`]); they arrive
+    /// oldest first, before [`restore_live`](Self::restore_live).
+    ///
+    /// # Errors
+    /// Propagates the sketch's [`bas_sketch::AbsorbPlane`] rejection.
+    pub fn restore_seal(
+        &mut self,
+        interval: u64,
+        plane: S::Snapshot,
+        applied: u64,
+        mass: f64,
+    ) -> Result<(), MergeError>
+    where
+        S: AbsorbPlane,
+    {
+        self.ingest.restore_seal(interval, plane, applied, mass)
+    }
+
+    /// Restores the live plane at interval `interval`, last (see
+    /// [`WindowedIngest::restore_live`]): a freshly built engine that
+    /// restores a shipped tenant answers every later query bit-for-bit
+    /// as the source would have (integer-delta streams).
     ///
     /// # Errors
     /// Propagates the sketch's [`bas_sketch::AbsorbPlane`] rejection
     /// with the counters untouched.
-    pub fn absorb_cumulative(
+    pub fn restore_live(
         &mut self,
+        interval: u64,
         plane: &S::Snapshot,
         applied: u64,
         mass: f64,
@@ -399,50 +501,29 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
     where
         S: AbsorbPlane,
     {
-        self.ingest.absorb_cumulative(plane, applied, mass)
-    }
-
-    /// Restores one sealed plane into the bank with its original
-    /// bookkeeping (see [`WindowedIngest::restore_seal`]); seals must
-    /// arrive oldest-first.
-    pub fn restore_seal(&mut self, interval: u64, plane: S::Snapshot, applied: u64, mass: f64) {
-        self.ingest.restore_seal(interval, plane, applied, mass);
-    }
-
-    /// Fast-forwards the interval id after restoring seals (see
-    /// [`WindowedIngest::restore_interval`]).
-    pub fn restore_interval(&mut self, interval: u64) {
-        self.ingest.restore_interval(interval);
+        self.ingest.restore_live(interval, plane, applied, mass)
     }
 
     // ---- window-scoped reads ----
 
-    /// Pins a [`WindowSnapshot`]: an epoch-consistent frozen plane of
-    /// exactly the policy's current window (`cumulative(now) −
-    /// sealed(boundary)`), with the window's own `applied`/`mass` for
-    /// thresholds. Without a boundary (during warm-up, when fewer
-    /// intervals have closed than the window reaches back, and always
-    /// under [`Unbounded`]) the window covers everything since boot.
+    /// Pins a [`WindowSnapshot`]: epoch-consistent frozen planes of
+    /// exactly the policy's current window, with the window's own
+    /// `applied`/`mass` for thresholds. Without a boundary (during
+    /// warm-up, when fewer intervals have closed than the window
+    /// reaches back, and always under [`Unbounded`]) the window covers
+    /// every retained plane: since boot under a fixed seed.
     ///
-    /// Allocates one plane per call; steady-state readers hold a
-    /// snapshot and [`refresh_window`](QueryEngine::refresh_window) it.
+    /// Allocates one plane per generation per call; steady-state
+    /// readers hold a snapshot and
+    /// [`refresh_window`](QueryEngine::refresh_window) it.
     pub fn pin_window(&self) -> WindowSnapshot<S> {
-        let current = self.ingest.interval();
-        let mut ws = WindowSnapshot {
-            owner: self.ingest.shared().clone(),
-            plane: self.ingest.shared().make_snapshot(),
-            params: self.sketch().config(),
-            start_interval: 0,
-            end_interval: current,
-            applied: 0,
-            mass: 0.0,
-        };
+        let mut ws = WindowSnapshot::new(self.ingest.shared());
         self.refresh_window(&mut ws);
         ws
     }
 
     /// Re-pins `ws` against the policy's *current* window, reusing its
-    /// plane buffer — the allocation-free steady-state path (the
+    /// plane buffers — the allocation-free steady-state path (the
     /// windowed counterpart of
     /// [`SnapshotHandle::refresh`](bas_pipeline::SnapshotHandle::refresh)).
     ///
@@ -450,27 +531,11 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
     /// Panics if `ws` was pinned from a differently-configured engine
     /// (plane shape mismatch).
     pub fn refresh_window(&self, ws: &mut WindowSnapshot<S>) {
-        let current = self.ingest.interval();
-        let (_, applied, mass) = self.ingest.shared().pin_into(&mut ws.plane);
-        let (start, applied_w, mass_w) = match self.policy.window_boundary(current) {
-            None => (0, applied, mass),
-            Some(boundary) => {
-                let seal = self
-                    .ingest
-                    .bank()
-                    .sealed(boundary)
-                    .expect("policy boundaries stay within bank retention");
-                self.ingest
-                    .shared()
-                    .subtract_snapshot(&mut ws.plane, seal.plane())
-                    .expect("servable sketches subtract exactly");
-                (boundary + 1, applied - seal.applied(), mass - seal.mass())
-            }
-        };
-        ws.start_interval = start;
-        ws.end_interval = current;
-        ws.applied = applied_w;
-        ws.mass = mass_w;
+        let boundary = self.policy.window_boundary(self.ingest.interval());
+        let cut = self
+            .cut(boundary)
+            .expect("policy boundaries stay within retention");
+        self.fill_window(ws, boundary, cut);
     }
 
     /// Pins a window reaching back to the **end of interval
@@ -479,39 +544,76 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
     /// `boundary + 1 ..= current`).
     ///
     /// # Errors
-    /// Returns [`QueryError::WindowUnavailable`] when the bank no
-    /// longer retains interval `boundary`'s seal.
+    /// Returns [`QueryError::WindowUnavailable`] when the ring no
+    /// longer retains what the window reaches back to: interval
+    /// `boundary`'s seal under a fixed seed, or a closed generation
+    /// after it under [`Policy::Rotating`].
     pub fn pin_window_since(&self, boundary: u64) -> Result<WindowSnapshot<S>, QueryError> {
+        self.pin_reaching(Some(boundary))
+    }
+
+    fn pin_reaching(&self, boundary: Option<u64>) -> Result<WindowSnapshot<S>, QueryError> {
+        let cut = self.cut(boundary)?;
+        let mut ws = WindowSnapshot::new(self.ingest.shared());
+        self.fill_window(&mut ws, boundary, cut);
+        Ok(ws)
+    }
+
+    /// Where a read over the intervals `(boundary, now]` cuts the ring:
+    /// the seal to subtract from the live generation of a fixed-seed
+    /// ring, or `None` when the read takes whole generations.
+    ///
+    /// # Errors
+    /// [`QueryError::WindowUnavailable`] when the ring no longer
+    /// retains what the read reaches back to.
+    fn cut(&self, boundary: Option<u64>) -> Result<Option<&SealedPlane<S::Snapshot>>, QueryError> {
+        let Some(b) = boundary else { return Ok(None) };
+        let unavailable = QueryError::WindowUnavailable { interval: b };
+        if !self.ingest.rotates() {
+            return self.ingest.bank().sealed(b).map(Some).ok_or(unavailable);
+        }
         let current = self.ingest.interval();
-        let seal = self
-            .ingest
-            .bank()
-            .sealed(boundary)
-            .ok_or(QueryError::WindowUnavailable { interval: boundary })?;
-        let snap = self.ingest.shared().pin();
-        let (applied, mass) = (snap.applied(), snap.mass());
-        let mut plane = snap.into_snapshot();
-        self.ingest
-            .shared()
-            .subtract_snapshot(&mut plane, seal.plane())
-            .expect("servable sketches subtract exactly");
-        Ok(WindowSnapshot {
-            owner: self.ingest.shared().clone(),
-            plane,
-            params: self.sketch().config(),
-            start_interval: boundary + 1,
-            end_interval: current,
-            applied: applied - seal.applied(),
-            mass: mass - seal.mass(),
-        })
+        let oldest = self.ingest.generations().next();
+        if b >= current || b + 1 < oldest.map_or(current, |g| g.interval()) {
+            return Err(unavailable);
+        }
+        Ok(None)
+    }
+
+    /// The one read rule. A read over the intervals `(boundary, now]`
+    /// visits each retained generation the range overlaps, live first,
+    /// then closed generations oldest first. A generation wholly inside
+    /// the range is read as it stands. The boundary can cut at most one
+    /// generation, the live one of a fixed-seed ring: it is pinned and
+    /// `cut`, the seal of `boundary`, is subtracted. No boundary reads
+    /// every retained plane.
+    fn fill_window(
+        &self,
+        ws: &mut WindowSnapshot<S>,
+        boundary: Option<u64>,
+        cut: Option<&SealedPlane<S::Snapshot>>,
+    ) {
+        // `cut` accepted `boundary`, so it lies before the interval in
+        // progress.
+        let start = boundary.map_or(0, |b| b + 1);
+        let closed = self.ingest.generations().filter(|g| g.interval() >= start);
+        ws.fill(self.ingest.shared(), closed.map(|g| g.handle()), cut);
+        ws.start_interval = start;
+        ws.end_interval = self.ingest.interval();
     }
 
     /// Point estimate of `x_item` **within the current window** — the
-    /// windowed counterpart of a snapshot point read. Pins a fresh
-    /// window per call (allocates); batch several queries through one
-    /// [`pin_window`](QueryEngine::pin_window) instead when serving a
-    /// stream of them.
+    /// windowed counterpart of a snapshot point read. Under a fixed
+    /// seed it pins a fresh window per call (allocates); batch several
+    /// queries through one [`pin_window`](QueryEngine::pin_window)
+    /// instead when serving a stream of them. Under
+    /// [`Policy::Rotating`] no boundary cuts a generation, so the
+    /// window is every retained generation, read in place like
+    /// [`estimate_live`](QueryEngine::estimate_live), with no pin.
     pub fn point_in_window(&self, item: u64) -> f64 {
+        if self.ingest.rotates() {
+            return self.estimate_live(item);
+        }
         self.pin_window().estimate(item)
     }
 
@@ -550,10 +652,15 @@ where
         self.sketch().query_in(snap.snapshot(), a, b)
     }
 
-    /// Convenience: pin a fresh snapshot and answer one range query.
+    /// Convenience: one range query over the retained planes (since
+    /// boot under a fixed seed), pinned fresh.
+    ///
+    /// # Panics
+    /// Panics if `a > b` or `b ≥ n`.
     pub fn range_sum(&self, a: u64, b: u64) -> f64 {
-        let snap = self.pin();
-        self.range_sum_in(&snap, a, b)
+        self.pin_reaching(None)
+            .and_then(|ws| ws.range_sum(a, b))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -562,10 +669,10 @@ where
     CountSketch<B>: SharedSketch,
 {
     /// Inner-product estimate `⟨x, y⟩` between this engine's stream
-    /// and another engine's, from one pinned snapshot of each — the
-    /// join-size / correlation query, served without quiescing either
-    /// ingest path. Both engines must use identical sketch parameters
-    /// (same seed).
+    /// and another engine's, from one pinned snapshot of each live
+    /// plane — the join-size / correlation query, served without
+    /// quiescing either ingest path. Both engines must use identical
+    /// sketch parameters (same seed).
     ///
     /// # Errors
     /// Returns a [`MergeError`] when the configurations differ.
@@ -583,9 +690,10 @@ where
     }
 }
 
-/// A cloneable, `Send` read handle to a [`QueryEngine`]'s sketch: one
-/// per reader thread. Offers the same read surface as the engine
-/// (live estimates and snapshot pins) without touching the write side.
+/// A cloneable, `Send` read handle to a [`QueryEngine`]'s live plane:
+/// one per reader thread. Offers live estimates and snapshot pins
+/// without touching the write side; under [`Policy::Rotating`] it reads
+/// the live generation it was taken from.
 ///
 /// ```
 /// use bas_serve::QueryEngine;
@@ -643,16 +751,6 @@ impl<S: SharedSketch + Snapshottable + Send> QueryHandle<S> {
     /// The shared sketch (hash functions + live counters).
     pub fn sketch(&self) -> &S {
         self.shared.sketch()
-    }
-
-    /// Wraps this handle in a query-audit layer: per-key query
-    /// counting with an optional noise/quantize answer policy, the
-    /// serving-side defense against adaptive feedback (see
-    /// [`AuditPolicy`]). The underlying handle stays usable through
-    /// [`AuditedHandle::inner`]; clone before wrapping to keep an
-    /// unaudited handle for trusted readers.
-    pub fn audited(self, policy: AuditPolicy) -> AuditedHandle<S> {
-        AuditedHandle::new(self, policy)
     }
 }
 
@@ -873,37 +971,41 @@ mod tests {
 
     #[test]
     fn warm_up_window_covers_since_boot() {
-        let policy = Sliding::new(4).unwrap();
-        let mut engine =
-            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
-        engine.push(3, 5.0);
-        engine.advance_interval();
-        engine.push(3, 2.0);
-        engine.flush();
-        // Only 1 closed interval < window of 4: everything counts.
-        let window = engine.pin_window();
-        assert_eq!(window.start_interval(), 0);
-        assert_eq!(window.estimate(3), 7.0);
-        assert_eq!(window.mass(), 7.0);
+        let sliding = Sliding::new(4).unwrap();
+        for policy in [Policy::Sliding(sliding), Policy::Rotating(sliding)] {
+            let mut engine =
+                QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
+            engine.push(3, 5.0);
+            engine.advance_interval();
+            engine.push(3, 2.0);
+            engine.flush();
+            // Only 1 closed interval < window of 4: everything counts.
+            let window = engine.pin_window();
+            assert_eq!(window.start_interval(), 0, "{policy:?}");
+            assert_eq!(window.estimate(3), 7.0);
+            assert_eq!(window.mass(), 7.0);
+        }
     }
 
     #[test]
     fn refresh_window_reuses_the_plane_and_tracks_rotation() {
-        let policy = Sliding::new(1).unwrap();
-        let mut engine =
-            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
-        engine.push(9, 4.0);
-        engine.advance_interval();
-        let mut window = engine.pin_window();
-        assert_eq!(window.estimate(9), 0.0); // interval 1 is empty so far
-        engine.push(9, 6.0);
-        engine.advance_interval(); // now window = interval 2 (empty)
-        engine.push(9, 1.0);
-        engine.flush();
-        engine.refresh_window(&mut window);
-        assert_eq!(window.start_interval(), 2);
-        assert_eq!(window.estimate(9), 1.0);
-        assert_eq!(window.mass(), 1.0);
+        let sliding = Sliding::new(1).unwrap();
+        for policy in [Policy::Sliding(sliding), Policy::Rotating(sliding)] {
+            let mut engine =
+                QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
+            engine.push(9, 4.0);
+            engine.advance_interval();
+            let mut window = engine.pin_window();
+            assert_eq!(window.estimate(9), 0.0); // interval 1 is empty so far
+            engine.push(9, 6.0);
+            engine.advance_interval(); // now window = interval 2 (empty)
+            engine.push(9, 1.0);
+            engine.flush();
+            engine.refresh_window(&mut window);
+            assert_eq!(window.start_interval(), 2, "{policy:?}");
+            assert_eq!(window.estimate(9), 1.0);
+            assert_eq!(window.mass(), 1.0);
+        }
     }
 
     #[test]
@@ -967,22 +1069,28 @@ mod tests {
 
     #[test]
     fn pin_window_since_rejects_evicted_boundaries() {
-        let policy = Sliding::new(2).unwrap();
-        let mut engine =
-            QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
-        for t in 0..5u64 {
-            engine.push(t, 1.0);
-            engine.advance_interval();
+        let sliding = Sliding::new(2).unwrap();
+        for policy in [Policy::Sliding(sliding), Policy::Rotating(sliding)] {
+            let mut engine =
+                QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
+            for t in 0..5u64 {
+                engine.push(t, 1.0);
+                engine.advance_interval();
+            }
+            // Seals 3 and 4 retained, or generation 4: a window may
+            // start at interval 4 or 5, and no earlier.
+            assert!(engine.pin_window_since(3).is_ok());
+            for boundary in [0, 5, u64::MAX] {
+                assert_eq!(
+                    engine.pin_window_since(boundary).unwrap_err(),
+                    QueryError::WindowUnavailable { interval: boundary },
+                    "{policy:?}"
+                );
+            }
+            let lookback = engine.pin_window_since(3).unwrap();
+            assert_eq!(lookback.start_interval(), 4);
+            assert_eq!(lookback.applied(), 1); // interval 4's single update
         }
-        // Bank capacity 2: seals 3 and 4 retained, 0..=2 evicted.
-        assert!(engine.pin_window_since(3).is_ok());
-        assert_eq!(
-            engine.pin_window_since(0).unwrap_err(),
-            QueryError::WindowUnavailable { interval: 0 }
-        );
-        let lookback = engine.pin_window_since(3).unwrap();
-        assert_eq!(lookback.start_interval(), 4);
-        assert_eq!(lookback.applied(), 1); // interval 4's single update
     }
 
     #[test]
@@ -1003,7 +1111,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 assert_eq!(window.estimate(5), frozen);
-                assert_eq!(window.sketch().label(), "CM");
+                assert_eq!(window.planes().next().unwrap().0.label(), "CM");
             });
         });
     }
@@ -1016,6 +1124,12 @@ mod tests {
         let windowed =
             QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), sliding);
         assert_eq!(windowed.policy(), Policy::Sliding(sliding));
+        let rotating = QueryEngine::with_policy(
+            1,
+            AtomicCountMedian::with_backend(&params()),
+            Policy::Rotating(sliding),
+        );
+        assert_eq!(rotating.policy(), Policy::Rotating(sliding));
     }
 
     #[test]
@@ -1030,5 +1144,136 @@ mod tests {
         assert_eq!((window.start_interval(), window.end_interval()), (0, 1));
         assert_eq!(window.estimate(3), 7.0);
         assert_eq!(engine.point_in_window(3), engine.estimate_live(3));
+    }
+    // ---- seed rotation ----
+
+    fn rotating(window: usize) -> QueryEngine<AtomicCountMedian> {
+        let policy = Policy::Rotating(Sliding::new(window).unwrap());
+        QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy)
+    }
+
+    #[test]
+    fn rotating_window_sums_generation_estimates() {
+        // Generation 0 runs under the engine's own seed: before the
+        // first advance the engine is the fixed-seed one.
+        let mut engine = rotating(3);
+        let mut fixed = CountMedian::new(&params());
+        let updates = interval_stream(0, 500);
+        engine.extend_from_slice(&updates);
+        fixed.update_batch(&updates);
+        engine.flush();
+        for j in 0..500u64 {
+            assert_eq!(engine.point_in_window(j), fixed.estimate(j), "item {j}");
+        }
+
+        // Wide sketch, sparse stream: every per-generation estimate is
+        // exact, so the window sum is exact too.
+        let mut engine = rotating(3);
+        for interval in 0..4u64 {
+            engine.push(7, 10.0);
+            engine.push(interval + 100, 1.0);
+            engine.advance_interval();
+        }
+        engine.push(7, 5.0);
+        engine.flush();
+        // Window = generations 2, 3 + live interval 4, read in place
+        // or pinned.
+        assert_eq!(engine.estimate_live(7), 25.0);
+        assert_eq!(engine.point_in_window(7), 25.0);
+        assert_eq!(engine.pin_window().estimate(7), 25.0);
+        assert_eq!((engine.mass(), engine.applied()), (27.0, 5));
+        // `pin` and `handle` read the live generation alone.
+        assert_eq!(engine.pin().estimate(7), 5.0);
+        assert_eq!(engine.handle().estimate_live(7), 5.0);
+
+        // Generation g runs under seed_for(g).
+        let schedule = bas_hash::SeedSchedule::new(77);
+        assert_eq!(engine.sketch().config().seed, schedule.seed_for(4));
+        let seeds: Vec<u64> = engine
+            .generations()
+            .map(|g| g.handle().config().seed)
+            .collect();
+        assert_eq!(seeds, [schedule.seed_for(2), schedule.seed_for(3)]);
+    }
+
+    #[test]
+    fn rotating_window_tracks_reference_per_interval_truth() {
+        // Denser traffic: window answers stay within the sum of the
+        // per-generation Theorem-1 bounds (3·mass_g/s each).
+        let mut engine = rotating(2).with_flush_threshold(256);
+        let mut last_truth = vec![0.0; 500];
+        for t in 0..3u64 {
+            let updates = interval_stream(t, 600);
+            last_truth = vec![0.0; 500];
+            for &(item, delta) in &updates {
+                last_truth[item as usize] += delta;
+            }
+            engine.extend_from_slice(&updates);
+            engine.advance_interval();
+        }
+        engine.flush();
+        // Window = generation 2 + empty live interval 3.
+        let bound = 3.0 * last_truth.iter().sum::<f64>() / 64.0;
+        for j in 0..500u64 {
+            let err = (engine.point_in_window(j) - last_truth[j as usize]).abs();
+            assert!(err <= bound, "item {j}: err {err} > bound {bound}");
+        }
+    }
+
+    #[test]
+    fn rotating_window_heavy_hitters_see_across_generations() {
+        let mut engine = rotating(3);
+        // Item 9 is moderately hot in each of three generations —
+        // heavy only in the combined window.
+        for _ in 0..3 {
+            for _ in 0..40 {
+                engine.push(9, 1.0);
+            }
+            for i in 0..80u64 {
+                engine.push(i % 70, 1.0);
+            }
+            engine.advance_interval();
+        }
+        let hot = engine.heavy_hitters_in_window(0.25).unwrap();
+        let items: Vec<u64> = hot.iter().map(|h| h.item).collect();
+        assert!(items.contains(&9), "{items:?}");
+        assert_eq!(engine.try_heavy_hitters(0.25).unwrap(), hot);
+        assert_eq!(
+            engine.heavy_hitters_in_window(0.0),
+            Err(QueryError::InvalidPhi { phi: 0.0 })
+        );
+        // A window of one empty generation: vacuous.
+        assert!(rotating(1).heavy_hitters_in_window(0.5).unwrap().is_empty());
+    }
+
+    #[test]
+    fn one_audit_budget_counts_every_point_verb_and_renews_on_advance() {
+        let sliding = Sliding::new(2).unwrap();
+        for policy in [Policy::Sliding(sliding), Policy::Rotating(sliding)] {
+            let engine =
+                QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params()), policy);
+            let mut engine = engine.with_audit(AuditPolicy::new(2));
+            engine.push(7, 30.0);
+            engine.flush();
+            assert_eq!(engine.audited_estimate_live(7), Ok(30.0));
+            assert_eq!(engine.audited_point_in_window(7), Ok(30.0));
+            let rejected = Err(QueryError::AuditRejected { item: 7, limit: 2 });
+            assert_eq!(engine.audited_point_in_window(7), rejected, "{policy:?}");
+            assert_eq!(engine.audited_estimate_live(7), rejected);
+            // Unbudgeted keys still answer; the exact reads are
+            // unthrottled.
+            assert_eq!(engine.audited_estimate_live(8), Ok(0.0));
+            assert_eq!(engine.point_in_window(7), 30.0);
+            // An advance renews the budget.
+            engine.advance_interval();
+            assert_eq!(engine.audited_point_in_window(7), Ok(30.0));
+        }
+        // Without an audit every read is answered, uncounted.
+        let mut engine = rotating(1);
+        engine.push(3, 4.0);
+        engine.flush();
+        for _ in 0..100 {
+            assert_eq!(engine.audited_point_in_window(3), Ok(4.0));
+        }
     }
 }

@@ -11,20 +11,29 @@
 //! * [`Sliding`]`(K)` — queries always cover the last `K` intervals,
 //!   including the one in progress (the "last 5 minutes, right now"
 //!   shape).
+//! * [`Policy::Rotating`]`(K)` — the same sliding window, but every
+//!   interval runs under its own hasher seed: the defence against
+//!   adaptive inputs.
 //!
-//! Every policy answers a window query by **plane arithmetic**, not by
-//! keeping per-window counters: the engine's bank holds sealed
-//! *cumulative* planes, and the window ending in the in-progress
-//! interval `t` is `cumulative(now) − sealed(boundary)`, one
-//! subtractive merge. The policy's entire job is to name that boundary
-//! and how many seals keep it retained (`K` for both windowed
-//! policies, none for [`Unbounded`]). Without a boundary the window
-//! reaches back to boot: that is a windowed policy's warm-up, and
-//! always so under [`Unbounded`].
+//! The fixed-seed policies answer a window query by **plane
+//! arithmetic**, not by keeping per-window counters: the engine's bank
+//! holds sealed *cumulative* planes, and the window ending in the
+//! in-progress interval `t` is `cumulative(now) − sealed(boundary)`,
+//! one subtractive merge. Under rotation every interval is its own
+//! generation, and the window sums the estimates of the generations
+//! after the boundary. The policy's entire job is to name that boundary
+//! and what the engine's ring keeps so the boundary stays reachable:
+//! `K` seals for the fixed-seed windows, `K − 1` closed generations
+//! under rotation, nothing for [`Unbounded`]. Without a boundary the
+//! window reaches back to boot: that is a windowed policy's warm-up,
+//! and always so under [`Unbounded`].
 //!
 //! [`QueryEngine`]: crate::QueryEngine
 
 use crate::error::QueryError;
+use bas_hash::SeedSchedule;
+use bas_pipeline::WindowedIngest;
+use bas_sketch::{Reseedable, SharedSketch, Snapshottable};
 
 /// Since-boot serving: no window boundary, ever.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,8 +76,8 @@ impl Sliding {
 }
 
 /// How a [`QueryEngine`](crate::QueryEngine) scopes its window answers
-/// in time: one of the three policies above, as a value. Build it from
-/// any of them with `into()`.
+/// in time: one of the three policies above, as a value (build it from
+/// any of them with `into()`), or a rotating sliding window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// See [`Unbounded`].
@@ -77,6 +86,15 @@ pub enum Policy {
     Tumbling(Tumbling),
     /// See [`Sliding`].
     Sliding(Sliding),
+    /// A [`Sliding`] window whose every interval, a *generation*, runs
+    /// under its own hasher seed: generation `g` under
+    /// `SeedSchedule::new(seed).seed_for(g)`, `seed` being the engine
+    /// sketch's own. Answers sum the generations' estimates, so a
+    /// `K`-interval window pays up to `K` Theorem-1 error terms where
+    /// the fixed-seed window pays one; in exchange no seed outlives the
+    /// window, which is what keeps an adaptive adversary's learned
+    /// collisions from lasting (`tests/adversarial.rs`).
+    Rotating(Sliding),
 }
 
 impl From<Unbounded> for Policy {
@@ -99,11 +117,29 @@ impl From<Sliding> for Policy {
 
 impl Policy {
     /// Sealed cumulative planes the engine's bank must retain: `K` for
-    /// a window of `K` intervals, 0 for [`Unbounded`] (nothing sealed).
+    /// a fixed-seed window of `K` intervals, 0 for [`Unbounded`] and
+    /// [`Policy::Rotating`] (nothing sealed).
     pub(crate) fn bank_capacity(&self) -> usize {
         match self {
-            Policy::Unbounded => 0,
+            Policy::Unbounded | Policy::Rotating(_) => 0,
             Policy::Tumbling(Tumbling { len }) | Policy::Sliding(Sliding { len }) => *len,
+        }
+    }
+
+    /// The generation ring this policy serves from: one that seals
+    /// [`bank_capacity`](Self::bank_capacity) planes, or under
+    /// [`Policy::Rotating`]`(K)` one that closes a generation at every
+    /// advance and keeps `K − 1`, seeded from `sketch`'s own seed.
+    pub(crate) fn ring<S>(&self, sketch: S) -> WindowedIngest<S>
+    where
+        S: SharedSketch + Snapshottable + Reseedable + Send,
+    {
+        match self {
+            Policy::Rotating(Sliding { len }) => {
+                let schedule = SeedSchedule::new(sketch.config().seed);
+                WindowedIngest::rotating(sketch, schedule, len - 1)
+            }
+            _ => WindowedIngest::new(sketch, self.bank_capacity()),
         }
     }
 
@@ -117,10 +153,12 @@ impl Policy {
     /// * Tumbling: the bucket containing `current` starts at
     ///   `current − current % K`; the boundary is the interval just
     ///   before it, at most `K` seals back.
-    /// * Sliding: the window covers `current − K + 1 ..= current`, so
-    ///   the boundary is interval `current − K`, exactly `K` seals back.
+    /// * Sliding and Rotating: the window covers
+    ///   `current − K + 1 ..= current`, so the boundary is interval
+    ///   `current − K`, exactly `K` seals back.
     ///
-    /// Either way a bank of `K` seals retains the boundary.
+    /// Either way a bank of `K` seals retains the boundary, and `K − 1`
+    /// closed generations cover every interval after it.
     pub(crate) fn window_boundary(&self, current: u64) -> Option<u64> {
         match self {
             Policy::Unbounded => None,
@@ -128,7 +166,9 @@ impl Policy {
                 let bucket_start = current - current % *len as u64;
                 bucket_start.checked_sub(1)
             }
-            Policy::Sliding(Sliding { len }) => current.checked_sub(*len as u64),
+            Policy::Sliding(Sliding { len }) | Policy::Rotating(Sliding { len }) => {
+                current.checked_sub(*len as u64)
+            }
         }
     }
 }
@@ -194,7 +234,13 @@ mod tests {
         for k in 1..6usize {
             let t_policy = Policy::from(Tumbling::new(k).unwrap());
             let s_policy = Policy::from(Sliding::new(k).unwrap());
+            let r_policy = Policy::Rotating(Sliding::new(k).unwrap());
+            assert_eq!(r_policy.bank_capacity(), 0);
             for current in 0..40u64 {
+                assert_eq!(
+                    r_policy.window_boundary(current),
+                    s_policy.window_boundary(current)
+                );
                 for boundary in [
                     t_policy.window_boundary(current),
                     s_policy.window_boundary(current),

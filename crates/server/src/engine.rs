@@ -1,57 +1,45 @@
-//! Per-tenant engine slots: one engine per tenant, in one of the three
-//! shapes a [`TenantSpec`] can name — a frequency or range-sum
-//! `QueryEngine` holding the spec's serving policy as a value, or the
-//! seed-rotating `RotatingEngine`.
+//! Per-tenant engine slots: one engine per tenant, in one of the two
+//! shapes a [`TenantSpec`] can name — a frequency or a range-sum
+//! `QueryEngine`, each holding the spec's serving policy as a value,
+//! seed rotation included, and the spec's audit budget.
 //!
 //! The fabric stores tenants as [`EngineSlot`]s; everything
 //! engine-shaped (sketch family × serving policy × audit) is resolved
 //! here, so `fabric.rs` only speaks in terms of tenants and requests.
-//! Every shape exports and installs through the same
+//! Every tenant exports and installs through the same
 //! [`TenantTransfer`]: counter planes only, with hashers rebuilt from
 //! the tenant's seed on the receiving side.
 
 use crate::wire::{
     ErrorReply, MetricKind, SealFrame, ServingMode, TenantSpec, TenantTransfer, WindowLen,
 };
-use bas_hash::SeedSchedule;
-use bas_serve::{
-    AuditPolicy, AuditedHandle, Policy, QueryEngine, QueryError, RotatingEngine, Sliding, Tumbling,
-};
+use bas_serve::{AuditPolicy, Policy, QueryEngine, QueryError, Sliding, Tumbling};
 use bas_sketch::{
     AbsorbPlane, Atomic, AtomicCountMedian, CounterMatrix, Dense, HeavyHitter, MergeError,
     RangeSumSketch, Reseedable, SharedSketch, SketchParams, Snapshottable,
 };
-
-type Rotating = RotatingEngine<AtomicCountMedian>;
 
 /// The closed set of engine shapes a [`TenantSpec`] can ask for.
 #[derive(Debug)]
 pub(crate) enum TenantEngine {
     Freq(QueryEngine<AtomicCountMedian>),
     Range(QueryEngine<RangeSumSketch<Atomic>>),
-    /// The seed-rotating robustness plane; window-scoped only.
-    Rotating(Box<Rotating>),
 }
 
-/// Dispatches over the two `QueryEngine` variants with one body and
-/// the rotating variant with another.
+/// Dispatches over both engine shapes with one body.
 macro_rules! dispatch {
-    ($slot:expr, $e:ident => $body:expr, $rot:ident => $rot_body:expr) => {
+    ($slot:expr, $e:ident => $body:expr) => {
         match $slot {
             TenantEngine::Freq($e) => $body,
             TenantEngine::Range($e) => $body,
-            TenantEngine::Rotating($rot) => $rot_body,
         }
     };
 }
 
-/// One tenant's serving state: the engine plus the optional audited
-/// point-query handles its spec asked for.
+/// One tenant's serving state: its engine.
 #[derive(Debug)]
 pub(crate) struct EngineSlot {
     engine: TenantEngine,
-    audit_freq: Option<AuditedHandle<AtomicCountMedian>>,
-    audit_range: Option<AuditedHandle<RangeSumSketch<Atomic>>>,
 }
 
 fn query_error(tenant: u64, e: QueryError) -> ErrorReply {
@@ -99,6 +87,19 @@ where
     }
 }
 
+/// `e` with the spec's queue capacity as its flush threshold and the
+/// spec's audit budget.
+fn configured<S>(e: QueryEngine<S>, spec: &TenantSpec) -> QueryEngine<S>
+where
+    S: SharedSketch + Snapshottable + Reseedable + Send,
+{
+    let e = e.with_flush_threshold(usize::try_from(spec.queue_capacity).unwrap_or(usize::MAX));
+    match spec.audit_limit {
+        0 => e,
+        limit => e.with_audit(AuditPolicy::new(limit)),
+    }
+}
+
 impl EngineSlot {
     /// Builds a fresh (empty) engine for `spec`, shaped by the
     /// fabric's parameter template reseeded with the tenant's seed.
@@ -124,8 +125,6 @@ impl EngineSlot {
             ));
         }
         let params = template.with_seed(spec.seed);
-        let threshold = usize::try_from(spec.queue_capacity).unwrap_or(usize::MAX);
-        let audit = (spec.audit_limit > 0).then(|| AuditPolicy::new(spec.audit_limit));
         let q = |e| query_error(tenant, e);
         let policy = match spec.mode {
             ServingMode::Unbounded => Policy::Unbounded,
@@ -133,74 +132,51 @@ impl EngineSlot {
                 Tumbling::new(window_len(tenant, len)?).map_err(q)?.into()
             }
             ServingMode::Sliding(len) => Sliding::new(window_len(tenant, len)?).map_err(q)?.into(),
+            ServingMode::Rotating(_) if spec.metric != MetricKind::Frequency => {
+                return Err(unsupported(
+                    tenant,
+                    "rotating serving is frequency-metric only",
+                ))
+            }
             ServingMode::Rotating(len) => {
-                if spec.metric != MetricKind::Frequency {
-                    return Err(unsupported(
-                        tenant,
-                        "rotating serving is frequency-metric only",
-                    ));
-                }
-                let mut rotating = RotatingEngine::new(
-                    1,
-                    AtomicCountMedian::with_backend(&params),
-                    SeedSchedule::new(spec.seed),
-                    window_len(tenant, len)?,
-                )
-                .map_err(q)?
-                .with_flush_threshold(threshold);
-                if let Some(policy) = audit {
-                    rotating = rotating.with_audit(policy);
-                }
-                return Ok(Self {
-                    engine: TenantEngine::Rotating(Box::new(rotating)),
-                    audit_freq: None,
-                    audit_range: None,
-                });
+                Policy::Rotating(Sliding::new(window_len(tenant, len)?).map_err(q)?)
             }
         };
-        Ok(match spec.metric {
+        let engine = match spec.metric {
             MetricKind::Frequency => {
-                let e =
-                    QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
-                        .with_flush_threshold(threshold);
-                Self {
-                    audit_freq: audit.map(|a| e.handle().audited(a)),
-                    audit_range: None,
-                    engine: TenantEngine::Freq(e),
-                }
+                let sketch = AtomicCountMedian::with_backend(&params);
+                TenantEngine::Freq(configured(
+                    QueryEngine::with_policy(1, sketch, policy),
+                    spec,
+                ))
             }
             MetricKind::RangeSum => {
                 let stack = match grid_levels {
                     Some(g) => RangeSumSketch::<Atomic>::with_grid_levels(&params, g),
                     None => RangeSumSketch::<Atomic>::with_backend(&params),
                 };
-                let e = QueryEngine::with_policy(1, stack, policy).with_flush_threshold(threshold);
-                Self {
-                    audit_freq: None,
-                    audit_range: audit.map(|a| e.handle().audited(a)),
-                    engine: TenantEngine::Range(e),
-                }
+                TenantEngine::Range(configured(QueryEngine::with_policy(1, stack, policy), spec))
             }
-        })
+        };
+        Ok(Self { engine })
     }
 
     // ---- write path ----
 
     pub(crate) fn extend_from_slice(&mut self, updates: &[(u64, f64)]) {
-        dispatch!(&mut self.engine, e => e.extend_from_slice(updates),
-                  r => r.extend_from_slice(updates));
+        dispatch!(&mut self.engine, e => e.extend_from_slice(updates));
     }
 
-    /// Flushes the buffered backlog; returns the applied count.
+    /// Flushes the buffered backlog; returns the applied count over the
+    /// planes the tenant retains.
     pub(crate) fn flush(&mut self) -> u64 {
-        dispatch!(&mut self.engine, e => { e.flush(); e.applied() },
-                  r => { r.flush(); r.window_applied() })
+        dispatch!(&mut self.engine, e => { e.flush(); e.applied() })
     }
 
-    /// Closes the interval (flush + seal + audit reset); returns the
-    /// sealed interval id. A tenant at interval `u64::MAX`, which an
-    /// installed transfer can name, has no next interval: it refuses
-    /// with `unsupported` and nothing changes.
+    /// Closes the interval (flush + seal or rotate + audit renewal);
+    /// returns the closed interval id. A tenant at interval `u64::MAX`,
+    /// which an installed transfer can name, has no next interval: it
+    /// refuses with `unsupported` and nothing changes.
     pub(crate) fn advance_interval(&mut self, tenant: u64) -> Result<u64, ErrorReply> {
         let interval = self.interval();
         if interval == u64::MAX {
@@ -209,73 +185,54 @@ impl EngineSlot {
                 &format!("interval {interval} is the last; no interval follows it"),
             ));
         }
-        let sealed = dispatch!(&mut self.engine, e => e.advance_interval(),
-                               r => r.advance_interval());
-        // Audit budgets are per plane lifetime: rotation renews them.
-        if let Some(a) = &self.audit_freq {
-            a.reset();
-        }
-        if let Some(a) = &self.audit_range {
-            a.reset();
-        }
-        Ok(sealed)
+        Ok(dispatch!(&mut self.engine, e => e.advance_interval()))
     }
 
     // ---- bookkeeping ----
 
     pub(crate) fn pending(&self) -> u64 {
-        dispatch!(&self.engine, e => e.pending() as u64, r => r.pending() as u64)
+        dispatch!(&self.engine, e => e.pending() as u64)
     }
 
     pub(crate) fn applied(&self) -> u64 {
-        dispatch!(&self.engine, e => e.applied(), r => r.window_applied())
+        dispatch!(&self.engine, e => e.applied())
     }
 
     pub(crate) fn mass(&self) -> f64 {
-        dispatch!(&self.engine, e => e.mass(), r => r.window_mass())
+        dispatch!(&self.engine, e => e.mass())
     }
 
     pub(crate) fn interval(&self) -> u64 {
-        dispatch!(&self.engine, e => e.interval(), r => r.interval())
+        dispatch!(&self.engine, e => e.interval())
     }
 
     pub(crate) fn universe(&self) -> u64 {
-        dispatch!(&self.engine, e => e.sketch().config().n, r => r.live().config().n)
+        dispatch!(&self.engine, e => e.sketch().config().n)
     }
 
     // ---- queries ----
 
-    /// Since-boot point estimate (window-scoped for rotating tenants,
-    /// which retain no since-boot state by design). Audited when the
-    /// spec asked for it.
+    /// Point estimate over the planes the tenant retains, through the
+    /// tenant's audit.
     pub(crate) fn point(&self, tenant: u64, item: u64) -> Result<f64, ErrorReply> {
-        if let Some(audit) = &self.audit_freq {
-            return audit
-                .estimate_live(item)
-                .map_err(|e| query_error(tenant, e));
-        }
-        if let Some(audit) = &self.audit_range {
-            return audit
-                .estimate_live(item)
-                .map_err(|e| query_error(tenant, e));
-        }
-        dispatch!(&self.engine, e => Ok(e.estimate_live(item)),
-                  r => r.audited_window_estimate(item).map_err(|e| query_error(tenant, e)))
+        dispatch!(&self.engine, e => e.audited_estimate_live(item))
+            .map_err(|e| query_error(tenant, e))
     }
 
-    /// Point estimate within the tenant's current window.
+    /// Point estimate within the tenant's current window, through the
+    /// same audit budget as [`point`](Self::point).
     pub(crate) fn window_point(&self, tenant: u64, item: u64) -> Result<f64, ErrorReply> {
-        dispatch!(&self.engine, e => windowed(tenant, e).map(|e| e.point_in_window(item)),
-                  r => r.audited_window_estimate(item).map_err(|e| query_error(tenant, e)))
+        dispatch!(&self.engine, e => windowed(tenant, e)?.audited_point_in_window(item))
+            .map_err(|e| query_error(tenant, e))
     }
 
-    /// Since-boot heavy hitters (window-scoped for rotating tenants).
+    /// Heavy hitters over the planes the tenant retains.
     pub(crate) fn heavy_hitters(
         &self,
         tenant: u64,
         phi: f64,
     ) -> Result<Vec<(u64, f64)>, ErrorReply> {
-        dispatch!(&self.engine, e => e.try_heavy_hitters(phi), r => r.window_heavy_hitters(phi))
+        dispatch!(&self.engine, e => e.try_heavy_hitters(phi))
             .map(hh_pairs)
             .map_err(|e| query_error(tenant, e))
     }
@@ -286,10 +243,9 @@ impl EngineSlot {
         tenant: u64,
         phi: f64,
     ) -> Result<Vec<(u64, f64)>, ErrorReply> {
-        dispatch!(&self.engine, e => windowed(tenant, e)?.heavy_hitters_in_window(phi),
-                  r => r.window_heavy_hitters(phi))
-        .map(hh_pairs)
-        .map_err(|e| query_error(tenant, e))
+        dispatch!(&self.engine, e => windowed(tenant, e)?.heavy_hitters_in_window(phi))
+            .map(hh_pairs)
+            .map_err(|e| query_error(tenant, e))
     }
 
     /// Since-boot range sum (range-sum tenants only).
@@ -321,46 +277,22 @@ impl EngineSlot {
 
     /// Flushes the tenant and seals its state into a wire-shippable
     /// transfer: the stream position and the counter planes, never the
-    /// hashers. A `QueryEngine` ships its cumulative plane(s) and every
-    /// retained seal; a rotating engine ships its live generation's
-    /// plane as the cumulative and one seal per retained generation,
-    /// each that generation's own interval.
+    /// hashers. The live plane ships as the cumulative, and every
+    /// retained seal or closed generation, oldest first, as one seal:
+    /// a closed generation's plane holds that one interval alone.
     pub(crate) fn export(&mut self, spec: TenantSpec, params: SketchParams) -> TenantTransfer {
         match &mut self.engine {
             TenantEngine::Freq(e) => export(e, spec, params, |plane| vec![plane.clone()]),
             TenantEngine::Range(e) => export(e, spec, params, |planes| planes.clone()),
-            TenantEngine::Rotating(r) => {
-                r.flush();
-                let live = r.live().pin();
-                let seals = r.generations().map(|g| {
-                    let plane = g.handle().pin();
-                    SealFrame {
-                        interval: g.interval(),
-                        applied: plane.applied(),
-                        mass: plane.mass(),
-                        planes: vec![plane.into_snapshot()],
-                    }
-                });
-                TenantTransfer {
-                    spec,
-                    params,
-                    interval: r.interval(),
-                    applied: live.applied(),
-                    mass: live.mass(),
-                    seals: seals.collect(),
-                    cumulative: vec![live.into_snapshot()],
-                }
-            }
         }
     }
 
     /// Rebuilds a tenant from a transfer: check it whole
     /// ([`check_transfer`]), build a fresh engine from the seed in the
-    /// layout the planes record, then absorb the planes by linearity —
-    /// a `QueryEngine` absorbs the cumulative plane and restores the
-    /// seals and the interval id; a rotating engine rebuilds each
-    /// generation's hashers from `SeedSchedule::new(seed).seed_for(g)`
-    /// and absorbs that generation's plane. Bit-for-bit with the
+    /// layout the planes record, then restore the seals or closed
+    /// generations oldest first and the live plane last, each under the
+    /// seed of its interval (`SeedSchedule::new(seed).seed_for(g)` for
+    /// a rotating tenant's generation `g`). Bit-for-bit with the
     /// exporting engine on integer-delta streams. A refused transfer
     /// builds nothing.
     pub(crate) fn install(
@@ -380,7 +312,6 @@ impl EngineSlot {
         let restored = match &mut slot.engine {
             TenantEngine::Freq(e) => restore(e, transfer, |planes| planes[0].clone()),
             TenantEngine::Range(e) => restore(e, transfer, |planes| planes.to_vec()),
-            TenantEngine::Rotating(r) => restore_rotating(r, transfer),
         };
         restored.map_err(|e| {
             ErrorReply::new("incompatible", format!("tenant {tenant}: cumulative: {e}"))
@@ -504,9 +435,10 @@ fn check_transfer(transfer: &TenantTransfer) -> Result<Option<usize>, ErrorReply
     Ok(grid_levels)
 }
 
-/// Absorbs a checked transfer into a fresh engine: the cumulative
-/// plane, every seal in order, then the interval id. `plane` turns a
-/// shipped plane list into the engine's snapshot type.
+/// Restores a checked transfer into a fresh engine: every seal or
+/// closed generation in order, then the live plane at the transfer's
+/// interval. `plane` turns a shipped plane list into the engine's
+/// snapshot type.
 fn restore<S>(
     e: &mut QueryEngine<S>,
     transfer: &TenantTransfer,
@@ -515,35 +447,20 @@ fn restore<S>(
 where
     S: SharedSketch + Snapshottable + Reseedable + AbsorbPlane + Send,
 {
-    e.absorb_cumulative(
-        &plane(&transfer.cumulative),
-        transfer.applied,
-        transfer.mass,
-    )?;
     for seal in &transfer.seals {
-        e.restore_seal(seal.interval, plane(&seal.planes), seal.applied, seal.mass);
+        e.restore_seal(seal.interval, plane(&seal.planes), seal.applied, seal.mass)?;
     }
-    e.restore_interval(transfer.interval);
-    Ok(())
-}
-
-/// Absorbs a checked rotating transfer into a fresh rotating engine:
-/// each retained generation, oldest first, then the live one, every
-/// plane under its own generation's seed.
-fn restore_rotating(r: &mut Rotating, transfer: &TenantTransfer) -> Result<(), MergeError> {
-    for seal in &transfer.seals {
-        r.restore_generation(seal.interval, &seal.planes[0], seal.applied, seal.mass)?;
-    }
-    r.restore_live(
+    e.restore_live(
         transfer.interval,
-        &transfer.cumulative[0],
+        &plane(&transfer.cumulative),
         transfer.applied,
         transfer.mass,
     )
 }
 
-/// Flushes and pins `e`, then ships its cumulative plane and every
-/// retained seal as plane lists (`planes` maps a snapshot to one).
+/// Flushes and pins `e`, then ships its live plane and every retained
+/// seal or closed generation as plane lists (`planes` maps a snapshot
+/// to one).
 fn export<S>(
     e: &mut QueryEngine<S>,
     spec: TenantSpec,
@@ -555,6 +472,21 @@ where
 {
     e.flush();
     let snap = e.pin();
+    let seals = e.bank().planes().map(|s| SealFrame {
+        interval: s.interval(),
+        applied: s.applied(),
+        mass: s.mass(),
+        planes: planes(s.plane()),
+    });
+    let generations = e.generations().map(|g| {
+        let plane = g.handle().pin();
+        SealFrame {
+            interval: g.interval(),
+            applied: plane.applied(),
+            mass: plane.mass(),
+            planes: planes(plane.snapshot()),
+        }
+    });
     TenantTransfer {
         spec,
         params,
@@ -562,15 +494,6 @@ where
         applied: snap.applied(),
         mass: snap.mass(),
         cumulative: planes(snap.snapshot()),
-        seals: e
-            .bank()
-            .planes()
-            .map(|s| SealFrame {
-                interval: s.interval(),
-                applied: s.applied(),
-                mass: s.mass(),
-                planes: planes(s.plane()),
-            })
-            .collect(),
+        seals: seals.chain(generations).collect(),
     }
 }

@@ -16,8 +16,9 @@
 //! metered on the fabric's [`CommMeter`]). The destination rebuilds
 //! the hashers deterministically from the tenant's seed and absorbs
 //! the planes by linearity, so a moved tenant answers **bit-for-bit**
-//! like one that never moved. Every tenant moves this way: a
-//! seed-rotating tenant ships one plane per generation, and the
+//! like one that never moved. Every tenant moves this way, through one
+//! export and one install path: a seed-rotating tenant ships one plane
+//! per generation where a windowed one ships its seals, and the
 //! destination rebuilds generation `g`'s hashers from
 //! `SeedSchedule::new(seed).seed_for(g)`, so linearity only has to hold
 //! within each plane.

@@ -1,9 +1,9 @@
 //! # bas-server — the multi-tenant serving fabric
 //!
 //! `bas-serve` serves **one** sketch to live queries; this crate
-//! serves **many** — a long-running fabric hosting one
-//! `QueryEngine`/`RotatingEngine` per tenant×metric, behind a wire
-//! protocol. Four planes:
+//! serves **many** — a long-running fabric hosting one `QueryEngine`
+//! per tenant, a frequency or a range-sum engine under the tenant's
+//! serving policy, behind a wire protocol. Four planes:
 //!
 //! * **Placement** ([`placement`]) — tenants map to engine shards by
 //!   weighted rendezvous hashing ([`PlacementRing`]), with Lamport &

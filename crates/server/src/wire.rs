@@ -419,16 +419,21 @@ pub enum Request {
     Ingest(IngestFrame),
     /// Apply the tenant's buffered updates now.
     Flush(TenantRef),
-    /// Close the tenant's current interval (flush + seal + quota
-    /// reset). A tenant at interval `u64::MAX` has no next interval
-    /// and refuses with `unsupported`, changing nothing.
+    /// Close the tenant's current interval (flush + seal or rotate +
+    /// quota reset + audit renewal). A tenant at interval `u64::MAX`
+    /// has no next interval and refuses with `unsupported`, changing
+    /// nothing.
     AdvanceInterval(TenantRef),
-    /// Since-boot point estimate (audited when the tenant's spec asks
-    /// for it).
+    /// Point estimate over the planes the tenant retains: since boot
+    /// for `Unbounded`, `Tumbling` and `Sliding` tenants, the window's
+    /// generations for `Rotating` ones. Audited when the tenant's spec
+    /// asks for it.
     Point(PointQuery),
-    /// Point estimate within the tenant's current window.
+    /// Point estimate within the tenant's current window. Audited like
+    /// [`Request::Point`], against the same per-key budget.
     WindowPoint(PointQuery),
-    /// Since-boot heavy hitters at threshold `phi`.
+    /// Heavy hitters at threshold `phi` over the planes the tenant
+    /// retains (see [`Request::Point`]).
     HeavyHitters(HeavyHittersQuery),
     /// Heavy hitters within the tenant's current window.
     WindowHeavyHitters(HeavyHittersQuery),
@@ -525,9 +530,12 @@ pub enum ServingMode {
     /// sliding window of the given length whose every interval, a
     /// *generation*, runs under its own hasher seed,
     /// `SeedSchedule::new(seed).seed_for(g)` for generation `g`, and
-    /// whose answers sum the generations' estimates. Because each seed
-    /// follows from the tenant seed and the interval, the tenant moves
-    /// and checkpoints like any other: see [`TenantTransfer`].
+    /// whose answers sum the generations' estimates — the serving
+    /// policy `bas_serve::Policy::Rotating`. It keeps only the window's
+    /// generations, so its since-boot verbs cover the window. Because
+    /// each seed follows from the tenant seed and the interval, the
+    /// tenant moves and checkpoints like any other: see
+    /// [`TenantTransfer`].
     Rotating(WindowLen),
 }
 
@@ -553,7 +561,8 @@ pub struct TenantSpec {
     pub interval_quota: u64,
     /// Per-key audit budget for point queries (0 = unaudited): the
     /// adaptive-adversary defense from the robustness plane, applied
-    /// per tenant.
+    /// per tenant. `Point` and `WindowPoint` count against one budget
+    /// per item, and every `AdvanceInterval` renews it.
     pub audit_limit: u64,
 }
 
@@ -737,7 +746,9 @@ pub struct ShedReceipt {
 pub struct FlushReceipt {
     /// Tenant id.
     pub tenant: u64,
-    /// Updates applied across all completed flushes.
+    /// Updates applied in completed flushes, over the planes the
+    /// tenant retains: since boot for `Unbounded`, `Tumbling` and
+    /// `Sliding` tenants, the window's generations for `Rotating` ones.
     pub applied: u64,
 }
 
@@ -777,9 +788,10 @@ pub struct StatsReply {
     pub tenant: u64,
     /// Shard currently hosting the tenant.
     pub shard: u64,
-    /// Updates applied in completed flushes.
+    /// Updates applied in completed flushes, over the planes the
+    /// tenant retains (see [`FlushReceipt::applied`]).
     pub applied: u64,
-    /// Total delta mass applied.
+    /// Total delta mass applied, over the same planes as `applied`.
     pub mass: f64,
     /// Updates buffered but not yet flushed.
     pub pending: u64,

@@ -90,13 +90,11 @@ pub mod prelude {
     };
     pub use bas_hash::SeedSchedule;
     pub use bas_pipeline::{
-        ConcurrentIngest, EpochHandle, EpochSketch, RotatingGeneration, RotatingIngest,
-        ShardedIngest, SnapshotHandle, WindowedIngest,
+        ConcurrentIngest, EpochHandle, EpochSketch, ShardedIngest, SnapshotHandle, WindowedIngest,
     };
     pub use bas_serve::{
-        combine_plane_estimates, heavy_hitters_across, AuditPolicy, AuditedHandle, EstimateCombine,
-        Policy, QueryEngine, QueryError, QueryHandle, RotatingEngine, Sliding, Tumbling, Unbounded,
-        WindowSnapshot,
+        combine_plane_estimates, heavy_hitters_across, AuditPolicy, EstimateCombine, Policy,
+        QueryEngine, QueryError, QueryHandle, Sliding, Tumbling, Unbounded, WindowSnapshot,
     };
     pub use bas_server::{
         call, serve_connection, Fabric, FabricConfig, MetricKind, PlacementRing, RebalanceReport,

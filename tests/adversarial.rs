@@ -11,10 +11,11 @@
 //!    `tests/guarantee_conformance.rs` **breaks**: the observed failure
 //!    rate blows past the binomial acceptance line, because the
 //!    guarantee only holds for inputs independent of the hash draws;
-//! 2. a [`RotatingEngine`] with an [`AuditPolicy`], fed the *identical*
-//!    probe schedule — the windowed guarantee **holds**: per-key query
-//!    budgets cap the feedback per generation, and seed rotation
-//!    expires whatever leaked.
+//! 2. a [`QueryEngine`] under [`Policy::Rotating`] with an
+//!    [`AuditPolicy`], fed the *identical* probe schedule — the
+//!    windowed guarantee **holds**: per-key query budgets cap the
+//!    feedback per generation, and seed rotation expires whatever
+//!    leaked.
 //!
 //! Failure rates are measured over `T` seed-deterministic trials and
 //! compared against the same `δ + 3·√(δ(1−δ)/T)` acceptance line the
@@ -332,7 +333,7 @@ where
 
 /// The **identical** adaptive trial against the rotating, audited
 /// engine: same victim, same candidate schedule, same greedy rule —
-/// but reads go through `audited_window_estimate` (budget
+/// but reads go through `audited_point_in_window` (budget
 /// `AUDIT_BUDGET` per key per generation) and the engine rotates every
 /// `ROTATE_EVERY` probes with fresh honest traffic. A rejected read
 /// leaves the attacker blind, so the probe is retracted. Returns
@@ -346,13 +347,14 @@ where
     S: SharedSketch + Snapshottable + Reseedable + Send,
 {
     let victim = victim_of(trial);
-    let mut engine = RotatingEngine::new(1, sketch, SeedSchedule::new(1_000 + trial), WINDOW)
-        .unwrap()
-        .with_audit(AuditPolicy::new(AUDIT_BUDGET));
+    // The sketch's seed, 1_000 + trial, is the master of the schedule.
+    let policy = Policy::Rotating(Sliding::new(WINDOW).unwrap());
+    let mut engine =
+        QueryEngine::with_policy(1, sketch, policy).with_audit(AuditPolicy::new(AUDIT_BUDGET));
 
     // Per-interval exact frequency vectors (the truth ring).
     let mut truths: Vec<Vec<f64>> = Vec::new();
-    let open_interval = |engine: &mut RotatingEngine<S>, truths: &mut Vec<Vec<f64>>| {
+    let open_interval = |engine: &mut QueryEngine<S>, truths: &mut Vec<Vec<f64>>| {
         let base = base_traffic(trial, truths.len() as u64);
         engine.extend_from_slice(&base);
         engine.flush();
@@ -365,7 +367,7 @@ where
 
     open_interval(&mut engine, &mut truths);
     let mut prev = engine
-        .audited_window_estimate(victim)
+        .audited_point_in_window(victim)
         .expect("fresh budget");
     for (i, c) in candidates(victim).enumerate() {
         if i > 0 && i % ROTATE_EVERY == 0 {
@@ -373,12 +375,12 @@ where
             open_interval(&mut engine, &mut truths);
             // Budgets are fresh after rotation; re-baseline the victim.
             prev = engine
-                .audited_window_estimate(victim)
+                .audited_point_in_window(victim)
                 .expect("fresh budget");
         }
         engine.push(c, PROBE);
         engine.flush();
-        match engine.audited_window_estimate(victim) {
+        match engine.audited_point_in_window(victim) {
             Ok(est) if est > prev + 0.5 => {
                 prev = est;
                 truths.last_mut().unwrap()[c as usize] += PROBE;
@@ -396,7 +398,7 @@ where
     let first = truths.len().saturating_sub(WINDOW);
     let window_truths = &truths[first..];
     let truth_at_victim: f64 = window_truths.iter().map(|t| t[victim as usize]).sum();
-    let err = (engine.window_estimate(victim) - truth_at_victim).abs();
+    let err = (engine.point_in_window(victim) - truth_at_victim).abs();
     (err, bound_of(window_truths))
 }
 

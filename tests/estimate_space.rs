@@ -106,7 +106,10 @@ fn cm_sum_over_homogeneous_planes_matches_engine_window_bit_for_bit() {
 /// per-generation references: one `CountMedian` per window interval,
 /// built under `SeedSchedule::seed_for(g)` from that interval's
 /// updates, the open (live) interval counted as one of them. Integer
-/// deltas, so the sum is exact and the match is bit for bit.
+/// deltas, so the sum is exact and the match is bit for bit — for
+/// point estimates, for the window heavy-hitter scan (against
+/// `heavy_hitters_across` over the reference planes, live first), and
+/// for the window's `applied` and `mass`.
 #[test]
 fn rotating_window_equals_sum_of_per_generation_references() {
     let (window, intervals, per_interval) = (4u64, 9u64, 600usize);
@@ -116,8 +119,8 @@ fn rotating_window_equals_sum_of_per_generation_references() {
         .with_max_delta(4)
         .generate();
     let sketch = AtomicCountMedian::with_backend(&params(7));
-    let engine =
-        std::cell::RefCell::new(RotatingEngine::new(1, sketch, schedule, window as usize).unwrap());
+    let policy = Policy::Rotating(Sliding::new(window as usize).unwrap());
+    let engine = std::cell::RefCell::new(QueryEngine::with_policy(1, sketch, policy));
     drive_timestamped(
         stream.iter().copied(),
         256,
@@ -147,10 +150,47 @@ fn rotating_window_equals_sum_of_per_generation_references() {
     for j in 0..N {
         let expected: f64 = references.iter().map(|r| r.estimate(j)).sum();
         assert_eq!(
-            engine.window_estimate(j).to_bits(),
+            engine.point_in_window(j).to_bits(),
             expected.to_bits(),
             "item {j}"
         );
+    }
+
+    // The window's totals are the references' totals.
+    let masses: Vec<f64> = (intervals - window..intervals)
+        .map(|g| {
+            let start = g as usize * per_interval;
+            let updates = &stream[start..start + per_interval];
+            updates.iter().map(|u| u.delta).sum()
+        })
+        .collect();
+    let (live_mass, closed_masses) = masses.split_last().unwrap();
+    let mass = live_mass + closed_masses.iter().sum::<f64>();
+    assert_eq!(engine.applied(), window * per_interval as u64);
+    assert_eq!(engine.mass().to_bits(), mass.to_bits());
+
+    // The window scan equals `heavy_hitters_across` over the reference
+    // planes, ordered live first, then closed generations oldest first.
+    let planes: Vec<_> = references
+        .iter()
+        .map(|r| {
+            let mut snap = r.make_snapshot();
+            r.snapshot_into(&mut snap);
+            snap
+        })
+        .collect();
+    let mut entries: Vec<(&CountMedian, _)> = references.iter().zip(&planes).collect();
+    entries.rotate_right(1);
+    for phi in [0.01, 0.02, 0.05] {
+        let expected = heavy_hitters_across(&entries, mass, phi, EstimateCombine::Sum).unwrap();
+        let got = engine.heavy_hitters_in_window(phi).unwrap();
+        assert!(!got.is_empty(), "phi {phi}");
+        let bits = |hh: &[HeavyHitter]| {
+            hh.iter()
+                .map(|h| (h.item, h.estimate.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&got), bits(&expected), "phi {phi}");
     }
 }
 

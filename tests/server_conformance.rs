@@ -582,6 +582,81 @@ fn rejections_are_typed_responses() {
         fabric.handle(Request::WindowPoint(PointQuery { tenant: 9, item: 3 })),
         Response::Value(_)
     ));
+    // Before its first advance a rotating tenant is the sliding tenant
+    // with its seed: one generation under the master seed.
+    fabric
+        .register_tenant(
+            TenantSpec::frequency(10, 90)
+                .with_mode(ServingMode::Sliding(WindowLen { intervals: 2 })),
+        )
+        .unwrap();
+    fabric.handle(Request::Ingest(IngestFrame {
+        tenant: 10,
+        updates: stream(9, 50),
+    }));
+    for tenant in [9, 10] {
+        fabric.handle(Request::Flush(TenantRef { tenant }));
+    }
+    let sliding = answer_bits(&mut fabric, &[10]);
+    assert!(sliding[1] != "[]" && sliding[2] != "[]", "{sliding:?}");
+    assert_eq!(answer_bits(&mut fabric, &[9])[1..], sliding[1..]);
+    assert_eq!(position(&mut fabric, 9), position(&mut fabric, 10));
+}
+
+/// One per-key audit budget covers both point verbs: an audited
+/// `Sliding` or `Tumbling` tenant refuses the third point read about an
+/// item with `audit_rejected`, whichever verb asks, and
+/// `AdvanceInterval` renews the budget.
+#[test]
+fn window_points_count_against_the_audit_budget() {
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    let read = |tenant, item, window: bool| {
+        let q = PointQuery { tenant, item };
+        if window {
+            Request::WindowPoint(q)
+        } else {
+            Request::Point(q)
+        }
+    };
+    let modes = [
+        ServingMode::Sliding(WindowLen { intervals: 2 }),
+        ServingMode::Tumbling(WindowLen { intervals: 2 }),
+    ];
+    for (tenant, mode) in (20u64..).zip(modes) {
+        let spec = TenantSpec::frequency(tenant, tenant * 7)
+            .with_mode(mode)
+            .with_audit_limit(2);
+        fabric.register_tenant(spec).unwrap();
+        fabric.handle(Request::Ingest(IngestFrame {
+            tenant,
+            updates: stream(tenant, 200),
+        }));
+        fabric.handle(Request::Flush(TenantRef { tenant }));
+        let orders = [
+            [false, false, true],
+            [true, true, false],
+            [false, true, true],
+            [true, false, true],
+            [true, true, true],
+        ];
+        for (item, verbs) in (1u64..).zip(orders) {
+            for (k, window) in verbs.into_iter().enumerate() {
+                match (k, fabric.handle(read(tenant, item, window))) {
+                    (0 | 1, Response::Value(_)) => {}
+                    (2, Response::Error(e)) if e.code == "audit_rejected" => {}
+                    (k, other) => panic!("{mode:?}, item {item}, read {k}: {other:?}"),
+                }
+            }
+        }
+        fabric.handle(Request::AdvanceInterval(TenantRef { tenant }));
+        for item in 1..=5u64 {
+            for window in [true, false] {
+                let resp = fabric.handle(read(tenant, item, window));
+                assert!(matches!(resp, Response::Value(_)), "{mode:?}: {resp:?}");
+            }
+        }
+    }
 }
 
 /// A placement/shard-map disagreement — manufactured here via the
@@ -1474,7 +1549,7 @@ fn audited_read(resp: Response) -> Result<u64, String> {
 fn assert_rotating_matches(
     fabric: &mut Fabric,
     tenant: u64,
-    mirror: &RotatingEngine<AtomicCountMedian>,
+    mirror: &QueryEngine<AtomicCountMedian>,
     round: u64,
 ) {
     for item in (0..N).step_by(257) {
@@ -1484,7 +1559,7 @@ fn assert_rotating_matches(
             Request::WindowPoint(PointQuery { tenant, item }),
         ];
         for req in reads {
-            let want = match mirror.audited_window_estimate(item) {
+            let want = match mirror.audited_point_in_window(item) {
                 Ok(v) => Ok(v.to_bits()),
                 Err(QueryError::AuditRejected { .. }) => Err("audit_rejected".to_string()),
                 Err(e) => panic!("mirror: {e}"),
@@ -1499,7 +1574,7 @@ fn assert_rotating_matches(
             phi: 0.002,
         })),
     );
-    let want = hh_pairs(mirror.window_heavy_hitters(0.002).unwrap());
+    let want = hh_pairs(mirror.heavy_hitters_in_window(0.002).unwrap());
     assert_eq!(
         got, want,
         "tenant {tenant}, round {round}: window heavy hitters"
@@ -1508,8 +1583,8 @@ fn assert_rotating_matches(
         Response::Stats(s) => assert_eq!(
             (s.applied, s.mass.to_bits(), s.pending, s.interval),
             (
-                mirror.window_applied(),
-                mirror.window_mass().to_bits(),
+                mirror.applied(),
+                mirror.mass().to_bits(),
                 mirror.pending() as u64,
                 mirror.interval()
             ),
@@ -1521,7 +1596,7 @@ fn assert_rotating_matches(
 
 /// Rotating tenants move like every other tenant. Through `add_shard`
 /// and then `remove_shard`, `Rotating(3)` tenants, half of them
-/// audited, answer bit for bit like dedicated `RotatingEngine`s that
+/// audited, answer bit for bit like dedicated rotating `QueryEngine`s that
 /// never moved, and keep doing so across later `AdvanceInterval`s
 /// while their generations rotate out of the window. Each generation
 /// travels as its own plane and is rebuilt under its own seed.
@@ -1537,13 +1612,11 @@ fn rotating_tenants_rebalance_bit_for_bit() {
         .map(|&tenant| {
             let seed = tenant * 1_000 + 3;
             let mut spec = TenantSpec::frequency(tenant, seed).with_mode(mode);
-            let mut mirror = RotatingEngine::new(
+            let mut mirror = QueryEngine::with_policy(
                 1,
                 AtomicCountMedian::with_backend(&params().with_seed(seed)),
-                SeedSchedule::new(seed),
-                3,
-            )
-            .unwrap();
+                Policy::Rotating(Sliding::new(3).unwrap()),
+            );
             if tenant % 2 == 0 {
                 spec = spec.with_audit_limit(2);
                 mirror = mirror.with_audit(AuditPolicy::new(2));
