@@ -35,87 +35,6 @@ use bas_sketch::{
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Budget for a bounded snapshot attempt ([`EpochSketch::try_pin`],
-/// [`SnapshotHandle::try_refresh`]): how long a reader is willing to
-/// wait out an open write section before giving up with a typed
-/// [`SnapshotUnavailable`] instead of yielding forever.
-///
-/// The unbounded retry loop in [`EpochSketch::pin`] is correct while
-/// writers are live — a flush is a millisecond-scale section — but if
-/// a writer thread dies (panics, is killed) *inside* its write
-/// section, the epoch stays odd forever and every unbounded reader
-/// livelocks. A daemon query thread must not hang its connection on
-/// that, so its query plane reads through these bounded variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillBudget {
-    /// Maximum retry iterations (each a `yield_now`) before giving up.
-    pub max_spins: u32,
-    /// Optional wall-clock cap, checked alongside the spin cap.
-    pub max_wait: Option<Duration>,
-}
-
-impl FillBudget {
-    /// Default spin cap: generous against real flushes (which settle in
-    /// well under this many yields) while still bounding a livelock to
-    /// well under a second of CPU.
-    pub const DEFAULT_SPINS: u32 = 50_000;
-
-    /// Default wall-clock cap.
-    pub const DEFAULT_WAIT: Duration = Duration::from_millis(100);
-
-    /// The default budget: [`Self::DEFAULT_SPINS`] iterations or
-    /// [`Self::DEFAULT_WAIT`], whichever trips first.
-    pub fn new() -> Self {
-        Self {
-            max_spins: Self::DEFAULT_SPINS,
-            max_wait: Some(Self::DEFAULT_WAIT),
-        }
-    }
-
-    /// Sets the spin cap.
-    pub fn with_spins(mut self, max_spins: u32) -> Self {
-        self.max_spins = max_spins;
-        self
-    }
-
-    /// Sets (or clears) the wall-clock cap.
-    pub fn with_wait(mut self, max_wait: Option<Duration>) -> Self {
-        self.max_wait = max_wait;
-        self
-    }
-}
-
-impl Default for FillBudget {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A bounded snapshot attempt exhausted its [`FillBudget`] without
-/// ever observing a settled (even, stable) epoch — the signature of a
-/// writer dead or stalled inside its write section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotUnavailable {
-    /// Retry iterations spent before giving up.
-    pub spins: u32,
-    /// Wall-clock time spent before giving up.
-    pub waited: Duration,
-}
-
-impl std::fmt::Display for SnapshotUnavailable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "snapshot unavailable: no settled epoch after {} retries over {:?} \
-             (writer stalled inside an open write section?)",
-            self.spins, self.waited
-        )
-    }
-}
-
-impl std::error::Error for SnapshotUnavailable {}
 
 /// RAII bracket for one write section of an [`EpochCounter`]: the
 /// epoch turns odd on [`enter`](EpochGuard::enter) and even again on
@@ -258,68 +177,6 @@ impl<S: Snapshottable> EpochSketch<S> {
     /// Panics if `snap` was made for a different configuration.
     pub fn pin_into(&self, snap: &mut S::Snapshot) -> (u64, u64, f64) {
         self.fill(snap)
-    }
-
-    /// Bounded [`pin`](EpochSketch::pin): gives up with a typed
-    /// [`SnapshotUnavailable`] if no settled epoch appears within the
-    /// budget, instead of yielding forever against a dead writer.
-    pub fn try_pin(
-        this: &Arc<Self>,
-        budget: FillBudget,
-    ) -> Result<SnapshotHandle<S>, SnapshotUnavailable> {
-        let mut snap = this.sketch.make_snapshot();
-        let (epoch, applied, mass) = this.try_fill(&mut snap, budget)?;
-        Ok(SnapshotHandle {
-            owner: Arc::clone(this),
-            snap,
-            epoch,
-            applied,
-            mass,
-        })
-    }
-
-    /// Bounded [`pin_into`](EpochSketch::pin_into). On `Err` the buffer
-    /// contents are unspecified (a torn copy may remain); the next
-    /// successful fill overwrites them entirely.
-    pub fn try_pin_into(
-        &self,
-        snap: &mut S::Snapshot,
-        budget: FillBudget,
-    ) -> Result<(u64, u64, f64), SnapshotUnavailable> {
-        self.try_fill(snap, budget)
-    }
-
-    /// The seqlock read loop with an escape hatch: identical to
-    /// [`fill`](Self::fill) while the sketch settles, but counts every
-    /// retry against `budget` and returns [`SnapshotUnavailable`] once
-    /// it is exhausted.
-    fn try_fill(
-        &self,
-        snap: &mut S::Snapshot,
-        budget: FillBudget,
-    ) -> Result<(u64, u64, f64), SnapshotUnavailable> {
-        let start = Instant::now();
-        let mut spins = 0u32;
-        loop {
-            let before = self.epoch.read();
-            if !EpochCounter::is_write_open(before) {
-                let applied = self.applied.load(Ordering::Acquire);
-                let mass = f64::from_bits(self.mass_bits.load(Ordering::Acquire));
-                self.sketch.snapshot_into(snap);
-                // Pairs with the release fence in `begin_write`.
-                fence(Ordering::Acquire);
-                if self.epoch.read() == before {
-                    return Ok((before, applied, mass));
-                }
-            }
-            spins += 1;
-            let waited = start.elapsed();
-            let over_time = budget.max_wait.is_some_and(|max| waited >= max);
-            if spins >= budget.max_spins || over_time {
-                return Err(SnapshotUnavailable { spins, waited });
-            }
-            std::thread::yield_now();
-        }
     }
 
     /// The seqlock read loop: copy the counters and keep the copy only
@@ -554,11 +411,6 @@ impl<S: Snapshottable> EpochHandle<S> {
     pub fn pin(&self) -> SnapshotHandle<S> {
         EpochSketch::pin(&self.0)
     }
-
-    /// Bounded pin — see [`EpochSketch::try_pin`].
-    pub fn try_pin(&self, budget: FillBudget) -> Result<SnapshotHandle<S>, SnapshotUnavailable> {
-        EpochSketch::try_pin(&self.0, budget)
-    }
 }
 
 impl<S> std::ops::Deref for EpochHandle<S> {
@@ -699,18 +551,6 @@ impl<S: Snapshottable> SnapshotHandle<S> {
         self.mass = mass;
     }
 
-    /// Bounded [`refresh`](Self::refresh). On `Err` the handle's
-    /// metadata (`epoch`/`applied`/`mass`) is unchanged but the frozen
-    /// buffer may hold a torn copy — treat the handle as stale until a
-    /// later refresh succeeds.
-    pub fn try_refresh(&mut self, budget: FillBudget) -> Result<(), SnapshotUnavailable> {
-        let (epoch, applied, mass) = self.owner.try_fill(&mut self.snap, budget)?;
-        self.epoch = epoch;
-        self.applied = applied;
-        self.mass = mass;
-        Ok(())
-    }
-
     /// Unwraps the frozen counters (e.g. to ship a site snapshot to a
     /// distributed coordinator).
     pub fn into_snapshot(self) -> S::Snapshot {
@@ -830,57 +670,6 @@ mod tests {
         assert_eq!(snap.applied(), 3);
         assert_eq!(snap.mass(), 8.0);
         assert_eq!(snap.estimate(3), 5.0);
-    }
-
-    #[test]
-    fn bounded_pin_matches_unbounded_when_settled() {
-        let shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        let mut ingest = ConcurrentIngest::new(shared.clone()).with_flush_threshold(500);
-        ingest.extend_from_slice(&stream(1_000));
-        let snap = shared.pin();
-        let bounded = shared
-            .try_pin(FillBudget::new())
-            .expect("sketch is settled");
-        assert_eq!(bounded.applied(), snap.applied());
-        assert_eq!(bounded.epoch(), snap.epoch());
-        for j in (0..400u64).step_by(11) {
-            assert_eq!(bounded.estimate(j), snap.estimate(j), "item {j}");
-        }
-    }
-
-    #[test]
-    fn dead_writer_in_open_section_errors_instead_of_hanging() {
-        // A writer that dies inside its write section leaves the epoch
-        // odd forever. The unbounded `pin` would livelock here; the
-        // bounded variants must return a typed error promptly.
-        let shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        let mut ingest = ConcurrentIngest::new(shared.clone()).with_flush_threshold(100);
-        ingest.extend_from_slice(&stream(200));
-        let mut snap = shared.try_pin(FillBudget::new()).unwrap();
-
-        shared.epoch().begin_write(); // the "dead writer": never ends
-
-        let budget = FillBudget::new()
-            .with_spins(200)
-            .with_wait(Some(Duration::from_millis(50)));
-        let start = Instant::now();
-        let err = shared.try_pin(budget).expect_err("epoch is stuck odd");
-        assert!(err.spins > 0);
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "escape was not bounded"
-        );
-        assert!(err.to_string().contains("snapshot unavailable"));
-
-        // Refresh through the same stuck epoch: metadata unchanged.
-        let (applied, epoch) = (snap.applied(), snap.epoch());
-        assert!(snap.try_refresh(budget).is_err());
-        assert_eq!(snap.applied(), applied);
-        assert_eq!(snap.epoch(), epoch);
-
-        // Writer recovers: bounded reads settle again.
-        shared.epoch().end_write();
-        assert!(snap.try_refresh(FillBudget::new()).is_ok());
     }
 
     #[test]

@@ -92,8 +92,6 @@ mod sharded;
 pub mod window;
 
 pub use concurrent::ConcurrentIngest;
-pub use epoch::{
-    EpochGuard, EpochHandle, EpochSketch, FillBudget, SnapshotHandle, SnapshotUnavailable,
-};
+pub use epoch::{EpochGuard, EpochHandle, EpochSketch, SnapshotHandle};
 pub use sharded::ShardedIngest;
 pub use window::{Generation, WindowedIngest};

@@ -55,9 +55,9 @@
 //! ## Auditing
 //!
 //! An engine built [`with_audit`](QueryEngine::with_audit) answers its
-//! audited point reads through one per-key budget that every advance
-//! renews, with optional noise and quantization ([`AuditPolicy`]) —
-//! the serving-side half of the defence against adaptive inputs.
+//! audited point reads through one per-key budget ([`AuditPolicy`])
+//! that every advance renews — the serving-side half of the defence
+//! against adaptive inputs.
 //!
 //! Bad query parameters (invalid `phi`, reversed ranges, zero-length
 //! windows) are rejected with the typed [`QueryError`]; the panicking

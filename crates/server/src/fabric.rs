@@ -31,7 +31,7 @@ use crate::wire::{
     TenantTransfer, ValueReply,
 };
 use bas_distributed::CommMeter;
-use bas_sketch::{CellWidth, SketchParams};
+use bas_sketch::SketchParams;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -564,9 +564,8 @@ impl Fabric {
     fn ingest(&mut self, frame: IngestFrame) -> Response {
         let tenant = frame.tenant;
         let k = frame.updates.len() as u64;
-        let cell = self.config.params.cell;
         self.with_tenant_mut(tenant, |t| {
-            if let Err(e) = check_updates(tenant, &frame.updates, t.slot.universe(), cell) {
+            if let Err(e) = check_updates(tenant, &frame.updates, t.slot.universe()) {
                 return Response::Error(e);
             }
             if t.admitted_in_interval.saturating_add(k) > t.spec.interval_quota {
@@ -650,35 +649,20 @@ fn non_finite(tenant: u64, asked: fmt::Arguments<'_>, value: f64) -> ErrorReply 
 }
 
 /// Admission-time validation of an ingest frame: every update needs an
-/// item inside the universe and a finite delta, and integer cells
-/// (every [`CellWidth`] but `F64`) need an integral one — they would
-/// truncate anything else. Checked before anything is buffered, so a
-/// bad frame can neither panic a later flush nor poison the tenant's
-/// counters with `inf`/`NaN`. The error names the first bad update's
-/// index.
-fn check_updates(
-    tenant: u64,
-    updates: &[(u64, f64)],
-    universe: u64,
-    cell: CellWidth,
-) -> Result<(), ErrorReply> {
-    let integral = cell != CellWidth::F64;
-    let bad = |&(item, delta): &(u64, f64)| {
-        item >= universe || !delta.is_finite() || (integral && delta.fract() != 0.0)
-    };
+/// item inside the universe and a finite delta. Checked before anything
+/// is buffered, so a bad frame can neither panic a later flush nor
+/// poison the tenant's counters with `inf`/`NaN`. The error names the
+/// first bad update's index.
+fn check_updates(tenant: u64, updates: &[(u64, f64)], universe: u64) -> Result<(), ErrorReply> {
+    let bad = |&(item, delta): &(u64, f64)| item >= universe || !delta.is_finite();
     let Some(at) = updates.iter().position(bad) else {
         return Ok(());
     };
     let (item, delta) = updates[at];
     let why = if item >= universe {
         format!("item {item} is outside the universe [0, {universe})")
-    } else if !delta.is_finite() {
-        format!("delta {delta} is not finite")
     } else {
-        format!(
-            "delta {delta} is not an integer, as {} cells require",
-            cell.label()
-        )
+        format!("delta {delta} is not finite")
     };
     Err(ErrorReply::new(
         "bad_update",

@@ -2,7 +2,7 @@
 
 use crate::heavy_hitters::HeavyHitter;
 use crate::snapshot::{each_item_at_least, Snapshottable};
-use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend, APPLY_BLOCK};
+use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend, APPLY_BLOCK};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
@@ -45,7 +45,7 @@ use std::cmp::Ordering;
 #[derive(Debug, Clone)]
 pub struct CountMedian<B: CounterBackend = Dense> {
     params: SketchParams,
-    grid: CellGrid<B>,
+    grid: CounterMatrix<f64, B>,
     hashers: Vec<AnyBucketHasher>,
 }
 
@@ -77,7 +77,7 @@ impl<B: CounterBackend> CountMedian<B> {
         params.width = width; // multiply-shift may round up
         Self {
             params,
-            grid: CellGrid::new(width, params.depth, params.cell),
+            grid: CounterMatrix::new(width, params.depth),
             hashers,
         }
     }
@@ -92,7 +92,7 @@ impl<B: CounterBackend> CountMedian<B> {
     /// bias-aware recovery needs direct access to de-bias buckets.
     #[inline]
     pub fn bucket_value(&self, row: usize, bucket: usize) -> f64 {
-        self.grid.get_f64(row, bucket)
+        self.grid.get(row, bucket)
     }
 
     /// The bucket the item hashes to in a given row.
@@ -104,17 +104,17 @@ impl<B: CounterBackend> CountMedian<B> {
     /// A dense copy of one row of bucket sums, read through the matrix
     /// API (backend-independent; the storage layout stays private).
     pub fn row_snapshot(&self, row: usize) -> Vec<f64> {
-        self.grid.row_snapshot_f64(row)
+        self.grid.row_snapshot(row)
     }
 
     /// The counter grid, for the range-sum stack, which runs its
     /// plane-wide operations over every level's cells alike.
-    pub(crate) fn cells(&self) -> &CellGrid<B> {
+    pub(crate) fn cells(&self) -> &CounterMatrix<f64, B> {
         &self.grid
     }
 
     /// Mutable [`cells`](Self::cells).
-    pub(crate) fn cells_mut(&mut self) -> &mut CellGrid<B> {
+    pub(crate) fn cells_mut(&mut self) -> &mut CounterMatrix<f64, B> {
         &mut self.grid
     }
 
@@ -148,13 +148,13 @@ impl<B: CounterBackend> PointQuerySketch for CountMedian<B> {
     fn update(&mut self, item: u64, delta: f64) {
         debug_assert!(item < self.params.n, "item outside universe");
         for (row, h) in self.hashers.iter().enumerate() {
-            self.grid.add_f64(row, h.bucket(item), delta);
+            self.grid.add(row, h.bucket(item), delta);
         }
     }
 
     /// Batched update. One-hash rows ([`bas_hash::HashKind::OneHash`])
     /// route through the blocked row-major kernel
-    /// [`CellGrid::apply_rows_blocked_f64`]: one digest per item (SIMD
+    /// [`CounterMatrix::apply_rows_blocked`]: one digest per item (SIMD
     /// batch lane when active), all `d` bucket indices derived up
     /// front, counter writes swept row by row per block. Every other
     /// family goes through [`bas_hash::bucket_rows_each`] — family
@@ -169,18 +169,18 @@ impl<B: CounterBackend> PointQuerySketch for CountMedian<B> {
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
             let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_blocked_f64(items, derive);
+            self.grid.apply_rows_blocked(items, derive);
             return;
         }
         let grid = &mut self.grid;
         bas_hash::bucket_rows_each(&self.hashers, items, |row, _, b, delta: f64| {
-            grid.add_f64(row, b, delta);
+            grid.add(row, b, delta);
         });
     }
 
     fn estimate(&self, item: u64) -> f64 {
         median_of_rows(self.params.depth, |row| {
-            self.grid.get_f64(row, self.hashers[row].bucket(item))
+            self.grid.get(row, self.hashers[row].bucket(item))
         })
     }
 
@@ -202,12 +202,12 @@ impl<B: SharedBackend> SharedSketch for CountMedian<B> {
     fn update_shared(&self, item: u64, delta: f64) {
         debug_assert!(item < self.params.n, "item outside universe");
         for (row, h) in self.hashers.iter().enumerate() {
-            self.grid.add_shared_f64(row, h.bucket(item), delta);
+            self.grid.add_shared(row, h.bucket(item), delta);
         }
     }
 
     /// The `update_batch` sweep through the shared blocked kernel
-    /// [`CellGrid::apply_rows_blocked_shared_f64`].
+    /// [`CounterMatrix::apply_rows_blocked_shared`].
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         #[cfg(debug_assertions)]
         for &(item, _) in items {
@@ -215,11 +215,11 @@ impl<B: SharedBackend> SharedSketch for CountMedian<B> {
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
             let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_blocked_shared_f64(items, derive);
+            self.grid.apply_rows_blocked_shared(items, derive);
             return;
         }
         let derive = crate::util::hashed_block_derive(&self.hashers);
-        self.grid.apply_rows_blocked_shared_f64(items, derive);
+        self.grid.apply_rows_blocked_shared(items, derive);
     }
 }
 
@@ -231,7 +231,7 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
     }
 
     fn snapshot_into(&self, snap: &mut Self::Snapshot) {
-        self.grid.snapshot_into_f64(snap);
+        self.grid.snapshot_into(snap);
     }
 
     fn estimate_in(&self, snap: &Self::Snapshot, item: u64) -> f64 {
@@ -364,44 +364,35 @@ impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMedian<B> {
                 what: "widths/depths",
             });
         }
-        self.grid.add_plane_shared(plane);
+        self.grid.add_matrix_shared(plane);
         Ok(())
     }
 }
 
 /// Whether two sketches built from `a` and `b` hold counters that add
-/// cell by cell: same shape, universe, cell width, seed and hash kind.
+/// cell by cell: the one check behind every merge, subtraction and
+/// inner product of the grid sketches. It is
+/// [`SketchParams::check_counter_compatible`] (same shape, universe,
+/// seed and hash kind), with a seed mismatch reported as the sketch-level
+/// [`MergeError::SeedMismatch`].
 pub(crate) fn check_same_params(a: &SketchParams, b: &SketchParams) -> Result<(), MergeError> {
-    if a.width != b.width || a.depth != b.depth {
-        return Err(MergeError::ShapeMismatch {
-            what: "widths/depths",
-        });
-    }
-    if a.n != b.n {
-        return Err(MergeError::ShapeMismatch { what: "universes" });
-    }
-    if a.cell != b.cell {
-        return Err(MergeError::ShapeMismatch {
-            what: "cell widths",
-        });
-    }
-    if a.seed != b.seed || a.hash_kind != b.hash_kind {
-        return Err(MergeError::SeedMismatch);
-    }
-    Ok(())
+    a.check_counter_compatible(b).map_err(|e| match e {
+        MergeError::PlaneSeedMismatch { .. } => MergeError::SeedMismatch,
+        other => other,
+    })
 }
 
 impl<B: CounterBackend> MergeableSketch for CountMedian<B> {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
         check_same_params(&self.params, &other.params)?;
-        self.grid.add_grid(&other.grid);
+        self.grid.add_matrix(&other.grid);
         Ok(())
     }
 
     /// Exact counter subtraction (Count-Median is linear).
     fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
         check_same_params(&self.params, &other.params)?;
-        self.grid.sub_grid(&other.grid);
+        self.grid.sub_matrix(&other.grid);
         Ok(())
     }
 }

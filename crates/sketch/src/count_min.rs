@@ -1,7 +1,8 @@
 //! Count-Min with plain and conservative update policies.
 
+use crate::count_median::check_same_params;
 use crate::snapshot::Snapshottable;
-use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
@@ -59,7 +60,7 @@ pub enum UpdatePolicy {
 pub struct CountMin<B: CounterBackend = Dense> {
     params: SketchParams,
     policy: UpdatePolicy,
-    grid: CellGrid<B>,
+    grid: CounterMatrix<f64, B>,
     hashers: Vec<AnyBucketHasher>,
 }
 
@@ -97,7 +98,7 @@ impl<B: CounterBackend> CountMin<B> {
         Self {
             params,
             policy,
-            grid: CellGrid::new(width, params.depth, params.cell),
+            grid: CounterMatrix::new(width, params.depth),
             hashers,
         }
     }
@@ -127,22 +128,9 @@ impl<B: CounterBackend> CountMin<B> {
                 what: "update policies (CU counters are not additive)",
             });
         }
-        if self.params.width != other.params.width || self.params.depth != other.params.depth {
-            return Err(MergeError::ShapeMismatch {
-                what: "widths/depths",
-            });
-        }
-        if self.params.cell != other.params.cell {
-            return Err(MergeError::ShapeMismatch {
-                what: "cell widths",
-            });
-        }
-        if self.params.seed != other.params.seed || self.params.hash_kind != other.params.hash_kind
-        {
-            return Err(MergeError::SeedMismatch);
-        }
+        check_same_params(&self.params, &other.params)?;
         let best = (0..self.params.depth)
-            .map(|row| self.grid.row_dot_f64(&other.grid, row))
+            .map(|row| self.grid.row_dot(&other.grid, row))
             .fold(f64::INFINITY, f64::min);
         Ok(best)
     }
@@ -151,7 +139,7 @@ impl<B: CounterBackend> CountMin<B> {
     fn min_over_rows(&self, item: u64) -> f64 {
         let mut best = f64::INFINITY;
         for (row, h) in self.hashers.iter().enumerate() {
-            let v = self.grid.get_f64(row, h.bucket(item));
+            let v = self.grid.get(row, h.bucket(item));
             if v < best {
                 best = v;
             }
@@ -187,7 +175,7 @@ impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
         match self.policy {
             UpdatePolicy::Plain => {
                 for (row, h) in self.hashers.iter().enumerate() {
-                    self.grid.add_f64(row, h.bucket(item), delta);
+                    self.grid.add(row, h.bucket(item), delta);
                 }
             }
             UpdatePolicy::Conservative => {
@@ -207,15 +195,15 @@ impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
                 for (row, h) in self.hashers.iter().enumerate() {
                     let b = h.bucket(item);
                     buckets[row] = b;
-                    let v = self.grid.get_f64(row, b);
+                    let v = self.grid.get(row, b);
                     if v < target {
                         target = v;
                     }
                 }
                 target += delta;
                 for (row, &b) in buckets.iter().enumerate() {
-                    if self.grid.get_f64(row, b) < target {
-                        self.grid.set_f64(row, b, target);
+                    if self.grid.get(row, b) < target {
+                        self.grid.set(row, b, target);
                     }
                 }
             }
@@ -223,7 +211,7 @@ impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
     }
 
     /// Batch update. [`UpdatePolicy::Plain`] takes the blocked
-    /// row-major kernel ([`CellGrid::apply_rows_blocked_f64`], SIMD
+    /// row-major kernel ([`CounterMatrix::apply_rows_blocked`], SIMD
     /// batch lane when active) on one-hash rows and the
     /// dispatch-hoisted fast path of [`bas_hash::bucket_rows_each`]
     /// otherwise; [`UpdatePolicy::Conservative`] necessarily stays
@@ -242,12 +230,12 @@ impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
             UpdatePolicy::Plain => {
                 if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
                     let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-                    self.grid.apply_rows_blocked_f64(items, derive);
+                    self.grid.apply_rows_blocked(items, derive);
                     return;
                 }
                 let grid = &mut self.grid;
                 bas_hash::bucket_rows_each(&self.hashers, items, |row, _, b, delta: f64| {
-                    grid.add_f64(row, b, delta);
+                    grid.add(row, b, delta);
                 });
             }
             UpdatePolicy::Conservative => {
@@ -291,12 +279,12 @@ impl<B: SharedBackend> SharedSketch for CountMin<B> {
             "conservative update is state-dependent and cannot be applied through a shared reference"
         );
         for (row, h) in self.hashers.iter().enumerate() {
-            self.grid.add_shared_f64(row, h.bucket(item), delta);
+            self.grid.add_shared(row, h.bucket(item), delta);
         }
     }
 
     /// The `update_batch` sweep through the shared blocked kernel
-    /// [`CellGrid::apply_rows_blocked_shared_f64`] (plain policy only).
+    /// [`CounterMatrix::apply_rows_blocked_shared`] (plain policy only).
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         assert!(
             self.policy == UpdatePolicy::Plain,
@@ -308,11 +296,11 @@ impl<B: SharedBackend> SharedSketch for CountMin<B> {
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
             let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_blocked_shared_f64(items, derive);
+            self.grid.apply_rows_blocked_shared(items, derive);
             return;
         }
         let derive = crate::util::hashed_block_derive(&self.hashers);
-        self.grid.apply_rows_blocked_shared_f64(items, derive);
+        self.grid.apply_rows_blocked_shared(items, derive);
     }
 }
 
@@ -324,7 +312,7 @@ impl<B: CounterBackend> Snapshottable for CountMin<B> {
     }
 
     fn snapshot_into(&self, snap: &mut Self::Snapshot) {
-        self.grid.snapshot_into_f64(snap);
+        self.grid.snapshot_into(snap);
     }
 
     /// Min-over-rows from the frozen counters. Works for both update
@@ -386,30 +374,7 @@ impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMin<B> {
                 what: "update policies (conservative update is not linear)",
             });
         }
-        self.grid.add_plane_shared(plane);
-        Ok(())
-    }
-}
-
-impl<B: CounterBackend> CountMin<B> {
-    fn check_compatible(&self, other: &Self) -> Result<(), MergeError> {
-        if self.params.width != other.params.width || self.params.depth != other.params.depth {
-            return Err(MergeError::ShapeMismatch {
-                what: "widths/depths",
-            });
-        }
-        if self.params.n != other.params.n {
-            return Err(MergeError::ShapeMismatch { what: "universes" });
-        }
-        if self.params.cell != other.params.cell {
-            return Err(MergeError::ShapeMismatch {
-                what: "cell widths",
-            });
-        }
-        if self.params.seed != other.params.seed || self.params.hash_kind != other.params.hash_kind
-        {
-            return Err(MergeError::SeedMismatch);
-        }
+        self.grid.add_matrix_shared(plane);
         Ok(())
     }
 }
@@ -424,8 +389,8 @@ impl<B: CounterBackend> MergeableSketch for CountMin<B> {
                 what: "update policies (conservative update is not linear)",
             });
         }
-        self.check_compatible(other)?;
-        self.grid.add_grid(&other.grid);
+        check_same_params(&self.params, &other.params)?;
+        self.grid.add_matrix(&other.grid);
         Ok(())
     }
 
@@ -439,8 +404,8 @@ impl<B: CounterBackend> MergeableSketch for CountMin<B> {
                 what: "update policies",
             });
         }
-        self.check_compatible(other)?;
-        self.grid.sub_grid(&other.grid);
+        check_same_params(&self.params, &other.params)?;
+        self.grid.sub_matrix(&other.grid);
         Ok(())
     }
 }
@@ -658,6 +623,13 @@ mod tests {
         let a = CountMin::conservative(&p);
         let b = CountMin::conservative(&p);
         assert!(a.inner_product(&b).is_err());
+        // Plain sketches over different universes do not combine either.
+        let plain = CountMin::new(&p, UpdatePolicy::Plain);
+        let wider = CountMin::new(&params(20, 8, 2), UpdatePolicy::Plain);
+        assert_eq!(
+            plain.inner_product(&wider),
+            Err(MergeError::ShapeMismatch { what: "universes" })
+        );
     }
 
     #[test]

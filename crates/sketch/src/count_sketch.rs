@@ -1,7 +1,8 @@
 //! Count-Sketch: CS-matrix sketching with signed median recovery.
 
+use crate::count_median::check_same_params;
 use crate::snapshot::Snapshottable;
-use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
@@ -57,7 +58,7 @@ fn row_sign(hasher: &AnyBucketHasher, sign: &SignHash, item: u64) -> i8 {
 #[derive(Debug, Clone)]
 pub struct CountSketch<B: CounterBackend = Dense> {
     params: SketchParams,
-    grid: CellGrid<B>,
+    grid: CounterMatrix<f64, B>,
     hashers: Vec<AnyBucketHasher>,
     signs: Vec<SignHash>,
 }
@@ -92,7 +93,7 @@ impl<B: CounterBackend> CountSketch<B> {
         params.width = width;
         Self {
             params,
-            grid: CellGrid::new(width, params.depth, params.cell),
+            grid: CounterMatrix::new(width, params.depth),
             hashers,
             signs,
         }
@@ -106,7 +107,7 @@ impl<B: CounterBackend> CountSketch<B> {
     /// Raw signed bucket sum `(Ψ(h_row, r_row)·x)[bucket]`.
     #[inline]
     pub fn bucket_value(&self, row: usize, bucket: usize) -> f64 {
-        self.grid.get_f64(row, bucket)
+        self.grid.get(row, bucket)
     }
 
     /// The bucket the item hashes to in a given row.
@@ -130,22 +131,9 @@ impl<B: CounterBackend> CountSketch<B> {
     /// # Errors
     /// Returns a [`MergeError`] when the sketches are not compatible.
     pub fn inner_product(&self, other: &Self) -> Result<f64, MergeError> {
-        if self.params.width != other.params.width || self.params.depth != other.params.depth {
-            return Err(MergeError::ShapeMismatch {
-                what: "widths/depths",
-            });
-        }
-        if self.params.cell != other.params.cell {
-            return Err(MergeError::ShapeMismatch {
-                what: "cell widths",
-            });
-        }
-        if self.params.seed != other.params.seed || self.params.hash_kind != other.params.hash_kind
-        {
-            return Err(MergeError::SeedMismatch);
-        }
+        check_same_params(&self.params, &other.params)?;
         Ok(median_of_rows(self.params.depth, |row| {
-            self.grid.row_dot_f64(&other.grid, row)
+            self.grid.row_dot(&other.grid, row)
         }))
     }
 
@@ -167,15 +155,7 @@ impl<B: CounterBackend> CountSketch<B> {
         other: &CountSketch<B2>,
         theirs: &CounterMatrix<f64, Dense>,
     ) -> Result<f64, MergeError> {
-        if self.params.width != other.params.width || self.params.depth != other.params.depth {
-            return Err(MergeError::ShapeMismatch {
-                what: "widths/depths",
-            });
-        }
-        if self.params.seed != other.params.seed || self.params.hash_kind != other.params.hash_kind
-        {
-            return Err(MergeError::SeedMismatch);
-        }
+        check_same_params(&self.params, &other.params)?;
         assert_eq!(mine.width(), self.params.width, "snapshot width mismatch");
         assert_eq!(
             theirs.width(),
@@ -220,12 +200,12 @@ impl<B: CounterBackend> PointQuerySketch for CountSketch<B> {
         for row in 0..self.params.depth {
             let b = self.hashers[row].bucket(item);
             let s = row_sign(&self.hashers[row], &self.signs[row], item) as f64;
-            self.grid.add_f64(row, b, s * delta);
+            self.grid.add(row, b, s * delta);
         }
     }
 
     /// Batched update. One-hash rows route through the blocked
-    /// row-major kernel [`CellGrid::apply_rows_blocked_f64`] — one
+    /// row-major kernel [`CounterMatrix::apply_rows_blocked`] — one
     /// digest per item (SIMD batch lane when active) yields every
     /// row's bucket *and* sign, then the signed writes sweep row by
     /// row per block. Other families go through
@@ -240,14 +220,14 @@ impl<B: CounterBackend> PointQuerySketch for CountSketch<B> {
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
             let derive = crate::util::onehash_signed_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_blocked_f64(items, derive);
+            self.grid.apply_rows_blocked(items, derive);
             return;
         }
         let grid = &mut self.grid;
         let hashers = &self.hashers;
         let signs = &self.signs;
         bas_hash::bucket_rows_each(hashers, items, |row, item, b, delta: f64| {
-            grid.add_f64(
+            grid.add(
                 row,
                 b,
                 row_sign(&hashers[row], &signs[row], item) as f64 * delta,
@@ -258,7 +238,7 @@ impl<B: CounterBackend> PointQuerySketch for CountSketch<B> {
     fn estimate(&self, item: u64) -> f64 {
         median_of_rows(self.params.depth, |row| {
             let b = self.hashers[row].bucket(item);
-            row_sign(&self.hashers[row], &self.signs[row], item) as f64 * self.grid.get_f64(row, b)
+            row_sign(&self.hashers[row], &self.signs[row], item) as f64 * self.grid.get(row, b)
         })
     }
 
@@ -282,12 +262,12 @@ impl<B: SharedBackend> SharedSketch for CountSketch<B> {
         for row in 0..self.params.depth {
             let b = self.hashers[row].bucket(item);
             let s = row_sign(&self.hashers[row], &self.signs[row], item) as f64;
-            self.grid.add_shared_f64(row, b, s * delta);
+            self.grid.add_shared(row, b, s * delta);
         }
     }
 
     /// The signed `update_batch` sweep through the shared blocked
-    /// kernel [`CellGrid::apply_rows_blocked_shared_f64`].
+    /// kernel [`CounterMatrix::apply_rows_blocked_shared`].
     fn update_batch_shared(&self, items: &[(u64, f64)]) {
         #[cfg(debug_assertions)]
         for &(item, _) in items {
@@ -295,13 +275,13 @@ impl<B: SharedBackend> SharedSketch for CountSketch<B> {
         }
         if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
             let derive = crate::util::onehash_signed_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_blocked_shared_f64(items, derive);
+            self.grid.apply_rows_blocked_shared(items, derive);
             return;
         }
         let hashers = &self.hashers;
         let signs = &self.signs;
         self.grid
-            .apply_rows_blocked_shared_f64(items, |block, cols, vals| {
+            .apply_rows_blocked_shared(items, |block, cols, vals| {
                 let n = block.len();
                 for (i, &(x, delta)) in block.iter().enumerate() {
                     for (row, h) in hashers.iter().enumerate() {
@@ -321,7 +301,7 @@ impl<B: CounterBackend> Snapshottable for CountSketch<B> {
     }
 
     fn snapshot_into(&self, snap: &mut Self::Snapshot) {
-        self.grid.snapshot_into_f64(snap);
+        self.grid.snapshot_into(snap);
     }
 
     fn estimate_in(&self, snap: &Self::Snapshot, item: u64) -> f64 {
@@ -356,45 +336,22 @@ impl<B: CounterBackend> Snapshottable for CountSketch<B> {
 /// live grid (signs live in the hashers, which the seed rebuilds).
 impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountSketch<B> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
-        self.grid.add_plane_shared(plane);
-        Ok(())
-    }
-}
-
-impl<B: CounterBackend> CountSketch<B> {
-    fn check_compatible(&self, other: &Self) -> Result<(), MergeError> {
-        if self.params.width != other.params.width || self.params.depth != other.params.depth {
-            return Err(MergeError::ShapeMismatch {
-                what: "widths/depths",
-            });
-        }
-        if self.params.n != other.params.n {
-            return Err(MergeError::ShapeMismatch { what: "universes" });
-        }
-        if self.params.cell != other.params.cell {
-            return Err(MergeError::ShapeMismatch {
-                what: "cell widths",
-            });
-        }
-        if self.params.seed != other.params.seed || self.params.hash_kind != other.params.hash_kind
-        {
-            return Err(MergeError::SeedMismatch);
-        }
+        self.grid.add_matrix_shared(plane);
         Ok(())
     }
 }
 
 impl<B: CounterBackend> MergeableSketch for CountSketch<B> {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.check_compatible(other)?;
-        self.grid.add_grid(&other.grid);
+        check_same_params(&self.params, &other.params)?;
+        self.grid.add_matrix(&other.grid);
         Ok(())
     }
 
     /// Exact counter subtraction (Count-Sketch is linear).
     fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.check_compatible(other)?;
-        self.grid.sub_grid(&other.grid);
+        check_same_params(&self.params, &other.params)?;
+        self.grid.sub_matrix(&other.grid);
         Ok(())
     }
 }
@@ -643,6 +600,12 @@ mod tests {
         let a = CountSketch::new(&params(10, 8, 2));
         let b = CountSketch::new(&SketchParams::new(10, 8, 2).with_seed(99));
         assert!(a.inner_product(&b).is_err());
+        // Universes must match too, as they must for a merge.
+        let wider = CountSketch::new(&params(20, 8, 2));
+        let universes = Err(MergeError::ShapeMismatch { what: "universes" });
+        assert_eq!(a.inner_product(&wider), universes);
+        let (sa, sw) = (a.snapshot(), wider.snapshot());
+        assert_eq!(a.inner_product_in(&sa, &wider, &sw), universes);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::count_median::{check_same_params, CountMedian};
 use crate::heavy_hitters::HeavyHitter;
 use crate::snapshot::{AbsorbPlane, Snapshottable};
-use crate::storage::{CellGrid, CounterBackend, CounterMatrix, Dense, SharedBackend};
+use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
 use crate::traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
 };
@@ -69,7 +69,7 @@ pub struct RangeSumSketch<B: CounterBackend = Dense> {
     /// Levels `0..g`, sketched.
     grids: Vec<CountMedian<B>>,
     /// Levels `g..`, one `1 × blocks` vector each.
-    exact: Vec<CellGrid<B>>,
+    exact: Vec<CounterMatrix<f64, B>>,
 }
 
 #[cfg(feature = "serde")]
@@ -240,7 +240,7 @@ impl<B: CounterBackend> RangeSumSketch<B> {
             })
             .collect();
         let exact = (grid_levels..levels)
-            .map(|l| CellGrid::new(blocks(n, l) as usize, 1, params.cell))
+            .map(|l| CounterMatrix::new(blocks(n, l) as usize, 1))
             .collect();
         Self {
             params,
@@ -261,12 +261,12 @@ impl<B: CounterBackend> RangeSumSketch<B> {
     }
 
     /// Every level's counters, finest first.
-    fn cells(&self) -> impl Iterator<Item = &CellGrid<B>> {
+    fn cells(&self) -> impl Iterator<Item = &CounterMatrix<f64, B>> {
         self.grids.iter().map(CountMedian::cells).chain(&self.exact)
     }
 
     /// Mutable [`cells`](Self::cells).
-    fn cells_mut(&mut self) -> impl Iterator<Item = &mut CellGrid<B>> {
+    fn cells_mut(&mut self) -> impl Iterator<Item = &mut CounterMatrix<f64, B>> {
         self.grids
             .iter_mut()
             .map(CountMedian::cells_mut)
@@ -278,7 +278,7 @@ impl<B: CounterBackend> RangeSumSketch<B> {
     fn block_sum(&self, level: usize, block: u64) -> f64 {
         match self.grids.get(level) {
             Some(grid) => grid.estimate(block),
-            None => self.exact[level - self.grids.len()].get_f64(0, block as usize),
+            None => self.exact[level - self.grids.len()].get(0, block as usize),
         }
     }
 
@@ -424,7 +424,7 @@ impl<B: CounterBackend> PointQuerySketch for RangeSumSketch<B> {
             grid.update(item >> l, delta);
         }
         for (l, cells) in (self.grids.len()..).zip(&mut self.exact) {
-            cells.add_f64(0, (item >> l) as usize, delta);
+            cells.add(0, (item >> l) as usize, delta);
         }
     }
 
@@ -451,7 +451,7 @@ impl<B: CounterBackend> PointQuerySketch for RangeSumSketch<B> {
             grid.update_batch(&shifted);
         }
         for (l, cells) in (self.grids.len()..).zip(&mut self.exact) {
-            cells.apply_rows_blocked_f64(items, |b, c, v| exact_cells(l, b, c, v));
+            cells.apply_rows_blocked(items, |b, c, v| exact_cells(l, b, c, v));
         }
     }
 
@@ -468,7 +468,7 @@ impl<B: CounterBackend> PointQuerySketch for RangeSumSketch<B> {
     }
 
     fn size_in_words(&self) -> usize {
-        self.cells().map(CellGrid::len).sum()
+        self.cells().map(CounterMatrix::len).sum()
     }
 
     fn label(&self) -> &'static str {
@@ -482,7 +482,7 @@ impl<B: CounterBackend> MergeableSketch for RangeSumSketch<B> {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
         self.check_compatible(other)?;
         for (mine, theirs) in self.cells_mut().zip(other.cells()) {
-            mine.add_grid(theirs);
+            mine.add_matrix(theirs);
         }
         Ok(())
     }
@@ -492,7 +492,7 @@ impl<B: CounterBackend> MergeableSketch for RangeSumSketch<B> {
     fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
         self.check_compatible(other)?;
         for (mine, theirs) in self.cells_mut().zip(other.cells()) {
-            mine.sub_grid(theirs);
+            mine.sub_matrix(theirs);
         }
         Ok(())
     }
@@ -507,7 +507,7 @@ impl<B: SharedBackend> SharedSketch for RangeSumSketch<B> {
             grid.update_shared(item >> l, delta);
         }
         for (l, cells) in (self.grids.len()..).zip(&self.exact) {
-            cells.add_shared_f64(0, (item >> l) as usize, delta);
+            cells.add_shared(0, (item >> l) as usize, delta);
         }
     }
 
@@ -529,7 +529,7 @@ impl<B: SharedBackend> SharedSketch for RangeSumSketch<B> {
             grid.update_batch_shared(&shifted);
         }
         for (l, cells) in (self.grids.len()..).zip(&self.exact) {
-            cells.apply_rows_blocked_shared_f64(items, |b, c, v| exact_cells(l, b, c, v));
+            cells.apply_rows_blocked_shared(items, |b, c, v| exact_cells(l, b, c, v));
         }
     }
 }
@@ -552,7 +552,7 @@ impl<B: CounterBackend> Snapshottable for RangeSumSketch<B> {
             "snapshot level count mismatch"
         );
         for (cells, level_snap) in self.cells().zip(snap.iter_mut()) {
-            cells.snapshot_into_f64(level_snap);
+            cells.snapshot_into(level_snap);
         }
     }
 
@@ -616,7 +616,7 @@ impl<B: SharedBackend> AbsorbPlane for RangeSumSketch<B> {
                 what: "dyadic level counts",
             });
         }
-        let fits = |(cells, p): (&CellGrid<B>, &CounterMatrix<f64, Dense>)| {
+        let fits = |(cells, p): (&CounterMatrix<f64, B>, &CounterMatrix<f64, Dense>)| {
             (cells.width(), cells.depth()) == (p.width(), p.depth())
         };
         if !self.cells().zip(plane).all(fits) {
@@ -625,7 +625,7 @@ impl<B: SharedBackend> AbsorbPlane for RangeSumSketch<B> {
             });
         }
         for (cells, level_plane) in self.cells().zip(plane) {
-            cells.add_plane_shared(level_plane);
+            cells.add_matrix_shared(level_plane);
         }
         Ok(())
     }

@@ -32,9 +32,9 @@
 //! The backend is a type parameter of every sketch
 //! (e.g. `CountSketch<B: CounterBackend = Dense>`), so the choice is
 //! made at construction time and the compiler monomorphizes the hot
-//! paths for each storage strategy. Future backends (compact/quantized
-//! counters, NUMA-aware placement) plug in by implementing
-//! [`CounterBackend`] + [`CounterStore`].
+//! paths for each storage strategy. Future backends (NUMA-aware
+//! placement, say) plug in by implementing [`CounterBackend`] +
+//! [`CounterStore`].
 //!
 //! ## The single-writer contract
 //!
@@ -209,35 +209,6 @@ impl CounterValue for f64 {
     }
 }
 
-impl CounterValue for i64 {
-    const ZERO: Self = 0;
-
-    #[inline]
-    fn add(self, rhs: Self) -> Self {
-        self.wrapping_add(rhs)
-    }
-
-    #[inline]
-    fn sub(self, rhs: Self) -> Self {
-        self.wrapping_sub(rhs)
-    }
-
-    #[inline]
-    fn mul(self, rhs: Self) -> Self {
-        self.wrapping_mul(rhs)
-    }
-
-    #[inline]
-    fn to_bits(self) -> u64 {
-        self as u64
-    }
-
-    #[inline]
-    fn from_bits(bits: u64) -> Self {
-        bits as i64
-    }
-}
-
 impl CounterValue for u64 {
     const ZERO: Self = 0;
 
@@ -293,170 +264,6 @@ impl CounterValue for u16 {
     #[inline]
     fn from_bits(bits: u64) -> Self {
         bits as u16
-    }
-}
-
-/// Compact cell mode for integer-delta workloads: half the bytes of
-/// `f64`/`u64` cells, so twice the sketch width stays cache-resident —
-/// the batch kernels' row sweeps touch half the lines per block.
-impl CounterValue for u32 {
-    const ZERO: Self = 0;
-
-    #[inline]
-    fn add(self, rhs: Self) -> Self {
-        self.wrapping_add(rhs)
-    }
-
-    #[inline]
-    fn sub(self, rhs: Self) -> Self {
-        self.wrapping_sub(rhs)
-    }
-
-    #[inline]
-    fn mul(self, rhs: Self) -> Self {
-        self.wrapping_mul(rhs)
-    }
-
-    #[inline]
-    fn to_bits(self) -> u64 {
-        self as u64
-    }
-
-    #[inline]
-    fn from_bits(bits: u64) -> Self {
-        bits as u32
-    }
-}
-
-/// A [`CounterValue`] that can act as a sketch grid cell: convertible
-/// to and from the `f64` update/estimate domain every sketch speaks.
-///
-/// Integer cells model a **two's-complement accumulator**: an f64 delta
-/// is truncated (`as`-cast, saturating at the `i64` domain bounds) and
-/// added with wrapping arithmetic; reads reinterpret the stored bits as
-/// a signed value of the cell's width. Cancellation therefore works
-/// exactly like a signed counter of that width — Count-Sketch's `±1`
-/// signs and window subtraction land on the same residues the full
-/// `f64` grid would produce, as long as no intermediate per-cell sum
-/// overflows the width. A cell that does overflow wraps silently: the
-/// cell was mis-sized for the stream, and the (bound, δ) conformance
-/// suites pin how much headroom each width actually buys.
-pub trait CellValue: CounterValue {
-    /// Truncates an `f64` delta into the cell domain.
-    fn cell_from_f64(v: f64) -> Self;
-
-    /// Reads the cell back into the `f64` estimate domain (signed
-    /// reinterpretation for integer cells).
-    fn cell_to_f64(self) -> f64;
-}
-
-impl CellValue for f64 {
-    #[inline]
-    fn cell_from_f64(v: f64) -> Self {
-        v
-    }
-
-    #[inline]
-    fn cell_to_f64(self) -> f64 {
-        self
-    }
-}
-
-impl CellValue for i64 {
-    #[inline]
-    fn cell_from_f64(v: f64) -> Self {
-        v as i64
-    }
-
-    #[inline]
-    fn cell_to_f64(self) -> f64 {
-        self as f64
-    }
-}
-
-impl CellValue for u64 {
-    #[inline]
-    fn cell_from_f64(v: f64) -> Self {
-        (v as i64) as u64
-    }
-
-    #[inline]
-    fn cell_to_f64(self) -> f64 {
-        (self as i64) as f64
-    }
-}
-
-impl CellValue for u32 {
-    #[inline]
-    fn cell_from_f64(v: f64) -> Self {
-        (v as i64) as u32
-    }
-
-    #[inline]
-    fn cell_to_f64(self) -> f64 {
-        (self as i32) as f64
-    }
-}
-
-impl CellValue for u16 {
-    #[inline]
-    fn cell_from_f64(v: f64) -> Self {
-        (v as i64) as u16
-    }
-
-    #[inline]
-    fn cell_to_f64(self) -> f64 {
-        (self as i16) as f64
-    }
-}
-
-/// Counter cell width selection for a sketch grid — the
-/// [`SketchParams`](crate::SketchParams) knob behind [`CellGrid`].
-///
-/// The default `F64` is the classical configuration (exact for every
-/// workload whose per-cell sums stay below `2^53`, including fractional
-/// deltas). The integer widths trade delta generality for density:
-/// `U32`/`U16` cells hold a two's-complement accumulator of that width,
-/// so twice/four times the sketch width stays cache-resident — at the
-/// cost of truncating fractional deltas and wrapping on per-cell
-/// overflow.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum CellWidth {
-    /// 8-byte IEEE double — the default and the only width accepting
-    /// fractional deltas exactly.
-    #[default]
-    F64,
-    /// 8-byte signed integer accumulator (wrapping).
-    I64,
-    /// 8-byte unsigned storage of a 64-bit two's-complement accumulator.
-    U64,
-    /// 4-byte two's-complement accumulator: half the bytes of `F64`.
-    U32,
-    /// 2-byte two's-complement accumulator: a quarter of the bytes.
-    U16,
-}
-
-impl CellWidth {
-    /// Short human label used in diagnostics and snapshots.
-    pub fn label(self) -> &'static str {
-        match self {
-            CellWidth::F64 => "f64",
-            CellWidth::I64 => "i64",
-            CellWidth::U64 => "u64",
-            CellWidth::U32 => "u32",
-            CellWidth::U16 => "u16",
-        }
-    }
-
-    /// Bytes one cell occupies under the [`Dense`] backend (the
-    /// [`Atomic`] backend always spends a full 8-byte word per cell).
-    pub fn bytes(self) -> usize {
-        match self {
-            CellWidth::F64 | CellWidth::I64 | CellWidth::U64 => 8,
-            CellWidth::U32 => 4,
-            CellWidth::U16 => 2,
-        }
     }
 }
 
@@ -1276,380 +1083,6 @@ impl<'de, T: CounterValue + serde::Deserialize<'de>, B: CounterBackend> serde::D
     }
 }
 
-/// Applies `$body` with `$m` bound to the inner [`CounterMatrix`] of
-/// whichever cell-width variant `$self` holds.
-macro_rules! with_cells {
-    ($self:expr, $m:ident => $body:expr) => {
-        match $self {
-            CellGrid::F64($m) => $body,
-            CellGrid::I64($m) => $body,
-            CellGrid::U64($m) => $body,
-            CellGrid::U32($m) => $body,
-            CellGrid::U16($m) => $body,
-        }
-    };
-}
-
-/// Same-variant binary dispatch over two [`CellGrid`]s; mismatched
-/// widths fall through to `$else`.
-macro_rules! with_cell_pairs {
-    ($a:expr, $b:expr, $x:ident, $y:ident => $body:expr, else => $else:expr) => {
-        match ($a, $b) {
-            (CellGrid::F64($x), CellGrid::F64($y)) => $body,
-            (CellGrid::I64($x), CellGrid::I64($y)) => $body,
-            (CellGrid::U64($x), CellGrid::U64($y)) => $body,
-            (CellGrid::U32($x), CellGrid::U32($y)) => $body,
-            (CellGrid::U16($x), CellGrid::U16($y)) => $body,
-            _ => $else,
-        }
-    };
-}
-
-/// A sketch counter grid whose cell width is chosen at **runtime** via
-/// [`CellWidth`], dispatching to a monomorphized [`CounterMatrix`] per
-/// width.
-///
-/// Every grid sketch holds one of these instead of a bare
-/// `CounterMatrix<f64, B>`. The `F64` variant is the classical
-/// configuration and compiles to exactly the code the sketches ran
-/// before this enum existed (one match on a niche-packed discriminant
-/// per batch, not per item — the batch kernels dispatch once). The
-/// integer variants store the two's-complement accumulators described
-/// on [`CellValue`]: updates truncate their f64 delta into the cell
-/// domain, queries read the cell back as a signed value.
-///
-/// All public entry points speak `f64`, so the sketches' update/query
-/// code is width-agnostic; binary operations (merge, subtract, dot)
-/// require both grids to hold the **same** variant — callers gate on
-/// [`SketchParams::check_counter_compatible`](crate::SketchParams::check_counter_compatible),
-/// which includes the cell width.
-#[derive(Debug, Clone)]
-pub enum CellGrid<B: CounterBackend = Dense> {
-    /// 8-byte IEEE-double cells (default; bit-compatible with the
-    /// pre-`CellGrid` snapshot format).
-    F64(CounterMatrix<f64, B>),
-    /// 8-byte signed integer cells.
-    I64(CounterMatrix<i64, B>),
-    /// 8-byte unsigned cells holding a 64-bit two's-complement
-    /// accumulator.
-    U64(CounterMatrix<u64, B>),
-    /// 4-byte two's-complement accumulator cells.
-    U32(CounterMatrix<u32, B>),
-    /// 2-byte two's-complement accumulator cells.
-    U16(CounterMatrix<u16, B>),
-}
-
-impl<B: CounterBackend> CellGrid<B> {
-    /// A zeroed grid of the given shape and cell width.
-    pub fn new(width: usize, depth: usize, cell: CellWidth) -> Self {
-        match cell {
-            CellWidth::F64 => CellGrid::F64(CounterMatrix::new(width, depth)),
-            CellWidth::I64 => CellGrid::I64(CounterMatrix::new(width, depth)),
-            CellWidth::U64 => CellGrid::U64(CounterMatrix::new(width, depth)),
-            CellWidth::U32 => CellGrid::U32(CounterMatrix::new(width, depth)),
-            CellWidth::U16 => CellGrid::U16(CounterMatrix::new(width, depth)),
-        }
-    }
-
-    /// The grid's cell width.
-    pub fn cell(&self) -> CellWidth {
-        match self {
-            CellGrid::F64(_) => CellWidth::F64,
-            CellGrid::I64(_) => CellWidth::I64,
-            CellGrid::U64(_) => CellWidth::U64,
-            CellGrid::U32(_) => CellWidth::U32,
-            CellGrid::U16(_) => CellWidth::U16,
-        }
-    }
-
-    /// Grid width (buckets per row).
-    #[inline]
-    pub fn width(&self) -> usize {
-        with_cells!(self, m => m.width())
-    }
-
-    /// Grid depth (number of rows).
-    #[inline]
-    pub fn depth(&self) -> usize {
-        with_cells!(self, m => m.depth())
-    }
-
-    /// Number of counter cells.
-    #[inline]
-    pub fn len(&self) -> usize {
-        with_cells!(self, m => m.len())
-    }
-
-    /// Whether the grid has no cells.
-    pub fn is_empty(&self) -> bool {
-        with_cells!(self, m => m.is_empty())
-    }
-
-    /// Reads a cell into the f64 estimate domain.
-    #[inline]
-    pub fn get_f64(&self, row: usize, col: usize) -> f64 {
-        with_cells!(self, m => m.get(row, col).cell_to_f64())
-    }
-
-    /// Overwrites a cell from the f64 domain (conservative update).
-    #[inline]
-    pub fn set_f64(&mut self, row: usize, col: usize, value: f64) {
-        with_cells!(self, m => m.set(row, col, CellValue::cell_from_f64(value)))
-    }
-
-    /// Adds an f64 delta to a cell under exclusive access.
-    #[inline]
-    pub fn add_f64(&mut self, row: usize, col: usize, delta: f64) {
-        with_cells!(self, m => m.add(row, col, CellValue::cell_from_f64(delta)))
-    }
-
-    /// [`CounterMatrix::apply_rows_blocked`] over f64 deltas: the f64
-    /// variant passes the derivation straight through (zero conversion
-    /// cost on the default path); integer variants derive into an f64
-    /// lane and truncate the block into the cell domain afterwards.
-    pub fn apply_rows_blocked_f64<D>(&mut self, items: &[(u64, f64)], block_derive: D)
-    where
-        D: FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
-    {
-        match self {
-            CellGrid::F64(m) => m.apply_rows_blocked(items, block_derive),
-            CellGrid::I64(m) => m.apply_rows_blocked(items, to_cells(block_derive)),
-            CellGrid::U64(m) => m.apply_rows_blocked(items, to_cells(block_derive)),
-            CellGrid::U32(m) => m.apply_rows_blocked(items, to_cells(block_derive)),
-            CellGrid::U16(m) => m.apply_rows_blocked(items, to_cells(block_derive)),
-        }
-    }
-
-    /// Dense row copy in the f64 domain.
-    pub fn row_snapshot_f64(&self, row: usize) -> Vec<f64> {
-        with_cells!(self, m => (0..m.width()).map(|col| m.get(row, col).cell_to_f64()).collect())
-    }
-
-    /// Dot product of one row with the same row of `other`, accumulated
-    /// in f64 in index order (the f64 variant delegates to the
-    /// vectorizable [`CounterMatrix::row_dot`]; the math is identical).
-    ///
-    /// # Panics
-    /// Panics if the grids hold different cell widths or shapes.
-    pub fn row_dot_f64(&self, other: &Self, row: usize) -> f64 {
-        match (self, other) {
-            (CellGrid::F64(a), CellGrid::F64(b)) => a.row_dot(b, row),
-            (CellGrid::I64(a), CellGrid::I64(b)) => row_dot_converted(a, b, row),
-            (CellGrid::U64(a), CellGrid::U64(b)) => row_dot_converted(a, b, row),
-            (CellGrid::U32(a), CellGrid::U32(b)) => row_dot_converted(a, b, row),
-            (CellGrid::U16(a), CellGrid::U16(b)) => row_dot_converted(a, b, row),
-            _ => panic!("cell widths differ"),
-        }
-    }
-
-    /// Element-wise merge of another grid of the same cell width and
-    /// shape (wrapping in the cell domain for integer widths).
-    ///
-    /// # Panics
-    /// Panics if the grids hold different cell widths or shapes.
-    pub fn add_grid(&mut self, other: &Self) {
-        with_cell_pairs!(self, other, a, b => a.add_matrix(b), else => panic!("cell widths differ"))
-    }
-
-    /// Element-wise subtraction — the inverse of
-    /// [`add_grid`](CellGrid::add_grid), and the window-arithmetic
-    /// primitive (wrapping in the cell domain for integer widths).
-    ///
-    /// # Panics
-    /// Panics if the grids hold different cell widths or shapes.
-    pub fn sub_grid(&mut self, other: &Self) {
-        with_cell_pairs!(self, other, a, b => a.sub_matrix(b), else => panic!("cell widths differ"))
-    }
-
-    /// Copies every cell, converted to the f64 domain, into a
-    /// caller-owned [`Dense`] f64 matrix of the same shape — the
-    /// allocation-free freeze step behind snapshots. The canonical
-    /// snapshot plane stays `f64` for every cell width, so sealed
-    /// planes, rebalance transfers, and the wire format are
-    /// width-independent.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn snapshot_into_f64(&self, dst: &mut CounterMatrix<f64, Dense>) {
-        with_cells!(self, m => {
-            assert_eq!(m.width(), dst.width, "matrix widths differ");
-            assert_eq!(m.depth(), dst.depth, "matrix depths differ");
-            for (i, slot) in dst.store.as_mut_slice().iter_mut().enumerate() {
-                *slot = m.store.get(i).cell_to_f64();
-            }
-        })
-    }
-
-    /// A fresh dense f64 copy of the grid (the allocating form of
-    /// [`snapshot_into_f64`](CellGrid::snapshot_into_f64)).
-    pub fn to_dense_f64(&self) -> CounterMatrix<f64, Dense> {
-        let mut dst = CounterMatrix::new(self.width(), self.depth());
-        self.snapshot_into_f64(&mut dst);
-        dst
-    }
-}
-
-impl<B: SharedBackend> CellGrid<B> {
-    /// Adds an f64 delta to a cell through a **shared** reference, as
-    /// the plane's single writer (truncated into the cell domain first).
-    #[inline]
-    pub fn add_shared_f64(&self, row: usize, col: usize, delta: f64) {
-        with_cells!(self, m => m.add_shared(row, col, CellValue::cell_from_f64(delta)))
-    }
-
-    /// [`CounterMatrix::apply_rows_blocked_shared`] over f64 deltas —
-    /// the shared form of
-    /// [`apply_rows_blocked_f64`](CellGrid::apply_rows_blocked_f64),
-    /// with the same per-width conversion.
-    pub fn apply_rows_blocked_shared_f64<D>(&self, items: &[(u64, f64)], block_derive: D)
-    where
-        D: FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
-    {
-        match self {
-            CellGrid::F64(m) => m.apply_rows_blocked_shared(items, block_derive),
-            CellGrid::I64(m) => m.apply_rows_blocked_shared(items, to_cells(block_derive)),
-            CellGrid::U64(m) => m.apply_rows_blocked_shared(items, to_cells(block_derive)),
-            CellGrid::U32(m) => m.apply_rows_blocked_shared(items, to_cells(block_derive)),
-            CellGrid::U16(m) => m.apply_rows_blocked_shared(items, to_cells(block_derive)),
-        }
-    }
-
-    /// Adds every cell of a dense f64 plane into this grid through the
-    /// shared single-writer path, truncating into the cell domain — the
-    /// destination half of a counter-plane transfer onto a compact-cell
-    /// sketch.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch, or if another shared write to this
-    /// grid is in progress.
-    pub fn add_plane_shared(&self, plane: &CounterMatrix<f64, Dense>) {
-        with_cells!(self, m => {
-            assert_eq!(m.width(), plane.width, "matrix widths differ");
-            assert_eq!(m.depth(), plane.depth, "matrix depths differ");
-            let _claim = B::claim_writer(&m.store);
-            for (i, &delta) in plane.store.as_slice().iter().enumerate() {
-                B::add_shared_cell(&m.store, i, CellValue::cell_from_f64(delta));
-            }
-        })
-    }
-}
-
-/// Shape + cell-wise equality; grids of different cell widths are
-/// never equal.
-impl<B: CounterBackend, B2: CounterBackend> PartialEq<CellGrid<B2>> for CellGrid<B> {
-    fn eq(&self, other: &CellGrid<B2>) -> bool {
-        with_cell_pairs!(self, other, a, b => a == b, else => false)
-    }
-}
-
-/// Adapts an f64 block derivation to cells of type `T`: derives into
-/// an f64 lane, then truncates each increment into the cell domain
-/// (per item, so integer cells wrap exactly like per-item ingest).
-fn to_cells<T: CellValue>(
-    mut block_derive: impl FnMut(&[(u64, f64)], &mut [usize], &mut [f64]),
-) -> impl FnMut(&[(u64, f64)], &mut [usize], &mut [T]) {
-    let mut lane: Vec<f64> = Vec::new();
-    move |block, cols, vals| {
-        lane.resize(vals.len(), 0.0);
-        block_derive(block, cols, &mut lane);
-        for (o, &f) in vals.iter_mut().zip(lane.iter()) {
-            *o = T::cell_from_f64(f);
-        }
-    }
-}
-
-fn row_dot_converted<T: CellValue, B: CounterBackend>(
-    a: &CounterMatrix<T, B>,
-    b: &CounterMatrix<T, B>,
-    row: usize,
-) -> f64 {
-    assert_eq!(a.width, b.width, "matrix widths differ");
-    assert_eq!(a.depth, b.depth, "matrix depths differ");
-    let mut acc = 0.0;
-    for col in 0..a.width {
-        acc += a.get(row, col).cell_to_f64() * b.get(row, col).cell_to_f64();
-    }
-    acc
-}
-
-#[cfg(feature = "serde")]
-impl<B: CounterBackend> serde::Serialize for CellGrid<B> {
-    /// The `F64` variant serializes **exactly** as the legacy
-    /// `CounterMatrix` map `{cells, width, depth}`, so pre-`CellGrid`
-    /// snapshots stay byte-identical; compact variants append a `cell`
-    /// key naming the width.
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        if let CellGrid::F64(m) = self {
-            return m.serialize(serializer);
-        }
-        let cell = serde::to_content(&self.cell())
-            .map_err(|e| <S::Error as serde::ser::Error>::custom(e))?;
-        with_cells!(self, m => {
-            let cells = serde::to_content(&m.snapshot())
-                .map_err(|e| <S::Error as serde::ser::Error>::custom(e))?;
-            serializer.serialize_content(serde::Content::Map(vec![
-                ("cells".to_string(), cells),
-                ("width".to_string(), serde::Content::U64(m.width() as u64)),
-                ("depth".to_string(), serde::Content::U64(m.depth() as u64)),
-                ("cell".to_string(), cell),
-            ]))
-        })
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de, B: CounterBackend> serde::Deserialize<'de> for CellGrid<B> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error as _;
-        let mut entries = match deserializer.deserialize_content()? {
-            serde::Content::Map(entries) => entries,
-            _ => return Err(D::Error::custom("expected a map for CellGrid")),
-        };
-        let mut take = |key: &str| {
-            entries
-                .iter()
-                .position(|(k, _)| k == key)
-                .map(|at| entries.swap_remove(at).1)
-        };
-        // A map without a `cell` key is a legacy f64 snapshot.
-        let cell: CellWidth = match take("cell") {
-            Some(content) => serde::from_content(content)
-                .map_err(|e| D::Error::custom(format!("field `cell`: {e}")))?,
-            None => CellWidth::F64,
-        };
-        let cells_content =
-            take("cells").ok_or_else(|| D::Error::custom("missing field `cells` in CellGrid"))?;
-        let width: usize = serde::from_content(
-            take("width").ok_or_else(|| D::Error::custom("missing field `width` in CellGrid"))?,
-        )
-        .map_err(|e| D::Error::custom(format!("field `width`: {e}")))?;
-        let depth: usize = serde::from_content(
-            take("depth").ok_or_else(|| D::Error::custom("missing field `depth` in CellGrid"))?,
-        )
-        .map_err(|e| D::Error::custom(format!("field `depth`: {e}")))?;
-        macro_rules! grid_arm {
-            ($t:ty, $variant:ident) => {{
-                let cells: Vec<$t> = serde::from_content(cells_content)
-                    .map_err(|e| D::Error::custom(format!("field `cells`: {e}")))?;
-                if width.checked_mul(depth) != Some(cells.len()) {
-                    return Err(D::Error::custom(format!(
-                        "CellGrid shape mismatch: {width} x {depth} != {} cells",
-                        cells.len()
-                    )));
-                }
-                CellGrid::$variant(CounterMatrix::from_cells(width, depth, cells))
-            }};
-        }
-        Ok(match cell {
-            CellWidth::F64 => grid_arm!(f64, F64),
-            CellWidth::I64 => grid_arm!(i64, I64),
-            CellWidth::U64 => grid_arm!(u64, U64),
-            CellWidth::U32 => grid_arm!(u32, U32),
-            CellWidth::U16 => grid_arm!(u16, U16),
-        })
-    }
-}
-
 /// One sealed plane in a [`PlaneBank`]: a frozen counter plane plus the
 /// stream position it was sealed at.
 ///
@@ -2130,21 +1563,6 @@ mod tests {
     }
 
     #[test]
-    fn u32_cells_work_in_both_backends() {
-        let mut d = CounterMatrix::<u32>::new(4, 1);
-        let mut a = CounterMatrix::<u32, Atomic>::new(4, 1);
-        for (i, delta) in [(0usize, 7u32), (1, 1), (0, 3)] {
-            d.add(0, i, delta);
-            a.add(0, i, delta);
-        }
-        assert_eq!(d.snapshot(), vec![10, 1, 0, 0]);
-        assert_eq!(d, a);
-        // Shared u32 adds wrap at 32 bits, like exclusive ones.
-        a.add_shared(0, 0, u32::MAX);
-        assert_eq!(a.get(0, 0), 10u32.wrapping_add(u32::MAX));
-    }
-
-    #[test]
     fn apply_rows_matches_per_item_adds() {
         // A synthetic derivation (item-dependent columns, row-dependent
         // increments) over enough items to cross several blocks; the
@@ -2207,14 +1625,6 @@ mod tests {
         let mut m = CounterMatrix::<f64>::new(8, 2);
         m.apply_rows(&[], |_, _: f64, _, _| panic!("no items, no calls"));
         assert!(m.snapshot().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn i64_wrapping_matches_between_paths() {
-        let mut m = CounterMatrix::<i64, Atomic>::new(1, 1);
-        m.add(0, 0, i64::MAX);
-        m.add_shared(0, 0, 1); // the shared add wraps in two's complement
-        assert_eq!(m.get(0, 0), i64::MIN);
     }
 
     #[test]
@@ -2352,172 +1762,5 @@ mod tests {
         let mut exclusive = CounterMatrix::<f64>::new(16, 3);
         exclusive.apply_rows_blocked(&items, derive_block);
         assert_eq!(bits(&m), bits(&exclusive));
-    }
-
-    #[test]
-    fn cell_grid_f64_matches_counter_matrix() {
-        let mut g: CellGrid = CellGrid::new(8, 2, CellWidth::F64);
-        assert_eq!(g.cell(), CellWidth::F64);
-        assert_eq!((g.width(), g.depth(), g.len()), (8, 2, 16));
-        g.add_f64(1, 3, 2.5);
-        g.add_f64(1, 3, -0.5);
-        assert_eq!(g.get_f64(1, 3), 2.0);
-        g.set_f64(0, 0, -7.25);
-        assert_eq!(g.get_f64(0, 0), -7.25);
-        assert_eq!(g.row_snapshot_f64(1)[3], 2.0);
-    }
-
-    #[test]
-    fn cell_grid_integer_cells_truncate_and_read_signed() {
-        for cell in [
-            CellWidth::I64,
-            CellWidth::U64,
-            CellWidth::U32,
-            CellWidth::U16,
-        ] {
-            let mut g: CellGrid = CellGrid::new(4, 1, cell);
-            g.add_f64(0, 0, 5.9); // truncates toward zero
-            assert_eq!(g.get_f64(0, 0), 5.0, "{cell:?}");
-            g.add_f64(0, 1, -3.0); // negative deltas live in two's complement
-            assert_eq!(g.get_f64(0, 1), -3.0, "{cell:?}");
-            g.add_f64(0, 1, 3.0);
-            assert_eq!(g.get_f64(0, 1), 0.0, "{cell:?}");
-        }
-    }
-
-    #[test]
-    fn cell_grid_u16_wraps_at_width() {
-        let mut g: CellGrid = CellGrid::new(2, 1, CellWidth::U16);
-        g.add_f64(0, 0, 32_767.0);
-        g.add_f64(0, 0, 1.0);
-        // 0x8000 reads back as i16::MIN: the cell overflowed its width.
-        assert_eq!(g.get_f64(0, 0), -32_768.0);
-    }
-
-    #[test]
-    fn cell_grid_merge_subtract_and_dot() {
-        for cell in [
-            CellWidth::F64,
-            CellWidth::I64,
-            CellWidth::U32,
-            CellWidth::U16,
-        ] {
-            let mut a: CellGrid = CellGrid::new(4, 2, cell);
-            let mut b: CellGrid = CellGrid::new(4, 2, cell);
-            a.add_f64(0, 1, 3.0);
-            b.add_f64(0, 1, 4.0);
-            b.add_f64(1, 2, 5.0);
-            a.add_grid(&b);
-            assert_eq!(a.get_f64(0, 1), 7.0, "{cell:?}");
-            assert_eq!(a.row_dot_f64(&b, 0), 28.0, "{cell:?}");
-            a.sub_grid(&b);
-            assert_eq!(a.get_f64(0, 1), 3.0, "{cell:?}");
-            assert_eq!(a.get_f64(1, 2), 0.0, "{cell:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cell widths differ")]
-    fn cell_grid_mixed_width_merge_panics() {
-        let mut a: CellGrid = CellGrid::new(4, 1, CellWidth::F64);
-        let b: CellGrid = CellGrid::new(4, 1, CellWidth::U32);
-        a.add_grid(&b);
-    }
-
-    #[test]
-    fn cell_grid_shared_and_snapshot_paths() {
-        let g: CellGrid<Atomic> = CellGrid::new(4, 2, CellWidth::U32);
-        g.add_shared_f64(0, 1, 41.0);
-        g.add_shared_f64(0, 1, 1.0);
-        assert_eq!(g.get_f64(0, 1), 42.0);
-
-        let mut plane = CounterMatrix::<f64, Dense>::new(4, 2);
-        plane.add(1, 2, -6.0);
-        g.add_plane_shared(&plane);
-        assert_eq!(g.get_f64(1, 2), -6.0);
-
-        let mut dst = CounterMatrix::<f64, Dense>::new(4, 2);
-        g.snapshot_into_f64(&mut dst);
-        assert_eq!(dst.get(0, 1), 42.0);
-        assert_eq!(dst.get(1, 2), -6.0);
-        assert_eq!(g.to_dense_f64(), dst);
-    }
-
-    #[test]
-    fn cell_grid_blocked_kernels_match_per_item_adds() {
-        let items: Vec<(u64, f64)> = (0..700u64)
-            .map(|x| (x * 3 + 5, (1 + x % 7) as f64))
-            .collect();
-        for cell in [
-            CellWidth::F64,
-            CellWidth::I64,
-            CellWidth::U32,
-            CellWidth::U16,
-        ] {
-            let mut blocked: CellGrid = CellGrid::new(16, 3, cell);
-            blocked.apply_rows_blocked_f64(&items, derive_block);
-            let shared: CellGrid<Atomic> = CellGrid::new(16, 3, cell);
-            shared.apply_rows_blocked_shared_f64(&items, derive_block);
-
-            let mut per_item: CellGrid = CellGrid::new(16, 3, cell);
-            let (mut cols, mut vals) = ([0usize; 3], [0f64; 3]);
-            for &(x, delta) in &items {
-                derive_item(x, delta, &mut cols, &mut vals);
-                for row in 0..3 {
-                    per_item.add_f64(row, cols[row], vals[row]);
-                }
-            }
-            assert!(blocked == per_item, "blocked vs per-item, {cell:?}");
-            assert!(shared == per_item, "shared vs per-item, {cell:?}");
-        }
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn cell_grid_f64_serde_is_legacy_counter_matrix_format() {
-        let mut m = CounterMatrix::<f64, Dense>::new(3, 2);
-        m.add(1, 2, 4.5);
-        let g = CellGrid::<Dense>::F64(m.clone());
-        // Byte-identical to the bare matrix's wire form...
-        assert_eq!(
-            serde_json::to_string(&g).unwrap(),
-            serde_json::to_string(&m).unwrap()
-        );
-        // ...and a legacy matrix snapshot deserializes as an f64 grid.
-        let back: CellGrid = serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap();
-        assert_eq!(back.cell(), CellWidth::F64);
-        assert!(back == g);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn cell_grid_compact_serde_roundtrips() {
-        for cell in [
-            CellWidth::I64,
-            CellWidth::U64,
-            CellWidth::U32,
-            CellWidth::U16,
-        ] {
-            let mut g: CellGrid = CellGrid::new(3, 2, cell);
-            g.add_f64(0, 1, 7.0);
-            g.add_f64(1, 2, -2.0);
-            let json = serde_json::to_string(&g).unwrap();
-            assert!(json.contains("\"cell\""), "{json}");
-            let back: CellGrid = serde_json::from_str(&json).unwrap();
-            assert_eq!(back.cell(), cell);
-            assert!(back == g, "{cell:?}");
-            // The same snapshot loads into the Atomic backend too.
-            let shared: CellGrid<Atomic> = serde_json::from_str(&json).unwrap();
-            assert!(shared == g, "{cell:?}");
-        }
-    }
-
-    #[test]
-    fn cell_width_labels_and_bytes() {
-        assert_eq!(CellWidth::default(), CellWidth::F64);
-        assert_eq!(CellWidth::F64.label(), "f64");
-        assert_eq!(CellWidth::U32.bytes(), 4);
-        assert_eq!(CellWidth::U16.bytes(), 2);
-        assert_eq!(CellWidth::I64.bytes(), 8);
     }
 }

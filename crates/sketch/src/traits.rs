@@ -1,6 +1,6 @@
 //! Shared configuration, traits and errors for all sketches.
 
-use crate::storage::{CellWidth, EpochCounter};
+use crate::storage::EpochCounter;
 use bas_hash::HashKind;
 
 /// Configuration shared by every sketch in the workspace.
@@ -9,6 +9,7 @@ use bas_hash::HashKind;
 /// (buckets per row — `s = c_s·k` for the trade-off parameter `k`), and a
 /// depth `d` (number of independent rows — `Θ(log n)` in the theorems,
 /// 9–10 in the paper's experiments).
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchParams {
     /// Universe size: items are indices in `[0, n)`.
@@ -22,11 +23,6 @@ pub struct SketchParams {
     pub seed: u64,
     /// Hash family used for bucket (and sign) functions.
     pub hash_kind: HashKind,
-    /// Counter cell width of the grid (default
-    /// [`CellWidth::F64`]; compact integer widths trade fractional
-    /// deltas and overflow headroom for cache density — see
-    /// [`CellGrid`](crate::storage::CellGrid)).
-    pub cell: CellWidth,
 }
 
 impl SketchParams {
@@ -42,7 +38,6 @@ impl SketchParams {
             depth,
             seed: 0,
             hash_kind: HashKind::CarterWegman,
-            cell: CellWidth::F64,
         }
     }
 
@@ -58,21 +53,10 @@ impl SketchParams {
         self
     }
 
-    /// Sets the counter cell width.
-    pub fn with_cell(mut self, cell: CellWidth) -> Self {
-        self.cell = cell;
-        self
-    }
-
-    /// Width and depth as used by the paper's sizing discussions:
-    /// total counter words `s·d` for full-word cells, scaled down for
-    /// compact cell widths (`s·d/2` at `U32`, `s·d/4` at `U16` — the
-    /// same bit-packed accounting Count-Min-Log already uses for its
-    /// 16-bit levels). The [`Atomic`](crate::storage::Atomic) backend
-    /// spends a full word per cell regardless; this counts the dense
-    /// (serving/snapshot) representation.
+    /// Width and depth as used by the paper's sizing discussions: total
+    /// counter words `s·d`, one `f64` word per cell.
     pub fn counter_words(&self) -> usize {
-        (self.width * self.depth * self.cell.bytes()).div_ceil(8)
+        self.width * self.depth
     }
 
     /// Checks that counter planes built under `self` and `other` may
@@ -99,11 +83,6 @@ impl SketchParams {
         if self.n != other.n {
             return Err(MergeError::ShapeMismatch { what: "universes" });
         }
-        if self.cell != other.cell {
-            return Err(MergeError::ShapeMismatch {
-                what: "cell widths",
-            });
-        }
         if self.seed != other.seed || self.hash_kind != other.hash_kind {
             return Err(MergeError::PlaneSeedMismatch {
                 left: self.seed,
@@ -115,43 +94,24 @@ impl SketchParams {
 }
 
 #[cfg(feature = "serde")]
-impl serde::Serialize for SketchParams {
-    /// Hand-written (not derived) so the `cell` field is **omitted**
-    /// when it holds the default `F64`: the wire form of every
-    /// pre-`CellWidth` config — tenant transfers, sealed snapshots,
-    /// journal lines — stays byte-identical, and old readers never see
-    /// an unknown key.
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut entries = vec![
-            ("n".to_string(), serde::Content::U64(self.n)),
-            ("width".to_string(), serde::Content::U64(self.width as u64)),
-            ("depth".to_string(), serde::Content::U64(self.depth as u64)),
-            ("seed".to_string(), serde::Content::U64(self.seed)),
-            (
-                "hash_kind".to_string(),
-                serde::to_content(&self.hash_kind)
-                    .map_err(|e| <S::Error as serde::ser::Error>::custom(e))?,
-            ),
-        ];
-        if self.cell != CellWidth::F64 {
-            entries.push((
-                "cell".to_string(),
-                serde::to_content(&self.cell)
-                    .map_err(|e| <S::Error as serde::ser::Error>::custom(e))?,
-            ));
-        }
-        serializer.serialize_content(serde::Content::Map(entries))
-    }
-}
-
-#[cfg(feature = "serde")]
 impl<'de> serde::Deserialize<'de> for SketchParams {
+    /// Refuses a map with a `cell` key. Only a grid of compact integer
+    /// cells ever wrote one, and its cells are not `f64` counters, so
+    /// reading it as this params' `f64` grid would misread every cell.
+    /// Every sketch, tenant transfer and checkpoint carries its params,
+    /// so this one check refuses them all.
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         use serde::de::Error as _;
         let mut entries = match deserializer.deserialize_content()? {
             serde::Content::Map(entries) => entries,
             _ => return Err(D::Error::custom("expected a map for SketchParams")),
         };
+        if entries.iter().any(|(k, _)| k == "cell") {
+            return Err(D::Error::custom(
+                "field `cell`: compact counter cells are not supported; \
+                 SketchParams describes f64 counters only",
+            ));
+        }
         let mut take = |key: &str| {
             entries
                 .iter()
@@ -166,24 +126,12 @@ impl<'de> serde::Deserialize<'de> for SketchParams {
                 .map_err(|e| D::Error::custom(format!(concat!("field `", $key, "`: {}"), e)))?
             };
         }
-        let n: u64 = field!("n");
-        let width: usize = field!("width");
-        let depth: usize = field!("depth");
-        let seed: u64 = field!("seed");
-        let hash_kind: HashKind = field!("hash_kind");
-        // Absent in every pre-CellWidth snapshot: default to F64.
-        let cell: CellWidth = match take("cell") {
-            Some(content) => serde::from_content(content)
-                .map_err(|e| D::Error::custom(format!("field `cell`: {e}")))?,
-            None => CellWidth::F64,
-        };
         Ok(SketchParams {
-            n,
-            width,
-            depth,
-            seed,
-            hash_kind,
-            cell,
+            n: field!("n"),
+            width: field!("width"),
+            depth: field!("depth"),
+            seed: field!("seed"),
+            hash_kind: field!("hash_kind"),
         })
     }
 }
@@ -539,51 +487,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("seeds 3 vs 9"), "{msg}");
         assert!(msg.contains("estimate"), "{msg}");
-    }
-
-    #[test]
-    fn counter_words_scales_with_cell_width() {
-        let p = SketchParams::new(100, 8, 3);
-        assert_eq!(p.counter_words(), 24);
-        assert_eq!(p.with_cell(CellWidth::I64).counter_words(), 24);
-        assert_eq!(p.with_cell(CellWidth::U32).counter_words(), 12);
-        assert_eq!(p.with_cell(CellWidth::U16).counter_words(), 6);
-        // Partial words round up.
-        let odd = SketchParams::new(100, 3, 1).with_cell(CellWidth::U16);
-        assert_eq!(odd.counter_words(), 1);
-    }
-
-    #[test]
-    fn cell_width_mismatch_is_a_shape_error() {
-        let base = SketchParams::new(100, 8, 3).with_seed(1);
-        assert!(matches!(
-            base.check_counter_compatible(&base.with_cell(CellWidth::U32)),
-            Err(MergeError::ShapeMismatch {
-                what: "cell widths"
-            })
-        ));
-        assert_eq!(
-            base.with_cell(CellWidth::U32)
-                .check_counter_compatible(&base.with_cell(CellWidth::U32)),
-            Ok(())
-        );
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn params_serde_omits_default_cell_and_roundtrips() {
-        let p = SketchParams::new(10, 4, 2).with_seed(1);
-        let json = serde_json::to_string(&p).unwrap();
-        assert!(!json.contains("cell"), "{json}");
-        // A pre-CellWidth reader's map (no `cell` key) parses as F64.
-        let back: SketchParams = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-
-        let compact = p.with_cell(CellWidth::U16);
-        let json = serde_json::to_string(&compact).unwrap();
-        assert!(json.contains("\"cell\""), "{json}");
-        let back: SketchParams = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, compact);
     }
 
     #[test]

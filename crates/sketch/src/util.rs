@@ -8,8 +8,8 @@
 use bas_hash::{AnyBucketHasher, BucketHasher, RowDeriver};
 
 /// Builds a block-derive closure for the blocked batch kernels
-/// ([`crate::CellGrid::apply_rows_blocked_f64`] /
-/// [`crate::CellGrid::apply_rows_blocked_shared_f64`]) over **one-hash** rows,
+/// ([`crate::CounterMatrix::apply_rows_blocked`] /
+/// [`crate::CounterMatrix::apply_rows_blocked_shared`]) over **one-hash** rows,
 /// broadcasting each item's delta to every row (the unsigned sketches:
 /// Count-Median, plain Count-Min).
 ///

@@ -228,21 +228,6 @@ proptest! {
         assert_estimates_equal(&shared, &looped)?;
     }
 
-    /// Compact cells take the same shared kernel: a `U32` atomic grid
-    /// lands where the loop does on in-range integer deltas.
-    #[test]
-    fn shared_batch_equals_loop_on_compact_cells(
-        updates in arrivals(),
-        seed in 0u64..500,
-    ) {
-        let p = one_hash_params(seed).with_cell(storage::CellWidth::U32);
-        let shared = AtomicCountMedian::with_backend(&p);
-        shared.update_batch_shared(&updates);
-        let mut looped = AtomicCountMedian::with_backend(&p);
-        for &(i, d) in &updates { looped.update(i, d); }
-        assert_estimates_equal(&shared, &looped)?;
-    }
-
     /// OneHash sketches must still merge by linearity: two kernel-fed
     /// halves added together equal one kernel-fed whole.
     #[test]
@@ -425,8 +410,8 @@ fn scan_of_a_stream_fed_plane_equals_reference() {
 //
 // A dyadic level with fewer blocks than the w·d cells of a grid is a
 // plain `1 × blocks` vector indexed by `item >> ℓ`. On integer streams
-// with deletions every exact cell must equal the oracle's block sum
-// (wrapped to the cell width), every range that decomposes onto exact
+// with deletions every exact cell must equal the oracle's block sum,
+// every range that decomposes onto exact
 // levels only must equal the oracle, and every ingest path, backend
 // and read path must agree bit for bit. Universes sit on the split
 // edge (some level with w·d − 1, w·d and w·d + 1 blocks), at d = 1,
@@ -463,25 +448,7 @@ fn layout_shapes() -> Vec<(u64, usize, usize)> {
     shapes
 }
 
-const CELLS: [storage::CellWidth; 5] = [
-    storage::CellWidth::F64,
-    storage::CellWidth::I64,
-    storage::CellWidth::U64,
-    storage::CellWidth::U32,
-    storage::CellWidth::U16,
-];
-
-/// `v` as a cell of width `cell` reads it back: wrapped, signed.
-fn wrapped(v: i64, cell: storage::CellWidth) -> f64 {
-    match cell {
-        storage::CellWidth::U32 => v as i32 as f64,
-        storage::CellWidth::U16 => v as i16 as f64,
-        _ => v as f64,
-    }
-}
-
-/// An integer turnstile stream: deltas in `[-300, 300]`, so per-cell
-/// sums overflow a `U16` cell but no wider one.
+/// An integer turnstile stream: deltas in `[-300, 300]`.
 fn integer_stream(n: u64, len: usize, rng: &mut Lcg) -> Vec<(u64, f64)> {
     (0..len)
         .map(|_| (rng.below(n), rng.below(601) as f64 - 300.0))
@@ -568,18 +535,12 @@ fn check_stack(params: SketchParams, updates: &[(u64, f64)]) {
             let lo = j << l;
             let hi = ((j + 1) << l).min(n as usize);
             let sum: i64 = x[lo..hi].iter().sum();
-            assert_eq!(
-                cell,
-                wrapped(sum, params.cell),
-                "{what} level {l} block {j}"
-            );
+            assert_eq!(cell, sum as f64, "{what} level {l} block {j}");
         }
     }
-    if params.cell != storage::CellWidth::U16 {
-        for (a, b) in exact_only_ranges(n, g) {
-            let sum: i64 = x[a as usize..=b as usize].iter().sum();
-            assert_eq!(looped.query(a, b), sum as f64, "{what} [{a}, {b}]");
-        }
+    for (a, b) in exact_only_ranges(n, g) {
+        let sum: i64 = x[a as usize..=b as usize].iter().sum();
+        assert_eq!(looped.query(a, b), sum as f64, "{what} [{a}, {b}]");
     }
 
     // Live and snapshot answers, every path, bit for bit.
@@ -616,14 +577,11 @@ fn exact_levels_equal_the_oracle_on_every_path() {
     let mut rng = Lcg(0xE4AC7);
     for (n, width, depth) in layout_shapes() {
         for kind in [HashKind::OneHash, HashKind::CarterWegman] {
-            for cell in CELLS {
-                let params = SketchParams::new(n, width, depth)
-                    .with_seed(rng.below(1_000))
-                    .with_hash_kind(kind)
-                    .with_cell(cell);
-                let updates = integer_stream(n, 700, &mut rng);
-                check_stack(params, &updates);
-            }
+            let params = SketchParams::new(n, width, depth)
+                .with_seed(rng.below(1_000))
+                .with_hash_kind(kind);
+            let updates = integer_stream(n, 700, &mut rng);
+            check_stack(params, &updates);
         }
     }
 }
@@ -671,88 +629,85 @@ fn plane_shapes_name_their_layout() {
 
 /// Merge, subtract, plane absorption and window subtraction on mixed
 /// stacks: each lands bit for bit on the stack fed the matching
-/// stream, for every cell width.
+/// stream.
 #[test]
 fn mixed_stacks_merge_subtract_absorb_and_window_exactly() {
     let mut rng = Lcg(0x11AE);
     for (n, width, depth) in layout_shapes() {
-        for cell in CELLS {
-            let params = SketchParams::new(n, width, depth)
-                .with_seed(rng.below(1_000))
-                .with_hash_kind(HashKind::OneHash)
-                .with_cell(cell);
-            let what = format!("{params:?}");
-            let (a, b) = (
-                integer_stream(n, 300, &mut rng),
-                integer_stream(n, 300, &mut rng),
-            );
-            let fed = |parts: &[&[(u64, f64)]]| {
-                let mut rs = RangeSumSketch::new(&params);
-                for part in parts {
-                    rs.update_batch(part);
-                }
-                rs
-            };
-            let both = plane_bits(&fed(&[&a, &b]).snapshot());
-            let only_b = plane_bits(&fed(&[&b]).snapshot());
-
-            let mut merged = fed(&[&a]);
-            merged.merge_from(&fed(&[&b])).unwrap();
-            assert_eq!(plane_bits(&merged.snapshot()), both, "{what}: merge");
-            let mut diff = fed(&[&a, &b]);
-            diff.subtract_from(&fed(&[&a])).unwrap();
-            assert_eq!(plane_bits(&diff.snapshot()), only_b, "{what}: subtract");
-
-            let whole = fed(&[&a, &b]);
-            let mut snap = fed(&[&a]).snapshot();
-            whole
-                .merge_snapshot(&mut snap, &fed(&[&b]).snapshot())
-                .unwrap();
-            assert_eq!(plane_bits(&snap), both, "{what}: merge_snapshot");
-            whole
-                .subtract_snapshot(&mut snap, &fed(&[&a]).snapshot())
-                .unwrap();
-            assert_eq!(plane_bits(&snap), only_b, "{what}: subtract_snapshot");
-
-            let absorbed = RangeSumSketch::<Atomic>::with_backend(&params);
-            absorbed.absorb_plane_shared(&whole.snapshot()).unwrap();
-            assert_eq!(plane_bits(&absorbed.snapshot()), both, "{what}: absorb");
-            for (lo, hi) in [(0, n - 1), (n / 3, n - 1 - n / 5)] {
-                assert_eq!(
-                    absorbed.query(lo, hi).to_bits(),
-                    whole.query(lo, hi).to_bits(),
-                    "{what}"
-                );
+        let params = SketchParams::new(n, width, depth)
+            .with_seed(rng.below(1_000))
+            .with_hash_kind(HashKind::OneHash);
+        let what = format!("{params:?}");
+        let (a, b) = (
+            integer_stream(n, 300, &mut rng),
+            integer_stream(n, 300, &mut rng),
+        );
+        let fed = |parts: &[&[(u64, f64)]]| {
+            let mut rs = RangeSumSketch::new(&params);
+            for part in parts {
+                rs.update_batch(part);
             }
+            rs
+        };
+        let both = plane_bits(&fed(&[&a, &b]).snapshot());
+        let only_b = plane_bits(&fed(&[&b]).snapshot());
 
-            // A sliding window of two intervals over three: the window
-            // answer is the stack fed only the last two.
-            let c = integer_stream(n, 300, &mut rng);
-            let mut engine = QueryEngine::with_policy(
-                1,
-                RangeSumSketch::<Atomic>::with_backend(&params),
-                Sliding::new(2).unwrap(),
+        let mut merged = fed(&[&a]);
+        merged.merge_from(&fed(&[&b])).unwrap();
+        assert_eq!(plane_bits(&merged.snapshot()), both, "{what}: merge");
+        let mut diff = fed(&[&a, &b]);
+        diff.subtract_from(&fed(&[&a])).unwrap();
+        assert_eq!(plane_bits(&diff.snapshot()), only_b, "{what}: subtract");
+
+        let whole = fed(&[&a, &b]);
+        let mut snap = fed(&[&a]).snapshot();
+        whole
+            .merge_snapshot(&mut snap, &fed(&[&b]).snapshot())
+            .unwrap();
+        assert_eq!(plane_bits(&snap), both, "{what}: merge_snapshot");
+        whole
+            .subtract_snapshot(&mut snap, &fed(&[&a]).snapshot())
+            .unwrap();
+        assert_eq!(plane_bits(&snap), only_b, "{what}: subtract_snapshot");
+
+        let absorbed = RangeSumSketch::<Atomic>::with_backend(&params);
+        absorbed.absorb_plane_shared(&whole.snapshot()).unwrap();
+        assert_eq!(plane_bits(&absorbed.snapshot()), both, "{what}: absorb");
+        for (lo, hi) in [(0, n - 1), (n / 3, n - 1 - n / 5)] {
+            assert_eq!(
+                absorbed.query(lo, hi).to_bits(),
+                whole.query(lo, hi).to_bits(),
+                "{what}"
             );
-            for part in [&a, &b] {
-                engine.extend_from_slice(part);
-                engine.advance_interval();
-            }
-            engine.extend_from_slice(&c);
-            engine.flush();
-            let window = fed(&[&b, &c]);
-            let mut ranges = vec![(0, n - 1)];
-            ranges.extend(
-                exact_only_ranges(n, window.grid_levels())
-                    .into_iter()
-                    .take(50),
+        }
+
+        // A sliding window of two intervals over three: the window
+        // answer is the stack fed only the last two.
+        let c = integer_stream(n, 300, &mut rng);
+        let mut engine = QueryEngine::with_policy(
+            1,
+            RangeSumSketch::<Atomic>::with_backend(&params),
+            Sliding::new(2).unwrap(),
+        );
+        for part in [&a, &b] {
+            engine.extend_from_slice(part);
+            engine.advance_interval();
+        }
+        engine.extend_from_slice(&c);
+        engine.flush();
+        let window = fed(&[&b, &c]);
+        let mut ranges = vec![(0, n - 1)];
+        ranges.extend(
+            exact_only_ranges(n, window.grid_levels())
+                .into_iter()
+                .take(50),
+        );
+        for (lo, hi) in ranges {
+            assert_eq!(
+                engine.range_sum_in_window(lo, hi).unwrap().to_bits(),
+                window.query(lo, hi).to_bits(),
+                "{what}: window [{lo}, {hi}]"
             );
-            for (lo, hi) in ranges {
-                assert_eq!(
-                    engine.range_sum_in_window(lo, hi).unwrap().to_bits(),
-                    window.query(lo, hi).to_bits(),
-                    "{what}: window [{lo}, {hi}]"
-                );
-            }
         }
     }
 }

@@ -5,10 +5,14 @@
 
 use bias_aware_sketches::core::{L1Config, L1SketchRecover, L2Config, L2SketchRecover};
 use bias_aware_sketches::hashing::{
-    BucketHasher, CarterWegman, SignHash, SignHasher, SplitMix64, Tabulation,
+    BucketHasher, CarterWegman, HashKind, SignHash, SignHasher, SplitMix64, Tabulation,
 };
 use bias_aware_sketches::prelude::*;
-use bias_aware_sketches::sketches::storage::{self, Atomic, CounterMatrix, Dense};
+use bias_aware_sketches::server::wire::{IngestFrame, TenantRef};
+use bias_aware_sketches::server::{
+    Fabric, FabricConfig, Request, Response, ServingMode, TenantSpec, TenantTransfer, WindowLen,
+};
+use bias_aware_sketches::sketches::storage::{Atomic, CounterMatrix, Dense};
 
 fn populated<T: PointQuerySketch>(mut sk: T) -> T {
     for i in 0..400u64 {
@@ -44,13 +48,11 @@ fn count_median_roundtrip_and_merge() {
 
 /// The range-sum stack ships its params, its grid levels and its exact
 /// levels. Both layouts — the rule's mixed stack and the older
-/// all-grid one — come back with the same layout, the same cell width
-/// and bit-for-bit answers, and still merge and take updates.
+/// all-grid one — come back with the same layout and params and
+/// bit-for-bit answers, and still merge and take updates.
 #[test]
 fn range_sum_roundtrip_keeps_its_layout_and_answers() {
-    let params = SketchParams::new(1_024, 16, 3)
-        .with_seed(6)
-        .with_cell(storage::CellWidth::U32);
+    let params = SketchParams::new(1_024, 16, 3).with_seed(6);
     for layout in [5, 11] {
         let original = populated(RangeSumSketch::<Dense>::with_grid_levels(&params, layout));
         let json = serde_json::to_string(&original).unwrap();
@@ -244,5 +246,102 @@ fn atomic_backed_sketch_roundtrips_through_dense_wire_format() {
     for j in (0..300u64).step_by(7) {
         assert_eq!(back.estimate(j), atomic.estimate(j), "item {j}");
         assert!((merged.estimate(j) - 2.0 * atomic.estimate(j)).abs() < 1e-9);
+    }
+}
+
+// ---- the wire format, pinned byte for byte ----
+//
+// Three values must serialize to these JSON literals byte for byte: a
+// sketch, a range-sum stack with grid and exact levels, and a tenant
+// transfer. Peers, checkpoints and journals written by earlier builds
+// hold this format, so a changed key, field order, number spelling or
+// nesting fails here.
+
+/// A small populated Count-Median.
+fn golden_count_median() -> CountMedian {
+    let mut cm = CountMedian::new(&SketchParams::new(16, 4, 3).with_seed(5));
+    cm.update_batch(&[(1, 2.0), (7, -1.5), (12, 4.25), (1, 0.5)]);
+    cm
+}
+
+/// A range-sum stack with three grid levels and three exact ones.
+fn golden_range_sum() -> RangeSumSketch {
+    let mut rs = RangeSumSketch::new(&SketchParams::new(32, 4, 2).with_seed(6));
+    assert_eq!((rs.grid_levels(), rs.num_levels()), (3, 6));
+    rs.update_batch(&[(0, 1.0), (5, 2.5), (17, -3.0), (31, 8.0), (5, 0.25)]);
+    rs
+}
+
+/// A sliding tenant's export: its cumulative plane and one seal.
+fn golden_transfer() -> TenantTransfer {
+    let params = SketchParams::new(16, 4, 2).with_hash_kind(HashKind::OneHash);
+    let mut fabric = Fabric::new(FabricConfig::new(params));
+    fabric.add_shard(0, 1.0).unwrap();
+    let spec =
+        TenantSpec::frequency(1, 7).with_mode(ServingMode::Sliding(WindowLen { intervals: 2 }));
+    fabric.register_tenant(spec).unwrap();
+    for (round, updates) in [vec![(3, 1.0), (9, 2.0)], vec![(3, 0.5), (15, 4.0)]]
+        .into_iter()
+        .enumerate()
+    {
+        if round > 0 {
+            fabric.handle(Request::AdvanceInterval(TenantRef { tenant: 1 }));
+        }
+        let resp = fabric.handle(Request::Ingest(IngestFrame { tenant: 1, updates }));
+        assert!(matches!(resp, Response::Admitted(_)), "{resp:?}");
+    }
+    match fabric.handle(Request::Export(TenantRef { tenant: 1 })) {
+        Response::Exported(transfer) => transfer,
+        other => panic!("expected a transfer, got {other:?}"),
+    }
+}
+
+const GOLDEN_COUNT_MEDIAN: &str = r#"{"params":{"n":16,"width":4,"depth":3,"seed":5,"hash_kind":"CarterWegman"},"grid":{"cells":[4.25,1.0,0.0,0.0,0.0,-1.5,2.5,4.25,4.25,0.0,2.5,-1.5],"width":4,"depth":3},"hashers":[{"CarterWegman":{"a":482206458634632329,"b":1029672902100438905,"buckets":4}},{"CarterWegman":{"a":437750886500886736,"b":1010141448094507259,"buckets":4}},{"CarterWegman":{"a":122358771272486788,"b":31414836621263986,"buckets":4}}]}"#;
+
+const GOLDEN_RANGE_SUM: &str = r#"{"params":{"n":32,"width":4,"depth":2,"seed":6,"hash_kind":"CarterWegman"},"grids":[{"params":{"n":32,"width":4,"depth":2,"seed":40509,"hash_kind":"CarterWegman"},"grid":{"cells":[0.0,-2.0,8.0,2.75,1.0,7.75,0.0,0.0],"width":4,"depth":2},"hashers":[{"CarterWegman":{"a":1243788657944049442,"b":2094797442673839656,"buckets":4}},{"CarterWegman":{"a":2125247347629850044,"b":1634861064430910520,"buckets":4}}]},{"params":{"n":16,"width":4,"depth":2,"seed":81012,"hash_kind":"CarterWegman"},"grid":{"cells":[1.0,0.0,2.75,5.0,0.0,-3.0,1.0,10.75],"width":4,"depth":2},"hashers":[{"CarterWegman":{"a":2166810782506166634,"b":1691064430995733298,"buckets":4}},{"CarterWegman":{"a":1078214029585620775,"b":411633815682022329,"buckets":4}}]},{"params":{"n":8,"width":4,"depth":2,"seed":121515,"hash_kind":"CarterWegman"},"grid":{"cells":[-3.0,8.0,0.0,3.75,0.0,-3.0,10.75,1.0],"width":4,"depth":2},"hashers":[{"CarterWegman":{"a":966999105335583746,"b":629244246398383263,"buckets":4}},{"CarterWegman":{"a":863111819322261725,"b":1538609997934851133,"buckets":4}}]}],"exact":[{"cells":[3.75,0.0,-3.0,8.0],"width":4,"depth":1},{"cells":[3.75,5.0],"width":2,"depth":1},{"cells":[8.75],"width":1,"depth":1}]}"#;
+
+const GOLDEN_TRANSFER: &str = r#"{"spec":{"tenant":1,"seed":7,"metric":"Frequency","mode":{"Sliding":{"intervals":2}},"queue_capacity":1048576,"interval_quota":18446744073709551615,"audit_limit":0},"params":{"n":16,"width":4,"depth":2,"seed":7,"hash_kind":"OneHash"},"interval":1,"applied":4,"mass":7.5,"cumulative":[{"cells":[4.0,3.5,0.0,0.0,0.0,4.0,2.0,1.5],"width":4,"depth":2}],"seals":[{"interval":0,"applied":2,"mass":3.0,"planes":[{"cells":[0.0,3.0,0.0,0.0,0.0,0.0,2.0,1.0],"width":4,"depth":2}]}]}"#;
+
+/// `$value` serializes to `$golden`, and `$golden` reads back into a
+/// `$ty` that serializes to the same bytes.
+macro_rules! assert_golden {
+    ($value:expr, $ty:ty, $golden:expr) => {
+        assert_eq!(serde_json::to_string(&$value).unwrap(), $golden);
+        let back: $ty = serde_json::from_str($golden).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), $golden);
+    };
+}
+
+#[test]
+fn count_median_wire_format_is_unchanged() {
+    assert_golden!(golden_count_median(), CountMedian, GOLDEN_COUNT_MEDIAN);
+}
+
+#[test]
+fn range_sum_wire_format_is_unchanged() {
+    assert_golden!(golden_range_sum(), RangeSumSketch, GOLDEN_RANGE_SUM);
+}
+
+#[test]
+fn tenant_transfer_wire_format_is_unchanged() {
+    assert_golden!(golden_transfer(), TenantTransfer, GOLDEN_TRANSFER);
+}
+
+/// Only a grid of compact integer cells ever wrote a `cell` key into
+/// its params. Such params are refused, and so is every value that
+/// carries them, instead of their cells being read as `f64` counters.
+#[test]
+fn params_with_a_cell_key_are_refused() {
+    let params = r#"{"n":16,"width":4,"depth":3,"seed":5,"hash_kind":"CarterWegman"}"#;
+    let read: SketchParams = serde_json::from_str(params).unwrap();
+    assert_eq!(read, SketchParams::new(16, 4, 3).with_seed(5));
+    for cell in ["\"F64\"", "\"U32\"", "\"U16\"", "7"] {
+        let keyed = params.replace('}', &format!(r#","cell":{cell}}}"#));
+        let err = serde_json::from_str::<SketchParams>(&keyed).unwrap_err();
+        assert!(err.to_string().contains("`cell`"), "{cell}: {err}");
+        let sketch = GOLDEN_COUNT_MEDIAN.replacen(params, &keyed, 1);
+        assert_ne!(sketch, GOLDEN_COUNT_MEDIAN);
+        let err = serde_json::from_str::<CountMedian>(&sketch).unwrap_err();
+        assert!(err.to_string().contains("`cell`"), "{cell}: {err}");
     }
 }

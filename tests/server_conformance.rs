@@ -819,15 +819,14 @@ fn expect_bad_update(fabric: &mut Fabric, tenant: u64, updates: Vec<(u64, f64)>,
 /// that admits nothing: an item past a range-sum tenant's universe
 /// (once admitted, then a panic in the next flush), +inf and NaN
 /// deltas written into a binary ingest body (+inf once poisoned the
-/// tenant), and a fractional delta under integer cells. A JSON ingest
-/// body carrying `1e999` never reaches admission: the codec refuses
-/// it. No later Flush, AdvanceInterval or quiesce panics, and every
-/// answer stays equal to a twin fabric that never saw the hostile
-/// frames.
+/// tenant). A fractional delta is admitted. A JSON ingest body carrying
+/// `1e999` never reaches admission: the codec refuses it. No later
+/// Flush, AdvanceInterval or quiesce panics, and every answer stays
+/// equal to a twin fabric that never saw the hostile frames.
 #[test]
 fn hostile_updates_are_rejected_and_admit_nothing() {
-    let build = |cell: storage::CellWidth| {
-        let mut f = Fabric::new(FabricConfig::new(params().with_cell(cell)));
+    let build = || {
+        let mut f = Fabric::new(config());
         f.add_shard(0, 1.0).unwrap();
         f.register_tenant(TenantSpec::frequency(1, 11)).unwrap();
         f.register_tenant(TenantSpec::range_sum(2, 22)).unwrap();
@@ -839,115 +838,109 @@ fn hostile_updates_are_rejected_and_admit_nothing() {
         }
         f
     };
-    for cell in [storage::CellWidth::F64, storage::CellWidth::U32] {
-        let (mut fabric, mut twin) = (build(cell), build(cell));
+    let (mut fabric, mut twin) = (build(), build());
 
-        // (u64::MAX, 1.0) into the range-sum tenant, behind good updates.
-        let mut overflow = stream(2, 10);
-        overflow.push((u64::MAX, 1.0));
-        overflow.extend(stream(3, 5));
-        expect_bad_update(&mut fabric, 2, overflow, 10);
-        expect_bad_update(&mut fabric, 1, vec![(N, 1.0)], 0);
+    // (u64::MAX, 1.0) into the range-sum tenant, behind good updates.
+    let mut overflow = stream(2, 10);
+    overflow.push((u64::MAX, 1.0));
+    overflow.extend(stream(3, 5));
+    expect_bad_update(&mut fabric, 2, overflow, 10);
+    expect_bad_update(&mut fabric, 1, vec![(N, 1.0)], 0);
 
-        // Non-finite deltas written straight into a binary ingest body
-        // (+inf, and a NaN with a payload) decode bit for bit, so
-        // admission is what refuses them.
-        let probe = Request::Ingest(IngestFrame {
-            tenant: 1,
-            updates: vec![(5, 1.0), (6, 0.0625)],
-        });
-        for hostile in [f64::INFINITY, f64::from_bits(0x7FF8_0000_0000_0001)] {
-            let mut raw = Vec::new();
-            write_frame(&mut raw, &probe).unwrap();
-            // 4-byte prefix, 13-byte head, then 16 bytes per update:
-            // update 1's delta sits at 4 + 13 + 16 + 8.
-            raw[41..49].copy_from_slice(&hostile.to_le_bytes());
-            let decoded: Request = read_frame(&mut &raw[..], MAX_FRAME_BYTES).unwrap().unwrap();
-            let Request::Ingest(frame) = decoded else {
-                panic!("expected an ingest frame");
-            };
-            assert_eq!(frame.updates[1].1.to_bits(), hostile.to_bits());
-            expect_bad_update(&mut fabric, 1, frame.updates, 1);
-        }
+    // Non-finite deltas written straight into a binary ingest body
+    // (+inf, and a NaN with a payload) decode bit for bit, so
+    // admission is what refuses them.
+    let probe = Request::Ingest(IngestFrame {
+        tenant: 1,
+        updates: vec![(5, 1.0), (6, 0.0625)],
+    });
+    for hostile in [f64::INFINITY, f64::from_bits(0x7FF8_0000_0000_0001)] {
+        let mut raw = Vec::new();
+        write_frame(&mut raw, &probe).unwrap();
+        // 4-byte prefix, 13-byte head, then 16 bytes per update:
+        // update 1's delta sits at 4 + 13 + 16 + 8.
+        raw[41..49].copy_from_slice(&hostile.to_le_bytes());
+        let decoded: Request = read_frame(&mut &raw[..], MAX_FRAME_BYTES).unwrap().unwrap();
+        let Request::Ingest(frame) = decoded else {
+            panic!("expected an ingest frame");
+        };
+        assert_eq!(frame.updates[1].1.to_bits(), hostile.to_bits());
+        expect_bad_update(&mut fabric, 1, frame.updates, 1);
+    }
 
-        // The old JSON ingest body, whose float parser turns 1e999 into
-        // +inf, is refused by the codec before admission sees it.
-        let json = serde_json::to_string(&probe)
-            .unwrap()
-            .replace("0.0625", "1e999");
-        assert!(json.contains("1e999"), "{json}");
-        let mut raw = (json.len() as u32).to_be_bytes().to_vec();
-        raw.extend_from_slice(json.as_bytes());
-        match read_frame::<_, Request>(&mut &raw[..], MAX_FRAME_BYTES) {
-            Err(e @ WireError::Malformed { .. }) => {
-                assert!(e.is_recoverable());
-                assert!(e.to_string().contains("binary body"), "{e}");
-            }
-            other => panic!("expected Malformed, got {other:?}"),
+    // The old JSON ingest body, whose float parser turns 1e999 into
+    // +inf, is refused by the codec before admission sees it.
+    let json = serde_json::to_string(&probe)
+        .unwrap()
+        .replace("0.0625", "1e999");
+    assert!(json.contains("1e999"), "{json}");
+    let mut raw = (json.len() as u32).to_be_bytes().to_vec();
+    raw.extend_from_slice(json.as_bytes());
+    match read_frame::<_, Request>(&mut &raw[..], MAX_FRAME_BYTES) {
+        Err(e @ WireError::Malformed { .. }) => {
+            assert!(e.is_recoverable());
+            assert!(e.to_string().contains("binary body"), "{e}");
         }
-        let before = admission_state(&mut fabric, 1);
-        let mut replies = Vec::new();
-        serve_connection(&mut fabric, &mut &raw[..], &mut replies, MAX_FRAME_BYTES).unwrap();
-        match read_frame::<_, Response>(&mut &replies[..], MAX_FRAME_BYTES) {
-            Ok(Some(Response::Error(e))) => assert_eq!(e.code, "protocol", "{e:?}"),
-            other => panic!("expected a protocol error, got {other:?}"),
-        }
-        assert_eq!(admission_state(&mut fabric, 1), before);
-        expect_bad_update(&mut fabric, 1, vec![(3, 2.0), (4, f64::NAN)], 1);
-        expect_bad_update(&mut fabric, 2, vec![(3, f64::NEG_INFINITY)], 0);
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+    let before = admission_state(&mut fabric, 1);
+    let mut replies = Vec::new();
+    serve_connection(&mut fabric, &mut &raw[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+    match read_frame::<_, Response>(&mut &replies[..], MAX_FRAME_BYTES) {
+        Ok(Some(Response::Error(e))) => assert_eq!(e.code, "protocol", "{e:?}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert_eq!(admission_state(&mut fabric, 1), before);
+    expect_bad_update(&mut fabric, 1, vec![(3, 2.0), (4, f64::NAN)], 1);
+    expect_bad_update(&mut fabric, 2, vec![(3, f64::NEG_INFINITY)], 0);
 
-        // Fractional deltas: fine in f64 cells, refused by integer ones.
-        let fractional = vec![(7, 1.0), (8, 2.5)];
-        if cell == storage::CellWidth::F64 {
-            for f in [&mut fabric, &mut twin] {
-                assert!(matches!(
-                    f.handle(Request::Ingest(IngestFrame {
-                        tenant: 1,
-                        updates: fractional.clone(),
-                    })),
-                    Response::Admitted(_)
-                ));
-            }
-        } else {
-            expect_bad_update(&mut fabric, 1, fractional, 1);
-        }
+    // Fractional deltas are admitted: the cells are f64.
+    let fractional = vec![(7, 1.0), (8, 2.5)];
+    for f in [&mut fabric, &mut twin] {
+        assert!(matches!(
+            f.handle(Request::Ingest(IngestFrame {
+                tenant: 1,
+                updates: fractional.clone(),
+            })),
+            Response::Admitted(_)
+        ));
+    }
 
-        for f in [&mut fabric, &mut twin] {
-            for t in [1u64, 2] {
-                assert!(matches!(
-                    f.handle(Request::Flush(TenantRef { tenant: t })),
-                    Response::Flushed(_)
-                ));
-                assert!(matches!(
-                    f.handle(Request::AdvanceInterval(TenantRef { tenant: t })),
-                    Response::Sealed(_)
-                ));
-            }
-            assert_eq!(f.quiesce().len(), 2);
-        }
+    for f in [&mut fabric, &mut twin] {
         for t in [1u64, 2] {
-            assert_eq!(
-                admission_state(&mut fabric, t),
-                admission_state(&mut twin, t)
-            );
+            assert!(matches!(
+                f.handle(Request::Flush(TenantRef { tenant: t })),
+                Response::Flushed(_)
+            ));
+            assert!(matches!(
+                f.handle(Request::AdvanceInterval(TenantRef { tenant: t })),
+                Response::Sealed(_)
+            ));
         }
-        for item in (0..N).step_by(37) {
-            let q = Request::Point(PointQuery { tenant: 1, item });
-            let (a, b) = (
-                expect_value(fabric.handle(q.clone())),
-                expect_value(twin.handle(q)),
-            );
-            assert!(a.is_finite(), "{cell:?} item {item}: {a}");
-            assert_eq!(a.to_bits(), b.to_bits(), "{cell:?} item {item}");
-        }
-        for (lo, hi) in [(0u64, N - 1), (17, 1_200), (N - 64, N - 1)] {
-            let q = Request::RangeSum(RangeQuery { tenant: 2, lo, hi });
-            let (a, b) = (
-                expect_value(fabric.handle(q.clone())),
-                expect_value(twin.handle(q)),
-            );
-            assert_eq!(a.to_bits(), b.to_bits(), "{cell:?} range [{lo},{hi}]");
-        }
+        assert_eq!(f.quiesce().len(), 2);
+    }
+    for t in [1u64, 2] {
+        assert_eq!(
+            admission_state(&mut fabric, t),
+            admission_state(&mut twin, t)
+        );
+    }
+    for item in (0..N).step_by(37) {
+        let q = Request::Point(PointQuery { tenant: 1, item });
+        let (a, b) = (
+            expect_value(fabric.handle(q.clone())),
+            expect_value(twin.handle(q)),
+        );
+        assert!(a.is_finite(), "item {item}: {a}");
+        assert_eq!(a.to_bits(), b.to_bits(), "item {item}");
+    }
+    for (lo, hi) in [(0u64, N - 1), (17, 1_200), (N - 64, N - 1)] {
+        let q = Request::RangeSum(RangeQuery { tenant: 2, lo, hi });
+        let (a, b) = (
+            expect_value(fabric.handle(q.clone())),
+            expect_value(twin.handle(q)),
+        );
+        assert_eq!(a.to_bits(), b.to_bits(), "range [{lo},{hi}]");
     }
 }
 
@@ -1879,4 +1872,116 @@ fn malformed_rotating_transfers_are_refused_and_install_nothing() {
         answer_bits(&mut fabric, &[9])[1..],
         answer_bits(&mut fabric, &[1])[1..]
     );
+}
+
+/// A sliding tenant with one seal and live traffic, and its export
+/// re-addressed to tenant 9, which does not exist yet.
+fn fabric_and_transfer() -> (Fabric, TenantSpec, TenantTransfer) {
+    let spec =
+        TenantSpec::frequency(1, 101).with_mode(ServingMode::Sliding(WindowLen { intervals: 2 }));
+    let mut fabric = Fabric::new(config());
+    fabric.add_shard(0, 1.0).unwrap();
+    fabric.register_tenant(spec).unwrap();
+    for round in 0..2 {
+        fabric.handle(Request::Ingest(IngestFrame {
+            tenant: 1,
+            updates: stream(round, 500),
+        }));
+        if round == 0 {
+            fabric.handle(Request::AdvanceInterval(TenantRef { tenant: 1 }));
+        }
+    }
+    let Response::Exported(mut transfer) = fabric.handle(Request::Export(TenantRef { tenant: 1 }))
+    else {
+        panic!("the tenant exports");
+    };
+    transfer.spec.tenant = 9;
+    (fabric, spec, transfer)
+}
+
+/// `json` with a `cell` key added to its one `SketchParams` map, the
+/// key only a grid of compact integer cells ever wrote.
+fn add_cell_key(json: &str, cell: &str) -> String {
+    let key = r#""hash_kind":"CarterWegman""#;
+    assert_eq!(json.matches(key).count(), 1, "{json}");
+    json.replace(key, &format!(r#"{key},"cell":{cell}"#))
+}
+
+/// An `Install` frame whose transfer's params carry a `cell` key does
+/// not decode: `serve_connection` answers it `protocol`, nothing is
+/// installed and no stats or answers change. The same frame without
+/// the key installs.
+#[test]
+fn install_frames_with_a_cell_key_are_refused_and_install_nothing() {
+    let (mut fabric, _, transfer) = fabric_and_transfer();
+    let json = serde_json::to_string(&Request::Install(transfer)).unwrap();
+    let send = |fabric: &mut Fabric, body: &str| {
+        let mut raw = (body.len() as u32).to_be_bytes().to_vec();
+        raw.extend_from_slice(body.as_bytes());
+        let mut replies = Vec::new();
+        serve_connection(fabric, &mut &raw[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        read_frame::<_, Response>(&mut &replies[..], MAX_FRAME_BYTES)
+            .unwrap()
+            .unwrap()
+    };
+    let before = answer_bits(&mut fabric, &[1]);
+    for cell in [r#""U32""#, r#""F64""#] {
+        match send(&mut fabric, &add_cell_key(&json, cell)) {
+            Response::Error(e) => {
+                assert_eq!(e.code, "protocol", "{cell}: {e:?}");
+                assert!(e.detail.contains("`cell`"), "{cell}: {e:?}");
+            }
+            other => panic!("{cell}: expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(fabric.tenant_count(), 1, "{cell}");
+        match fabric.handle(Request::Stats(TenantRef { tenant: 9 })) {
+            Response::Error(e) => assert_eq!(e.code, "unknown_tenant", "{cell}"),
+            other => panic!("{cell}: {other:?}"),
+        }
+        assert_eq!(answer_bits(&mut fabric, &[1]), before, "{cell}");
+    }
+    assert!(matches!(send(&mut fabric, &json), Response::Installed(_)));
+    assert_eq!(answer_bits(&mut fabric, &[9])[1..], before[1..]);
+}
+
+/// A journal whose `Checkpoint` line carries a `cell` key does not
+/// recover: `recover` returns a typed `InvalidData` error naming the
+/// line. The same journal without the key recovers the tenant.
+#[test]
+fn checkpoints_with_a_cell_key_are_typed_recovery_errors() {
+    let (mut fabric, spec, mut transfer) = fabric_and_transfer();
+    transfer.spec.tenant = 1;
+    let records = [
+        JournalRecord::ShardAdded(ShardRecord {
+            shard: 0,
+            weight: 1.0,
+        }),
+        JournalRecord::TenantRegistered(spec),
+        JournalRecord::Checkpoint(transfer),
+    ];
+    let lines: Vec<String> = records
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect();
+    let path = std::env::temp_dir().join(format!("bas-cell-key-{}.jsonl", std::process::id()));
+
+    std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+    let mut recovered = recover(&path, config()).unwrap();
+    assert_eq!(
+        answer_bits(&mut recovered, &[1])[1..],
+        answer_bits(&mut fabric, &[1])[1..]
+    );
+
+    let edited = [
+        lines[0].clone(),
+        lines[1].clone(),
+        add_cell_key(&lines[2], r#""U32""#),
+    ];
+    std::fs::write(&path, format!("{}\n", edited.join("\n"))).unwrap();
+    let err = recover(&path, config()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("journal line 3"), "{msg}");
+    assert!(msg.contains("`cell`"), "{msg}");
+    std::fs::remove_file(&path).unwrap();
 }
