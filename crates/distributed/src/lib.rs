@@ -33,12 +33,6 @@
 //! them) and still merge at the coordinator — linearity does not care
 //! how the counters were stored.
 //!
-//! Since the query-plane refactor the coordinator does not even need
-//! the sites to *finish*: [`aggregate_live`] pins an epoch-consistent
-//! snapshot from every still-ingesting site and sums the snapshots by
-//! the same linearity, giving a global view "as of" per-site stream
-//! prefixes at the batch protocol's communication cost.
-//!
 //! ```
 //! use bas_distributed::{DistributedRun, SiteData};
 //! use bas_core::{L2Config, L2SketchRecover};
@@ -60,12 +54,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod live;
 mod meter;
 mod protocol;
-mod window;
 
-pub use live::{aggregate_live, LiveAggregate};
 pub use meter::CommMeter;
 pub use protocol::{DistributedRun, SiteData};
-pub use window::{aggregate_window_estimates, aggregate_windows, WindowAggregate};

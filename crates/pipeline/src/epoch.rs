@@ -507,8 +507,7 @@ impl<S: Snapshottable> SnapshotHandle<S> {
     }
 
     /// The frozen counters, for sketch-specific multi-cell queries
-    /// (`RangeSumSketch::query_in`, `CountSketch::inner_product_in`,
-    /// heavy-hitter scans).
+    /// (`RangeSumSketch::query_in`, heavy-hitter scans).
     pub fn snapshot(&self) -> &S::Snapshot {
         &self.snap
     }
@@ -551,8 +550,8 @@ impl<S: Snapshottable> SnapshotHandle<S> {
         self.mass = mass;
     }
 
-    /// Unwraps the frozen counters (e.g. to ship a site snapshot to a
-    /// distributed coordinator).
+    /// Unwraps the frozen counters (e.g. to do plane arithmetic on
+    /// them, or to ship them in a tenant transfer).
     pub fn into_snapshot(self) -> S::Snapshot {
         self.snap
     }

@@ -47,12 +47,13 @@
 //! Retention keeps what a window of `K` intervals ending at the live
 //! interval can reach: `K` seals, or `K − 1` closed generations.
 //! Planes under different seeds must never add counters
-//! (`MergeError::PlaneSeedMismatch` guards that path); a read across
-//! generations sums their **estimates** instead, and each generation
-//! pays its own Theorem-1 error term. `bas_serve::QueryEngine` owns that
-//! read rule; this module owns the mechanics. The live sketch of a
-//! sealing ring is never reset, so concurrent readers' pinned snapshots
-//! stay valid across advances.
+//! (`SketchParams::check_counter_compatible` refuses them with
+//! `MergeError::SeedMismatch`); a read across generations sums their
+//! **estimates** instead, and each generation pays its own Theorem-1
+//! error term. `bas_serve::QueryEngine` owns that read rule; this
+//! module owns the mechanics. The live sketch of a sealing ring is
+//! never reset, so concurrent readers' pinned snapshots stay valid
+//! across advances.
 
 use std::collections::VecDeque;
 

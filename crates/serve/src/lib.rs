@@ -17,9 +17,9 @@
 //!   dense copy via the seqlock in `bas_pipeline::epoch`. Every pinned
 //!   view equals the sketch of a **prefix** of the pushed stream, so
 //!   multi-cell queries (median-of-rows estimates, heavy-hitter scans,
-//!   range decompositions, inner products) are exactly as trustworthy
-//!   as on a quiesced sketch. [`SnapshotHandle::refresh`] re-pins into
-//!   the same buffer, so steady-state readers allocate nothing.
+//!   range decompositions) are exactly as trustworthy as on a quiesced
+//!   sketch. [`SnapshotHandle::refresh`] re-pins into the same buffer,
+//!   so steady-state readers allocate nothing.
 //!
 //! ## Serving policies: since-boot vs time-scoped
 //!
@@ -123,7 +123,7 @@ mod window;
 
 pub use audit::AuditPolicy;
 pub use error::QueryError;
-pub use estimate::{combine_plane_estimates, heavy_hitters_across, EstimateCombine};
+pub use estimate::{combine_plane_estimates, heavy_hitters_across};
 pub use policy::{Policy, Sliding, Tumbling, Unbounded};
 pub use rotate::RotatingEngine;
 pub use window::WindowSnapshot;
@@ -131,8 +131,8 @@ pub use window::WindowSnapshot;
 use audit::AuditBudget;
 use bas_pipeline::{EpochHandle, Generation, SnapshotHandle, WindowedIngest};
 use bas_sketch::{
-    AbsorbPlane, CountSketch, CounterBackend, HeavyHitter, MergeError, PointQuerySketch,
-    RangeSumSketch, Reseedable, SealedPlane, SharedSketch, Snapshottable,
+    AbsorbPlane, CounterBackend, HeavyHitter, MergeError, PointQuerySketch, RangeSumSketch,
+    Reseedable, SealedPlane, SharedSketch, Snapshottable,
 };
 use bas_stream::StreamUpdate;
 
@@ -643,15 +643,6 @@ where
         self.pin_window().range_sum(a, b)
     }
 
-    /// Range sum `Σ_{a ≤ i ≤ b} x_i` from a pinned snapshot: the whole
-    /// dyadic decomposition reads one consistent stream prefix.
-    ///
-    /// # Panics
-    /// Panics if `a > b` or `b ≥ n`.
-    pub fn range_sum_in(&self, snap: &SnapshotHandle<RangeSumSketch<B>>, a: u64, b: u64) -> f64 {
-        self.sketch().query_in(snap.snapshot(), a, b)
-    }
-
     /// Convenience: one range query over the retained planes (since
     /// boot under a fixed seed), pinned fresh.
     ///
@@ -661,32 +652,6 @@ where
         self.pin_reaching(None)
             .and_then(|ws| ws.range_sum(a, b))
             .unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl<B: CounterBackend> QueryEngine<CountSketch<B>>
-where
-    CountSketch<B>: SharedSketch,
-{
-    /// Inner-product estimate `⟨x, y⟩` between this engine's stream
-    /// and another engine's, from one pinned snapshot of each live
-    /// plane — the join-size / correlation query, served without
-    /// quiescing either ingest path. Both engines must use identical
-    /// sketch parameters (same seed).
-    ///
-    /// # Errors
-    /// Returns a [`MergeError`] when the configurations differ.
-    pub fn inner_product_with<B2: CounterBackend>(
-        &self,
-        other: &QueryEngine<CountSketch<B2>>,
-    ) -> Result<f64, MergeError>
-    where
-        CountSketch<B2>: SharedSketch,
-    {
-        let mine = self.pin();
-        let theirs = other.pin();
-        self.sketch()
-            .inner_product_in(mine.snapshot(), other.sketch(), theirs.snapshot())
     }
 }
 
@@ -757,9 +722,7 @@ impl<S: SharedSketch + Snapshottable + Send> QueryHandle<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bas_sketch::{
-        Atomic, AtomicCountMedian, AtomicCountSketch, CountMedian, PointQuerySketch, SketchParams,
-    };
+    use bas_sketch::{Atomic, AtomicCountMedian, CountMedian, PointQuerySketch, SketchParams};
 
     fn params() -> SketchParams {
         SketchParams::new(500, 64, 5).with_seed(77)
@@ -851,24 +814,6 @@ mod tests {
         engine.flush();
         let est = engine.range_sum(0, 100);
         assert!((est - 8.0).abs() < 1.0, "est = {est}");
-        let snap = engine.pin();
-        assert_eq!(engine.range_sum_in(&snap, 0, 255), engine.range_sum(0, 255));
-    }
-
-    #[test]
-    fn inner_product_between_two_engines() {
-        let p = SketchParams::new(500, 256, 9).with_seed(41);
-        let mut a = QueryEngine::new(AtomicCountSketch::with_backend(&p));
-        let mut b = QueryEngine::new(AtomicCountSketch::with_backend(&p));
-        a.push(3, 10.0);
-        a.push(100, -2.0);
-        b.push(3, 5.0);
-        b.push(100, 6.0);
-        a.flush();
-        b.flush();
-        // True <x, y> = 50 - 12 = 38.
-        let est = a.inner_product_with(&b).unwrap();
-        assert!((est - 38.0).abs() < 8.0, "est = {est}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! window.
 
 use crate::error::QueryError;
-use crate::estimate::{heavy_hitters_across, EstimateCombine};
+use crate::estimate::heavy_hitters_across;
 use bas_pipeline::EpochHandle;
 use bas_sketch::{
     CounterBackend, HeavyHitter, PointQuerySketch, RangeSumSketch, Reseedable, SealedPlane,
@@ -19,10 +19,7 @@ use bas_sketch::{
 ///
 /// Like `bas_pipeline::SnapshotHandle`, the view is self-contained
 /// (it keeps each plane's owning sketch alive for its hash functions)
-/// and `Send`, so a coordinator can ship per-site window snapshots
-/// across threads — `bas_distributed::aggregate_windows` merges
-/// same-window, same-seed snapshots from many sites by the same
-/// linearity that built them.
+/// and `Send`, so a reader may take it to another thread.
 ///
 /// Obtain one from
 /// [`QueryEngine::pin_window`](crate::QueryEngine::pin_window); refresh
@@ -129,7 +126,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowSnapshot<S> {
             return crate::scan_heavy_hitters(owner.sketch(), plane, self.mass, phi);
         }
         let entries: Vec<_> = self.planes().collect();
-        heavy_hitters_across(&entries, self.mass, phi, EstimateCombine::Sum)
+        heavy_hitters_across(&entries, self.mass, phi)
     }
 
     /// The frozen planes, each with the sketch whose hashers address

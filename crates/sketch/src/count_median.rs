@@ -359,39 +359,20 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
 /// A plane of another shape is refused before any cell is written.
 impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMedian<B> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
-        if plane.width() != self.grid.width() || plane.depth() != self.grid.depth() {
-            return Err(MergeError::ShapeMismatch {
-                what: "widths/depths",
-            });
-        }
-        self.grid.add_matrix_shared(plane);
-        Ok(())
+        crate::snapshot::absorb_grid(&self.grid, plane)
     }
-}
-
-/// Whether two sketches built from `a` and `b` hold counters that add
-/// cell by cell: the one check behind every merge, subtraction and
-/// inner product of the grid sketches. It is
-/// [`SketchParams::check_counter_compatible`] (same shape, universe,
-/// seed and hash kind), with a seed mismatch reported as the sketch-level
-/// [`MergeError::SeedMismatch`].
-pub(crate) fn check_same_params(a: &SketchParams, b: &SketchParams) -> Result<(), MergeError> {
-    a.check_counter_compatible(b).map_err(|e| match e {
-        MergeError::PlaneSeedMismatch { .. } => MergeError::SeedMismatch,
-        other => other,
-    })
 }
 
 impl<B: CounterBackend> MergeableSketch for CountMedian<B> {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         self.grid.add_matrix(&other.grid);
         Ok(())
     }
 
     /// Exact counter subtraction (Count-Median is linear).
     fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         self.grid.sub_matrix(&other.grid);
         Ok(())
     }

@@ -1,6 +1,5 @@
 //! Count-Min with plain and conservative update policies.
 
-use crate::count_median::check_same_params;
 use crate::snapshot::Snapshottable;
 use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
 use crate::traits::{
@@ -128,7 +127,7 @@ impl<B: CounterBackend> CountMin<B> {
                 what: "update policies (CU counters are not additive)",
             });
         }
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         let best = (0..self.params.depth)
             .map(|row| self.grid.row_dot(&other.grid, row))
             .fold(f64::INFINITY, f64::min);
@@ -366,7 +365,8 @@ impl<B: CounterBackend> Snapshottable for CountMin<B> {
 /// Planes absorb only under [`UpdatePolicy::Plain`] — conservative
 /// counters are running maxima, not sums, so a shipped CU plane cannot
 /// be reproduced by addition (mirrors
-/// [`merge_snapshot`](Snapshottable::merge_snapshot)).
+/// [`merge_snapshot`](Snapshottable::merge_snapshot)). A plane of
+/// another shape is refused before any cell is written.
 impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMin<B> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
         if self.policy != UpdatePolicy::Plain {
@@ -374,8 +374,7 @@ impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMin<B> {
                 what: "update policies (conservative update is not linear)",
             });
         }
-        self.grid.add_matrix_shared(plane);
-        Ok(())
+        crate::snapshot::absorb_grid(&self.grid, plane)
     }
 }
 
@@ -389,7 +388,7 @@ impl<B: CounterBackend> MergeableSketch for CountMin<B> {
                 what: "update policies (conservative update is not linear)",
             });
         }
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         self.grid.add_matrix(&other.grid);
         Ok(())
     }
@@ -404,7 +403,7 @@ impl<B: CounterBackend> MergeableSketch for CountMin<B> {
                 what: "update policies",
             });
         }
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         self.grid.sub_matrix(&other.grid);
         Ok(())
     }

@@ -1,6 +1,5 @@
 //! Count-Sketch: CS-matrix sketching with signed median recovery.
 
-use crate::count_median::check_same_params;
 use crate::snapshot::Snapshottable;
 use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
 use crate::traits::{
@@ -131,39 +130,9 @@ impl<B: CounterBackend> CountSketch<B> {
     /// # Errors
     /// Returns a [`MergeError`] when the sketches are not compatible.
     pub fn inner_product(&self, other: &Self) -> Result<f64, MergeError> {
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         Ok(median_of_rows(self.params.depth, |row| {
             self.grid.row_dot(&other.grid, row)
-        }))
-    }
-
-    /// [`inner_product`](CountSketch::inner_product) over **frozen
-    /// snapshots**: estimates `⟨x, y⟩` from epoch-consistent copies of
-    /// two compatible Count-Sketches, so the estimate is not smeared by
-    /// writers feeding either sketch mid-query. `other` may use a
-    /// different storage backend — only the hash configuration must
-    /// match.
-    ///
-    /// # Errors
-    /// Returns a [`MergeError`] when the sketches are not compatible.
-    ///
-    /// # Panics
-    /// Panics if a snapshot's shape does not match its sketch.
-    pub fn inner_product_in<B2: CounterBackend>(
-        &self,
-        mine: &CounterMatrix<f64, Dense>,
-        other: &CountSketch<B2>,
-        theirs: &CounterMatrix<f64, Dense>,
-    ) -> Result<f64, MergeError> {
-        check_same_params(&self.params, &other.params)?;
-        assert_eq!(mine.width(), self.params.width, "snapshot width mismatch");
-        assert_eq!(
-            theirs.width(),
-            other.params.width,
-            "snapshot width mismatch"
-        );
-        Ok(median_of_rows(self.params.depth, |row| {
-            mine.row_dot(theirs, row)
         }))
     }
 
@@ -333,24 +302,24 @@ impl<B: CounterBackend> Snapshottable for CountSketch<B> {
 }
 
 /// Count-Sketch is linear: a shipped plane adds straight into the
-/// live grid (signs live in the hashers, which the seed rebuilds).
+/// live grid (signs live in the hashers, which the seed rebuilds). A
+/// plane of another shape is refused before any cell is written.
 impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountSketch<B> {
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
-        self.grid.add_matrix_shared(plane);
-        Ok(())
+        crate::snapshot::absorb_grid(&self.grid, plane)
     }
 }
 
 impl<B: CounterBackend> MergeableSketch for CountSketch<B> {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         self.grid.add_matrix(&other.grid);
         Ok(())
     }
 
     /// Exact counter subtraction (Count-Sketch is linear).
     fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         self.grid.sub_matrix(&other.grid);
         Ok(())
     }
@@ -569,33 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_product_in_matches_live_inner_product() {
-        let p = params(500, 256, 9);
-        let mut a = CountSketch::new(&p);
-        let mut b = CountSketch::new(&p);
-        a.update(3, 10.0);
-        a.update(100, -2.0);
-        b.update(3, 5.0);
-        b.update(100, 6.0);
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        assert_eq!(
-            a.inner_product_in(&sa, &b, &sb).unwrap(),
-            a.inner_product(&b).unwrap()
-        );
-    }
-
-    #[test]
-    fn inner_product_in_rejects_seed_mismatch() {
-        let a = CountSketch::new(&params(10, 8, 2));
-        let b = CountSketch::new(&SketchParams::new(10, 8, 2).with_seed(99));
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        assert_eq!(
-            a.inner_product_in(&sa, &b, &sb),
-            Err(MergeError::SeedMismatch)
-        );
-    }
-
-    #[test]
     fn inner_product_rejects_mismatch() {
         let a = CountSketch::new(&params(10, 8, 2));
         let b = CountSketch::new(&SketchParams::new(10, 8, 2).with_seed(99));
@@ -604,8 +546,6 @@ mod tests {
         let wider = CountSketch::new(&params(20, 8, 2));
         let universes = Err(MergeError::ShapeMismatch { what: "universes" });
         assert_eq!(a.inner_product(&wider), universes);
-        let (sa, sw) = (a.snapshot(), wider.snapshot());
-        assert_eq!(a.inner_product_in(&sa, &wider, &sw), universes);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! which is a single point query at its level. Coarse levels have so
 //! few blocks that they are kept exactly instead of sketched.
 
-use crate::count_median::{check_same_params, CountMedian};
+use crate::count_median::CountMedian;
 use crate::heavy_hitters::HeavyHitter;
 use crate::snapshot::{AbsorbPlane, Snapshottable};
 use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
@@ -291,7 +291,7 @@ impl<B: CounterBackend> RangeSumSketch<B> {
     }
 
     fn check_compatible(&self, other: &Self) -> Result<(), MergeError> {
-        check_same_params(&self.params, &other.params)?;
+        self.params.check_counter_compatible(&other.params)?;
         if self.grids.len() != other.grids.len() {
             return Err(MergeError::ShapeMismatch {
                 what: "dyadic layouts",

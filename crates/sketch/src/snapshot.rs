@@ -3,11 +3,10 @@
 //! Single-cell reads on an `Atomic`-backed sketch are always safe to
 //! race with writers (each counter is one atomic word), but multi-cell
 //! queries — median-of-rows point estimates, heavy-hitter scans, range
-//! decompositions, inner products — combine many cells and can observe
-//! a *mix* of two in-flight flushes. The query plane's answer is to
-//! freeze a consistent dense copy of the counters and query that
-//! instead. This module defines the contract every sketch implements
-//! for it:
+//! decompositions — combine many cells and can observe a *mix* of two
+//! in-flight flushes. The query plane's answer is to freeze a
+//! consistent dense copy of the counters and query that instead. This
+//! module defines the contract every sketch implements for it:
 //!
 //! * [`Snapshottable::snapshot_into`] copies the live counters into a
 //!   caller-owned [`Snapshot`](Snapshottable::Snapshot) (a plain dense
@@ -26,8 +25,9 @@
 //!   reach the threshold, answering bit-for-bit what the default does;
 //! * [`Snapshottable::merge_snapshot`] adds one snapshot into another —
 //!   linearity (`Φx = Φx¹ + Φx²`) holds at the snapshot level exactly
-//!   as it does at the sketch level, which is what lets a distributed
-//!   coordinator aggregate per-site snapshots;
+//!   as it does at the sketch level, which is what lets an
+//!   estimate-space sum merge a run of same-config planes first
+//!   (`bas_serve::combine_plane_estimates`);
 //! * [`Snapshottable::subtract_snapshot`] is its inverse — by the same
 //!   linearity, `Φx^{(a,b]} = Φx^{(0,b]} − Φx^{(0,a]}`, so the sketch
 //!   of a **time window** is one subtraction of two cumulative
@@ -42,6 +42,7 @@
 //! flushes — a prefix of the update stream".
 
 use crate::heavy_hitters::HeavyHitter;
+use crate::storage::{CounterMatrix, Dense, SharedBackend};
 use crate::traits::{MergeError, PointQuerySketch, SharedSketch};
 
 /// The per-item heavy-hitter scan: the default of
@@ -136,8 +137,8 @@ pub trait Snapshottable: PointQuerySketch + Sync {
     }
 
     /// Adds `other`'s counters into `snap` element-wise — linearity at
-    /// the snapshot level, used by the distributed coordinator to
-    /// aggregate per-site snapshots.
+    /// the snapshot level, used by the estimate-space sum to merge a
+    /// run of same-config planes.
     ///
     /// # Errors
     /// Returns a [`MergeError`] for sketches whose counters are not
@@ -212,9 +213,24 @@ pub trait AbsorbPlane: Snapshottable + SharedSketch {
     ///
     /// # Errors
     /// Returns a [`MergeError`] for sketches whose counters are not
-    /// additive (Count-Min with conservative update).
-    ///
-    /// # Panics
-    /// Panics if `plane` was made for a different shape.
+    /// additive (Count-Min with conservative update), and
+    /// [`MergeError::ShapeMismatch`] if `plane` was made for a different
+    /// shape. Either way no counter is written.
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError>;
+}
+
+/// The absorb of every one-grid sketch: refuses a plane of another
+/// shape before any write, then adds it through the grid's shared
+/// single-writer path.
+pub(crate) fn absorb_grid<B: SharedBackend>(
+    grid: &CounterMatrix<f64, B>,
+    plane: &CounterMatrix<f64, Dense>,
+) -> Result<(), MergeError> {
+    if (plane.width(), plane.depth()) != (grid.width(), grid.depth()) {
+        return Err(MergeError::ShapeMismatch {
+            what: "widths/depths",
+        });
+    }
+    grid.add_matrix_shared(plane);
+    Ok(())
 }

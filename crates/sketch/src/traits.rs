@@ -66,14 +66,15 @@ impl SketchParams {
     /// configuration. Two planes whose seeds differ address their
     /// counters through different hash functions; adding them cell by
     /// cell produces the sketch of no meaningful vector, so the
-    /// mismatch is a typed error, never a silent blend. Heterogeneous-
-    /// seed planes combine in *estimate space* instead
-    /// (`bas_serve::EstimateCombine`).
+    /// mismatch is a typed error, never a silent blend. This is the one
+    /// check behind every merge, subtraction and inner product of the
+    /// grid sketches. Heterogeneous-seed planes combine in *estimate
+    /// space* instead (`bas_serve::combine_plane_estimates`).
     ///
     /// # Errors
     /// [`MergeError::ShapeMismatch`] when widths, depths, or universes
-    /// differ; [`MergeError::PlaneSeedMismatch`] when shapes agree but
-    /// the hasher configurations (seed or hash family) do not.
+    /// differ; [`MergeError::SeedMismatch`] when shapes agree but the
+    /// hasher configurations (seed or hash family) do not.
     pub fn check_counter_compatible(&self, other: &SketchParams) -> Result<(), MergeError> {
         if self.width != other.width || self.depth != other.depth {
             return Err(MergeError::ShapeMismatch {
@@ -84,10 +85,7 @@ impl SketchParams {
             return Err(MergeError::ShapeMismatch { what: "universes" });
         }
         if self.seed != other.seed || self.hash_kind != other.hash_kind {
-            return Err(MergeError::PlaneSeedMismatch {
-                left: self.seed,
-                right: other.seed,
-            });
+            return Err(MergeError::SeedMismatch);
         }
         Ok(())
     }
@@ -327,8 +325,9 @@ pub enum MergeError {
         /// Human-readable description of the differing dimension.
         what: &'static str,
     },
-    /// Seeds differ, so the sketches used different hash functions and
-    /// their counters are not addressable by the same indices.
+    /// Seeds or hash families differ, so the sketches used different
+    /// hash functions and their counters are not addressable by the
+    /// same indices.
     SeedMismatch,
     /// The operation has no inverse for this sketch — e.g. subtracting
     /// from an S/R sketch whose sampler state cannot un-absorb
@@ -336,19 +335,6 @@ pub enum MergeError {
     NotInvertible {
         /// Human-readable description of the non-invertible state.
         what: &'static str,
-    },
-    /// Two counter planes were sealed under different hasher
-    /// configurations (a seed-rotation boundary lies between them);
-    /// combining them cell by cell is meaningless. Unlike the bare
-    /// [`SeedMismatch`](MergeError::SeedMismatch), this variant names
-    /// both seeds, because in a rotating deployment "which rotation
-    /// did this plane come from" is the first diagnostic question.
-    /// Heterogeneous-seed planes combine in estimate space instead.
-    PlaneSeedMismatch {
-        /// Seed of the left-hand (accumulating) plane.
-        left: u64,
-        /// Seed of the right-hand (incoming) plane.
-        right: u64,
     },
 }
 
@@ -364,14 +350,6 @@ impl std::fmt::Display for MergeError {
             ),
             MergeError::NotInvertible { what } => {
                 write!(f, "cannot subtract sketches: {what}")
-            }
-            MergeError::PlaneSeedMismatch { left, right } => {
-                write!(
-                    f,
-                    "cannot combine counter planes sealed under different hasher \
-                     configurations (seeds {left} vs {right}); combine their \
-                     estimates instead"
-                )
             }
         }
     }
@@ -483,10 +461,6 @@ mod tests {
         let e = MergeError::ShapeMismatch { what: "widths" };
         assert!(e.to_string().contains("widths"));
         assert!(MergeError::SeedMismatch.to_string().contains("seeds"));
-        let e = MergeError::PlaneSeedMismatch { left: 3, right: 9 };
-        let msg = e.to_string();
-        assert!(msg.contains("seeds 3 vs 9"), "{msg}");
-        assert!(msg.contains("estimate"), "{msg}");
     }
 
     #[test]
@@ -503,12 +477,12 @@ mod tests {
         ));
         assert_eq!(
             base.check_counter_compatible(&base.with_seed(2)),
-            Err(MergeError::PlaneSeedMismatch { left: 1, right: 2 })
+            Err(MergeError::SeedMismatch)
         );
         // Same seed, different family: still different hash functions.
-        assert!(matches!(
+        assert_eq!(
             base.check_counter_compatible(&base.with_hash_kind(HashKind::Tabulation)),
-            Err(MergeError::PlaneSeedMismatch { .. })
-        ));
+            Err(MergeError::SeedMismatch)
+        );
     }
 }

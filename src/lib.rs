@@ -27,9 +27,8 @@
 //!   linearity, or one atomic-backed sketch with one writer, plus
 //!   the epoch-snapshot machinery for reading it while it is written;
 //! * [`serve`] — the live query plane: a `QueryEngine` serving
-//!   point / heavy-hitter / range-sum / inner-product queries over a
-//!   concurrently-fed sketch, from lock-free live cells or pinned
-//!   epoch snapshots;
+//!   point / heavy-hitter / range-sum queries over a concurrently-fed
+//!   sketch, from lock-free live cells or pinned epoch snapshots;
 //! * [`server`] — the multi-tenant serving fabric: many engines
 //!   behind one wire protocol, placed across shards by weighted
 //!   rendezvous hashing, with admission control (quota shedding +
@@ -84,17 +83,14 @@ pub mod prelude {
         L2SketchRecover, SampleCount,
     };
     pub use bas_data::{StreamDist, TimestampedStreamGen};
-    pub use bas_distributed::{
-        aggregate_live, aggregate_window_estimates, aggregate_windows, DistributedRun,
-        LiveAggregate, SiteData, WindowAggregate,
-    };
+    pub use bas_distributed::{DistributedRun, SiteData};
     pub use bas_hash::SeedSchedule;
     pub use bas_pipeline::{
         ConcurrentIngest, EpochHandle, EpochSketch, ShardedIngest, SnapshotHandle, WindowedIngest,
     };
     pub use bas_serve::{
-        combine_plane_estimates, heavy_hitters_across, AuditPolicy, EstimateCombine, Policy,
-        QueryEngine, QueryError, QueryHandle, Sliding, Tumbling, Unbounded, WindowSnapshot,
+        combine_plane_estimates, heavy_hitters_across, AuditPolicy, Policy, QueryEngine,
+        QueryError, QueryHandle, Sliding, Tumbling, Unbounded, WindowSnapshot,
     };
     pub use bas_server::{
         call, serve_connection, Fabric, FabricConfig, MetricKind, PlacementRing, RebalanceReport,

@@ -6,7 +6,7 @@
 //! unsound. This suite pins the contract that makes the estimate-space
 //! path a safe default on the *homogeneous* side too:
 //!
-//! * On same-config planes, [`EstimateCombine::Sum`] counter-merges
+//! * On same-config planes, `combine_plane_estimates` counter-merges
 //!   internally, so its answers agree with the existing counter-space
 //!   `sub_matrix`/`merge_snapshot` window path **bit for bit** for
 //!   Count-Median and Count-Sketch point queries (integer-delta
@@ -15,9 +15,6 @@
 //!   with estimates equal to within `1e-9` (the sets are derived from
 //!   the same thresholds on bit-equal estimates; the margin documents
 //!   the guarantee without relying on scan-order details).
-//! * For replicated planes, Mean/Median treat each plane as one vote:
-//!   identical-seed replicas are a fixed point, and independent-seed
-//!   replicas stay within the per-plane Theorem-1 error bound.
 //!
 //! Randomized structure (seeded streams over several shapes) in the
 //! style of `tests/properties.rs`, plus deterministic engine-vs-plane
@@ -94,7 +91,7 @@ fn cm_sum_over_homogeneous_planes_matches_engine_window_bit_for_bit() {
         .collect();
     let entries: Vec<(&CountMedian, _)> = planes.iter().map(|(cm, snap)| (cm, snap)).collect();
     let items: Vec<u64> = (0..N).collect();
-    let combined = combine_plane_estimates(&entries, &items, EstimateCombine::Sum);
+    let combined = combine_plane_estimates(&entries, &items);
     for (j, est) in items.iter().zip(&combined) {
         // Bit-for-bit: same config → one counter-merged group → the
         // exact counter-space window estimate.
@@ -182,7 +179,7 @@ fn rotating_window_equals_sum_of_per_generation_references() {
     let mut entries: Vec<(&CountMedian, _)> = references.iter().zip(&planes).collect();
     entries.rotate_right(1);
     for phi in [0.01, 0.02, 0.05] {
-        let expected = heavy_hitters_across(&entries, mass, phi, EstimateCombine::Sum).unwrap();
+        let expected = heavy_hitters_across(&entries, mass, phi).unwrap();
         let got = engine.heavy_hitters_in_window(phi).unwrap();
         assert!(!got.is_empty(), "phi {phi}");
         let bits = |hh: &[HeavyHitter]| {
@@ -214,11 +211,7 @@ fn cs_sum_over_homogeneous_planes_matches_counter_space_bit_for_bit() {
     a.merge_snapshot(&mut merged, &snap_b).unwrap();
 
     let items: Vec<u64> = (0..N).collect();
-    let combined = combine_plane_estimates(
-        &[(&a, &snap_a), (&b, &snap_b)],
-        &items,
-        EstimateCombine::Sum,
-    );
+    let combined = combine_plane_estimates(&[(&a, &snap_a), (&b, &snap_b)], &items);
     for (j, est) in items.iter().zip(&combined) {
         assert_eq!(*est, a.estimate_in(&merged, *j), "item {j}");
     }
@@ -249,8 +242,7 @@ fn heavy_hitters_agree_between_paths_within_margin() {
         .map(|t| plane_of(&params(5), &per_interval[t as usize]))
         .collect();
     let entries: Vec<(&CountMedian, _)> = planes.iter().map(|(cm, snap)| (cm, snap)).collect();
-    let estimate_space =
-        heavy_hitters_across(&entries, window.mass(), phi, EstimateCombine::Sum).unwrap();
+    let estimate_space = heavy_hitters_across(&entries, window.mass(), phi).unwrap();
 
     let counter_items: Vec<u64> = counter_space.iter().map(|h| h.item).collect();
     let estimate_items: Vec<u64> = estimate_space.iter().map(|h| h.item).collect();
@@ -267,53 +259,6 @@ fn heavy_hitters_agree_between_paths_within_margin() {
     // Both paths found the planted heavies.
     assert!(counter_items.contains(&8), "{counter_items:?}");
     assert!(counter_items.contains(&9), "{counter_items:?}");
-}
-
-#[test]
-fn identical_replicas_are_a_fixed_point_of_mean_and_median() {
-    let updates = interval_stream(4, 0, 800);
-    let (a, snap_a) = plane_of(&params(11), &updates);
-    let (b, snap_b) = plane_of(&params(11), &updates);
-    let (c, snap_c) = plane_of(&params(11), &updates);
-    let entries: Vec<(&CountMedian, _)> = vec![(&a, &snap_a), (&b, &snap_b), (&c, &snap_c)];
-    let items: Vec<u64> = (0..N).step_by(3).collect();
-    let mean = combine_plane_estimates(&entries, &items, EstimateCombine::Mean);
-    let median = combine_plane_estimates(&entries, &items, EstimateCombine::Median);
-    for ((j, m), md) in items.iter().zip(&mean).zip(&median) {
-        let single = a.estimate(*j);
-        assert_eq!(*m, single, "mean item {j}");
-        assert_eq!(*md, single, "median item {j}");
-    }
-}
-
-#[test]
-fn independent_seed_replicas_stay_within_the_per_plane_bound() {
-    // Replicated stream under three independent seeds: every vote is
-    // within the Count-Median L1 bound, so Mean and Median are too.
-    let updates = interval_stream(5, 0, 1_500);
-    let mut truth = vec![0.0f64; N as usize];
-    for &(item, delta) in &updates {
-        truth[item as usize] += delta;
-    }
-    let mass: f64 = truth.iter().sum();
-    let bound = 3.0 * mass / WIDTH as f64;
-
-    let planes: Vec<_> = [21u64, 22, 23]
-        .iter()
-        .map(|&seed| plane_of(&params(seed), &updates))
-        .collect();
-    let entries: Vec<(&CountMedian, _)> = planes.iter().map(|(cm, snap)| (cm, snap)).collect();
-    let items: Vec<u64> = (0..N).collect();
-    for combine in [EstimateCombine::Mean, EstimateCombine::Median] {
-        let out = combine_plane_estimates(&entries, &items, combine);
-        for (j, est) in items.iter().zip(&out) {
-            let err = (est - truth[*j as usize]).abs();
-            assert!(
-                err <= bound,
-                "{combine:?} item {j}: err {err} > bound {bound}"
-            );
-        }
-    }
 }
 
 proptest! {
@@ -347,7 +292,7 @@ proptest! {
             planes.iter().map(|(cm, snap)| (cm, snap)).collect();
 
         let items: Vec<u64> = (0..N).step_by(7).collect();
-        let combined = combine_plane_estimates(&entries, &items, EstimateCombine::Sum);
+        let combined = combine_plane_estimates(&entries, &items);
         for (j, est) in items.iter().zip(&combined) {
             prop_assert!(*est == reference.estimate(*j), "item {}", j);
         }

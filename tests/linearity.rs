@@ -2,9 +2,11 @@
 //! sketching the summed stream, the distributed protocol must be
 //! exactly equivalent to centralized sketching, and the shared-counter
 //! ingest path must commute with both (the one shared writer adds the
-//! same sums into each cell in the same order).
+//! same sums into each cell in the same order). A shipped plane adds
+//! only into a sketch of its own shape.
 
 use bias_aware_sketches::prelude::*;
+use bias_aware_sketches::sketches::{AbsorbPlane, MergeError};
 
 fn split_updates(n: u64, parts: usize, seed: u64) -> (Vec<Vec<(u64, f64)>>, Vec<f64>) {
     // Deterministic pseudo-random update streams, split across parts.
@@ -241,4 +243,61 @@ fn concurrent_shared_ingest_is_linear_too() {
         assert_eq!(shared.estimate(j), merged.estimate(j), "shared item {j}");
         assert_eq!(shared.estimate(j), run.global.estimate(j), "dist item {j}");
     }
+}
+
+/// Every cell of a plane, as its bits.
+fn cell_bits(plane: &CounterMatrix<f64>) -> Vec<u64> {
+    plane.snapshot().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Absorbs a plane too narrow and one too deep into `sketch`: each must
+/// be refused as a shape mismatch with every counter's bits unchanged,
+/// and a plane of the sketch's own shape must still add.
+fn assert_refuses_misshapen_planes<S>(sketch: &S, label: &str)
+where
+    S: AbsorbPlane<Snapshot = CounterMatrix<f64>>,
+{
+    let live = sketch.snapshot();
+    let (width, depth) = (live.width(), live.depth());
+    for (what, (w, d)) in [("narrow", (width / 2, depth)), ("deep", (width, depth + 1))] {
+        let plane = CounterMatrix::<f64>::from_cells(w, d, vec![1.0; w * d]);
+        assert_eq!(
+            sketch.absorb_plane_shared(&plane),
+            Err(MergeError::ShapeMismatch {
+                what: "widths/depths"
+            }),
+            "{label}: {what} plane"
+        );
+        assert_eq!(
+            cell_bits(&sketch.snapshot()),
+            cell_bits(&live),
+            "{label}: the {what} plane wrote"
+        );
+    }
+    sketch.absorb_plane_shared(&live).unwrap();
+    let doubled: Vec<u64> = live
+        .snapshot()
+        .iter()
+        .map(|v| (2.0 * v).to_bits())
+        .collect();
+    assert_eq!(
+        cell_bits(&sketch.snapshot()),
+        doubled,
+        "{label}: own-shape plane"
+    );
+}
+
+#[test]
+fn misshapen_planes_are_refused_before_any_write() {
+    let params = SketchParams::new(100, 8, 2).with_seed(3);
+    let updates: Vec<(u64, f64)> = (0..60u64).map(|i| (i * 7 % 100, (i % 5) as f64)).collect();
+    let median = AtomicCountMedian::with_backend(&params);
+    let sketch = AtomicCountSketch::with_backend(&params);
+    let min = AtomicCountMin::with_backend(&params, UpdatePolicy::Plain);
+    median.update_batch_shared(&updates);
+    sketch.update_batch_shared(&updates);
+    min.update_batch_shared(&updates);
+    assert_refuses_misshapen_planes(&median, "Count-Median");
+    assert_refuses_misshapen_planes(&sketch, "Count-Sketch");
+    assert_refuses_misshapen_planes(&min, "Count-Min");
 }
