@@ -7,24 +7,24 @@
 //! at the end — [`ConcurrentIngest`] keeps the small-space promise that
 //! motivates sketching in the first place: one counter plane, `1×`
 //! memory, written through the storage layer's single-writer
-//! [`SharedSketch`](bas_sketch::SharedSketch) path. No merge step, no
-//! shard copies, and the sketch is queryable the moment a flush
-//! returns. The concurrency is between the one writer and its readers,
-//! not among writers.
+//! [`SharedSketch`] path. No merge step, no shard copies, and the
+//! sketch is queryable the moment a flush returns. The concurrency is
+//! between the one writer and its readers, not among writers.
 
 use crate::buffer::IngestBuffer;
-use crate::epoch::EpochGuard;
+use crate::epoch::EpochHandle;
 use bas_sketch::SharedSketch;
 use bas_stream::StreamUpdate;
 
 /// Buffers an update stream and applies it in flushes to **one**
-/// shared sketch through its single-writer [`SharedSketch`] path.
+/// shared plane, an [`EpochHandle`] over a [`SharedSketch`].
 ///
 /// The sketch must be built on a shared-capable counter backend —
 /// in practice [`bas_sketch::storage::Atomic`], e.g.
 /// [`bas_sketch::AtomicCountSketch`]. Each time the buffer reaches the
-/// flush threshold the calling thread applies it in one write section,
-/// through the same blocked kernel as exclusive batch ingest.
+/// flush threshold the calling thread applies it in one write section
+/// ([`EpochSketch::write`](crate::EpochSketch::write)), through the
+/// same blocked kernel as exclusive batch ingest.
 ///
 /// **Memory.** A width-`s`, depth-`d` sketch costs `s·d` counter words
 /// here versus `k·s·d` under `ShardedIngest` with `k` shards — the
@@ -35,45 +35,48 @@ use bas_stream::StreamUpdate;
 /// ingest for any deltas — asserted on fractional streams, with
 /// concurrent readers, by `tests/concurrent_ingest.rs`.
 ///
-/// **Consistency.** Between `push`/`flush` calls no writer is live, so
-/// [`sketch`](ConcurrentIngest::sketch) queries observe a fully
-/// settled state.
+/// **Consistency.** Readers holding a clone of the handle pin
+/// snapshots that always sit on a flush boundary; between `push`/`flush`
+/// calls no writer is live, so live reads observe a fully settled
+/// state.
 ///
 /// ```
-/// use bas_pipeline::ConcurrentIngest;
+/// use bas_pipeline::{ConcurrentIngest, EpochHandle};
 /// use bas_sketch::{AtomicCountSketch, CountSketch, PointQuerySketch, SketchParams};
 ///
 /// let params = SketchParams::new(10_000, 128, 5).with_seed(3);
-/// let mut ingest = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params));
+/// let live = EpochHandle::new(AtomicCountSketch::with_backend(&params));
+/// let mut ingest = ConcurrentIngest::new(live);
 /// for i in 0..20_000u64 {
 ///     ingest.push(i % 10_000, 0.25 * (i % 7) as f64);
 /// }
-/// let sketch = ingest.finish();
+/// let shared = ingest.finish();
 ///
 /// // One shared sketch == the single-threaded exclusive sketch.
 /// let mut reference = CountSketch::new(&params);
 /// for i in 0..20_000u64 {
 ///     reference.update(i % 10_000, 0.25 * (i % 7) as f64);
 /// }
-/// assert_eq!(sketch.estimate(42), reference.estimate(42));
+/// assert_eq!(shared.sketch().estimate(42), reference.estimate(42));
+/// assert_eq!(shared.applied(), 20_000);
 /// ```
 #[derive(Debug)]
 pub struct ConcurrentIngest<S> {
-    sketch: S,
+    live: EpochHandle<S>,
     buf: IngestBuffer,
 }
 
-impl<S: SharedSketch + Send> ConcurrentIngest<S> {
+impl<S: SharedSketch> ConcurrentIngest<S> {
     /// Default number of buffered updates that triggers a flush — same
     /// sizing rationale as
     /// [`ShardedIngest::DEFAULT_FLUSH_THRESHOLD`](crate::ShardedIngest::DEFAULT_FLUSH_THRESHOLD).
     pub const DEFAULT_FLUSH_THRESHOLD: usize = IngestBuffer::DEFAULT_FLUSH_THRESHOLD;
 
-    /// Creates an ingester whose flushes write `sketch` on the calling
-    /// thread.
-    pub fn new(sketch: S) -> Self {
+    /// Creates an ingester whose flushes write `live` on the calling
+    /// thread. Keep a clone of the handle to read the plane.
+    pub fn new(live: EpochHandle<S>) -> Self {
         Self {
-            sketch,
+            live,
             buf: IngestBuffer::new(),
         }
     }
@@ -102,12 +105,12 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
         self.buf.pending()
     }
 
-    /// The shared sketch, queryable between flushes. Counters reflect
-    /// every update already flushed; buffered updates are not yet
-    /// visible (call [`flush`](ConcurrentIngest::flush) first for a
+    /// The plane this ingester writes. Its counters reflect every
+    /// update already flushed; buffered updates are not yet visible
+    /// (call [`flush`](ConcurrentIngest::flush) first for a
     /// point-in-time exact view).
-    pub fn sketch(&self) -> &S {
-        &self.sketch
+    pub fn shared(&self) -> &EpochHandle<S> {
+        &self.live
     }
 
     /// Buffers one update `x_item ← x_item + delta`, flushing when the
@@ -137,39 +140,19 @@ impl<S: SharedSketch + Send> ConcurrentIngest<S> {
     }
 
     /// Applies all buffered updates now, on the calling thread, in one
-    /// write section. Returns with the sketch settled.
-    ///
-    /// If the sketch publishes a write epoch
-    /// ([`SharedSketch::write_epoch`], e.g. through an
-    /// [`EpochSketch`](crate::EpochSketch) wrapper), the whole flush
-    /// runs inside one write section — which also rejects a second,
-    /// overlapping writer — and the stream position is advanced via
-    /// [`SharedSketch::note_applied`] before the section closes.
-    /// Seqlock snapshot readers therefore only ever capture flush
-    /// *boundaries*: prefixes of the pushed stream, never a mix of an
-    /// in-flight flush. Plain sketches publish no epoch and skip the
-    /// bracket entirely.
+    /// write section ([`EpochSketch::write`](crate::EpochSketch::write)).
+    /// Returns with the plane settled.
     pub fn flush(&mut self) {
-        let sketch = &self.sketch;
-        self.buf.drain(|pending| {
-            let guard = sketch.write_epoch().map(EpochGuard::enter);
-            sketch.update_batch_shared(pending);
-            if guard.is_some() {
-                // Only epoch-published sketches track stream position;
-                // plain sketches' note_applied is a no-op, so skip the
-                // O(buffer) mass sum on their hot path.
-                sketch.note_applied(pending.len() as u64, pending.iter().map(|&(_, d)| d).sum());
-            }
-            drop(guard); // close the write section: the flush is visible
-        });
+        let live = &self.live;
+        self.buf.drain(|pending| live.write(pending));
     }
 
-    /// Flushes the remainder and returns the shared sketch. Unlike
+    /// Flushes the remainder and returns the plane. Unlike
     /// [`ShardedIngest::finish`](crate::ShardedIngest::finish) there is
     /// nothing to merge — the counters were shared all along.
-    pub fn finish(mut self) -> S {
+    pub fn finish(mut self) -> EpochHandle<S> {
         self.flush();
-        self.sketch
+        self.live
     }
 }
 
@@ -196,10 +179,12 @@ mod tests {
     #[test]
     fn concurrent_equals_single_threaded_exactly() {
         let updates = stream(10_000);
-        let mut ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()))
-            .with_flush_threshold(1_000);
+        let mut ingest =
+            ConcurrentIngest::new(EpochHandle::new(AtomicCountMedian::with_backend(&params())))
+                .with_flush_threshold(1_000);
         ingest.extend_from_slice(&updates);
         let shared = ingest.finish();
+        let shared = shared.sketch();
         let mut reference = CountMedian::new(&params());
         reference.update_batch(&updates);
         for j in 0..500u64 {
@@ -214,15 +199,19 @@ mod tests {
     #[test]
     fn push_and_slice_and_stream_apis_agree() {
         let updates = stream(3_000);
-        let mut by_push = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params()));
+        let mut by_push =
+            ConcurrentIngest::new(EpochHandle::new(AtomicCountSketch::with_backend(&params())));
         for &(i, d) in &updates {
             by_push.push(i, d);
         }
-        let mut by_slice = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params()));
+        let mut by_slice =
+            ConcurrentIngest::new(EpochHandle::new(AtomicCountSketch::with_backend(&params())));
         by_slice.extend_from_slice(&updates);
-        let mut by_stream = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params()));
+        let mut by_stream =
+            ConcurrentIngest::new(EpochHandle::new(AtomicCountSketch::with_backend(&params())));
         by_stream.extend_updates(updates.iter().map(|&(i, d)| StreamUpdate::new(i, d)));
         let (a, b, c) = (by_push.finish(), by_slice.finish(), by_stream.finish());
+        let (a, b, c) = (a.sketch(), b.sketch(), c.sketch());
         for j in (0..500u64).step_by(17) {
             assert_eq!(a.estimate(j), b.estimate(j), "item {j}");
             assert_eq!(a.estimate(j), c.estimate(j), "item {j}");
@@ -231,8 +220,9 @@ mod tests {
 
     #[test]
     fn counters_track_flushes_and_mid_stream_queries_work() {
-        let mut ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()))
-            .with_flush_threshold(100);
+        let mut ingest =
+            ConcurrentIngest::new(EpochHandle::new(AtomicCountMedian::with_backend(&params())))
+                .with_flush_threshold(100);
         for (i, d) in stream(250) {
             ingest.push(i, d);
         }
@@ -240,7 +230,7 @@ mod tests {
         assert_eq!(ingest.total_updates(), 200);
         assert_eq!(ingest.pending(), 50);
         // Mid-stream query: flushed state is settled and visible.
-        let _ = ingest.sketch().estimate(3);
+        let _ = ingest.shared().sketch().estimate(3);
         ingest.flush();
         assert_eq!(ingest.pending(), 0);
         let _ = ingest.finish();
@@ -248,25 +238,28 @@ mod tests {
 
     #[test]
     fn a_single_update_is_applied() {
-        let mut ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()));
+        let mut ingest =
+            ConcurrentIngest::new(EpochHandle::new(AtomicCountMedian::with_backend(&params())));
         ingest.push(3, 2.0);
         let sk = ingest.finish();
-        assert_eq!(sk.estimate(3), 2.0);
+        assert_eq!(sk.sketch().estimate(3), 2.0);
+        assert_eq!((sk.applied(), sk.mass()), (1, 2.0));
     }
 
     #[test]
     fn empty_stream_yields_empty_sketch() {
-        let ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()));
+        let ingest =
+            ConcurrentIngest::new(EpochHandle::new(AtomicCountMedian::with_backend(&params())));
         let sk = ingest.finish();
         for j in (0..500u64).step_by(31) {
-            assert_eq!(sk.estimate(j), 0.0);
+            assert_eq!(sk.sketch().estimate(j), 0.0);
         }
     }
 
     #[test]
     #[should_panic(expected = "flush threshold must be positive")]
     fn zero_threshold_rejected() {
-        let _ = ConcurrentIngest::new(AtomicCountMedian::with_backend(&params()))
+        let _ = ConcurrentIngest::new(EpochHandle::new(AtomicCountMedian::with_backend(&params())))
             .with_flush_threshold(0);
     }
 }

@@ -3,52 +3,138 @@
 //!
 //! [`ConcurrentIngest`](crate::ConcurrentIngest) writes one shared
 //! `Atomic`-backed sketch from one writer; this module makes it
-//! **readable** while that writer is live. The discipline is a
-//! seqlock built from two pieces the lower layers already own:
+//! **readable** while that writer is live. The discipline is a seqlock,
+//! and every piece of it sits in this file:
 //!
-//! * the storage layer's
-//!   [`EpochCounter`] — a sequence
-//!   that is odd exactly while a flush's write section is open (and
-//!   whose `begin_write` rejects a second, overlapping writer);
-//! * the sketch layer's [`Snapshottable`] — an allocation-free
-//!   cell-by-cell freeze of the counters into a dense view.
+//! * [`EpochCounter`] — a sequence that is odd exactly while a write
+//!   section is open, whose `begin_write` rejects a second, overlapping
+//!   writer and issues the writer's Release fence;
+//! * [`EpochSketch::write`] and [`EpochSketch::absorb_plane`] — the two
+//!   writes, each one write section that also advances the stream
+//!   position (`applied`, `mass`) before it closes;
+//! * the reader's retry loop behind [`EpochSketch::pin`] — read the
+//!   epoch, copy the cells through the sketch layer's
+//!   [`Snapshottable`] freeze, issue the Acquire fence, re-read the
+//!   epoch, retry if a flush intervened.
 //!
-//! [`EpochSketch`] glues them together: it wraps any
-//! [`SharedSketch`] and publishes a write epoch through the
-//! [`SharedSketch::write_epoch`] hook, which `ConcurrentIngest`
-//! brackets around every flush (begin before the first cell write, end
-//! after the last). A reader [`pin`](EpochSketch::pin)s a
-//! [`SnapshotHandle`] with the classic retry loop — read the epoch,
-//! copy the cells, re-read the epoch, retry if a flush intervened — so
-//! every pinned snapshot is a **settled state from between flushes**,
-//! i.e. the sketch of a prefix of the pushed update stream. On integer
-//! streams that makes snapshot queries bit-identical to quiescing the
-//! ingester at the same prefix and querying directly.
+//! [`EpochSketch`] is the plane: a sketch plus its epoch and stream
+//! position. It is not itself a sketch; reads and hashers go through
+//! [`sketch`](EpochSketch::sketch). Every pinned [`SnapshotHandle`] is
+//! a **settled state from between flushes**, i.e. the sketch of a
+//! prefix of the pushed update stream. On integer streams that makes
+//! snapshot queries bit-identical to quiescing the ingester at the same
+//! prefix and querying directly.
 //!
 //! Live reads (single-cell, lock-free) remain available at any moment
 //! through the wrapped sketch; the decision table in ARCHITECTURE.md's
 //! "Query plane" section says which read mode fits which query.
 
-use bas_sketch::storage::EpochCounter;
-use bas_sketch::{
-    AbsorbPlane, MergeError, PointQuerySketch, Reseedable, SharedSketch, Snapshottable,
-};
+use bas_sketch::{AbsorbPlane, MergeError, SharedSketch, Snapshottable};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The seqlock's write-epoch sequence.
+///
+/// Writers bracket each batch of counter mutations (one flush, one
+/// absorbed plane) with [`begin_write`]/[`end_write`]; the sequence is
+/// **odd exactly while a write section is open** and even between
+/// sections. A reader copies the counters and keeps the copy only if
+/// the epoch was even and unchanged across the copy — then the copy
+/// reflects a settled state from *between* write sections, i.e. a
+/// prefix of the applied update stream. The section is also the
+/// single-writer gate of the shared store: a second writer opening an
+/// overlapping section panics.
+///
+/// Because every counter cell is itself an atomic, a racing copy can
+/// never observe a torn *value* — the epoch only rules out a torn
+/// *schedule* (a mix of two write sections).
+///
+/// ```
+/// use bas_pipeline::EpochCounter;
+///
+/// let epoch = EpochCounter::new();
+/// let before = epoch.read();
+/// assert!(!EpochCounter::is_write_open(before));
+/// epoch.begin_write();
+/// assert!(EpochCounter::is_write_open(epoch.read()));
+/// epoch.end_write();
+/// assert_eq!(epoch.read(), before + 2);
+/// ```
+///
+/// [`begin_write`]: EpochCounter::begin_write
+/// [`end_write`]: EpochCounter::end_write
+#[derive(Debug, Default)]
+pub struct EpochCounter {
+    seq: AtomicU64,
+}
+
+impl EpochCounter {
+    /// A fresh counter at epoch 0 (no write section open).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Opens a write section: the sequence becomes odd. Returns the new
+    /// (odd) value. Callers must pair this with
+    /// [`end_write`](EpochCounter::end_write); [`EpochSketch`]'s writes
+    /// do so by RAII.
+    ///
+    /// # Panics
+    /// Panics if a write section is already open. Writers must be
+    /// serialized (ingest drivers take `&mut self` per flush, so this
+    /// only trips when two drivers are mistakenly built over clones of
+    /// one shared sketch) — and overlapping sections would make the
+    /// sequence even *mid-write*, silently handing readers torn
+    /// snapshots, so the overlap is a hard error even in release
+    /// builds.
+    pub fn begin_write(&self) -> u64 {
+        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
+        // Boehm's seqlock writer. The cell writes of the section are
+        // plain Relaxed stores, and the increment above orders only the
+        // stores *before* it. This fence orders the odd sequence before
+        // every store that follows; it pairs with the reader's
+        // `fence(Acquire)` after its cell loads (`EpochSketch::fill`
+        // below): a reader that loads any value stored in this section
+        // re-reads an epoch no older than this odd one, and retries.
+        fence(Ordering::Release);
+        assert!(
+            Self::is_write_open(seq),
+            "overlapping write sections: epoch writers must be serialized"
+        );
+        seq
+    }
+
+    /// Closes the current write section: the sequence becomes even
+    /// again. The `AcqRel` ordering makes every counter store in the
+    /// section visible to a reader that observes the new epoch.
+    pub fn end_write(&self) {
+        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
+        debug_assert!(!Self::is_write_open(seq), "unbalanced end_write");
+    }
+
+    /// The current sequence value (`Acquire`, so cell reads issued
+    /// after it observe at least the state the epoch advertises).
+    pub fn read(&self) -> u64 {
+        self.seq.load(Ordering::Acquire)
+    }
+
+    /// Whether a sequence value was sampled inside a write section.
+    pub fn is_write_open(seq: u64) -> bool {
+        seq % 2 == 1
+    }
+}
+
 /// RAII bracket for one write section of an [`EpochCounter`]: the
 /// epoch turns odd on [`enter`](EpochGuard::enter) and even again on
-/// drop. `ConcurrentIngest` holds one across each flush so snapshot
-/// readers can detect (and retry across) the in-flight counter
-/// mutations.
+/// drop.
 #[derive(Debug)]
-pub struct EpochGuard<'a> {
+struct EpochGuard<'a> {
     epoch: &'a EpochCounter,
 }
 
 impl<'a> EpochGuard<'a> {
     /// Opens a write section on `epoch`.
-    pub fn enter(epoch: &'a EpochCounter) -> Self {
+    fn enter(epoch: &'a EpochCounter) -> Self {
         epoch.begin_write();
         Self { epoch }
     }
@@ -60,18 +146,17 @@ impl Drop for EpochGuard<'_> {
     }
 }
 
-/// A [`SharedSketch`] wrapped with the write-epoch and stream-position
-/// bookkeeping that snapshot readers need.
+/// A shared sketch with the write epoch and stream-position
+/// bookkeeping that snapshot readers need: the served counter plane.
 ///
-/// Construct one around an `Atomic`-backed sketch, put it in an
-/// [`Arc`], and hand clones of the `Arc` to readers while an ingest
+/// Build one through an [`EpochHandle`] around an `Atomic`-backed
+/// sketch and hand clones of the handle to readers while an ingest
 /// driver (typically `ConcurrentIngest`, typically owned by a
 /// `bas_serve::QueryEngine`) feeds it:
 ///
-/// * writers see a [`SharedSketch`] that delegates updates unchanged
-///   and publishes its epoch through
-///   [`SharedSketch::write_epoch`], so every `ConcurrentIngest` flush
-///   is automatically bracketed;
+/// * the writer calls [`write`](EpochSketch::write) once per flush, or
+///   [`absorb_plane`](EpochSketch::absorb_plane) to take in a shipped
+///   plane; each is one write section;
 /// * readers call [`sketch`](EpochSketch::sketch) for lock-free live
 ///   reads, or [`pin`](EpochSketch::pin) /
 ///   [`SnapshotHandle::refresh`] for epoch-consistent frozen views.
@@ -143,6 +228,39 @@ impl<S> EpochSketch<S> {
     /// Unwraps the inner sketch.
     pub fn into_inner(self) -> S {
         self.sketch
+    }
+
+    /// Advances the stream position. Called inside the write section,
+    /// so epoch-consistent readers always see counters and position
+    /// from the same settled state. The section admits one writer
+    /// (an overlapping one panics in [`EpochCounter::begin_write`]), so
+    /// a plain load and store suffice, exactly as for the cells; the
+    /// Release stores let a live [`applied`](EpochSketch::applied)
+    /// reader that sees the new position also see the section's cells.
+    fn advance(&self, updates: u64, mass: f64) {
+        let applied = self.applied.load(Ordering::Relaxed) + updates;
+        self.applied.store(applied, Ordering::Release);
+        let total = f64::from_bits(self.mass_bits.load(Ordering::Relaxed)) + mass;
+        self.mass_bits.store(total.to_bits(), Ordering::Release);
+    }
+}
+
+impl<S: SharedSketch> EpochSketch<S> {
+    /// Applies one flush's batch in **one write section**: the cells
+    /// through the sketch's blocked shared kernel
+    /// ([`SharedSketch::update_batch_shared`]), then the stream
+    /// position by the batch's length and delta sum, then the section
+    /// closes. Seqlock readers therefore only ever capture flush
+    /// *boundaries*: prefixes of the pushed stream, never a mix of an
+    /// in-flight flush.
+    ///
+    /// # Panics
+    /// Panics if another write section is open (see
+    /// [`EpochCounter::begin_write`]).
+    pub fn write(&self, batch: &[(u64, f64)]) {
+        let _section = EpochGuard::enter(&self.epoch);
+        self.sketch.update_batch_shared(batch);
+        self.advance(batch.len() as u64, batch.iter().map(|&(_, d)| d).sum());
     }
 }
 
@@ -233,158 +351,25 @@ impl<S: AbsorbPlane> EpochSketch<S> {
         applied: u64,
         mass: f64,
     ) -> Result<(), MergeError> {
-        let _guard = EpochGuard::enter(&self.epoch);
+        let _section = EpochGuard::enter(&self.epoch);
         self.sketch.absorb_plane_shared(plane)?;
-        SharedSketch::note_applied(self, applied, mass);
+        self.advance(applied, mass);
         Ok(())
     }
 }
 
-impl<S: PointQuerySketch> EpochSketch<S> {
-    /// Exclusive-path stream-position bookkeeping: `&mut self` means no
-    /// reader exists, so plain (`get_mut`) arithmetic suffices — but
-    /// the position must still advance, or later snapshots would
-    /// report an `applied()`/`mass()` that undercounts the counters.
-    fn note_applied_mut(&mut self, updates: u64, mass: f64) {
-        *self.applied.get_mut() += updates;
-        let bits = self.mass_bits.get_mut();
-        *bits = (f64::from_bits(*bits) + mass).to_bits();
-    }
-}
-
-impl<S: PointQuerySketch> PointQuerySketch for EpochSketch<S> {
-    /// Exclusive update, delegated. Possible only while no reader holds
-    /// an `Arc` clone (it needs `&mut`), so no epoch bracket is
-    /// required; the stream position still advances so snapshots keep
-    /// their `applied()`/`mass()` contract.
-    fn update(&mut self, item: u64, delta: f64) {
-        self.sketch.update(item, delta);
-        self.note_applied_mut(1, delta);
-    }
-
-    fn update_batch(&mut self, items: &[(u64, f64)]) {
-        self.sketch.update_batch(items);
-        self.note_applied_mut(items.len() as u64, items.iter().map(|&(_, d)| d).sum());
-    }
-
-    fn estimate(&self, item: u64) -> f64 {
-        self.sketch.estimate(item)
-    }
-
-    fn universe(&self) -> u64 {
-        self.sketch.universe()
-    }
-
-    fn size_in_words(&self) -> usize {
-        self.sketch.size_in_words()
-    }
-
-    fn label(&self) -> &'static str {
-        self.sketch.label()
-    }
-}
-
-impl<S: SharedSketch> SharedSketch for EpochSketch<S> {
-    fn update_shared(&self, item: u64, delta: f64) {
-        self.sketch.update_shared(item, delta);
-    }
-
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
-        self.sketch.update_batch_shared(items);
-    }
-
-    /// Publishes the wrapper's epoch: ingest drivers bracket every
-    /// flush with it, which is what turns raw shared ingest into the
-    /// snapshot-consistent query plane.
-    fn write_epoch(&self) -> Option<&EpochCounter> {
-        Some(&self.epoch)
-    }
-
-    /// Advances the stream position. Called inside the write section,
-    /// so epoch-consistent readers always see counters and position
-    /// from the same settled state. The section admits one writer
-    /// (an overlapping one panics in [`EpochCounter::begin_write`]), so
-    /// a plain load and store suffice, exactly as for the cells; the
-    /// Release stores let a live [`applied`](EpochSketch::applied)
-    /// reader that sees the new position also see the flush's cells.
-    fn note_applied(&self, updates: u64, mass: f64) {
-        let applied = self.applied.load(Ordering::Relaxed) + updates;
-        self.applied.store(applied, Ordering::Release);
-        let total = f64::from_bits(self.mass_bits.load(Ordering::Relaxed)) + mass;
-        self.mass_bits.store(total.to_bits(), Ordering::Release);
-    }
-}
-
-impl<S: Snapshottable> Snapshottable for EpochSketch<S> {
-    type Snapshot = S::Snapshot;
-
-    fn make_snapshot(&self) -> Self::Snapshot {
-        self.sketch.make_snapshot()
-    }
-
-    /// Raw (non-retrying) copy of the current counters; use
-    /// [`EpochSketch::pin`] for the epoch-consistent loop.
-    fn snapshot_into(&self, snap: &mut Self::Snapshot) {
-        self.sketch.snapshot_into(snap);
-    }
-
-    fn estimate_in(&self, snap: &Self::Snapshot, item: u64) -> f64 {
-        self.sketch.estimate_in(snap, item)
-    }
-
-    fn items_at_least_in(
-        &self,
-        snap: &Self::Snapshot,
-        threshold: f64,
-        out: &mut Vec<bas_sketch::HeavyHitter>,
-    ) {
-        self.sketch.items_at_least_in(snap, threshold, out);
-    }
-
-    fn merge_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), bas_sketch::MergeError> {
-        self.sketch.merge_snapshot(snap, other)
-    }
-
-    fn subtract_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), bas_sketch::MergeError> {
-        self.sketch.subtract_snapshot(snap, other)
-    }
-}
-
-impl<S: Reseedable> Reseedable for EpochSketch<S> {
-    fn config(&self) -> bas_sketch::SketchParams {
-        self.sketch.config()
-    }
-
-    /// A **fresh** epoch plane over the reseeded sketch: empty
-    /// counters, epoch 0, nothing applied. Rotation drivers swap this
-    /// in as the next generation's live plane; the old plane (with its
-    /// frozen seed *and* counters) stays queryable through any handles
-    /// still holding it.
-    fn reseeded(&self, seed: u64) -> Self {
-        EpochSketch::new(self.sketch.reseeded(seed))
-    }
-}
-
 /// A cloneable shared handle to an [`EpochSketch`]: the type that lets
-/// a `ConcurrentIngest` own one end of the sketch while any number of
+/// a `ConcurrentIngest` own one end of the plane while any number of
 /// reader handles hold the other — the writer/reader split behind
-/// `bas_serve::QueryEngine`.
+/// `bas_serve::QueryEngine`, whose `handle()` hands one out.
 ///
 /// (A newtype around `Arc<EpochSketch<S>>` rather than the `Arc`
-/// itself because the sketch traits are foreign to this crate — the
-/// orphan rule — and because the handle is the natural home for
+/// itself because the handle is the natural home for
 /// [`pin`](EpochHandle::pin).)
 ///
-/// Derefs to [`EpochSketch`], so live reads, epoch probes and stream
-/// position are all one `.` away.
+/// Derefs to [`EpochSketch`], so live reads
+/// (`handle.sketch().estimate(item)`), epoch probes and stream position
+/// are all one `.` away.
 #[derive(Debug)]
 pub struct EpochHandle<S>(Arc<EpochSketch<S>>);
 
@@ -418,65 +403,6 @@ impl<S> std::ops::Deref for EpochHandle<S> {
 
     fn deref(&self) -> &Self::Target {
         &self.0
-    }
-}
-
-impl<S: PointQuerySketch> PointQuerySketch for EpochHandle<S> {
-    /// # Panics
-    /// Panics if any other handle clone is alive: exclusive updates on
-    /// a shared engine sketch would bypass the epoch discipline. Use
-    /// the shared ingest path instead.
-    fn update(&mut self, item: u64, delta: f64) {
-        Arc::get_mut(&mut self.0)
-            .expect("sketch is shared with reader handles; ingest through the shared path")
-            .update(item, delta);
-    }
-
-    fn estimate(&self, item: u64) -> f64 {
-        self.0.estimate(item)
-    }
-
-    fn universe(&self) -> u64 {
-        self.0.universe()
-    }
-
-    fn size_in_words(&self) -> usize {
-        self.0.size_in_words()
-    }
-
-    fn label(&self) -> &'static str {
-        self.0.label()
-    }
-}
-
-impl<S: SharedSketch + Send> SharedSketch for EpochHandle<S> {
-    fn update_shared(&self, item: u64, delta: f64) {
-        self.0.update_shared(item, delta);
-    }
-
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
-        self.0.update_batch_shared(items);
-    }
-
-    fn write_epoch(&self) -> Option<&EpochCounter> {
-        self.0.write_epoch()
-    }
-
-    fn note_applied(&self, updates: u64, mass: f64) {
-        self.0.note_applied(updates, mass);
-    }
-}
-
-impl<S: Reseedable> Reseedable for EpochHandle<S> {
-    fn config(&self) -> bas_sketch::SketchParams {
-        self.0.config()
-    }
-
-    /// A fresh handle over a fresh [`EpochSketch`] (see
-    /// [`EpochSketch::reseeded`]) — a **new** `Arc`, sharing nothing
-    /// with `self` or its clones.
-    fn reseeded(&self, seed: u64) -> Self {
-        EpochHandle::new(self.0.sketch().reseeded(seed))
     }
 }
 
@@ -561,7 +487,9 @@ impl<S: Snapshottable> SnapshotHandle<S> {
 mod tests {
     use super::*;
     use crate::ConcurrentIngest;
-    use bas_sketch::{AtomicCountMedian, AtomicCountSketch, CountMedian, SketchParams};
+    use bas_sketch::{
+        AtomicCountMedian, AtomicCountSketch, CountMedian, PointQuerySketch, SketchParams,
+    };
 
     fn params() -> SketchParams {
         SketchParams::new(400, 64, 5).with_seed(12)
@@ -571,6 +499,19 @@ mod tests {
         (0..len)
             .map(|i| (i * 13 % 400, (1 + i % 4) as f64))
             .collect()
+    }
+
+    #[test]
+    fn epoch_counter_seqlock_protocol() {
+        let e = EpochCounter::new();
+        assert_eq!(e.read(), 0);
+        assert!(!EpochCounter::is_write_open(e.read()));
+        let odd = e.begin_write();
+        assert_eq!(odd, 1);
+        assert!(EpochCounter::is_write_open(e.read()));
+        e.end_write();
+        assert_eq!(e.read(), 2);
+        assert!(!EpochCounter::is_write_open(e.read()));
     }
 
     #[test]
@@ -639,39 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_shared_sketch_publishes_no_epoch() {
-        let plain = AtomicCountMedian::with_backend(&params());
-        assert!(plain.write_epoch().is_none());
-        plain.note_applied(10, 10.0); // default no-op must not panic
-        let wrapped = EpochSketch::new(plain);
-        assert!(wrapped.write_epoch().is_some());
-    }
-
-    #[test]
-    fn exclusive_update_through_unique_arc_works() {
-        let mut shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        shared.update(3, 5.0);
-        assert_eq!(shared.estimate(3), 5.0);
-        assert_eq!(shared.label(), "CM");
-        assert_eq!(shared.universe(), 400);
-    }
-
-    #[test]
-    fn exclusive_updates_advance_the_stream_position() {
-        // The snapshot contract (`applied()` = exactly the updates the
-        // counters reflect) must survive the exclusive ingest path too.
-        let mut shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        shared.update(3, 5.0);
-        shared.update_batch(&[(4, 2.0), (5, 1.0)]);
-        assert_eq!(shared.applied(), 3);
-        assert_eq!(shared.mass(), 8.0);
-        let snap = shared.pin();
-        assert_eq!(snap.applied(), 3);
-        assert_eq!(snap.mass(), 8.0);
-        assert_eq!(snap.estimate(3), 5.0);
-    }
-
-    #[test]
     #[should_panic(expected = "overlapping write sections")]
     fn overlapping_write_sections_are_a_hard_error() {
         // Raw calls rather than guards: a guard dropped during the
@@ -679,13 +587,5 @@ mod tests {
         let epoch = EpochCounter::new();
         epoch.begin_write();
         epoch.begin_write(); // second writer: must panic
-    }
-
-    #[test]
-    #[should_panic(expected = "shared with reader handles")]
-    fn exclusive_update_through_aliased_arc_panics() {
-        let mut shared = EpochHandle::new(AtomicCountMedian::with_backend(&params()));
-        let _reader = shared.clone();
-        shared.update(3, 5.0);
     }
 }

@@ -33,10 +33,11 @@
 //! * [`ShardedIngest`] — `k` per-thread same-seed shard sketches, `k×`
 //!   the counter memory, each thread taking a slice of the stream, one
 //!   merge at the end.
-//! * [`ConcurrentIngest`] — **one** shared sketch on the storage
-//!   layer's `Atomic` backend, `1×` memory, written by one thread
-//!   through the single-writer [`SharedSketch`](bas_sketch::SharedSketch)
-//!   path while any number of readers copy it; no merge step. A
+//! * [`ConcurrentIngest`] — **one** shared plane, an [`EpochHandle`]
+//!   over a sketch on the storage layer's `Atomic` backend, `1×`
+//!   memory, written by one thread through the single-writer
+//!   [`SharedSketch`](bas_sketch::SharedSketch) path while any number
+//!   of readers copy it; no merge step. A
 //!   width-4096 × depth-9 sketch costs ~288 KiB shared versus ~2.3 MiB
 //!   under 8-way sharding.
 //!
@@ -46,13 +47,17 @@
 //!
 //! ## Reading while writing: the epoch module
 //!
-//! [`epoch`] turns `ConcurrentIngest`'s write-only concurrency into a
-//! full read-while-write **query plane**: wrap the shared sketch in an
-//! [`EpochSketch`] and every flush runs inside a seqlock write section,
-//! so readers can [`pin`](EpochSketch::pin) consistent
+//! [`epoch`] owns the seqlock that makes the shared plane a
+//! read-while-write **query plane**. An [`EpochSketch`] is a sketch plus
+//! its write epoch ([`EpochCounter`]) and stream position, and
+//! `ConcurrentIngest` writes it only through
+//! [`EpochSketch::write`], one seqlock write section per flush, so
+//! readers can [`pin`](EpochSketch::pin) consistent
 //! [`SnapshotHandle`]s — frozen views that always equal the sketch of a
-//! *prefix* of the pushed stream — while writers keep flushing. The
-//! `bas-serve` crate packages this split as a `QueryEngine`.
+//! *prefix* of the pushed stream — while the writer keeps flushing. The
+//! plane is not itself a sketch: reads and hashers go through
+//! [`EpochSketch::sketch`]. The `bas-serve` crate packages this split
+//! as a `QueryEngine`.
 //!
 //! ## Bounded lifetimes: the window module
 //!
@@ -92,6 +97,6 @@ mod sharded;
 pub mod window;
 
 pub use concurrent::ConcurrentIngest;
-pub use epoch::{EpochGuard, EpochHandle, EpochSketch, SnapshotHandle};
+pub use epoch::{EpochCounter, EpochHandle, EpochSketch, SnapshotHandle};
 pub use sharded::ShardedIngest;
 pub use window::{Generation, WindowedIngest};

@@ -132,7 +132,10 @@ struct Rotation {
 /// assert_eq!(sealing.interval(), 4);      // interval 4 is in progress
 /// assert_eq!(sealing.bank().len(), 3);    // the bank holds seals 1, 2, 3
 /// assert_eq!(rotating.generations().count(), 2); // generations 2, 3
-/// assert_eq!(rotating.shared().config().seed, SeedSchedule::new(4).seed_for(4));
+/// assert_eq!(
+///     rotating.shared().sketch().config().seed,
+///     SeedSchedule::new(4).seed_for(4)
+/// );
 ///
 /// // Window = cumulative(now) − sealed(1): intervals 2..=4 only.
 /// let shared = sealing.shared().clone();
@@ -145,7 +148,7 @@ struct Rotation {
 /// ```
 #[derive(Debug)]
 pub struct WindowedIngest<S: SharedSketch + Snapshottable + Reseedable + Send> {
-    ingest: ConcurrentIngest<EpochHandle<S>>,
+    ingest: ConcurrentIngest<S>,
     bank: PlaneBank<S::Snapshot>,
     /// Closed generations, oldest first (empty unless rotating).
     closed: VecDeque<Generation<S>>,
@@ -250,11 +253,11 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
         let closed = self.interval;
         match self.rotation {
             None => {
-                let shared = self.ingest.sketch();
+                let shared = self.ingest.shared();
                 self.bank.seal_with(
                     closed,
-                    shared.config(),
-                    || shared.make_snapshot(),
+                    shared.sketch().config(),
+                    || shared.sketch().make_snapshot(),
                     |slot| {
                         let (_, applied, mass) = shared.pin_into(slot);
                         (applied, mass)
@@ -263,7 +266,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
             }
             Some(rotation) => {
                 let seed = rotation.schedule.seed_for(next);
-                let live = self.live_ingest(self.ingest.sketch().reseeded(seed));
+                let live = self.live_ingest(seed);
                 let handle = std::mem::replace(&mut self.ingest, live).finish();
                 self.close(Generation {
                     interval: closed,
@@ -275,10 +278,10 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
         closed
     }
 
-    /// A live-generation ingester over `live`, with the flush threshold
-    /// override carried over.
-    fn live_ingest(&self, live: EpochHandle<S>) -> ConcurrentIngest<EpochHandle<S>> {
-        let ingest = ConcurrentIngest::new(live);
+    /// An ingester over a fresh live generation under `seed`, with the
+    /// flush threshold override carried over.
+    fn live_ingest(&self, seed: u64) -> ConcurrentIngest<S> {
+        let ingest = ConcurrentIngest::new(self.reseeded(seed));
         match self.flush_threshold {
             Some(updates) => ingest.with_flush_threshold(updates),
             None => ingest,
@@ -293,6 +296,11 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
         while self.closed.len() > retain {
             self.closed.pop_front();
         }
+    }
+
+    /// A fresh, empty plane under `seed` with the live sketch's shape.
+    fn reseeded(&self, seed: u64) -> EpochHandle<S> {
+        EpochHandle::new(self.ingest.shared().sketch().reseeded(seed))
     }
 
     /// Flushes the remainder and returns the live generation's shared
@@ -331,12 +339,12 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
     {
         if let Some(rotation) = self.rotation {
             let seed = rotation.schedule.seed_for(interval);
-            let handle = self.ingest.sketch().reseeded(seed);
+            let handle = self.reseeded(seed);
             handle.absorb_plane(&plane, applied, mass)?;
             self.close(Generation { interval, handle });
             return Ok(());
         }
-        let config = self.ingest.sketch().config();
+        let config = self.ingest.shared().sketch().config();
         let incoming = std::cell::RefCell::new(Some(plane));
         self.bank.seal_with(
             interval,
@@ -396,13 +404,10 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
         }
         if let Some(rotation) = self.rotation {
             let seed = rotation.schedule.seed_for(interval);
-            self.ingest = self.live_ingest(self.ingest.sketch().reseeded(seed));
+            self.ingest = self.live_ingest(seed);
         }
         self.ingest.flush();
-        self.ingest
-            .sketch()
-            .shared()
-            .absorb_plane(plane, applied, mass)?;
+        self.ingest.shared().absorb_plane(plane, applied, mass)?;
         self.interval = interval;
         Ok(())
     }
@@ -436,7 +441,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
     /// reader threads, pin it for consistent snapshots, or read single
     /// cells lock-free.
     pub fn shared(&self) -> &EpochHandle<S> {
-        self.ingest.sketch()
+        self.ingest.shared()
     }
 
     /// Updates applied in completed flushes, over the retained
@@ -444,14 +449,14 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
     /// cumulative), the live and closed generations in a rotating one.
     pub fn applied(&self) -> u64 {
         let closed: u64 = self.closed.iter().map(|g| g.handle.applied()).sum();
-        self.ingest.sketch().applied() + closed
+        self.ingest.shared().applied() + closed
     }
 
     /// Total delta mass applied in completed flushes, over the same
     /// generations as [`applied`](Self::applied).
     pub fn mass(&self) -> f64 {
         let closed: f64 = self.closed.iter().map(|g| g.handle.mass()).sum();
-        self.ingest.sketch().mass() + closed
+        self.ingest.shared().mass() + closed
     }
 
     /// Updates buffered but not yet flushed.
@@ -514,7 +519,7 @@ mod tests {
             // pushed so far, bit for bit (integer deltas).
             for j in (0..N).step_by(13) {
                 assert_eq!(
-                    ingest.shared().estimate_in(seal.plane(), j),
+                    ingest.shared().sketch().estimate_in(seal.plane(), j),
                     reference.estimate(j),
                     "interval {t}, item {j}"
                 );
@@ -538,13 +543,14 @@ mod tests {
         let mut delta = bank.sealed(1).unwrap().plane().clone();
         ingest
             .shared()
+            .sketch()
             .subtract_snapshot(&mut delta, bank.sealed(0).unwrap().plane())
             .unwrap();
         let mut reference = CountMedian::new(&params());
         reference.update_batch(&second);
         for j in 0..N {
             assert_eq!(
-                ingest.shared().estimate_in(&delta, j),
+                ingest.shared().sketch().estimate_in(&delta, j),
                 reference.estimate(j),
                 "item {j}"
             );
@@ -607,10 +613,21 @@ mod tests {
         fixed.update_batch(&updates);
         ring.flush();
         one_seed.flush();
-        assert_eq!(ring.shared().config(), one_seed.shared().config());
+        assert_eq!(
+            ring.shared().sketch().config(),
+            one_seed.shared().sketch().config()
+        );
         for j in 0..N {
-            assert_eq!(ring.shared().estimate(j), fixed.estimate(j), "item {j}");
-            assert_eq!(one_seed.shared().estimate(j), fixed.estimate(j), "item {j}");
+            assert_eq!(
+                ring.shared().sketch().estimate(j),
+                fixed.estimate(j),
+                "item {j}"
+            );
+            assert_eq!(
+                one_seed.shared().sketch().estimate(j),
+                fixed.estimate(j),
+                "item {j}"
+            );
         }
     }
 
@@ -622,19 +639,19 @@ mod tests {
         ring.extend_from_slice(&first);
         ring.advance_interval();
 
-        assert_eq!(ring.shared().config().seed, schedule.seed_for(1));
+        assert_eq!(ring.shared().sketch().config().seed, schedule.seed_for(1));
         assert_eq!(ring.shared().applied(), 0);
         assert!(ring.bank().is_empty());
 
         // The closed generation kept the master seed and exactly the
         // first interval's counters.
         let gen0 = ring.generations().next().expect("kept").handle().clone();
-        assert_eq!(gen0.config().seed, SEED);
+        assert_eq!(gen0.sketch().config().seed, SEED);
         assert_eq!(gen0.applied(), first.len() as u64);
         let mut reference = CountMedian::new(&params());
         reference.update_batch(&first);
         for j in (0..N).step_by(7) {
-            assert_eq!(gen0.estimate(j), reference.estimate(j));
+            assert_eq!(gen0.sketch().estimate(j), reference.estimate(j));
         }
 
         // Later pushes land only in the new generation.
@@ -663,7 +680,7 @@ mod tests {
             reference.update_batch(&interval_stream(t, 500));
             for j in (0..N).step_by(11) {
                 assert_eq!(
-                    generation.handle().estimate(j),
+                    generation.handle().sketch().estimate(j),
                     reference.estimate(j),
                     "interval {t}, item {j}"
                 );
@@ -740,7 +757,10 @@ mod tests {
             assert_eq!(dest.mass(), source.mass());
             assert_eq!(dest.interval(), source.interval());
             assert_eq!(kept(&dest), kept(&source));
-            assert_eq!(dest.shared().config(), source.shared().config());
+            assert_eq!(
+                dest.shared().sketch().config(),
+                source.shared().sketch().config()
+            );
             for j in 0..N {
                 assert_eq!(
                     dest.shared().sketch().estimate(j),
@@ -750,10 +770,13 @@ mod tests {
             }
             // Every closed generation under its own seed, bit for bit.
             for (a, b) in source.generations().zip(dest.generations()) {
-                assert_eq!(a.handle().config(), b.handle().config());
+                assert_eq!(a.handle().sketch().config(), b.handle().sketch().config());
                 assert_eq!(a.handle().applied(), b.handle().applied());
                 for j in 0..N {
-                    let (x, y) = (a.handle().estimate(j), b.handle().estimate(j));
+                    let (x, y) = (
+                        a.handle().sketch().estimate(j),
+                        b.handle().sketch().estimate(j),
+                    );
                     assert_eq!(x.to_bits(), y.to_bits(), "generation {}", a.interval());
                 }
             }
@@ -762,9 +785,12 @@ mod tests {
                 let window = |ring: &WindowedIngest<AtomicCountMedian>| {
                     let mut plane = ring.shared().pin().into_snapshot();
                     let seal = ring.bank().sealed(1).unwrap().plane();
-                    ring.shared().subtract_snapshot(&mut plane, seal).unwrap();
+                    ring.shared()
+                        .sketch()
+                        .subtract_snapshot(&mut plane, seal)
+                        .unwrap();
                     (0..N)
-                        .map(|j| ring.shared().estimate_in(&plane, j))
+                        .map(|j| ring.shared().sketch().estimate_in(&plane, j))
                         .collect::<Vec<_>>()
                 };
                 assert_eq!(window(&dest), window(&source));
@@ -779,7 +805,10 @@ mod tests {
             }
             assert_eq!(kept(&dest), kept(&source));
             assert_eq!(dest.applied(), source.applied());
-            assert_eq!(dest.shared().config(), source.shared().config());
+            assert_eq!(
+                dest.shared().sketch().config(),
+                source.shared().sketch().config()
+            );
         }
     }
 
@@ -809,12 +838,13 @@ mod tests {
             assert_eq!(
                 ingest
                     .shared()
+                    .sketch()
                     .estimate_in(ingest.bank().sealed(5).unwrap().plane(), j),
-                donor.shared().estimate_in(seal.plane(), j),
+                donor.shared().sketch().estimate_in(seal.plane(), j),
                 "item {j}"
             );
         }
-        let empty = ingest.shared().make_snapshot();
+        let empty = ingest.shared().sketch().make_snapshot();
         ingest.restore_live(9, &empty, 0, 0.0).unwrap();
         assert_eq!(ingest.interval(), 9);
     }

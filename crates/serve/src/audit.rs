@@ -96,7 +96,7 @@ impl AuditBudget {
 mod tests {
     use super::*;
     use crate::QueryEngine;
-    use bas_sketch::{AtomicCountMedian, SketchParams};
+    use bas_sketch::{AtomicCountMedian, PointQuerySketch, SketchParams};
 
     fn engine(policy: AuditPolicy) -> QueryEngine<AtomicCountMedian> {
         let params = SketchParams::new(200, 64, 5).with_seed(11);
@@ -131,7 +131,7 @@ mod tests {
         assert!(audited.audited_estimate_live(7).is_err()); // kill switch
         for _ in 0..5 {
             assert_eq!(audited.estimate_live(7), 40.0);
-            assert_eq!(audited.handle().estimate_live(7), 40.0);
+            assert_eq!(audited.handle().sketch().estimate(7), 40.0);
         }
     }
 }

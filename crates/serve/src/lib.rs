@@ -4,16 +4,18 @@
 //! serves queries *out of* one **while a writer is still feeding it**.
 //! A [`QueryEngine`] owns the write side — a
 //! [`WindowedIngest`] whose flushes the calling thread writes into one
-//! shared `Atomic`-backed sketch — and hands out any number of cloneable [`QueryHandle`]s for
-//! the read side. Two read modes, chosen per query:
+//! shared `Atomic`-backed sketch — and [`handle`](QueryEngine::handle)
+//! hands out the live plane's [`EpochHandle`], which any number of
+//! reader threads clone. Two read modes, chosen per query:
 //!
-//! * **live** ([`QueryHandle::estimate_live`]) — reads the atomic cells
-//!   directly, lock-free, never waits. Each cell is one atomic word,
-//!   so a single-cell read is always a real value; a multi-cell
+//! * **live** ([`QueryEngine::estimate_live`], or
+//!   `handle.sketch().estimate(item)` on a handle) — reads the atomic
+//!   cells directly, lock-free, never waits. Each cell is one atomic
+//!   word, so a single-cell read is always a real value; a multi-cell
 //!   estimate may mix counters from an in-flight flush. Right for
 //!   monitoring-grade point reads where a bounded smear across one
 //!   flush is acceptable.
-//! * **snapshot** ([`QueryHandle::pin`]) — freezes an epoch-consistent
+//! * **snapshot** ([`EpochHandle::pin`]) — freezes an epoch-consistent
 //!   dense copy via the seqlock in `bas_pipeline::epoch`. Every pinned
 //!   view equals the sketch of a **prefix** of the pushed stream, so
 //!   multi-cell queries (median-of-rows estimates, heavy-hitter scans,
@@ -116,14 +118,12 @@
 
 mod audit;
 mod error;
-mod estimate;
 mod policy;
 mod rotate;
 mod window;
 
 pub use audit::AuditPolicy;
 pub use error::QueryError;
-pub use estimate::{combine_plane_estimates, heavy_hitters_across};
 pub use policy::{Policy, Sliding, Tumbling, Unbounded};
 pub use rotate::RotatingEngine;
 pub use window::WindowSnapshot;
@@ -136,22 +136,23 @@ use bas_sketch::{
 };
 use bas_stream::StreamUpdate;
 
-/// Every item of a frozen plane whose estimate reaches `phi · mass`,
-/// by decreasing estimate — the heavy-hitter query shared by the
-/// snapshot scan and the one-generation window scan. The scan itself is
-/// the sketch's [`Snapshottable::items_at_least_in`]; this only sorts.
-fn scan_heavy_hitters<S: Snapshottable>(
-    sketch: &S,
-    plane: &S::Snapshot,
+/// Every item whose estimate reaches `phi · mass`, by decreasing
+/// estimate — the heavy-hitter query shared by the snapshot scan and
+/// the window scans. `scan` appends the items at or above the threshold
+/// it is given (a sketch's [`Snapshottable::items_at_least_in`], or a
+/// window's summed estimates); this checks `phi`, answers nothing when
+/// the mass is not positive, and sorts.
+fn scan_heavy_hitters(
     mass: f64,
     phi: f64,
+    scan: impl FnOnce(f64, &mut Vec<HeavyHitter>),
 ) -> Result<Vec<HeavyHitter>, QueryError> {
     QueryError::check_phi(phi)?;
     if mass <= 0.0 {
         return Ok(Vec::new());
     }
     let mut out = Vec::new();
-    sketch.items_at_least_in(plane, phi * mass, &mut out);
+    scan(phi * mass, &mut out);
     out.sort_by(|a, b| b.estimate.total_cmp(&a.estimate).then(a.item.cmp(&b.item)));
     Ok(out)
 }
@@ -159,9 +160,9 @@ fn scan_heavy_hitters<S: Snapshottable>(
 /// A query engine over one concurrently-fed sketch: the write side is
 /// a [`WindowedIngest`] generation ring (one writer, one live counter
 /// plane, plus the seals or closed generations the [`Policy`]
-/// retains), the read side is any number of [`QueryHandle`]s serving
-/// live and snapshot reads — see the crate docs for the mode choice
-/// and the policy choice.
+/// retains), the read side is any number of clones of the live plane's
+/// [`EpochHandle`] serving live and snapshot reads — see the crate docs
+/// for the mode choice and the policy choice.
 ///
 /// The `&mut self` methods are the single-producer write side (hand
 /// the engine to your ingest thread); [`handle`](QueryEngine::handle)
@@ -274,14 +275,15 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
         self.ingest.finish()
     }
 
-    // ---- read side (`&self`; or clone a `QueryHandle` per thread) ----
+    // ---- read side (`&self`; or clone a handle per thread) ----
 
-    /// A cloneable read handle for another thread, over the live plane
-    /// (under [`Policy::Rotating`], the live generation's).
-    pub fn handle(&self) -> QueryHandle<S> {
-        QueryHandle {
-            shared: self.ingest.shared().clone(),
-        }
+    /// The live plane's handle, for another thread (under
+    /// [`Policy::Rotating`], the live generation's):
+    /// `handle.sketch().estimate(item)` is a live lock-free read,
+    /// [`EpochHandle::pin`] an epoch-consistent snapshot, and
+    /// `applied()`/`mass()` the plane's stream position.
+    pub fn handle(&self) -> EpochHandle<S> {
+        self.ingest.shared().clone()
     }
 
     /// Live lock-free point estimate over the retained planes — see the
@@ -293,7 +295,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
         let live = self.ingest.shared().sketch().estimate(item);
         self.ingest
             .generations()
-            .fold(live, |acc, g| acc + g.handle().estimate(item))
+            .fold(live, |acc, g| acc + g.handle().sketch().estimate(item))
     }
 
     /// Pins an epoch-consistent snapshot of the live plane: everything
@@ -325,12 +327,10 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> QueryEngine<S> {
         snap: &SnapshotHandle<S>,
         phi: f64,
     ) -> Result<Vec<HeavyHitter>, QueryError> {
-        scan_heavy_hitters(
-            self.ingest.shared().sketch(),
-            snap.snapshot(),
-            snap.mass(),
-            phi,
-        )
+        let sketch = self.ingest.shared().sketch();
+        scan_heavy_hitters(snap.mass(), phi, |threshold, out| {
+            sketch.items_at_least_in(snap.snapshot(), threshold, out)
+        })
     }
 
     /// Panicking convenience over
@@ -655,70 +655,6 @@ where
     }
 }
 
-/// A cloneable, `Send` read handle to a [`QueryEngine`]'s live plane:
-/// one per reader thread. Offers live estimates and snapshot pins
-/// without touching the write side; under [`Policy::Rotating`] it reads
-/// the live generation it was taken from.
-///
-/// ```
-/// use bas_serve::QueryEngine;
-/// use bas_sketch::{AtomicCountMedian, SketchParams};
-///
-/// let params = SketchParams::new(1_000, 64, 5).with_seed(3);
-/// let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params));
-/// let reader = engine.handle();
-///
-/// std::thread::scope(|scope| {
-///     scope.spawn(move || {
-///         let mut snap = reader.pin(); // consistent even mid-ingest
-///         let _ = reader.estimate_live(7); // lock-free
-///         snap.refresh(); // allocation-free re-pin
-///     });
-///     for i in 0..10_000u64 {
-///         engine.push(i % 1_000, 1.0); // writer keeps writing
-///     }
-/// });
-/// ```
-#[derive(Debug)]
-pub struct QueryHandle<S: SharedSketch + Snapshottable + Send> {
-    shared: EpochHandle<S>,
-}
-
-impl<S: SharedSketch + Snapshottable + Send> Clone for QueryHandle<S> {
-    fn clone(&self) -> Self {
-        Self {
-            shared: self.shared.clone(),
-        }
-    }
-}
-
-impl<S: SharedSketch + Snapshottable + Send> QueryHandle<S> {
-    /// Live lock-free point estimate.
-    pub fn estimate_live(&self, item: u64) -> f64 {
-        self.shared.sketch().estimate(item)
-    }
-
-    /// Pins an epoch-consistent snapshot.
-    pub fn pin(&self) -> SnapshotHandle<S> {
-        self.shared.pin()
-    }
-
-    /// Updates applied in completed flushes.
-    pub fn applied(&self) -> u64 {
-        self.shared.applied()
-    }
-
-    /// Total delta mass applied in completed flushes.
-    pub fn mass(&self) -> f64 {
-        self.shared.mass()
-    }
-
-    /// The shared sketch (hash functions + live counters).
-    pub fn sketch(&self) -> &S {
-        self.shared.sketch()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,7 +692,7 @@ mod tests {
         let total_mass: f64 = updates.iter().map(|&(_, d)| d).sum();
         let mut engine = QueryEngine::new(AtomicCountMedian::with_backend(&params()))
             .with_flush_threshold(2_000);
-        let readers: Vec<QueryHandle<_>> = (0..2).map(|_| engine.handle()).collect();
+        let readers: Vec<EpochHandle<_>> = (0..2).map(|_| engine.handle()).collect();
         std::thread::scope(|scope| {
             for reader in readers {
                 scope.spawn(move || {
@@ -768,7 +704,7 @@ mod tests {
                         assert!(snap.mass() <= total_mass + 1e-9, "round {round}");
                         for j in (0..500u64).step_by(41) {
                             assert!(snap.estimate(j) <= snap.mass() + 1e-9);
-                            let _ = reader.estimate_live(j);
+                            let _ = reader.sketch().estimate(j);
                         }
                     }
                 });
@@ -823,7 +759,7 @@ mod tests {
         engine.push(3, 4.0);
         let shared = engine.finish();
         assert_eq!(shared.sketch().estimate(3), 4.0);
-        assert_eq!(reader.estimate_live(3), 4.0);
+        assert_eq!(reader.sketch().estimate(3), 4.0);
         assert_eq!(reader.pin().estimate(3), 4.0);
     }
 
@@ -1129,14 +1065,14 @@ mod tests {
         assert_eq!((engine.mass(), engine.applied()), (27.0, 5));
         // `pin` and `handle` read the live generation alone.
         assert_eq!(engine.pin().estimate(7), 5.0);
-        assert_eq!(engine.handle().estimate_live(7), 5.0);
+        assert_eq!(engine.handle().sketch().estimate(7), 5.0);
 
         // Generation g runs under seed_for(g).
         let schedule = bas_hash::SeedSchedule::new(77);
         assert_eq!(engine.sketch().config().seed, schedule.seed_for(4));
         let seeds: Vec<u64> = engine
             .generations()
-            .map(|g| g.handle().config().seed)
+            .map(|g| g.handle().sketch().config().seed)
             .collect();
         assert_eq!(seeds, [schedule.seed_for(2), schedule.seed_for(3)]);
     }

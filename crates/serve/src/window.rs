@@ -2,7 +2,6 @@
 //! window.
 
 use crate::error::QueryError;
-use crate::estimate::heavy_hitters_across;
 use bas_pipeline::EpochHandle;
 use bas_sketch::{
     CounterBackend, HeavyHitter, PointQuerySketch, RangeSumSketch, Reseedable, SealedPlane,
@@ -54,7 +53,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowSnapshot<S> {
     /// An unpinned window with a plane buffer for `live`.
     pub(crate) fn new(live: &EpochHandle<S>) -> Self {
         Self {
-            live: (live.clone(), live.make_snapshot()),
+            live: (live.clone(), live.sketch().make_snapshot()),
             closed: Vec::new(),
             start_interval: 0,
             end_interval: 0,
@@ -76,7 +75,8 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowSnapshot<S> {
         let (_, applied, mass) = repin(&mut self.live, live);
         (self.applied, self.mass) = match cut {
             Some(seal) => {
-                live.subtract_snapshot(&mut self.live.1, seal.plane())
+                live.sketch()
+                    .subtract_snapshot(&mut self.live.1, seal.plane())
                     .expect("servable sketches subtract exactly");
                 (applied - seal.applied(), mass - seal.mass())
             }
@@ -85,7 +85,8 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowSnapshot<S> {
         let (mut held, mut closed_applied, mut closed_mass) = (0, 0u64, -0.0f64);
         for handle in closed {
             if held == self.closed.len() {
-                self.closed.push((handle.clone(), handle.make_snapshot()));
+                self.closed
+                    .push((handle.clone(), handle.sketch().make_snapshot()));
             }
             let (_, a, m) = repin(&mut self.closed[held], handle);
             (closed_applied, closed_mass) = (closed_applied + a, closed_mass + m);
@@ -114,19 +115,25 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowSnapshot<S> {
     /// Heavy hitters of the window: every item whose window estimate
     /// reaches `phi` times the window's mass, sorted by decreasing
     /// estimate. One plane is scanned by
-    /// [`Snapshottable::items_at_least_in`]; several are summed in
-    /// estimate space ([`heavy_hitters_across`]). An empty (or
-    /// net-non-positive) window has no heavy hitters.
+    /// [`Snapshottable::items_at_least_in`]; several (a rotating
+    /// window's generations, each under its own seed) scan the universe
+    /// through [`estimate`](Self::estimate), the same per-plane sum that
+    /// window points answer. An empty (or net-non-positive) window has
+    /// no heavy hitters.
     ///
     /// # Errors
     /// Returns [`QueryError::InvalidPhi`] unless `0 < phi < 1`.
     pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<HeavyHitter>, QueryError> {
-        if self.closed.is_empty() {
-            let (owner, plane) = &self.live;
-            return crate::scan_heavy_hitters(owner.sketch(), plane, self.mass, phi);
-        }
-        let entries: Vec<_> = self.planes().collect();
-        heavy_hitters_across(&entries, self.mass, phi)
+        let (owner, plane) = &self.live;
+        crate::scan_heavy_hitters(self.mass, phi, |threshold, out| {
+            if self.closed.is_empty() {
+                return owner.sketch().items_at_least_in(plane, threshold, out);
+            }
+            out.extend((0..owner.sketch().universe()).filter_map(|item| {
+                let estimate = self.estimate(item);
+                (estimate >= threshold).then_some(HeavyHitter { item, estimate })
+            }));
+        })
     }
 
     /// The frozen planes, each with the sketch whose hashers address
@@ -134,8 +141,8 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowSnapshot<S> {
     /// first. A fixed-seed window holds exactly one. Counter-space
     /// combination is sound only between planes whose configs pass
     /// [`SketchParams::check_counter_compatible`](bas_sketch::SketchParams::check_counter_compatible);
-    /// otherwise combine their **estimates** (see
-    /// [`crate::combine_plane_estimates`]).
+    /// otherwise combine their **estimates**, as
+    /// [`estimate`](Self::estimate) does.
     pub fn planes(&self) -> impl Iterator<Item = (&S, &S::Snapshot)> {
         std::iter::once(&self.live)
             .chain(&self.closed)

@@ -65,12 +65,39 @@ impl FabricConfig {
     }
 }
 
-/// One tenant's fabric-side state: spec, quota bookkeeping, engine.
+/// One tenant's fabric-side state: hosting shard, spec, quota
+/// bookkeeping, engine.
 #[derive(Debug)]
 struct Tenant {
+    shard: u64,
     spec: TenantSpec,
     admitted_in_interval: u64,
     slot: EngineSlot,
+}
+
+impl Tenant {
+    /// Ships this tenant's engine through the real wire format —
+    /// export, frame, meter the bytes, deframe, install — and swaps the
+    /// installed engine in only once the install succeeds. Returns the
+    /// framed byte count.
+    fn ship(&mut self, config: &FabricConfig, meter: &mut CommMeter) -> Result<u64, ErrorReply> {
+        let tenant = self.spec.tenant;
+        let transfer = self
+            .slot
+            .export(self.spec, config.params.with_seed(self.spec.seed));
+        let mut buf = Vec::new();
+        let bytes = wire::write_frame(&mut buf, &transfer)
+            .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} export: {e}")))?;
+        let words = (bytes as u64).div_ceil(8);
+        meter.record_upload(words);
+        let shipped: TenantTransfer = wire::read_frame(&mut &buf[..], config.max_frame_bytes)
+            .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} transfer: {e}")))?
+            .ok_or_else(|| ErrorReply::new("protocol", "empty transfer stream"))?;
+        meter.record_download(words);
+        self.slot = EngineSlot::install(&shipped, config.params)?;
+        self.spec = shipped.spec;
+        Ok(bytes as u64)
+    }
 }
 
 /// A record of one tenant move in a [`RebalanceReport`].
@@ -98,12 +125,11 @@ pub struct RebalanceReport {
 #[derive(Debug)]
 pub struct Fabric {
     config: FabricConfig,
+    /// Shard membership and placement.
     ring: PlacementRing,
-    /// Tenants per shard (`BTreeMap` for deterministic rebalance
-    /// order).
-    shards: BTreeMap<u64, BTreeMap<u64, Tenant>>,
-    /// Tenant → hosting shard.
-    assignments: BTreeMap<u64, u64>,
+    /// Every tenant with its hosting shard (`BTreeMap` for
+    /// deterministic rebalance order).
+    tenants: BTreeMap<u64, Tenant>,
     meter: CommMeter,
 }
 
@@ -114,65 +140,13 @@ fn unknown_tenant(tenant: u64) -> ErrorReply {
     )
 }
 
-/// An internal-consistency failure: the placement map and the shard
-/// map disagree about where a tenant lives.
-///
-/// These states are unreachable through the public API, but a
-/// connection-per-thread daemon cannot afford to panic on them — a
-/// panic kills the worker thread and poisons the shared fabric lock
-/// for every other connection. Every structural lookup therefore
-/// surfaces the disagreement as a typed error, which [`Fabric::handle`]
-/// converts into a [`Response::Error`] with code `fabric_inconsistent`
-/// so the one affected request fails while the daemon keeps serving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricError {
-    /// The placement map names a shard the shard map does not contain.
-    ShardMissing {
-        /// Tenant whose lookup failed.
-        tenant: u64,
-        /// The shard the placement map claims hosts it.
-        shard: u64,
-    },
-    /// The shard exists but does not host the tenant assigned to it.
-    TenantMissing {
-        /// Tenant whose lookup failed.
-        tenant: u64,
-        /// The shard the placement map claims hosts it.
-        shard: u64,
-    },
-}
-
-impl std::fmt::Display for FabricError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::ShardMissing { tenant, shard } => write!(
-                f,
-                "placement maps tenant {tenant} to shard {shard}, which is not in the shard map"
-            ),
-            Self::TenantMissing { tenant, shard } => write!(
-                f,
-                "placement maps tenant {tenant} to shard {shard}, which does not host it"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FabricError {}
-
-impl From<FabricError> for ErrorReply {
-    fn from(e: FabricError) -> Self {
-        ErrorReply::new("fabric_inconsistent", e.to_string())
-    }
-}
-
 impl Fabric {
     /// An empty fabric (no shards, no tenants).
     pub fn new(config: FabricConfig) -> Self {
         Self {
             config,
             ring: PlacementRing::new(),
-            shards: BTreeMap::new(),
-            assignments: BTreeMap::new(),
+            tenants: BTreeMap::new(),
             meter: CommMeter::new(),
         }
     }
@@ -195,20 +169,18 @@ impl Fabric {
 
     /// Number of registered tenants.
     pub fn tenant_count(&self) -> usize {
-        self.assignments.len()
+        self.tenants.len()
     }
 
     /// The shard currently hosting a tenant.
     pub fn shard_of(&self, tenant: u64) -> Option<u64> {
-        self.assignments.get(&tenant).copied()
+        self.tenants.get(&tenant).map(|t| t.shard)
     }
 
     /// Tenant ids hosted on a shard, in id order.
     pub fn tenants_on(&self, shard: u64) -> Vec<u64> {
-        self.shards
-            .get(&shard)
-            .map(|t| t.keys().copied().collect())
-            .unwrap_or_default()
+        let hosted = self.tenants.iter().filter(|(_, t)| t.shard == shard);
+        hosted.map(|(&id, _)| id).collect()
     }
 
     // ---- shard membership ----
@@ -234,7 +206,6 @@ impl Fabric {
             ));
         }
         self.ring.add_shard(id, weight);
-        self.shards.entry(id).or_default();
         self.rebalance_to_ring()
     }
 
@@ -250,7 +221,7 @@ impl Fabric {
                 format!("shard {id} is not in the ring"),
             ));
         }
-        let hosted = self.shards.get(&id).map_or(0, BTreeMap::len);
+        let hosted = self.tenants.values().filter(|t| t.shard == id).count();
         if hosted > 0 && self.ring.len() == 1 {
             return Err(ErrorReply::new(
                 "unsupported",
@@ -258,89 +229,30 @@ impl Fabric {
             ));
         }
         self.ring.remove_shard(id);
-        let report = self.rebalance_to_ring()?;
-        let drained = self.shards.remove(&id);
-        debug_assert!(drained.map(|t| t.is_empty()).unwrap_or(true));
-        Ok(report)
+        self.rebalance_to_ring()
     }
 
     /// Ships every tenant whose current shard disagrees with the ring
-    /// to where the ring says it belongs.
+    /// to where the ring says it belongs, in tenant-id order.
     fn rebalance_to_ring(&mut self) -> Result<RebalanceReport, ErrorReply> {
         let mut report = RebalanceReport::default();
-        let tenants: Vec<u64> = self.assignments.keys().copied().collect();
-        for tenant in tenants {
-            let from = self.assignments[&tenant];
+        for (&tenant, t) in &mut self.tenants {
             let to = self
                 .ring
                 .place(tenant)
                 .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-            if to == from {
+            if to == t.shard {
                 continue;
             }
-            let bytes = self.ship_tenant(tenant, from, to)?;
-            report.bytes_shipped += bytes;
-            report.moved.push(TenantMove { tenant, from, to });
+            report.bytes_shipped += t.ship(&self.config, &mut self.meter)?;
+            report.moved.push(TenantMove {
+                tenant,
+                from: t.shard,
+                to,
+            });
+            t.shard = to;
         }
         Ok(report)
-    }
-
-    /// Moves one tenant between shards through the real wire format:
-    /// export, frame, meter the bytes, deframe, install, and only then
-    /// drop the source engine. Returns the framed byte count.
-    fn ship_tenant(&mut self, tenant: u64, from: u64, to: u64) -> Result<u64, ErrorReply> {
-        let transfer = {
-            let t = self
-                .shards
-                .get_mut(&from)
-                .ok_or(FabricError::ShardMissing {
-                    tenant,
-                    shard: from,
-                })?
-                .get_mut(&tenant)
-                .ok_or(FabricError::TenantMissing {
-                    tenant,
-                    shard: from,
-                })?;
-            t.slot
-                .export(t.spec, self.config.params.with_seed(t.spec.seed))
-        };
-        let mut buf = Vec::new();
-        let bytes = wire::write_frame(&mut buf, &transfer)
-            .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} export: {e}")))?;
-        let words = (bytes as u64).div_ceil(8);
-        self.meter.record_upload(words);
-        let shipped: TenantTransfer = wire::read_frame(&mut &buf[..], self.config.max_frame_bytes)
-            .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} transfer: {e}")))?
-            .ok_or_else(|| ErrorReply::new("protocol", "empty transfer stream"))?;
-        self.meter.record_download(words);
-        let slot = EngineSlot::install(&shipped, self.config.params.clone())?;
-        let spec = shipped.spec;
-        let admitted = {
-            let old = self
-                .shards
-                .get_mut(&from)
-                .ok_or(FabricError::ShardMissing {
-                    tenant,
-                    shard: from,
-                })?
-                .remove(&tenant)
-                .ok_or(FabricError::TenantMissing {
-                    tenant,
-                    shard: from,
-                })?;
-            old.admitted_in_interval
-        };
-        self.shards.entry(to).or_default().insert(
-            tenant,
-            Tenant {
-                spec,
-                admitted_in_interval: admitted,
-                slot,
-            },
-        );
-        self.assignments.insert(tenant, to);
-        Ok(bytes as u64)
     }
 
     // ---- tenant lifecycle ----
@@ -352,7 +264,7 @@ impl Fabric {
     /// `tenant_exists` if the id is taken, `protocol` if the ring is
     /// empty, `bad_query`/`unsupported` for invalid specs.
     pub fn register_tenant(&mut self, spec: TenantSpec) -> Result<u64, ErrorReply> {
-        if self.assignments.contains_key(&spec.tenant) {
+        if self.tenants.contains_key(&spec.tenant) {
             return Err(ErrorReply::new(
                 "tenant_exists",
                 format!("tenant {} is already registered", spec.tenant),
@@ -363,15 +275,15 @@ impl Fabric {
             .place(spec.tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
         let slot = EngineSlot::build(&spec, self.config.params.clone())?;
-        self.shards.entry(shard).or_default().insert(
+        self.tenants.insert(
             spec.tenant,
             Tenant {
+                shard,
                 spec,
                 admitted_in_interval: 0,
                 slot,
             },
         );
-        self.assignments.insert(spec.tenant, shard);
         Ok(shard)
     }
 
@@ -380,7 +292,7 @@ impl Fabric {
     /// rebuilt by linearity.
     pub fn install_tenant(&mut self, transfer: &TenantTransfer) -> Result<u64, ErrorReply> {
         let tenant = transfer.spec.tenant;
-        if self.assignments.contains_key(&tenant) {
+        if self.tenants.contains_key(&tenant) {
             return Err(ErrorReply::new(
                 "tenant_exists",
                 format!("tenant {tenant} is already registered"),
@@ -391,15 +303,15 @@ impl Fabric {
             .place(tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
         let slot = EngineSlot::install(transfer, self.config.params.clone())?;
-        self.shards.entry(shard).or_default().insert(
+        self.tenants.insert(
             tenant,
             Tenant {
+                shard,
                 spec: transfer.spec,
                 admitted_in_interval: 0,
                 slot,
             },
         );
-        self.assignments.insert(tenant, shard);
         Ok(shard)
     }
 
@@ -410,7 +322,7 @@ impl Fabric {
 
     /// All registered tenant ids, in id order.
     pub fn tenant_ids(&self) -> Vec<u64> {
-        self.assignments.keys().copied().collect()
+        self.tenants.keys().copied().collect()
     }
 
     /// Closes the open interval of every tenant (flushing pending
@@ -422,50 +334,25 @@ impl Fabric {
     /// `u64::MAX`) is left unchanged and out of the list.
     pub fn quiesce(&mut self) -> Vec<(u64, u64)> {
         let mut sealed = Vec::new();
-        for shard in self.shards.values_mut() {
-            for (tenant, t) in shard.iter_mut() {
-                if let Ok(interval) = t.slot.advance_interval(*tenant) {
-                    t.admitted_in_interval = 0;
-                    sealed.push((*tenant, interval));
-                }
+        for (&tenant, t) in &mut self.tenants {
+            if let Ok(interval) = t.slot.advance_interval(tenant) {
+                t.admitted_in_interval = 0;
+                sealed.push((tenant, interval));
             }
         }
-        sealed.sort_unstable();
         sealed
     }
 
-    /// Test-only: points the placement map at `shard` for `tenant`
-    /// without moving the engine, manufacturing exactly the
-    /// placement/shard-map disagreement [`FabricError`] guards against.
-    #[doc(hidden)]
-    pub fn desync_assignment_for_test(&mut self, tenant: u64, shard: u64) {
-        self.assignments.insert(tenant, shard);
-    }
-
     fn tenant(&self, tenant: u64) -> Result<&Tenant, ErrorReply> {
-        let shard = *self
-            .assignments
+        self.tenants
             .get(&tenant)
-            .ok_or_else(|| unknown_tenant(tenant))?;
-        Ok(self
-            .shards
-            .get(&shard)
-            .ok_or(FabricError::ShardMissing { tenant, shard })?
-            .get(&tenant)
-            .ok_or(FabricError::TenantMissing { tenant, shard })?)
+            .ok_or_else(|| unknown_tenant(tenant))
     }
 
     fn tenant_mut(&mut self, tenant: u64) -> Result<&mut Tenant, ErrorReply> {
-        let shard = *self
-            .assignments
-            .get(&tenant)
-            .ok_or_else(|| unknown_tenant(tenant))?;
-        Ok(self
-            .shards
-            .get_mut(&shard)
-            .ok_or(FabricError::ShardMissing { tenant, shard })?
+        self.tenants
             .get_mut(&tenant)
-            .ok_or(FabricError::TenantMissing { tenant, shard })?)
+            .ok_or_else(|| unknown_tenant(tenant))
     }
 
     // ---- the request plane ----
@@ -525,7 +412,7 @@ impl Fabric {
                 }
                 Ok(t) => Response::Stats(StatsReply {
                     tenant,
-                    shard: self.assignments[&tenant],
+                    shard: t.shard,
                     applied: t.slot.applied(),
                     mass: t.slot.mass(),
                     pending: t.slot.pending(),

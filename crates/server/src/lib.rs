@@ -53,7 +53,7 @@ pub mod wire;
 pub use connection::{
     call, call_with_retry, serve_connection, Client, IngestBatcher, RetryError, RetryPolicy,
 };
-pub use fabric::{Fabric, FabricConfig, FabricError, RebalanceReport, TenantMove};
+pub use fabric::{Fabric, FabricConfig, RebalanceReport, TenantMove};
 pub use listener::{
     ConnectionError, Daemon, DaemonConfig, Deadlines, SharedFabric, ShutdownReport,
 };

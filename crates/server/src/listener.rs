@@ -220,8 +220,8 @@ impl From<WireError> for ConnectionError {
 /// client controls how long the lock is held. A poisoned lock (a panic
 /// in a holder) is recovered by taking the inner value: `handle` is
 /// panic-free by construction (every failure is a typed
-/// `Response::Error`, see [`FabricError`](crate::fabric::FabricError)),
-/// so the state under a poison marker is still consistent.
+/// `Response::Error`), so the state under a poison marker is still
+/// consistent.
 #[derive(Debug, Clone)]
 pub struct SharedFabric(Arc<Mutex<Fabric>>);
 
@@ -271,6 +271,11 @@ impl Service {
     /// `compact` is atomic (write-to-temp + rename), so a kill at any
     /// point leaves a recoverable journal on disk.
     fn handle(&self, req: Request) -> Response {
+        // Without a journal there is no record to build (an `Install`'s
+        // would clone its whole transfer).
+        let Some(journal) = &self.journal else {
+            return self.fabric.handle(req);
+        };
         let record = match &req {
             Request::Register(spec) => Some(JournalRecord::TenantRegistered(*spec)),
             Request::Install(transfer) => Some(JournalRecord::Checkpoint(transfer.clone())),
@@ -278,23 +283,21 @@ impl Service {
             _ => None,
         };
         let resp = self.fabric.handle(req);
-        if let (Some(record), Some(journal)) = (record, &self.journal) {
-            let acknowledged = !matches!(resp, Response::Error(_));
-            if acknowledged {
-                let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
-                // Journal I/O failure must not corrupt the serving
-                // path; the daemon keeps answering and the operator
-                // sees the failure at shutdown/compaction.
-                let _ = journal.append(&record);
-                let over_records = self
-                    .compact_after_records
-                    .is_some_and(|limit| journal.records() >= limit);
-                let over_bytes = self
-                    .compact_after_bytes
-                    .is_some_and(|limit| journal.bytes() >= limit);
-                if over_records || over_bytes {
-                    let _ = self.fabric.with(|f| journal.compact(f));
-                }
+        let acknowledged = !matches!(resp, Response::Error(_));
+        if let Some(record) = record.filter(|_| acknowledged) {
+            let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
+            // Journal I/O failure must not corrupt the serving
+            // path; the daemon keeps answering and the operator
+            // sees the failure at shutdown/compaction.
+            let _ = journal.append(&record);
+            let over_records = self
+                .compact_after_records
+                .is_some_and(|limit| journal.records() >= limit);
+            let over_bytes = self
+                .compact_after_bytes
+                .is_some_and(|limit| journal.bytes() >= limit);
+            if over_records || over_bytes {
+                let _ = self.fabric.with(|f| journal.compact(f));
             }
         }
         resp

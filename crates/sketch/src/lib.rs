@@ -119,8 +119,8 @@ pub use heavy_hitters::{HeavyHitter, HeavyHitters};
 pub use range_sum::{LayoutError, RangeSumSketch};
 pub use snapshot::{AbsorbPlane, Snapshottable};
 pub use storage::{
-    Atomic, CounterBackend, CounterMatrix, CounterValue, Dense, EpochCounter, PlaneBank,
-    SealedPlane, SharedBackend,
+    Atomic, CounterBackend, CounterMatrix, CounterValue, Dense, PlaneBank, SealedPlane,
+    SharedBackend,
 };
 pub use traits::{
     MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,

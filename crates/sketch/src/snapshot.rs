@@ -25,9 +25,8 @@
 //!   reach the threshold, answering bit-for-bit what the default does;
 //! * [`Snapshottable::merge_snapshot`] adds one snapshot into another —
 //!   linearity (`Φx = Φx¹ + Φx²`) holds at the snapshot level exactly
-//!   as it does at the sketch level, which is what lets an
-//!   estimate-space sum merge a run of same-config planes first
-//!   (`bas_serve::combine_plane_estimates`);
+//!   as it does at the sketch level (planes under different seeds
+//!   refuse to merge; a rotating window sums their estimates instead);
 //! * [`Snapshottable::subtract_snapshot`] is its inverse — by the same
 //!   linearity, `Φx^{(a,b]} = Φx^{(0,b]} − Φx^{(0,a]}`, so the sketch
 //!   of a **time window** is one subtraction of two cumulative

@@ -20,9 +20,9 @@
 //!   loads/stores through `get_mut`); *shared* (`&self`) access lets
 //!   **one writer** add into the cells while any number of readers copy
 //!   them ([`SharedBackend`]). This is the served store: ingest drivers
-//!   (`bas_pipeline::ConcurrentIngest`) write it inside an
-//!   [`EpochCounter`] write section, and seqlock readers pin snapshots
-//!   of it between sections.
+//!   (`bas_pipeline::ConcurrentIngest`) write it inside a write section
+//!   of the seqlock in `bas_pipeline::epoch`, and seqlock readers pin
+//!   snapshots of it between sections.
 //!
 //! Both backends run one blocked row-major batch kernel
 //! ([`CounterMatrix::apply_rows_blocked`] and its shared form
@@ -51,101 +51,7 @@
 //! order. The property tests in `tests/concurrent_ingest.rs` pin that
 //! down.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-
-/// A seqlock-style write-epoch sequence published by shared sketches to
-/// snapshot readers.
-///
-/// Writers bracket each batch of counter mutations (e.g. one
-/// `ConcurrentIngest` flush) with [`begin_write`]/[`end_write`]; the
-/// sequence is **odd exactly while a write section is open** and even
-/// between sections. A reader copies the counters and keeps the copy
-/// only if the epoch was even and unchanged across the copy — then the
-/// copy reflects a settled state from *between* write sections, i.e. a
-/// prefix of the applied update stream. The retry loop lives in
-/// `bas_pipeline::epoch`; this type is the writer half the storage
-/// layer owns. The section is also the single-writer gate of the
-/// shared store: a second writer opening an overlapping section panics.
-///
-/// Because every counter cell is itself an atomic, a racing copy can
-/// never observe a torn *value* — the epoch only rules out a torn
-/// *schedule* (a mix of two write sections).
-///
-/// ```
-/// use bas_sketch::storage::EpochCounter;
-///
-/// let epoch = EpochCounter::new();
-/// let before = epoch.read();
-/// assert!(!EpochCounter::is_write_open(before));
-/// epoch.begin_write();
-/// assert!(EpochCounter::is_write_open(epoch.read()));
-/// epoch.end_write();
-/// assert_eq!(epoch.read(), before + 2);
-/// ```
-///
-/// [`begin_write`]: EpochCounter::begin_write
-/// [`end_write`]: EpochCounter::end_write
-#[derive(Debug, Default)]
-pub struct EpochCounter {
-    seq: AtomicU64,
-}
-
-impl EpochCounter {
-    /// A fresh counter at epoch 0 (no write section open).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Opens a write section: the sequence becomes odd. Returns the new
-    /// (odd) value. Callers must pair this with
-    /// [`end_write`](EpochCounter::end_write); `bas_pipeline`'s
-    /// `EpochGuard` does so by RAII.
-    ///
-    /// # Panics
-    /// Panics if a write section is already open. Writers must be
-    /// serialized (ingest drivers take `&mut self` per flush, so this
-    /// only trips when two drivers are mistakenly built over clones of
-    /// one shared sketch) — and overlapping sections would make the
-    /// sequence even *mid-write*, silently handing readers torn
-    /// snapshots, so the overlap is a hard error even in release
-    /// builds.
-    pub fn begin_write(&self) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
-        // Boehm's seqlock writer. The cell writes of the section are
-        // plain Relaxed stores, and the increment above orders only the
-        // stores *before* it. This fence orders the odd sequence before
-        // every store that follows; it pairs with the reader's
-        // `fence(Acquire)` after its cell loads (`EpochSketch::fill` in
-        // `bas_pipeline`): a reader that loads any value stored in this
-        // section re-reads an epoch no older than this odd one, and
-        // retries.
-        fence(Ordering::Release);
-        assert!(
-            Self::is_write_open(seq),
-            "overlapping write sections: epoch writers must be serialized"
-        );
-        seq
-    }
-
-    /// Closes the current write section: the sequence becomes even
-    /// again. The `AcqRel` ordering makes every counter store in the
-    /// section visible to a reader that observes the new epoch.
-    pub fn end_write(&self) {
-        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
-        debug_assert!(!Self::is_write_open(seq), "unbalanced end_write");
-    }
-
-    /// The current sequence value (`Acquire`, so cell reads issued
-    /// after it observe at least the state the epoch advertises).
-    pub fn read(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
-    }
-
-    /// Whether a sequence value was sampled inside a write section.
-    pub fn is_write_open(seq: u64) -> bool {
-        seq % 2 == 1
-    }
-}
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A primitive that can live in a counter cell: copyable, zeroable,
 /// addable, and bit-castable to `u64` for the atomic backend.
@@ -1671,19 +1577,6 @@ mod tests {
         let mut buf2 = Vec::with_capacity(32);
         d.store.snapshot_into(&mut buf2);
         assert_eq!(buf2, d.snapshot());
-    }
-
-    #[test]
-    fn epoch_counter_seqlock_protocol() {
-        let e = EpochCounter::new();
-        assert_eq!(e.read(), 0);
-        assert!(!EpochCounter::is_write_open(e.read()));
-        let odd = e.begin_write();
-        assert_eq!(odd, 1);
-        assert!(EpochCounter::is_write_open(e.read()));
-        e.end_write();
-        assert_eq!(e.read(), 2);
-        assert!(!EpochCounter::is_write_open(e.read()));
     }
 
     #[test]

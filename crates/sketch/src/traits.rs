@@ -1,6 +1,5 @@
 //! Shared configuration, traits and errors for all sketches.
 
-use crate::storage::EpochCounter;
 use bas_hash::HashKind;
 
 /// Configuration shared by every sketch in the workspace.
@@ -69,7 +68,9 @@ impl SketchParams {
     /// mismatch is a typed error, never a silent blend. This is the one
     /// check behind every merge, subtraction and inner product of the
     /// grid sketches. Heterogeneous-seed planes combine in *estimate
-    /// space* instead (`bas_serve::combine_plane_estimates`).
+    /// space* instead: a rotating window sums each generation's
+    /// estimate, read through its own hashers
+    /// (`bas_serve::WindowSnapshot::estimate`).
     ///
     /// # Errors
     /// [`MergeError::ShapeMismatch`] when widths, depths, or universes
@@ -270,8 +271,8 @@ pub trait PointQuerySketch {
 /// a second writer arriving while the claim is held panics before it
 /// writes a cell. Under that contract shared ingest is **bit-for-bit**
 /// equal to sequential ingest for every delta, integer or fractional.
-/// Ingest drivers also open the [`write_epoch`](SharedSketch::write_epoch)
-/// section around each flush, which panics on an overlapping second
+/// The served plane (`bas_pipeline::EpochSketch`) also wraps each flush
+/// in a seqlock write section, which panics on an overlapping second
 /// flush.
 ///
 /// # Consistency
@@ -293,28 +294,6 @@ pub trait SharedSketch: PointQuerySketch + Sync {
             self.update_shared(item, delta);
         }
     }
-
-    /// The write-epoch counter this sketch publishes to snapshot
-    /// readers, if any.
-    ///
-    /// Plain shared sketches return `None` — they accept shared ingest
-    /// but offer readers no consistency discipline beyond per-cell
-    /// atomicity. Epoch-wrapped sketches (`bas_pipeline::EpochSketch`)
-    /// return their counter, and ingest drivers such as
-    /// `ConcurrentIngest` bracket every flush in a write section so
-    /// seqlock snapshot readers can detect (and retry across) in-flight
-    /// flushes.
-    fn write_epoch(&self) -> Option<&EpochCounter> {
-        None
-    }
-
-    /// Notes that a flush applying `updates` updates carrying `mass`
-    /// total delta has completed. Called by ingest drivers **inside**
-    /// the write section (after the writes, before the epoch closes),
-    /// so epoch-consistent readers always observe a stream position
-    /// that matches the counters. Plain sketches keep no such
-    /// bookkeeping: the default is a no-op.
-    fn note_applied(&self, _updates: u64, _mass: f64) {}
 }
 
 /// Error returned when two sketches cannot be merged.

@@ -100,7 +100,8 @@ fn main() {
     // Path 4: one writer feeding ONE shared atomic-backed sketch.
     // ------------------------------------------------------------------
     let t = Instant::now();
-    let mut ingest = ConcurrentIngest::new(AtomicCountSketch::with_backend(&params));
+    let mut ingest =
+        ConcurrentIngest::new(EpochHandle::new(AtomicCountSketch::with_backend(&params)));
     ingest.extend_from_slice(&updates);
     let shared = ingest.finish();
     report(
@@ -126,7 +127,11 @@ fn main() {
         for sk in &sharded_sketches {
             assert_eq!(sk.estimate(j), reference, "sharded item {j}");
         }
-        assert_eq!(shared.estimate(j), reference, "concurrent item {j}");
+        assert_eq!(
+            shared.sketch().estimate(j),
+            reference,
+            "concurrent item {j}"
+        );
         checked += 1;
     }
     println!("\nall paths agree exactly on {checked} spot-checked estimates");

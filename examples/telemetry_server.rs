@@ -75,7 +75,7 @@ fn main() {
 
     // Reader threads hammer the point engine while the main thread
     // ingests; each does a bounded quota of live + snapshot reads.
-    let handles: Vec<QueryHandle<_>> = (0..READERS).map(|_| points.handle()).collect();
+    let handles: Vec<EpochHandle<_>> = (0..READERS).map(|_| points.handle()).collect();
     let ingest_clock = Instant::now();
     let mut reader_stats = Vec::new();
     std::thread::scope(|scope| {
@@ -96,7 +96,7 @@ fn main() {
                             }
                             acc += snap.estimate(item % ENDPOINTS);
                         } else {
-                            acc += handle.estimate_live(item % ENDPOINTS);
+                            acc += handle.sketch().estimate(item % ENDPOINTS);
                         }
                     }
                     std::hint::black_box(acc);

@@ -86,11 +86,11 @@ pub mod prelude {
     pub use bas_distributed::{DistributedRun, SiteData};
     pub use bas_hash::SeedSchedule;
     pub use bas_pipeline::{
-        ConcurrentIngest, EpochHandle, EpochSketch, ShardedIngest, SnapshotHandle, WindowedIngest,
+        ConcurrentIngest, EpochCounter, EpochHandle, EpochSketch, ShardedIngest, SnapshotHandle,
+        WindowedIngest,
     };
     pub use bas_serve::{
-        combine_plane_estimates, heavy_hitters_across, AuditPolicy, Policy, QueryEngine,
-        QueryError, QueryHandle, Sliding, Tumbling, Unbounded, WindowSnapshot,
+        AuditPolicy, Policy, QueryEngine, QueryError, Sliding, Tumbling, Unbounded, WindowSnapshot,
     };
     pub use bas_server::{
         call, serve_connection, Fabric, FabricConfig, MetricKind, PlacementRing, RebalanceReport,
@@ -98,9 +98,9 @@ pub mod prelude {
     };
     pub use bas_sketch::{
         storage, Atomic, AtomicCountMedian, AtomicCountMin, AtomicCountSketch, CountMedian,
-        CountMin, CountMinLog, CountSketch, CounterBackend, CounterMatrix, Dense, EpochCounter,
-        HeavyHitter, HeavyHitters, MergeableSketch, PlaneBank, PointQuerySketch, RangeSumSketch,
-        Reseedable, SealedPlane, SharedSketch, SketchParams, Snapshottable, UpdatePolicy,
+        CountMin, CountMinLog, CountSketch, CounterBackend, CounterMatrix, Dense, HeavyHitter,
+        HeavyHitters, MergeableSketch, PlaneBank, PointQuerySketch, RangeSumSketch, Reseedable,
+        SealedPlane, SharedSketch, SketchParams, Snapshottable, UpdatePolicy,
     };
     pub use bas_stream::{
         drive_chunked, drive_probed, drive_timestamped, BiasHeap, ChunkedDriver, DriveProgress,

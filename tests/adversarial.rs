@@ -314,11 +314,11 @@ where
     for &(i, d) in &base {
         truth[i as usize] += d;
     }
-    let mut prev = handle.estimate_live(victim);
+    let mut prev = handle.sketch().estimate(victim);
     for c in candidates(victim) {
         engine.push(c, PROBE);
         engine.flush();
-        let est = handle.estimate_live(victim);
+        let est = handle.sketch().estimate(victim);
         if est > prev + 0.5 {
             prev = est;
             truth[c as usize] += PROBE;
@@ -327,7 +327,7 @@ where
             engine.flush();
         }
     }
-    let err = (handle.estimate_live(victim) - truth[victim as usize]).abs();
+    let err = (handle.sketch().estimate(victim) - truth[victim as usize]).abs();
     (err, bound_of(&truth))
 }
 

@@ -260,13 +260,13 @@ proptest! {
         flush_at in 1usize..64,
     ) {
         let p = SketchParams::new(N, 16, 3).with_seed(seed);
-        let mut ingest = ConcurrentIngest::new(AtomicCountSketch::with_backend(&p))
-            .with_flush_threshold(flush_at);
+        let live = EpochHandle::new(AtomicCountSketch::with_backend(&p));
+        let mut ingest = ConcurrentIngest::new(live).with_flush_threshold(flush_at);
         ingest.extend_from_slice(&updates);
         let shared = ingest.finish();
         let mut reference = CountSketch::new(&p);
         for &(i, d) in &updates { reference.update(i, d); }
-        assert_estimates_equal(&shared, &reference)?;
+        assert_estimates_equal(shared.sketch(), &reference)?;
     }
 
     /// General real deltas through the shared path: the one writer
@@ -279,14 +279,14 @@ proptest! {
         flush_at in 1usize..64,
     ) {
         let p = SketchParams::new(N, 16, 3).with_seed(seed);
-        let mut ingest = ConcurrentIngest::new(AtomicCountMedian::with_backend(&p))
-            .with_flush_threshold(flush_at);
+        let live = EpochHandle::new(AtomicCountMedian::with_backend(&p));
+        let mut ingest = ConcurrentIngest::new(live).with_flush_threshold(flush_at);
         ingest.extend_from_slice(&updates);
         let shared = ingest.finish();
         let mut reference = CountMedian::new(&p);
         reference.update_batch(&updates);
         for j in 0..N {
-            let (a, b) = (shared.estimate(j), reference.estimate(j));
+            let (a, b) = (shared.sketch().estimate(j), reference.estimate(j));
             prop_assert!(a.to_bits() == b.to_bits(), "item {}: {} vs {}", j, a, b);
         }
     }

@@ -114,7 +114,7 @@ fn concurrent_count_sketch_integer_deltas_bit_for_bit() {
         );
         for j in 0..N {
             assert_eq!(
-                shared.estimate(j),
+                shared.sketch().estimate(j),
                 reference.estimate(j),
                 "{threads} threads, item {j}"
             );
@@ -135,7 +135,7 @@ fn concurrent_count_median_integer_deltas_bit_for_bit() {
         );
         for j in 0..N {
             assert_eq!(
-                shared.estimate(j),
+                shared.sketch().estimate(j),
                 reference.estimate(j),
                 "{threads} threads, item {j}"
             );
@@ -156,7 +156,7 @@ fn concurrent_count_min_plain_integer_deltas_bit_for_bit() {
         );
         for j in 0..N {
             assert_eq!(
-                shared.estimate(j),
+                shared.sketch().estimate(j),
                 reference.estimate(j),
                 "{threads} threads, item {j}"
             );
@@ -176,7 +176,7 @@ fn concurrent_fractional_deltas_bit_for_bit() {
             threads,
         );
         for j in 0..N {
-            let (a, b) = (shared.estimate(j), reference.estimate(j));
+            let (a, b) = (shared.sketch().estimate(j), reference.estimate(j));
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
@@ -232,7 +232,7 @@ fn concurrent_matches_sharded_on_integer_deltas() {
 
         for j in (0..N).step_by(7) {
             assert_eq!(
-                shared.estimate(j),
+                shared.sketch().estimate(j),
                 sharded.estimate(j),
                 "{threads} threads, item {j}"
             );
@@ -268,7 +268,11 @@ fn memory_accounting_shared_vs_sharded() {
         let ingest = ConcurrentIngest::new(shared.clone());
         // One counter plane however many handles read it — versus the
         // `threads * one` words ShardedIngest holds until finish().
-        assert_eq!(ingest.sketch().size_in_words(), one, "{threads} threads");
-        assert!(readers.iter().all(|r| r.size_in_words() == one));
+        assert_eq!(
+            ingest.shared().sketch().size_in_words(),
+            one,
+            "{threads} threads"
+        );
+        assert!(readers.iter().all(|r| r.sketch().size_in_words() == one));
     }
 }

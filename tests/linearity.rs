@@ -219,12 +219,13 @@ fn concurrent_shared_ingest_is_linear_too() {
     }
     let params = SketchParams::new(n, 64, 5).with_seed(11);
 
-    let mut concurrent =
-        ConcurrentIngest::new(AtomicCountMedian::with_backend(&params)).with_flush_threshold(256);
+    let live = EpochHandle::new(AtomicCountMedian::with_backend(&params));
+    let mut concurrent = ConcurrentIngest::new(live).with_flush_threshold(256);
     for shard in &shards {
         concurrent.extend_from_slice(shard);
     }
     let shared = concurrent.finish();
+    let shared = shared.sketch();
 
     let mut merged = CountMedian::new(&params);
     for shard in &shards {

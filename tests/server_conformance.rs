@@ -659,64 +659,6 @@ fn window_points_count_against_the_audit_budget() {
     }
 }
 
-/// A placement/shard-map disagreement — manufactured here via the
-/// test-only desync hook — must surface as a typed
-/// `fabric_inconsistent` error reply on every path that used to
-/// `expect()`: request dispatch, and the rebalance shipping loop. In a
-/// connection-per-thread daemon a panic here would kill the worker and
-/// poison the shared fabric lock; a typed error fails one request and
-/// leaves every other tenant serving.
-#[test]
-fn placement_inconsistency_is_a_typed_error_not_a_panic() {
-    let mut fabric = Fabric::new(config());
-    fabric.add_shard(0, 1.0).unwrap();
-    fabric.add_shard(1, 1.0).unwrap();
-    fabric
-        .register_tenant(TenantSpec::frequency(7, 707))
-        .unwrap();
-    fabric
-        .register_tenant(TenantSpec::frequency(8, 808))
-        .unwrap();
-    fabric.handle(Request::Ingest(IngestFrame {
-        tenant: 7,
-        updates: stream(7, 64),
-    }));
-
-    // Point placement at the *other* (existing) shard: TenantMissing.
-    let hosting = fabric.shard_of(7).unwrap();
-    fabric.desync_assignment_for_test(7, 1 - hosting);
-    match fabric.handle(Request::Point(PointQuery { tenant: 7, item: 3 })) {
-        Response::Error(e) => assert_eq!(e.code, "fabric_inconsistent"),
-        other => panic!("expected typed error, got {other:?}"),
-    }
-    match fabric.handle(Request::Flush(TenantRef { tenant: 7 })) {
-        Response::Error(e) => assert_eq!(e.code, "fabric_inconsistent"),
-        other => panic!("expected typed error, got {other:?}"),
-    }
-
-    // Point placement at a shard that is not in the map at all:
-    // ShardMissing.
-    fabric.desync_assignment_for_test(7, 999);
-    match fabric.handle(Request::Stats(TenantRef { tenant: 7 })) {
-        Response::Error(e) => assert_eq!(e.code, "fabric_inconsistent"),
-        other => panic!("expected typed error, got {other:?}"),
-    }
-
-    // The rebalance shipping loop walks assignments too: adding a
-    // shard with the desync in place must return the typed error, not
-    // panic mid-rebalance.
-    assert_eq!(
-        fabric.add_shard(2, 1.0).unwrap_err().code,
-        "fabric_inconsistent"
-    );
-
-    // The untouched tenant still serves.
-    assert!(matches!(
-        fabric.handle(Request::Point(PointQuery { tenant: 8, item: 3 })),
-        Response::Value(_)
-    ));
-}
-
 /// `Request::Register` is the wire path for tenant creation: the
 /// receipt names the same shard the in-process `register_tenant` would
 /// pick, and a duplicate registration is a `tenant_exists` error.

@@ -52,7 +52,7 @@ where
     let total_mass: f64 = updates.iter().map(|&(_, d)| d).sum();
     let total_updates = updates.len() as u64;
     let mut engine = QueryEngine::new(sketch).with_flush_threshold(2_048);
-    let handles: Vec<QueryHandle<S>> = (0..readers).map(|_| engine.handle()).collect();
+    let handles: Vec<EpochHandle<S>> = (0..readers).map(|_| engine.handle()).collect();
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for handle in handles {
@@ -63,7 +63,7 @@ where
                 loop {
                     let done = stop.load(Ordering::Acquire);
                     for j in (0..N).step_by(37) {
-                        let live = handle.estimate_live(j);
+                        let live = handle.sketch().estimate(j);
                         assert!(
                             (0.0..=total_mass).contains(&live),
                             "live estimate {live} outside [0, {total_mass}] at item {j}"

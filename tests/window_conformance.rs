@@ -255,27 +255,27 @@ proptest! {
         // Route A: cumulative(now) − sealed(boundary).
         let mut route_a = shared.pin().into_snapshot();
         shared
-            .subtract_snapshot(&mut route_a, ingest.bank().sealed(boundary).unwrap().plane())
+            .sketch().subtract_snapshot(&mut route_a, ingest.bank().sealed(boundary).unwrap().plane())
             .unwrap();
 
         // Route B: Σ per-interval delta planes + live partial interval.
-        let mut route_b = shared.make_snapshot(); // zero plane
+        let mut route_b = shared.sketch().make_snapshot(); // zero plane
         for t in (boundary + 1)..current {
             // delta(t) = sealed(t) − sealed(t−1)
             let mut delta = ingest.bank().sealed(t).unwrap().plane().clone();
             shared
-                .subtract_snapshot(&mut delta, ingest.bank().sealed(t - 1).unwrap().plane())
+                .sketch().subtract_snapshot(&mut delta, ingest.bank().sealed(t - 1).unwrap().plane())
                 .unwrap();
-            shared.merge_snapshot(&mut route_b, &delta).unwrap();
+            shared.sketch().merge_snapshot(&mut route_b, &delta).unwrap();
         }
         let mut live_partial = shared.pin().into_snapshot();
         shared
-            .subtract_snapshot(
+            .sketch().subtract_snapshot(
                 &mut live_partial,
                 ingest.bank().sealed(current - 1).unwrap().plane(),
             )
             .unwrap();
-        shared.merge_snapshot(&mut route_b, &live_partial).unwrap();
+        shared.sketch().merge_snapshot(&mut route_b, &live_partial).unwrap();
 
         // Route C: a fresh sketch of the window's raw updates. Routes
         // A and B both telescope to `live − seal(boundary)` whatever
@@ -421,7 +421,7 @@ fn rotation_under_writer_hammer_seals_only_flush_boundary_prefixes() {
     let mut engine = QueryEngine::with_policy(1, AtomicCountMedian::with_backend(&params), policy)
         .with_flush_threshold(2_048);
 
-    let readers: Vec<QueryHandle<AtomicCountMedian>> = (0..2).map(|_| engine.handle()).collect();
+    let readers: Vec<EpochHandle<AtomicCountMedian>> = (0..2).map(|_| engine.handle()).collect();
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for handle in readers {
@@ -435,7 +435,7 @@ fn rotation_under_writer_hammer_seals_only_flush_boundary_prefixes() {
                     assert!(snap.mass() <= total_mass + 1e-9);
                     for j in (0..n).step_by(67) {
                         assert!(snap.estimate(j) <= snap.mass() + 1e-9);
-                        let _ = handle.estimate_live(j);
+                        let _ = handle.sketch().estimate(j);
                     }
                 }
             });
