@@ -208,12 +208,6 @@ impl<S> EpochSketch<S> {
         &self.sketch
     }
 
-    /// The write-epoch counter (even = settled, odd = flush in
-    /// flight).
-    pub fn epoch(&self) -> &EpochCounter {
-        &self.epoch
-    }
-
     /// Updates applied in completed flushes — the length of the stream
     /// prefix a snapshot pinned *now* would capture.
     pub fn applied(&self) -> u64 {
@@ -223,11 +217,6 @@ impl<S> EpochSketch<S> {
     /// Total delta mass applied in completed flushes.
     pub fn mass(&self) -> f64 {
         f64::from_bits(self.mass_bits.load(Ordering::Acquire))
-    }
-
-    /// Unwraps the inner sketch.
-    pub fn into_inner(self) -> S {
-        self.sketch
     }
 
     /// Advances the stream position. Called inside the write section,

@@ -25,7 +25,7 @@ use std::time::Duration;
 /// [`WireError::Io`]) — the stream position is unknown, so the
 /// connection must drop. Recoverable errors were already answered.
 pub fn serve_connection<R: Read, W: Write>(
-    fabric: &mut Fabric,
+    fabric: &Fabric,
     reader: &mut R,
     writer: &mut W,
     max_frame_bytes: usize,

@@ -3,12 +3,23 @@
 //! protocol's request/response frames, with admission control and
 //! live rebalance.
 //!
-//! The fabric is the server's single-threaded control plane: every
-//! request funnels through [`Fabric::handle`], which owns placement
-//! lookup, admission (malformed update → `bad_update` error, quota →
-//! [`Response::Shed`], queue bound → [`Response::Busy`]), and dispatch
-//! into the tenant's engine. Each engine is its counter planes' one
-//! writer: a flush runs on the thread that dispatches it.
+//! Every request funnels through [`Fabric::handle`], which owns
+//! placement lookup, admission (malformed update → `bad_update` error,
+//! quota → [`Response::Shed`], queue bound → [`Response::Busy`]), and
+//! dispatch into the tenant's engine.
+//!
+//! **Locking.** The fabric is internally synchronized, so `handle`
+//! takes `&self` and any number of threads dispatch at once. Each
+//! tenant is an independent linear sketch whose answers read only its
+//! own counters, so each sits behind its own `RwLock`: `Ingest`,
+//! `Flush`, `AdvanceInterval` and `Export` take its write lock (the
+//! engine is its planes' one writer, and a flush runs on the thread
+//! that dispatches it), the six query verbs and `Stats` its read lock.
+//! The tenant map sits behind one `RwLock` that only `Register` and
+//! `Install` write; a request holds it just long enough to find its
+//! tenant. Shard membership changes take `&mut self` (no request verb
+//! changes it), so the ring needs no lock. The order is map, then
+//! tenant, and no path holds two tenant locks.
 //!
 //! **Rebalance by linearity.** Moving a tenant ships its counter
 //! planes — never its hashers — through the real wire format
@@ -34,6 +45,7 @@ use bas_distributed::CommMeter;
 use bas_sketch::SketchParams;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Fabric-wide configuration shared by every tenant engine.
 ///
@@ -121,6 +133,10 @@ pub struct RebalanceReport {
     pub bytes_shipped: u64,
 }
 
+/// One tenant behind its own lock; a request clones the `Arc` out of
+/// the map, so it holds the map's lock only for the lookup.
+type TenantLock = Arc<RwLock<Tenant>>;
+
 /// The serving fabric: a placement ring over engine shards.
 #[derive(Debug)]
 pub struct Fabric {
@@ -129,8 +145,21 @@ pub struct Fabric {
     ring: PlacementRing,
     /// Every tenant with its hosting shard (`BTreeMap` for
     /// deterministic rebalance order).
-    tenants: BTreeMap<u64, Tenant>,
+    tenants: RwLock<BTreeMap<u64, TenantLock>>,
     meter: CommMeter,
+}
+
+/// A lock's read guard. A poisoned lock (a panic in a holder) is
+/// recovered: `handle` is panic-free by construction, every failure
+/// being a typed `Response::Error`, so the state under the marker is
+/// still consistent.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A lock's write guard, recovered from poison as [`read`] is.
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn unknown_tenant(tenant: u64) -> ErrorReply {
@@ -146,7 +175,7 @@ impl Fabric {
         Self {
             config,
             ring: PlacementRing::new(),
-            tenants: BTreeMap::new(),
+            tenants: RwLock::new(BTreeMap::new()),
             meter: CommMeter::new(),
         }
     }
@@ -169,18 +198,19 @@ impl Fabric {
 
     /// Number of registered tenants.
     pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
+        read(&self.tenants).len()
     }
 
     /// The shard currently hosting a tenant.
     pub fn shard_of(&self, tenant: u64) -> Option<u64> {
-        self.tenants.get(&tenant).map(|t| t.shard)
+        self.tenant(tenant).ok().map(|t| read(&t).shard)
     }
 
     /// Tenant ids hosted on a shard, in id order.
     pub fn tenants_on(&self, shard: u64) -> Vec<u64> {
-        let hosted = self.tenants.iter().filter(|(_, t)| t.shard == shard);
-        hosted.map(|(&id, _)| id).collect()
+        let tenants = self.tenants();
+        let hosted = tenants.iter().filter(|(_, t)| read(t).shard == shard);
+        hosted.map(|&(id, _)| id).collect()
     }
 
     // ---- shard membership ----
@@ -221,7 +251,7 @@ impl Fabric {
                 format!("shard {id} is not in the ring"),
             ));
         }
-        let hosted = self.tenants.values().filter(|t| t.shard == id).count();
+        let hosted = self.tenants_on(id).len();
         if hosted > 0 && self.ring.len() == 1 {
             return Err(ErrorReply::new(
                 "unsupported",
@@ -236,11 +266,16 @@ impl Fabric {
     /// to where the ring says it belongs, in tenant-id order.
     fn rebalance_to_ring(&mut self) -> Result<RebalanceReport, ErrorReply> {
         let mut report = RebalanceReport::default();
-        for (&tenant, t) in &mut self.tenants {
+        let tenants = self
+            .tenants
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        for (&tenant, t) in tenants.iter() {
             let to = self
                 .ring
                 .place(tenant)
                 .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
+            let mut t = write(t);
             if to == t.shard {
                 continue;
             }
@@ -263,8 +298,9 @@ impl Fabric {
     /// # Errors
     /// `tenant_exists` if the id is taken, `protocol` if the ring is
     /// empty, `bad_query`/`unsupported` for invalid specs.
-    pub fn register_tenant(&mut self, spec: TenantSpec) -> Result<u64, ErrorReply> {
-        if self.tenants.contains_key(&spec.tenant) {
+    pub fn register_tenant(&self, spec: TenantSpec) -> Result<u64, ErrorReply> {
+        let mut tenants = write(&self.tenants);
+        if tenants.contains_key(&spec.tenant) {
             return Err(ErrorReply::new(
                 "tenant_exists",
                 format!("tenant {} is already registered", spec.tenant),
@@ -275,24 +311,23 @@ impl Fabric {
             .place(spec.tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
         let slot = EngineSlot::build(&spec, self.config.params.clone())?;
-        self.tenants.insert(
-            spec.tenant,
-            Tenant {
-                shard,
-                spec,
-                admitted_in_interval: 0,
-                slot,
-            },
-        );
+        let t = Tenant {
+            shard,
+            spec,
+            admitted_in_interval: 0,
+            slot,
+        };
+        tenants.insert(spec.tenant, Arc::new(RwLock::new(t)));
         Ok(shard)
     }
 
     /// Installs a tenant from an exported transfer (the receiving half
     /// of a cross-fabric move). The ring picks the shard; the engine is
     /// rebuilt by linearity.
-    pub fn install_tenant(&mut self, transfer: &TenantTransfer) -> Result<u64, ErrorReply> {
+    pub fn install_tenant(&self, transfer: &TenantTransfer) -> Result<u64, ErrorReply> {
         let tenant = transfer.spec.tenant;
-        if self.tenants.contains_key(&tenant) {
+        let mut tenants = write(&self.tenants);
+        if tenants.contains_key(&tenant) {
             return Err(ErrorReply::new(
                 "tenant_exists",
                 format!("tenant {tenant} is already registered"),
@@ -303,26 +338,24 @@ impl Fabric {
             .place(tenant)
             .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
         let slot = EngineSlot::install(transfer, self.config.params.clone())?;
-        self.tenants.insert(
-            tenant,
-            Tenant {
-                shard,
-                spec: transfer.spec,
-                admitted_in_interval: 0,
-                slot,
-            },
-        );
+        let t = Tenant {
+            shard,
+            spec: transfer.spec,
+            admitted_in_interval: 0,
+            slot,
+        };
+        tenants.insert(tenant, Arc::new(RwLock::new(t)));
         Ok(shard)
     }
 
     /// The registered spec of a tenant, if any.
     pub fn tenant_spec(&self, tenant: u64) -> Option<TenantSpec> {
-        self.tenant(tenant).ok().map(|t| t.spec)
+        self.tenant(tenant).ok().map(|t| read(&t).spec)
     }
 
     /// All registered tenant ids, in id order.
     pub fn tenant_ids(&self) -> Vec<u64> {
-        self.tenants.keys().copied().collect()
+        read(&self.tenants).keys().copied().collect()
     }
 
     /// Closes the open interval of every tenant (flushing pending
@@ -332,9 +365,10 @@ impl Fabric {
     /// `(tenant, sealed_interval)` pairs in tenant order for
     /// journaling; a tenant that refuses the advance (its interval is
     /// `u64::MAX`) is left unchanged and out of the list.
-    pub fn quiesce(&mut self) -> Vec<(u64, u64)> {
+    pub fn quiesce(&self) -> Vec<(u64, u64)> {
         let mut sealed = Vec::new();
-        for (&tenant, t) in &mut self.tenants {
+        for (tenant, t) in self.tenants() {
+            let mut t = write(&t);
             if let Ok(interval) = t.slot.advance_interval(tenant) {
                 t.admitted_in_interval = 0;
                 sealed.push((tenant, interval));
@@ -343,23 +377,27 @@ impl Fabric {
         sealed
     }
 
-    fn tenant(&self, tenant: u64) -> Result<&Tenant, ErrorReply> {
-        self.tenants
-            .get(&tenant)
-            .ok_or_else(|| unknown_tenant(tenant))
+    /// A tenant's lock, cloned out of the map so the map's read lock
+    /// is held only for the lookup.
+    fn tenant(&self, tenant: u64) -> Result<TenantLock, ErrorReply> {
+        let tenants = read(&self.tenants);
+        let t = tenants.get(&tenant).ok_or_else(|| unknown_tenant(tenant))?;
+        Ok(Arc::clone(t))
     }
 
-    fn tenant_mut(&mut self, tenant: u64) -> Result<&mut Tenant, ErrorReply> {
-        self.tenants
-            .get_mut(&tenant)
-            .ok_or_else(|| unknown_tenant(tenant))
+    /// Every tenant's lock in id order, cloned out of the map so that
+    /// a pass over them holds one tenant lock at a time and never the
+    /// map's.
+    fn tenants(&self) -> Vec<(u64, TenantLock)> {
+        let tenants = read(&self.tenants);
+        tenants.iter().map(|(&id, t)| (id, Arc::clone(t))).collect()
     }
 
     // ---- the request plane ----
 
     /// Handles one request frame; every outcome — including every
     /// rejection — is a response frame, never a panic.
-    pub fn handle(&mut self, req: Request) -> Response {
+    pub fn handle(&self, req: Request) -> Response {
         match req {
             Request::Ping => Response::Pong,
             Request::Ingest(frame) => self.ingest(frame),
@@ -405,21 +443,22 @@ impl Fabric {
                     t.slot.window_range_sum(q.tenant, q.lo, q.hi)
                 })
             }
-            Request::Stats(TenantRef { tenant }) => match self.tenant(tenant) {
-                Err(e) => Response::Error(e),
-                Ok(t) if !t.slot.mass().is_finite() => {
-                    Response::Error(non_finite(tenant, format_args!("mass"), t.slot.mass()))
-                }
-                Ok(t) => Response::Stats(StatsReply {
-                    tenant,
-                    shard: t.shard,
-                    applied: t.slot.applied(),
-                    mass: t.slot.mass(),
-                    pending: t.slot.pending(),
-                    admitted_in_interval: t.admitted_in_interval,
-                    interval: t.slot.interval(),
-                }),
-            },
+            Request::Stats(TenantRef { tenant }) => {
+                self.with_tenant(tenant, |t| match t.slot.mass() {
+                    mass if !mass.is_finite() => {
+                        Response::Error(non_finite(tenant, format_args!("mass"), mass))
+                    }
+                    mass => Response::Stats(StatsReply {
+                        tenant,
+                        shard: t.shard,
+                        applied: t.slot.applied(),
+                        mass,
+                        pending: t.slot.pending(),
+                        admitted_in_interval: t.admitted_in_interval,
+                        interval: t.slot.interval(),
+                    }),
+                })
+            }
             Request::Export(TenantRef { tenant }) => {
                 let params = self.config.params.clone();
                 self.with_tenant_mut(tenant, |t| {
@@ -448,7 +487,7 @@ impl Fabric {
     /// then the interval quota (Shed — retry next interval), then the
     /// queue bound (Busy — retry after a flush). A rejected batch
     /// admits **nothing**.
-    fn ingest(&mut self, frame: IngestFrame) -> Response {
+    fn ingest(&self, frame: IngestFrame) -> Response {
         let tenant = frame.tenant;
         let k = frame.updates.len() as u64;
         self.with_tenant_mut(tenant, |t| {
@@ -479,13 +518,18 @@ impl Fabric {
         })
     }
 
-    fn with_tenant_mut(
-        &mut self,
-        tenant: u64,
-        f: impl FnOnce(&mut Tenant) -> Response,
-    ) -> Response {
-        match self.tenant_mut(tenant) {
-            Ok(t) => f(t),
+    /// Runs `f` under the tenant's write lock.
+    fn with_tenant_mut(&self, tenant: u64, f: impl FnOnce(&mut Tenant) -> Response) -> Response {
+        match self.tenant(tenant) {
+            Ok(t) => f(&mut write(&t)),
+            Err(e) => Response::Error(e),
+        }
+    }
+
+    /// Runs `f` under the tenant's read lock.
+    fn with_tenant(&self, tenant: u64, f: impl FnOnce(&Tenant) -> Response) -> Response {
+        match self.tenant(tenant) {
+            Ok(t) => f(&read(&t)),
             Err(e) => Response::Error(e),
         }
     }
@@ -498,7 +542,7 @@ impl Fabric {
         asked: fmt::Arguments<'_>,
         f: impl FnOnce(&Tenant) -> Result<f64, ErrorReply>,
     ) -> Response {
-        match self.tenant(tenant).and_then(f) {
+        match self.tenant(tenant).and_then(|t| f(&read(&t))) {
             Ok(value) if !value.is_finite() => Response::Error(non_finite(tenant, asked, value)),
             Ok(value) => Response::Value(ValueReply { tenant, value }),
             Err(e) => Response::Error(e),
@@ -510,7 +554,7 @@ impl Fabric {
         tenant: u64,
         f: impl FnOnce(&Tenant) -> Result<Vec<(u64, f64)>, ErrorReply>,
     ) -> Response {
-        match self.tenant(tenant).and_then(f) {
+        match self.tenant(tenant).and_then(|t| f(&read(&t))) {
             Ok(items) => match items.iter().find(|(_, estimate)| !estimate.is_finite()) {
                 Some(&(item, estimate)) => Response::Error(non_finite(
                     tenant,

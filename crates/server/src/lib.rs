@@ -54,9 +54,7 @@ pub use connection::{
     call, call_with_retry, serve_connection, Client, IngestBatcher, RetryError, RetryPolicy,
 };
 pub use fabric::{Fabric, FabricConfig, RebalanceReport, TenantMove};
-pub use listener::{
-    ConnectionError, Daemon, DaemonConfig, Deadlines, SharedFabric, ShutdownReport,
-};
+pub use listener::{ConnectionError, Daemon, DaemonConfig, Deadlines, ShutdownReport};
 pub use persist::{recover, Journal, JournalRecord, ShardRecord};
 pub use placement::{jump_hash, PlacementRing, ShardWeight};
 pub use wire::{

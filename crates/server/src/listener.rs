@@ -8,15 +8,28 @@
 //!   accept on TCP or unix-domain sockets through the same loop
 //!   ([`AnyListener`]/[`AnyStream`]).
 //! * **Thread model** — one accept thread plus one thread per
-//!   connection, all dispatching into a [`SharedFabric`]: a single
-//!   `Mutex<Fabric>` held **only for the in-memory dispatch of one
-//!   request** — never across socket reads or writes. Contention is
-//!   therefore bounded by per-request CPU (buffer append for ingest,
-//!   `O(depth · width)` for the heaviest snapshot queries), not by
-//!   client latency; a slow or stalled peer holds no lock. The lock
-//!   serializes the fabric's control plane and every flush, exactly
-//!   as `Fabric::handle`'s single-threaded contract and the counter
-//!   planes' one-writer rule require.
+//!   connection, all dispatching into one shared [`Fabric`]. The
+//!   fabric is internally synchronized: a request locks only its own
+//!   tenant (read for the query verbs and `Stats`, write for `Ingest`,
+//!   `Flush`, `AdvanceInterval` and `Export`), so requests for distinct
+//!   tenants dispatch at once, and a point never queues behind another
+//!   tenant's scan or flush. Locks are held **only for the in-memory
+//!   dispatch of one request** — never across socket reads or writes —
+//!   so a slow or stalled peer holds no lock.
+//! * **Lock order** — journal, then the fabric's tenant map, then one
+//!   tenant; no path holds two tenant locks. The journaled verbs
+//!   (`Register`, `Install`, `AdvanceInterval`) dispatch and append
+//!   under the journal lock, so a compaction can never checkpoint an
+//!   effect whose record lands after it. A compaction exports one
+//!   tenant at a time under that tenant's write lock, then encodes,
+//!   writes and fsyncs outside every fabric lock: it stalls the
+//!   journaled verbs, never the rest.
+//! * **Connection loop** — each connection reads through a buffer it
+//!   owns. A small frame that arrived whole costs one `read` and
+//!   decodes from the buffer; the write deadline is armed once per
+//!   connection, and the read timeout is re-armed only when it changes
+//!   (poll quantum between frames, read deadline inside a frame that
+//!   has not fully arrived).
 //! * **Deadlines** — each connection carries read/write/idle
 //!   [`Deadlines`]. *Idle* bounds the quiet gap **between** frames;
 //!   *read*/*write* bound the per-syscall progress gap **inside** a
@@ -38,7 +51,7 @@
 use crate::fabric::Fabric;
 use crate::persist::{Journal, JournalRecord};
 use crate::wire::{self, Request, Response, TenantRef, WireError};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
@@ -213,50 +226,12 @@ impl From<WireError> for ConnectionError {
     }
 }
 
-/// The fabric behind a mutex, shareable across connection threads.
-///
-/// The lock is held only for [`Fabric::handle`]'s in-memory dispatch —
-/// frames are read and written **outside** the critical section, so no
-/// client controls how long the lock is held. A poisoned lock (a panic
-/// in a holder) is recovered by taking the inner value: `handle` is
-/// panic-free by construction (every failure is a typed
-/// `Response::Error`), so the state under a poison marker is still
-/// consistent.
-#[derive(Debug, Clone)]
-pub struct SharedFabric(Arc<Mutex<Fabric>>);
-
-impl SharedFabric {
-    /// Wraps a fabric for shared dispatch.
-    pub fn new(fabric: Fabric) -> Self {
-        Self(Arc::new(Mutex::new(fabric)))
-    }
-
-    /// Runs `f` under the fabric lock.
-    pub fn with<T>(&self, f: impl FnOnce(&mut Fabric) -> T) -> T {
-        let mut guard = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut guard)
-    }
-
-    /// Dispatches one request under the lock.
-    pub fn handle(&self, req: Request) -> Response {
-        self.with(|fabric| fabric.handle(req))
-    }
-
-    /// Unwraps the fabric if no other handle is alive.
-    pub fn try_into_inner(self) -> Result<Fabric, Self> {
-        match Arc::try_unwrap(self.0) {
-            Ok(mutex) => Ok(mutex.into_inner().unwrap_or_else(PoisonError::into_inner)),
-            Err(arc) => Err(Self(arc)),
-        }
-    }
-}
-
-/// The service a connection thread dispatches into: the shared fabric
-/// plus the optional journal, so every durable effect of a request is
+/// The service a connection thread dispatches into: the fabric plus
+/// the optional journal, so every durable effect of a request is
 /// recorded as soon as the fabric acknowledges it.
 #[derive(Debug)]
 struct Service {
-    fabric: SharedFabric,
+    fabric: Fabric,
     journal: Option<Mutex<Journal>>,
     compact_after_records: Option<u64>,
     compact_after_bytes: Option<u64>,
@@ -265,11 +240,17 @@ struct Service {
 impl Service {
     /// Dispatches one request and journals its durable effect (tenant
     /// registration / installation, interval advance) on success.
-    /// When the journal crosses a compaction threshold the append also
-    /// triggers an inline [`Journal::compact`] — the lock order
-    /// (journal, then fabric) matches [`Daemon::shutdown`], and
+    ///
+    /// A journaled verb dispatches **and** appends under the journal
+    /// lock: were the lock released in between, a compaction could
+    /// checkpoint the effect before its record lands after the
+    /// checkpoint, and recovery would apply it twice. When the journal
+    /// crosses a compaction threshold the append also triggers an
+    /// inline [`Journal::compact`], still under the journal lock (the
+    /// lock order is journal, then fabric, as in [`Daemon::shutdown`]);
     /// `compact` is atomic (write-to-temp + rename), so a kill at any
-    /// point leaves a recoverable journal on disk.
+    /// point leaves a recoverable journal on disk. Every other verb
+    /// dispatches without the journal lock, compaction or not.
     fn handle(&self, req: Request) -> Response {
         // Without a journal there is no record to build (an `Install`'s
         // would clone its whole transfer).
@@ -277,15 +258,14 @@ impl Service {
             return self.fabric.handle(req);
         };
         let record = match &req {
-            Request::Register(spec) => Some(JournalRecord::TenantRegistered(*spec)),
-            Request::Install(transfer) => Some(JournalRecord::Checkpoint(transfer.clone())),
-            Request::AdvanceInterval(r) => Some(JournalRecord::IntervalAdvanced(*r)),
-            _ => None,
+            Request::Register(spec) => JournalRecord::TenantRegistered(*spec),
+            Request::Install(transfer) => JournalRecord::Checkpoint(transfer.clone()),
+            Request::AdvanceInterval(r) => JournalRecord::IntervalAdvanced(*r),
+            _ => return self.fabric.handle(req),
         };
+        let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
         let resp = self.fabric.handle(req);
-        let acknowledged = !matches!(resp, Response::Error(_));
-        if let Some(record) = record.filter(|_| acknowledged) {
-            let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
+        if !matches!(resp, Response::Error(_)) {
             // Journal I/O failure must not corrupt the serving
             // path; the daemon keeps answering and the operator
             // sees the failure at shutdown/compaction.
@@ -297,7 +277,7 @@ impl Service {
                 .compact_after_bytes
                 .is_some_and(|limit| journal.bytes() >= limit);
             if over_records || over_bytes {
-                let _ = self.fabric.with(|f| journal.compact(f));
+                let _ = journal.compact(&self.fabric);
             }
         }
         resp
@@ -406,63 +386,66 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// A stream with a one-byte pushback slot: the between-frames poll
-/// reads (not peeks — `UnixStream::peek` is not yet stable) the first
-/// byte of the next frame under a short timeout, and the `Read` impl
-/// hands that byte back before touching the socket, so the frame
-/// decoder sees an intact stream.
-struct PolledStream {
-    stream: AnyStream,
-    pushback: Option<u8>,
+/// A connection's stream behind a read buffer the connection owns, and
+/// the read timeout armed on the socket. The between-frames poll and
+/// the frame decoder both read through the buffer, so bytes the poll
+/// brought in are never lost, and a frame that arrived whole decodes
+/// with no further syscall.
+struct Connection {
+    reader: BufReader<AnyStream>,
+    /// The read timeout last armed (`None` before the first), so the
+    /// socket is re-armed only when the wanted timeout changes.
+    armed: Option<Option<Duration>>,
 }
 
-impl Read for PolledStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(byte) = self.pushback.take() {
-            if buf.is_empty() {
-                self.pushback = Some(byte);
-                return Ok(0);
-            }
-            buf[0] = byte;
-            return Ok(1);
+impl Connection {
+    fn arm_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ConnectionError> {
+        if self.armed != Some(timeout) {
+            let stream = self.reader.get_ref();
+            stream.set_read_timeout(timeout).map_err(WireError::from)?;
+            self.armed = Some(timeout);
         }
-        self.stream.read(buf)
+        Ok(())
+    }
+
+    /// Whether the buffer holds a whole frame: its length prefix and
+    /// the body the prefix declares.
+    fn frame_is_buffered(&self) -> bool {
+        let buf = self.reader.buffer();
+        match buf.get(..4).map(<[u8; 4]>::try_from) {
+            Some(Ok(header)) => buf.len() - 4 >= u32::from_be_bytes(header) as usize,
+            _ => false,
+        }
     }
 }
 
 /// What the between-frames poll decided.
 enum PollOutcome {
-    /// The next frame's first byte arrived (stashed in the pushback
-    /// slot): read the frame.
+    /// Bytes of the next frame are buffered: read the frame.
     Frame,
     /// Clean end of stream, or shutdown with the stream quiet.
     Done,
 }
 
-/// Waits between frames: returns when a byte arrives, the peer hangs
-/// up, the idle deadline expires, or shutdown is flagged while the
-/// stream is quiet (an in-flight frame — its first byte already
-/// stashed — still gets served; that is the drain guarantee).
+/// Waits between frames: returns when bytes arrive, the peer hangs up,
+/// the idle deadline expires, or shutdown is flagged while the stream
+/// is quiet (an in-flight frame — bytes of it already buffered — still
+/// gets served; that is the drain guarantee).
 fn poll_between_frames(
-    polled: &mut PolledStream,
+    conn: &mut Connection,
     deadlines: &Deadlines,
     poll: Duration,
     shutdown: &AtomicBool,
 ) -> Result<PollOutcome, ConnectionError> {
-    debug_assert!(polled.pushback.is_none());
-    polled
-        .stream
-        .set_read_timeout(Some(poll))
-        .map_err(|e| ConnectionError::Wire(WireError::from(e)))?;
+    if !conn.reader.buffer().is_empty() {
+        return Ok(PollOutcome::Frame);
+    }
+    conn.arm_read_timeout(Some(poll))?;
     let start = Instant::now();
-    let mut probe = [0u8; 1];
     loop {
-        match polled.stream.read(&mut probe) {
-            Ok(0) => return Ok(PollOutcome::Done),
-            Ok(_) => {
-                polled.pushback = Some(probe[0]);
-                return Ok(PollOutcome::Frame);
-            }
+        match conn.reader.fill_buf() {
+            Ok([]) => return Ok(PollOutcome::Done),
+            Ok(_) => return Ok(PollOutcome::Frame),
             Err(e) if is_timeout(&e) => {
                 if let Some(limit) = deadlines.idle {
                     if start.elapsed() >= limit {
@@ -471,7 +454,7 @@ fn poll_between_frames(
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ConnectionError::Wire(WireError::from(e))),
+            Err(e) => return Err(WireError::from(e).into()),
         }
         if shutdown.load(Ordering::Acquire) {
             return Ok(PollOutcome::Done);
@@ -487,46 +470,43 @@ fn serve_daemon_connection(
     config: &DaemonConfig,
     shutdown: &AtomicBool,
 ) -> Result<u64, ConnectionError> {
-    let mut polled = PolledStream {
-        stream,
-        pushback: None,
+    // Every response goes out under the same write deadline.
+    stream
+        .set_write_timeout(config.deadlines.write)
+        .map_err(WireError::from)?;
+    let mut conn = Connection {
+        reader: BufReader::new(stream),
+        armed: None,
     };
     let mut answered = 0u64;
     loop {
-        match poll_between_frames(
-            &mut polled,
-            &config.deadlines,
-            config.poll_interval,
-            shutdown,
-        )? {
+        match poll_between_frames(&mut conn, &config.deadlines, config.poll_interval, shutdown)? {
             PollOutcome::Done => return Ok(answered),
             PollOutcome::Frame => {}
         }
-        // A frame has started: read it under the progress-gap read
-        // deadline (each socket read may stall at most this long),
-        // answer under the write deadline.
-        polled
-            .stream
-            .set_read_timeout(config.deadlines.read)
-            .map_err(|e| ConnectionError::Wire(WireError::from(e)))?;
-        let response = match wire::read_frame::<_, Request>(&mut polled, config.max_frame_bytes) {
-            Ok(None) => return Ok(answered),
-            Ok(Some(req)) => service.handle(req),
-            Err(WireError::Io(e)) if is_timeout(&e) => {
-                return Err(ConnectionError::ReadTimeout {
-                    limit: config.deadlines.read.unwrap_or_default(),
-                });
-            }
-            Err(e) if e.is_recoverable() => {
-                Response::Error(wire::ErrorReply::new("protocol", e.to_string()))
-            }
-            Err(e) => return Err(ConnectionError::Wire(e)),
-        };
-        polled
-            .stream
-            .set_write_timeout(config.deadlines.write)
-            .map_err(|e| ConnectionError::Wire(WireError::from(e)))?;
-        match wire::write_frame(&mut polled.stream, &response) {
+        // A frame has started. One already whole in the buffer decodes
+        // with no further syscall; the rest of any other is read under
+        // the progress-gap read deadline (each socket read may stall at
+        // most this long).
+        if !conn.frame_is_buffered() {
+            conn.arm_read_timeout(config.deadlines.read)?;
+        }
+        let response =
+            match wire::read_frame::<_, Request>(&mut conn.reader, config.max_frame_bytes) {
+                Ok(None) => return Ok(answered),
+                Ok(Some(req)) => service.handle(req),
+                Err(WireError::Io(e)) if is_timeout(&e) => {
+                    return Err(ConnectionError::ReadTimeout {
+                        limit: config.deadlines.read.unwrap_or_default(),
+                    });
+                }
+                Err(e) if e.is_recoverable() => {
+                    Response::Error(wire::ErrorReply::new("protocol", e.to_string()))
+                }
+                Err(e) => return Err(ConnectionError::Wire(e)),
+            };
+        let stream = conn.reader.get_mut();
+        match wire::write_frame(stream, &response) {
             Ok(_) => {}
             Err(WireError::Io(e)) if is_timeout(&e) => {
                 return Err(ConnectionError::WriteTimeout {
@@ -535,10 +515,7 @@ fn serve_daemon_connection(
             }
             Err(e) => return Err(ConnectionError::Wire(e)),
         }
-        polled
-            .stream
-            .flush()
-            .map_err(|e| ConnectionError::Wire(WireError::from(e)))?;
+        stream.flush().map_err(WireError::from)?;
         answered += 1;
     }
 }
@@ -556,10 +533,10 @@ pub struct ShutdownReport {
     pub fabric: Fabric,
 }
 
-/// A running daemon: accept thread + one thread per connection.
+/// A running daemon: accept thread + one thread per connection, all
+/// sharing one fabric.
 #[derive(Debug)]
 pub struct Daemon {
-    fabric: SharedFabric,
     service: Arc<Service>,
     shutdown: Arc<AtomicBool>,
     frames: Arc<AtomicU64>,
@@ -606,9 +583,8 @@ impl Daemon {
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_tcp_addr();
-        let fabric = SharedFabric::new(fabric);
         let service = Arc::new(Service {
-            fabric: fabric.clone(),
+            fabric,
             journal: journal.map(Mutex::new),
             compact_after_records: config.compact_after_records,
             compact_after_bytes: config.compact_after_bytes,
@@ -634,7 +610,7 @@ impl Daemon {
                             let shutdown = Arc::clone(&shutdown);
                             let frames = Arc::clone(&frames);
                             let config = config.clone();
-                            let handle = thread::spawn(move || {
+                            let spawned = thread::Builder::new().spawn(move || {
                                 let _ = stream.set_nonblocking(false);
                                 match serve_daemon_connection(stream, &service, &config, &shutdown)
                                 {
@@ -649,10 +625,15 @@ impl Daemon {
                                     }
                                 }
                             });
-                            let mut workers =
-                                workers.lock().unwrap_or_else(PoisonError::into_inner);
-                            workers.retain(|h| !h.is_finished());
-                            workers.push(handle);
+                            // A thread the OS refuses drops its stream
+                            // (closing the connection) with the closure;
+                            // the daemon keeps accepting.
+                            if let Ok(handle) = spawned {
+                                let mut workers =
+                                    workers.lock().unwrap_or_else(PoisonError::into_inner);
+                                workers.retain(|h| !h.is_finished());
+                                workers.push(handle);
+                            }
                         }
                         Err(e) if is_timeout(&e) => thread::sleep(poll),
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -663,7 +644,6 @@ impl Daemon {
         };
 
         Ok(Self {
-            fabric,
             service,
             shutdown,
             frames,
@@ -680,8 +660,8 @@ impl Daemon {
     }
 
     /// The shared fabric, for in-process inspection and dispatch.
-    pub fn fabric(&self) -> &SharedFabric {
-        &self.fabric
+    pub fn fabric(&self) -> &Fabric {
+        &self.service.fabric
     }
 
     /// Graceful shutdown: stop accepting, let in-flight frames finish,
@@ -707,30 +687,33 @@ impl Daemon {
         }
 
         // Every connection is drained: seal open intervals, journal
-        // the advances, and write the compacted durable snapshot.
-        let sealed = self.fabric.with(|f| f.quiesce());
-        if let Some(journal) = &self.service.journal {
-            let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
-            for &(tenant, _) in &sealed {
-                journal.append(&JournalRecord::IntervalAdvanced(TenantRef { tenant }))?;
+        // the advances, and write the compacted durable snapshot, under
+        // the journal lock like every journaled effect.
+        let fabric = &self.service.fabric;
+        let sealed = match &self.service.journal {
+            None => fabric.quiesce(),
+            Some(journal) => {
+                let mut journal = journal.lock().unwrap_or_else(PoisonError::into_inner);
+                let sealed = fabric.quiesce();
+                for &(tenant, _) in &sealed {
+                    journal.append(&JournalRecord::IntervalAdvanced(TenantRef { tenant }))?;
+                }
+                journal.compact(fabric)?;
+                sealed
             }
-            self.fabric.with(|f| journal.compact(f))?;
-        }
+        };
 
         let connections = self.connections.load(Ordering::Relaxed);
         let frames = self.frames.load(Ordering::Relaxed);
-        // All threads are joined, so the only remaining service (and
-        // through it, fabric) clone is ours; unwrap the fabric for
-        // in-process reuse.
-        drop(self.service);
-        let fabric = self.fabric.try_into_inner().map_err(|_| {
-            io::Error::other("fabric still shared after shutdown (live SharedFabric clones)")
-        })?;
+        // All threads are joined, so the only remaining service clone
+        // is ours; unwrap the fabric for in-process reuse.
+        let service = Arc::try_unwrap(self.service)
+            .map_err(|_| io::Error::other("fabric still shared after shutdown"))?;
         Ok(ShutdownReport {
             connections,
             frames,
             sealed,
-            fabric,
+            fabric: service.fabric,
         })
     }
 }

@@ -140,10 +140,16 @@ impl Journal {
     /// (full counter planes). Atomic via write-to-temp + rename, so a
     /// crash mid-compaction leaves the old journal intact.
     ///
+    /// Each tenant is exported under its own write lock, one at a time;
+    /// the records are then encoded, written and fsynced outside every
+    /// fabric lock, so a compaction holds up no tenant for longer than
+    /// its export. The caller keeps journaled effects out while this
+    /// runs (the daemon holds the journal lock).
+    ///
     /// # Errors
     /// I/O failures, and a tenant whose export fails; either leaves
     /// the old journal in place.
-    pub fn compact(&mut self, fabric: &mut Fabric) -> io::Result<()> {
+    pub fn compact(&mut self, fabric: &Fabric) -> io::Result<()> {
         let records = snapshot_records(fabric)?;
         let tmp = self.path.with_extension("journal.tmp");
         {
@@ -169,7 +175,7 @@ impl Journal {
 
 /// The fabric's durable state as an ordered record list: the shards,
 /// then one checkpoint per tenant.
-fn snapshot_records(fabric: &mut Fabric) -> io::Result<Vec<JournalRecord>> {
+fn snapshot_records(fabric: &Fabric) -> io::Result<Vec<JournalRecord>> {
     let mut records: Vec<JournalRecord> = fabric
         .ring()
         .shards()
@@ -365,7 +371,7 @@ mod tests {
             .unwrap();
         drop(journal);
 
-        let mut recovered = recover(&p, config()).unwrap();
+        let recovered = recover(&p, config()).unwrap();
         assert_eq!(recovered.tenant_count(), 1);
         assert_eq!(recovered.tenant_spec(7), Some(spec));
         let mut reference = Fabric::new(config());
@@ -396,10 +402,10 @@ mod tests {
         fabric.handle(Request::Flush(TenantRef { tenant: 3 }));
 
         let mut journal = Journal::open(&p).unwrap();
-        journal.compact(&mut fabric).unwrap();
+        journal.compact(&fabric).unwrap();
         drop(journal);
 
-        let mut recovered = recover(&p, config()).unwrap();
+        let recovered = recover(&p, config()).unwrap();
         for item in (0..1_024u64).step_by(37) {
             let a = match fabric.handle(Request::Point(PointQuery { tenant: 3, item })) {
                 Response::Value(v) => v.value,
@@ -440,8 +446,8 @@ mod tests {
         assert_eq!(journal.bytes(), std::fs::metadata(&p).unwrap().len());
 
         // Compaction resets them: the snapshot is the new baseline.
-        let mut fabric = recover(&p, config()).unwrap();
-        journal.compact(&mut fabric).unwrap();
+        let fabric = recover(&p, config()).unwrap();
+        journal.compact(&fabric).unwrap();
         assert_eq!((journal.records(), journal.bytes()), (0, 0));
         std::fs::remove_file(&p).unwrap();
     }
@@ -474,7 +480,7 @@ mod tests {
         let tmp = p.with_extension("journal.tmp");
         std::fs::write(&tmp, "{\"ShardAdded\":{\"shard\":9,\"wei").unwrap();
 
-        let mut recovered = recover(&p, config()).unwrap();
+        let recovered = recover(&p, config()).unwrap();
         assert_eq!(recovered.tenant_spec(4), Some(spec));
         match recovered.handle(Request::Stats(TenantRef { tenant: 4 })) {
             Response::Stats(s) => assert_eq!(s.interval, 1),
@@ -483,7 +489,7 @@ mod tests {
 
         // The stale temp does not block the next compaction cycle.
         let mut journal = Journal::open(&p).unwrap();
-        journal.compact(&mut recovered).unwrap();
+        journal.compact(&recovered).unwrap();
         assert!(!tmp.exists(), "compaction must consume the temp file");
         let after = recover(&p, config()).unwrap();
         assert_eq!(after.tenant_spec(4), Some(spec));

@@ -123,13 +123,8 @@ fn main() {
         billing.advance_interval();
     }
     let mut responses = Vec::new();
-    let answered = serve_connection(
-        &mut fabric,
-        &mut &requests[..],
-        &mut responses,
-        MAX_FRAME_BYTES,
-    )
-    .unwrap();
+    let answered =
+        serve_connection(&fabric, &mut &requests[..], &mut responses, MAX_FRAME_BYTES).unwrap();
     let mut cursor = &responses[..];
     while let Some(resp) = read_frame::<_, Response>(&mut cursor, MAX_FRAME_BYTES).unwrap() {
         match resp {

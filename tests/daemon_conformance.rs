@@ -317,7 +317,7 @@ fn graceful_shutdown_drains_in_flight_frames_and_seals_intervals() {
     assert_eq!(report.frames, 1);
     assert_eq!(report.sealed, vec![(9, 0)]); // interval 0 sealed at quiesce
                                              // The recovered fabric reflects the drained ingest.
-    let mut fabric = report.fabric;
+    let fabric = report.fabric;
     match fabric.handle(Request::Stats(TenantRef { tenant: 9 })) {
         Response::Stats(s) => {
             assert_eq!(s.applied, 1_000);
@@ -541,7 +541,7 @@ fn journal_compacts_at_the_record_threshold_while_serving() {
     // interval position, and the checkpointed counters bit-for-bit.
     let copy = journal_path.with_extension("copy.jsonl");
     std::fs::copy(&journal_path, &copy).unwrap();
-    let mut recovered = recover(&copy, config()).unwrap();
+    let recovered = recover(&copy, config()).unwrap();
     assert_eq!(recovered.tenant_spec(6), Some(spec));
     match recovered.handle(Request::Stats(TenantRef { tenant: 6 })) {
         Response::Stats(s) => {

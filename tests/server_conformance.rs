@@ -211,7 +211,7 @@ fn wire_connection_loop_matches_dedicated_engine() {
 
     let mut responses = Vec::new();
     let answered = serve_connection(
-        &mut fabric,
+        &fabric,
         &mut &requests[..],
         &mut responses,
         bias_aware_sketches::server::MAX_FRAME_BYTES,
@@ -249,7 +249,7 @@ fn wire_connection_loop_matches_dedicated_engine() {
         let mut half_done = Vec::new();
         bias_aware_sketches::server::write_frame(&mut half_done, &Request::Ping).unwrap();
         serve_connection(
-            &mut fabric,
+            &fabric,
             &mut &half_done[..],
             &mut resp_buf,
             bias_aware_sketches::server::MAX_FRAME_BYTES,
@@ -827,7 +827,7 @@ fn hostile_updates_are_rejected_and_admit_nothing() {
     }
     let before = admission_state(&mut fabric, 1);
     let mut replies = Vec::new();
-    serve_connection(&mut fabric, &mut &raw[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+    serve_connection(&fabric, &mut &raw[..], &mut replies, MAX_FRAME_BYTES).unwrap();
     match read_frame::<_, Response>(&mut &replies[..], MAX_FRAME_BYTES) {
         Ok(Some(Response::Error(e))) => assert_eq!(e.code, "protocol", "{e:?}"),
         other => panic!("expected a protocol error, got {other:?}"),
@@ -955,7 +955,7 @@ fn non_finite_answers_are_typed_errors() {
         let mut frames = Vec::new();
         write_frame(&mut frames, req).unwrap();
         let mut replies = Vec::new();
-        serve_connection(&mut fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        serve_connection(&fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
         let wired: Response = read_frame(&mut &replies[..], MAX_FRAME_BYTES)
             .unwrap()
             .unwrap();
@@ -1036,7 +1036,7 @@ fn malformed_transfers_are_refused_and_install_nothing() {
             }));
         }
     }
-    let mut export = |tenant: u64| match fabric.handle(Request::Export(TenantRef { tenant })) {
+    let export = |tenant: u64| match fabric.handle(Request::Export(TenantRef { tenant })) {
         Response::Exported(mut transfer) => {
             transfer.spec.tenant = 9; // install it beside the source
             transfer
@@ -1095,7 +1095,7 @@ fn malformed_transfers_are_refused_and_install_nothing() {
         let mut frames = Vec::new();
         write_frame(&mut frames, &req).unwrap();
         let mut replies = Vec::new();
-        serve_connection(&mut fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        serve_connection(&fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
         let wired: Response = read_frame(&mut &replies[..], MAX_FRAME_BYTES)
             .unwrap()
             .unwrap();
@@ -1195,7 +1195,7 @@ fn advancing_past_the_last_interval_is_refused() {
         let mut frames = Vec::new();
         write_frame(&mut frames, &req).unwrap();
         let mut replies = Vec::new();
-        serve_connection(&mut fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        serve_connection(&fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
         let wired: Response = read_frame(&mut &replies[..], MAX_FRAME_BYTES)
             .unwrap()
             .unwrap();
@@ -1381,7 +1381,7 @@ fn all_grid_checkpoints_recover_in_their_layout() {
     check(&mut fabric, "rebalanced");
 
     let mut journal = Journal::open(&path).unwrap();
-    journal.compact(&mut fabric).unwrap();
+    journal.compact(&fabric).unwrap();
     drop(journal);
     let mut fabric = recover(&path, config()).unwrap();
     check(&mut fabric, "compacted");
@@ -1648,7 +1648,7 @@ fn rotating_tenants_compact_to_one_checkpoint() {
     ingest(&mut fabric, 500, 200);
 
     let mut journal = Journal::open(&path).unwrap();
-    journal.compact(&mut fabric).unwrap();
+    journal.compact(&fabric).unwrap();
     drop(journal);
     let records: Vec<JournalRecord> = std::fs::read_to_string(&path)
         .unwrap()
@@ -1797,7 +1797,7 @@ fn malformed_rotating_transfers_are_refused_and_install_nothing() {
         let mut frames = Vec::new();
         write_frame(&mut frames, &req).unwrap();
         let mut replies = Vec::new();
-        serve_connection(&mut fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+        serve_connection(&fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
         let wired: Response = read_frame(&mut &replies[..], MAX_FRAME_BYTES)
             .unwrap()
             .unwrap();
