@@ -13,7 +13,7 @@ use crate::wire::{
     read_frame, write_frame, ErrorReply, IngestFrame, Request, Response, TenantRef, WireError,
     MAX_INGEST_UPDATES,
 };
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::time::Duration;
 
 /// Serves requests from `reader`, writing one response per frame to
@@ -180,9 +180,13 @@ impl std::error::Error for RetryError {}
 /// [`Response::Error`]) are *answers*, not failures: they are returned
 /// as-is — only the caller knows whether an ingest batch is safe to
 /// resend.
+///
+/// The client reads through a buffer it owns, so a reply that arrived
+/// whole costs one `read`; a reconnect drops the buffer with its
+/// stream.
 pub struct Client<S, F> {
     connect: F,
-    stream: Option<S>,
+    stream: Option<BufReader<S>>,
     policy: RetryPolicy,
     max_frame_bytes: usize,
 }
@@ -218,7 +222,8 @@ impl<S: Read + Write, F: FnMut() -> io::Result<S>> Client<S, F> {
                 std::thread::sleep(self.policy.backoff(attempt - 1));
             }
             if self.stream.is_none() {
-                self.stream = Some((self.connect)().map_err(RetryError::Connect)?);
+                let stream = (self.connect)().map_err(RetryError::Connect)?;
+                self.stream = Some(BufReader::new(stream));
             }
             let stream = self.stream.as_mut().expect("just connected");
             match call_split(stream, req, self.max_frame_bytes) {
@@ -243,15 +248,17 @@ impl<S: Read + Write, F: FnMut() -> io::Result<S>> Client<S, F> {
     }
 }
 
-/// [`call`] over a single bidirectional stream.
+/// [`call`] over a single bidirectional stream behind its read
+/// buffer.
 fn call_split<S: Read + Write>(
-    stream: &mut S,
+    stream: &mut BufReader<S>,
     req: &Request,
     max_frame_bytes: usize,
 ) -> Result<Response, WireError> {
-    write_frame(stream, req)?;
-    stream.flush()?;
-    read_frame::<S, Response>(stream, max_frame_bytes)?.ok_or(WireError::Truncated {
+    let writer = stream.get_mut();
+    write_frame(writer, req)?;
+    writer.flush()?;
+    read_frame::<_, Response>(stream, max_frame_bytes)?.ok_or(WireError::Truncated {
         expected: 4,
         got: 0,
     })

@@ -276,14 +276,20 @@ impl EngineSlot {
     // ---- rebalance (export / install by linearity) ----
 
     /// Flushes the tenant and seals its state into a wire-shippable
-    /// transfer: the stream position and the counter planes, never the
+    /// transfer: the stream position, the quota count the fabric keeps
+    /// (`admitted_in_interval`) and the counter planes, never the
     /// hashers. The live plane ships as the cumulative, and every
     /// retained seal or closed generation, oldest first, as one seal:
     /// a closed generation's plane holds that one interval alone.
-    pub(crate) fn export(&mut self, spec: TenantSpec, params: SketchParams) -> TenantTransfer {
+    pub(crate) fn export(
+        &mut self,
+        spec: TenantSpec,
+        params: SketchParams,
+        admitted: u64,
+    ) -> TenantTransfer {
         match &mut self.engine {
-            TenantEngine::Freq(e) => export(e, spec, params, |plane| vec![plane.clone()]),
-            TenantEngine::Range(e) => export(e, spec, params, |planes| planes.clone()),
+            TenantEngine::Freq(e) => export(e, spec, params, admitted, |plane| vec![plane.clone()]),
+            TenantEngine::Range(e) => export(e, spec, params, admitted, |planes| planes.clone()),
         }
     }
 
@@ -465,6 +471,7 @@ fn export<S>(
     e: &mut QueryEngine<S>,
     spec: TenantSpec,
     params: SketchParams,
+    admitted_in_interval: u64,
     planes: impl Fn(&S::Snapshot) -> Vec<CounterMatrix<f64, Dense>>,
 ) -> TenantTransfer
 where
@@ -493,6 +500,7 @@ where
         interval: e.interval(),
         applied: snap.applied(),
         mass: snap.mass(),
+        admitted_in_interval,
         cumulative: planes(snap.snapshot()),
         seals: seals.chain(generations).collect(),
     }

@@ -23,7 +23,7 @@
 //!
 //! **Rebalance by linearity.** Moving a tenant ships its counter
 //! planes — never its hashers — through the real wire format
-//! (serialize, frame, deframe, deserialize, with the byte volume
+//! (encode, frame, deframe, decode, with the byte volume
 //! metered on the fabric's [`CommMeter`]). The destination rebuilds
 //! the hashers deterministically from the tenant's seed and absorbs
 //! the planes by linearity, so a moved tenant answers **bit-for-bit**
@@ -94,9 +94,7 @@ impl Tenant {
     /// framed byte count.
     fn ship(&mut self, config: &FabricConfig, meter: &mut CommMeter) -> Result<u64, ErrorReply> {
         let tenant = self.spec.tenant;
-        let transfer = self
-            .slot
-            .export(self.spec, config.params.with_seed(self.spec.seed));
+        let transfer = self.export(config);
         let mut buf = Vec::new();
         let bytes = wire::write_frame(&mut buf, &transfer)
             .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} export: {e}")))?;
@@ -109,6 +107,14 @@ impl Tenant {
         self.slot = EngineSlot::install(&shipped, config.params)?;
         self.spec = shipped.spec;
         Ok(bytes as u64)
+    }
+
+    /// Flushes the tenant and exports it whole: planes, stream position
+    /// and the interval's quota count.
+    fn export(&mut self, config: &FabricConfig) -> TenantTransfer {
+        let params = config.params.with_seed(self.spec.seed);
+        self.slot
+            .export(self.spec, params, self.admitted_in_interval)
     }
 }
 
@@ -323,7 +329,8 @@ impl Fabric {
 
     /// Installs a tenant from an exported transfer (the receiving half
     /// of a cross-fabric move). The ring picks the shard; the engine is
-    /// rebuilt by linearity.
+    /// rebuilt by linearity, and the interval's quota count resumes at
+    /// the transfer's.
     pub fn install_tenant(&self, transfer: &TenantTransfer) -> Result<u64, ErrorReply> {
         let tenant = transfer.spec.tenant;
         let mut tenants = write(&self.tenants);
@@ -341,7 +348,7 @@ impl Fabric {
         let t = Tenant {
             shard,
             spec: transfer.spec,
-            admitted_in_interval: 0,
+            admitted_in_interval: transfer.admitted_in_interval,
             slot,
         };
         tenants.insert(tenant, Arc::new(RwLock::new(t)));
@@ -460,10 +467,7 @@ impl Fabric {
                 })
             }
             Request::Export(TenantRef { tenant }) => {
-                let params = self.config.params.clone();
-                self.with_tenant_mut(tenant, |t| {
-                    Response::Exported(t.slot.export(t.spec, params.with_seed(t.spec.seed)))
-                })
+                self.with_tenant_mut(tenant, |t| Response::Exported(t.export(&self.config)))
             }
             Request::Install(transfer) => match self.install_tenant(&transfer) {
                 Ok(shard) => Response::Installed(InstallReceipt {
@@ -568,9 +572,9 @@ impl Fabric {
     }
 }
 
-/// A query answer the wire cannot carry: JSON has no `inf` or `NaN`
-/// (they would go out as `null` and arrive as NaN), so the answer is
-/// refused with a typed error instead of sent unfaithfully. `Stats`
+/// A query answer that is not finite: answers are finite by contract,
+/// so an estimate that reached `inf` or NaN (an overflowed cell) is
+/// refused with a typed error rather than served as a number. `Stats`
 /// refuses a non-finite `mass` the same way.
 fn non_finite(tenant: u64, asked: fmt::Arguments<'_>, value: f64) -> ErrorReply {
     ErrorReply::new(

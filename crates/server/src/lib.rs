@@ -12,12 +12,13 @@
 //!   answer, load is proportional to shard weight, and membership
 //!   changes move only the tenants they must.
 //! * **Wire protocol** ([`wire`]) — `u32` length-prefixed frames, each
-//!   written in one `write_all`. Ingest batches travel in a fixed-width
-//!   little-endian binary body (16 bytes per update); every other
-//!   frame is JSON in the workspace's existing serde wire format. One
-//!   [`Request`] in, one [`Response`] out; oversized and corrupt frames
-//!   are drained and answered with typed errors, so a hostile client
-//!   can neither desync nor crash the connection loop
+//!   written in one `write_all`. Every body is fixed little-endian
+//!   binary behind one tag byte (an ingest batch costs 16 bytes per
+//!   update, a point query 17 bytes), every `f64` travels as its bits,
+//!   and the journal ([`persist`]) is a sequence of the same frames.
+//!   One [`Request`] in, one [`Response`] out; oversized and corrupt
+//!   frames are drained and answered with typed errors, so a hostile
+//!   client can neither desync nor crash the connection loop
 //!   ([`connection`]).
 //! * **Admission control** ([`Fabric::handle`]) — each tenant's spec
 //!   carries a queue bound and a per-interval quota. Ingest beyond the
@@ -55,7 +56,7 @@ pub use connection::{
 };
 pub use fabric::{Fabric, FabricConfig, RebalanceReport, TenantMove};
 pub use listener::{ConnectionError, Daemon, DaemonConfig, Deadlines, ShutdownReport};
-pub use persist::{recover, Journal, JournalRecord, ShardRecord};
+pub use persist::{read_journal, recover, Journal, JournalRecord, ShardRecord};
 pub use placement::{jump_hash, PlacementRing, ShardWeight};
 pub use wire::{
     read_frame, write_frame, ErrorReply, IngestFrame, MetricKind, Request, Response, ServingMode,

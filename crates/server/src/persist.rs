@@ -1,42 +1,59 @@
-//! Tenant-spec durability: a JSON-lines journal of the fabric's
-//! durable state, and recovery from it.
+//! Tenant-spec durability: a journal of the fabric's durable state,
+//! and recovery from it.
 //!
 //! The daemon journals every **topology** effect the moment the fabric
 //! acknowledges it — shard membership, tenant registrations, interval
 //! advances, and full counter-plane checkpoints ([`TenantTransfer`]) —
-//! one serde-JSON record per line, flushed per append. Counters
-//! admitted between checkpoints are deliberately *not* journaled:
-//! sketches are lossy summaries, and write-amplifying every ingest
-//! batch to disk would cost more than the estimates are worth. The
-//! recovery contract is therefore:
+//! one [`JournalRecord`] per wire frame, in the binary layouts the
+//! [`wire`](crate::wire) module docs tabulate, written with
+//! [`write_frame`] and flushed per append. Counters admitted between
+//! checkpoints are deliberately *not* journaled: sketches are lossy
+//! summaries, and write-amplifying every ingest batch to disk would
+//! cost more than the estimates are worth. The recovery contract is
+//! therefore:
 //!
 //! * **Crash (kill -9):** [`recover`] rebuilds the shard ring, every
 //!   tenant's spec and placement, and its interval position. Tenants
 //!   checkpointed at the last compaction also get their counter
-//!   planes back through the rebalance path,
-//!   [`Fabric::install_tenant`]: a range-sum tenant in the dyadic
-//!   layout its planes record (a checkpoint written before exact
-//!   coarse levels existed comes back all grids), a rotating tenant
-//!   with every retained generation under its own seed. Counters
-//!   admitted after the last checkpoint are lost (the estimates
-//!   restart from the checkpoint).
+//!   planes and their interval's quota count back through the
+//!   rebalance path, [`Fabric::install_tenant`]: a range-sum tenant in
+//!   the dyadic layout its planes record (a checkpoint written before
+//!   exact coarse levels existed comes back all grids), a rotating
+//!   tenant with every retained generation under its own seed.
+//!   Counters admitted after the last checkpoint are lost (the
+//!   estimates restart from the checkpoint).
 //! * **Graceful shutdown:** [`Daemon::shutdown`](crate::Daemon::shutdown)
 //!   quiesces (seals open intervals) and calls [`Journal::compact`],
 //!   which rewrites the journal as shards + one checkpoint per tenant,
 //!   whatever its serving mode — so a restart serves **bit-for-bit**
 //!   what the old process served. A tenant that cannot be exported
 //!   fails the compaction, and the old journal stays in place.
-//! * **Older journals:** a tenant journaled as its registration plus
+//! * **Older journals:** a journal written before the binary layouts
+//!   is JSON lines, one serde-JSON record per line; its first byte is
+//!   `{`, which no frame of under 1.9 GiB starts with. It still
+//!   recovers, its checkpoints with no updates admitted in their
+//!   interval (the JSON has no quota count), and [`Journal::open`]
+//!   rewrites it as frames before the first append, so no file ever
+//!   holds both formats. A tenant journaled as its registration plus
 //!   one `IntervalAdvanced` per interval (how rotating tenants were
 //!   compacted before they could be exported) still recovers, empty,
 //!   at that interval.
+//!
+//! Every rewrite — a compaction, or the rewrite of an old journal — is
+//! written to a temp file, synced, renamed over the journal, and the
+//! journal's directory is synced after the rename, as it is after
+//! [`Journal::open`] creates the file: a power loss leaves the old
+//! journal or the new one, never a rename undone under records
+//! appended since.
 //!
 //! Placement needs no records of its own: it is a pure function of
 //! `(tenant, ring)`, so replaying shard membership in order puts every
 //! recovered tenant back on the shard it was on.
 
 use crate::fabric::Fabric;
-use crate::wire::{Request, Response, TenantRef, TenantSpec, TenantTransfer};
+use crate::wire::{
+    read_frame, write_frame, Request, Response, TenantRef, TenantSpec, TenantTransfer, WireError,
+};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -50,10 +67,11 @@ pub struct ShardRecord {
     pub weight: f64,
 }
 
-/// One journal line: a durable effect on the fabric.
+/// One journal record: a durable effect on the fabric.
 ///
-/// (Newtype variants throughout — the workspace's vendored serde
-/// derive does not handle struct variants.)
+/// The serde form is an older journal's JSON line. (Newtype variants
+/// throughout — the workspace's vendored serde derive does not handle
+/// struct variants.)
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum JournalRecord {
     /// A shard joined the ring with the given weight.
@@ -65,11 +83,12 @@ pub enum JournalRecord {
     /// A tenant's interval advanced (its open interval was sealed).
     IntervalAdvanced(TenantRef),
     /// A full counter-plane checkpoint: spec, planes, interval
-    /// position. Supersedes the tenant's earlier records.
+    /// position and quota count. Supersedes the tenant's earlier
+    /// records.
     Checkpoint(TenantTransfer),
 }
 
-/// An append-only JSON-lines journal, flushed per record.
+/// An append-only journal of frames, flushed per record.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -84,21 +103,33 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if absent) the journal at `path` for appending.
+    /// An older JSON-lines journal is first rewritten as frames.
+    ///
+    /// # Errors
+    /// I/O failures, and a corrupt record.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         // Seed the growth counters from whatever is already on disk:
         // the thresholds measure distance from the last compaction,
         // and an uncompacted pre-existing file is all distance.
-        let (records, bytes) = match File::open(&path) {
-            Ok(f) => {
-                let bytes = f.metadata()?.len();
-                let records = BufReader::new(f).lines().count() as u64;
-                (records, bytes)
+        let existing = Records::open(&path)?;
+        let created = existing.is_none();
+        let (records, bytes) = match existing {
+            None => (0, 0),
+            Some(reader) if reader.json => {
+                let records = reader.collect::<io::Result<Vec<_>>>()?;
+                let bytes = write_atomically(&path, &records)?;
+                (records.len() as u64, bytes)
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => (0, 0),
-            Err(e) => return Err(e),
+            Some(mut reader) => {
+                let records = reader.try_fold(0, |n, record| record.map(|_| n + 1))?;
+                (records, std::fs::metadata(&path)?.len())
+            }
         };
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        if created {
+            sync_dir(&path)?;
+        }
         Ok(Self {
             path,
             writer: BufWriter::new(file),
@@ -113,7 +144,7 @@ impl Journal {
     }
 
     /// Records appended since the last compaction (seeded from the
-    /// file's line count on open).
+    /// file's record count on open).
     pub fn records(&self) -> u64 {
         self.records
     }
@@ -124,14 +155,12 @@ impl Journal {
         self.bytes
     }
 
-    /// Appends one record and flushes it to the OS.
+    /// Appends one record as a frame and flushes it to the OS.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let line = serde_json::to_string(record).map_err(io::Error::other)?;
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let written = write_frame(&mut self.writer, record).map_err(io_error)?;
         self.writer.flush()?;
         self.records += 1;
-        self.bytes += line.len() as u64 + 1;
+        self.bytes += written as u64;
         Ok(())
     }
 
@@ -151,18 +180,7 @@ impl Journal {
     /// the old journal in place.
     pub fn compact(&mut self, fabric: &Fabric) -> io::Result<()> {
         let records = snapshot_records(fabric)?;
-        let tmp = self.path.with_extension("journal.tmp");
-        {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            for record in records {
-                let line = serde_json::to_string(&record).map_err(io::Error::other)?;
-                out.write_all(line.as_bytes())?;
-                out.write_all(b"\n")?;
-            }
-            out.flush()?;
-            out.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        write_atomically(&self.path, &records)?;
         let file = OpenOptions::new().append(true).open(&self.path)?;
         self.writer = BufWriter::new(file);
         // The compacted snapshot is the new baseline: the growth
@@ -170,6 +188,44 @@ impl Journal {
         self.records = 0;
         self.bytes = 0;
         Ok(())
+    }
+}
+
+/// Replaces the journal at `path` with `records` as frames: written to
+/// a temp file and synced, renamed over the journal, then the
+/// directory synced so the rename survives a power loss. Returns the
+/// bytes written.
+fn write_atomically(path: &Path, records: &[JournalRecord]) -> io::Result<u64> {
+    let tmp = path.with_extension("journal.tmp");
+    let mut bytes = 0;
+    {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        for record in records {
+            bytes += write_frame(&mut out, record).map_err(io_error)? as u64;
+        }
+        out.flush()?;
+        out.get_ref().sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    sync_dir(path)?;
+    Ok(bytes)
+}
+
+/// Syncs the directory that holds `path`, so a file created in it or
+/// renamed into it is still there after a power loss.
+fn sync_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// A wire error met while writing the journal, as an I/O error.
+fn io_error(e: WireError) -> io::Error {
+    match e {
+        WireError::Io(e) => e,
+        other => io::Error::other(other),
     }
 }
 
@@ -200,13 +256,94 @@ fn snapshot_records(fabric: &Fabric) -> io::Result<Vec<JournalRecord>> {
     Ok(records)
 }
 
-/// A journal parse failure (corrupt line), surfaced with its line
-/// number so the operator can triage the file.
-fn corrupt(line_no: usize, err: impl std::fmt::Display) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("journal line {line_no}: {err}"),
-    )
+/// Reads every record of the journal at `path`, oldest first: frames,
+/// or the JSON lines of an older journal. No file reads as no records.
+///
+/// # Errors
+/// I/O failures, and a corrupt record: a typed `InvalidData` error
+/// naming its position (`journal record N` in frames, `journal line N`
+/// in JSON lines).
+pub fn read_journal<P: AsRef<Path>>(path: P) -> io::Result<Vec<JournalRecord>> {
+    match Records::open(path)? {
+        Some(records) => records.collect(),
+        None => Ok(Vec::new()),
+    }
+}
+
+/// The records of a journal file, read one at a time.
+struct Records {
+    reader: BufReader<File>,
+    /// Whether the file is JSON lines (its first byte is `{`).
+    json: bool,
+    /// Frames or lines read so far.
+    read: usize,
+}
+
+impl Records {
+    /// Opens the journal at `path` for reading; `Ok(None)` if there is
+    /// no file.
+    fn open<P: AsRef<Path>>(path: P) -> io::Result<Option<Self>> {
+        let file = match File::open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let mut reader = BufReader::new(file);
+        let json = reader.fill_buf()?.first() == Some(&b'{');
+        Ok(Some(Self {
+            reader,
+            json,
+            read: 0,
+        }))
+    }
+
+    /// A failure at the record read last.
+    fn corrupt(&self, err: impl std::fmt::Display) -> io::Error {
+        let unit = if self.json { "line" } else { "record" };
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("journal {unit} {}: {err}", self.read),
+        )
+    }
+
+    fn next_frame(&mut self) -> Option<io::Result<JournalRecord>> {
+        self.read += 1;
+        // A journal's frames are bounded only by their `u32` prefix.
+        match read_frame(&mut self.reader, u32::MAX as usize) {
+            Ok(record) => record.map(Ok),
+            Err(WireError::Io(e)) => Some(Err(e)),
+            Err(e) => Some(Err(self.corrupt(e))),
+        }
+    }
+
+    fn next_line(&mut self) -> Option<io::Result<JournalRecord>> {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            self.read += 1;
+            match self.reader.read_line(&mut line) {
+                Ok(0) => return None,
+                Ok(_) if line.trim().is_empty() => {}
+                Ok(_) => {
+                    let line = line.trim_end_matches(['\r', '\n']);
+                    return Some(serde_json::from_str(line).map_err(|e| self.corrupt(e)));
+                }
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
+}
+
+impl Iterator for Records {
+    type Item = io::Result<JournalRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.json {
+            self.next_line()
+        } else {
+            self.next_frame()
+        }
+    }
 }
 
 /// Replays a journal into a fresh [`Fabric`] built from `config`.
@@ -223,14 +360,12 @@ fn corrupt(line_no: usize, err: impl std::fmt::Display) -> io::Error {
 /// A missing journal file recovers an **empty** fabric (first boot).
 ///
 /// # Errors
-/// I/O failures, corrupt lines, and replay rejections (e.g. a journal
-/// whose specs no longer validate against `config`).
+/// I/O failures, corrupt records, and replay rejections (e.g. a
+/// journal whose specs no longer validate against `config`).
 pub fn recover<P: AsRef<Path>>(path: P, config: crate::fabric::FabricConfig) -> io::Result<Fabric> {
     let mut fabric = Fabric::new(config);
-    let file = match File::open(path.as_ref()) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(fabric),
-        Err(e) => return Err(e),
+    let Some(mut reader) = Records::open(path)? else {
+        return Ok(fabric);
     };
 
     // Pass 1: fold the stream into final topology.
@@ -238,16 +373,11 @@ pub fn recover<P: AsRef<Path>>(path: P, config: crate::fabric::FabricConfig) -> 
     // (spec, advances-after-checkpoint, latest checkpoint), insertion
     // order preserved so recovery is deterministic.
     let mut tenants: Vec<(u64, TenantSpec, u64, Option<TenantTransfer>)> = Vec::new();
-    for (i, line) in BufReader::new(file).lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: JournalRecord = serde_json::from_str(&line).map_err(|e| corrupt(i + 1, e))?;
-        match record {
+    while let Some(record) = reader.next() {
+        match record? {
             JournalRecord::ShardAdded(ShardRecord { shard, weight }) => {
                 if shards.iter().any(|&(id, _)| id == shard) {
-                    return Err(corrupt(i + 1, format!("shard {shard} added twice")));
+                    return Err(reader.corrupt(format!("shard {shard} added twice")));
                 }
                 shards.push((shard, weight));
             }
@@ -256,20 +386,16 @@ pub fn recover<P: AsRef<Path>>(path: P, config: crate::fabric::FabricConfig) -> 
             }
             JournalRecord::TenantRegistered(spec) => {
                 if tenants.iter().any(|e| e.0 == spec.tenant) {
-                    return Err(corrupt(
-                        i + 1,
-                        format!("tenant {} registered twice", spec.tenant),
-                    ));
+                    return Err(reader.corrupt(format!("tenant {} registered twice", spec.tenant)));
                 }
                 tenants.push((spec.tenant, spec, 0, None));
             }
             JournalRecord::IntervalAdvanced(TenantRef { tenant }) => {
-                let entry = tenants.iter_mut().find(|e| e.0 == tenant).ok_or_else(|| {
-                    corrupt(
-                        i + 1,
-                        format!("interval advance for unknown tenant {tenant}"),
-                    )
-                })?;
+                let Some(entry) = tenants.iter_mut().find(|e| e.0 == tenant) else {
+                    return Err(
+                        reader.corrupt(format!("interval advance for unknown tenant {tenant}"))
+                    );
+                };
                 entry.2 += 1;
             }
             JournalRecord::Checkpoint(transfer) => {
@@ -330,7 +456,7 @@ mod tests {
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("bas-journal-{tag}-{}.jsonl", std::process::id()));
+        p.push(format!("bas-journal-{tag}-{}.journal", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
     }
@@ -493,6 +619,31 @@ mod tests {
         assert!(!tmp.exists(), "compaction must consume the temp file");
         let after = recover(&p, config()).unwrap();
         assert_eq!(after.tenant_spec(4), Some(spec));
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// A frame that does not decode, and a frame cut short by the end
+    /// of the file, are typed `InvalidData` errors naming the record.
+    #[test]
+    fn corrupt_frames_are_typed_errors_with_record_numbers() {
+        let p = temp_path("corrupt-frame");
+        let mut journal = Journal::open(&p).unwrap();
+        journal
+            .append(&JournalRecord::ShardAdded(ShardRecord {
+                shard: 0,
+                weight: 1.0,
+            }))
+            .unwrap();
+        drop(journal);
+        let good = std::fs::read(&p).unwrap();
+        for tail in [&[0, 0, 0, 2, 0xEE, 0xEE][..], &[0, 0, 0, 9, 0x03, 7]] {
+            let mut bytes = good.clone();
+            bytes.extend_from_slice(tail);
+            std::fs::write(&p, &bytes).unwrap();
+            let err = recover(&p, config()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("journal record 2"), "{err}");
+        }
         std::fs::remove_file(&p).unwrap();
     }
 

@@ -1,26 +1,89 @@
 //! The length-prefixed wire protocol.
 //!
 //! A frame is a `u32` big-endian body length, then the body, written
-//! as one buffer in one `write_all`. Each message kind has exactly one
-//! body encoding ([`WireBody`]):
+//! as one buffer in one `write_all`. Every message kind has one fixed
+//! little-endian binary body ([`WireBody`]): a tag byte naming the
+//! kind, then its fields in the order the tables below list them. One
+//! [`Request`] frame in, one [`Response`] frame out, strictly
+//! alternating per connection. The journal
+//! ([`persist`](crate::persist)) is a sequence of the same frames, one
+//! [`JournalRecord`] each.
 //!
-//! * a [`Request::Ingest`] body is fixed-width little-endian binary,
-//!   `13 + 16·n` bytes: the tag byte [`INGEST_TAG`] (`0x01`), the
-//!   tenant (`u64`), the update count `n` (`u32`), then `n` × (item
-//!   `u64`, delta `f64`). Deltas travel as their IEEE-754 bits, so
-//!   every value arrives exactly as sent — NaN payloads, ±inf, −0.0
-//!   and subnormals included — and the fabric's admission check is
-//!   the only validator of items and deltas;
-//! * every other request, every [`Response`] and every
-//!   [`TenantTransfer`] is JSON in the workspace's existing serde wire
-//!   format (the same format the distributed protocol and
-//!   `tests/serde_roundtrip.rs` already pin down: finite `f64`s print
-//!   shortest-round-trip, so counter planes ship **bit-for-bit**).
+//! The layout rules:
 //!
-//! JSON bodies always start with `{` or `"`, so the tag byte alone
-//! tells a reader which decoder to run; a JSON body naming `Ingest` is
-//! refused as [`WireError::Malformed`]. One [`Request`] frame in, one
-//! [`Response`] frame out, strictly alternating per connection.
+//! * an integer travels as a `u64` (8 bytes), and an `f64` as its 8
+//!   IEEE-754 bytes, so every float arrives exactly as sent — NaN
+//!   payloads, ±inf, −0.0 and subnormals included — and the fabric is
+//!   the only validator of the values a peer sends;
+//! * an enum is a one-byte discriminant, then the variant's payload;
+//! * a string is a `u32` byte count, then UTF-8 bytes; a sequence \[`T`\]
+//!   is a `u32` count, then the values;
+//! * a *plane* is its width (`u64`), its depth (`u64`), then its
+//!   `width · depth` cells (`f64`), row-major; it holds at least one
+//!   cell.
+//!
+//! | Tag | [`Request`] | Fields |
+//! |---|---|---|
+//! | `0x00` | `Ping` | — |
+//! | `0x01` | `Ingest` | tenant, \[item `u64`, delta `f64`\] |
+//! | `0x02` | `Flush` | tenant |
+//! | `0x03` | `AdvanceInterval` | tenant |
+//! | `0x04` | `Point` | tenant, item |
+//! | `0x05` | `WindowPoint` | tenant, item |
+//! | `0x06` | `HeavyHitters` | tenant, phi `f64` |
+//! | `0x07` | `WindowHeavyHitters` | tenant, phi `f64` |
+//! | `0x08` | `RangeSum` | tenant, lo, hi |
+//! | `0x09` | `WindowRangeSum` | tenant, lo, hi |
+//! | `0x0A` | `Stats` | tenant |
+//! | `0x0B` | `Export` | tenant |
+//! | `0x0C` | `Install` | *transfer* |
+//! | `0x0D` | `Register` | *spec* |
+//!
+//! | Tag | [`Response`] | Fields |
+//! |---|---|---|
+//! | `0x00` | `Pong` | — |
+//! | `0x01` | `Admitted` | tenant, pending |
+//! | `0x02` | `Busy` | tenant, pending, capacity |
+//! | `0x03` | `Shed` | tenant, admitted, quota |
+//! | `0x04` | `Flushed` | tenant, applied |
+//! | `0x05` | `Sealed` | tenant, sealed interval |
+//! | `0x06` | `Value` | tenant, value `f64` |
+//! | `0x07` | `HeavyHitters` | tenant, \[item `u64`, estimate `f64`\] |
+//! | `0x08` | `Stats` | tenant, shard, applied, mass `f64`, pending, admitted in interval, interval |
+//! | `0x09` | `Exported` | *transfer* |
+//! | `0x0A` | `Installed` | tenant, shard |
+//! | `0x0B` | `Error` | code string, detail string |
+//!
+//! | Tag | [`JournalRecord`] | Fields |
+//! |---|---|---|
+//! | `0x00` | `ShardAdded` | shard, weight `f64` |
+//! | `0x01` | `ShardRemoved` | shard, weight `f64` |
+//! | `0x02` | `TenantRegistered` | *spec* |
+//! | `0x03` | `IntervalAdvanced` | tenant |
+//! | `0x04` | `Checkpoint` | *transfer* |
+//!
+//! A [`TenantTransfer`] framed on its own (a rebalance between shards)
+//! is the tag `0x00`, then the *transfer*. The nested layouts:
+//!
+//! | Part | Fields |
+//! |---|---|
+//! | *transfer* | *spec*, *params*, interval, applied, mass `f64`, admitted in interval, \[*plane*\] cumulative, \[*seal*\] seals |
+//! | *spec* | tenant, seed, metric (`0x00` frequency, `0x01` range sum), *mode*, queue capacity, interval quota, audit limit |
+//! | *mode* | `0x00` unbounded; `0x01` tumbling, `0x02` sliding or `0x03` rotating, each then its window length |
+//! | *params* | n, width, depth, seed, hash kind (`0x00` Carter–Wegman, `0x01` multiply-shift, `0x02` tabulation, `0x03` one-hash) |
+//! | *seal* | interval, applied, mass `f64`, \[*plane*\] |
+//!
+//! An ingest body is thus `13 + 16·n` bytes for `n` updates. At the
+//! benchmark's shape (4,096 × 9 cells) a plane is 294,912 bytes, so a
+//! [`MAX_FRAME_BYTES`] frame carries 56 planes: a transfer of a
+//! `Sliding` tenant with a window of at most 55 intervals.
+//!
+//! A body that ends early, runs past its fields, or carries an unknown
+//! tag or discriminant is a recoverable [`WireError::Malformed`]; so
+//! is a JSON body, the encoding every kind but `Ingest` had before
+//! these layouts. A count is checked against the bytes left before
+//! anything is allocated, so no body makes its decoder allocate beyond
+//! the body itself.
 //!
 //! The framing layer owns desync-avoidance **and** resource bounds
 //! against hostile peers:
@@ -40,13 +103,14 @@
 //!   one chunk beyond what it has already sent (behavior change vs the
 //!   original protocol, which allocated the full declared length up
 //!   front);
-//! * a body that does not decode as the expected type — bad JSON, or
-//!   an ingest body whose count disagrees with its length — is fully
+//! * a body that does not decode as the expected type is fully
 //!   consumed before [`WireError::Malformed`] is reported — the stream
 //!   stays in sync;
 //! * [`WireError::Truncated`] / [`WireError::Io`] are fatal: the
 //!   stream position is unknown, so the connection must drop.
 
+use crate::persist::{JournalRecord, ShardRecord};
+use bas_hash::HashKind;
 use bas_sketch::{CounterMatrix, Dense, SketchParams};
 use std::io::{Read, Write};
 
@@ -61,8 +125,7 @@ pub const MAX_FRAME_BYTES: usize = 16 << 20;
 /// ([`WireError::Abusive`], fatal) rather than read-and-discarded.
 pub const DRAIN_BUDGET_MULTIPLE: usize = 4;
 
-/// First byte of a binary [`Request::Ingest`] body. JSON bodies start
-/// with `{` or `"`, so this byte alone tells the two encodings apart.
+/// First byte of a [`Request::Ingest`] body.
 pub const INGEST_TAG: u8 = 0x01;
 
 /// Bytes before the first update of an ingest body: tag, tenant
@@ -110,10 +173,10 @@ pub enum WireError {
         /// The drain budget that was exceeded.
         budget: usize,
     },
-    /// The body did not decode as the expected frame type: invalid
-    /// JSON, an ingest body whose count disagrees with its length, or
-    /// a JSON body naming `Ingest`. The body was fully consumed, so the
-    /// connection is still in sync.
+    /// The body did not decode as the expected frame type: it ends
+    /// early, runs past its fields, carries an unknown tag or
+    /// discriminant or a count its bytes cannot back, or is JSON. The
+    /// body was fully consumed, so the connection is still in sync.
     Malformed {
         /// Decoder diagnostic.
         detail: String,
@@ -162,15 +225,15 @@ impl WireError {
     }
 }
 
-/// A message that travels as a frame body: [`Request`], [`Response`]
-/// and [`TenantTransfer`]. Ingest requests use the binary layout in
-/// the [module docs](self); everything else is JSON.
+/// A message that travels as a frame body: [`Request`], [`Response`],
+/// [`TenantTransfer`] and [`JournalRecord`], each in the binary layout
+/// the [module docs](self) tabulate.
 pub trait WireBody: Sized {
     /// Appends the encoded body to `out`.
     ///
     /// # Errors
-    /// [`WireError::Malformed`] if the value fails to encode,
-    /// [`WireError::FrameTooLarge`] if its body cannot fit a frame.
+    /// [`WireError::FrameTooLarge`] if the body cannot fit a frame; `out`
+    /// is left as it was.
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError>;
 
     /// Decodes one complete body.
@@ -180,122 +243,137 @@ pub trait WireBody: Sized {
     fn decode_body(body: &[u8]) -> Result<Self, WireError>;
 }
 
+/// Tag byte of a [`TenantTransfer`] framed on its own.
+const TRANSFER_TAG: u8 = 0x00;
+
 impl WireBody for Request {
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        match self {
-            Request::Ingest(frame) => encode_ingest(frame, out),
-            other => encode_json(other, out),
-        }
+        encode(out, |out| self.put(out))
     }
 
     fn decode_body(body: &[u8]) -> Result<Self, WireError> {
-        if body.first() == Some(&INGEST_TAG) {
-            return decode_ingest(body).map(Request::Ingest);
-        }
-        match decode_json(body)? {
-            Request::Ingest(_) => Err(WireError::Malformed {
-                detail: "ingest frames take the binary body, not JSON".into(),
-            }),
-            req => Ok(req),
-        }
+        decode(body, Request::take)
     }
 }
 
 impl WireBody for Response {
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        encode_json(self, out)
+        encode(out, |out| self.put(out))
     }
 
     fn decode_body(body: &[u8]) -> Result<Self, WireError> {
-        decode_json(body)
+        decode(body, Response::take)
+    }
+}
+
+impl WireBody for JournalRecord {
+    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        encode(out, |out| self.put(out))
+    }
+
+    fn decode_body(body: &[u8]) -> Result<Self, WireError> {
+        decode(body, JournalRecord::take)
     }
 }
 
 impl WireBody for TenantTransfer {
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        encode_json(self, out)
+        encode(out, |out| {
+            out.push(TRANSFER_TAG);
+            self.put(out);
+        })
     }
 
     fn decode_body(body: &[u8]) -> Result<Self, WireError> {
-        decode_json(body)
+        decode(body, |body| match body.u8()? {
+            TRANSFER_TAG => TenantTransfer::take(body),
+            tag => Err(unknown("transfer tag", tag)),
+        })
     }
 }
 
-fn encode_json<T: serde::Serialize>(msg: &T, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let body = serde_json::to_string(msg).map_err(|e| WireError::Malformed {
-        detail: e.to_string(),
-    })?;
-    out.extend_from_slice(body.as_bytes());
-    Ok(())
-}
-
-fn decode_json<T: for<'de> serde::Deserialize<'de>>(body: &[u8]) -> Result<T, WireError> {
-    let text = std::str::from_utf8(body).map_err(|e| WireError::Malformed {
-        detail: format!("non-UTF-8 body: {e}"),
-    })?;
-    serde_json::from_str(text).map_err(|e| WireError::Malformed {
-        detail: e.to_string(),
-    })
-}
-
-fn encode_ingest(frame: &IngestFrame, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let n = frame.updates.len();
-    let len = INGEST_HEAD_BYTES + INGEST_UPDATE_BYTES * n;
-    // A body that fits the `u32` length prefix carries fewer than 2^28
-    // updates, so the count below fits its `u32` too.
+/// Appends the body `put` writes, refused whole if it cannot fit the
+/// `u32` length prefix.
+fn encode(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+    let start = out.len();
+    put(out);
+    let len = out.len() - start;
     if u32::try_from(len).is_err() {
+        out.truncate(start);
         return Err(WireError::FrameTooLarge {
             len,
             max: u32::MAX as usize,
         });
     }
-    out.reserve(len);
-    out.push(INGEST_TAG);
-    out.extend_from_slice(&frame.tenant.to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    let start = out.len();
-    out.resize(start + INGEST_UPDATE_BYTES * n, 0);
-    for (slot, &(item, delta)) in out[start..]
-        .chunks_exact_mut(INGEST_UPDATE_BYTES)
-        .zip(&frame.updates)
-    {
-        slot[..8].copy_from_slice(&item.to_le_bytes());
-        slot[8..].copy_from_slice(&delta.to_le_bytes());
-    }
     Ok(())
 }
 
-fn decode_ingest(body: &[u8]) -> Result<IngestFrame, WireError> {
-    if body.len() < INGEST_HEAD_BYTES {
-        return Err(WireError::Malformed {
-            detail: format!(
-                "ingest body of {} bytes is shorter than its {INGEST_HEAD_BYTES}-byte head",
-                body.len()
-            ),
-        });
+/// Decodes one whole body with `take`: every byte must belong to it.
+fn decode<T>(
+    bytes: &[u8],
+    take: impl FnOnce(&mut Body<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    if let Some(&first @ (b'{' | b'"')) = bytes.first() {
+        return Err(malformed(format!(
+            "a body starting with {:?} is JSON; every frame takes its binary body",
+            first as char
+        )));
     }
-    let tenant = u64::from_le_bytes(le_word(&body[1..9]));
-    let count = u32::from_le_bytes(le_word(&body[9..INGEST_HEAD_BYTES]));
-    let pairs = &body[INGEST_HEAD_BYTES..];
-    if pairs.len() as u64 != u64::from(count) * INGEST_UPDATE_BYTES as u64 {
-        return Err(WireError::Malformed {
-            detail: format!(
-                "ingest body declares {count} updates but carries {} update bytes",
-                pairs.len()
-            ),
-        });
+    let mut body = Body(bytes);
+    let value = take(&mut body)?;
+    match body.0.len() {
+        0 => Ok(value),
+        extra => Err(malformed(format!("{extra} bytes trail the body"))),
     }
-    let updates = pairs
-        .chunks_exact(INGEST_UPDATE_BYTES)
-        .map(|pair| {
-            let (item, delta) = pair.split_at(8);
-            (
-                u64::from_le_bytes(le_word(item)),
-                f64::from_le_bytes(le_word(delta)),
-            )
-        })
-        .collect();
-    Ok(IngestFrame { tenant, updates })
+}
+
+fn malformed(detail: String) -> WireError {
+    WireError::Malformed { detail }
+}
+
+fn unknown(what: &str, byte: u8) -> WireError {
+    malformed(format!("unknown {what} 0x{byte:02x}"))
+}
+
+/// The unread rest of one frame body. Every read is checked against
+/// the bytes left, so a short body is [`WireError::Malformed`], never a
+/// panic.
+struct Body<'a>(&'a [u8]);
+
+impl<'a> Body<'a> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if n > self.0.len() {
+            return Err(malformed(format!(
+                "the body ends early: {n} bytes wanted, {} left",
+                self.0.len()
+            )));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.bytes(1)?[0])
+    }
+
+    fn word(&mut self) -> Result<[u8; 8], WireError> {
+        Ok(le_word(self.bytes(8)?))
+    }
+
+    /// A sequence's `u32` count, refused unless `min_bytes` per value
+    /// fit in the bytes left: nothing is allocated for a count the body
+    /// cannot back.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, WireError> {
+        let n = u32::from_le_bytes(le_word(self.bytes(4)?)) as usize;
+        let left = self.0.len();
+        if n > left / min_bytes {
+            return Err(malformed(format!(
+                "a count of {n} needs at least {min_bytes} bytes each, {left} left"
+            )));
+        }
+        Ok(n)
+    }
 }
 
 /// A fixed-size array from a slice the caller has already cut to size.
@@ -303,16 +381,446 @@ fn le_word<const N: usize>(bytes: &[u8]) -> [u8; N] {
     bytes.try_into().expect("caller slices exactly N bytes")
 }
 
+/// A sequence count. A sequence longer than `u32::MAX` makes a body
+/// longer than `u32::MAX` bytes, which [`encode`] refuses whole.
+fn put_count(n: usize, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+}
+
+/// A value with a fixed little-endian layout inside a body.
+trait Field: Sized {
+    /// The fewest bytes any encoding of the type takes: a sequence
+    /// count is checked against the bytes left at this many per value.
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Reads one value off the front of `body`.
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError>;
+}
+
+impl Field for u64 {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        Ok(u64::from_le_bytes(body.word()?))
+    }
+}
+
+impl Field for usize {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        let v = u64::take(body)?;
+        usize::try_from(v).map_err(|_| malformed(format!("{v} overflows this host's usize")))
+    }
+}
+
+impl Field for f64 {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        Ok(f64::from_le_bytes(body.word()?))
+    }
+}
+
+impl Field for String {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(self.len(), out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        let n = body.count(1)?;
+        let text = std::str::from_utf8(body.bytes(n)?)
+            .map_err(|e| malformed(format!("a string is not UTF-8: {e}")))?;
+        Ok(text.to_owned())
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(self.len(), out);
+        for value in self {
+            value.put(out);
+        }
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        let n = body.count(T::MIN_BYTES)?;
+        (0..n).map(|_| T::take(body)).collect()
+    }
+}
+
+/// `(u64, f64)` pairs — ingest updates and heavy hitters — as one
+/// 16-byte slot each, written and read in one pass.
+fn put_pairs(pairs: &[(u64, f64)], out: &mut Vec<u8>) {
+    put_count(pairs.len(), out);
+    let start = out.len();
+    out.resize(start + 16 * pairs.len(), 0);
+    for (slot, &(item, value)) in out[start..].chunks_exact_mut(16).zip(pairs) {
+        slot[..8].copy_from_slice(&item.to_le_bytes());
+        slot[8..].copy_from_slice(&value.to_le_bytes());
+    }
+}
+
+fn take_pairs(body: &mut Body<'_>) -> Result<Vec<(u64, f64)>, WireError> {
+    let n = body.count(16)?;
+    let pairs = body.bytes(16 * n)?.chunks_exact(16).map(|pair| {
+        let (item, value) = pair.split_at(8);
+        (
+            u64::from_le_bytes(le_word(item)),
+            f64::from_le_bytes(le_word(value)),
+        )
+    });
+    Ok(pairs.collect())
+}
+
+impl Field for IngestFrame {
+    const MIN_BYTES: usize = 12;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.tenant.put(out);
+        put_pairs(&self.updates, out);
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            tenant: u64::take(body)?,
+            updates: take_pairs(body)?,
+        })
+    }
+}
+
+impl Field for HeavyHittersReply {
+    const MIN_BYTES: usize = 12;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.tenant.put(out);
+        put_pairs(&self.items, out);
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            tenant: u64::take(body)?,
+            items: take_pairs(body)?,
+        })
+    }
+}
+
+/// A plane: width, depth, then the cells row-major.
+impl Field for CounterMatrix<f64, Dense> {
+    const MIN_BYTES: usize = 24;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.width().put(out);
+        self.depth().put(out);
+        out.reserve(8 * self.len());
+        for row in 0..self.depth() {
+            for cell in self.row(row) {
+                cell.put(out);
+            }
+        }
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        let width = usize::take(body)?;
+        let depth = usize::take(body)?;
+        let left = body.0.len();
+        let cells = width
+            .checked_mul(depth)
+            .filter(|&cells| cells > 0 && cells <= left / 8)
+            .ok_or_else(|| {
+                malformed(format!(
+                    "a {width} x {depth} plane does not fit the {left} bytes left"
+                ))
+            })?;
+        let cells = body.bytes(8 * cells)?.chunks_exact(8);
+        let cells = cells.map(|c| f64::from_le_bytes(le_word(c))).collect();
+        Ok(CounterMatrix::from_cells(width, depth, cells))
+    }
+}
+
+/// Implements [`Field`] for structs as their fields in the order
+/// listed, which is the order the [module docs](self) tabulate.
+macro_rules! layouts {
+    ($($ty:ty { $($field:ident: $fty:ty),* $(,)? })*) => {$(
+        impl Field for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Field>::MIN_BYTES)*;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+                Ok(Self { $($field: <$fty as Field>::take(body)?,)* })
+            }
+        }
+    )*};
+}
+
+layouts! {
+    TenantRef { tenant: u64 }
+    PointQuery { tenant: u64, item: u64 }
+    HeavyHittersQuery { tenant: u64, phi: f64 }
+    RangeQuery { tenant: u64, lo: u64, hi: u64 }
+    WindowLen { intervals: u64 }
+    TenantSpec {
+        tenant: u64,
+        seed: u64,
+        metric: MetricKind,
+        mode: ServingMode,
+        queue_capacity: u64,
+        interval_quota: u64,
+        audit_limit: u64,
+    }
+    SketchParams { n: u64, width: usize, depth: usize, seed: u64, hash_kind: HashKind }
+    SealFrame { interval: u64, applied: u64, mass: f64, planes: Vec<CounterMatrix<f64, Dense>> }
+    TenantTransfer {
+        spec: TenantSpec,
+        params: SketchParams,
+        interval: u64,
+        applied: u64,
+        mass: f64,
+        admitted_in_interval: u64,
+        cumulative: Vec<CounterMatrix<f64, Dense>>,
+        seals: Vec<SealFrame>,
+    }
+    AdmitReceipt { tenant: u64, pending: u64 }
+    BusyReceipt { tenant: u64, pending: u64, capacity: u64 }
+    ShedReceipt { tenant: u64, admitted: u64, quota: u64 }
+    FlushReceipt { tenant: u64, applied: u64 }
+    SealReceipt { tenant: u64, sealed_interval: u64 }
+    ValueReply { tenant: u64, value: f64 }
+    StatsReply {
+        tenant: u64,
+        shard: u64,
+        applied: u64,
+        mass: f64,
+        pending: u64,
+        admitted_in_interval: u64,
+        interval: u64,
+    }
+    InstallReceipt { tenant: u64, shard: u64 }
+    ErrorReply { code: String, detail: String }
+    ShardRecord { shard: u64, weight: f64 }
+}
+
+impl Field for MetricKind {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            MetricKind::Frequency => 0x00,
+            MetricKind::RangeSum => 0x01,
+        });
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        match body.u8()? {
+            0x00 => Ok(MetricKind::Frequency),
+            0x01 => Ok(MetricKind::RangeSum),
+            other => Err(unknown("metric", other)),
+        }
+    }
+}
+
+impl Field for ServingMode {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let (tag, len) = match self {
+            ServingMode::Unbounded => (0x00, None),
+            ServingMode::Tumbling(len) => (0x01, Some(len)),
+            ServingMode::Sliding(len) => (0x02, Some(len)),
+            ServingMode::Rotating(len) => (0x03, Some(len)),
+        };
+        out.push(tag);
+        if let Some(len) = len {
+            len.put(out);
+        }
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        match body.u8()? {
+            0x00 => Ok(ServingMode::Unbounded),
+            0x01 => Ok(ServingMode::Tumbling(WindowLen::take(body)?)),
+            0x02 => Ok(ServingMode::Sliding(WindowLen::take(body)?)),
+            0x03 => Ok(ServingMode::Rotating(WindowLen::take(body)?)),
+            other => Err(unknown("serving mode", other)),
+        }
+    }
+}
+
+impl Field for HashKind {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            HashKind::CarterWegman => 0x00,
+            HashKind::MultiplyShift => 0x01,
+            HashKind::Tabulation => 0x02,
+            HashKind::OneHash => 0x03,
+        });
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        match body.u8()? {
+            0x00 => Ok(HashKind::CarterWegman),
+            0x01 => Ok(HashKind::MultiplyShift),
+            0x02 => Ok(HashKind::Tabulation),
+            0x03 => Ok(HashKind::OneHash),
+            other => Err(unknown("hash kind", other)),
+        }
+    }
+}
+
+impl Field for Request {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Request::Ping => out.push(0x00),
+            Request::Ingest(f) => {
+                out.reserve(INGEST_HEAD_BYTES + INGEST_UPDATE_BYTES * f.updates.len());
+                out.push(INGEST_TAG);
+                f.put(out);
+            }
+            Request::Flush(r) => tagged(out, 0x02, r),
+            Request::AdvanceInterval(r) => tagged(out, 0x03, r),
+            Request::Point(q) => tagged(out, 0x04, q),
+            Request::WindowPoint(q) => tagged(out, 0x05, q),
+            Request::HeavyHitters(q) => tagged(out, 0x06, q),
+            Request::WindowHeavyHitters(q) => tagged(out, 0x07, q),
+            Request::RangeSum(q) => tagged(out, 0x08, q),
+            Request::WindowRangeSum(q) => tagged(out, 0x09, q),
+            Request::Stats(r) => tagged(out, 0x0A, r),
+            Request::Export(r) => tagged(out, 0x0B, r),
+            Request::Install(t) => tagged(out, 0x0C, t),
+            Request::Register(spec) => tagged(out, 0x0D, spec),
+        }
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        Ok(match body.u8()? {
+            0x00 => Request::Ping,
+            INGEST_TAG => Request::Ingest(Field::take(body)?),
+            0x02 => Request::Flush(Field::take(body)?),
+            0x03 => Request::AdvanceInterval(Field::take(body)?),
+            0x04 => Request::Point(Field::take(body)?),
+            0x05 => Request::WindowPoint(Field::take(body)?),
+            0x06 => Request::HeavyHitters(Field::take(body)?),
+            0x07 => Request::WindowHeavyHitters(Field::take(body)?),
+            0x08 => Request::RangeSum(Field::take(body)?),
+            0x09 => Request::WindowRangeSum(Field::take(body)?),
+            0x0A => Request::Stats(Field::take(body)?),
+            0x0B => Request::Export(Field::take(body)?),
+            0x0C => Request::Install(Field::take(body)?),
+            0x0D => Request::Register(Field::take(body)?),
+            other => return Err(unknown("request tag", other)),
+        })
+    }
+}
+
+impl Field for Response {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Response::Pong => out.push(0x00),
+            Response::Admitted(r) => tagged(out, 0x01, r),
+            Response::Busy(r) => tagged(out, 0x02, r),
+            Response::Shed(r) => tagged(out, 0x03, r),
+            Response::Flushed(r) => tagged(out, 0x04, r),
+            Response::Sealed(r) => tagged(out, 0x05, r),
+            Response::Value(r) => tagged(out, 0x06, r),
+            Response::HeavyHitters(r) => tagged(out, 0x07, r),
+            Response::Stats(r) => tagged(out, 0x08, r),
+            Response::Exported(t) => tagged(out, 0x09, t),
+            Response::Installed(r) => tagged(out, 0x0A, r),
+            Response::Error(e) => tagged(out, 0x0B, e),
+        }
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        Ok(match body.u8()? {
+            0x00 => Response::Pong,
+            0x01 => Response::Admitted(Field::take(body)?),
+            0x02 => Response::Busy(Field::take(body)?),
+            0x03 => Response::Shed(Field::take(body)?),
+            0x04 => Response::Flushed(Field::take(body)?),
+            0x05 => Response::Sealed(Field::take(body)?),
+            0x06 => Response::Value(Field::take(body)?),
+            0x07 => Response::HeavyHitters(Field::take(body)?),
+            0x08 => Response::Stats(Field::take(body)?),
+            0x09 => Response::Exported(Field::take(body)?),
+            0x0A => Response::Installed(Field::take(body)?),
+            0x0B => Response::Error(Field::take(body)?),
+            other => return Err(unknown("response tag", other)),
+        })
+    }
+}
+
+impl Field for JournalRecord {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            JournalRecord::ShardAdded(r) => tagged(out, 0x00, r),
+            JournalRecord::ShardRemoved(r) => tagged(out, 0x01, r),
+            JournalRecord::TenantRegistered(spec) => tagged(out, 0x02, spec),
+            JournalRecord::IntervalAdvanced(r) => tagged(out, 0x03, r),
+            JournalRecord::Checkpoint(t) => tagged(out, 0x04, t),
+        }
+    }
+
+    fn take(body: &mut Body<'_>) -> Result<Self, WireError> {
+        Ok(match body.u8()? {
+            0x00 => JournalRecord::ShardAdded(Field::take(body)?),
+            0x01 => JournalRecord::ShardRemoved(Field::take(body)?),
+            0x02 => JournalRecord::TenantRegistered(Field::take(body)?),
+            0x03 => JournalRecord::IntervalAdvanced(Field::take(body)?),
+            0x04 => JournalRecord::Checkpoint(Field::take(body)?),
+            other => return Err(unknown("journal record tag", other)),
+        })
+    }
+}
+
+/// A tag byte, then `payload`.
+fn tagged(out: &mut Vec<u8>, tag: u8, payload: &impl Field) {
+    out.push(tag);
+    payload.put(out);
+}
+
 /// Writes one frame — `u32` big-endian body length, then the body —
 /// as one buffer in one `write_all`. Returns the total bytes written
 /// (4 + body).
 ///
 /// # Errors
-/// [`WireError::Malformed`] if the value fails to encode,
 /// [`WireError::FrameTooLarge`] if the body exceeds `u32::MAX` bytes,
 /// [`WireError::Io`] on write failure.
 pub fn write_frame<W: Write, T: WireBody>(w: &mut W, msg: &T) -> Result<usize, WireError> {
-    let mut frame = vec![0u8; 4];
+    // Room for the prefix and any fixed-size body: a point or a reply
+    // costs one allocation.
+    let mut frame = Vec::with_capacity(64);
+    frame.extend_from_slice(&[0; 4]);
     msg.encode_body(&mut frame)?;
     let body = frame.len() - 4;
     let len = u32::try_from(body).map_err(|_| WireError::FrameTooLarge {
@@ -629,7 +1137,11 @@ impl TenantSpec {
 /// linearity only has to hold within each plane. `Install` refuses a
 /// rotating transfer that does not hold exactly the `min(K − 1,
 /// interval)` generations before `interval`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+///
+/// The serde form is the JSON a journal written before the binary
+/// layouts holds, which has no quota count: serializing leaves
+/// `admitted_in_interval` out, and deserializing reads it as 0.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantTransfer {
     /// The tenant's serving configuration.
     pub spec: TenantSpec,
@@ -642,6 +1154,10 @@ pub struct TenantTransfer {
     pub applied: u64,
     /// Total delta mass applied.
     pub mass: f64,
+    /// Updates admitted in the interval in progress, counted against
+    /// the spec's `interval_quota`: the destination resumes the count
+    /// where the source left it.
+    pub admitted_in_interval: u64,
     /// The cumulative plane: one `depth × width` matrix for a
     /// frequency tenant; for a range-sum tenant one matrix per dyadic
     /// level, finest first, `depth × width` for a grid level and
@@ -653,6 +1169,50 @@ pub struct TenantTransfer {
     pub cumulative: Vec<CounterMatrix<f64, Dense>>,
     /// Retained sealed planes, oldest first.
     pub seals: Vec<SealFrame>,
+}
+
+/// A [`TenantTransfer`] in the JSON of a journal written before the
+/// binary layouts: every field but the quota count.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct JsonTransfer {
+    spec: TenantSpec,
+    params: SketchParams,
+    interval: u64,
+    applied: u64,
+    mass: f64,
+    cumulative: Vec<CounterMatrix<f64, Dense>>,
+    seals: Vec<SealFrame>,
+}
+
+impl serde::Serialize for TenantTransfer {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        JsonTransfer {
+            spec: self.spec,
+            params: self.params,
+            interval: self.interval,
+            applied: self.applied,
+            mass: self.mass,
+            cumulative: self.cumulative.clone(),
+            seals: self.seals.clone(),
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for TenantTransfer {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let t = JsonTransfer::deserialize(deserializer)?;
+        Ok(Self {
+            spec: t.spec,
+            params: t.params,
+            interval: t.interval,
+            applied: t.applied,
+            mass: t.mass,
+            admitted_in_interval: 0,
+            cumulative: t.cumulative,
+            seals: t.seals,
+        })
+    }
 }
 
 /// One sealed plane with its bookkeeping: a cumulative plane as of the
@@ -677,7 +1237,7 @@ pub struct SealFrame {
 // ---- response frames ----
 
 /// A server response; exactly one per [`Request`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Reply to [`Request::Ping`].
     Pong,
@@ -711,7 +1271,7 @@ pub enum Response {
 }
 
 /// Receipt for an admitted ingest batch.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmitReceipt {
     /// Tenant id.
     pub tenant: u64,
@@ -720,7 +1280,7 @@ pub struct AdmitReceipt {
 }
 
 /// Backpressure receipt: retry after a flush.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusyReceipt {
     /// Tenant id.
     pub tenant: u64,
@@ -731,7 +1291,7 @@ pub struct BusyReceipt {
 }
 
 /// Shed receipt: retry next interval.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedReceipt {
     /// Tenant id.
     pub tenant: u64,
@@ -742,7 +1302,7 @@ pub struct ShedReceipt {
 }
 
 /// Flush receipt.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlushReceipt {
     /// Tenant id.
     pub tenant: u64,
@@ -753,7 +1313,7 @@ pub struct FlushReceipt {
 }
 
 /// Interval-advance receipt.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SealReceipt {
     /// Tenant id.
     pub tenant: u64,
@@ -762,7 +1322,7 @@ pub struct SealReceipt {
 }
 
 /// A scalar query answer.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValueReply {
     /// Tenant id.
     pub tenant: u64,
@@ -773,7 +1333,7 @@ pub struct ValueReply {
 
 /// A heavy-hitters answer: `(item, estimate)` sorted by decreasing
 /// estimate.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeavyHittersReply {
     /// Tenant id.
     pub tenant: u64,
@@ -782,7 +1342,7 @@ pub struct HeavyHittersReply {
 }
 
 /// Per-tenant serving statistics.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatsReply {
     /// Tenant id.
     pub tenant: u64,
@@ -802,7 +1362,7 @@ pub struct StatsReply {
 }
 
 /// Install receipt.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstallReceipt {
     /// Tenant id.
     pub tenant: u64,
@@ -811,12 +1371,13 @@ pub struct InstallReceipt {
 }
 
 /// A typed rejection.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorReply {
     /// Stable machine-readable code: `unknown_tenant`, `bad_query`,
     /// `bad_update`, `audit_rejected`, `unsupported`, `protocol`,
     /// `tenant_exists`, `incompatible`, `non_finite` (an answer would
-    /// carry an infinite or NaN float, which JSON cannot encode).
+    /// carry an infinite or NaN float; answers are finite by
+    /// contract).
     pub code: String,
     /// Human-readable diagnostic.
     pub detail: String,
@@ -882,6 +1443,7 @@ mod tests {
             interval: 5,
             applied: 17,
             mass: 12.25,
+            admitted_in_interval: 6,
             cumulative: vec![plane.clone()],
             seals: vec![SealFrame {
                 interval: 4,
@@ -924,10 +1486,12 @@ mod tests {
     #[test]
     fn oversized_frames_drain_and_stay_in_sync() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Ping).unwrap(); // frame 1: tiny cap will reject
+        // Frame 1 (a 9-byte body) is over the tiny cap, within its
+        // drain budget.
+        write_frame(&mut buf, &Request::Stats(TenantRef { tenant: 2 })).unwrap();
         write_frame(&mut buf, &Request::Flush(TenantRef { tenant: 1 })).unwrap();
         let mut cursor = &buf[..];
-        let err = read_frame::<_, Request>(&mut cursor, 2).unwrap_err();
+        let err = read_frame::<_, Request>(&mut cursor, 4).unwrap_err();
         assert!(matches!(err, WireError::FrameTooLarge { .. }));
         assert!(err.is_recoverable());
         // The next frame reads cleanly: the oversized body was drained.

@@ -26,7 +26,7 @@ fn expect_value(resp: Response) -> f64 {
 fn main() {
     let params = SketchParams::new(4_096, 128, 5);
     let journal_path =
-        std::env::temp_dir().join(format!("bas-daemon-example-{}.jsonl", std::process::id()));
+        std::env::temp_dir().join(format!("bas-daemon-example-{}.journal", std::process::id()));
     let _ = std::fs::remove_file(&journal_path);
 
     // ---- boot a daemon on an OS-assigned port ----

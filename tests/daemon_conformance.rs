@@ -11,9 +11,9 @@
 use bias_aware_sketches::prelude::*;
 use bias_aware_sketches::server::wire::{IngestFrame, PointQuery, TenantRef, MAX_INGEST_UPDATES};
 use bias_aware_sketches::server::{
-    read_frame, recover, write_frame, Client, Daemon, DaemonConfig, Deadlines, Fabric,
-    FabricConfig, IngestBatcher, Journal, Request, Response, RetryError, RetryPolicy, TenantSpec,
-    MAX_FRAME_BYTES,
+    read_frame, read_journal, recover, write_frame, Client, Daemon, DaemonConfig, Deadlines,
+    Fabric, FabricConfig, IngestBatcher, Journal, Request, Response, RetryError, RetryPolicy,
+    TenantSpec, MAX_FRAME_BYTES,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -530,11 +530,11 @@ fn journal_compacts_at_the_record_threshold_while_serving() {
 
     // Without compaction the journal would hold 13 appended records;
     // the threshold keeps it at snapshot + a short tail.
-    let on_disk = std::fs::read_to_string(&journal_path).unwrap();
-    let lines = on_disk.lines().count();
+    let on_disk = read_journal(&journal_path).unwrap();
+    let records = on_disk.len();
     assert!(
-        lines <= 5,
-        "journal not compacted: {lines} lines on disk\n{on_disk}"
+        records <= 5,
+        "journal not compacted: {records} records on disk"
     );
 
     // A mid-flight copy (what kill -9 would leave) recovers tenant,

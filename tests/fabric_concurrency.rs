@@ -24,8 +24,8 @@ use bias_aware_sketches::server::wire::{
     HeavyHittersQuery, IngestFrame, PointQuery, RangeQuery, TenantRef,
 };
 use bias_aware_sketches::server::{
-    recover, Client, Daemon, DaemonConfig, Journal, JournalRecord, RetryPolicy, ShardRecord,
-    MAX_FRAME_BYTES,
+    read_journal, recover, Client, Daemon, DaemonConfig, Journal, JournalRecord, RetryPolicy,
+    ShardRecord, MAX_FRAME_BYTES,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::net::{SocketAddr, TcpStream};
@@ -452,8 +452,11 @@ fn compaction_does_not_stall_points_on_another_tenant() {
         answered >= 100,
         "only {answered} points answered during a {window:?} compaction"
     );
-    let journal = std::fs::read_to_string(&path).unwrap();
-    let checkpoints = journal.lines().filter(|l| l.contains("Checkpoint")).count();
+    let journal = read_journal(&path).unwrap();
+    let checkpoints = journal
+        .iter()
+        .filter(|r| matches!(r, JournalRecord::Checkpoint(_)))
+        .count();
     assert_eq!(checkpoints, 5, "the advance compacted every tenant");
     daemon.shutdown().unwrap();
     std::fs::remove_file(&path).unwrap();

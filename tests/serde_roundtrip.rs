@@ -8,9 +8,14 @@ use bias_aware_sketches::hashing::{
     BucketHasher, CarterWegman, HashKind, SignHash, SignHasher, SplitMix64, Tabulation,
 };
 use bias_aware_sketches::prelude::*;
-use bias_aware_sketches::server::wire::{IngestFrame, TenantRef};
+use bias_aware_sketches::server::wire::{
+    AdmitReceipt, BusyReceipt, ErrorReply, FlushReceipt, HeavyHittersQuery, HeavyHittersReply,
+    IngestFrame, InstallReceipt, PointQuery, RangeQuery, SealReceipt, ShedReceipt, StatsReply,
+    TenantRef, ValueReply, WireBody,
+};
 use bias_aware_sketches::server::{
-    Fabric, FabricConfig, Request, Response, ServingMode, TenantSpec, TenantTransfer, WindowLen,
+    Fabric, FabricConfig, JournalRecord, Request, Response, ServingMode, ShardRecord, TenantSpec,
+    TenantTransfer, WindowLen,
 };
 use bias_aware_sketches::sketches::storage::{Atomic, CounterMatrix, Dense};
 
@@ -322,9 +327,24 @@ fn range_sum_wire_format_is_unchanged() {
     assert_golden!(golden_range_sum(), RangeSumSketch, GOLDEN_RANGE_SUM);
 }
 
+/// `GOLDEN_TRANSFER` is what the checkpoints of journals written before
+/// the binary layouts hold: it still reads, as the same transfer with
+/// no updates counted against its interval's quota (the JSON has no
+/// such count), and a transfer still writes it, so tests can build
+/// such journals.
 #[test]
 fn tenant_transfer_wire_format_is_unchanged() {
-    assert_golden!(golden_transfer(), TenantTransfer, GOLDEN_TRANSFER);
+    let transfer = golden_transfer();
+    assert_eq!(transfer.admitted_in_interval, 2);
+    let read: TenantTransfer = serde_json::from_str(GOLDEN_TRANSFER).unwrap();
+    assert_eq!(
+        read,
+        TenantTransfer {
+            admitted_in_interval: 0,
+            ..transfer.clone()
+        }
+    );
+    assert_eq!(serde_json::to_string(&transfer).unwrap(), GOLDEN_TRANSFER);
 }
 
 /// Only a grid of compact integer cells ever wrote a `cell` key into
@@ -344,4 +364,221 @@ fn params_with_a_cell_key_are_refused() {
         let err = serde_json::from_str::<CountMedian>(&sketch).unwrap_err();
         assert!(err.to_string().contains("`cell`"), "{cell}: {err}");
     }
+}
+
+// ---- the binary bodies, pinned byte for byte ----
+//
+// Every request, reply and journal-record kind, and a transfer framed
+// on its own, encodes to these bodies (hex), and each body decodes to
+// a value that encodes back to the same bytes. The daemon speaks and
+// its journal holds exactly these layouts (the `wire` module docs
+// tabulate them), so a changed tag, field order or width fails here.
+
+/// The spec of `golden_transfer`'s tenant.
+fn golden_spec() -> TenantSpec {
+    TenantSpec::frequency(1, 7).with_mode(ServingMode::Sliding(WindowLen { intervals: 2 }))
+}
+
+/// `golden_spec`'s fields: tenant 1, seed 7, frequency, sliding over 2
+/// intervals, queue capacity 2^20, quota `u64::MAX`, no audit.
+const GOLDEN_SPEC_FIELDS: &str = "01000000000000000700000000000000000202000000000000000000100000000000ffffffffffffffff0000000000000000";
+
+/// `golden_transfer`'s fields: the spec, the params (n 16, width 4,
+/// depth 2, seed 7, one-hash), interval 1, applied 4, mass 7.5, 2
+/// admitted in the interval, one 4 x 2 cumulative plane and one seal.
+const GOLDEN_TRANSFER_FIELDS: &str = concat!(
+    "0100000000000000070000000000000000020200000000000000000010000000",
+    "0000ffffffffffffffff00000000000000001000000000000000040000000000",
+    "0000020000000000000007000000000000000301000000000000000400000000",
+    "0000000000000000001e40020000000000000001000000040000000000000002",
+    "0000000000000000000000000010400000000000000c40000000000000000000",
+    "0000000000000000000000000000000000000000001040000000000000004000",
+    "0000000000f83f01000000000000000000000002000000000000000000000000",
+    "0008400100000004000000000000000200000000000000000000000000000000",
+    "0000000000084000000000000000000000000000000000000000000000000000",
+    "000000000000000000000000000040000000000000f03f",
+);
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// `value` encodes to the body `golden` spells, which decodes to a value
+/// that encodes to the same bytes.
+fn assert_body<T: WireBody + std::fmt::Debug>(value: &T, golden: &str) {
+    let mut body = Vec::new();
+    value.encode_body(&mut body).unwrap();
+    assert_eq!(hex(&body), golden, "{value:?}");
+    let mut again = Vec::new();
+    T::decode_body(&body)
+        .unwrap()
+        .encode_body(&mut again)
+        .unwrap();
+    assert_eq!(again, body, "{value:?}");
+}
+
+#[test]
+fn request_bodies_are_pinned() {
+    let ingest = IngestFrame {
+        tenant: 1,
+        updates: vec![(3, 1.0), (9, -2.5)],
+    };
+    let point = PointQuery { tenant: 1, item: 3 };
+    let heavy = HeavyHittersQuery {
+        tenant: 1,
+        phi: 0.25,
+    };
+    let range = RangeQuery {
+        tenant: 2,
+        lo: 3,
+        hi: 9,
+    };
+    let one = TenantRef { tenant: 1 };
+    let cases = [
+        (Request::Ping, "00".to_string()),
+        (Request::Ingest(ingest), "010100000000000000020000000300000000000000000000000000f03f090000000000000000000000000004c0".to_string()),
+        (Request::Flush(one), "020100000000000000".to_string()),
+        (Request::AdvanceInterval(one), "030100000000000000".to_string()),
+        (Request::Point(point), "0401000000000000000300000000000000".to_string()),
+        (Request::WindowPoint(point), "0501000000000000000300000000000000".to_string()),
+        (Request::HeavyHitters(heavy), "060100000000000000000000000000d03f".to_string()),
+        (Request::WindowHeavyHitters(heavy), "070100000000000000000000000000d03f".to_string()),
+        (Request::RangeSum(range), "08020000000000000003000000000000000900000000000000".to_string()),
+        (Request::WindowRangeSum(range), "09020000000000000003000000000000000900000000000000".to_string()),
+        (Request::Stats(one), "0a0100000000000000".to_string()),
+        (Request::Export(one), "0b0100000000000000".to_string()),
+        (
+            Request::Install(golden_transfer()),
+            format!("0c{GOLDEN_TRANSFER_FIELDS}"),
+        ),
+        (
+            Request::Register(golden_spec()),
+            format!("0d{GOLDEN_SPEC_FIELDS}"),
+        ),
+    ];
+    for (request, golden) in &cases {
+        assert_body(request, golden);
+    }
+}
+
+#[test]
+fn response_bodies_are_pinned() {
+    let cases = [
+        (Response::Pong, "00".to_string()),
+        (
+            Response::Admitted(AdmitReceipt {
+                tenant: 1,
+                pending: 4,
+            }),
+            "0101000000000000000400000000000000".to_string(),
+        ),
+        (
+            Response::Busy(BusyReceipt {
+                tenant: 1,
+                pending: 4,
+                capacity: 8,
+            }),
+            "02010000000000000004000000000000000800000000000000".to_string(),
+        ),
+        (
+            Response::Shed(ShedReceipt {
+                tenant: 1,
+                admitted: 4,
+                quota: 8,
+            }),
+            "03010000000000000004000000000000000800000000000000".to_string(),
+        ),
+        (
+            Response::Flushed(FlushReceipt {
+                tenant: 1,
+                applied: 4,
+            }),
+            "0401000000000000000400000000000000".to_string(),
+        ),
+        (
+            Response::Sealed(SealReceipt {
+                tenant: 1,
+                sealed_interval: 0,
+            }),
+            "0501000000000000000000000000000000".to_string(),
+        ),
+        (
+            Response::Value(ValueReply {
+                tenant: 1,
+                value: 1.5,
+            }),
+            "060100000000000000000000000000f83f".to_string(),
+        ),
+        (
+            Response::HeavyHitters(HeavyHittersReply {
+                tenant: 1,
+                items: vec![(15, 4.0), (3, 1.5)],
+            }),
+            "070100000000000000020000000f0000000000000000000000000010400300000000000000000000000000f83f".to_string(),
+        ),
+        (
+            Response::Stats(StatsReply {
+                tenant: 1,
+                shard: 0,
+                applied: 4,
+                mass: 7.5,
+                pending: 0,
+                admitted_in_interval: 2,
+                interval: 1,
+            }),
+            "080100000000000000000000000000000004000000000000000000000000001e40000000000000000002000000000000000100000000000000".to_string(),
+        ),
+        (
+            Response::Exported(golden_transfer()),
+            format!("09{GOLDEN_TRANSFER_FIELDS}"),
+        ),
+        (
+            Response::Installed(InstallReceipt {
+                tenant: 1,
+                shard: 0,
+            }),
+            "0a01000000000000000000000000000000".to_string(),
+        ),
+        (
+            Response::Error(ErrorReply::new("bad_query", "phi")),
+            "0b090000006261645f717565727903000000706869".to_string(),
+        ),
+    ];
+    for (response, golden) in &cases {
+        assert_body(response, golden);
+    }
+}
+
+#[test]
+fn journal_record_and_transfer_bodies_are_pinned() {
+    let shard = ShardRecord {
+        shard: 0,
+        weight: 1.0,
+    };
+    let cases = [
+        (
+            JournalRecord::ShardAdded(shard),
+            "000000000000000000000000000000f03f".to_string(),
+        ),
+        (
+            JournalRecord::ShardRemoved(shard),
+            "010000000000000000000000000000f03f".to_string(),
+        ),
+        (
+            JournalRecord::TenantRegistered(golden_spec()),
+            format!("02{GOLDEN_SPEC_FIELDS}"),
+        ),
+        (
+            JournalRecord::IntervalAdvanced(TenantRef { tenant: 1 }),
+            "030100000000000000".to_string(),
+        ),
+        (
+            JournalRecord::Checkpoint(golden_transfer()),
+            format!("04{GOLDEN_TRANSFER_FIELDS}"),
+        ),
+    ];
+    for (record, golden) in &cases {
+        assert_body(record, golden);
+    }
+    assert_body(&golden_transfer(), &format!("00{GOLDEN_TRANSFER_FIELDS}"));
 }

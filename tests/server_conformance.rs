@@ -15,9 +15,9 @@ use bias_aware_sketches::server::wire::{
     HeavyHittersQuery, IngestFrame, PointQuery, RangeQuery, SealFrame, TenantRef,
 };
 use bias_aware_sketches::server::{
-    call, read_frame, recover, serve_connection, write_frame, Fabric, FabricConfig, Journal,
-    JournalRecord, Request, Response, ServingMode, ShardRecord, TenantSpec, TenantTransfer,
-    WindowLen, WireError, MAX_FRAME_BYTES,
+    call, read_frame, read_journal, recover, serve_connection, write_frame, Fabric, FabricConfig,
+    Journal, JournalRecord, Request, Response, ServingMode, ShardRecord, TenantSpec,
+    TenantTransfer, WindowLen, WireError, MAX_FRAME_BYTES,
 };
 
 const N: u64 = 4_096;
@@ -1320,6 +1320,7 @@ fn all_grid_checkpoints_recover_in_their_layout() {
         interval: 3,
         applied,
         mass,
+        admitted_in_interval: 0,
         cumulative: cumulative.clone(),
         seals: seals.split_off(1),
     };
@@ -1650,11 +1651,7 @@ fn rotating_tenants_compact_to_one_checkpoint() {
     let mut journal = Journal::open(&path).unwrap();
     journal.compact(&fabric).unwrap();
     drop(journal);
-    let records: Vec<JournalRecord> = std::fs::read_to_string(&path)
-        .unwrap()
-        .lines()
-        .map(|line| serde_json::from_str(line).unwrap())
-        .collect();
+    let records = read_journal(&path).unwrap();
     assert_eq!(records.len(), 2, "one shard, one checkpoint");
     assert!(matches!(records[0], JournalRecord::ShardAdded(_)));
     match &records[1] {
@@ -1849,17 +1846,17 @@ fn add_cell_key(json: &str, cell: &str) -> String {
     json.replace(key, &format!(r#"{key},"cell":{cell}"#))
 }
 
-/// An `Install` frame whose transfer's params carry a `cell` key does
-/// not decode: `serve_connection` answers it `protocol`, nothing is
-/// installed and no stats or answers change. The same frame without
-/// the key installs.
+/// An `Install` frame with a JSON body — whose transfer's params carry
+/// a `cell` key, or not — does not decode: `serve_connection` answers
+/// it `protocol`, nothing is installed and no stats or answers change.
+/// The same transfer in a binary body installs. (A `cell` key is still
+/// refused where JSON is read: in an older journal, and in the
+/// sketches' serde.)
 #[test]
 fn install_frames_with_a_cell_key_are_refused_and_install_nothing() {
     let (mut fabric, _, transfer) = fabric_and_transfer();
-    let json = serde_json::to_string(&Request::Install(transfer)).unwrap();
-    let send = |fabric: &mut Fabric, body: &str| {
-        let mut raw = (body.len() as u32).to_be_bytes().to_vec();
-        raw.extend_from_slice(body.as_bytes());
+    let json = serde_json::to_string(&Request::Install(transfer.clone())).unwrap();
+    let send = |fabric: &mut Fabric, raw: &[u8]| {
         let mut replies = Vec::new();
         serve_connection(fabric, &mut &raw[..], &mut replies, MAX_FRAME_BYTES).unwrap();
         read_frame::<_, Response>(&mut &replies[..], MAX_FRAME_BYTES)
@@ -1867,22 +1864,31 @@ fn install_frames_with_a_cell_key_are_refused_and_install_nothing() {
             .unwrap()
     };
     let before = answer_bits(&mut fabric, &[1]);
-    for cell in [r#""U32""#, r#""F64""#] {
-        match send(&mut fabric, &add_cell_key(&json, cell)) {
+    let bodies = [
+        ("U32", add_cell_key(&json, r#""U32""#)),
+        ("F64", add_cell_key(&json, r#""F64""#)),
+        ("no cell key", json),
+    ];
+    for (case, body) in bodies {
+        let mut raw = (body.len() as u32).to_be_bytes().to_vec();
+        raw.extend_from_slice(body.as_bytes());
+        match send(&mut fabric, &raw) {
             Response::Error(e) => {
-                assert_eq!(e.code, "protocol", "{cell}: {e:?}");
-                assert!(e.detail.contains("`cell`"), "{cell}: {e:?}");
+                assert_eq!(e.code, "protocol", "{case}: {e:?}");
+                assert!(e.detail.contains("binary body"), "{case}: {e:?}");
             }
-            other => panic!("{cell}: expected a protocol error, got {other:?}"),
+            other => panic!("{case}: expected a protocol error, got {other:?}"),
         }
-        assert_eq!(fabric.tenant_count(), 1, "{cell}");
+        assert_eq!(fabric.tenant_count(), 1, "{case}");
         match fabric.handle(Request::Stats(TenantRef { tenant: 9 })) {
-            Response::Error(e) => assert_eq!(e.code, "unknown_tenant", "{cell}"),
-            other => panic!("{cell}: {other:?}"),
+            Response::Error(e) => assert_eq!(e.code, "unknown_tenant", "{case}"),
+            other => panic!("{case}: {other:?}"),
         }
-        assert_eq!(answer_bits(&mut fabric, &[1]), before, "{cell}");
+        assert_eq!(answer_bits(&mut fabric, &[1]), before, "{case}");
     }
-    assert!(matches!(send(&mut fabric, &json), Response::Installed(_)));
+    let mut raw = Vec::new();
+    write_frame(&mut raw, &Request::Install(transfer)).unwrap();
+    assert!(matches!(send(&mut fabric, &raw), Response::Installed(_)));
     assert_eq!(answer_bits(&mut fabric, &[9])[1..], before[1..]);
 }
 
@@ -1925,5 +1931,143 @@ fn checkpoints_with_a_cell_key_are_typed_recovery_errors() {
     let msg = err.to_string();
     assert!(msg.contains("journal line 3"), "{msg}");
     assert!(msg.contains("`cell`"), "{msg}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `Stats` as a tuple whose `mass` is its bits, so equality is bit for
+/// bit.
+fn stats_bits(fabric: &Fabric, tenant: u64) -> (u64, u64, u64, u64, u64, u64) {
+    match fabric.handle(Request::Stats(TenantRef { tenant })) {
+        Response::Stats(s) => (
+            s.shard,
+            s.applied,
+            s.mass.to_bits(),
+            s.pending,
+            s.admitted_in_interval,
+            s.interval,
+        ),
+        other => panic!("tenant {tenant}: {other:?}"),
+    }
+}
+
+/// A tenant's count of updates admitted in its interval travels with
+/// it. With a quota of 1,000 and 500 admitted, the tenant recovered
+/// from a compacted journal and the tenant installed from its `Export`
+/// on a second fabric both report the source's `Stats` bit for bit,
+/// and a 600-update frame is `Shed` on all three fabrics.
+#[test]
+fn interval_quota_count_survives_a_move_and_a_restart() {
+    let tenant = 4;
+    let spec = TenantSpec::frequency(tenant, 44).with_interval_quota(1_000);
+    let mut source = Fabric::new(config());
+    source.add_shard(0, 1.0).unwrap();
+    source.register_tenant(spec).unwrap();
+    let resp = source.handle(Request::Ingest(IngestFrame {
+        tenant,
+        updates: stream(tenant, 500),
+    }));
+    assert!(matches!(resp, Response::Admitted(_)), "{resp:?}");
+
+    let path = std::env::temp_dir().join(format!("bas-quota-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut journal = Journal::open(&path).unwrap();
+    journal.compact(&source).unwrap();
+    drop(journal);
+    let recovered = recover(&path, config()).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    let Response::Exported(transfer) = source.handle(Request::Export(TenantRef { tenant })) else {
+        panic!("the tenant exports");
+    };
+    assert_eq!(transfer.admitted_in_interval, 500);
+    let mut moved = Fabric::new(config());
+    moved.add_shard(0, 1.0).unwrap();
+    let resp = moved.handle(Request::Install(transfer));
+    assert!(matches!(resp, Response::Installed(_)), "{resp:?}");
+
+    let want = stats_bits(&source, tenant);
+    assert_eq!(want.4, 500, "admitted in the interval");
+    assert_eq!(stats_bits(&recovered, tenant), want, "recovered");
+    assert_eq!(stats_bits(&moved, tenant), want, "moved");
+    for (name, fabric) in [
+        ("source", &source),
+        ("recovered", &recovered),
+        ("moved", &moved),
+    ] {
+        match fabric.handle(Request::Ingest(IngestFrame {
+            tenant,
+            updates: stream(tenant + 1, 600),
+        })) {
+            Response::Shed(r) => assert_eq!((r.admitted, r.quota), (500, 1_000), "{name}"),
+            other => panic!("{name}: expected Shed, got {other:?}"),
+        }
+    }
+}
+
+/// A journal of JSON lines, as releases before the binary layouts
+/// wrote it, recovers bit for bit: shards, a checkpoint (which has no
+/// quota count) and a registration with its interval advances.
+/// Opening it for append rewrites it as frames before anything is
+/// appended, and the file then recovers as frames with the appended
+/// record.
+#[test]
+fn json_line_journals_recover_and_are_rewritten_as_frames() {
+    let (mut fabric, spec, mut transfer) = fabric_and_transfer();
+    transfer.spec.tenant = 1;
+    // The JSON has no quota count: the checkpoint as it was written.
+    transfer.admitted_in_interval = 0;
+    let range = TenantSpec::range_sum(2, 22);
+    fabric.register_tenant(range).unwrap();
+    let records = [
+        JournalRecord::ShardAdded(ShardRecord {
+            shard: 0,
+            weight: 1.0,
+        }),
+        JournalRecord::TenantRegistered(spec),
+        JournalRecord::Checkpoint(transfer),
+        JournalRecord::TenantRegistered(range),
+        JournalRecord::IntervalAdvanced(TenantRef { tenant: 2 }),
+        JournalRecord::IntervalAdvanced(TenantRef { tenant: 2 }),
+    ];
+    for _ in 0..2 {
+        fabric.handle(Request::AdvanceInterval(TenantRef { tenant: 2 }));
+    }
+    let lines: Vec<String> = records
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap())
+        .collect();
+    let path = std::env::temp_dir().join(format!("bas-json-lines-{}.journal", std::process::id()));
+    std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+
+    let mut recovered = recover(&path, config()).unwrap();
+    let (want, got) = (
+        answer_bits(&mut fabric, &[1, 2]),
+        answer_bits(&mut recovered, &[1, 2]),
+    );
+    // Tenant 1's `Stats` (the first answer) counts the 500 updates the
+    // source admitted in its interval; the JSON checkpoint counts none.
+    assert_eq!(got[1..], want[1..]);
+    assert_eq!(stats_bits(&recovered, 1).4, 0);
+
+    let mut journal = Journal::open(&path).unwrap();
+    assert_eq!(journal.records(), records.len() as u64);
+    let on_disk = std::fs::read(&path).unwrap();
+    assert_ne!(on_disk[0], b'{', "rewritten as frames on open");
+    assert_eq!(journal.bytes(), on_disk.len() as u64);
+    assert_eq!(read_journal(&path).unwrap(), records);
+    let appended = JournalRecord::IntervalAdvanced(TenantRef { tenant: 1 });
+    journal.append(&appended).unwrap();
+    drop(journal);
+
+    let on_disk = read_journal(&path).unwrap();
+    assert_eq!(on_disk[..records.len()], records);
+    assert_eq!(on_disk[records.len()..], [appended]);
+    let mut after = recover(&path, config()).unwrap();
+    recovered.handle(Request::AdvanceInterval(TenantRef { tenant: 1 }));
+    assert_eq!(
+        answer_bits(&mut after, &[1, 2]),
+        answer_bits(&mut recovered, &[1, 2])
+    );
+    assert!(!path.with_extension("journal.tmp").exists());
     std::fs::remove_file(&path).unwrap();
 }

@@ -1,34 +1,69 @@
 //! Wire-protocol fuzzing: every frame the protocol can name must
-//! survive a serialize → frame → deframe → deserialize round-trip
+//! survive an encode → frame → deframe → decode round-trip
 //! bit-for-bit, and hostile bytes — truncation, corruption, oversized
 //! length prefixes — must come back as typed [`WireError`]s, never a
 //! panic, and (for the recoverable classes) never a desynced stream.
-//! The binary ingest body gets its own properties: arbitrary bytes
-//! after the tag, counts that disagree with the body length, and every
-//! `f64` bit pattern as a delta.
+//! The binary bodies get their own properties: every `f64` field of
+//! every request, reply and journal-record kind carries any bit
+//! pattern exactly; a truncated body, an unknown tag or discriminant,
+//! trailing bytes and a count the body cannot back are `Malformed`,
+//! and a count is refused before its decoder allocates; arbitrary bytes
+//! after the ingest tag, and a hostile `phi` reaching the fabric, change
+//! nothing.
 
 use bias_aware_sketches::prelude::*;
 use bias_aware_sketches::server::wire::DRAIN_BUDGET_MULTIPLE;
 use bias_aware_sketches::server::wire::{
     AdmitReceipt, BusyReceipt, ErrorReply, FlushReceipt, HeavyHittersQuery, HeavyHittersReply,
     IngestFrame, PointQuery, RangeQuery, SealFrame, SealReceipt, ShedReceipt, StatsReply,
-    TenantRef, ValueReply,
+    TenantRef, ValueReply, WireBody,
 };
 use bias_aware_sketches::server::{
-    read_frame, write_frame, Request, Response, ServingMode, TenantSpec, TenantTransfer, WindowLen,
-    WireError, MAX_FRAME_BYTES,
+    read_frame, serve_connection, write_frame, Fabric, FabricConfig, JournalRecord, Request,
+    Response, ServingMode, ShardRecord, TenantSpec, TenantTransfer, WindowLen, WireError,
+    MAX_FRAME_BYTES,
 };
 use bias_aware_sketches::sketches::storage::{CounterMatrix, Dense};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
-/// A small counter plane filled from the drawn cells (finite `f64`s
-/// round-trip exactly through the JSON wire format).
-fn plane(cells: &[f64]) -> CounterMatrix<f64, Dense> {
-    let mut m = CounterMatrix::<f64, Dense>::new(4, 2);
-    for (i, &v) in cells.iter().take(8).enumerate() {
-        m.add(i / 4, i % 4, v);
+/// Counts the bytes each thread asks the allocator for, so a test can
+/// bound what one decode allocates.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// count is a thread-local `Cell`, which allocates nothing.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+        System.alloc(layout)
     }
-    m
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `f()`'s result and the bytes this thread allocated while it ran.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
+
+/// A small counter plane filled from the drawn cells.
+fn plane(cells: &[f64]) -> CounterMatrix<f64, Dense> {
+    let mut raw: Vec<f64> = cells.iter().copied().take(8).collect();
+    raw.resize(8, 0.0);
+    CounterMatrix::from_cells(4, 2, raw)
 }
 
 fn spec(sel: u64, tenant: u64, seed: u64) -> TenantSpec {
@@ -61,6 +96,7 @@ fn transfer(sel: u64, tenant: u64, cells: &[f64]) -> TenantTransfer {
         interval: sel % 40,
         applied: sel.wrapping_mul(13) % 1_000,
         mass: cells.first().copied().unwrap_or(0.0),
+        admitted_in_interval: sel % 1_000,
         cumulative: vec![plane(cells)],
         seals: vec![SealFrame {
             interval: sel % 7,
@@ -73,8 +109,8 @@ fn transfer(sel: u64, tenant: u64, cells: &[f64]) -> TenantTransfer {
 
 /// One of every request variant, driven by the drawn selector.
 fn request(sel: u64, tenant: u64, updates: &[(u64, f64)], cells: &[f64]) -> Request {
-    let phi = 0.001 + (sel % 100) as f64 / 200.0;
-    match sel % 13 {
+    let phi = cells.last().copied().unwrap_or(0.5);
+    match sel % 14 {
         0 => Request::Ping,
         1 => Request::Ingest(IngestFrame {
             tenant,
@@ -98,7 +134,8 @@ fn request(sel: u64, tenant: u64, updates: &[(u64, f64)], cells: &[f64]) -> Requ
         }),
         10 => Request::Stats(TenantRef { tenant }),
         11 => Request::Export(TenantRef { tenant }),
-        _ => Request::Install(transfer(sel, tenant, cells)),
+        12 => Request::Install(transfer(sel, tenant, cells)),
+        _ => Request::Register(spec(sel, tenant, sel ^ 0x5EED)),
     }
 }
 
@@ -150,8 +187,151 @@ fn response(sel: u64, tenant: u64, updates: &[(u64, f64)], cells: &[f64]) -> Res
             tenant,
             shard: sel % 8,
         }),
-        _ => Response::Error(ErrorReply::new("bad_query", format!("fuzzed {sel}"))),
+        _ => Response::Error(ErrorReply::new("bad_query", format!("fuzzed {sel} ✓"))),
     }
+}
+
+/// One of every journal-record variant.
+fn record(sel: u64, tenant: u64, cells: &[f64]) -> JournalRecord {
+    let shard = ShardRecord {
+        shard: sel % 8,
+        weight: cells.first().copied().unwrap_or(1.0),
+    };
+    match sel % 5 {
+        0 => JournalRecord::ShardAdded(shard),
+        1 => JournalRecord::ShardRemoved(shard),
+        2 => JournalRecord::TenantRegistered(spec(sel, tenant, sel ^ 0x5EED)),
+        3 => JournalRecord::IntervalAdvanced(TenantRef { tenant }),
+        _ => JournalRecord::Checkpoint(transfer(sel, tenant, cells)),
+    }
+}
+
+/// Drawn `(bits, class)` pairs as `f64`s: raw bits, bits forced to
+/// ±inf or a NaN with a payload, or forced to ±0.0 or a subnormal —
+/// then every special value by name.
+fn hostile_floats(drawn: &[(u64, u8)]) -> Vec<f64> {
+    const EXPONENT: u64 = 0x7FF0_0000_0000_0000;
+    let drawn = drawn.iter().map(|&(bits, class)| match class {
+        0 => bits,
+        1 => bits | EXPONENT,
+        _ => bits & !EXPONENT,
+    });
+    let named = [
+        0x7FF0_0000_0000_0000, // +inf
+        0xFFF0_0000_0000_0000, // -inf
+        0x8000_0000_0000_0000, // -0.0
+        0x7FF8_0000_0000_0001, // quiet NaN with a payload
+        0x7FF0_0000_0000_0001, // signalling NaN
+        0xFFFF_FFFF_FFFF_FFFF, // negative NaN, every payload bit set
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x000F_FFFF_FFFF_FFFF, // largest subnormal
+    ];
+    drawn.chain(named).map(f64::from_bits).collect()
+}
+
+/// `value`'s body, as a frame would carry it.
+fn body<T: WireBody>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.encode_body(&mut out).unwrap();
+    out
+}
+
+/// The bits of every `f64` a message carries, in field order.
+trait Floats {
+    fn floats(&self) -> Vec<u64>;
+}
+
+fn pair_bits(pairs: &[(u64, f64)]) -> Vec<u64> {
+    pairs.iter().map(|&(_, f)| f.to_bits()).collect()
+}
+
+fn plane_bits(planes: &[CounterMatrix<f64, Dense>], out: &mut Vec<u64>) {
+    for plane in planes {
+        for row in 0..plane.depth() {
+            out.extend(plane.row(row).iter().map(|c| c.to_bits()));
+        }
+    }
+}
+
+impl Floats for TenantTransfer {
+    fn floats(&self) -> Vec<u64> {
+        let mut out = vec![self.mass.to_bits()];
+        plane_bits(&self.cumulative, &mut out);
+        for seal in &self.seals {
+            out.push(seal.mass.to_bits());
+            plane_bits(&seal.planes, &mut out);
+        }
+        out
+    }
+}
+
+impl Floats for Request {
+    fn floats(&self) -> Vec<u64> {
+        match self {
+            Request::Ingest(f) => pair_bits(&f.updates),
+            Request::HeavyHitters(q) | Request::WindowHeavyHitters(q) => vec![q.phi.to_bits()],
+            Request::Install(t) => t.floats(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+impl Floats for Response {
+    fn floats(&self) -> Vec<u64> {
+        match self {
+            Response::Value(v) => vec![v.value.to_bits()],
+            Response::HeavyHitters(h) => pair_bits(&h.items),
+            Response::Stats(s) => vec![s.mass.to_bits()],
+            Response::Exported(t) => t.floats(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+impl Floats for JournalRecord {
+    fn floats(&self) -> Vec<u64> {
+        match self {
+            JournalRecord::ShardAdded(r) | JournalRecord::ShardRemoved(r) => {
+                vec![r.weight.to_bits()]
+            }
+            JournalRecord::Checkpoint(t) => t.floats(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// A frame decodes back to a value whose every `f64` has the bits it
+/// was sent with (`PartialEq` would fail on NaN and pass -0.0 for
+/// 0.0), and whose body is the same bytes.
+fn round_trips_by_bits<T: WireBody + Floats>(value: &T) -> Result<(), TestCaseError> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, value).unwrap();
+    let back: T = read_frame(&mut &frame[..], MAX_FRAME_BYTES)
+        .unwrap()
+        .unwrap();
+    prop_assert_eq!(back.floats(), value.floats());
+    prop_assert_eq!(body(&back), &frame[4..]);
+    Ok(())
+}
+
+/// `bytes` decode as a `T` to a recoverable `Malformed`, framed and
+/// followed by another frame that still decodes exactly.
+fn is_malformed<T: WireBody + std::fmt::Debug>(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let mut buf = (bytes.len() as u32).to_be_bytes().to_vec();
+    buf.extend_from_slice(bytes);
+    write_frame(&mut buf, &Request::Ping).unwrap();
+    let mut cursor = &buf[..];
+    match read_frame::<_, T>(&mut cursor, MAX_FRAME_BYTES) {
+        Err(e @ WireError::Malformed { .. }) => prop_assert!(e.is_recoverable()),
+        other => prop_assert!(
+            false,
+            "{} bytes: expected Malformed, got {other:?}",
+            bytes.len()
+        ),
+    }
+    let next: Request = read_frame(&mut cursor, MAX_FRAME_BYTES).unwrap().unwrap();
+    prop_assert_eq!(next, Request::Ping);
+    Ok(())
 }
 
 proptest! {
@@ -229,7 +409,7 @@ proptest! {
 
         let mut cursor = &buf[..];
         match read_frame::<_, Request>(&mut cursor, MAX_FRAME_BYTES) {
-            Ok(Some(_)) => {} // mutated into different-but-valid JSON: fine
+            Ok(Some(_)) => {} // mutated into a different valid body: fine
             Ok(None) => prop_assert!(false, "corrupt frame read as clean EOF"),
             Err(e) => prop_assert!(e.is_recoverable(), "body corruption must be recoverable: {e}"),
         }
@@ -465,5 +645,253 @@ proptest! {
             prop_assert_eq!(got.0, want.0);
             prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every request, reply and journal-record kind carries any `f64`
+    /// bit pattern in every float field — `phi`, `value`, `mass`,
+    /// heavy-hitter estimates, plane cells, seal masses, shard weights
+    /// and ingest deltas — and comes back bit for bit: each drawn float
+    /// takes every field's slot in turn.
+    #[test]
+    fn every_kind_carries_every_f64_bit_pattern(
+        sel in 0u64..10_000,
+        tenant in 0u64..u64::MAX,
+        drawn in prop::collection::vec((0u64..u64::MAX, 0u8..3), 0..6),
+    ) {
+        let floats = hostile_floats(&drawn);
+        for turn in 0..floats.len() {
+            let mut cells = floats.clone();
+            cells.rotate_left(turn);
+            let pairs: Vec<(u64, f64)> =
+                cells.iter().enumerate().map(|(i, &f)| (sel ^ i as u64, f)).collect();
+            for kind in 0..14 {
+                round_trips_by_bits(&request(sel * 14 + kind, tenant, &pairs, &cells))?;
+            }
+            for kind in 0..12 {
+                round_trips_by_bits(&response(sel * 12 + kind, tenant, &pairs, &cells))?;
+            }
+            for kind in 0..5 {
+                round_trips_by_bits(&record(sel * 5 + kind, tenant, &cells))?;
+            }
+            round_trips_by_bits(&transfer(sel, tenant, &cells))?;
+        }
+    }
+
+    /// Every proper prefix of every body is `Malformed`, and so is every
+    /// body with bytes after its last field; neither panics or desyncs.
+    #[test]
+    fn truncated_and_overlong_bodies_are_malformed(
+        sel in 0u64..10_000,
+        tenant in 0u64..u64::MAX,
+        updates in prop::collection::vec((0u64..1_000, -1e9f64..1e9), 0..4),
+        cells in prop::collection::vec(-1e12f64..1e12, 1..9),
+        extra in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 1..9),
+    ) {
+        fn check<T: WireBody + std::fmt::Debug>(body: Vec<u8>, extra: &[u8]) -> Result<(), TestCaseError> {
+            for cut in 0..body.len() {
+                is_malformed::<T>(&body[..cut])?;
+            }
+            let mut long = body;
+            long.extend_from_slice(extra);
+            is_malformed::<T>(&long)
+        }
+        check::<Request>(body(&request(sel, tenant, &updates, &cells)), &extra)?;
+        check::<Response>(body(&response(sel, tenant, &updates, &cells)), &extra)?;
+        check::<JournalRecord>(body(&record(sel, tenant, &cells)), &extra)?;
+        check::<TenantTransfer>(body(&transfer(sel, tenant, &cells)), &extra)?;
+    }
+}
+
+/// Every tag byte no kind names, and every discriminant no metric,
+/// serving mode or hash kind names, is `Malformed`, with the stream
+/// still in sync. JSON bodies — what every kind but `Ingest` sent
+/// before the binary layouts — are refused the same way.
+#[test]
+fn unknown_tags_and_discriminants_are_malformed() {
+    fn each_byte<T: WireBody + std::fmt::Debug>(
+        valid: &[u8],
+        at: usize,
+        unknown: std::ops::RangeInclusive<u8>,
+    ) {
+        for byte in unknown {
+            let mut flipped = valid.to_vec();
+            flipped[at] = byte;
+            is_malformed::<T>(&flipped)
+                .unwrap_or_else(|e| panic!("byte {byte:#04x} at {at}: {e:?}"));
+        }
+    }
+    each_byte::<Request>(&body(&Request::Ping), 0, 0x0E..=0xFF);
+    each_byte::<Response>(&body(&Response::Pong), 0, 0x0C..=0xFF);
+    let shard = ShardRecord {
+        shard: 1,
+        weight: 1.0,
+    };
+    each_byte::<JournalRecord>(&body(&JournalRecord::ShardAdded(shard)), 0, 0x05..=0xFF);
+    let transfer = transfer(0, 3, &[1.0]);
+    each_byte::<TenantTransfer>(&body(&transfer), 0, 0x01..=0xFF);
+
+    // Register: tag, tenant and seed, then the metric (offset 17) and
+    // the serving mode (offset 18). Install of an unbounded tenant:
+    // tag, a 42-byte spec, then n, width, depth and seed before the
+    // hash kind (offset 75).
+    let register = body(&Request::Register(TenantSpec::frequency(3, 33)));
+    assert_eq!(register.len(), 43);
+    each_byte::<Request>(&register, 17, 0x02..=0xFF);
+    each_byte::<Request>(&register, 18, 0x04..=0xFF);
+    let install = body(&Request::Install(TenantTransfer {
+        spec: TenantSpec::frequency(3, 33),
+        ..transfer
+    }));
+    assert_eq!(install[75], 0x00, "Carter-Wegman");
+    each_byte::<Request>(&install, 75, 0x04..=0xFF);
+
+    let json = br#"{"Point":{"tenant":1,"item":2}}"#;
+    for bytes in [&json[..], b"\"Ping\""] {
+        let mut buf = (bytes.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(bytes);
+        match read_frame::<_, Request>(&mut &buf[..], MAX_FRAME_BYTES) {
+            Err(e @ WireError::Malformed { .. }) => {
+                assert!(e.to_string().contains("binary body"), "{e}")
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+}
+
+/// A count the rest of the body cannot back is `Malformed` before the
+/// decoder allocates for it: a `u32::MAX` count of updates, heavy
+/// hitters or string bytes in a 20-byte body, and a transfer whose
+/// plane or seal count, or whose plane shape, runs past its body. Each
+/// decode allocates no more than the body and its error message.
+#[test]
+fn counts_beyond_the_body_are_refused_before_allocating() {
+    fn refused<T: WireBody + std::fmt::Debug>(bytes: &[u8]) {
+        let mut frame = (bytes.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(bytes);
+        let (got, allocated) =
+            allocated_by(|| read_frame::<_, T>(&mut &frame[..], MAX_FRAME_BYTES));
+        match got {
+            Err(WireError::Malformed { .. }) => {}
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        assert!(
+            allocated <= bytes.len() + 1_024,
+            "{allocated} bytes allocated for a {}-byte body",
+            bytes.len()
+        );
+    }
+    let max = u32::MAX.to_le_bytes();
+    // Ingest and HeavyHitters: tag, tenant, count, then 7 stray bytes.
+    for tag in [0x01u8, 0x07] {
+        let mut bytes = vec![tag];
+        bytes.extend_from_slice(&9u64.to_le_bytes());
+        bytes.extend_from_slice(&max);
+        bytes.extend_from_slice(&[0xAB; 7]);
+        assert_eq!(bytes.len(), 20);
+        if tag == 0x01 {
+            refused::<Request>(&bytes);
+        } else {
+            refused::<Response>(&bytes);
+        }
+    }
+    // Error: tag, then the code's byte count and 15 stray bytes.
+    let mut bytes = vec![0x0B];
+    bytes.extend_from_slice(&max);
+    bytes.extend_from_slice(&[b'x'; 15]);
+    assert_eq!(bytes.len(), 20);
+    refused::<Response>(&bytes);
+
+    // A transfer: tag, 42-byte spec, 33-byte params, four words, then
+    // the cumulative's plane count (offset 108) and its first plane's
+    // width and depth; one count or dimension past the body at a time.
+    let transfer = transfer(0, 3, &[1.0; 8]);
+    let valid = body(&Response::Exported(TenantTransfer {
+        spec: TenantSpec::frequency(3, 33),
+        ..transfer
+    }));
+    let planes = 1 + 42 + 33 + 32;
+    assert_eq!(valid[planes..planes + 4], 1u32.to_le_bytes());
+    let seals_at = planes + 4 + 16 + 64;
+    assert_eq!(valid[seals_at..seals_at + 4], 1u32.to_le_bytes());
+    for (at, patch) in [
+        (planes, max.to_vec()),
+        (planes, 2u32.to_le_bytes().to_vec()),
+        (seals_at, max.to_vec()),
+        (planes + 4, u64::MAX.to_le_bytes().to_vec()),
+        (planes + 12, (1u64 << 40).to_le_bytes().to_vec()),
+        (planes + 4, 0u64.to_le_bytes().to_vec()),
+    ] {
+        let mut bytes = valid.clone();
+        bytes[at..at + patch.len()].copy_from_slice(&patch);
+        refused::<Response>(&bytes);
+    }
+}
+
+/// A heavy-hitters query whose `phi` arrives as NaN (any payload) or
+/// ±inf is answered `bad_query`, through the wire, on both verbs, and
+/// changes nothing: the tenant's stats and answers stay as they were.
+#[test]
+fn hostile_phi_is_a_bad_query_and_changes_nothing() {
+    let mut fabric = Fabric::new(FabricConfig::new(SketchParams::new(1_024, 64, 5)));
+    fabric.add_shard(0, 1.0).unwrap();
+    let spec =
+        TenantSpec::frequency(1, 11).with_mode(ServingMode::Sliding(WindowLen { intervals: 2 }));
+    fabric.register_tenant(spec).unwrap();
+    let updates: Vec<(u64, f64)> = (0..400u64)
+        .map(|i| (i * 7 % 1_024, 1.0 + (i % 3) as f64))
+        .collect();
+    fabric.handle(Request::Ingest(IngestFrame { tenant: 1, updates }));
+    fabric.handle(Request::Flush(TenantRef { tenant: 1 }));
+    let state = |fabric: &Fabric| {
+        let mut out = vec![format!(
+            "{:?}",
+            fabric.handle(Request::Stats(TenantRef { tenant: 1 }))
+        )];
+        for phi in [0.01, 0.1] {
+            out.push(format!(
+                "{:?}",
+                fabric.handle(Request::HeavyHitters(HeavyHittersQuery { tenant: 1, phi }))
+            ));
+        }
+        for item in (0..1_024).step_by(97) {
+            out.push(format!(
+                "{:?}",
+                fabric.handle(Request::Point(PointQuery { tenant: 1, item }))
+            ));
+        }
+        out
+    };
+    let before = state(&fabric);
+    for bits in [
+        0x7FF8_0000_0000_0000u64, // NaN
+        0x7FF8_0000_0000_0001,    // NaN with a payload
+        0xFFF0_0000_0000_0001,    // negative signalling NaN
+        0x7FF0_0000_0000_0000,    // +inf
+        0xFFF0_0000_0000_0000,    // -inf
+    ] {
+        let phi = f64::from_bits(bits);
+        for req in [
+            Request::HeavyHitters(HeavyHittersQuery { tenant: 1, phi }),
+            Request::WindowHeavyHitters(HeavyHittersQuery { tenant: 1, phi }),
+        ] {
+            let mut frames = Vec::new();
+            write_frame(&mut frames, &req).unwrap();
+            assert_eq!(
+                frames[4 + 9..4 + 17],
+                bits.to_le_bytes(),
+                "phi travels as its bits"
+            );
+            let mut replies = Vec::new();
+            serve_connection(&fabric, &mut &frames[..], &mut replies, MAX_FRAME_BYTES).unwrap();
+            match read_frame::<_, Response>(&mut &replies[..], MAX_FRAME_BYTES) {
+                Ok(Some(Response::Error(e))) => assert_eq!(e.code, "bad_query", "{bits:#x}: {e:?}"),
+                other => panic!("{bits:#x}: expected bad_query, got {other:?}"),
+            }
+        }
+        assert_eq!(state(&fabric), before, "{bits:#x}");
     }
 }
