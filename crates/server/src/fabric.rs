@@ -56,6 +56,12 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// it). The classical kinds stay available for paper-conformance runs
 /// and for fabrics that must stay bit-for-bit with existing journals
 /// and golden vectors.
+///
+/// There is no frame cap here. A rebalance moves a tenant between
+/// shards of one process, so its transfer frame has no peer to guard
+/// against: it is read back at the limit of its `u32` length prefix,
+/// as the journal is. A peer's frames stay under the daemon's cap
+/// ([`DaemonConfig::max_frame_bytes`](crate::DaemonConfig::max_frame_bytes)).
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// Sketch shape template. Each tenant's engine is built from this
@@ -63,17 +69,12 @@ pub struct FabricConfig {
     /// share a shape (transfers stay compatible) while staying
     /// hash-isolated.
     pub params: SketchParams,
-    /// Per-frame byte cap applied when shipping transfers.
-    pub max_frame_bytes: usize,
 }
 
 impl FabricConfig {
-    /// A config with the given sketch shape and the default frame cap.
+    /// A config with the given sketch shape.
     pub fn new(params: SketchParams) -> Self {
-        Self {
-            params,
-            max_frame_bytes: wire::MAX_FRAME_BYTES,
-        }
+        Self { params }
     }
 }
 
@@ -91,7 +92,9 @@ impl Tenant {
     /// Ships this tenant's engine through the real wire format —
     /// export, frame, meter the bytes, deframe, install — and swaps the
     /// installed engine in only once the install succeeds. Returns the
-    /// framed byte count.
+    /// framed byte count. The frame never leaves the process, so only
+    /// its `u32` length prefix bounds it: a ship fails only on a
+    /// transfer past 4 GiB.
     fn ship(&mut self, config: &FabricConfig, meter: &mut CommMeter) -> Result<u64, ErrorReply> {
         let tenant = self.spec.tenant;
         let transfer = self.export(config);
@@ -100,7 +103,7 @@ impl Tenant {
             .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} export: {e}")))?;
         let words = (bytes as u64).div_ceil(8);
         meter.record_upload(words);
-        let shipped: TenantTransfer = wire::read_frame(&mut &buf[..], config.max_frame_bytes)
+        let shipped: TenantTransfer = wire::read_frame(&mut &buf[..], u32::MAX as usize)
             .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} transfer: {e}")))?
             .ok_or_else(|| ErrorReply::new("protocol", "empty transfer stream"))?;
         meter.record_download(words);
@@ -227,7 +230,9 @@ impl Fabric {
     ///
     /// # Errors
     /// `tenant_exists`-style `ErrorReply` with code `protocol` if the
-    /// shard id is already present or the weight is invalid.
+    /// shard id is already present or the weight is invalid, or if a
+    /// tenant's ship fails; that undoes the whole call, so on `Ok` or
+    /// `Err` every tenant sits where [`ring`](Self::ring) places it.
     pub fn add_shard(&mut self, id: u64, weight: f64) -> Result<RebalanceReport, ErrorReply> {
         if self.ring.contains(id) {
             return Err(ErrorReply::new(
@@ -241,15 +246,17 @@ impl Fabric {
                 format!("shard weight must be positive and finite, got {weight}"),
             ));
         }
+        let before = self.ring.clone();
         self.ring.add_shard(id, weight);
-        self.rebalance_to_ring()
+        self.rebalance_to_ring(before)
     }
 
     /// Removes a shard and rebalances its tenants onto the survivors.
     ///
     /// # Errors
     /// `unsupported` if the shard hosts any tenant and no other shard
-    /// remains.
+    /// remains; `protocol` if a tenant's ship fails, which undoes the
+    /// whole call as [`add_shard`](Self::add_shard)'s does.
     pub fn remove_shard(&mut self, id: u64) -> Result<RebalanceReport, ErrorReply> {
         if !self.ring.contains(id) {
             return Err(ErrorReply::new(
@@ -264,34 +271,49 @@ impl Fabric {
                 format!("cannot remove the last shard while {hosted} tenants remain"),
             ));
         }
+        let before = self.ring.clone();
         self.ring.remove_shard(id);
-        self.rebalance_to_ring()
+        self.rebalance_to_ring(before)
     }
 
     /// Ships every tenant whose current shard disagrees with the ring
-    /// to where the ring says it belongs, in tenant-id order.
-    fn rebalance_to_ring(&mut self) -> Result<RebalanceReport, ErrorReply> {
+    /// to where the ring says it belongs, in tenant-id order. If one
+    /// fails, the ring goes back to `before` and every tenant moved so
+    /// far back to the shard it left: its installed engine answers bit
+    /// for bit like the one it replaced, so relabelling it undoes the
+    /// move.
+    fn rebalance_to_ring(&mut self, before: PlacementRing) -> Result<RebalanceReport, ErrorReply> {
         let mut report = RebalanceReport::default();
         let tenants = self
             .tenants
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        for (&tenant, t) in tenants.iter() {
-            let to = self
-                .ring
-                .place(tenant)
-                .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-            let mut t = write(t);
-            if to == t.shard {
-                continue;
+        let mut ship_all = || {
+            for (&tenant, t) in tenants.iter() {
+                let to = self
+                    .ring
+                    .place(tenant)
+                    .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
+                let mut t = write(t);
+                if to == t.shard {
+                    continue;
+                }
+                report.bytes_shipped += t.ship(&self.config, &mut self.meter)?;
+                report.moved.push(TenantMove {
+                    tenant,
+                    from: t.shard,
+                    to,
+                });
+                t.shard = to;
             }
-            report.bytes_shipped += t.ship(&self.config, &mut self.meter)?;
-            report.moved.push(TenantMove {
-                tenant,
-                from: t.shard,
-                to,
-            });
-            t.shard = to;
+            Ok(())
+        };
+        if let Err(e) = ship_all() {
+            self.ring = before;
+            for m in &report.moved {
+                write(&tenants[&m.tenant]).shard = m.from;
+            }
+            return Err(e);
         }
         Ok(report)
     }

@@ -9,6 +9,8 @@
 //!   ([`AnyListener`]/[`AnyStream`]).
 //! * **Thread model** — one accept thread plus one thread per
 //!   connection, all dispatching into one shared [`Fabric`]. The
+//!   accept thread blocks in `accept`, so a connection is accepted the
+//!   moment it arrives and its first request is read at once. The
 //!   fabric is internally synchronized: a request locks only its own
 //!   tenant (read for the query verbs and `Stats`, write for `Ingest`,
 //!   `Flush`, `AdvanceInterval` and `Export`), so requests for distinct
@@ -36,12 +38,20 @@
 //!   frame (a peer must keep bytes moving, not finish by a wall-clock
 //!   instant). Expiry is a typed [`ConnectionError`], and the
 //!   connection drops.
-//! * **Graceful shutdown** — [`Daemon::shutdown`] stops accepting,
+//! * **Graceful shutdown** — [`Daemon::shutdown`] sets the shutdown
+//!   flag and wakes the accept thread by opening one connection to its
+//!   own listener (the bound TCP port, on the loopback address of the
+//!   same family when the daemon is bound to an unspecified address,
+//!   or the unix socket's path). That wake connection is dropped
+//!   unserved and uncounted, and the accept thread exits. Shutdown then
 //!   lets every in-flight frame finish (connections notice the flag at
 //!   their next between-frames poll), seals each tenant's open
 //!   interval via [`Fabric::quiesce`], journals the advances and a
 //!   compacted checkpoint when persistence is attached, and joins all
-//!   threads before returning.
+//!   threads before returning. The wake has a connect timeout, so a
+//!   full backlog or an unreachable listener cannot hang shutdown: if
+//!   the wake fails, the accept thread is left unjoined and shutdown
+//!   returns the error once the fabric is sealed and journaled.
 //!
 //! Killing the process instead of calling [`Daemon::shutdown`] is the
 //! crash case the [`persist`](crate::persist) journal exists for: on
@@ -52,11 +62,11 @@ use crate::fabric::Fabric;
 use crate::persist::{Journal, JournalRecord};
 use crate::wire::{self, Request, Response, TenantRef, WireError};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -123,8 +133,11 @@ pub struct DaemonConfig {
     pub max_frame_bytes: usize,
     /// Per-connection deadlines.
     pub deadlines: Deadlines,
-    /// How often idle connections and the accept loop re-check the
-    /// shutdown flag (also the granularity of the idle deadline).
+    /// How often a connection thread waiting between frames re-checks
+    /// the shutdown flag and its idle deadline (also the granularity of
+    /// that deadline). It paces connection threads only: the accept
+    /// thread blocks in `accept` and never waits on it for a new
+    /// connection.
     pub poll_interval: Duration,
     /// Compact the journal once it holds this many records beyond the
     /// last compaction (`None` = compact only at graceful shutdown).
@@ -135,8 +148,8 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Defaults: the wire frame cap, default deadlines, 20 ms polls,
-    /// shutdown-only compaction.
+    /// Defaults: the wire frame cap, default deadlines, 20 ms
+    /// between-frames polls, shutdown-only compaction.
     pub fn new() -> Self {
         Self {
             max_frame_bytes: wire::MAX_FRAME_BYTES,
@@ -159,7 +172,7 @@ impl DaemonConfig {
         self
     }
 
-    /// Sets the poll quantum.
+    /// Sets the between-frames poll quantum.
     pub fn with_poll_interval(mut self, poll: Duration) -> Self {
         self.poll_interval = poll;
         self
@@ -294,13 +307,6 @@ pub enum AnyListener {
 }
 
 impl AnyListener {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Self::Tcp(l) => l.set_nonblocking(nb),
-            Self::Unix(l) => l.set_nonblocking(nb),
-        }
-    }
-
     fn accept(&self) -> io::Result<AnyStream> {
         match self {
             Self::Tcp(l) => l.accept().map(|(s, _)| {
@@ -320,7 +326,57 @@ impl AnyListener {
             Self::Unix(_) => None,
         }
     }
+
+    fn try_clone(&self) -> io::Result<Self> {
+        match self {
+            Self::Tcp(l) => l.try_clone().map(Self::Tcp),
+            Self::Unix(l) => l.try_clone().map(Self::Unix),
+        }
+    }
+
+    /// Opens one connection to this listener, so that a thread blocked
+    /// in its `accept` returns, and closes it: to the bound TCP port (on
+    /// the loopback address of the same family when the bound address
+    /// is unspecified) or to the unix socket's path. Fails rather than
+    /// wait past [`WAKE_TIMEOUT`].
+    fn wake(&self) -> io::Result<()> {
+        match self {
+            Self::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).map(drop)
+            }
+            Self::Unix(l) => {
+                let addr = l.local_addr()?;
+                let path = addr
+                    .as_pathname()
+                    .ok_or_else(|| io::Error::other("the unix listener has no path"))?
+                    .to_path_buf();
+                // A unix connect takes no timeout and blocks while the
+                // backlog is full: connect on a helper thread, and stop
+                // waiting for it at the timeout.
+                let (tx, rx) = mpsc::channel();
+                let helper = thread::Builder::new().spawn(move || {
+                    let _ = tx.send(UnixStream::connect(path).map(drop));
+                })?;
+                let connected = rx.recv_timeout(WAKE_TIMEOUT);
+                if connected.is_ok() {
+                    let _ = helper.join();
+                }
+                connected.unwrap_or_else(|_| Err(io::ErrorKind::TimedOut.into()))
+            }
+        }
+    }
 }
+
+/// How long the connection [`Daemon::shutdown`] opens to wake the
+/// accept thread may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A connected stream of either family.
 #[derive(Debug)]
@@ -332,13 +388,6 @@ pub enum AnyStream {
 }
 
 impl AnyStream {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.set_nonblocking(nb),
-            Self::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-
     fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
         match self {
             Self::Tcp(s) => s.set_read_timeout(t),
@@ -523,7 +572,8 @@ fn serve_daemon_connection(
 /// What a graceful shutdown did.
 #[derive(Debug)]
 pub struct ShutdownReport {
-    /// Connections accepted over the daemon's lifetime.
+    /// Connections accepted over the daemon's lifetime (not counting
+    /// the one shutdown opens to wake the accept thread).
     pub connections: u64,
     /// Frames answered across all connections.
     pub frames: u64,
@@ -541,7 +591,12 @@ pub struct Daemon {
     shutdown: Arc<AtomicBool>,
     frames: Arc<AtomicU64>,
     connections: Arc<AtomicU64>,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
+    /// A second handle on the accept thread's listening socket. It
+    /// keeps the socket open until shutdown has joined that thread, so
+    /// the wake connection finds it even when the thread has already
+    /// seen the flag (on another connection) and dropped its own.
+    listener: AnyListener,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     local_addr: Option<SocketAddr>,
 }
@@ -581,8 +636,8 @@ impl Daemon {
         journal: Option<Journal>,
         config: DaemonConfig,
     ) -> io::Result<Self> {
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_tcp_addr();
+        let accepting = listener.try_clone()?;
         let service = Arc::new(Service {
             fabric,
             journal: journal.map(Mutex::new),
@@ -601,44 +656,48 @@ impl Daemon {
             let connections = Arc::clone(&connections);
             let workers = Arc::clone(&workers);
             let poll = config.poll_interval;
-            thread::spawn(move || {
-                while !shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok(stream) => {
-                            connections.fetch_add(1, Ordering::Relaxed);
-                            let service = Arc::clone(&service);
-                            let shutdown = Arc::clone(&shutdown);
-                            let frames = Arc::clone(&frames);
-                            let config = config.clone();
-                            let spawned = thread::Builder::new().spawn(move || {
-                                let _ = stream.set_nonblocking(false);
-                                match serve_daemon_connection(stream, &service, &config, &shutdown)
-                                {
-                                    Ok(n) => {
-                                        frames.fetch_add(n, Ordering::Relaxed);
-                                    }
-                                    Err(_) => {
-                                        // Deadline expiries and hostile
-                                        // streams drop the connection;
-                                        // the daemon itself keeps
-                                        // serving.
-                                    }
+            thread::spawn(move || loop {
+                let accepted = accepting.accept();
+                // Shutdown sets the flag before it connects to wake this
+                // thread, so the wake connection (or anything else
+                // accepted once shutdown has begun) is dropped here,
+                // unserved and uncounted.
+                if shutdown.load(Ordering::Acquire) {
+                    break;
+                }
+                match accepted {
+                    Ok(stream) => {
+                        connections.fetch_add(1, Ordering::Relaxed);
+                        let service = Arc::clone(&service);
+                        let shutdown = Arc::clone(&shutdown);
+                        let frames = Arc::clone(&frames);
+                        let config = config.clone();
+                        let spawned = thread::Builder::new().spawn(move || {
+                            match serve_daemon_connection(stream, &service, &config, &shutdown) {
+                                Ok(n) => {
+                                    frames.fetch_add(n, Ordering::Relaxed);
                                 }
-                            });
-                            // A thread the OS refuses drops its stream
-                            // (closing the connection) with the closure;
-                            // the daemon keeps accepting.
-                            if let Ok(handle) = spawned {
-                                let mut workers =
-                                    workers.lock().unwrap_or_else(PoisonError::into_inner);
-                                workers.retain(|h| !h.is_finished());
-                                workers.push(handle);
+                                Err(_) => {
+                                    // Deadline expiries and hostile
+                                    // streams drop the connection; the
+                                    // daemon itself keeps serving.
+                                }
                             }
+                        });
+                        // A thread the OS refuses drops its stream
+                        // (closing the connection) with the closure; the
+                        // daemon keeps accepting.
+                        if let Ok(handle) = spawned {
+                            let mut workers =
+                                workers.lock().unwrap_or_else(PoisonError::into_inner);
+                            workers.retain(|h| !h.is_finished());
+                            workers.push(handle);
                         }
-                        Err(e) if is_timeout(&e) => thread::sleep(poll),
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => thread::sleep(poll),
                     }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    // A persistent error (EMFILE, say) fails every accept
+                    // at once: pause so it cannot spin a core.
+                    Err(_) => thread::sleep(poll),
                 }
             })
         };
@@ -648,7 +707,8 @@ impl Daemon {
             shutdown,
             frames,
             connections,
-            accept: Some(accept),
+            accept,
+            listener,
             workers,
             local_addr,
         })
@@ -668,11 +728,23 @@ impl Daemon {
     /// seal every tenant's open interval, journal the advances plus a
     /// compacted checkpoint (when persistence is attached), and join
     /// every thread.
-    pub fn shutdown(mut self) -> io::Result<ShutdownReport> {
+    ///
+    /// # Errors
+    /// Journal I/O, or a wake connection that could not reach the
+    /// listener within its timeout. In that last case the accept thread
+    /// is left running unjoined, and the error comes after the fabric is
+    /// sealed and journaled.
+    pub fn shutdown(self) -> io::Result<ShutdownReport> {
         self.shutdown.store(true, Ordering::Release);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        // The accept thread blocks in `accept`: one connection to its
+        // own listener wakes it to see the flag.
+        let woken = self.listener.wake();
+        if woken.is_ok() {
+            let _ = self.accept.join();
         }
+        // With the accept thread joined this is the socket's last
+        // handle: closing it refuses whatever is still queued.
+        drop(self.listener);
         loop {
             let handle = {
                 let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
@@ -703,6 +775,9 @@ impl Daemon {
             }
         };
 
+        woken.map_err(|e| {
+            io::Error::new(e.kind(), format!("could not wake the accept thread: {e}"))
+        })?;
         let connections = self.connections.load(Ordering::Relaxed);
         let frames = self.frames.load(Ordering::Relaxed);
         // All threads are joined, so the only remaining service clone

@@ -76,7 +76,9 @@
 //! An ingest body is thus `13 + 16·n` bytes for `n` updates. At the
 //! benchmark's shape (4,096 × 9 cells) a plane is 294,912 bytes, so a
 //! [`MAX_FRAME_BYTES`] frame carries 56 planes: a transfer of a
-//! `Sliding` tenant with a window of at most 55 intervals.
+//! `Sliding` tenant with a window of at most 55 intervals, when it
+//! comes from a peer. A rebalance inside one fabric and the journal
+//! read their frames at the limit of the `u32` length prefix.
 //!
 //! A body that ends early, runs past its fields, or carries an unknown
 //! tag or discriminant is a recoverable [`WireError::Malformed`]; so
@@ -114,9 +116,9 @@ use bas_hash::HashKind;
 use bas_sketch::{CounterMatrix, Dense, SketchParams};
 use std::io::{Read, Write};
 
-/// Default per-frame size cap (bytes). Large enough for any plane
-/// transfer the test/bench configurations ship, small enough that a
-/// hostile length prefix cannot make the server allocate unboundedly.
+/// Default per-frame size cap (bytes) on a peer's frames: small enough
+/// that a hostile length prefix cannot make the server allocate
+/// unboundedly.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Hard bound on how much over-declared length the reader will drain,

@@ -9,6 +9,7 @@
 //! under `--release` like the other serving suites.
 
 use bias_aware_sketches::prelude::*;
+use bias_aware_sketches::server::listener::AnyStream;
 use bias_aware_sketches::server::wire::{IngestFrame, PointQuery, TenantRef, MAX_INGEST_UPDATES};
 use bias_aware_sketches::server::{
     read_frame, read_journal, recover, write_frame, Client, Daemon, DaemonConfig, Deadlines,
@@ -16,8 +17,12 @@ use bias_aware_sketches::server::{
     TenantSpec, MAX_FRAME_BYTES,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const N: u64 = 4_096;
 
@@ -29,8 +34,9 @@ fn config() -> FabricConfig {
     FabricConfig::new(params())
 }
 
-/// Snappy deadlines for tests: 300 ms progress gaps, 10 s idle, 5 ms
-/// polls.
+/// Snappy deadlines for tests: 300 ms progress gaps, 10 s idle, and
+/// 5 ms between-frames polls, so that connections notice shutdown
+/// quickly (accepts never wait on the poll).
 fn daemon_config() -> DaemonConfig {
     DaemonConfig::new()
         .with_poll_interval(Duration::from_millis(5))
@@ -565,4 +571,158 @@ fn journal_compacts_at_the_record_threshold_while_serving() {
     daemon.shutdown().unwrap();
     std::fs::remove_file(&journal_path).ok();
     std::fs::remove_file(&copy).ok();
+}
+
+/// Where a test client reaches a daemon.
+#[derive(Debug, Clone)]
+enum Endpoint {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
+impl Endpoint {
+    /// A fresh connection whose reads give up after 10 s, so that a
+    /// reply that never comes fails a test rather than hangs it.
+    fn connect(&self) -> std::io::Result<AnyStream> {
+        let limit = Some(Duration::from_secs(10));
+        Ok(match self {
+            Self::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                s.set_nodelay(true)?;
+                s.set_read_timeout(limit)?;
+                AnyStream::Tcp(s)
+            }
+            Self::Unix(path) => {
+                let s = UnixStream::connect(path)?;
+                s.set_read_timeout(limit)?;
+                AnyStream::Unix(s)
+            }
+        })
+    }
+}
+
+/// Runs `check` on each of three daemons: TCP bound to a loopback
+/// address, TCP bound to the unspecified address (shutdown must wake it
+/// through loopback), and a unix socket. Each polls between frames
+/// only every 2 s and has idled 100 ms when `check` starts, so a new
+/// connection or a shutdown that waited on the poll would show.
+fn on_slow_poll_daemons(tag: &str, check: impl Fn(&str, Daemon, Endpoint)) {
+    let slow = DaemonConfig::new().with_poll_interval(Duration::from_secs(2));
+    let fabric = || {
+        let mut fabric = Fabric::new(config());
+        fabric.add_shard(0, 1.0).unwrap();
+        fabric
+    };
+    for bind in ["127.0.0.1:0", "0.0.0.0:0", "unix"] {
+        let (daemon, endpoint, sock) = match bind {
+            "unix" => {
+                let sock = std::env::temp_dir()
+                    .join(format!("bas-slow-poll-{tag}-{}.sock", std::process::id()));
+                let daemon = Daemon::bind_unix(&sock, fabric(), None, slow.clone()).unwrap();
+                (daemon, Endpoint::Unix(sock.clone()), Some(sock))
+            }
+            tcp => {
+                let daemon = Daemon::bind_tcp(tcp, fabric(), None, slow.clone()).unwrap();
+                let port = daemon.local_addr().unwrap().port();
+                let loopback = SocketAddr::from(([127, 0, 0, 1], port));
+                (daemon, Endpoint::Tcp(loopback), None)
+            }
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        check(bind, daemon, endpoint);
+        if let Some(sock) = sock {
+            std::fs::remove_file(sock).ok();
+        }
+    }
+}
+
+/// A fresh connection's first request is read the moment it arrives:
+/// its `Ping` is answered in far less than one 2-s poll.
+#[test]
+fn a_new_connection_is_answered_without_waiting_for_a_poll() {
+    on_slow_poll_daemons("first-reply", |bind, daemon, endpoint| {
+        let start = Instant::now();
+        let mut conn = endpoint.connect().unwrap();
+        write_frame(&mut conn, &Request::Ping).unwrap();
+        let reply = read_frame::<_, Response>(&mut conn, MAX_FRAME_BYTES).unwrap();
+        let took = start.elapsed();
+        drop(conn);
+        assert_eq!(reply, Some(Response::Pong), "{bind}");
+        assert!(
+            took < Duration::from_millis(500),
+            "{bind}: first reply took {took:?}"
+        );
+        let report = daemon.shutdown().unwrap();
+        assert_eq!(report.connections, 1, "{bind}");
+        assert_eq!(report.frames, 1, "{bind}");
+    });
+}
+
+/// An idle daemon's shutdown joins its accept thread at once, and the
+/// connection that woke it is not counted as one.
+#[test]
+fn an_idle_daemon_shuts_down_without_waiting_for_a_poll() {
+    on_slow_poll_daemons("idle-shutdown", |bind, daemon, _| {
+        let start = Instant::now();
+        let report = daemon.shutdown().unwrap();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "{bind}: shutdown took {took:?}"
+        );
+        assert_eq!(report.connections, 0, "{bind}");
+        assert_eq!(report.frames, 0, "{bind}");
+    });
+}
+
+/// Shutdown while a client connects, pings and closes in a loop (one
+/// connection at a time): shutdown returns with the fabric, which it
+/// can only unwrap once every daemon thread has let it go, and the
+/// report counts no connection the client did not make.
+#[test]
+fn shutdown_under_a_connect_loop_joins_every_thread() {
+    on_slow_poll_daemons("connect-loop", |bind, daemon, endpoint| {
+        let stop = Arc::new(AtomicBool::new(false));
+        let connected = Arc::new(AtomicU64::new(0));
+        let answered = Arc::new(AtomicU64::new(0));
+        let client = {
+            let (stop, connected, answered) = (stop.clone(), connected.clone(), answered.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    let Ok(mut conn) = endpoint.connect() else {
+                        // Refused once the listener is gone.
+                        std::thread::sleep(Duration::from_millis(1));
+                        continue;
+                    };
+                    connected.fetch_add(1, Ordering::Relaxed);
+                    let pinged = write_frame(&mut conn, &Request::Ping).is_ok()
+                        && matches!(
+                            read_frame::<_, Response>(&mut conn, MAX_FRAME_BYTES),
+                            Ok(Some(Response::Pong))
+                        );
+                    if pinged {
+                        answered.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while answered.load(Ordering::Relaxed) < 20 {
+            assert!(
+                Instant::now() < deadline,
+                "{bind}: fewer than 20 pongs in 10 s"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let report = daemon.shutdown().unwrap();
+        stop.store(true, Ordering::Release);
+        client.join().unwrap();
+        let connected = connected.load(Ordering::Relaxed);
+        let answered = answered.load(Ordering::Relaxed);
+        assert!(
+            answered <= report.connections && report.connections <= connected,
+            "{bind}: {answered} answered, {} counted, {connected} connected",
+            report.connections
+        );
+    });
 }

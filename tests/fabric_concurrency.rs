@@ -304,7 +304,9 @@ fn client(addr: SocketAddr) -> Client<TcpStream, impl FnMut() -> std::io::Result
 }
 
 /// A daemon over `fabric` whose journal (at `path`, with the fabric's
-/// shards already recorded) compacts after `records` appends.
+/// shards already recorded) compacts after `records` appends. Its
+/// connections poll between frames every 5 ms, so that they notice
+/// shutdown quickly (accepts never wait on the poll).
 fn journaled_daemon(fabric: Fabric, path: &PathBuf, records: u64) -> Daemon {
     let mut journal = Journal::open(path).unwrap();
     for shard in fabric.ring().shards() {

@@ -378,6 +378,85 @@ fn rebalanced_tenants_answer_bit_for_bit() {
     }
 }
 
+/// Windowed tenants whose transfers pass the 16 MiB frame cap a peer's
+/// frames are held to still move: a rebalance ships inside one
+/// process. A `Sliding(16)` tenant that `add_shard(1)` moves and a
+/// `Tumbling(16)` tenant that `remove_shard(0)` moves each ship 16
+/// seals and a cumulative plane of 16,384 × 9 cells, 20.1 MB. Each call
+/// returns `Ok`, leaves every tenant where the ring places it, and
+/// changes no answer.
+#[test]
+fn transfers_past_the_frame_cap_rebalance_bit_for_bit() {
+    const K: u64 = 16;
+    let mut fabric = Fabric::new(FabricConfig::new(SketchParams::new(N, 16_384, 9)));
+    fabric.add_shard(0, 1.0).unwrap();
+    let mut grown = PlacementRing::new();
+    grown.add_shard(0, 1.0);
+    grown.add_shard(1, 1.0);
+    let lands_on = |shard| (1..).find(|&t| grown.place(t) == Some(shard)).unwrap();
+    let (mover, stayer) = (lands_on(1), lands_on(0));
+    let window = WindowLen { intervals: K };
+    for (tenant, mode) in [
+        (mover, ServingMode::Sliding(window)),
+        (stayer, ServingMode::Tumbling(window)),
+    ] {
+        let spec = TenantSpec::frequency(tenant, tenant * 1_000 + 9).with_mode(mode);
+        fabric.register_tenant(spec).unwrap();
+        for round in 0..=K {
+            fabric.handle(Request::Ingest(IngestFrame {
+                tenant,
+                updates: stream(tenant * 100 + round, 200),
+            }));
+            fabric.handle(Request::AdvanceInterval(TenantRef { tenant }));
+        }
+        fabric.handle(Request::Ingest(IngestFrame {
+            tenant,
+            updates: stream(tenant + 7, 200),
+        }));
+        // Export flushes, so the transfer and the answers below see the
+        // same applied prefix.
+        let Response::Exported(transfer) = fabric.handle(Request::Export(TenantRef { tenant }))
+        else {
+            panic!("tenant {tenant} exports");
+        };
+        let bytes = write_frame(&mut Vec::new(), &transfer).unwrap();
+        assert!(bytes > MAX_FRAME_BYTES, "tenant {tenant}: {bytes} bytes");
+    }
+    let tenants = [mover, stayer];
+    // Every answer but the hosting shard, which the moves change.
+    let answers = |fabric: &mut Fabric| {
+        let mut out = Vec::new();
+        for tenant in tenants {
+            out.extend(answer_bits(fabric, &[tenant]).into_iter().skip(1));
+            let (_shard, applied, mass, pending, admitted, interval) = stats_bits(fabric, tenant);
+            out.push(format!(
+                "{:?}",
+                (applied, mass, pending, admitted, interval)
+            ));
+        }
+        out
+    };
+    let before = answers(&mut fabric);
+
+    let report = fabric.add_shard(1, 1.0).unwrap();
+    let moved: Vec<u64> = report.moved.iter().map(|m| m.tenant).collect();
+    assert_eq!(moved, [mover]);
+    assert!(report.bytes_shipped > MAX_FRAME_BYTES as u64);
+    for tenant in tenants {
+        assert_eq!(fabric.shard_of(tenant), fabric.ring().place(tenant));
+    }
+    assert_eq!(answers(&mut fabric), before, "after add_shard(1)");
+
+    let report = fabric.remove_shard(0).unwrap();
+    let moved: Vec<u64> = report.moved.iter().map(|m| m.tenant).collect();
+    assert_eq!(moved, [stayer]);
+    for tenant in tenants {
+        assert_eq!(fabric.shard_of(tenant), Some(1));
+        assert_eq!(fabric.shard_of(tenant), fabric.ring().place(tenant));
+    }
+    assert_eq!(answers(&mut fabric), before, "after remove_shard(0)");
+}
+
 /// Backpressure and shedding: a saturated tenant gets `Busy`/`Shed`
 /// receipts, its queue bound holds, nothing is partially admitted —
 /// and its neighbors' answers are untouched.
