@@ -32,10 +32,9 @@
 //! assert!(h.bucket(12345) < 1024);
 //! ```
 
-// The `simd` feature compiles `core::arch` intrinsics (inherently
-// `unsafe`) inside the `simd` module; everything else stays forbidden.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The `simd` module's AVX2 lanes call `core::arch` intrinsics, which are
+// `unsafe`; it alone allows unsafe code.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod carter_wegman;

@@ -203,12 +203,19 @@ impl RowDeriver {
     /// SIMD entry point of the blocked ingest kernel. Dispatches to the
     /// vectorized path when [`crate::simd_active`] and is bit-for-bit
     /// identical to calling [`RowDeriver::digest`] per item either way.
+    ///
+    /// # Panics
+    /// If `items` and `out` differ in length.
     pub fn digests_into(&self, items: &[u64], out: &mut [u64]) {
         crate::simd::mix64_batch(self.key, items, out);
     }
 
     /// Fills `out[i]` with row `row`'s bucket for each precomputed
     /// digest (the block-wide form of [`RowDeriver::bucket_of_digest`]).
+    ///
+    /// # Panics
+    /// If `digests` and `out` differ in length on a row of more than
+    /// one bucket.
     pub fn buckets_of_digests(&self, row: usize, digests: &[u64], out: &mut [usize]) {
         let r = &self.rows[row];
         if r.shift == 64 {
@@ -223,6 +230,9 @@ impl RowDeriver {
     /// Count-Sketch signed value for each item of a block, computed as
     /// a sign-bit XOR (bit-identical to multiplying by `±1.0` for every
     /// finite or infinite delta).
+    ///
+    /// # Panics
+    /// If `digests`, `deltas` and `out` differ in length.
     pub fn signed_deltas_of_digests(
         &self,
         row: usize,

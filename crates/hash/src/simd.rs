@@ -1,8 +1,10 @@
 //! Vectorized batch kernels for one-hash row derivation.
 //!
-//! The blocked ingest kernel (PR 8) stages each 256-item block's bucket
-//! indices and values in scratch before sweeping the grid row by row.
-//! Filling that scratch is three data-parallel maps over the block:
+//! The blocked ingest kernel stages each 256-item block's bucket
+//! indices and values in scratch before sweeping the grid row by row,
+//! and the heavy-hitter scan derives every row's bucket for each block
+//! of the universe. Filling that scratch is three data-parallel maps
+//! over the block:
 //!
 //! 1. `digest_i = mix64(item_i ^ key)` — the shared one-hash digest,
 //! 2. `bucket_i = (a·digest_i + b) >> shift` — per-row multiply-shift,
@@ -12,57 +14,64 @@
 //!
 //! All three are pure 64-bit integer lane math, so they vectorize with
 //! plain AVX2 (4 lanes of `u64`; the missing 64×64 multiply is emulated
-//! from `_mm256_mul_epu32` cross products). The intrinsics live behind
-//! the `simd` cargo feature and a runtime `avx2` detection check; the
-//! scalar fallback below each dispatch point performs the *same*
-//! wrapping integer operations, so results are bit-for-bit identical —
-//! a property the workspace's scalar-equivalence suite pins under both
-//! feature configurations.
-//!
-//! [`set_force_scalar`] lets benchmarks and tests measure/compare both
-//! paths from one binary even when AVX2 is available.
+//! from `_mm256_mul_epu32` cross products). Every `x86_64` build
+//! compiles the AVX2 lanes; each dispatch point takes them when
+//! [`simd_active`] holds, that is when the CPU reports AVX2 at run time
+//! and [`set_force_scalar`] has not forced the scalar path. Other CPUs
+//! and other targets run the scalar fallback below each dispatch point.
+//! It performs the *same* wrapping integer operations, so results are
+//! bit-for-bit identical: this module's unit tests compare the two
+//! paths lane by lane, on the served shape's block and bucket range
+//! among others, and the workspace's `kernel_equivalence` suite holds
+//! the dispatched kernels and scan to the per-item reference.
 
-#![cfg_attr(feature = "simd", allow(unsafe_code))]
+#![allow(unsafe_code)]
 
 use core::sync::atomic::{AtomicBool, Ordering};
 
 use crate::seed::mix64;
 
-/// When set, batch kernels take the scalar path even if the `simd`
-/// feature is enabled and the CPU supports it.
+/// When set, batch kernels take the scalar path even on a CPU with
+/// AVX2.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Forces (or un-forces) the scalar fallback at runtime.
 ///
-/// Used by the equivalence suite and benchmarks to exercise both paths
-/// in one process; has no effect when the `simd` feature is disabled
-/// (the scalar path is then the only one compiled).
+/// The flag is process-wide: it lets tests and benchmarks run both
+/// paths in one process, so a test that sets it belongs in a test
+/// binary of its own (or must compare only bit-identical results). On
+/// a CPU without AVX2, or off `x86_64`, the scalar path is the only one
+/// that runs and the flag changes nothing.
 pub fn set_force_scalar(force: bool) {
     FORCE_SCALAR.store(force, Ordering::Relaxed);
 }
 
-/// Whether the vectorized kernels will actually run: the `simd` feature
-/// is compiled in, the CPU reports AVX2, and scalar mode is not forced.
+/// Whether the vectorized kernels will actually run: the target is
+/// `x86_64`, the CPU reports AVX2 at run time, and scalar mode is not
+/// forced.
 pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         !FORCE_SCALAR.load(Ordering::Relaxed) && std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
-        // Keep the flag "used" so the scalar-only build stays warning-free.
-        let _ = FORCE_SCALAR.load(Ordering::Relaxed);
         false
     }
 }
 
 /// Fills `out[i] = mix64(items[i] ^ key)` — the family-wide one-hash
 /// digest for a whole block.
+///
+/// # Panics
+/// If `items` and `out` differ in length: the AVX2 lanes index both by
+/// one count, so the check is a memory-safety condition in every build.
 pub(crate) fn mix64_batch(key: u64, items: &[u64], out: &mut [u64]) {
-    debug_assert_eq!(items.len(), out.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    assert_eq!(items.len(), out.len(), "digest lane lengths");
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        // SAFETY: guarded by the runtime AVX2 detection in `simd_active`.
+        // SAFETY: `simd_active` detected AVX2 at run time, and the
+        // lengths were asserted equal above.
         unsafe { avx2::mix64_batch(key, items, out) };
         return;
     }
@@ -75,17 +84,22 @@ pub(crate) fn mix64_batch(key: u64, items: &[u64], out: &mut [u64]) {
 /// multiply-shift bucket for one derived row. `shift` must be in
 /// `1..=63`; the degenerate one-bucket case (`shift == 64`) is handled
 /// by the caller.
+///
+/// # Panics
+/// If `digests` and `out` differ in length (a memory-safety condition
+/// of the AVX2 lanes).
 pub(crate) fn multiply_shift_batch(a: u64, b: u64, shift: u32, digests: &[u64], out: &mut [usize]) {
-    debug_assert_eq!(digests.len(), out.len());
+    assert_eq!(digests.len(), out.len(), "bucket lane lengths");
     debug_assert!((1..=63).contains(&shift));
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // usize is 64-bit on x86_64: reinterpret the output slice so the
         // vector store writes bucket indices directly.
         // SAFETY: same length, and u64/usize share size and alignment here.
         let out64 =
             unsafe { core::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u64>(), out.len()) };
-        // SAFETY: guarded by the runtime AVX2 detection in `simd_active`.
+        // SAFETY: `simd_active` detected AVX2 at run time, and the
+        // lengths were asserted equal above.
         unsafe { avx2::multiply_shift_batch(a, b, shift, digests, out64) };
         return;
     }
@@ -98,12 +112,17 @@ pub(crate) fn multiply_shift_batch(a: u64, b: u64, shift: u32, digests: &[u64], 
 /// where the sign is the top bit of `sign_a · digest` — computed as a
 /// sign-bit XOR, which is bit-identical to multiplying by `±1.0` for
 /// every finite or infinite delta.
+///
+/// # Panics
+/// If the three slices differ in length (a memory-safety condition of
+/// the AVX2 lanes).
 pub(crate) fn signed_delta_batch(sign_a: u64, digests: &[u64], deltas: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(digests.len(), deltas.len());
-    debug_assert_eq!(digests.len(), out.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    assert_eq!(digests.len(), deltas.len(), "sign lane lengths");
+    assert_eq!(digests.len(), out.len(), "sign lane lengths");
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        // SAFETY: guarded by the runtime AVX2 detection in `simd_active`.
+        // SAFETY: `simd_active` detected AVX2 at run time, and the
+        // lengths were asserted equal above.
         unsafe { avx2::signed_delta_batch(sign_a, digests, deltas, out) };
         return;
     }
@@ -113,11 +132,16 @@ pub(crate) fn signed_delta_batch(sign_a: u64, digests: &[u64], deltas: &[f64], o
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2 lane kernels. Every function here carries
     //! `#[target_feature(enable = "avx2")]` and must only be reached
     //! through the runtime-detected dispatch above.
+    //!
+    //! # Safety
+    //! Each `pub unsafe fn` requires a CPU with AVX2, and every slice
+    //! it takes to be as long as the first: the vector loop loads and
+    //! stores through raw pointers for `len & !3` lanes.
 
     use core::arch::x86_64::*;
 
@@ -135,6 +159,8 @@ mod avx2 {
         _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
     }
 
+    /// # Safety
+    /// The CPU has AVX2, and `out.len() == items.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn mix64_batch(key: u64, items: &[u64], out: &mut [u64]) {
         const GOLDEN: i64 = 0x9E37_79B9_7F4A_7C15_u64 as i64;
@@ -160,6 +186,8 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    /// The CPU has AVX2, and `out.len() == digests.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn multiply_shift_batch(
         a: u64,
@@ -184,6 +212,9 @@ mod avx2 {
         }
     }
 
+    /// # Safety
+    /// The CPU has AVX2, and `deltas` and `out` are as long as
+    /// `digests`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn signed_delta_batch(
         sign_a: u64,
@@ -259,34 +290,54 @@ mod tests {
         }
     }
 
+    /// The AVX2 lanes index every slice by one count, so a length
+    /// mismatch must panic before any lane runs, in release builds too.
+    #[test]
+    fn mismatched_lane_lengths_panic() {
+        let long = [1u64; 8];
+        let calls: [&dyn Fn(); 4] = [
+            &|| mix64_batch(7, &long, &mut [0u64; 5]),
+            &|| multiply_shift_batch(3, 1, 40, &long, &mut [0usize; 5]),
+            &|| signed_delta_batch(5, &long, &[2.0; 5], &mut [0f64; 8]),
+            &|| signed_delta_batch(5, &long, &[2.0; 8], &mut [0f64; 5]),
+        ];
+        for (i, call) in calls.iter().enumerate() {
+            assert!(
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).is_err(),
+                "call {i} ran with mismatched lengths"
+            );
+        }
+    }
+
+    /// Forced scalar against the dispatched path: 300 items under small
+    /// multipliers, and the served shape, one 256-item block of a
+    /// 4,096-bucket row (shift 52) under sampled 64-bit multipliers.
     #[test]
     fn forced_scalar_is_bit_identical_to_dispatch() {
-        let digests = sample_digests(300);
-        let items: Vec<u64> = (0..300).map(|i| i * 7 + 3).collect();
-        let deltas: Vec<f64> = (0..300).map(|i| 0.25 * i as f64 - 31.0).collect();
-        let (a, b, shift, sign_a, key) = (21u64 | 1, 99u64, 40u32, 77u64 | 1, 0xFEED_u64);
-
-        let mut dig_a = vec![0u64; 300];
-        let mut buck_a = vec![0usize; 300];
-        let mut val_a = vec![0f64; 300];
-        mix64_batch(key, &items, &mut dig_a);
-        multiply_shift_batch(a, b, shift, &digests, &mut buck_a);
-        signed_delta_batch(sign_a, &digests, &deltas, &mut val_a);
-
-        set_force_scalar(true);
-        let mut dig_b = vec![0u64; 300];
-        let mut buck_b = vec![0usize; 300];
-        let mut val_b = vec![0f64; 300];
-        mix64_batch(key, &items, &mut dig_b);
-        multiply_shift_batch(a, b, shift, &digests, &mut buck_b);
-        signed_delta_batch(sign_a, &digests, &deltas, &mut val_b);
-        set_force_scalar(false);
-
-        assert_eq!(dig_a, dig_b);
-        assert_eq!(buck_a, buck_b);
-        assert_eq!(
-            val_a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            val_b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let mut g = crate::SplitMix64::new(0x5EED);
+        let served = (g.next_u64() | 1, g.next_u64(), g.next_u64() | 1);
+        for (n, shift, (a, b, sign_a)) in [(300, 40, (21 | 1, 99, 77 | 1)), (256, 52, served)] {
+            let digests = sample_digests(n);
+            let items: Vec<u64> = (0..n as u64).map(|i| i * 7 + 3).collect();
+            let deltas: Vec<f64> = (0..n).map(|i| 0.25 * i as f64 - 31.0).collect();
+            let run = || {
+                let mut dig = vec![0u64; n];
+                let mut buck = vec![0usize; n];
+                let mut val = vec![0f64; n];
+                mix64_batch(0xFEED, &items, &mut dig);
+                multiply_shift_batch(a, b, shift, &digests, &mut buck);
+                signed_delta_batch(sign_a, &digests, &deltas, &mut val);
+                (
+                    dig,
+                    buck,
+                    val.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                )
+            };
+            let dispatched = run();
+            set_force_scalar(true);
+            let scalar = run();
+            set_force_scalar(false);
+            assert_eq!(dispatched, scalar, "{n} items at shift {shift}");
+        }
     }
 }

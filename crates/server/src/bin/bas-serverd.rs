@@ -19,7 +19,13 @@
 //!
 //! On success the bound address is printed as `listening <addr>` on
 //! stdout (with `--listen host:0`, the OS-assigned port included), so
-//! wrappers can parse where to connect.
+//! wrappers can parse where to connect. Before that, stderr gets
+//! `bas-serverd: simd_active: <bool>`, whether the batch kernels run
+//! their AVX2 lanes on this CPU. A journal that ends inside its last
+//! frame (an append cut short by a kill or a full disk) does not stop
+//! the boot: recovery skips that frame, the journal is cut back to its
+//! last whole frame, and stderr names the bytes cut and the
+//! `<journal>.torn` file they were moved to.
 
 use bas_hash::HashKind;
 use bas_server::{persist, Daemon, DaemonConfig, Deadlines, Fabric, FabricConfig, Journal};
@@ -164,6 +170,10 @@ fn deadline(ms: u64) -> Option<Duration> {
 fn run(args: Args) -> Result<(), String> {
     let params = SketchParams::new(args.universe, args.width, args.depth).with_hash_kind(args.hash);
     let config = FabricConfig::new(params);
+    // Best-effort, like the shutdown line: a closed stderr is no reason
+    // to refuse to serve.
+    let mut log = std::io::stderr();
+    let _ = writeln!(log, "bas-serverd: simd_active: {}", bas_hash::simd_active());
 
     // Recover topology from the journal (empty fabric on first boot),
     // then apply any --shard flags the journal does not know yet.
@@ -176,6 +186,14 @@ fn run(args: Args) -> Result<(), String> {
         .as_ref()
         .map(|p| Journal::open(p).map_err(|e| format!("journal: {e}")))
         .transpose()?;
+    if let Some(journal) = journal.as_ref().filter(|j| j.torn_bytes() > 0) {
+        let _ = writeln!(
+            log,
+            "bas-serverd: journal: cut off a torn last frame of {} bytes, kept in {}",
+            journal.torn_bytes(),
+            journal.torn_path().display()
+        );
+    }
     for &(id, weight) in &args.shards {
         if fabric.ring().contains(id) {
             continue;

@@ -39,6 +39,19 @@
 //!   compacted before they could be exported) still recovers, empty,
 //!   at that interval.
 //!
+//! * **Torn tail:** a kill or a full disk during an append can leave
+//!   the journal ending inside its last frame. A frame that runs past
+//!   the end of the file is a *torn tail*, not corruption: [`recover`]
+//!   skips it, and [`Journal::open`] moves its bytes to the end of the
+//!   sidecar [`Journal::torn_path`] (`<journal>.torn`), syncs that,
+//!   then cuts the journal back to its last whole frame and syncs it,
+//!   before the first append ([`Journal::torn_bytes`] counts the bytes
+//!   moved). A frame has no checksum, so a length prefix damaged in the
+//!   middle of the file, claiming more bytes than remain, reads the
+//!   same way: the frames after it are moved to the sidecar too, where
+//!   they can be put back by hand, never discarded. A whole frame that
+//!   does not decode stays a typed corruption error.
+//!
 //! Every rewrite — a compaction, or the rewrite of an old journal — is
 //! written to a temp file, synced, renamed over the journal, and the
 //! journal's directory is synced after the rename, as it is after
@@ -55,7 +68,7 @@ use crate::wire::{
     read_frame, write_frame, Request, Response, TenantRef, TenantSpec, TenantTransfer, WireError,
 };
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A shard-membership journal entry.
@@ -99,14 +112,23 @@ pub struct Journal {
     records: u64,
     /// Bytes on disk since the last compaction (same seeding rule).
     bytes: u64,
+    /// Bytes of a torn last frame that [`open`](Self::open) moved to
+    /// the sidecar.
+    torn_bytes: u64,
 }
 
 impl Journal {
     /// Opens (creating if absent) the journal at `path` for appending.
-    /// An older JSON-lines journal is first rewritten as frames.
+    /// An older JSON-lines journal is first rewritten as frames. A
+    /// journal of frames is walked by its length prefixes, not decoded
+    /// ([`recover`] decodes it); if its last frame runs past the end of
+    /// the file, those bytes are appended to the sidecar
+    /// [`torn_path`](Self::torn_path) and synced, and only then is the
+    /// journal cut back to its last whole frame and synced.
+    /// [`torn_bytes`](Self::torn_bytes) reports how many bytes moved.
     ///
     /// # Errors
-    /// I/O failures, and a corrupt record.
+    /// I/O failures, and a corrupt line in an older journal.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         // Seed the growth counters from whatever is already on disk:
@@ -114,16 +136,20 @@ impl Journal {
         // and an uncompacted pre-existing file is all distance.
         let existing = Records::open(&path)?;
         let created = existing.is_none();
-        let (records, bytes) = match existing {
-            None => (0, 0),
+        let (records, bytes, torn_bytes) = match existing {
+            None => (0, 0, 0),
             Some(reader) if reader.json => {
                 let records = reader.collect::<io::Result<Vec<_>>>()?;
                 let bytes = write_atomically(&path, &records)?;
-                (records.len() as u64, bytes)
+                (records.len() as u64, bytes, 0)
             }
             Some(mut reader) => {
-                let records = reader.try_fold(0, |n, record| record.map(|_| n + 1))?;
-                (records, std::fs::metadata(&path)?.len())
+                let len = reader.reader.get_ref().metadata()?.len();
+                let (records, whole) = whole_frames(&mut reader.reader, len)?;
+                if whole < len {
+                    move_torn_tail(&path, whole)?;
+                }
+                (records, whole, len - whole)
             }
         };
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -135,6 +161,7 @@ impl Journal {
             writer: BufWriter::new(file),
             records,
             bytes,
+            torn_bytes,
         })
     }
 
@@ -153,6 +180,20 @@ impl Journal {
     /// file's length on open).
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// Bytes of a torn last frame that [`open`](Self::open) cut off the
+    /// journal and moved to [`torn_path`](Self::torn_path): 0 if the
+    /// journal ended on a frame boundary.
+    pub fn torn_bytes(&self) -> u64 {
+        self.torn_bytes
+    }
+
+    /// The sidecar that keeps every torn tail [`open`](Self::open) cut
+    /// off this journal, oldest first: the journal's path with `.torn`
+    /// appended.
+    pub fn torn_path(&self) -> PathBuf {
+        torn_path(&self.path)
     }
 
     /// Appends one record as a frame and flushes it to the OS.
@@ -211,6 +252,51 @@ fn write_atomically(path: &Path, records: &[JournalRecord]) -> io::Result<u64> {
     Ok(bytes)
 }
 
+/// Walks a journal of frames from the reader's start by the frames'
+/// length prefixes alone, no body decoded: the number of whole frames
+/// in the file's `len` bytes, and where the last of them ends.
+fn whole_frames(reader: &mut BufReader<File>, len: u64) -> io::Result<(u64, u64)> {
+    let (mut frames, mut end) = (0, 0);
+    let mut prefix = [0u8; 4];
+    while len - end >= 4 {
+        reader.read_exact(&mut prefix)?;
+        let body = u64::from(u32::from_be_bytes(prefix));
+        if body > len - end - 4 {
+            break;
+        }
+        reader.seek_relative(body as i64)?;
+        (frames, end) = (frames + 1, end + 4 + body);
+    }
+    Ok((frames, end))
+}
+
+/// Moves the bytes of the journal at `path` from `whole` on to the end
+/// of its sidecar ([`Journal::torn_path`]) and syncs the sidecar and
+/// its directory; only then cuts the journal back to `whole` and syncs
+/// it. A crash in between leaves the tail in both files, never in
+/// neither.
+fn move_torn_tail(path: &Path, whole: u64) -> io::Result<()> {
+    let mut journal = OpenOptions::new().read(true).write(true).open(path)?;
+    let sidecar_path = torn_path(path);
+    let mut sidecar = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&sidecar_path)?;
+    journal.seek(SeekFrom::Start(whole))?;
+    io::copy(&mut journal, &mut sidecar)?;
+    sidecar.sync_all()?;
+    sync_dir(&sidecar_path)?;
+    journal.set_len(whole)?;
+    journal.sync_all()
+}
+
+/// `path` with `.torn` appended.
+fn torn_path(path: &Path) -> PathBuf {
+    let mut torn = path.as_os_str().to_owned();
+    torn.push(".torn");
+    torn.into()
+}
+
 /// Syncs the directory that holds `path`, so a file created in it or
 /// renamed into it is still there after a power loss.
 fn sync_dir(path: &Path) -> io::Result<()> {
@@ -257,7 +343,8 @@ fn snapshot_records(fabric: &Fabric) -> io::Result<Vec<JournalRecord>> {
 }
 
 /// Reads every record of the journal at `path`, oldest first: frames,
-/// or the JSON lines of an older journal. No file reads as no records.
+/// or the JSON lines of an older journal. No file reads as no records,
+/// and a torn last frame is skipped.
 ///
 /// # Errors
 /// I/O failures, and a corrupt record: a typed `InvalidData` error
@@ -311,6 +398,9 @@ impl Records {
         // A journal's frames are bounded only by their `u32` prefix.
         match read_frame(&mut self.reader, u32::MAX as usize) {
             Ok(record) => record.map(Ok),
+            // The file ends inside this frame, a torn tail: the records
+            // end before it.
+            Err(WireError::Truncated { .. }) => None,
             Err(WireError::Io(e)) => Some(Err(e)),
             Err(e) => Some(Err(self.corrupt(e))),
         }
@@ -358,6 +448,8 @@ impl Iterator for Records {
 /// it is a pure function of `(tenant, ring)`.
 ///
 /// A missing journal file recovers an **empty** fabric (first boot).
+/// A torn last frame is skipped, and the file left as it is
+/// ([`Journal::open`] moves it aside).
 ///
 /// # Errors
 /// I/O failures, corrupt records, and replay rejections (e.g. a
@@ -622,8 +714,9 @@ mod tests {
         std::fs::remove_file(&p).unwrap();
     }
 
-    /// A frame that does not decode, and a frame cut short by the end
-    /// of the file, are typed `InvalidData` errors naming the record.
+    /// A whole frame that does not decode (an unknown tag, a body too
+    /// short for its fields) is a typed `InvalidData` error naming the
+    /// record, at the end of the file or with frames after it.
     #[test]
     fn corrupt_frames_are_typed_errors_with_record_numbers() {
         let p = temp_path("corrupt-frame");
@@ -636,15 +729,176 @@ mod tests {
             .unwrap();
         drop(journal);
         let good = std::fs::read(&p).unwrap();
-        for tail in [&[0, 0, 0, 2, 0xEE, 0xEE][..], &[0, 0, 0, 9, 0x03, 7]] {
-            let mut bytes = good.clone();
-            bytes.extend_from_slice(tail);
-            std::fs::write(&p, &bytes).unwrap();
-            let err = recover(&p, config()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("journal record 2"), "{err}");
+        for bad in [&[0, 0, 0, 2, 0xEE, 0xEE][..], &[0, 0, 0, 2, 0x03, 7]] {
+            for after in [&[][..], &good] {
+                let bytes = [&good[..], bad, after].concat();
+                std::fs::write(&p, &bytes).unwrap();
+                let err = recover(&p, config()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains("journal record 2"), "{err}");
+            }
         }
         std::fs::remove_file(&p).unwrap();
+    }
+
+    /// A journal of a shard, a registration, a checkpoint and an advance
+    /// is cut at every byte. Each cut recovers, bit for bit, to the
+    /// fabric that its whole frames give. Reopened, the journal is cut
+    /// back to those frames, the bytes past them are in the sidecar and
+    /// counted as torn, and the next append lands right after them.
+    #[test]
+    fn a_journal_cut_at_any_byte_recovers_its_whole_frames() {
+        use crate::wire::{ServingMode, WindowLen};
+        let config = || FabricConfig::new(SketchParams::new(64, 8, 3));
+        let mut source = Fabric::new(config());
+        source.add_shard(0, 1.0).unwrap();
+        source
+            .register_tenant(TenantSpec::frequency(3, 33))
+            .unwrap();
+        source.handle(Request::Ingest(IngestFrame {
+            tenant: 3,
+            updates: (0..40u64).map(|i| (i % 64, 1.0 + (i % 3) as f64)).collect(),
+        }));
+        source.handle(Request::Flush(TenantRef { tenant: 3 }));
+        let Response::Exported(transfer) = source.handle(Request::Export(TenantRef { tenant: 3 }))
+        else {
+            panic!("tenant 3 did not export");
+        };
+        let sliding = ServingMode::Sliding(WindowLen { intervals: 2 });
+        let records = [
+            JournalRecord::ShardAdded(ShardRecord {
+                shard: 0,
+                weight: 1.0,
+            }),
+            JournalRecord::TenantRegistered(TenantSpec::frequency(7, 77).with_mode(sliding)),
+            JournalRecord::Checkpoint(transfer),
+            JournalRecord::IntervalAdvanced(TenantRef { tenant: 7 }),
+        ];
+        let frame = |record: &JournalRecord| {
+            let mut out = Vec::new();
+            write_frame(&mut out, record).unwrap();
+            out
+        };
+        let frames: Vec<Vec<u8>> = records.iter().map(frame).collect();
+        let bytes = frames.concat();
+        // ends[k]: the length of the first k frames.
+        let mut ends = vec![0];
+        for f in &frames {
+            ends.push(ends.last().unwrap() + f.len());
+        }
+        // A fabric's durable state as compaction writes it, as bytes.
+        let state = |fabric: &Fabric| {
+            snapshot_records(fabric)
+                .unwrap()
+                .iter()
+                .flat_map(frame)
+                .collect::<Vec<u8>>()
+        };
+        let p = temp_path("torn");
+        let want: Vec<Vec<u8>> = ends
+            .iter()
+            .map(|&end| {
+                std::fs::write(&p, &bytes[..end]).unwrap();
+                state(&recover(&p, config()).unwrap())
+            })
+            .collect();
+        assert!(
+            want.windows(2).all(|w| w[0] != w[1]),
+            "every record changes the state"
+        );
+
+        let next = JournalRecord::ShardAdded(ShardRecord {
+            shard: 9,
+            weight: 2.0,
+        });
+        let side = torn_path(&p);
+        for cut in 0..=bytes.len() {
+            let k = ends.iter().rposition(|&end| end <= cut).unwrap();
+            let torn = &bytes[ends[k]..cut];
+            std::fs::write(&p, &bytes[..cut]).unwrap();
+            let _ = std::fs::remove_file(&side);
+            assert_eq!(
+                state(&recover(&p, config()).unwrap()),
+                want[k],
+                "cut at {cut}"
+            );
+
+            let mut journal = Journal::open(&p).unwrap();
+            assert_eq!(journal.torn_path(), side);
+            assert_eq!(journal.torn_bytes(), torn.len() as u64, "cut at {cut}");
+            assert_eq!(journal.records(), k as u64, "cut at {cut}");
+            assert_eq!(journal.bytes(), ends[k] as u64, "cut at {cut}");
+            assert_eq!(std::fs::read(&p).unwrap(), bytes[..ends[k]], "cut at {cut}");
+            let kept = std::fs::read(&side).ok();
+            let want_kept = (!torn.is_empty()).then_some(torn);
+            assert_eq!(kept.as_deref(), want_kept, "cut at {cut}");
+            journal.append(&next).unwrap();
+            drop(journal);
+            let appended = [&bytes[..ends[k]], &frame(&next)[..]].concat();
+            assert_eq!(std::fs::read(&p).unwrap(), appended, "cut at {cut}");
+        }
+        std::fs::remove_file(&p).unwrap();
+        let _ = std::fs::remove_file(&side);
+    }
+
+    /// A frame has no checksum, so a length prefix damaged in the middle
+    /// of the journal, claiming more bytes than remain, reads as a torn
+    /// tail: recovery stops before it, and reopening moves it and every
+    /// frame after it to the sidecar, after the tail an earlier open
+    /// kept there. Nothing is discarded: with the prefix mended and the
+    /// moved frames put back, every record recovers.
+    #[test]
+    fn a_damaged_length_prefix_moves_the_frames_after_it_to_the_sidecar() {
+        let p = temp_path("damaged-prefix");
+        let side = torn_path(&p);
+        let spec = TenantSpec::frequency(7, 77);
+        let mut journal = Journal::open(&p).unwrap();
+        journal
+            .append(&JournalRecord::ShardAdded(ShardRecord {
+                shard: 0,
+                weight: 1.0,
+            }))
+            .unwrap();
+        let head = journal.bytes() as usize;
+        journal
+            .append(&JournalRecord::TenantRegistered(spec))
+            .unwrap();
+        journal
+            .append(&JournalRecord::IntervalAdvanced(TenantRef { tenant: 7 }))
+            .unwrap();
+        drop(journal);
+        let good = std::fs::read(&p).unwrap();
+        let mut damaged = good.clone();
+        damaged[head] = 0xFF; // the second frame now claims over 4 GB
+        std::fs::write(&p, &damaged).unwrap();
+        let earlier = b"an earlier torn tail";
+        std::fs::write(&side, earlier).unwrap();
+
+        let recovered = recover(&p, config()).unwrap();
+        assert!(recovered.ring().contains(0));
+        assert_eq!(recovered.tenant_count(), 0);
+
+        let journal = Journal::open(&p).unwrap();
+        assert_eq!(journal.records(), 1);
+        assert_eq!(journal.torn_bytes(), (good.len() - head) as u64);
+        drop(journal);
+        assert_eq!(std::fs::read(&p).unwrap(), good[..head]);
+        let kept = std::fs::read(&side).unwrap();
+        assert_eq!(kept, [&earlier[..], &damaged[head..]].concat());
+
+        let mut moved = kept[earlier.len()..].to_vec();
+        moved[0] = good[head];
+        let mut file = OpenOptions::new().append(true).open(&p).unwrap();
+        file.write_all(&moved).unwrap();
+        drop(file);
+        let recovered = recover(&p, config()).unwrap();
+        assert_eq!(recovered.tenant_spec(7), Some(spec));
+        match recovered.handle(Request::Stats(TenantRef { tenant: 7 })) {
+            Response::Stats(s) => assert_eq!(s.interval, 1),
+            other => panic!("{other:?}"),
+        }
+        std::fs::remove_file(&p).unwrap();
+        std::fs::remove_file(&side).unwrap();
     }
 
     #[test]

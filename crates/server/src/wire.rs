@@ -99,12 +99,13 @@
 //!   bogus header make the reader consume up to ~4 GiB from the peer,
 //!   so the connection drops instead (behavior change vs the original
 //!   protocol, which loyally drained any declared length);
-//! * body buffers grow **as bytes actually arrive** (in
-//!   [`BODY_CHUNK_BYTES`] steps), never by the declared length alone —
-//!   a peer declaring a huge frame and trickling bytes holds at most
-//!   one chunk beyond what it has already sent (behavior change vs the
-//!   original protocol, which allocated the full declared length up
-//!   front);
+//! * body buffers grow **as bytes actually arrive** (read in
+//!   [`BODY_CHUNK_BYTES`] steps, the buffer doubling toward the
+//!   declared length and never past it), never by the declared length
+//!   alone — a peer declaring a huge frame and trickling bytes holds at
+//!   most one chunk, or twice what it has already sent (behavior change
+//!   vs the original protocol, which allocated the full declared length
+//!   up front);
 //! * a body that does not decode as the expected type is fully
 //!   consumed before [`WireError::Malformed`] is reported — the stream
 //!   stays in sync;
@@ -141,8 +142,8 @@ const INGEST_UPDATE_BYTES: usize = 16;
 /// [`MAX_FRAME_BYTES`]: `(16 MiB − 13) / 16` = 1,048,575.
 pub const MAX_INGEST_UPDATES: usize = (MAX_FRAME_BYTES - INGEST_HEAD_BYTES) / INGEST_UPDATE_BYTES;
 
-/// Step size for incremental body reads: the buffer grows by at most
-/// this much beyond the bytes that have actually arrived, so a
+/// Step size for incremental body reads: a body buffer holds at most
+/// one chunk, or twice the bytes that have actually arrived, so a
 /// declared-but-never-sent length cannot reserve memory.
 pub const BODY_CHUNK_BYTES: usize = 64 << 10;
 
@@ -859,15 +860,22 @@ pub fn read_frame<R: Read, T: WireBody>(r: &mut R, max_len: usize) -> Result<Opt
     T::decode_body(&read_body(r, len)?).map(Some)
 }
 
-/// Reads a `len`-byte body incrementally: the buffer grows in
-/// [`BODY_CHUNK_BYTES`] steps as bytes actually arrive, so a peer
-/// declaring a large length and trickling (or never sending) the body
-/// pins at most one chunk beyond what it has delivered.
+/// Reads a `len`-byte body incrementally, in [`BODY_CHUNK_BYTES`]
+/// reads. The buffer grows only when the next chunk does not fit, and
+/// then doubles toward `len` but never past it: a large body costs
+/// linear copying, a body just past a chunk boundary is not rounded up
+/// to twice its size, and a peer declaring a large length and
+/// trickling (or never sending) the body pins at most twice what it
+/// has delivered, or one chunk.
 fn read_body<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, WireError> {
     let mut body = Vec::with_capacity(len.min(BODY_CHUNK_BYTES));
     while body.len() < len {
         let take = (len - body.len()).min(BODY_CHUNK_BYTES);
         let old = body.len();
+        if old + take > body.capacity() {
+            let grown = body.capacity().saturating_mul(2).clamp(old + take, len);
+            body.reserve_exact(grown - old);
+        }
         body.resize(old + take, 0);
         let got = read_exact_or_eof(r, &mut body[old..])?;
         body.truncate(old + got);

@@ -12,8 +12,8 @@
 use bas_hash::HashKind;
 use bas_server::wire::{IngestFrame, PointQuery, StatsReply, TenantRef};
 use bas_server::{
-    Client, Fabric, FabricConfig, Request, Response, RetryPolicy, ServingMode, TenantSpec,
-    WindowLen, MAX_FRAME_BYTES,
+    write_frame, Client, Fabric, FabricConfig, JournalRecord, Request, Response, RetryPolicy,
+    ServingMode, TenantSpec, WindowLen, MAX_FRAME_BYTES,
 };
 use bas_sketch::SketchParams;
 use std::io::{BufRead, BufReader, Write};
@@ -304,4 +304,58 @@ fn kill_and_restart_recovers_tenant_topology() {
     drop(client);
     shutdown(third.child);
     std::fs::remove_file(&journal).ok();
+}
+
+/// A kill during an append can leave the journal ending inside its last
+/// frame. The daemon still starts on it: recovery skips the torn frame,
+/// the journal is cut back to its last whole frame, the cut bytes are
+/// kept in `<journal>.torn`, and the tenants of the whole frames serve.
+#[test]
+fn a_torn_journal_tail_is_moved_aside_and_the_daemon_serves() {
+    let journal =
+        std::env::temp_dir().join(format!("bas-daemon-torn-{}.journal", std::process::id()));
+    let mut sidecar = journal.clone().into_os_string();
+    sidecar.push(".torn");
+    let sidecar = std::path::PathBuf::from(sidecar);
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&sidecar);
+
+    let first = spawn_serverd(&journal);
+    match tcp_client(first.addr)
+        .call(&Request::Register(TenantSpec::frequency(1, 101)))
+        .unwrap()
+    {
+        Response::Installed(_) => {}
+        other => panic!("{other:?}"),
+    }
+    let mut child = first.child;
+    child.kill().expect("SIGKILL the daemon");
+    child.wait().expect("reap");
+
+    // An interval advance whose append stopped 3 bytes short.
+    let whole = std::fs::read(&journal).unwrap();
+    let mut frame = Vec::new();
+    write_frame(
+        &mut frame,
+        &JournalRecord::IntervalAdvanced(TenantRef { tenant: 1 }),
+    )
+    .unwrap();
+    let torn = &frame[..frame.len() - 3];
+    std::fs::write(&journal, [&whole[..], torn].concat()).unwrap();
+
+    let second = spawn_serverd(&journal);
+    let mut client = tcp_client(second.addr);
+    match client
+        .call(&Request::Stats(TenantRef { tenant: 1 }))
+        .unwrap()
+    {
+        Response::Stats(s) => assert_eq!(s.interval, 0),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(std::fs::read(&journal).unwrap(), whole);
+    assert_eq!(std::fs::read(&sidecar).unwrap(), torn);
+    drop(client);
+    shutdown(second.child);
+    std::fs::remove_file(&journal).ok();
+    std::fs::remove_file(&sidecar).ok();
 }

@@ -12,12 +12,12 @@
 //! nothing.
 
 use bias_aware_sketches::prelude::*;
-use bias_aware_sketches::server::wire::DRAIN_BUDGET_MULTIPLE;
 use bias_aware_sketches::server::wire::{
     AdmitReceipt, BusyReceipt, ErrorReply, FlushReceipt, HeavyHittersQuery, HeavyHittersReply,
     IngestFrame, PointQuery, RangeQuery, SealFrame, SealReceipt, ShedReceipt, StatsReply,
     TenantRef, ValueReply, WireBody,
 };
+use bias_aware_sketches::server::wire::{BODY_CHUNK_BYTES, DRAIN_BUDGET_MULTIPLE};
 use bias_aware_sketches::server::{
     read_frame, serve_connection, write_frame, Fabric, FabricConfig, JournalRecord, Request,
     Response, ServingMode, ShardRecord, TenantSpec, TenantTransfer, WindowLen, WireError,
@@ -829,6 +829,30 @@ fn counts_beyond_the_body_are_refused_before_allocating() {
         bytes[at..at + patch.len()].copy_from_slice(&patch);
         refused::<Response>(&bytes);
     }
+}
+
+/// A body just past one read chunk grows to its declared length, not to
+/// twice the chunk: a 4,096-update ingest frame (a 65,549-byte body, 13
+/// bytes past 64 KiB, the benchmark's ingest frame) decodes bit for bit
+/// while its read allocates at most twice its body plus the decoded
+/// updates.
+#[test]
+fn a_body_just_past_one_read_chunk_is_not_doubled() {
+    let updates: Vec<(u64, f64)> = (0..4_096u64).map(|i| (i * 7, i as f64 - 0.5)).collect();
+    let request = Request::Ingest(IngestFrame { tenant: 5, updates });
+    let mut raw = Vec::new();
+    write_frame(&mut raw, &request).unwrap();
+    let body = raw.len() - 4;
+    assert_eq!(body, 13 + 16 * 4_096);
+    assert!(body > BODY_CHUNK_BYTES);
+    let (got, allocated) =
+        allocated_by(|| read_frame::<_, Request>(&mut &raw[..], MAX_FRAME_BYTES));
+    assert_eq!(got.unwrap(), Some(request));
+    let decoded = 16 * 4_096;
+    assert!(
+        allocated <= 2 * body + decoded,
+        "{allocated} bytes allocated for a {body}-byte body"
+    );
 }
 
 /// A heavy-hitters query whose `phi` arrives as NaN (any payload) or
