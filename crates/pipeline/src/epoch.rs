@@ -332,8 +332,8 @@ impl<S: AbsorbPlane> EpochSketch<S> {
     /// error in [`EpochCounter::begin_write`]).
     ///
     /// # Errors
-    /// Propagates the sketch's [`AbsorbPlane`] rejection (e.g.
-    /// conservative-update Count-Min) with the counters untouched.
+    /// Propagates the sketch's [`AbsorbPlane`] rejection (a plane of
+    /// another shape) with the counters untouched.
     pub fn absorb_plane(
         &self,
         plane: &S::Snapshot,

@@ -79,10 +79,8 @@
 //! system, exactly as in the distributed protocol: [`ShardedIngest`]
 //! requires [`MergeableSketch`](bas_sketch::MergeableSketch), and
 //! [`ConcurrentIngest`] requires [`SharedSketch`](bas_sketch::SharedSketch).
-//! CML-CU and the S/R types implement no `SharedSketch`, so they are
-//! rejected at compile time; Count-Min's policy is a runtime value, so
-//! an `Atomic`-backed CM-CU constructs but panics on the first shared
-//! update (see `SharedSketch::update_shared` for `CountMin`).
+//! Count-Min (either policy), CML-CU and the S/R types implement no
+//! `SharedSketch`, so they are rejected at compile time.
 //!
 //! The serving ladder (`servebench/`) measures the path the daemon
 //! runs, `ConcurrentIngest` into one shared sketch, rung by rung.

@@ -143,8 +143,7 @@ struct Rotation {
 /// let boundary = sealing.bank().sealed(1).unwrap();
 /// shared
 ///     .sketch()
-///     .subtract_snapshot(&mut window, boundary.plane())
-///     .unwrap();
+///     .subtract_snapshot(&mut window, boundary.plane());
 /// ```
 #[derive(Debug)]
 pub struct WindowedIngest<S: SharedSketch + Snapshottable + Reseedable + Send> {
@@ -544,8 +543,7 @@ mod tests {
         ingest
             .shared()
             .sketch()
-            .subtract_snapshot(&mut delta, bank.sealed(0).unwrap().plane())
-            .unwrap();
+            .subtract_snapshot(&mut delta, bank.sealed(0).unwrap().plane());
         let mut reference = CountMedian::new(&params());
         reference.update_batch(&second);
         for j in 0..N {
@@ -785,10 +783,7 @@ mod tests {
                 let window = |ring: &WindowedIngest<AtomicCountMedian>| {
                     let mut plane = ring.shared().pin().into_snapshot();
                     let seal = ring.bank().sealed(1).unwrap().plane();
-                    ring.shared()
-                        .sketch()
-                        .subtract_snapshot(&mut plane, seal)
-                        .unwrap();
+                    ring.shared().sketch().subtract_snapshot(&mut plane, seal);
                     (0..N)
                         .map(|j| ring.shared().sketch().estimate_in(&plane, j))
                         .collect::<Vec<_>>()

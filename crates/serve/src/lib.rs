@@ -68,7 +68,7 @@
 //! The engine is generic over any sketch that is both
 //! [`SharedSketch`] (single-writer shared ingest)
 //! and [`Snapshottable`] (freezable counters): Count-Median,
-//! Count-Sketch, Count-Min (plain), and the dyadic range-sum stack.
+//! Count-Sketch and the dyadic range-sum stack.
 //!
 //! ```
 //! use bas_serve::QueryEngine;

@@ -76,8 +76,7 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowSnapshot<S> {
         (self.applied, self.mass) = match cut {
             Some(seal) => {
                 live.sketch()
-                    .subtract_snapshot(&mut self.live.1, seal.plane())
-                    .expect("servable sketches subtract exactly");
+                    .subtract_snapshot(&mut self.live.1, seal.plane());
                 (applied - seal.applied(), mass - seal.mass())
             }
             None => (applied, mass),

@@ -25,7 +25,10 @@
 //! frame (an append cut short by a kill or a full disk) does not stop
 //! the boot: recovery skips that frame, the journal is cut back to its
 //! last whole frame, and stderr names the bytes cut and the
-//! `<journal>.torn` file they were moved to.
+//! `<journal>.torn` file they were moved to. A JSON-lines journal,
+//! written before the journal took binary frames, does stop it: the
+//! daemon exits nonzero with stderr naming the format, and leaves the
+//! file as it found it.
 
 use bas_hash::HashKind;
 use bas_server::{persist, Daemon, DaemonConfig, Deadlines, Fabric, FabricConfig, Journal};

@@ -29,15 +29,16 @@
 //!   what the old process served. A tenant that cannot be exported
 //!   fails the compaction, and the old journal stays in place.
 //! * **Older journals:** a journal written before the binary layouts
-//!   is JSON lines, one serde-JSON record per line; its first byte is
-//!   `{`, which no frame of under 1.9 GiB starts with. It still
-//!   recovers, its checkpoints with no updates admitted in their
-//!   interval (the JSON has no quota count), and [`Journal::open`]
-//!   rewrites it as frames before the first append, so no file ever
-//!   holds both formats. A tenant journaled as its registration plus
-//!   one `IntervalAdvanced` per interval (how rotating tenants were
-//!   compacted before they could be exported) still recovers, empty,
-//!   at that interval.
+//!   is JSON lines; its first byte is `{`, which no frame of under
+//!   1.9 GiB starts with. [`recover`], [`read_journal`] and
+//!   [`Journal::open`] refuse it with a typed `InvalidData` error that
+//!   names the format, before reading a record, and leave the file and
+//!   its directory as found (read as frames, the whole file would pass
+//!   for one torn frame). To convert one, open it once with a build of
+//!   `f66ee0e` or earlier, which rewrites it as frames. A tenant
+//!   journaled as its registration plus one `IntervalAdvanced` per
+//!   interval (how rotating tenants were compacted before they could
+//!   be exported) still recovers, empty, at that interval.
 //!
 //! * **Torn tail:** a kill or a full disk during an append can leave
 //!   the journal ending inside its last frame. A frame that runs past
@@ -52,11 +53,10 @@
 //!   they can be put back by hand, never discarded. A whole frame that
 //!   does not decode stays a typed corruption error.
 //!
-//! Every rewrite — a compaction, or the rewrite of an old journal — is
-//! written to a temp file, synced, renamed over the journal, and the
-//! journal's directory is synced after the rename, as it is after
-//! [`Journal::open`] creates the file: a power loss leaves the old
-//! journal or the new one, never a rename undone under records
+//! A compaction is written to a temp file, synced, renamed over the
+//! journal, and the journal's directory is synced after the rename, as
+//! it is after [`Journal::open`] creates the file: a power loss leaves
+//! the old journal or the new one, never a rename undone under records
 //! appended since.
 //!
 //! Placement needs no records of its own: it is a pure function of
@@ -72,7 +72,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A shard-membership journal entry.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardRecord {
     /// Shard id.
     pub shard: u64,
@@ -81,11 +81,7 @@ pub struct ShardRecord {
 }
 
 /// One journal record: a durable effect on the fabric.
-///
-/// The serde form is an older journal's JSON line. (Newtype variants
-/// throughout — the workspace's vendored serde derive does not handle
-/// struct variants.)
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A shard joined the ring with the given weight.
     ShardAdded(ShardRecord),
@@ -119,16 +115,16 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if absent) the journal at `path` for appending.
-    /// An older JSON-lines journal is first rewritten as frames. A
-    /// journal of frames is walked by its length prefixes, not decoded
-    /// ([`recover`] decodes it); if its last frame runs past the end of
-    /// the file, those bytes are appended to the sidecar
+    /// The journal is walked by its frames' length prefixes, not
+    /// decoded ([`recover`] decodes it); if its last frame runs past the
+    /// end of the file, those bytes are appended to the sidecar
     /// [`torn_path`](Self::torn_path) and synced, and only then is the
     /// journal cut back to its last whole frame and synced.
     /// [`torn_bytes`](Self::torn_bytes) reports how many bytes moved.
     ///
     /// # Errors
-    /// I/O failures, and a corrupt line in an older journal.
+    /// I/O failures, and an older JSON-lines journal (a typed
+    /// `InvalidData` error; the file is left as it is).
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         // Seed the growth counters from whatever is already on disk:
@@ -138,11 +134,6 @@ impl Journal {
         let created = existing.is_none();
         let (records, bytes, torn_bytes) = match existing {
             None => (0, 0, 0),
-            Some(reader) if reader.json => {
-                let records = reader.collect::<io::Result<Vec<_>>>()?;
-                let bytes = write_atomically(&path, &records)?;
-                (records.len() as u64, bytes, 0)
-            }
             Some(mut reader) => {
                 let len = reader.reader.get_ref().metadata()?.len();
                 let (records, whole) = whole_frames(&mut reader.reader, len)?;
@@ -234,22 +225,19 @@ impl Journal {
 
 /// Replaces the journal at `path` with `records` as frames: written to
 /// a temp file and synced, renamed over the journal, then the
-/// directory synced so the rename survives a power loss. Returns the
-/// bytes written.
-fn write_atomically(path: &Path, records: &[JournalRecord]) -> io::Result<u64> {
+/// directory synced so the rename survives a power loss.
+fn write_atomically(path: &Path, records: &[JournalRecord]) -> io::Result<()> {
     let tmp = path.with_extension("journal.tmp");
-    let mut bytes = 0;
     {
         let mut out = BufWriter::new(File::create(&tmp)?);
         for record in records {
-            bytes += write_frame(&mut out, record).map_err(io_error)? as u64;
+            write_frame(&mut out, record).map_err(io_error)?;
         }
         out.flush()?;
         out.get_ref().sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    sync_dir(path)?;
-    Ok(bytes)
+    sync_dir(path)
 }
 
 /// Walks a journal of frames from the reader's start by the frames'
@@ -342,14 +330,13 @@ fn snapshot_records(fabric: &Fabric) -> io::Result<Vec<JournalRecord>> {
     Ok(records)
 }
 
-/// Reads every record of the journal at `path`, oldest first: frames,
-/// or the JSON lines of an older journal. No file reads as no records,
-/// and a torn last frame is skipped.
+/// Reads every record of the journal at `path`, oldest first. No file
+/// reads as no records, and a torn last frame is skipped.
 ///
 /// # Errors
-/// I/O failures, and a corrupt record: a typed `InvalidData` error
-/// naming its position (`journal record N` in frames, `journal line N`
-/// in JSON lines).
+/// I/O failures, a corrupt record (a typed `InvalidData` error naming
+/// its position, `journal record N`), and an older JSON-lines journal
+/// (a typed `InvalidData` error naming the format).
 pub fn read_journal<P: AsRef<Path>>(path: P) -> io::Result<Vec<JournalRecord>> {
     match Records::open(path)? {
         Some(records) => records.collect(),
@@ -360,40 +347,50 @@ pub fn read_journal<P: AsRef<Path>>(path: P) -> io::Result<Vec<JournalRecord>> {
 /// The records of a journal file, read one at a time.
 struct Records {
     reader: BufReader<File>,
-    /// Whether the file is JSON lines (its first byte is `{`).
-    json: bool,
-    /// Frames or lines read so far.
+    /// Frames read so far.
     read: usize,
 }
 
 impl Records {
     /// Opens the journal at `path` for reading; `Ok(None)` if there is
     /// no file.
+    ///
+    /// # Errors
+    /// I/O failures, and a file whose first byte is `{`: an older
+    /// JSON-lines journal, refused before anything is read as a frame.
     fn open<P: AsRef<Path>>(path: P) -> io::Result<Option<Self>> {
-        let file = match File::open(path) {
+        let file = match File::open(&path) {
             Ok(f) => f,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
         let mut reader = BufReader::new(file);
-        let json = reader.fill_buf()?.first() == Some(&b'{');
-        Ok(Some(Self {
-            reader,
-            json,
-            read: 0,
-        }))
+        if reader.fill_buf()?.first() == Some(&b'{') {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "journal {}: a JSON-lines journal, the format before binary frames; \
+                     open it once with a build of f66ee0e or earlier to rewrite it as frames",
+                    path.as_ref().display()
+                ),
+            ));
+        }
+        Ok(Some(Self { reader, read: 0 }))
     }
 
     /// A failure at the record read last.
     fn corrupt(&self, err: impl std::fmt::Display) -> io::Error {
-        let unit = if self.json { "line" } else { "record" };
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("journal {unit} {}: {err}", self.read),
+            format!("journal record {}: {err}", self.read),
         )
     }
+}
 
-    fn next_frame(&mut self) -> Option<io::Result<JournalRecord>> {
+impl Iterator for Records {
+    type Item = io::Result<JournalRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
         self.read += 1;
         // A journal's frames are bounded only by their `u32` prefix.
         match read_frame(&mut self.reader, u32::MAX as usize) {
@@ -403,35 +400,6 @@ impl Records {
             Err(WireError::Truncated { .. }) => None,
             Err(WireError::Io(e)) => Some(Err(e)),
             Err(e) => Some(Err(self.corrupt(e))),
-        }
-    }
-
-    fn next_line(&mut self) -> Option<io::Result<JournalRecord>> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            self.read += 1;
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return None,
-                Ok(_) if line.trim().is_empty() => {}
-                Ok(_) => {
-                    let line = line.trim_end_matches(['\r', '\n']);
-                    return Some(serde_json::from_str(line).map_err(|e| self.corrupt(e)));
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
-impl Iterator for Records {
-    type Item = io::Result<JournalRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.json {
-            self.next_line()
-        } else {
-            self.next_frame()
         }
     }
 }
@@ -452,8 +420,10 @@ impl Iterator for Records {
 /// ([`Journal::open`] moves it aside).
 ///
 /// # Errors
-/// I/O failures, corrupt records, and replay rejections (e.g. a
-/// journal whose specs no longer validate against `config`).
+/// I/O failures, corrupt records, an older JSON-lines journal (a typed
+/// `InvalidData` error naming the format; the file is left as it is),
+/// and replay rejections (e.g. a journal whose specs no longer validate
+/// against `config`).
 pub fn recover<P: AsRef<Path>>(path: P, config: crate::fabric::FabricConfig) -> io::Result<Fabric> {
     let mut fabric = Fabric::new(config);
     let Some(mut reader) = Records::open(path)? else {
@@ -899,20 +869,5 @@ mod tests {
         }
         std::fs::remove_file(&p).unwrap();
         std::fs::remove_file(&side).unwrap();
-    }
-
-    #[test]
-    fn corrupt_lines_are_typed_errors_with_line_numbers() {
-        let p = temp_path("corrupt");
-        let good = serde_json::to_string(&JournalRecord::ShardAdded(ShardRecord {
-            shard: 0,
-            weight: 1.0,
-        }))
-        .unwrap();
-        std::fs::write(&p, format!("{good}\nnot json\n")).unwrap();
-        let err = recover(&p, config()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("line 2"), "{err}");
-        std::fs::remove_file(&p).unwrap();
     }
 }

@@ -928,7 +928,7 @@ fn drain<R: Read>(r: &mut R, len: usize) -> Result<(), WireError> {
 
 /// A client request. One frame per request; every request gets exactly
 /// one [`Response`] frame.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -971,14 +971,14 @@ pub enum Request {
 }
 
 /// Names a tenant.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantRef {
     /// Tenant id.
     pub tenant: u64,
 }
 
 /// A batch of `(item, delta)` updates for one tenant.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IngestFrame {
     /// Tenant id.
     pub tenant: u64,
@@ -987,7 +987,7 @@ pub struct IngestFrame {
 }
 
 /// A point query.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointQuery {
     /// Tenant id.
     pub tenant: u64,
@@ -996,7 +996,7 @@ pub struct PointQuery {
 }
 
 /// A heavy-hitters query.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeavyHittersQuery {
     /// Tenant id.
     pub tenant: u64,
@@ -1005,7 +1005,7 @@ pub struct HeavyHittersQuery {
 }
 
 /// An inclusive range-sum query.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeQuery {
     /// Tenant id.
     pub tenant: u64,
@@ -1018,7 +1018,7 @@ pub struct RangeQuery {
 // ---- tenant configuration (rides in Install frames) ----
 
 /// Which sketch family serves the tenant's metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
     /// Point-frequency / heavy-hitter serving (Count-Median).
     Frequency,
@@ -1027,16 +1027,15 @@ pub enum MetricKind {
 }
 
 /// A window length in intervals (payload for the windowed
-/// [`ServingMode`]s; a struct because the wire derive supports newtype
-/// variants, not struct variants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// [`ServingMode`]s).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowLen {
     /// Window length in intervals (≥ 1).
     pub intervals: u64,
 }
 
 /// How much history the tenant's queries cover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServingMode {
     /// Since-boot accumulator.
     Unbounded,
@@ -1059,7 +1058,7 @@ pub enum ServingMode {
 
 /// Per-tenant serving configuration: identity, sketch seed, serving
 /// mode, and the admission-control knobs.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantSpec {
     /// Tenant id (unique per fabric).
     pub tenant: u64,
@@ -1147,10 +1146,6 @@ impl TenantSpec {
 /// linearity only has to hold within each plane. `Install` refuses a
 /// rotating transfer that does not hold exactly the `min(K − 1,
 /// interval)` generations before `interval`.
-///
-/// The serde form is the JSON a journal written before the binary
-/// layouts holds, which has no quota count: serializing leaves
-/// `admitted_in_interval` out, and deserializing reads it as 0.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantTransfer {
     /// The tenant's serving configuration.
@@ -1181,55 +1176,11 @@ pub struct TenantTransfer {
     pub seals: Vec<SealFrame>,
 }
 
-/// A [`TenantTransfer`] in the JSON of a journal written before the
-/// binary layouts: every field but the quota count.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct JsonTransfer {
-    spec: TenantSpec,
-    params: SketchParams,
-    interval: u64,
-    applied: u64,
-    mass: f64,
-    cumulative: Vec<CounterMatrix<f64, Dense>>,
-    seals: Vec<SealFrame>,
-}
-
-impl serde::Serialize for TenantTransfer {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        JsonTransfer {
-            spec: self.spec,
-            params: self.params,
-            interval: self.interval,
-            applied: self.applied,
-            mass: self.mass,
-            cumulative: self.cumulative.clone(),
-            seals: self.seals.clone(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for TenantTransfer {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let t = JsonTransfer::deserialize(deserializer)?;
-        Ok(Self {
-            spec: t.spec,
-            params: t.params,
-            interval: t.interval,
-            applied: t.applied,
-            mass: t.mass,
-            admitted_in_interval: 0,
-            cumulative: t.cumulative,
-            seals: t.seals,
-        })
-    }
-}
-
 /// One sealed plane with its bookkeeping: a cumulative plane as of the
 /// end of `interval`, or for a [`ServingMode::Rotating`] tenant the
 /// plane of generation `interval` alone, counted under
 /// `SeedSchedule::new(spec.seed).seed_for(interval)`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SealFrame {
     /// Interval this seal closed.
     pub interval: u64,

@@ -359,3 +359,33 @@ fn a_torn_journal_tail_is_moved_aside_and_the_daemon_serves() {
     std::fs::remove_file(&journal).ok();
     std::fs::remove_file(&sidecar).ok();
 }
+
+/// A journal of JSON lines, as releases before the binary frames wrote
+/// it, stops the boot: `bas-serverd` exits nonzero with stderr naming
+/// the format, and leaves the journal's bytes as they were, with no
+/// `<journal>.torn` sidecar beside it.
+#[test]
+fn a_json_line_journal_is_refused_at_boot_and_left_as_found() {
+    let journal =
+        std::env::temp_dir().join(format!("bas-daemon-json-{}.journal", std::process::id()));
+    let mut sidecar = journal.clone().into_os_string();
+    sidecar.push(".torn");
+    let sidecar = std::path::PathBuf::from(sidecar);
+    let _ = std::fs::remove_file(&sidecar);
+    let line = b"{\"ShardAdded\":{\"shard\":0,\"weight\":1.0}}\n";
+    std::fs::write(&journal, line).unwrap();
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bas-serverd"))
+        .args(["--listen", "127.0.0.1:0", "--shard", "0:1.0", "--journal"])
+        .arg(&journal)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("run bas-serverd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.contains("JSON-lines journal"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert_eq!(std::fs::read(&journal).unwrap(), line);
+    assert!(!sidecar.exists());
+    std::fs::remove_file(&journal).unwrap();
+}

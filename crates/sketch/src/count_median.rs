@@ -333,24 +333,9 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
         }
     }
 
-    /// Count-Median is linear, so snapshots add: always `Ok`.
-    fn merge_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
-        snap.add_matrix(other);
-        Ok(())
-    }
-
-    /// Linear, so snapshots subtract exactly: always `Ok`.
-    fn subtract_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
+    /// Linear, so snapshots subtract exactly.
+    fn subtract_snapshot(&self, snap: &mut Self::Snapshot, other: &Self::Snapshot) {
         snap.sub_matrix(other);
-        Ok(())
     }
 }
 
@@ -367,13 +352,6 @@ impl<B: CounterBackend> MergeableSketch for CountMedian<B> {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
         self.params.check_counter_compatible(&other.params)?;
         self.grid.add_matrix(&other.grid);
-        Ok(())
-    }
-
-    /// Exact counter subtraction (Count-Median is linear).
-    fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.params.check_counter_compatible(&other.params)?;
-        self.grid.sub_matrix(&other.grid);
         Ok(())
     }
 }
@@ -528,23 +506,6 @@ mod tests {
         let before = cm.estimate_in(&snap, 3);
         cm.update(3, 50.0);
         assert_eq!(cm.estimate_in(&snap, 3), before);
-    }
-
-    #[test]
-    fn merged_snapshots_equal_snapshot_of_merged_sketch() {
-        let p = params(200, 32, 5);
-        let mut a = CountMedian::new(&p);
-        let mut b = CountMedian::new(&p);
-        for i in 0..200u64 {
-            a.update(i, (i % 5) as f64);
-            b.update(i, (i % 3) as f64);
-        }
-        let mut snap = a.snapshot();
-        a.merge_snapshot(&mut snap, &b.snapshot()).unwrap();
-        a.merge_from(&b).unwrap();
-        for j in (0..200u64).step_by(11) {
-            assert_eq!(a.estimate_in(&snap, j), a.estimate(j), "item {j}");
-        }
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! Count-Min with plain and conservative update policies.
 
-use crate::snapshot::Snapshottable;
-use crate::storage::{CounterBackend, CounterMatrix, Dense, SharedBackend};
-use crate::traits::{
-    MergeError, MergeableSketch, PointQuerySketch, Reseedable, SharedSketch, SketchParams,
-};
+use crate::storage::CounterMatrix;
+use crate::traits::{MergeError, MergeableSketch, PointQuerySketch, SketchParams};
 use crate::util::MEDIAN_SCRATCH_DEPTH;
 use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, RowDeriver, SplitMix64};
 
@@ -36,13 +33,11 @@ pub enum UpdatePolicy {
 /// Count-Min because CM-CU dominates it; we keep both for completeness
 /// and for the linearity/merging tests.
 ///
-/// Counters live in a [`CounterMatrix`] whose backend `B` is a type
-/// parameter. Under the `Atomic` backend the **plain** policy
-/// additionally implements [`SharedSketch`] (shared ingest);
-/// conservative update cannot — its bump depends on the pre-update
-/// minimum across all rows, a cross-row read-modify-write that the
-/// row-by-row shared sweep cannot express (the same state dependence
-/// that breaks linearity).
+/// Counters live in a dense [`CounterMatrix`]. Count-Min is a paper
+/// baseline, driven through [`PointQuerySketch`] and, under the plain
+/// policy, [`MergeableSketch`]; the serving stack (snapshots, shared
+/// ingest, windows, plane moves) runs Count-Median, Count-Sketch and
+/// the range-sum stack only.
 ///
 /// ```
 /// use bas_sketch::{CountMin, PointQuerySketch, SketchParams, UpdatePolicy};
@@ -55,39 +50,18 @@ pub enum UpdatePolicy {
 /// assert_eq!(cm.estimate(4), 7.0);
 /// assert_eq!(cm.estimate(8), 3.0);
 /// ```
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
-pub struct CountMin<B: CounterBackend = Dense> {
+pub struct CountMin {
     params: SketchParams,
     policy: UpdatePolicy,
-    grid: CounterMatrix<f64, B>,
+    grid: CounterMatrix<f64>,
     hashers: Vec<AnyBucketHasher>,
 }
 
-#[cfg(feature = "serde")]
-crate::impl_backend_serde!(CountMin {
-    params,
-    policy,
-    grid,
-    hashers
-});
-
 impl CountMin {
-    /// Creates an empty Count-Min sketch with the given update policy
-    /// and the default [`Dense`] backend.
+    /// Creates an empty Count-Min sketch with the given update policy.
     pub fn new(params: &SketchParams, policy: UpdatePolicy) -> Self {
-        Self::with_backend(params, policy)
-    }
-
-    /// Convenience constructor for the conservative-update baseline.
-    pub fn conservative(params: &SketchParams) -> Self {
-        Self::new(params, UpdatePolicy::Conservative)
-    }
-}
-
-impl<B: CounterBackend> CountMin<B> {
-    /// Creates an empty Count-Min sketch with an explicit counter
-    /// backend.
-    pub fn with_backend(params: &SketchParams, policy: UpdatePolicy) -> Self {
         let mut seeder = SplitMix64::new(params.seed ^ 0xC0DE_0003);
         let mut family = HashFamily::new(params.hash_kind, &mut seeder, params.width);
         let hashers = family.sample_many(params.depth);
@@ -100,6 +74,11 @@ impl<B: CounterBackend> CountMin<B> {
             grid: CounterMatrix::new(width, params.depth),
             hashers,
         }
+    }
+
+    /// Convenience constructor for the conservative-update baseline.
+    pub fn conservative(params: &SketchParams) -> Self {
+        Self::new(params, UpdatePolicy::Conservative)
     }
 
     /// The update policy in effect.
@@ -155,18 +134,7 @@ impl<B: CounterBackend> CountMin<B> {
     }
 }
 
-impl<B: CounterBackend> Reseedable for CountMin<B> {
-    fn config(&self) -> SketchParams {
-        self.params
-    }
-
-    /// The reseeded sketch keeps the update policy (Plain vs CU).
-    fn reseeded(&self, seed: u64) -> Self {
-        Self::with_backend(&self.params.with_seed(seed), self.policy)
-    }
-}
-
-impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
+impl PointQuerySketch for CountMin {
     #[inline]
     fn update(&mut self, item: u64, delta: f64) {
         debug_assert!(item < self.params.n, "item outside universe");
@@ -265,120 +233,7 @@ impl<B: CounterBackend> PointQuerySketch for CountMin<B> {
     }
 }
 
-impl<B: SharedBackend> SharedSketch for CountMin<B> {
-    /// # Panics
-    /// Panics for [`UpdatePolicy::Conservative`] — conservative update
-    /// is a cross-counter read-modify-write and has no shared form.
-    #[inline]
-    fn update_shared(&self, item: u64, delta: f64) {
-        debug_assert!(item < self.params.n, "item outside universe");
-        Self::validate_delta(delta);
-        assert!(
-            self.policy == UpdatePolicy::Plain,
-            "conservative update is state-dependent and cannot be applied through a shared reference"
-        );
-        for (row, h) in self.hashers.iter().enumerate() {
-            self.grid.add_shared(row, h.bucket(item), delta);
-        }
-    }
-
-    /// The `update_batch` sweep through the shared blocked kernel
-    /// [`CounterMatrix::apply_rows_blocked_shared`] (plain policy only).
-    fn update_batch_shared(&self, items: &[(u64, f64)]) {
-        assert!(
-            self.policy == UpdatePolicy::Plain,
-            "conservative update is state-dependent and cannot be applied through a shared reference"
-        );
-        for &(item, delta) in items {
-            debug_assert!(item < self.params.n, "item outside universe");
-            Self::validate_delta(delta);
-        }
-        if let Some(rd) = RowDeriver::from_hashers(&self.hashers) {
-            let derive = crate::util::onehash_block_derive(&rd, self.params.depth);
-            self.grid.apply_rows_blocked_shared(items, derive);
-            return;
-        }
-        let derive = crate::util::hashed_block_derive(&self.hashers);
-        self.grid.apply_rows_blocked_shared(items, derive);
-    }
-}
-
-impl<B: CounterBackend> Snapshottable for CountMin<B> {
-    type Snapshot = CounterMatrix<f64, Dense>;
-
-    fn make_snapshot(&self) -> Self::Snapshot {
-        CounterMatrix::new(self.params.width, self.params.depth)
-    }
-
-    fn snapshot_into(&self, snap: &mut Self::Snapshot) {
-        self.grid.snapshot_into(snap);
-    }
-
-    /// Min-over-rows from the frozen counters. Works for both update
-    /// policies — queries only read.
-    fn estimate_in(&self, snap: &Self::Snapshot, item: u64) -> f64 {
-        let mut best = f64::INFINITY;
-        for (row, h) in self.hashers.iter().enumerate() {
-            let v = snap.get(row, h.bucket(item));
-            if v < best {
-                best = v;
-            }
-        }
-        best
-    }
-
-    /// Snapshots add only under [`UpdatePolicy::Plain`]; conservative
-    /// counters are running maxima, not sums.
-    fn merge_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
-        if self.policy != UpdatePolicy::Plain {
-            return Err(MergeError::ShapeMismatch {
-                what: "update policies (conservative update is not linear)",
-            });
-        }
-        snap.add_matrix(other);
-        Ok(())
-    }
-
-    /// Subtracts cumulative snapshots. Under [`UpdatePolicy::Plain`]
-    /// the counters are sums and the result is **exact** window
-    /// arithmetic; under [`UpdatePolicy::Conservative`] the counters
-    /// are running maxima, so the difference of two cumulative CU
-    /// snapshots is only an **approximation** of the window's counters
-    /// (it can under-estimate, forfeiting Count-Min's one-sided
-    /// guarantee). CU subtraction is allowed — bounded-lifetime
-    /// rotation is still meaningful — but documented approximate-only;
-    /// pick a linear sketch when windows must be exact.
-    fn subtract_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
-        snap.sub_matrix(other);
-        Ok(())
-    }
-}
-
-/// Planes absorb only under [`UpdatePolicy::Plain`] — conservative
-/// counters are running maxima, not sums, so a shipped CU plane cannot
-/// be reproduced by addition (mirrors
-/// [`merge_snapshot`](Snapshottable::merge_snapshot)). A plane of
-/// another shape is refused before any cell is written.
-impl<B: SharedBackend> crate::snapshot::AbsorbPlane for CountMin<B> {
-    fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError> {
-        if self.policy != UpdatePolicy::Plain {
-            return Err(MergeError::ShapeMismatch {
-                what: "update policies (conservative update is not linear)",
-            });
-        }
-        crate::snapshot::absorb_grid(&self.grid, plane)
-    }
-}
-
-impl<B: CounterBackend> MergeableSketch for CountMin<B> {
+impl MergeableSketch for CountMin {
     /// Only the [`UpdatePolicy::Plain`] variant is linear; merging a
     /// conservative-update sketch returns a shape error to prevent the
     /// silent accuracy loss the paper warns about.
@@ -392,27 +247,11 @@ impl<B: CounterBackend> MergeableSketch for CountMin<B> {
         self.grid.add_matrix(&other.grid);
         Ok(())
     }
-
-    /// Counter subtraction: exact under [`UpdatePolicy::Plain`],
-    /// **approximate only** under [`UpdatePolicy::Conservative`] (see
-    /// [`Snapshottable::subtract_snapshot`] on this type for why CU
-    /// differences merely approximate the window).
-    fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        if self.policy != other.policy {
-            return Err(MergeError::ShapeMismatch {
-                what: "update policies",
-            });
-        }
-        self.params.check_counter_compatible(&other.params)?;
-        self.grid.sub_matrix(&other.grid);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::Atomic;
 
     fn params(n: u64, w: usize, d: usize) -> SketchParams {
         SketchParams::new(n, w, d).with_seed(17)
@@ -430,42 +269,6 @@ mod tests {
             assert!(cm.estimate(j) >= x[j as usize] - 1e-9, "plain item {j}");
             assert!(cu.estimate(j) >= x[j as usize] - 1e-9, "cu item {j}");
         }
-    }
-
-    #[test]
-    fn snapshot_estimates_match_live_for_both_policies() {
-        let p = params(400, 32, 4);
-        for policy in [UpdatePolicy::Plain, UpdatePolicy::Conservative] {
-            let mut cm = CountMin::new(&p, policy);
-            let items: Vec<(u64, f64)> =
-                (0..600u64).map(|i| (i * 7 % 400, (i % 4) as f64)).collect();
-            cm.update_batch(&items);
-            let snap = cm.snapshot();
-            for j in 0..400u64 {
-                assert_eq!(
-                    cm.estimate_in(&snap, j),
-                    cm.estimate(j),
-                    "{policy:?} item {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_merge_respects_linearity_rules() {
-        let p = params(100, 16, 3);
-        let mut plain = CountMin::new(&p, UpdatePolicy::Plain);
-        let mut other = CountMin::new(&p, UpdatePolicy::Plain);
-        plain.update(3, 2.0);
-        other.update(3, 5.0);
-        let mut snap = plain.snapshot();
-        plain.merge_snapshot(&mut snap, &other.snapshot()).unwrap();
-        assert_eq!(plain.estimate_in(&snap, 3), 7.0);
-
-        let cu = CountMin::conservative(&p);
-        let mut cu_snap = cu.snapshot();
-        let cu_other = cu.snapshot();
-        assert!(cu.merge_snapshot(&mut cu_snap, &cu_other).is_err());
     }
 
     #[test]
@@ -521,44 +324,6 @@ mod tests {
                 assert_eq!(batched.estimate(j), looped.estimate(j), "{policy:?} {j}");
             }
         }
-    }
-
-    #[test]
-    fn atomic_backend_matches_dense_both_policies() {
-        for policy in [UpdatePolicy::Plain, UpdatePolicy::Conservative] {
-            let p = params(200, 16, 4);
-            let mut dense = CountMin::new(&p, policy);
-            let mut atomic = CountMin::<Atomic>::with_backend(&p, policy);
-            let items: Vec<(u64, f64)> =
-                (0..300u64).map(|i| (i * 3 % 200, (i % 7) as f64)).collect();
-            dense.update_batch(&items);
-            atomic.update_batch(&items);
-            for j in 0..200u64 {
-                assert_eq!(dense.estimate(j), atomic.estimate(j), "{policy:?} {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_updates_match_exclusive_for_plain() {
-        let p = params(200, 16, 4);
-        let mut exclusive = CountMin::<Atomic>::with_backend(&p, UpdatePolicy::Plain);
-        let shared = CountMin::<Atomic>::with_backend(&p, UpdatePolicy::Plain);
-        let items: Vec<(u64, f64)> = (0..300u64).map(|i| (i % 200, (i % 7) as f64)).collect();
-        for &(i, d) in &items {
-            exclusive.update(i, d);
-        }
-        shared.update_batch_shared(&items);
-        for j in 0..200u64 {
-            assert_eq!(exclusive.estimate(j), shared.estimate(j), "item {j}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shared reference")]
-    fn shared_update_rejects_conservative() {
-        let cu = CountMin::<Atomic>::with_backend(&params(10, 8, 2), UpdatePolicy::Conservative);
-        cu.update_shared(0, 1.0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Count-Min-Log with conservative update (CML-CU).
 
-use crate::snapshot::Snapshottable;
-use crate::storage::{CounterBackend, CounterMatrix, Dense};
-use crate::traits::{MergeError, PointQuerySketch, SketchParams};
+use crate::storage::CounterMatrix;
+use crate::traits::{PointQuerySketch, SketchParams};
 use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, SplitMix64};
 
 /// Count-Min-Log sketch with conservative update (Pitel & Fouquier,
@@ -35,13 +34,11 @@ use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, SplitMix64};
 /// exactly the same distribution as `m` unit updates, in
 /// `O(levels gained + 1)` work instead of `O(m)`.
 ///
-/// The 16-bit levels live in a [`CounterMatrix`] whose backend `B` is a
-/// type parameter like every other sketch's. CML-CU never implements
-/// shared ingest, though: each increment reads the current minimum
-/// level *and* the RNG — state dependence that per-counter shared
-/// updates cannot express (the same property that already makes it
-/// non-mergeable). The generic parameter exists for storage-layer
-/// uniformity, and [`Dense`] is the only sensible choice.
+/// The 16-bit levels live in a dense [`CounterMatrix`]. CML-CU is a
+/// paper baseline driven through [`PointQuerySketch`] alone: each
+/// increment reads the current minimum level *and* the RNG, state
+/// dependence that shared ingest, snapshot subtraction and merging
+/// cannot express.
 ///
 /// ```
 /// use bas_sketch::{CountMinLog, PointQuerySketch, SketchParams};
@@ -54,51 +51,31 @@ use bas_hash::{AnyBucketHasher, BucketHasher, HashFamily, SplitMix64};
 /// assert!((cml.estimate(7) - 50.0).abs() < 1.0);
 /// assert!((cml.estimate(9) - 25.0).abs() < 1.0);
 /// ```
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
-pub struct CountMinLog<B: CounterBackend = Dense> {
+pub struct CountMinLog {
     params: SketchParams,
     base: f64,
     ln_base: f64,
-    levels: CounterMatrix<u16, B>, // depth × width
+    levels: CounterMatrix<u16>, // depth × width
     hashers: Vec<AnyBucketHasher>,
     rng: SplitMix64,
 }
 
-#[cfg(feature = "serde")]
-crate::impl_backend_serde!(CountMinLog {
-    params,
-    base,
-    ln_base,
-    levels,
-    hashers,
-    rng
-});
-
 impl CountMinLog {
-    /// Creates an empty CML-CU sketch with the given log base and the
-    /// default [`Dense`] backend.
-    ///
-    /// # Panics
-    /// Panics unless `base > 1`.
-    pub fn with_base(params: &SketchParams, base: f64) -> Self {
-        Self::with_backend(params, base)
-    }
+    /// Log base used in the paper's experiments.
+    pub const PAPER_BASE: f64 = 1.00025;
 
     /// Creates an empty sketch with the paper's base of 1.00025.
     pub fn new(params: &SketchParams) -> Self {
         Self::with_base(params, Self::PAPER_BASE)
     }
-}
 
-impl<B: CounterBackend> CountMinLog<B> {
-    /// Log base used in the paper's experiments.
-    pub const PAPER_BASE: f64 = 1.00025;
-
-    /// Creates an empty CML-CU sketch with an explicit counter backend.
+    /// Creates an empty CML-CU sketch with the given log base.
     ///
     /// # Panics
     /// Panics unless `base > 1`.
-    pub fn with_backend(params: &SketchParams, base: f64) -> Self {
+    pub fn with_base(params: &SketchParams, base: f64) -> Self {
         assert!(base > 1.0, "log base must exceed 1, got {base}");
         let mut seeder = SplitMix64::new(params.seed ^ 0xC0DE_0004);
         let mut family = HashFamily::new(params.hash_kind, &mut seeder, params.width);
@@ -206,7 +183,7 @@ impl<B: CounterBackend> CountMinLog<B> {
     }
 }
 
-impl<B: CounterBackend> PointQuerySketch for CountMinLog<B> {
+impl PointQuerySketch for CountMinLog {
     /// Applies `Δ` unit increments with the exact batched distribution.
     ///
     /// # Panics
@@ -246,78 +223,12 @@ impl<B: CounterBackend> PointQuerySketch for CountMinLog<B> {
 
     fn size_in_words(&self) -> usize {
         // Four u16 levels per 64-bit word: the bit-efficiency that buys
-        // CML-CU extra width in equal-space comparisons. (The `Atomic`
-        // backend physically spends a word per level, but the paper's
-        // space accounting — what this method reports — is about the
-        // dense wire/storage form.)
+        // CML-CU extra width in equal-space comparisons.
         self.levels.len().div_ceil(4)
     }
 
     fn label(&self) -> &'static str {
         "CML-CU"
-    }
-}
-
-impl<B: CounterBackend> Snapshottable for CountMinLog<B> {
-    /// The frozen view keeps the 16-bit log levels as-is; decoding to
-    /// counts happens at query time exactly as on the live sketch.
-    type Snapshot = CounterMatrix<u16, Dense>;
-
-    fn make_snapshot(&self) -> Self::Snapshot {
-        CounterMatrix::new(self.params.width, self.params.depth)
-    }
-
-    fn snapshot_into(&self, snap: &mut Self::Snapshot) {
-        self.levels.snapshot_into(snap);
-    }
-
-    fn estimate_in(&self, snap: &Self::Snapshot, item: u64) -> f64 {
-        let mut best = u16::MAX;
-        for (row, h) in self.hashers.iter().enumerate() {
-            let v = snap.get(row, h.bucket(item));
-            if v < best {
-                best = v;
-            }
-        }
-        self.value_of_level(best)
-    }
-
-    /// Always an error: log-scale levels are not additive (the same
-    /// non-linearity that excludes CML-CU from merging and from the
-    /// distributed protocol).
-    fn merge_snapshot(
-        &self,
-        _snap: &mut Self::Snapshot,
-        _other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
-        Err(MergeError::ShapeMismatch {
-            what: "log-scale counters (CML-CU is not linear)",
-        })
-    }
-
-    /// **Approximate only.** Log-scale levels are not sums, so the
-    /// windowed plane arithmetic that is exact for the linear sketches
-    /// degenerates here to per-cell *saturating level subtraction*:
-    /// `level ← level − min(level, old_level)`. The result decodes to a
-    /// crude lower-bound-ish window estimate (a bucket whose level did
-    /// not move since the boundary decodes to 0, one that moved decodes
-    /// to far less than the window's true mass). Allowed so
-    /// bounded-lifetime rotation stays *possible* on every sketch in
-    /// the comparison set; callers needing faithful windows must use a
-    /// linear sketch — which is also why the windowed `QueryEngine`
-    /// never admits CML-CU (no `SharedSketch` impl).
-    fn subtract_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
-        for row in 0..snap.depth() {
-            for col in 0..snap.width() {
-                let diff = snap.get(row, col).saturating_sub(other.get(row, col));
-                snap.set(row, col, diff);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -327,22 +238,6 @@ mod tests {
 
     fn params(n: u64, w: usize, d: usize) -> SketchParams {
         SketchParams::new(n, w, d).with_seed(23)
-    }
-
-    #[test]
-    fn snapshot_estimates_match_live_when_quiescent() {
-        let mut cml = CountMinLog::new(&params(200, 64, 4));
-        let items: Vec<(u64, f64)> = (0..300u64)
-            .map(|i| (i * 3 % 200, (1 + i % 6) as f64))
-            .collect();
-        cml.update_batch(&items);
-        let snap = cml.snapshot();
-        for j in 0..200u64 {
-            assert_eq!(cml.estimate_in(&snap, j), cml.estimate(j), "item {j}");
-        }
-        let other = cml.snapshot();
-        let mut snap2 = cml.snapshot();
-        assert!(cml.merge_snapshot(&mut snap2, &other).is_err());
     }
 
     #[test]

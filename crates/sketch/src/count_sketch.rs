@@ -177,11 +177,11 @@ impl<B: CounterBackend> PointQuerySketch for CountSketch<B> {
     /// row-major kernel [`CounterMatrix::apply_rows_blocked`] — one
     /// digest per item (SIMD batch lane when active) yields every
     /// row's bucket *and* sign, then the signed writes sweep row by
-    /// row per block. Other families go through
-    /// [`bas_hash::bucket_rows_each`]: family dispatched once for the
-    /// whole batch, inner item×row loop (bucket hash + sign flip +
-    /// add) fully monomorphized. Both paths are bit-for-bit identical
-    /// to the one-by-one loop.
+    /// row per block. Every other family runs the one-by-one loop:
+    /// hoisting the bucket dispatch ([`bas_hash::bucket_rows_each`])
+    /// still leaves a per-row sign dispatch, and measured 0.78–0.94×
+    /// the loop on Carter–Wegman, multiply-shift and tabulation rows
+    /// (4,096 × 9, 4,096-item batches, a 2-vCPU x86-64 host).
     fn update_batch(&mut self, items: &[(u64, f64)]) {
         #[cfg(debug_assertions)]
         for &(item, _) in items {
@@ -192,16 +192,9 @@ impl<B: CounterBackend> PointQuerySketch for CountSketch<B> {
             self.grid.apply_rows_blocked(items, derive);
             return;
         }
-        let grid = &mut self.grid;
-        let hashers = &self.hashers;
-        let signs = &self.signs;
-        bas_hash::bucket_rows_each(hashers, items, |row, item, b, delta: f64| {
-            grid.add(
-                row,
-                b,
-                row_sign(&hashers[row], &signs[row], item) as f64 * delta,
-            );
-        });
+        for &(item, delta) in items {
+            self.update(item, delta);
+        }
     }
 
     fn estimate(&self, item: u64) -> f64 {
@@ -280,24 +273,9 @@ impl<B: CounterBackend> Snapshottable for CountSketch<B> {
         })
     }
 
-    /// Count-Sketch is linear, so snapshots add: always `Ok`.
-    fn merge_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
-        snap.add_matrix(other);
-        Ok(())
-    }
-
-    /// Linear, so snapshots subtract exactly: always `Ok`.
-    fn subtract_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
+    /// Linear, so snapshots subtract exactly.
+    fn subtract_snapshot(&self, snap: &mut Self::Snapshot, other: &Self::Snapshot) {
         snap.sub_matrix(other);
-        Ok(())
     }
 }
 
@@ -314,13 +292,6 @@ impl<B: CounterBackend> MergeableSketch for CountSketch<B> {
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError> {
         self.params.check_counter_compatible(&other.params)?;
         self.grid.add_matrix(&other.grid);
-        Ok(())
-    }
-
-    /// Exact counter subtraction (Count-Sketch is linear).
-    fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.params.check_counter_compatible(&other.params)?;
-        self.grid.sub_matrix(&other.grid);
         Ok(())
     }
 }

@@ -43,34 +43,39 @@
 //! ## Storage layer
 //!
 //! Every sketch stores its counters in one shared abstraction, the
-//! [`CounterMatrix`], and takes its storage
-//! backend as a type parameter (`CountSketch<B: CounterBackend = Dense>`):
+//! [`CounterMatrix`]. The three linear sketches the serving stack runs
+//! — Count-Median, Count-Sketch and the range-sum stack — take its
+//! storage backend as a type parameter
+//! (`CountSketch<B: CounterBackend = Dense>`); the Count-Min baselines
+//! are always dense:
 //!
 //! * [`storage::Dense`] (the default) — contiguous row-major cells,
 //!   exclusive access, bit-for-bit the pre-storage-layer semantics and
 //!   performance;
 //! * [`storage::Atomic`] — one `AtomicU64` per counter; exclusive
-//!   access costs the same, and the linear sketches additionally
+//!   access costs the same, and the three served sketches additionally
 //!   implement [`SharedSketch`]: single-writer `&self` ingest into
 //!   **one** shared sketch that seqlock readers copy while it is
 //!   written (see `bas_pipeline::ConcurrentIngest` and
 //!   `bas_pipeline::EpochSketch`). Both backends run the same blocked
 //!   row-major kernel; they differ only in how one cell is written.
 //!
-//! The aliases [`AtomicCountMedian`], [`AtomicCountSketch`] and
-//! [`AtomicCountMin`] name the shared-ingest configurations.
+//! The aliases [`AtomicCountMedian`] and [`AtomicCountSketch`] name
+//! the shared-ingest configurations.
 //!
 //! ## Batched ingest
 //!
 //! Every sketch accepts batches through
-//! [`PointQuerySketch::update_batch`]. The grid-backed sketches
-//! override it with a **dispatch-hoisted** pass: all rows share one
-//! hash family, so the batch path (`bas_hash::bucket_rows_each`)
-//! downcasts the row hashers once per batch and runs the item×row
-//! loop fully monomorphized, with no per-item enum dispatch. The
-//! result is bit-for-bit equivalent to the one-by-one loop. A
-//! *whole-batch* row-major sweep was rejected: re-streaming a
-//! multi-MiB batch once per row loses to one pass.
+//! [`PointQuerySketch::update_batch`]. Count-Median and plain
+//! Count-Min override it with a **dispatch-hoisted** pass: all rows
+//! share one hash family, so the batch path
+//! (`bas_hash::bucket_rows_each`) downcasts the row hashers once per
+//! batch and runs the item×row loop fully monomorphized, with no
+//! per-item enum dispatch. The result is bit-for-bit equivalent to the
+//! one-by-one loop. Count-Sketch keeps the loop off one-hash rows: its
+//! per-row sign still dispatches, and the hoisted pass measured slower
+//! than the loop there. A *whole-batch* row-major sweep was rejected:
+//! re-streaming a multi-MiB batch once per row loses to one pass.
 //! `bas-pipeline` builds on this to shard batches across threads and
 //! merge by linearity.
 //!
@@ -133,7 +138,3 @@ pub type AtomicCountMedian = CountMedian<Atomic>;
 /// Count-Sketch over the [`Atomic`] backend: the shared-ingest
 /// configuration (implements [`SharedSketch`]).
 pub type AtomicCountSketch = CountSketch<Atomic>;
-
-/// Count-Min over the [`Atomic`] backend; only
-/// [`UpdatePolicy::Plain`] supports shared ingest.
-pub type AtomicCountMin = CountMin<Atomic>;

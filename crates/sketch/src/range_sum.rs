@@ -48,7 +48,8 @@ use std::fmt;
 /// ([`with_grid_levels`](RangeSumSketch::with_grid_levels)).
 ///
 /// Both kinds of level are linear, so the whole stack is: merge,
-/// subtract, snapshots and plane absorption run level by level.
+/// snapshots, snapshot subtraction and plane absorption run level by
+/// level.
 ///
 /// ```
 /// use bas_sketch::{PointQuerySketch, RangeSumSketch, SketchParams};
@@ -486,16 +487,6 @@ impl<B: CounterBackend> MergeableSketch for RangeSumSketch<B> {
         }
         Ok(())
     }
-
-    /// Exact counter subtraction, level by level (every level is
-    /// linear).
-    fn subtract_from(&mut self, other: &Self) -> Result<(), MergeError> {
-        self.check_compatible(other)?;
-        for (mine, theirs) in self.cells_mut().zip(other.cells()) {
-            mine.sub_matrix(theirs);
-        }
-        Ok(())
-    }
 }
 
 impl<B: SharedBackend> SharedSketch for RangeSumSketch<B> {
@@ -576,32 +567,14 @@ impl<B: CounterBackend> Snapshottable for RangeSumSketch<B> {
         }
     }
 
-    /// Linear level by level: always `Ok`.
-    fn merge_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
-        assert_eq!(snap.len(), other.len(), "snapshot level count mismatch");
-        for (mine, theirs) in snap.iter_mut().zip(other) {
-            mine.add_matrix(theirs);
-        }
-        Ok(())
-    }
-
     /// Exact subtraction level by level: the whole dyadic stack is
     /// linear, so a windowed range-sum plane is just per-level plane
-    /// arithmetic. Always `Ok`.
-    fn subtract_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError> {
+    /// arithmetic.
+    fn subtract_snapshot(&self, snap: &mut Self::Snapshot, other: &Self::Snapshot) {
         assert_eq!(snap.len(), other.len(), "snapshot level count mismatch");
         for (mine, theirs) in snap.iter_mut().zip(other) {
             mine.sub_matrix(theirs);
         }
-        Ok(())
     }
 }
 
@@ -752,23 +725,6 @@ mod tests {
         let before = rs.query_in(&snap, 0, 255);
         rs.update(100, 500.0);
         assert_eq!(rs.query_in(&snap, 0, 255), before);
-    }
-
-    #[test]
-    fn merged_snapshots_equal_snapshot_of_merged_stack() {
-        let params = SketchParams::new(128, 64, 5).with_seed(9);
-        let mut a = RangeSumSketch::new(&params);
-        let mut b = RangeSumSketch::new(&params);
-        for i in 0..128u64 {
-            a.update(i, 1.0);
-            b.update(i, (i % 3) as f64);
-        }
-        let mut snap = a.snapshot();
-        a.merge_snapshot(&mut snap, &b.snapshot()).unwrap();
-        a.merge_from(&b).unwrap();
-        for (lo, hi) in [(0u64, 127u64), (5, 60), (64, 100)] {
-            assert_eq!(a.query_in(&snap, lo, hi), a.query(lo, hi));
-        }
     }
 
     #[test]

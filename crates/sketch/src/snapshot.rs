@@ -23,15 +23,13 @@
 //!   through its finest level) overrides it with a blocked kernel that
 //!   hashes each item once and takes the median only where it can
 //!   reach the threshold, answering bit-for-bit what the default does;
-//! * [`Snapshottable::merge_snapshot`] adds one snapshot into another —
-//!   linearity (`Φx = Φx¹ + Φx²`) holds at the snapshot level exactly
-//!   as it does at the sketch level (planes under different seeds
-//!   refuse to merge; a rotating window sums their estimates instead);
-//! * [`Snapshottable::subtract_snapshot`] is its inverse — by the same
-//!   linearity, `Φx^{(a,b]} = Φx^{(0,b]} − Φx^{(0,a]}`, so the sketch
-//!   of a **time window** is one subtraction of two cumulative
-//!   snapshots. This is the plane-arithmetic primitive under the
-//!   tumbling/sliding serving policies in `bas_serve`.
+//! * [`Snapshottable::subtract_snapshot`] subtracts one snapshot from
+//!   another — by linearity (`Φx = Φx¹ + Φx²`),
+//!   `Φx^{(a,b]} = Φx^{(0,b]} − Φx^{(0,a]}`, so the sketch of a **time
+//!   window** is one subtraction of two cumulative snapshots. This is
+//!   the plane-arithmetic primitive under the tumbling/sliding serving
+//!   policies in `bas_serve`. Planes under different seeds never meet
+//!   here: a rotating window sums their estimates instead.
 //!
 //! The *consistency* of the copy is not this trait's business: it only
 //! promises a faithful cell-by-cell copy of whatever the counters held
@@ -62,10 +60,12 @@ pub(crate) fn each_item_at_least<S: Snapshottable + ?Sized>(
 /// A sketch that can freeze its counters into a dense, immutable,
 /// cheaply-queryable view.
 ///
-/// Implemented by all six sketches in this crate. The snapshot holds
-/// *only counters*; hash functions stay on the live sketch (they are
-/// immutable after construction, so sharing them across threads is
-/// free), and every query method takes both.
+/// Implemented by the three linear sketches the serving stack runs
+/// (Count-Median, Count-Sketch and the range-sum stack);
+/// [`HeavyHitters`](crate::HeavyHitters) exposes the snapshot of any
+/// of them. The snapshot holds *only counters*; hash functions stay on
+/// the live sketch (they are immutable after construction, so sharing
+/// them across threads is free), and every query method takes both.
 ///
 /// ```
 /// use bas_sketch::{CountMedian, PointQuerySketch, SketchParams, Snapshottable};
@@ -135,49 +135,17 @@ pub trait Snapshottable: PointQuerySketch + Sync {
         each_item_at_least(self, snap, threshold, out);
     }
 
-    /// Adds `other`'s counters into `snap` element-wise — linearity at
-    /// the snapshot level, used by the estimate-space sum to merge a
-    /// run of same-config planes.
+    /// Subtracts `other`'s counters from `snap` element-wise.
     ///
-    /// # Errors
-    /// Returns a [`MergeError`] for sketches whose counters are not
-    /// additive (CML-CU's log-scale levels, Count-Min with conservative
-    /// update).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch between the two snapshots.
-    fn merge_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError>;
-
-    /// Subtracts `other`'s counters from `snap` element-wise — the
-    /// inverse of [`merge_snapshot`](Snapshottable::merge_snapshot).
-    ///
-    /// For the linear sketches (Count-Median, Count-Sketch, plain
-    /// Count-Min, the range-sum stack) this is **exact** plane
+    /// Every implementor is linear, so this is **exact** plane
     /// arithmetic: if `other` is a cumulative snapshot at an earlier
     /// stream position, the result is bit-for-bit the sketch of the
     /// updates in between (on integer-delta streams, where `f64`
     /// addition is exact). The windowed query plane is built on this.
     ///
-    /// For the state-dependent baselines — Count-Min with conservative
-    /// update and CML-CU — subtraction is **approximate only**: their
-    /// counters are running maxima / log-scale levels, not sums, so
-    /// the difference of two cumulative snapshots merely approximates
-    /// the window's counters (see the impls' docs for the exact
-    /// semantics). They still return `Ok` so bounded-lifetime rotation
-    /// remains *possible* on every sketch; callers needing exact
-    /// windows should pick a linear sketch.
-    ///
     /// # Panics
     /// Panics on shape mismatch between the two snapshots.
-    fn subtract_snapshot(
-        &self,
-        snap: &mut Self::Snapshot,
-        other: &Self::Snapshot,
-    ) -> Result<(), MergeError>;
+    fn subtract_snapshot(&self, snap: &mut Self::Snapshot, other: &Self::Snapshot);
 
     /// Convenience: allocate a snapshot and fill it in one call.
     fn snapshot(&self) -> Self::Snapshot {
@@ -211,10 +179,8 @@ pub trait AbsorbPlane: Snapshottable + SharedSketch {
     /// a shared reference.
     ///
     /// # Errors
-    /// Returns a [`MergeError`] for sketches whose counters are not
-    /// additive (Count-Min with conservative update), and
-    /// [`MergeError::ShapeMismatch`] if `plane` was made for a different
-    /// shape. Either way no counter is written.
+    /// Returns [`MergeError::ShapeMismatch`] if `plane` was made for a
+    /// different shape, and then writes no counter.
     fn absorb_plane_shared(&self, plane: &Self::Snapshot) -> Result<(), MergeError>;
 }
 

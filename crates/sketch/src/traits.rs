@@ -66,8 +66,8 @@ impl SketchParams {
     /// counters through different hash functions; adding them cell by
     /// cell produces the sketch of no meaningful vector, so the
     /// mismatch is a typed error, never a silent blend. This is the one
-    /// check behind every merge, subtraction and inner product of the
-    /// grid sketches. Heterogeneous-seed planes combine in *estimate
+    /// check behind every merge and inner product of the grid
+    /// sketches. Heterogeneous-seed planes combine in *estimate
     /// space* instead: a rotating window sums each generation's
     /// estimate, read through its own hashers
     /// (`bas_serve::WindowSnapshot::estimate`).
@@ -149,10 +149,10 @@ impl<'de> serde::Deserialize<'de> for SketchParams {
 /// counters. Rotation drivers call it at every interval boundary so no
 /// seed's lifetime exceeds the serving window.
 ///
-/// Implemented by the servable grid sketches (Count-Median,
-/// Count-Sketch, Count-Min, the dyadic range-sum stack) and delegated
-/// by the epoch wrappers in `bas_pipeline`. The non-linear baselines
-/// could implement it too, but nothing rotates them today.
+/// Implemented by the servable linear sketches (Count-Median,
+/// Count-Sketch, the dyadic range-sum stack) and delegated by the
+/// epoch wrappers in `bas_pipeline`. The Count-Min baselines are not
+/// served, so nothing rotates them.
 pub trait Reseedable: Sized {
     /// The effective parameters this sketch was built with (width may
     /// have been rounded up by the hash family; the stored value is
@@ -178,7 +178,9 @@ pub trait PointQuerySketch {
     /// once per `(item, delta)` pair in order.
     ///
     /// The default implementation is exactly that loop. Sketches backed
-    /// by a counter grid override it with a **dispatch-hoisted** pass
+    /// by a counter grid override it with the blocked one-hash kernel
+    /// or, for Count-Median and plain Count-Min on the other families,
+    /// a **dispatch-hoisted** pass
     /// (`bas_hash::bucket_rows_each`): all rows of a sketch share one
     /// hash family, so the batch path downcasts the row hashers to
     /// their concrete family once per batch and runs the item×row loop
@@ -256,13 +258,16 @@ pub trait PointQuerySketch {
 /// where one plane is written and snapshot readers pin it
 /// concurrently.
 ///
-/// Implemented by the linear, matrix-backed sketches when their
+/// Implemented by the served linear sketches (Count-Median,
+/// Count-Sketch, the range-sum stack) when their
 /// [`CounterBackend`](crate::storage::CounterBackend) supports shared
 /// writes (today: the [`Atomic`](crate::storage::Atomic) backend).
 /// Sketches whose updates are state-dependent (CM-CU, CML-CU, the
 /// bias-maintaining S/R types) cannot implement this — their
 /// cross-counter read-modify-write cycles are the same structural
-/// property that already excludes them from merging.
+/// property that already excludes them from merging. Plain Count-Min
+/// could, but no served path or paper figure feeds it through a shared
+/// reference.
 ///
 /// # Single writer
 /// A shared write is a plain load and store per cell, not an atomic
@@ -308,13 +313,6 @@ pub enum MergeError {
     /// hash functions and their counters are not addressable by the
     /// same indices.
     SeedMismatch,
-    /// The operation has no inverse for this sketch — e.g. subtracting
-    /// from an S/R sketch whose sampler state cannot un-absorb
-    /// contributions.
-    NotInvertible {
-        /// Human-readable description of the non-invertible state.
-        what: &'static str,
-    },
 }
 
 impl std::fmt::Display for MergeError {
@@ -327,9 +325,6 @@ impl std::fmt::Display for MergeError {
                 f,
                 "cannot merge sketches built with different seeds (hash functions differ)"
             ),
-            MergeError::NotInvertible { what } => {
-                write!(f, "cannot subtract sketches: {what}")
-            }
         }
     }
 }
@@ -346,28 +341,6 @@ impl std::error::Error for MergeError {}
 pub trait MergeableSketch: PointQuerySketch {
     /// Adds `other`'s counters into `self`.
     fn merge_from(&mut self, other: &Self) -> Result<(), MergeError>;
-
-    /// Subtracts `other`'s counters from `self` — the inverse of
-    /// [`merge_from`](MergeableSketch::merge_from), valid by the same
-    /// linearity read backwards: if `self` sketches a stream and
-    /// `other` sketches a *prefix* of it, the result sketches the
-    /// suffix (`Φx^{(a,b]} = Φx^{(0,b]} − Φx^{(0,a]}`). This is the
-    /// sketch-level form of the windowed query plane's plane
-    /// arithmetic.
-    ///
-    /// The default returns [`MergeError::NotInvertible`]: sketches
-    /// with auxiliary non-counter state (the S/R types' samplers)
-    /// cannot un-absorb a contribution. The matrix-backed linear
-    /// sketches override it with exact counter subtraction.
-    ///
-    /// # Errors
-    /// Returns a [`MergeError`] when the configurations differ or the
-    /// sketch state is not invertible.
-    fn subtract_from(&mut self, _other: &Self) -> Result<(), MergeError> {
-        Err(MergeError::NotInvertible {
-            what: "this sketch keeps non-counter state with no inverse",
-        })
-    }
 }
 
 #[cfg(test)]

@@ -96,7 +96,7 @@ impl SortedSampler {
     pub fn sample_values(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.rows);
         for (&_, &(mult, value)) in &self.slots {
-            out.extend(std::iter::repeat_n(value, mult as usize));
+            out.extend(std::iter::repeat(value).take(mult as usize));
         }
         out
     }

@@ -97,10 +97,10 @@ pub mod prelude {
         Request, Response, ServingMode, TenantSpec, WindowLen, WireError,
     };
     pub use bas_sketch::{
-        storage, Atomic, AtomicCountMedian, AtomicCountMin, AtomicCountSketch, CountMedian,
-        CountMin, CountMinLog, CountSketch, CounterBackend, CounterMatrix, Dense, HeavyHitter,
-        HeavyHitters, MergeableSketch, PlaneBank, PointQuerySketch, RangeSumSketch, Reseedable,
-        SealedPlane, SharedSketch, SketchParams, Snapshottable, UpdatePolicy,
+        storage, Atomic, AtomicCountMedian, AtomicCountSketch, CountMedian, CountMin, CountMinLog,
+        CountSketch, CounterBackend, CounterMatrix, Dense, HeavyHitter, HeavyHitters,
+        MergeableSketch, PlaneBank, PointQuerySketch, RangeSumSketch, Reseedable, SealedPlane,
+        SharedSketch, SketchParams, Snapshottable, UpdatePolicy,
     };
     pub use bas_stream::{
         drive_chunked, drive_probed, drive_timestamped, BiasHeap, ChunkedDriver, DriveProgress,

@@ -144,27 +144,6 @@ fn concurrent_count_median_integer_deltas_bit_for_bit() {
 }
 
 #[test]
-fn concurrent_count_min_plain_integer_deltas_bit_for_bit() {
-    let updates = integer_stream(60_000);
-    let mut reference = CountMin::new(&params(), UpdatePolicy::Plain);
-    reference.update_batch(&updates);
-    for threads in thread_counts() {
-        let shared = ingest_while_read(
-            AtomicCountMin::with_backend(&params(), UpdatePolicy::Plain),
-            &updates,
-            threads,
-        );
-        for j in 0..N {
-            assert_eq!(
-                shared.sketch().estimate(j),
-                reference.estimate(j),
-                "{threads} threads, item {j}"
-            );
-        }
-    }
-}
-
-#[test]
 fn concurrent_fractional_deltas_bit_for_bit() {
     let updates = fractional_stream(60_000);
     let mut reference = CountSketch::new(&params());

@@ -33,8 +33,9 @@
 //!   (≥ 18σ) relative slack on both sides absorbs the probabilistic
 //!   counting; `δ = e^{−d} + 0.002`.
 //!
-//! Every check runs twice: on a **quiescent** sketch, and on an
-//! **epoch snapshot pinned mid-ingest** from a `QueryEngine` with a
+//! Every check runs on a **quiescent** sketch. The sketches the
+//! serving stack runs (Count-Median, Count-Sketch) are checked again on
+//! an **epoch snapshot pinned mid-ingest** from a `QueryEngine` with a
 //! live writer — the guarantee must hold *at the query boundary*,
 //! for the exact stream prefix the snapshot captured. Prefixes land on
 //! deterministic flush boundaries (the producer pins between pushes),
@@ -391,32 +392,6 @@ fn count_median_l1_bound_on_mid_ingest_snapshots() {
                     for j in (0..N).step_by(QUERY_STEP) {
                         queries += 1;
                         if (sk.estimate_in(snap, j) - truth[j as usize]).abs() > bound {
-                            failures += 1;
-                        }
-                    }
-                    (failures, queries)
-                },
-            )
-        });
-    }
-}
-
-#[test]
-fn count_min_plain_bound_on_mid_ingest_snapshots() {
-    let delta = (-(DEPTH as f64)).exp();
-    for kind in ["zipf", "uniform"] {
-        assert_conformance("CMin/snapshot", kind, delta, |seed, stream| {
-            snapshot_failures(
-                AtomicCountMin::with_backend(&params(seed), UpdatePolicy::Plain),
-                stream,
-                |sk, snap, truth, mass| {
-                    let bound = std::f64::consts::E / WIDTH as f64 * mass;
-                    let (mut failures, mut queries) = (0, 0);
-                    for j in (0..N).step_by(QUERY_STEP) {
-                        let (est, x) = (sk.estimate_in(snap, j), truth[j as usize]);
-                        assert!(est >= x - 1e-9, "snapshot Count-Min underestimated");
-                        queries += 1;
-                        if est - x > bound {
                             failures += 1;
                         }
                     }

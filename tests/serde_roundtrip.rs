@@ -256,11 +256,10 @@ fn atomic_backed_sketch_roundtrips_through_dense_wire_format() {
 
 // ---- the wire format, pinned byte for byte ----
 //
-// Three values must serialize to these JSON literals byte for byte: a
-// sketch, a range-sum stack with grid and exact levels, and a tenant
-// transfer. Peers, checkpoints and journals written by earlier builds
-// hold this format, so a changed key, field order, number spelling or
-// nesting fails here.
+// Two values must serialize to these JSON literals byte for byte: a
+// sketch and a range-sum stack with grid and exact levels. Sketches
+// shipped by earlier builds hold this format, so a changed key, field
+// order, number spelling or nesting fails here.
 
 /// A small populated Count-Median.
 fn golden_count_median() -> CountMedian {
@@ -305,8 +304,6 @@ const GOLDEN_COUNT_MEDIAN: &str = r#"{"params":{"n":16,"width":4,"depth":3,"seed
 
 const GOLDEN_RANGE_SUM: &str = r#"{"params":{"n":32,"width":4,"depth":2,"seed":6,"hash_kind":"CarterWegman"},"grids":[{"params":{"n":32,"width":4,"depth":2,"seed":40509,"hash_kind":"CarterWegman"},"grid":{"cells":[0.0,-2.0,8.0,2.75,1.0,7.75,0.0,0.0],"width":4,"depth":2},"hashers":[{"CarterWegman":{"a":1243788657944049442,"b":2094797442673839656,"buckets":4}},{"CarterWegman":{"a":2125247347629850044,"b":1634861064430910520,"buckets":4}}]},{"params":{"n":16,"width":4,"depth":2,"seed":81012,"hash_kind":"CarterWegman"},"grid":{"cells":[1.0,0.0,2.75,5.0,0.0,-3.0,1.0,10.75],"width":4,"depth":2},"hashers":[{"CarterWegman":{"a":2166810782506166634,"b":1691064430995733298,"buckets":4}},{"CarterWegman":{"a":1078214029585620775,"b":411633815682022329,"buckets":4}}]},{"params":{"n":8,"width":4,"depth":2,"seed":121515,"hash_kind":"CarterWegman"},"grid":{"cells":[-3.0,8.0,0.0,3.75,0.0,-3.0,10.75,1.0],"width":4,"depth":2},"hashers":[{"CarterWegman":{"a":966999105335583746,"b":629244246398383263,"buckets":4}},{"CarterWegman":{"a":863111819322261725,"b":1538609997934851133,"buckets":4}}]}],"exact":[{"cells":[3.75,0.0,-3.0,8.0],"width":4,"depth":1},{"cells":[3.75,5.0],"width":2,"depth":1},{"cells":[8.75],"width":1,"depth":1}]}"#;
 
-const GOLDEN_TRANSFER: &str = r#"{"spec":{"tenant":1,"seed":7,"metric":"Frequency","mode":{"Sliding":{"intervals":2}},"queue_capacity":1048576,"interval_quota":18446744073709551615,"audit_limit":0},"params":{"n":16,"width":4,"depth":2,"seed":7,"hash_kind":"OneHash"},"interval":1,"applied":4,"mass":7.5,"cumulative":[{"cells":[4.0,3.5,0.0,0.0,0.0,4.0,2.0,1.5],"width":4,"depth":2}],"seals":[{"interval":0,"applied":2,"mass":3.0,"planes":[{"cells":[0.0,3.0,0.0,0.0,0.0,0.0,2.0,1.0],"width":4,"depth":2}]}]}"#;
-
 /// `$value` serializes to `$golden`, and `$golden` reads back into a
 /// `$ty` that serializes to the same bytes.
 macro_rules! assert_golden {
@@ -325,26 +322,6 @@ fn count_median_wire_format_is_unchanged() {
 #[test]
 fn range_sum_wire_format_is_unchanged() {
     assert_golden!(golden_range_sum(), RangeSumSketch, GOLDEN_RANGE_SUM);
-}
-
-/// `GOLDEN_TRANSFER` is what the checkpoints of journals written before
-/// the binary layouts hold: it still reads, as the same transfer with
-/// no updates counted against its interval's quota (the JSON has no
-/// such count), and a transfer still writes it, so tests can build
-/// such journals.
-#[test]
-fn tenant_transfer_wire_format_is_unchanged() {
-    let transfer = golden_transfer();
-    assert_eq!(transfer.admitted_in_interval, 2);
-    let read: TenantTransfer = serde_json::from_str(GOLDEN_TRANSFER).unwrap();
-    assert_eq!(
-        read,
-        TenantTransfer {
-            admitted_in_interval: 0,
-            ..transfer.clone()
-        }
-    );
-    assert_eq!(serde_json::to_string(&transfer).unwrap(), GOLDEN_TRANSFER);
 }
 
 /// Only a grid of compact integer cells ever wrote a `cell` key into

@@ -891,12 +891,9 @@ fn hostile_updates_are_rejected_and_admit_nothing() {
 
     // The old JSON ingest body, whose float parser turns 1e999 into
     // +inf, is refused by the codec before admission sees it.
-    let json = serde_json::to_string(&probe)
-        .unwrap()
-        .replace("0.0625", "1e999");
-    assert!(json.contains("1e999"), "{json}");
+    let json = br#"{"Ingest":{"tenant":1,"updates":[[5,1.0],[6,1e999]]}}"#;
     let mut raw = (json.len() as u32).to_be_bytes().to_vec();
-    raw.extend_from_slice(json.as_bytes());
+    raw.extend_from_slice(json);
     match read_frame::<_, Request>(&mut &raw[..], MAX_FRAME_BYTES) {
         Err(e @ WireError::Malformed { .. }) => {
             assert!(e.is_recoverable());
@@ -1894,7 +1891,7 @@ fn malformed_rotating_transfers_are_refused_and_install_nothing() {
 
 /// A sliding tenant with one seal and live traffic, and its export
 /// re-addressed to tenant 9, which does not exist yet.
-fn fabric_and_transfer() -> (Fabric, TenantSpec, TenantTransfer) {
+fn fabric_and_transfer() -> (Fabric, TenantTransfer) {
     let spec =
         TenantSpec::frequency(1, 101).with_mode(ServingMode::Sliding(WindowLen { intervals: 2 }));
     let mut fabric = Fabric::new(config());
@@ -1914,7 +1911,7 @@ fn fabric_and_transfer() -> (Fabric, TenantSpec, TenantTransfer) {
         panic!("the tenant exports");
     };
     transfer.spec.tenant = 9;
-    (fabric, spec, transfer)
+    (fabric, transfer)
 }
 
 /// `json` with a `cell` key added to its one `SketchParams` map, the
@@ -1925,16 +1922,19 @@ fn add_cell_key(json: &str, cell: &str) -> String {
     json.replace(key, &format!(r#"{key},"cell":{cell}"#))
 }
 
+/// An `Install` request's JSON body as the codec before the binary
+/// layouts wrote it: tenant 9 with one 4 × 2 plane.
+const JSON_INSTALL: &str = r#"{"Install":{"spec":{"tenant":9,"seed":7,"metric":"Frequency","mode":"Unbounded","queue_capacity":1048576,"interval_quota":18446744073709551615,"audit_limit":0},"params":{"n":16,"width":4,"depth":2,"seed":7,"hash_kind":"CarterWegman"},"interval":0,"applied":2,"mass":5.0,"cumulative":[{"cells":[0.0,3.0,0.0,0.0,0.0,0.0,2.0,0.0],"width":4,"depth":2}],"seals":[]}}"#;
+
 /// An `Install` frame with a JSON body — whose transfer's params carry
 /// a `cell` key, or not — does not decode: `serve_connection` answers
 /// it `protocol`, nothing is installed and no stats or answers change.
-/// The same transfer in a binary body installs. (A `cell` key is still
-/// refused where JSON is read: in an older journal, and in the
-/// sketches' serde.)
+/// A transfer in a binary body installs. (A `cell` key is still
+/// refused where JSON is read: in the sketches' serde.)
 #[test]
 fn install_frames_with_a_cell_key_are_refused_and_install_nothing() {
-    let (mut fabric, _, transfer) = fabric_and_transfer();
-    let json = serde_json::to_string(&Request::Install(transfer.clone())).unwrap();
+    let (mut fabric, transfer) = fabric_and_transfer();
+    let json = JSON_INSTALL.to_string();
     let send = |fabric: &mut Fabric, raw: &[u8]| {
         let mut replies = Vec::new();
         serve_connection(fabric, &mut &raw[..], &mut replies, MAX_FRAME_BYTES).unwrap();
@@ -1969,48 +1969,6 @@ fn install_frames_with_a_cell_key_are_refused_and_install_nothing() {
     write_frame(&mut raw, &Request::Install(transfer)).unwrap();
     assert!(matches!(send(&mut fabric, &raw), Response::Installed(_)));
     assert_eq!(answer_bits(&mut fabric, &[9])[1..], before[1..]);
-}
-
-/// A journal whose `Checkpoint` line carries a `cell` key does not
-/// recover: `recover` returns a typed `InvalidData` error naming the
-/// line. The same journal without the key recovers the tenant.
-#[test]
-fn checkpoints_with_a_cell_key_are_typed_recovery_errors() {
-    let (mut fabric, spec, mut transfer) = fabric_and_transfer();
-    transfer.spec.tenant = 1;
-    let records = [
-        JournalRecord::ShardAdded(ShardRecord {
-            shard: 0,
-            weight: 1.0,
-        }),
-        JournalRecord::TenantRegistered(spec),
-        JournalRecord::Checkpoint(transfer),
-    ];
-    let lines: Vec<String> = records
-        .iter()
-        .map(|r| serde_json::to_string(r).unwrap())
-        .collect();
-    let path = std::env::temp_dir().join(format!("bas-cell-key-{}.jsonl", std::process::id()));
-
-    std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
-    let mut recovered = recover(&path, config()).unwrap();
-    assert_eq!(
-        answer_bits(&mut recovered, &[1])[1..],
-        answer_bits(&mut fabric, &[1])[1..]
-    );
-
-    let edited = [
-        lines[0].clone(),
-        lines[1].clone(),
-        add_cell_key(&lines[2], r#""U32""#),
-    ];
-    std::fs::write(&path, format!("{}\n", edited.join("\n"))).unwrap();
-    let err = recover(&path, config()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    let msg = err.to_string();
-    assert!(msg.contains("journal line 3"), "{msg}");
-    assert!(msg.contains("`cell`"), "{msg}");
-    std::fs::remove_file(&path).unwrap();
 }
 
 /// `Stats` as a tuple whose `mass` is its bits, so equality is bit for
@@ -2084,69 +2042,50 @@ fn interval_quota_count_survives_a_move_and_a_restart() {
 }
 
 /// A journal of JSON lines, as releases before the binary layouts
-/// wrote it, recovers bit for bit: shards, a checkpoint (which has no
-/// quota count) and a registration with its interval advances.
-/// Opening it for append rewrites it as frames before anything is
-/// appended, and the file then recovers as frames with the appended
-/// record.
+/// wrote it, is refused by `recover`, `read_journal` and
+/// `Journal::open` with a typed `InvalidData` error that names the
+/// format, before any record is read. The file keeps its bytes, and its
+/// directory gains no sidecar and no temp file: read as frames, its
+/// first four bytes would claim a 2 GB frame, and the whole file would
+/// be taken for a torn tail.
 #[test]
-fn json_line_journals_recover_and_are_rewritten_as_frames() {
-    let (mut fabric, spec, mut transfer) = fabric_and_transfer();
-    transfer.spec.tenant = 1;
-    // The JSON has no quota count: the checkpoint as it was written.
-    transfer.admitted_in_interval = 0;
-    let range = TenantSpec::range_sum(2, 22);
-    fabric.register_tenant(range).unwrap();
-    let records = [
-        JournalRecord::ShardAdded(ShardRecord {
-            shard: 0,
-            weight: 1.0,
-        }),
-        JournalRecord::TenantRegistered(spec),
-        JournalRecord::Checkpoint(transfer),
-        JournalRecord::TenantRegistered(range),
-        JournalRecord::IntervalAdvanced(TenantRef { tenant: 2 }),
-        JournalRecord::IntervalAdvanced(TenantRef { tenant: 2 }),
+fn json_line_journals_are_refused_and_left_as_found() {
+    let dir = std::env::temp_dir().join(format!("bas-json-lines-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fabric.journal");
+    let lines = concat!(
+        r#"{"ShardAdded":{"shard":0,"weight":1.0}}"#,
+        "\n",
+        r#"{"TenantRegistered":{"tenant":1,"seed":11,"metric":"Frequency","mode":"Unbounded","queue_capacity":1048576,"interval_quota":18446744073709551615,"audit_limit":0}}"#,
+        "\n",
+        r#"{"IntervalAdvanced":{"tenant":1}}"#,
+        "\n",
+    );
+    std::fs::write(&path, lines).unwrap();
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+
+    let refusals = [
+        ("recover", recover(&path, config()).map(|_| ()).unwrap_err()),
+        ("read_journal", read_journal(&path).map(|_| ()).unwrap_err()),
+        (
+            "Journal::open",
+            Journal::open(&path).map(|_| ()).unwrap_err(),
+        ),
     ];
-    for _ in 0..2 {
-        fabric.handle(Request::AdvanceInterval(TenantRef { tenant: 2 }));
+    for (what, err) in refusals {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains("JSON-lines"), "{what}: {err}");
+        assert_eq!(std::fs::read(&path).unwrap(), lines.as_bytes(), "{what}");
+        assert_eq!(listing(), before, "{what}");
     }
-    let lines: Vec<String> = records
-        .iter()
-        .map(|r| serde_json::to_string(r).unwrap())
-        .collect();
-    let path = std::env::temp_dir().join(format!("bas-json-lines-{}.journal", std::process::id()));
-    std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
-
-    let mut recovered = recover(&path, config()).unwrap();
-    let (want, got) = (
-        answer_bits(&mut fabric, &[1, 2]),
-        answer_bits(&mut recovered, &[1, 2]),
-    );
-    // Tenant 1's `Stats` (the first answer) counts the 500 updates the
-    // source admitted in its interval; the JSON checkpoint counts none.
-    assert_eq!(got[1..], want[1..]);
-    assert_eq!(stats_bits(&recovered, 1).4, 0);
-
-    let mut journal = Journal::open(&path).unwrap();
-    assert_eq!(journal.records(), records.len() as u64);
-    let on_disk = std::fs::read(&path).unwrap();
-    assert_ne!(on_disk[0], b'{', "rewritten as frames on open");
-    assert_eq!(journal.bytes(), on_disk.len() as u64);
-    assert_eq!(read_journal(&path).unwrap(), records);
-    let appended = JournalRecord::IntervalAdvanced(TenantRef { tenant: 1 });
-    journal.append(&appended).unwrap();
-    drop(journal);
-
-    let on_disk = read_journal(&path).unwrap();
-    assert_eq!(on_disk[..records.len()], records);
-    assert_eq!(on_disk[records.len()..], [appended]);
-    let mut after = recover(&path, config()).unwrap();
-    recovered.handle(Request::AdvanceInterval(TenantRef { tenant: 1 }));
-    assert_eq!(
-        answer_bits(&mut after, &[1, 2]),
-        answer_bits(&mut recovered, &[1, 2])
-    );
-    assert!(!path.with_extension("journal.tmp").exists());
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -113,16 +113,6 @@ fn live_reads_racing_the_writer_stay_within_total_mass_count_median() {
 }
 
 #[test]
-fn live_reads_racing_the_writer_stay_within_total_mass_count_min() {
-    let updates = stream(150_000);
-    hammer(
-        AtomicCountMin::with_backend(&params(), UpdatePolicy::Plain),
-        4,
-        &updates,
-    );
-}
-
-#[test]
 fn mid_stream_snapshot_is_bit_identical_to_quiesced_prefix() {
     // The acceptance criterion: a snapshot pinned while the writer is
     // live equals a fresh sketch fed exactly the captured prefix,

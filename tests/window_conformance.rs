@@ -255,27 +255,25 @@ proptest! {
         // Route A: cumulative(now) − sealed(boundary).
         let mut route_a = shared.pin().into_snapshot();
         shared
-            .sketch().subtract_snapshot(&mut route_a, ingest.bank().sealed(boundary).unwrap().plane())
-            .unwrap();
+            .sketch().subtract_snapshot(&mut route_a, ingest.bank().sealed(boundary).unwrap().plane());
 
-        // Route B: Σ per-interval delta planes + live partial interval.
+        // Route B: Σ per-interval delta planes + live partial interval,
+        // summed cell by cell.
         let mut route_b = shared.sketch().make_snapshot(); // zero plane
         for t in (boundary + 1)..current {
             // delta(t) = sealed(t) − sealed(t−1)
             let mut delta = ingest.bank().sealed(t).unwrap().plane().clone();
             shared
-                .sketch().subtract_snapshot(&mut delta, ingest.bank().sealed(t - 1).unwrap().plane())
-                .unwrap();
-            shared.sketch().merge_snapshot(&mut route_b, &delta).unwrap();
+                .sketch().subtract_snapshot(&mut delta, ingest.bank().sealed(t - 1).unwrap().plane());
+            route_b.add_matrix(&delta);
         }
         let mut live_partial = shared.pin().into_snapshot();
         shared
             .sketch().subtract_snapshot(
                 &mut live_partial,
                 ingest.bank().sealed(current - 1).unwrap().plane(),
-            )
-            .unwrap();
-        shared.sketch().merge_snapshot(&mut route_b, &live_partial).unwrap();
+            );
+        route_b.add_matrix(&live_partial);
 
         // Route C: a fresh sketch of the window's raw updates. Routes
         // A and B both telescope to `live − seal(boundary)` whatever
