@@ -54,7 +54,7 @@ pub use family::{
 };
 pub use multiply_shift::MultiplyShift;
 pub use prime::{add_mod_p61, mul_mod_p61, reduce_p61, P61};
-pub use row_deriver::{DerivedRow, RowDeriver};
+pub use row_deriver::{DerivedRow, RowDeriver, RowHead};
 pub use schedule::SeedSchedule;
 pub use seed::{mix64, SplitMix64};
 pub use sign::SignHash;

@@ -82,13 +82,14 @@ impl DerivedRow {
 
     /// Bucket index from an already-computed digest (the batch-kernel
     /// entry point; [`BucketHasher::bucket`] is `digest` + this).
+    ///
+    /// Branch-free at every power-of-two width: below 64 the shift
+    /// already leaves fewer than `buckets` values, so the mask changes
+    /// nothing, and a one-bucket row (shift 64, which `wrapping_shr`
+    /// reads as 0) masks to bucket 0.
     #[inline]
     pub fn bucket_of_digest(&self, digest: u64) -> usize {
-        if self.shift == 64 {
-            // 2^0 = 1 bucket: everything collides by definition.
-            return 0;
-        }
-        (self.a.wrapping_mul(digest).wrapping_add(self.b) >> self.shift) as usize
+        multiply_shift(self.a, self.b, self.shift, self.buckets, digest)
     }
 
     /// Sign (`±1`) from an already-computed digest: the top bit of an
@@ -101,6 +102,13 @@ impl DerivedRow {
             -1
         }
     }
+}
+
+/// `(a·digest + b).wrapping_shr(shift) & (buckets − 1)`: one row's
+/// bucket, for [`DerivedRow`] and [`RowHead`] alike.
+#[inline(always)]
+fn multiply_shift(a: u64, b: u64, shift: u32, buckets: usize, digest: u64) -> usize {
+    (a.wrapping_mul(digest).wrapping_add(b).wrapping_shr(shift) as usize) & (buckets - 1)
 }
 
 impl BucketHasher for DerivedRow {
@@ -148,27 +156,47 @@ pub struct RowDeriver {
 
 impl RowDeriver {
     /// Builds the deriver if (and only if) every hasher in the slice is
-    /// a [`DerivedRow`] with the same digest key.
+    /// a [`DerivedRow`] with the same digest key and bucket count, as
+    /// every row sampled from one [`crate::HashFamily`] is.
     pub fn from_hashers(hashers: &[AnyBucketHasher]) -> Option<Self> {
         let first = match hashers.first()? {
             AnyBucketHasher::Derived(r) => r,
             _ => return None,
         };
-        let key = first.key;
         let mut rows = Vec::with_capacity(hashers.len());
         for h in hashers {
             match h {
-                AnyBucketHasher::Derived(r) if r.key == key => rows.push(*r),
+                AnyBucketHasher::Derived(r) if (r.key, r.buckets) == (first.key, first.buckets) => {
+                    rows.push(*r)
+                }
                 _ => return None,
             }
         }
-        Some(Self { key, rows })
+        Some(Self {
+            key: first.key,
+            rows,
+        })
     }
 
     /// Number of rows `d`.
     #[inline]
     pub fn depth(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Rows `0..K` with their multipliers copied out, for a per-item
+    /// loop that derives all `K` buckets of a digest in registers.
+    ///
+    /// # Panics
+    /// If `K` is zero or more than [`RowDeriver::depth`].
+    pub fn head<const K: usize>(&self) -> RowHead<K> {
+        assert!(K > 0 && K <= self.rows.len(), "head of {K} rows");
+        RowHead {
+            a: std::array::from_fn(|r| self.rows[r].a),
+            b: std::array::from_fn(|r| self.rows[r].b),
+            shift: self.rows[0].shift,
+            buckets: self.rows[0].buckets,
+        }
     }
 
     /// The shared per-item digest.
@@ -214,15 +242,9 @@ impl RowDeriver {
     /// digest (the block-wide form of [`RowDeriver::bucket_of_digest`]).
     ///
     /// # Panics
-    /// If `digests` and `out` differ in length on a row of more than
-    /// one bucket.
+    /// If `digests` and `out` differ in length.
     pub fn buckets_of_digests(&self, row: usize, digests: &[u64], out: &mut [usize]) {
         let r = &self.rows[row];
-        if r.shift == 64 {
-            // 2^0 = 1 bucket: everything collides by definition.
-            out.fill(0);
-            return;
-        }
         crate::simd::multiply_shift_batch(r.a, r.b, r.shift, digests, out);
     }
 
@@ -241,6 +263,28 @@ impl RowDeriver {
         out: &mut [f64],
     ) {
         crate::simd::signed_delta_batch(self.rows[row].sign_a, digests, deltas, out);
+    }
+}
+
+/// The first `K` rows of a [`RowDeriver`] (from [`RowDeriver::head`]):
+/// their multipliers and the family's one shift, held by value so that
+/// a loop over many digests keeps them in registers.
+#[derive(Debug, Clone, Copy)]
+pub struct RowHead<const K: usize> {
+    a: [u64; K],
+    b: [u64; K],
+    shift: u32,
+    buckets: usize,
+}
+
+impl<const K: usize> RowHead<K> {
+    /// Rows `0..K`'s buckets for a precomputed digest, equal to
+    /// [`RowDeriver::bucket_of_digest`] row by row.
+    #[inline]
+    pub fn buckets(&self, digest: u64) -> [usize; K] {
+        std::array::from_fn(|r| {
+            multiply_shift(self.a[r], self.b[r], self.shift, self.buckets, digest)
+        })
     }
 }
 
@@ -305,6 +349,36 @@ mod tests {
         let a = AnyBucketHasher::Derived(DerivedRow::sample(&mut seeder, 1, 64));
         let b = AnyBucketHasher::Derived(DerivedRow::sample(&mut seeder, 2, 64));
         assert!(RowDeriver::from_hashers(&[a, b]).is_none());
+
+        // One key, two widths: the rows share no shift.
+        let wide = AnyBucketHasher::Derived(DerivedRow::sample(&mut seeder, 1, 64));
+        let narrow = AnyBucketHasher::Derived(DerivedRow::sample(&mut seeder, 1, 32));
+        assert!(RowDeriver::from_hashers(&[wide, narrow]).is_none());
+    }
+
+    #[test]
+    fn head_buckets_match_each_row_at_every_width() {
+        let mut seeder = SplitMix64::new(12);
+        for buckets in [1usize, 2, 4_096, 1 << 40] {
+            let mut fam = HashFamily::new(HashKind::OneHash, &mut seeder, buckets);
+            let rd = RowDeriver::from_hashers(&fam.sample_many(9)).unwrap();
+            let head = rd.head::<5>();
+            for x in (0..3_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
+                let digest = rd.digest(x);
+                let want: Vec<usize> = (0..5).map(|r| rd.bucket_of_digest(r, digest)).collect();
+                assert_eq!(head.buckets(digest).to_vec(), want, "{buckets} buckets");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "head of 3 rows")]
+    fn a_head_longer_than_the_deriver_panics() {
+        let mut seeder = SplitMix64::new(13);
+        let mut fam = HashFamily::new(HashKind::OneHash, &mut seeder, 64);
+        RowDeriver::from_hashers(&fam.sample_many(2))
+            .unwrap()
+            .head::<3>();
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Vectorized batch kernels for one-hash row derivation.
 //!
 //! The blocked ingest kernel stages each 256-item block's bucket
-//! indices and values in scratch before sweeping the grid row by row,
-//! and the heavy-hitter scan derives every row's bucket for each block
-//! of the universe. Filling that scratch is three data-parallel maps
-//! over the block:
+//! indices and values in scratch before sweeping the grid row by row.
+//! Filling that scratch is three data-parallel maps over the block (the
+//! heavy-hitter scan uses only the first, once per block of the
+//! universe, and derives each row's bucket from it in registers):
 //!
 //! 1. `digest_i = mix64(item_i ^ key)` — the shared one-hash digest,
 //! 2. `bucket_i = (a·digest_i + b) >> shift` — per-row multiply-shift,
@@ -80,17 +80,24 @@ pub(crate) fn mix64_batch(key: u64, items: &[u64], out: &mut [u64]) {
     }
 }
 
+/// `x >> shift` for a shift in `1..=64`, where 64 leaves 0: the
+/// one-bucket row's shift, read as AVX2's `vpsrlq` reads any count past
+/// 63.
+#[inline]
+fn shr(x: u64, shift: u32) -> u64 {
+    (x >> 1) >> (shift - 1)
+}
+
 /// Fills `out[i] = (a·digests[i] + b) >> shift` (wrapping), the
 /// multiply-shift bucket for one derived row. `shift` must be in
-/// `1..=63`; the degenerate one-bucket case (`shift == 64`) is handled
-/// by the caller.
+/// `1..=64`; at 64 (a one-bucket row) every bucket is 0.
 ///
 /// # Panics
 /// If `digests` and `out` differ in length (a memory-safety condition
 /// of the AVX2 lanes).
 pub(crate) fn multiply_shift_batch(a: u64, b: u64, shift: u32, digests: &[u64], out: &mut [usize]) {
     assert_eq!(digests.len(), out.len(), "bucket lane lengths");
-    debug_assert!((1..=63).contains(&shift));
+    debug_assert!((1..=64).contains(&shift));
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // usize is 64-bit on x86_64: reinterpret the output slice so the
@@ -104,7 +111,7 @@ pub(crate) fn multiply_shift_batch(a: u64, b: u64, shift: u32, digests: &[u64], 
         return;
     }
     for (o, &d) in out.iter_mut().zip(digests) {
-        *o = (a.wrapping_mul(d).wrapping_add(b) >> shift) as usize;
+        *o = shr(a.wrapping_mul(d).wrapping_add(b), shift) as usize;
     }
 }
 
@@ -208,7 +215,7 @@ mod avx2 {
             i += 4;
         }
         for j in lanes..digests.len() {
-            out[j] = a.wrapping_mul(digests[j]).wrapping_add(b) >> shift;
+            out[j] = super::shr(a.wrapping_mul(digests[j]).wrapping_add(b), shift);
         }
     }
 
@@ -310,13 +317,19 @@ mod tests {
     }
 
     /// Forced scalar against the dispatched path: 300 items under small
-    /// multipliers, and the served shape, one 256-item block of a
-    /// 4,096-bucket row (shift 52) under sampled 64-bit multipliers.
+    /// multipliers, the served shape, one 256-item block of a
+    /// 4,096-bucket row (shift 52) under sampled 64-bit multipliers, and
+    /// a one-bucket row (shift 64, every bucket 0) with a ragged tail.
     #[test]
     fn forced_scalar_is_bit_identical_to_dispatch() {
         let mut g = crate::SplitMix64::new(0x5EED);
         let served = (g.next_u64() | 1, g.next_u64(), g.next_u64() | 1);
-        for (n, shift, (a, b, sign_a)) in [(300, 40, (21 | 1, 99, 77 | 1)), (256, 52, served)] {
+        let one_bucket = (g.next_u64() | 1, g.next_u64(), g.next_u64() | 1);
+        for (n, shift, (a, b, sign_a)) in [
+            (300, 40, (21 | 1, 99, 77 | 1)),
+            (256, 52, served),
+            (259, 64, one_bucket),
+        ] {
             let digests = sample_digests(n);
             let items: Vec<u64> = (0..n as u64).map(|i| i * 7 + 3).collect();
             let deltas: Vec<f64> = (0..n).map(|i| 0.25 * i as f64 - 31.0).collect();
@@ -338,6 +351,9 @@ mod tests {
             let scalar = run();
             set_force_scalar(false);
             assert_eq!(dispatched, scalar, "{n} items at shift {shift}");
+            if shift == 64 {
+                assert!(scalar.1.iter().all(|&bucket| bucket == 0));
+            }
         }
     }
 }

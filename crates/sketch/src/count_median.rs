@@ -241,14 +241,14 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
     }
 
     /// One-hash rows ([`bas_hash::HashKind::OneHash`]) take the blocked
-    /// scan kernel: per block of [`APPLY_BLOCK`] items, one digest call
-    /// and one bucket lane per row, a byte-mask lookup per cell, and
-    /// the unchanged median only for items hot in at least `⌈d/2⌉`
-    /// rows, the necessary condition proved in the body. Items that
-    /// can no longer reach `⌈d/2⌉` leave the block before the next
-    /// row's lane. The classical families have no shared digest and
-    /// keep the per-item default. Either way the answer is bit-for-bit
-    /// the default's.
+    /// scan kernel: per block of [`APPLY_BLOCK`] items, one digest call;
+    /// then, item by item, a byte-mask lookup per cell of its first
+    /// `⌊d/2⌋ + 1` rows (at most eight), derived and summed in
+    /// registers, and of later rows only while `⌈d/2⌉` hot rows, the
+    /// necessary condition proved in the body, are still within reach.
+    /// Items that reach them get the unchanged median. The classical
+    /// families have no shared digest and keep the per-item default.
+    /// Either way the answer is bit-for-bit the default's.
     ///
     /// # Panics
     /// Panics if `snap` was made for a different shape.
@@ -260,7 +260,6 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
         let Some(rd) = RowDeriver::from_hashers(&self.hashers) else {
             return each_item_at_least(self, snap, threshold, out);
         };
-        let (width, depth) = (self.params.width, self.params.depth);
         // Necessary condition. `median_in_place` returns, for odd d,
         // the value u of rank ⌊d/2⌋ under `total_cmp`, and for even d
         // `0.5·(l + u)` with u of rank d/2 and l ≤ u the largest
@@ -279,63 +278,110 @@ impl<B: CounterBackend> Snapshottable for CountMedian<B> {
         // cells cannot reach the threshold. Every other item gets the
         // exact median.
         let floor = threshold.min(f64::from_bits(0x7FE0_0000_0000_0000)); // 2^1023
-        let hot: Vec<u8> = (0..depth)
+        let hot: Vec<u8> = (0..self.params.depth)
             .flat_map(|row| snap.row(row))
             .map(|v| u8::from(v.partial_cmp(&floor) != Some(Ordering::Less)))
             .collect();
-        let need = depth - depth / 2;
-        let mut items = [0u64; APPLY_BLOCK];
-        let mut digests = [0u64; APPLY_BLOCK];
-        let mut hits = [0usize; APPLY_BLOCK];
-        let mut lane = [0usize; APPLY_BLOCK];
-        let n = self.params.n;
-        let mut start = 0u64;
-        while start < n {
-            let mut len = (n - start).min(APPLY_BLOCK as u64) as usize;
-            for (slot, item) in items[..len].iter_mut().zip(start..) {
-                *slot = item;
-            }
-            start += len as u64;
-            rd.digests_into(&items[..len], &mut digests[..len]);
-            hits[..len].fill(0);
-            for (row, hot_row) in hot.chunks_exact(width).enumerate() {
-                // `depth - row` rows are left, so an item with fewer
-                // than `due` hits cannot reach `need`: drop it, keeping
-                // the rest in item order.
-                let due = (need + row).saturating_sub(depth);
-                if due > 0 {
-                    let mut kept = 0;
-                    for i in 0..len {
-                        if hits[i] >= due {
-                            (items[kept], digests[kept], hits[kept]) =
-                                (items[i], digests[i], hits[i]);
-                            kept += 1;
-                        }
-                    }
-                    len = kept;
-                }
-                rd.buckets_of_digests(row, &digests[..len], &mut lane[..len]);
-                for (h, &b) in hits[..len].iter_mut().zip(&lane[..len]) {
-                    *h += usize::from(hot_row[b]);
-                }
-            }
-            for i in (0..len).filter(|&i| hits[i] >= need) {
-                let digest = digests[i];
-                let estimate =
-                    median_of_rows(depth, |row| snap.get(row, rd.bucket_of_digest(row, digest)));
-                if estimate >= threshold {
-                    out.push(HeavyHitter {
-                        item: items[i],
-                        estimate,
-                    });
-                }
-            }
-        }
+        // A head of `⌊d/2⌋ + 1` rows, at most eight: a deeper sketch
+        // keeps every item past its head and filters in the tail.
+        let scan: ScanKernel = match self.params.depth / 2 + 1 {
+            1 => scan_onehash::<1>,
+            2 => scan_onehash::<2>,
+            3 => scan_onehash::<3>,
+            4 => scan_onehash::<4>,
+            5 => scan_onehash::<5>,
+            6 => scan_onehash::<6>,
+            7 => scan_onehash::<7>,
+            _ => scan_onehash::<8>,
+        };
+        scan(&rd, &hot, snap, threshold, self.params.n, out);
     }
 
     /// Linear, so snapshots subtract exactly.
     fn subtract_snapshot(&self, snap: &mut Self::Snapshot, other: &Self::Snapshot) {
         snap.sub_matrix(other);
+    }
+}
+
+/// The one-hash scan's signature, one instance per head size.
+type ScanKernel =
+    fn(&RowDeriver, &[u8], &CounterMatrix<f64, Dense>, f64, u64, &mut Vec<HeavyHitter>);
+
+/// The one-hash scan of items `0..n` over the hot mask `hot` (`d × w`,
+/// row-major), with a head of `K` rows.
+///
+/// After reading `r` rows, an item can still reach `need = ⌈d/2⌉` hot
+/// rows in the `d − r` left only with `due(r) = need − (d − r)` of them
+/// already. Per block of
+/// [`APPLY_BLOCK`] items, one digest call; then each item's first `K`
+/// buckets ([`bas_hash::RowHead::buckets`]) and hot bytes are derived
+/// and summed in registers, and the item joins the block's survivor
+/// list, without a branch, if it has `due(K)`. With `K = ⌊d/2⌋ + 1`
+/// (every depth up to 15) that is an item hot in any head row, about
+/// one in nine at the served shape. Each later row is one pass over the
+/// survivors that keeps those with `due(r + 1)`; after the last, the
+/// survivors are the items with `need` hot rows, and they get the
+/// unchanged median.
+fn scan_onehash<const K: usize>(
+    rd: &RowDeriver,
+    hot: &[u8],
+    snap: &CounterMatrix<f64, Dense>,
+    threshold: f64,
+    n: u64,
+    out: &mut Vec<HeavyHitter>,
+) {
+    let (width, depth) = (snap.width(), snap.depth());
+    let need = depth - depth / 2;
+    let due = |rows: usize| (need + rows).saturating_sub(depth);
+    let head = rd.head::<K>();
+    let head_hot: [&[u8]; K] = std::array::from_fn(|r| &hot[r * width..(r + 1) * width]);
+    // Every bucket is already below `width`, a power of two: masking
+    // with `width - 1` changes no index and lets the compiler drop the
+    // bounds checks.
+    let mask = width - 1;
+    let mut items = [0u64; APPLY_BLOCK];
+    let mut digests = [0u64; APPLY_BLOCK];
+    let mut survivors = [(0usize, 0usize); APPLY_BLOCK];
+    let mut start = 0u64;
+    while start < n {
+        let len = (n - start).min(APPLY_BLOCK as u64) as usize;
+        for (slot, item) in items[..len].iter_mut().zip(start..) {
+            *slot = item;
+        }
+        start += len as u64;
+        rd.digests_into(&items[..len], &mut digests[..len]);
+        let mut kept = 0;
+        for (i, &digest) in digests[..len].iter().enumerate() {
+            let buckets = head.buckets(digest);
+            let hits: usize = (0..K)
+                .map(|r| usize::from(head_hot[r][buckets[r] & mask]))
+                .sum();
+            survivors[kept] = (i, hits);
+            kept += usize::from(hits >= due(K));
+        }
+        for row in K..depth {
+            let hot_row = &hot[row * width..(row + 1) * width];
+            let mut still = 0;
+            for s in 0..kept {
+                let (i, hits) = survivors[s];
+                let bucket = rd.bucket_of_digest(row, digests[i]) & mask;
+                let hits = hits + usize::from(hot_row[bucket]);
+                survivors[still] = (i, hits);
+                still += usize::from(hits >= due(row + 1));
+            }
+            kept = still;
+        }
+        for &(i, _) in &survivors[..kept] {
+            let digest = digests[i];
+            let estimate =
+                median_of_rows(depth, |row| snap.get(row, rd.bucket_of_digest(row, digest)));
+            if estimate >= threshold {
+                out.push(HeavyHitter {
+                    item: items[i],
+                    estimate,
+                });
+            }
+        }
     }
 }
 

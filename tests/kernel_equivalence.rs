@@ -231,14 +231,18 @@ proptest! {
 // ---- the heavy-hitter scan kernel ----
 //
 // `Snapshottable::items_at_least_in` on one-hash Count-Median (and the
-// range-sum stack, through level 0) hashes each item once, 256 items
-// at a time, counts the item's cells that could reach the threshold in
-// a per-row byte mask, drops items that can no longer reach ⌈d/2⌉ such
-// rows, and takes the median only for items hot in at least ⌈d/2⌉
-// rows. The mask is a necessary condition only, so the answer
-// must be exactly the per-item reference: the same items, estimates
-// equal bit for bit. Planes are written cell by cell, so they hold
-// what no stream produces in a test this size: ties with the
+// range-sum stack, through level 0) digests each item once, 256 items
+// at a time, and counts the item's cells that could reach the
+// threshold in a per-row byte mask: its first ⌊d/2⌋ + 1 rows (at most
+// eight) in registers, then each later row in a pass over the items
+// that can still reach ⌈d/2⌉ such rows. It takes the median only for
+// items hot in at least ⌈d/2⌉ rows. The mask is a necessary condition
+// only, so the answer must be exactly the per-item reference: the same
+// items, estimates equal bit for bit. The head size changes with every
+// depth, so one-hash runs at every depth from 1 to 12 and at 16, where
+// ⌊d/2⌋ + 1 = 9 outgrows the eight-row head, and at widths 1, 2 and
+// 4,096 (shifts 64, 63 and 52). Planes are written cell by cell, so
+// they hold what no stream produces in a test this size: ties with the
 // threshold, ±0.0, ±inf, NaN payloads of both signs, subnormals and
 // values past 2^1023, whose even-depth median overflows to +inf.
 
@@ -341,31 +345,74 @@ fn each_scan_config(mut check: impl FnMut(SketchParams, &mut Lcg)) {
     }
 }
 
+/// Runs `check(params, rng)` over one-hash configurations at every
+/// head size: depths 3–7, 10–12 and 16 beside those of
+/// [`each_scan_config`], widths 1, 2 and 4,096, and the same
+/// block-edge universes.
+fn each_head_size_config(mut check: impl FnMut(SketchParams, &mut Lcg)) {
+    let mut rng = Lcg(0x4EAD);
+    for depth in [3usize, 4, 5, 6, 7, 10, 11, 12, 16] {
+        for width in [1usize, 2, 4_096] {
+            for n in [1u64, 255, 256, 257, 10_007] {
+                let params = SketchParams::new(n, width, depth)
+                    .with_seed(rng.below(1_000))
+                    .with_hash_kind(HashKind::OneHash);
+                check(params, &mut rng);
+            }
+        }
+    }
+    for depth in [1usize, 2, 8, 9] {
+        for n in [1u64, 255, 256, 257, 10_007] {
+            let params = SketchParams::new(n, 2, depth)
+                .with_seed(rng.below(1_000))
+                .with_hash_kind(HashKind::OneHash);
+            check(params, &mut rng);
+        }
+    }
+}
+
+/// The Count-Median scan of a cell-written plane, checked against the
+/// per-item reference at every threshold of [`scan_thresholds`].
+fn check_count_median_scan(params: SketchParams, rng: &mut Lcg) {
+    let cm = CountMedian::new(&params);
+    let mut snap = cm.make_snapshot();
+    fill(&mut snap, rng);
+    let thresholds = scan_thresholds(&snap, rng);
+    assert_scan_matches_reference(&cm, &snap, &thresholds, &format!("{params:?}"));
+}
+
+/// The range-sum scan, checked like [`check_count_median_scan`].
+fn check_range_sum_scan(params: SketchParams, rng: &mut Lcg) {
+    let rs = RangeSumSketch::new(&params);
+    let mut snap = rs.make_snapshot();
+    // Level 0 answers point estimates; a coarser level holding
+    // other values must not leak into the scan.
+    fill(&mut snap[0], rng);
+    if let Some(level) = snap.get_mut(1) {
+        fill(level, rng);
+    }
+    let thresholds = scan_thresholds(&snap[0], rng);
+    assert_scan_matches_reference(&rs, &snap, &thresholds, &format!("{params:?}"));
+}
+
 #[test]
 fn count_median_scan_equals_per_item_reference() {
-    each_scan_config(|params, rng| {
-        let cm = CountMedian::new(&params);
-        let mut snap = cm.make_snapshot();
-        fill(&mut snap, rng);
-        let thresholds = scan_thresholds(&snap, rng);
-        assert_scan_matches_reference(&cm, &snap, &thresholds, &format!("{params:?}"));
-    });
+    each_scan_config(check_count_median_scan);
 }
 
 #[test]
 fn range_sum_scan_equals_per_item_reference() {
-    each_scan_config(|params, rng| {
-        let rs = RangeSumSketch::new(&params);
-        let mut snap = rs.make_snapshot();
-        // Level 0 answers point estimates; a coarser level holding
-        // other values must not leak into the scan.
-        fill(&mut snap[0], rng);
-        if let Some(level) = snap.get_mut(1) {
-            fill(level, rng);
-        }
-        let thresholds = scan_thresholds(&snap[0], rng);
-        assert_scan_matches_reference(&rs, &snap, &thresholds, &format!("{params:?}"));
-    });
+    each_scan_config(check_range_sum_scan);
+}
+
+#[test]
+fn count_median_scan_at_every_head_size_equals_per_item_reference() {
+    each_head_size_config(check_count_median_scan);
+}
+
+#[test]
+fn range_sum_scan_at_every_head_size_equals_per_item_reference() {
+    each_head_size_config(check_range_sum_scan);
 }
 
 /// A stream-fed plane at the served shape, scanned at heavy-hitter
