@@ -217,16 +217,6 @@ impl RowDeriver {
         self.rows[row].sign_of_digest(digest)
     }
 
-    /// Fills `out[0..depth]` with the item's bucket index per row
-    /// (digest computed once).
-    #[inline]
-    pub fn buckets_into(&self, item: u64, out: &mut [usize]) {
-        let digest = self.digest(item);
-        for (o, r) in out.iter_mut().zip(self.rows.iter()) {
-            *o = r.bucket_of_digest(digest);
-        }
-    }
-
     /// Fills `out[i] = mix64(items[i] ^ key)` for a whole block — the
     /// SIMD entry point of the blocked ingest kernel. Dispatches to the
     /// vectorized path when [`crate::simd_active`] and is bit-for-bit
@@ -391,21 +381,6 @@ mod tests {
         assert!((frac - 0.5).abs() < 0.02, "positive fraction = {frac}");
         for x in 0..100u64 {
             assert_eq!(r.sign(x), r.sign_of_digest(r.digest(x)));
-        }
-    }
-
-    #[test]
-    fn buckets_into_matches_per_row_bucket() {
-        let mut seeder = SplitMix64::new(5);
-        let mut fam = HashFamily::new(HashKind::OneHash, &mut seeder, 512);
-        let rows = fam.sample_many(7);
-        let rd = RowDeriver::from_hashers(&rows).unwrap();
-        let mut out = [0usize; 7];
-        for x in (0..5_000u64).step_by(13) {
-            rd.buckets_into(x, &mut out);
-            for (row, h) in rows.iter().enumerate() {
-                assert_eq!(out[row], h.bucket(x), "x={x} row={row}");
-            }
         }
     }
 

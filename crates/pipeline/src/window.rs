@@ -255,7 +255,6 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
                 let shared = self.ingest.shared();
                 self.bank.seal_with(
                     closed,
-                    shared.sketch().config(),
                     || shared.sketch().make_snapshot(),
                     |slot| {
                         let (_, applied, mass) = shared.pin_into(slot);
@@ -343,11 +342,9 @@ impl<S: SharedSketch + Snapshottable + Reseedable + Send> WindowedIngest<S> {
             self.close(Generation { interval, handle });
             return Ok(());
         }
-        let config = self.ingest.shared().sketch().config();
         let incoming = std::cell::RefCell::new(Some(plane));
         self.bank.seal_with(
             interval,
-            config,
             || {
                 incoming
                     .borrow_mut()

@@ -273,7 +273,7 @@ impl EngineSlot {
             .map_err(|e| query_error(tenant, e))
     }
 
-    // ---- rebalance (export / install by linearity) ----
+    // ---- export / install by linearity ----
 
     /// Flushes the tenant and seals its state into a wire-shippable
     /// transfer: the stream position, the quota count the fabric keeps

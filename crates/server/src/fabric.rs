@@ -1,7 +1,6 @@
 //! The multi-tenant serving fabric: shards of per-tenant engines,
 //! placed by the rendezvous ring, fed and queried through the wire
-//! protocol's request/response frames, with admission control and
-//! live rebalance.
+//! protocol's request/response frames, with admission control.
 //!
 //! Every request funnels through [`Fabric::handle`], which owns
 //! placement lookup, admission (malformed update → `bad_update` error,
@@ -21,27 +20,30 @@
 //! changes it), so the ring needs no lock. The order is map, then
 //! tenant, and no path holds two tenant locks.
 //!
-//! **Rebalance by linearity.** Moving a tenant ships its counter
-//! planes — never its hashers — through the real wire format
-//! (encode, frame, deframe, decode, with the byte volume
-//! metered on the fabric's [`CommMeter`]). The destination rebuilds
-//! the hashers deterministically from the tenant's seed and absorbs
-//! the planes by linearity, so a moved tenant answers **bit-for-bit**
-//! like one that never moved. Every tenant moves this way, through one
-//! export and one install path: a seed-rotating tenant ships one plane
-//! per generation where a windowed one ships its seals, and the
-//! destination rebuilds generation `g`'s hashers from
-//! `SeedSchedule::new(seed).seed_for(g)`, so linearity only has to hold
-//! within each plane.
+//! **A rebalance relabels.** Every shard is a label in this one
+//! process, and placement is a pure function of `(tenant, ring)`, so a
+//! tenant's shard is read from the ring, never stored. A shard add or
+//! remove changes the ring and reports the tenants it moved; no state
+//! moves, so a moved tenant keeps its pending updates, quota count and
+//! audit budgets.
+//!
+//! **Moves between fabrics by linearity.** `Export` ships a tenant's
+//! counter planes — never its hashers — and `Install` rebuilds the
+//! hashers from the tenant's seed and absorbs the planes by linearity,
+//! so an installed tenant answers **bit-for-bit** like the one
+//! exported. A seed-rotating tenant ships one plane per generation
+//! where a windowed one ships its seals, and the destination rebuilds
+//! generation `g`'s hashers from `SeedSchedule::new(seed).seed_for(g)`,
+//! so linearity only has to hold within each plane. Compaction and
+//! recovery ([`persist`](crate::persist)) take the same path.
 
 use crate::engine::EngineSlot;
 use crate::placement::PlacementRing;
 use crate::wire::{
-    self, AdmitReceipt, BusyReceipt, ErrorReply, FlushReceipt, HeavyHittersReply, IngestFrame,
+    AdmitReceipt, BusyReceipt, ErrorReply, FlushReceipt, HeavyHittersReply, IngestFrame,
     InstallReceipt, Request, Response, SealReceipt, ShedReceipt, StatsReply, TenantRef, TenantSpec,
     TenantTransfer, ValueReply,
 };
-use bas_distributed::CommMeter;
 use bas_sketch::SketchParams;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -57,11 +59,11 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// and for fabrics that must stay bit-for-bit with existing journals
 /// and golden vectors.
 ///
-/// There is no frame cap here. A rebalance moves a tenant between
-/// shards of one process, so its transfer frame has no peer to guard
-/// against: it is read back at the limit of its `u32` length prefix,
-/// as the journal is. A peer's frames stay under the daemon's cap
-/// ([`DaemonConfig::max_frame_bytes`](crate::DaemonConfig::max_frame_bytes)).
+/// There is no frame cap here: the fabric reads no frames. A peer's
+/// frames stay under the daemon's cap
+/// ([`DaemonConfig::max_frame_bytes`](crate::DaemonConfig::max_frame_bytes)),
+/// and the journal's are read at the limit of their `u32` length
+/// prefix.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// Sketch shape template. Each tenant's engine is built from this
@@ -78,46 +80,30 @@ impl FabricConfig {
     }
 }
 
-/// One tenant's fabric-side state: hosting shard, spec, quota
-/// bookkeeping, engine.
+/// One tenant's fabric-side state: spec, quota bookkeeping, engine.
+/// Its shard is where the ring places it ([`Fabric::shard_of`]).
 #[derive(Debug)]
 struct Tenant {
-    shard: u64,
     spec: TenantSpec,
     admitted_in_interval: u64,
     slot: EngineSlot,
 }
 
 impl Tenant {
-    /// Ships this tenant's engine through the real wire format —
-    /// export, frame, meter the bytes, deframe, install — and swaps the
-    /// installed engine in only once the install succeeds. Returns the
-    /// framed byte count. The frame never leaves the process, so only
-    /// its `u32` length prefix bounds it: a ship fails only on a
-    /// transfer past 4 GiB.
-    fn ship(&mut self, config: &FabricConfig, meter: &mut CommMeter) -> Result<u64, ErrorReply> {
-        let tenant = self.spec.tenant;
-        let transfer = self.export(config);
-        let mut buf = Vec::new();
-        let bytes = wire::write_frame(&mut buf, &transfer)
-            .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} export: {e}")))?;
-        let words = (bytes as u64).div_ceil(8);
-        meter.record_upload(words);
-        let shipped: TenantTransfer = wire::read_frame(&mut &buf[..], u32::MAX as usize)
-            .map_err(|e| ErrorReply::new("protocol", format!("tenant {tenant} transfer: {e}")))?
-            .ok_or_else(|| ErrorReply::new("protocol", "empty transfer stream"))?;
-        meter.record_download(words);
-        self.slot = EngineSlot::install(&shipped, config.params)?;
-        self.spec = shipped.spec;
-        Ok(bytes as u64)
-    }
-
     /// Flushes the tenant and exports it whole: planes, stream position
     /// and the interval's quota count.
     fn export(&mut self, config: &FabricConfig) -> TenantTransfer {
         let params = config.params.with_seed(self.spec.seed);
         self.slot
             .export(self.spec, params, self.admitted_in_interval)
+    }
+
+    /// Closes the open interval (flushing pending updates first) and
+    /// renews the interval's quota; returns the interval sealed.
+    fn advance(&mut self) -> Result<u64, ErrorReply> {
+        let sealed = self.slot.advance_interval(self.spec.tenant)?;
+        self.admitted_in_interval = 0;
+        Ok(sealed)
     }
 }
 
@@ -135,11 +121,9 @@ pub struct TenantMove {
 /// What a shard add/remove did to tenant placement.
 #[derive(Debug, Clone, Default)]
 pub struct RebalanceReport {
-    /// Tenants shipped to a new shard, in tenant-id order.
+    /// Tenants the ring now places on another shard, in tenant-id
+    /// order.
     pub moved: Vec<TenantMove>,
-    /// Wire bytes shipped (each transfer is framed once and counted
-    /// once; the meter records the same volume as upload + download).
-    pub bytes_shipped: u64,
 }
 
 /// One tenant behind its own lock; a request clones the `Arc` out of
@@ -152,10 +136,8 @@ pub struct Fabric {
     config: FabricConfig,
     /// Shard membership and placement.
     ring: PlacementRing,
-    /// Every tenant with its hosting shard (`BTreeMap` for
-    /// deterministic rebalance order).
+    /// Every tenant (`BTreeMap` for deterministic rebalance order).
     tenants: RwLock<BTreeMap<u64, TenantLock>>,
-    meter: CommMeter,
 }
 
 /// A lock's read guard. A poisoned lock (a panic in a holder) is
@@ -185,7 +167,6 @@ impl Fabric {
             config,
             ring: PlacementRing::new(),
             tenants: RwLock::new(BTreeMap::new()),
-            meter: CommMeter::new(),
         }
     }
 
@@ -199,40 +180,31 @@ impl Fabric {
         &self.ring
     }
 
-    /// The transfer-volume meter (rebalance traffic only; queries and
-    /// ingest handled in-process are not metered).
-    pub fn meter(&self) -> &CommMeter {
-        &self.meter
-    }
-
     /// Number of registered tenants.
     pub fn tenant_count(&self) -> usize {
         read(&self.tenants).len()
     }
 
-    /// The shard currently hosting a tenant.
+    /// The shard hosting a registered tenant: where the ring places it.
     pub fn shard_of(&self, tenant: u64) -> Option<u64> {
-        self.tenant(tenant).ok().map(|t| read(&t).shard)
+        self.tenant(tenant).ok().and(self.ring.place(tenant))
     }
 
     /// Tenant ids hosted on a shard, in id order.
     pub fn tenants_on(&self, shard: u64) -> Vec<u64> {
-        let tenants = self.tenants();
-        let hosted = tenants.iter().filter(|(_, t)| read(t).shard == shard);
-        hosted.map(|&(id, _)| id).collect()
+        let mut hosted = self.tenant_ids();
+        hosted.retain(|&t| self.ring.place(t) == Some(shard));
+        hosted
     }
 
     // ---- shard membership ----
 
-    /// Adds a shard with the given capacity weight and rebalances:
-    /// every tenant whose ring placement changed is shipped to the new
-    /// shard through the wire format.
+    /// Adds a shard with the given capacity weight. Every tenant whose
+    /// ring placement changed now sits on the new shard.
     ///
     /// # Errors
-    /// `tenant_exists`-style `ErrorReply` with code `protocol` if the
-    /// shard id is already present or the weight is invalid, or if a
-    /// tenant's ship fails; that undoes the whole call, so on `Ok` or
-    /// `Err` every tenant sits where [`ring`](Self::ring) places it.
+    /// `protocol` if the shard id is already present or the weight is
+    /// invalid; the ring is then unchanged.
     pub fn add_shard(&mut self, id: u64, weight: f64) -> Result<RebalanceReport, ErrorReply> {
         if self.ring.contains(id) {
             return Err(ErrorReply::new(
@@ -248,15 +220,15 @@ impl Fabric {
         }
         let before = self.ring.clone();
         self.ring.add_shard(id, weight);
-        self.rebalance_to_ring(before)
+        Ok(self.moves_from(&before))
     }
 
-    /// Removes a shard and rebalances its tenants onto the survivors.
+    /// Removes a shard; its tenants now sit on the survivors.
     ///
     /// # Errors
-    /// `unsupported` if the shard hosts any tenant and no other shard
-    /// remains; `protocol` if a tenant's ship fails, which undoes the
-    /// whole call as [`add_shard`](Self::add_shard)'s does.
+    /// `protocol` if the shard is not in the ring; `unsupported` if it
+    /// is the last shard and any tenant remains. The ring is then
+    /// unchanged.
     pub fn remove_shard(&mut self, id: u64) -> Result<RebalanceReport, ErrorReply> {
         if !self.ring.contains(id) {
             return Err(ErrorReply::new(
@@ -264,7 +236,7 @@ impl Fabric {
                 format!("shard {id} is not in the ring"),
             ));
         }
-        let hosted = self.tenants_on(id).len();
+        let hosted = self.tenant_count();
         if hosted > 0 && self.ring.len() == 1 {
             return Err(ErrorReply::new(
                 "unsupported",
@@ -273,49 +245,19 @@ impl Fabric {
         }
         let before = self.ring.clone();
         self.ring.remove_shard(id);
-        self.rebalance_to_ring(before)
+        Ok(self.moves_from(&before))
     }
 
-    /// Ships every tenant whose current shard disagrees with the ring
-    /// to where the ring says it belongs, in tenant-id order. If one
-    /// fails, the ring goes back to `before` and every tenant moved so
-    /// far back to the shard it left: its installed engine answers bit
-    /// for bit like the one it replaced, so relabelling it undoes the
-    /// move.
-    fn rebalance_to_ring(&mut self, before: PlacementRing) -> Result<RebalanceReport, ErrorReply> {
-        let mut report = RebalanceReport::default();
-        let tenants = self
-            .tenants
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut ship_all = || {
-            for (&tenant, t) in tenants.iter() {
-                let to = self
-                    .ring
-                    .place(tenant)
-                    .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-                let mut t = write(t);
-                if to == t.shard {
-                    continue;
-                }
-                report.bytes_shipped += t.ship(&self.config, &mut self.meter)?;
-                report.moved.push(TenantMove {
-                    tenant,
-                    from: t.shard,
-                    to,
-                });
-                t.shard = to;
-            }
-            Ok(())
-        };
-        if let Err(e) = ship_all() {
-            self.ring = before;
-            for m in &report.moved {
-                write(&tenants[&m.tenant]).shard = m.from;
-            }
-            return Err(e);
+    /// Every tenant that `before` placed on another shard than the ring
+    /// does, in tenant-id order.
+    fn moves_from(&self, before: &PlacementRing) -> RebalanceReport {
+        let moved = self.tenant_ids().into_iter().filter_map(|tenant| {
+            let (from, to) = (before.place(tenant)?, self.ring.place(tenant)?);
+            (from != to).then_some(TenantMove { tenant, from, to })
+        });
+        RebalanceReport {
+            moved: moved.collect(),
         }
-        Ok(report)
     }
 
     // ---- tenant lifecycle ----
@@ -334,13 +276,9 @@ impl Fabric {
                 format!("tenant {} is already registered", spec.tenant),
             ));
         }
-        let shard = self
-            .ring
-            .place(spec.tenant)
-            .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-        let slot = EngineSlot::build(&spec, self.config.params.clone())?;
+        let shard = self.place(spec.tenant)?;
+        let slot = EngineSlot::build(&spec, self.config.params)?;
         let t = Tenant {
-            shard,
             spec,
             admitted_in_interval: 0,
             slot,
@@ -362,13 +300,9 @@ impl Fabric {
                 format!("tenant {tenant} is already registered"),
             ));
         }
-        let shard = self
-            .ring
-            .place(tenant)
-            .ok_or_else(|| ErrorReply::new("protocol", "the ring has no shards"))?;
-        let slot = EngineSlot::install(transfer, self.config.params.clone())?;
+        let shard = self.place(tenant)?;
+        let slot = EngineSlot::install(transfer, self.config.params)?;
         let t = Tenant {
-            shard,
             spec: transfer.spec,
             admitted_in_interval: transfer.admitted_in_interval,
             slot,
@@ -397,13 +331,18 @@ impl Fabric {
     pub fn quiesce(&self) -> Vec<(u64, u64)> {
         let mut sealed = Vec::new();
         for (tenant, t) in self.tenants() {
-            let mut t = write(&t);
-            if let Ok(interval) = t.slot.advance_interval(tenant) {
-                t.admitted_in_interval = 0;
+            if let Ok(interval) = write(&t).advance() {
                 sealed.push((tenant, interval));
             }
         }
         sealed
+    }
+
+    /// The shard the ring places a tenant on. A registered tenant always
+    /// has one: the ring cannot be emptied while a tenant remains.
+    fn place(&self, tenant: u64) -> Result<u64, ErrorReply> {
+        let empty = || ErrorReply::new("protocol", "the ring has no shards");
+        self.ring.place(tenant).ok_or_else(empty)
     }
 
     /// A tenant's lock, cloned out of the map so the map's read lock
@@ -437,14 +376,11 @@ impl Fabric {
                 })
             }),
             Request::AdvanceInterval(TenantRef { tenant }) => {
-                self.with_tenant_mut(tenant, |t| match t.slot.advance_interval(tenant) {
-                    Ok(sealed_interval) => {
-                        t.admitted_in_interval = 0;
-                        Response::Sealed(SealReceipt {
-                            tenant,
-                            sealed_interval,
-                        })
-                    }
+                self.with_tenant_mut(tenant, |t| match t.advance() {
+                    Ok(sealed_interval) => Response::Sealed(SealReceipt {
+                        tenant,
+                        sealed_interval,
+                    }),
                     Err(e) => Response::Error(e),
                 })
             }
@@ -473,13 +409,14 @@ impl Fabric {
                 })
             }
             Request::Stats(TenantRef { tenant }) => {
-                self.with_tenant(tenant, |t| match t.slot.mass() {
-                    mass if !mass.is_finite() => {
+                self.with_tenant(tenant, |t| match (t.slot.mass(), self.place(tenant)) {
+                    (mass, _) if !mass.is_finite() => {
                         Response::Error(non_finite(tenant, format_args!("mass"), mass))
                     }
-                    mass => Response::Stats(StatsReply {
+                    (_, Err(e)) => Response::Error(e),
+                    (mass, Ok(shard)) => Response::Stats(StatsReply {
                         tenant,
-                        shard: t.shard,
+                        shard,
                         applied: t.slot.applied(),
                         mass,
                         pending: t.slot.pending(),

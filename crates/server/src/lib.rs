@@ -27,13 +27,13 @@
 //!   batch admits nothing, and one tenant's saturation never touches
 //!   its neighbors' answers — the isolation the conformance suite
 //!   pins down.
-//! * **Rebalance by linearity** — moving a tenant ships only its
-//!   counter planes through the wire format (metered on a
-//!   [`CommMeter`](bas_distributed::CommMeter)); the destination
-//!   rebuilds hashers from the tenant's seed and absorbs the planes
-//!   by sketch linearity. A moved tenant answers **bit-for-bit** like
-//!   one that never moved — the paper's linearity property doing
-//!   operational work.
+//! * **Moves by linearity** — a shard add or remove relabels tenants
+//!   and moves no state. Moving a tenant between fabrics
+//!   (`Export`/`Install`) ships only its counter planes; the
+//!   destination rebuilds hashers from the tenant's seed and absorbs
+//!   the planes by sketch linearity. An installed tenant answers
+//!   **bit-for-bit** like the one exported — the paper's linearity
+//!   property doing operational work.
 //!
 //! The fabric is deliberately transport-agnostic: [`serve_connection`]
 //! speaks through any `Read`/`Write` pair, so the same loop runs over

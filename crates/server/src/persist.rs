@@ -12,16 +12,16 @@
 //! cost more than the estimates are worth. The recovery contract is
 //! therefore:
 //!
-//! * **Crash (kill -9):** [`recover`] rebuilds the shard ring, every
+//! * **Crash (kill -9):** [`recover`] replays each record through the
+//!   call that journaled it, so it rebuilds the shard ring, every
 //!   tenant's spec and placement, and its interval position. Tenants
 //!   checkpointed at the last compaction also get their counter
-//!   planes and their interval's quota count back through the
-//!   rebalance path, [`Fabric::install_tenant`]: a range-sum tenant in
-//!   the dyadic layout its planes record (a checkpoint written before
-//!   exact coarse levels existed comes back all grids), a rotating
-//!   tenant with every retained generation under its own seed.
-//!   Counters admitted after the last checkpoint are lost (the
-//!   estimates restart from the checkpoint).
+//!   planes and their interval's quota count back through `Install`:
+//!   a range-sum tenant in the dyadic layout its planes record (a
+//!   checkpoint written before exact coarse levels existed comes back
+//!   all grids), a rotating tenant with every retained generation
+//!   under its own seed. Counters admitted after the last checkpoint
+//!   are lost (the estimates restart from the checkpoint).
 //! * **Graceful shutdown:** [`Daemon::shutdown`](crate::Daemon::shutdown)
 //!   quiesces (seals open intervals) and calls [`Journal::compact`],
 //!   which rewrites the journal as shards + one checkpoint per tenant,
@@ -63,9 +63,10 @@
 //! `(tenant, ring)`, so replaying shard membership in order puts every
 //! recovered tenant back on the shard it was on.
 
-use crate::fabric::Fabric;
+use crate::fabric::{Fabric, FabricConfig};
 use crate::wire::{
-    read_frame, write_frame, Request, Response, TenantRef, TenantSpec, TenantTransfer, WireError,
+    read_frame, write_frame, ErrorReply, Request, Response, TenantRef, TenantSpec, TenantTransfer,
+    WireError,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -92,8 +93,8 @@ pub enum JournalRecord {
     /// A tenant's interval advanced (its open interval was sealed).
     IntervalAdvanced(TenantRef),
     /// A full counter-plane checkpoint: spec, planes, interval
-    /// position and quota count. Supersedes the tenant's earlier
-    /// records.
+    /// position and quota count. Compaction writes one per tenant, and
+    /// the daemon journals each `Install` as one.
     Checkpoint(TenantTransfer),
 }
 
@@ -406,14 +407,12 @@ impl Iterator for Records {
 
 /// Replays a journal into a fresh [`Fabric`] built from `config`.
 ///
-/// Two passes: the first folds the record stream into final state
-/// (shard membership in order; per tenant, the latest checkpoint — if
-/// any — plus the interval advances recorded after it), the second
-/// builds the fabric: shards first, then checkpointed tenants through
-/// [`Fabric::install_tenant`] (planes restored by linearity) and
-/// uncheckpointed tenants through [`Fabric::register_tenant`], each
-/// advanced to its journaled interval. Placement falls out for free —
-/// it is a pure function of `(tenant, ring)`.
+/// One pass in file order, each record through the call the daemon
+/// made when it journaled the record: [`Fabric::add_shard`] and
+/// [`Fabric::remove_shard`] for shard records, and `Register`, `Install`
+/// (a checkpoint) or `AdvanceInterval` through [`Fabric::handle`] for
+/// the rest. Placement falls out for free — it is a pure function of
+/// `(tenant, ring)`.
 ///
 /// A missing journal file recovers an **empty** fabric (first boot).
 /// A torn last frame is skipped, and the file left as it is
@@ -422,93 +421,39 @@ impl Iterator for Records {
 /// # Errors
 /// I/O failures, corrupt records, an older JSON-lines journal (a typed
 /// `InvalidData` error naming the format; the file is left as it is),
-/// and replay rejections (e.g. a journal whose specs no longer validate
-/// against `config`).
-pub fn recover<P: AsRef<Path>>(path: P, config: crate::fabric::FabricConfig) -> io::Result<Fabric> {
+/// and a record the fabric refuses (an `InvalidData` error naming
+/// `journal record N` and the fabric's code — a shard added twice, a
+/// tenant registered twice, an advance for an unknown tenant, a spec
+/// or checkpoint that does not fit `config`).
+pub fn recover<P: AsRef<Path>>(path: P, config: FabricConfig) -> io::Result<Fabric> {
     let mut fabric = Fabric::new(config);
-    let Some(mut reader) = Records::open(path)? else {
+    let Some(mut records) = Records::open(path)? else {
         return Ok(fabric);
     };
-
-    // Pass 1: fold the stream into final topology.
-    let mut shards: Vec<(u64, f64)> = Vec::new();
-    // (spec, advances-after-checkpoint, latest checkpoint), insertion
-    // order preserved so recovery is deterministic.
-    let mut tenants: Vec<(u64, TenantSpec, u64, Option<TenantTransfer>)> = Vec::new();
-    while let Some(record) = reader.next() {
-        match record? {
-            JournalRecord::ShardAdded(ShardRecord { shard, weight }) => {
-                if shards.iter().any(|&(id, _)| id == shard) {
-                    return Err(reader.corrupt(format!("shard {shard} added twice")));
-                }
-                shards.push((shard, weight));
-            }
-            JournalRecord::ShardRemoved(ShardRecord { shard, .. }) => {
-                shards.retain(|&(id, _)| id != shard);
-            }
-            JournalRecord::TenantRegistered(spec) => {
-                if tenants.iter().any(|e| e.0 == spec.tenant) {
-                    return Err(reader.corrupt(format!("tenant {} registered twice", spec.tenant)));
-                }
-                tenants.push((spec.tenant, spec, 0, None));
-            }
-            JournalRecord::IntervalAdvanced(TenantRef { tenant }) => {
-                let Some(entry) = tenants.iter_mut().find(|e| e.0 == tenant) else {
-                    return Err(
-                        reader.corrupt(format!("interval advance for unknown tenant {tenant}"))
-                    );
-                };
-                entry.2 += 1;
-            }
-            JournalRecord::Checkpoint(transfer) => {
-                let tenant = transfer.spec.tenant;
-                match tenants.iter_mut().find(|e| e.0 == tenant) {
-                    Some(entry) => {
-                        entry.1 = transfer.spec;
-                        entry.2 = 0; // the checkpoint carries the interval
-                        entry.3 = Some(transfer);
-                    }
-                    None => tenants.push((tenant, transfer.spec, 0, Some(transfer))),
-                }
-            }
-        }
-    }
-
-    // Pass 2: rebuild. Shards first so placement is final before any
-    // tenant lands.
-    let replay = |e: crate::wire::ErrorReply| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("journal replay: {}: {}", e.code, e.detail),
-        )
-    };
-    for (shard, weight) in shards {
-        fabric.add_shard(shard, weight).map_err(replay)?;
-    }
-    for (tenant, spec, advances, checkpoint) in tenants {
-        match checkpoint {
-            Some(transfer) => {
-                fabric.install_tenant(&transfer).map_err(replay)?;
-            }
-            None => {
-                fabric.register_tenant(spec).map_err(replay)?;
-            }
-        }
-        for _ in 0..advances {
-            if let Response::Error(e) =
-                fabric.handle(Request::AdvanceInterval(TenantRef { tenant }))
-            {
-                return Err(replay(e));
-            }
-        }
+    while let Some(record) = records.next() {
+        let replayed = match record? {
+            JournalRecord::ShardAdded(s) => fabric.add_shard(s.shard, s.weight).map(drop),
+            JournalRecord::ShardRemoved(s) => fabric.remove_shard(s.shard).map(drop),
+            JournalRecord::TenantRegistered(spec) => replay(&fabric, Request::Register(spec)),
+            JournalRecord::IntervalAdvanced(r) => replay(&fabric, Request::AdvanceInterval(r)),
+            JournalRecord::Checkpoint(t) => replay(&fabric, Request::Install(t)),
+        };
+        replayed.map_err(|e| records.corrupt(format_args!("{}: {}", e.code, e.detail)))?;
     }
     Ok(fabric)
+}
+
+/// Dispatches a replayed request; `Err` is the fabric's refusal.
+fn replay(fabric: &Fabric, request: Request) -> Result<(), ErrorReply> {
+    match fabric.handle(request) {
+        Response::Error(e) => Err(e),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::FabricConfig;
     use crate::wire::{IngestFrame, PointQuery};
     use bas_sketch::SketchParams;
 
@@ -570,6 +515,116 @@ mod tests {
         match recovered.handle(Request::Stats(TenantRef { tenant: 7 })) {
             Response::Stats(s) => assert_eq!(s.interval, 2),
             other => panic!("{other:?}"),
+        }
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// The journal a restart with a new `--shard` writes: `ShardAdded(1)`
+    /// after registrations, checkpoints and advances. Recovered, every
+    /// tenant sits where the ring places it, and its `Stats` and answers
+    /// equal, bit for bit, those of a fabric built with both shards
+    /// first.
+    #[test]
+    fn a_shard_added_after_its_tenants_recovers_them_where_the_ring_places_them() {
+        use crate::wire::{HeavyHittersQuery, ServingMode, WindowLen};
+        let sliding = ServingMode::Sliding(WindowLen { intervals: 2 });
+        let spec = |tenant: u64| TenantSpec::frequency(tenant, tenant * 10 + 1).with_mode(sliding);
+        let shard = |shard| JournalRecord::ShardAdded(ShardRecord { shard, weight: 1.0 });
+        // Shard 1 takes tenants 10, 11 and 14 of these.
+        let (registered, checkpointed) = ([1, 2, 10], [3, 11, 14]);
+        let mut records = vec![shard(0)];
+        records.extend(registered.map(|t| JournalRecord::TenantRegistered(spec(t))));
+        let mut source = Fabric::new(config());
+        source.add_shard(0, 1.0).unwrap();
+        for tenant in checkpointed {
+            source.register_tenant(spec(tenant)).unwrap();
+            for round in 0..3 {
+                let updates = (0..200u64)
+                    .map(|i| ((i * 7 + tenant * round) % 1_024, 1.0 + (i % 4) as f64))
+                    .collect();
+                source.handle(Request::Ingest(IngestFrame { tenant, updates }));
+                source.handle(Request::AdvanceInterval(TenantRef { tenant }));
+            }
+            let Response::Exported(transfer) = source.handle(Request::Export(TenantRef { tenant }))
+            else {
+                panic!("tenant {tenant} did not export");
+            };
+            records.push(JournalRecord::Checkpoint(transfer));
+        }
+        let advance = |tenant| JournalRecord::IntervalAdvanced(TenantRef { tenant });
+        records.extend([1, 10, 11, 11, 14].map(advance));
+        records.push(shard(1));
+        let p = temp_path("shard-after-tenants");
+        write_atomically(&p, &records).unwrap();
+        let recovered = recover(&p, config()).unwrap();
+        std::fs::remove_file(&p).unwrap();
+
+        let mut reference = Fabric::new(config());
+        reference.add_shard(0, 1.0).unwrap();
+        reference.add_shard(1, 1.0).unwrap();
+        for record in &records[1..records.len() - 1] {
+            let request = match record.clone() {
+                JournalRecord::TenantRegistered(spec) => Request::Register(spec),
+                JournalRecord::Checkpoint(transfer) => Request::Install(transfer),
+                JournalRecord::IntervalAdvanced(r) => Request::AdvanceInterval(r),
+                other => panic!("{other:?}"),
+            };
+            let response = reference.handle(request);
+            assert!(!matches!(response, Response::Error(_)), "{response:?}");
+        }
+        let answers = |fabric: &Fabric| {
+            let mut out = Vec::new();
+            for tenant in registered.into_iter().chain(checkpointed) {
+                let mut requests = vec![
+                    Request::Stats(TenantRef { tenant }),
+                    Request::WindowHeavyHitters(HeavyHittersQuery { tenant, phi: 0.01 }),
+                ];
+                for item in (0..1_024).step_by(97) {
+                    requests.push(Request::Point(PointQuery { tenant, item }));
+                    requests.push(Request::WindowPoint(PointQuery { tenant, item }));
+                }
+                let responses = requests.into_iter().map(|r| fabric.handle(r));
+                out.extend(responses.map(|r| format!("{r:?}")));
+            }
+            out
+        };
+        assert_eq!(answers(&recovered), answers(&reference));
+        assert_eq!(recovered.tenants_on(1), [10, 11, 14]);
+    }
+
+    /// A record the fabric refuses fails recovery with the fabric's own
+    /// refusal: an `InvalidData` error naming the record and the code.
+    #[test]
+    fn refused_records_fail_recovery_with_the_fabrics_code() {
+        let shard = |shard| JournalRecord::ShardAdded(ShardRecord { shard, weight: 1.0 });
+        let spec = TenantSpec::frequency(7, 77);
+        let registered = JournalRecord::TenantRegistered(spec);
+        let mut narrow = Fabric::new(FabricConfig::new(SketchParams::new(1_024, 32, 5)));
+        narrow.add_shard(0, 1.0).unwrap();
+        narrow.register_tenant(spec).unwrap();
+        let Response::Exported(transfer) = narrow.handle(Request::Export(TenantRef { tenant: 7 }))
+        else {
+            panic!("tenant 7 did not export");
+        };
+        let unknown = JournalRecord::IntervalAdvanced(TenantRef { tenant: 9 });
+        let cases = [
+            (vec![shard(0), shard(0)], "journal record 2: protocol"),
+            (
+                vec![shard(0), registered.clone(), registered],
+                "journal record 3: tenant_exists",
+            ),
+            (vec![shard(0), unknown], "journal record 2: unknown_tenant"),
+            (
+                vec![shard(0), JournalRecord::Checkpoint(transfer)],
+                "journal record 2: incompatible",
+            ),
+        ];
+        let p = temp_path("refused");
+        for (records, want) in cases {
+            write_atomically(&p, &records).unwrap();
+            let err = recover(&p, config()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{want}");
+            assert!(err.to_string().contains(want), "{err}");
         }
         std::fs::remove_file(&p).unwrap();
     }

@@ -62,8 +62,7 @@
 //! | `0x03` | `IntervalAdvanced` | tenant |
 //! | `0x04` | `Checkpoint` | *transfer* |
 //!
-//! A [`TenantTransfer`] framed on its own (a rebalance between shards)
-//! is the tag `0x00`, then the *transfer*. The nested layouts:
+//! The nested layouts:
 //!
 //! | Part | Fields |
 //! |---|---|
@@ -77,8 +76,8 @@
 //! benchmark's shape (4,096 × 9 cells) a plane is 294,912 bytes, so a
 //! [`MAX_FRAME_BYTES`] frame carries 56 planes: a transfer of a
 //! `Sliding` tenant with a window of at most 55 intervals, when it
-//! comes from a peer. A rebalance inside one fabric and the journal
-//! read their frames at the limit of the `u32` length prefix.
+//! comes from a peer. The journal reads its frames at the limit of the
+//! `u32` length prefix.
 //!
 //! A body that ends early, runs past its fields, or carries an unknown
 //! tag or discriminant is a recoverable [`WireError::Malformed`]; so
@@ -228,9 +227,9 @@ impl WireError {
     }
 }
 
-/// A message that travels as a frame body: [`Request`], [`Response`],
-/// [`TenantTransfer`] and [`JournalRecord`], each in the binary layout
-/// the [module docs](self) tabulate.
+/// A message that travels as a frame body: [`Request`], [`Response`]
+/// and [`JournalRecord`], each in the binary layout the
+/// [module docs](self) tabulate.
 pub trait WireBody: Sized {
     /// Appends the encoded body to `out`.
     ///
@@ -245,9 +244,6 @@ pub trait WireBody: Sized {
     /// [`WireError::Malformed`] if `body` is not a valid encoding.
     fn decode_body(body: &[u8]) -> Result<Self, WireError>;
 }
-
-/// Tag byte of a [`TenantTransfer`] framed on its own.
-const TRANSFER_TAG: u8 = 0x00;
 
 impl WireBody for Request {
     fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
@@ -276,22 +272,6 @@ impl WireBody for JournalRecord {
 
     fn decode_body(body: &[u8]) -> Result<Self, WireError> {
         decode(body, JournalRecord::take)
-    }
-}
-
-impl WireBody for TenantTransfer {
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        encode(out, |out| {
-            out.push(TRANSFER_TAG);
-            self.put(out);
-        })
-    }
-
-    fn decode_body(body: &[u8]) -> Result<Self, WireError> {
-        decode(body, |body| match body.u8()? {
-            TRANSFER_TAG => TenantTransfer::take(body),
-            tag => Err(unknown("transfer tag", tag)),
-        })
     }
 }
 
@@ -961,7 +941,7 @@ pub enum Request {
     WindowRangeSum(RangeQuery),
     /// Per-tenant serving statistics.
     Stats(TenantRef),
-    /// Seal and export the tenant's planes for a rebalance.
+    /// Flush and export the tenant's planes, to install elsewhere.
     Export(TenantRef),
     /// Install an exported tenant on this fabric.
     Install(TenantTransfer),
@@ -1131,7 +1111,7 @@ impl TenantSpec {
     }
 }
 
-/// A tenant shipped between shards: spec + stream position + the
+/// A tenant exported for `Install`: spec + stream position + the
 /// cumulative counter plane(s) + every retained seal. Counters only —
 /// the destination rebuilds hashers deterministically from
 /// `params.seed`, and linearity makes the rebuilt engine bit-for-bit.

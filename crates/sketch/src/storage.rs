@@ -995,17 +995,12 @@ impl<'de, T: CounterValue + serde::Deserialize<'de>, B: CounterBackend> serde::D
 /// The plane type `P` is deliberately open — a single
 /// [`CounterMatrix`] for the matrix sketches, a stack of them for the
 /// dyadic range-sum sketch, or any other `Snapshot` type a
-/// [`Snapshottable`](crate::Snapshottable) sketch defines. Counters
-/// alone do not determine which vector a plane sketches, so every seal
-/// also records the hasher configuration it was counted under
-/// ([`config`](SealedPlane::config)) — in a fixed-seed deployment all
-/// seals share it, but under seed rotation adjacent seals differ, and
-/// combining them in counter space must be rejected, not silently
-/// performed.
+/// [`Snapshottable`](crate::Snapshottable) sketch defines. Only a
+/// fixed-seed sketch seals, so every seal was counted under the live
+/// sketch's hasher configuration.
 #[derive(Debug, Clone)]
 pub struct SealedPlane<P> {
     plane: P,
-    params: crate::traits::SketchParams,
     interval: u64,
     applied: u64,
     mass: f64,
@@ -1015,18 +1010,6 @@ impl<P> SealedPlane<P> {
     /// The frozen counter plane.
     pub fn plane(&self) -> &P {
         &self.plane
-    }
-
-    /// The hasher configuration the plane's counters were addressed
-    /// under. Carried **per seal** rather than inherited from the bank:
-    /// under seed rotation, planes sealed across a rotation boundary
-    /// have different hash functions, and a recycled slot must never
-    /// keep the old generation's configuration implicitly. Counter-
-    /// space combination of two seals is valid only when
-    /// [`SketchParams::check_counter_compatible`](crate::SketchParams::check_counter_compatible)
-    /// accepts their configs.
-    pub fn config(&self) -> crate::traits::SketchParams {
-        self.params
     }
 
     /// The interval id this seal closed (seal `t` captures the
@@ -1069,14 +1052,11 @@ impl<P> SealedPlane<P> {
 ///
 /// ```
 /// use bas_sketch::storage::{CounterMatrix, PlaneBank};
-/// use bas_sketch::SketchParams;
 ///
-/// let config = SketchParams::new(16, 4, 1).with_seed(7);
 /// let mut bank: PlaneBank<CounterMatrix<f64>> = PlaneBank::new(2);
 /// for t in 0..4u64 {
 ///     bank.seal_with(
 ///         t,
-///         config,
 ///         || CounterMatrix::new(4, 1),
 ///         |plane| {
 ///             plane.set(0, 0, t as f64); // stand-in for a counter copy
@@ -1087,7 +1067,6 @@ impl<P> SealedPlane<P> {
 /// assert_eq!(bank.len(), 2);                  // ring recycled
 /// assert!(bank.sealed(1).is_none());          // evicted
 /// assert_eq!(bank.sealed(3).unwrap().applied(), 4);
-/// assert_eq!(bank.sealed(3).unwrap().config(), config);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PlaneBank<P> {
@@ -1112,11 +1091,6 @@ impl<P> PlaneBank<P> {
         }
     }
 
-    /// Maximum number of retained seals.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of seals currently retained.
     pub fn len(&self) -> usize {
         self.ring.len()
@@ -1131,10 +1105,6 @@ impl<P> PlaneBank<P> {
     /// allocation-free once the ring is full, otherwise allocates one
     /// via `make`. `fill` copies the live counters into the slot and
     /// returns the stream position `(applied, mass)` the copy captured.
-    /// `config` is the hasher configuration the counters were addressed
-    /// under at seal time — recorded on the seal (a recycled slot is
-    /// fully overwritten, so it can never carry a previous generation's
-    /// configuration implicitly).
     ///
     /// # Panics
     /// Panics if `interval` does not increase monotonically (each
@@ -1142,7 +1112,6 @@ impl<P> PlaneBank<P> {
     pub fn seal_with(
         &mut self,
         interval: u64,
-        config: crate::traits::SketchParams,
         make: impl FnOnce() -> P,
         fill: impl FnOnce(&mut P) -> (u64, f64),
     ) {
@@ -1161,14 +1130,12 @@ impl<P> PlaneBank<P> {
         } else {
             SealedPlane {
                 plane: make(),
-                params: config,
                 interval: 0,
                 applied: 0,
                 mass: 0.0,
             }
         };
         let (applied, mass) = fill(&mut slot.plane);
-        slot.params = config;
         slot.interval = interval;
         slot.applied = applied;
         slot.mass = mass;
@@ -1185,11 +1152,6 @@ impl<P> PlaneBank<P> {
     /// The most recent seal.
     pub fn latest(&self) -> Option<&SealedPlane<P>> {
         self.ring.back()
-    }
-
-    /// The oldest retained seal.
-    pub fn oldest(&self) -> Option<&SealedPlane<P>> {
-        self.ring.front()
     }
 
     /// Retained seals, oldest first.
@@ -1360,10 +1322,8 @@ mod tests {
         let mut bank: PlaneBank<CounterMatrix<f64>> = PlaneBank::new(3);
         assert!(bank.is_empty() && bank.latest().is_none());
         for t in 0..5u64 {
-            // Rotate the seed per seal: each slot must carry its own.
             bank.seal_with(
                 t,
-                crate::SketchParams::new(4, 2, 1).with_seed(t),
                 || CounterMatrix::new(2, 1),
                 |p| {
                     p.set(0, 0, t as f64);
@@ -1372,11 +1332,9 @@ mod tests {
             );
         }
         assert_eq!(bank.len(), 3);
-        assert_eq!(bank.capacity(), 3);
         assert!(bank.sealed(0).is_none() && bank.sealed(1).is_none());
         let intervals: Vec<u64> = bank.planes().map(|s| s.interval()).collect();
         assert_eq!(intervals, vec![2, 3, 4]);
-        assert_eq!(bank.oldest().unwrap().interval(), 2);
         let latest = bank.latest().unwrap();
         assert_eq!(latest.interval(), 4);
         assert_eq!(latest.applied(), 50);
@@ -1384,27 +1342,12 @@ mod tests {
         assert_eq!(latest.plane().get(0, 0), 4.0);
         // The recycled slot was refilled, not stale.
         assert_eq!(bank.sealed(2).unwrap().plane().get(0, 0), 2.0);
-        // ...including its hasher configuration: the slot sealed at
-        // t = 4 reused t = 1's allocation but must carry t = 4's seed.
-        assert_eq!(latest.config().seed, 4);
-        assert_eq!(bank.sealed(2).unwrap().config().seed, 2);
-        assert!(bank
-            .sealed(2)
-            .unwrap()
-            .config()
-            .check_counter_compatible(&latest.config())
-            .is_err());
     }
 
     #[test]
     fn zero_capacity_bank_ignores_seals() {
         let mut bank: PlaneBank<CounterMatrix<f64>> = PlaneBank::new(0);
-        bank.seal_with(
-            0,
-            crate::SketchParams::new(4, 2, 1),
-            || panic!("must not allocate"),
-            |_| (0, 0.0),
-        );
+        bank.seal_with(0, || panic!("must not allocate"), |_| (0, 0.0));
         assert!(bank.is_empty());
     }
 
@@ -1412,9 +1355,8 @@ mod tests {
     #[should_panic(expected = "seals must advance")]
     fn non_monotone_seal_rejected() {
         let mut bank: PlaneBank<CounterMatrix<f64>> = PlaneBank::new(2);
-        let cfg = crate::SketchParams::new(4, 1, 1);
-        bank.seal_with(3, cfg, || CounterMatrix::new(1, 1), |_| (0, 0.0));
-        bank.seal_with(3, cfg, || CounterMatrix::new(1, 1), |_| (0, 0.0));
+        bank.seal_with(3, || CounterMatrix::new(1, 1), |_| (0, 0.0));
+        bank.seal_with(3, || CounterMatrix::new(1, 1), |_| (0, 0.0));
     }
 
     #[test]

@@ -158,9 +158,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// End-to-end: growing a live fabric's ring ships the moved
-    /// tenants by linearity, and each mover answers **bit-for-bit**
-    /// like a dedicated engine that never moved.
+    /// End-to-end: growing a live fabric's ring moves some tenants,
+    /// and each mover answers **bit-for-bit** like a dedicated engine
+    /// that never moved.
     #[test]
     fn moved_tenants_answer_bit_for_bit_after_rebalance(
         seed_base in 1u64..1_000_000,

@@ -677,7 +677,6 @@ proptest! {
             for kind in 0..5 {
                 round_trips_by_bits(&record(sel * 5 + kind, tenant, &cells))?;
             }
-            round_trips_by_bits(&transfer(sel, tenant, &cells))?;
         }
     }
 
@@ -702,7 +701,6 @@ proptest! {
         check::<Request>(body(&request(sel, tenant, &updates, &cells)), &extra)?;
         check::<Response>(body(&response(sel, tenant, &updates, &cells)), &extra)?;
         check::<JournalRecord>(body(&record(sel, tenant, &cells)), &extra)?;
-        check::<TenantTransfer>(body(&transfer(sel, tenant, &cells)), &extra)?;
     }
 }
 
@@ -732,7 +730,6 @@ fn unknown_tags_and_discriminants_are_malformed() {
     };
     each_byte::<JournalRecord>(&body(&JournalRecord::ShardAdded(shard)), 0, 0x05..=0xFF);
     let transfer = transfer(0, 3, &[1.0]);
-    each_byte::<TenantTransfer>(&body(&transfer), 0, 0x01..=0xFF);
 
     // Register: tag, tenant and seed, then the metric (offset 17) and
     // the serving mode (offset 18). Install of an unbounded tenant:
